@@ -14,6 +14,12 @@
 //! class contributes one selectivity chosen by the configured
 //! [`SelectivityRule`], classes multiply (independence assumption), and the
 //! new cardinality is `old · ‖T‖′ · ∏ per-class selectivity`.
+//!
+//! An enumerator asks this once per candidate plan, so a step allocates
+//! nothing: the predicates are indexed once, at construction, as table
+//! bitmasks grouped by class, and one pass over that index finds each
+//! class's choice and multiplies the classes in ascending [`ClassId`] order
+//! — the same product, to the bit, for every query prepared the same way.
 
 use std::collections::HashMap;
 
@@ -99,6 +105,44 @@ pub struct JoinStepExplanation {
     pub cardinality_after: f64,
 }
 
+/// One cross-table predicate as Step 6 tests it.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// The bits of the two tables it links. Empty when either lies past
+    /// the 64-bit state mask: such an edge never crosses, exactly as
+    /// [`JoinState::contains`] never reports such a table.
+    tables: u64,
+    selectivity: f64,
+}
+
+impl Edge {
+    fn new(left: TableId, right: TableId, selectivity: f64) -> Edge {
+        let tables =
+            if left < MAX_TABLES && right < MAX_TABLES { (1 << left) | (1 << right) } else { 0 };
+        Edge { tables, selectivity }
+    }
+
+    /// True when the edge links a table of `a` to a table of `b`. The two
+    /// sets must be disjoint: an edge has at most two tables, so meeting
+    /// both sets means one end in each.
+    fn crosses(&self, a: u64, b: u64) -> bool {
+        (self.tables & a != 0) & (self.tables & b != 0)
+    }
+}
+
+/// The equality edges of one equivalence class: in predicate order under
+/// Rules M and REP, most selective first under Rule SS and least selective
+/// first under Rule LS — so that the choice of either of those two rules at
+/// any step is simply the first edge that crosses it.
+#[derive(Debug, Clone)]
+struct ClassEdges {
+    class: ClassId,
+    /// The class's fixed representative (`None` when Steps 1–5 supplied
+    /// none; only Rule REP reads it).
+    representative: Option<f64>,
+    edges: Vec<Edge>,
+}
+
 /// The output of Steps 1–5, ready for incremental estimation.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
@@ -109,10 +153,15 @@ pub struct PreparedQuery {
     /// Annotated inequality join predicates. Classless: each multiplies its
     /// selectivity into the first step that crosses it.
     pub(crate) range_predicates: Vec<RangePredicateInfo>,
-    /// Fixed representative selectivity per class (for Rule REP).
-    pub(crate) class_representative: HashMap<ClassId, f64>,
-    /// The configured selectivity-choice rule.
-    pub(crate) rule: SelectivityRule,
+    /// `join_predicates` as edges, grouped by class in ascending class
+    /// order: the classes are multiplied in an order that depends on
+    /// nothing but the query.
+    class_edges: Vec<ClassEdges>,
+    /// `range_predicates` as edges, in predicate order.
+    range_edges: Vec<Edge>,
+    /// The configured selectivity-choice rule (fixed at construction:
+    /// `class_edges` is ordered for it).
+    rule: SelectivityRule,
 }
 
 impl PreparedQuery {
@@ -125,11 +174,36 @@ impl PreparedQuery {
         class_representative: HashMap<ClassId, f64>,
         rule: SelectivityRule,
     ) -> Self {
+        let mut class_edges: Vec<ClassEdges> = Vec::new();
+        for p in &join_predicates {
+            let edge = Edge::new(p.left.table, p.right.table, p.selectivity);
+            match class_edges.iter_mut().find(|c| c.class == p.class) {
+                Some(c) => c.edges.push(edge),
+                None => class_edges.push(ClassEdges {
+                    class: p.class,
+                    representative: class_representative.get(&p.class).copied(),
+                    edges: vec![edge],
+                }),
+            }
+        }
+        class_edges.sort_by_key(|c| c.class);
+        for class in &mut class_edges {
+            match rule {
+                SelectivityRule::SmallestSelectivity => {
+                    class.edges.sort_by(|x, y| x.selectivity.total_cmp(&y.selectivity));
+                }
+                SelectivityRule::LargestSelectivity => {
+                    class.edges.sort_by(|x, y| y.selectivity.total_cmp(&x.selectivity));
+                }
+                SelectivityRule::Multiplicative | SelectivityRule::Representative => {}
+            }
+        }
         PreparedQuery {
             table_cardinality,
             join_predicates,
             range_predicates: Vec::new(),
-            class_representative,
+            class_edges,
+            range_edges: Vec::new(),
             rule,
         }
     }
@@ -137,6 +211,10 @@ impl PreparedQuery {
     /// Attach annotated inequality join predicates (builder style).
     #[must_use]
     pub fn with_range_predicates(mut self, range_predicates: Vec<RangePredicateInfo>) -> Self {
+        self.range_edges = range_predicates
+            .iter()
+            .map(|p| Edge::new(p.left.table, p.right.table, p.selectivity))
+            .collect();
         self.range_predicates = range_predicates;
         self
     }
@@ -160,19 +238,6 @@ impl PreparedQuery {
     /// The annotated inequality join predicates.
     pub fn range_predicates(&self) -> &[RangePredicateInfo] {
         &self.range_predicates
-    }
-
-    /// Product of the selectivities of the range predicates linking `table`
-    /// to the tables of `state` (1.0 when none cross).
-    fn range_selectivity(&self, state: &JoinState, table: TableId) -> f64 {
-        self.range_predicates
-            .iter()
-            .filter(|p| {
-                (p.left.table == table && state.contains(p.right.table))
-                    || (p.right.table == table && state.contains(p.left.table))
-            })
-            .map(|p| p.selectivity)
-            .product()
     }
 
     /// The selectivity-choice rule in force.
@@ -200,41 +265,58 @@ impl PreparedQuery {
         Ok(JoinState { tables: 1 << table, cardinality })
     }
 
-    /// The representative selectivity of `class`. Only
-    /// [`SelectivityRule::Representative`] consumes the value
-    /// ([`SelectivityRule::combine`] ignores it under every other rule), so
-    /// a missing entry is fine there — but under Rule REP it means Steps
-    /// 1–5 and this query disagree about the class set (drifted or
-    /// hand-built stats), and silently substituting 1.0 would turn every
-    /// affected join step into a cartesian product. Degrade to a typed
-    /// error instead.
-    fn representative(&self, class: ClassId) -> ElsResult<f64> {
-        match self.class_representative.get(&class).copied() {
+    /// The representative selectivity of a class. Only
+    /// [`SelectivityRule::Representative`] consumes the value, so a
+    /// missing entry is fine under every other rule — but under Rule REP
+    /// it means Steps 1–5 and this query disagree about the class set
+    /// (drifted or hand-built stats), and silently substituting 1.0 would
+    /// turn every affected join step into a cartesian product. Degrade to a
+    /// typed error instead.
+    fn representative(&self, class: &ClassEdges) -> ElsResult<f64> {
+        match class.representative {
             Some(r) => Ok(r),
             None if self.rule != SelectivityRule::Representative => Ok(1.0),
             None => Err(ElsError::DegenerateStats(format!(
-                "rule REP has no representative selectivity for class {class}"
+                "rule REP has no representative selectivity for class {}",
+                class.class
             ))),
         }
     }
 
-    /// Selectivities of the predicates linking `table` to the tables of
-    /// `state`, grouped by equivalence class.
-    fn eligible_by_class(&self, state: &JoinState, table: TableId) -> HashMap<ClassId, Vec<f64>> {
-        let mut by_class: HashMap<ClassId, Vec<f64>> = HashMap::new();
-        for p in &self.join_predicates {
-            let links = (p.left.table == table && state.contains(p.right.table))
-                || (p.right.table == table && state.contains(p.left.table));
-            if links {
-                by_class.entry(p.class).or_default().push(p.selectivity);
+    /// Combined selectivity of every predicate linking the disjoint table
+    /// sets `a` and `b`: the rule's choice per class, the classes
+    /// multiplied in ascending id order, then each crossing range
+    /// predicate.
+    fn crossing_selectivity(&self, a: u64, b: u64) -> ElsResult<f64> {
+        let mut selectivity = 1.0f64;
+        for class in &self.class_edges {
+            let mut eligible =
+                class.edges.iter().filter(|e| e.crosses(a, b)).map(|e| e.selectivity);
+            let chosen = match self.rule {
+                SelectivityRule::Multiplicative => eligible.reduce(|acc, s| acc * s),
+                SelectivityRule::SmallestSelectivity | SelectivityRule::LargestSelectivity => {
+                    eligible.next()
+                }
+                SelectivityRule::Representative => match eligible.next() {
+                    Some(_) => Some(self.representative(class)?),
+                    None => None,
+                },
+            };
+            if let Some(chosen) = chosen {
+                selectivity *= chosen;
             }
         }
-        by_class
+        Ok(self
+            .range_edges
+            .iter()
+            .filter(|e| e.crosses(a, b))
+            .fold(selectivity, |s, e| s * e.selectivity))
     }
 
     /// Extend `state` by `table`, returning the new state with its estimated
     /// cardinality. When no predicate links the new table to the state the
-    /// step is a cartesian product.
+    /// step is a cartesian product. Equal, to the bit, to
+    /// [`PreparedQuery::join_sets`] with `table`'s initial state.
     pub fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
         let base = self.checked_base(table)?;
         if state.contains(table) {
@@ -243,11 +325,7 @@ impl PreparedQuery {
         if state.is_empty() {
             return self.initial_state(table);
         }
-        let mut selectivity = 1.0f64;
-        for (class, eligible) in self.eligible_by_class(state, table) {
-            selectivity *= self.rule.combine(&eligible, self.representative(class)?);
-        }
-        selectivity *= self.range_selectivity(state, table);
+        let selectivity = self.crossing_selectivity(state.tables, 1 << table)?;
         Ok(JoinState {
             tables: state.tables | (1 << table),
             cardinality: state.cardinality * base * selectivity,
@@ -265,12 +343,22 @@ impl PreparedQuery {
     ) -> ElsResult<JoinStepExplanation> {
         let new_state = self.join(state, table)?;
         let base_cardinality = self.checked_base(table)?;
+        let crosses = |p: &JoinPredicateInfo| {
+            Edge::new(p.left.table, p.right.table, p.selectivity).crosses(state.tables, 1 << table)
+        };
         let mut classes: Vec<ClassChoice> = Vec::new();
-        for (class, eligible) in self.eligible_by_class(state, table) {
-            let chosen = self.rule.combine(&eligible, self.representative(class)?);
-            classes.push(ClassChoice { class, eligible, chosen });
+        for class in &self.class_edges {
+            let eligible: Vec<f64> = self
+                .join_predicates
+                .iter()
+                .filter(|p| p.class == class.class && crosses(p))
+                .map(|p| p.selectivity)
+                .collect();
+            if !eligible.is_empty() {
+                let chosen = self.rule.combine(&eligible, self.representative(class)?);
+                classes.push(ClassChoice { class: class.class, eligible, chosen });
+            }
         }
-        classes.sort_by_key(|c| c.class);
         Ok(JoinStepExplanation {
             table,
             base_cardinality,
@@ -300,25 +388,7 @@ impl PreparedQuery {
         if b.is_empty() {
             return Ok(*a);
         }
-        let mut by_class: HashMap<ClassId, Vec<f64>> = HashMap::new();
-        for p in &self.join_predicates {
-            let links = (a.contains(p.left.table) && b.contains(p.right.table))
-                || (b.contains(p.left.table) && a.contains(p.right.table));
-            if links {
-                by_class.entry(p.class).or_default().push(p.selectivity);
-            }
-        }
-        let mut selectivity = 1.0f64;
-        for (class, eligible) in by_class {
-            selectivity *= self.rule.combine(&eligible, self.representative(class)?);
-        }
-        for p in &self.range_predicates {
-            let links = (a.contains(p.left.table) && b.contains(p.right.table))
-                || (b.contains(p.left.table) && a.contains(p.right.table));
-            if links {
-                selectivity *= p.selectivity;
-            }
-        }
+        let selectivity = self.crossing_selectivity(a.tables, b.tables)?;
         Ok(JoinState {
             tables: a.tables | b.tables,
             cardinality: a.cardinality * b.cardinality * selectivity,
@@ -606,6 +676,73 @@ mod tests {
         ] {
             assert!(matches!(err, ElsError::DegenerateStats(_)), "got {err:?}");
             assert!(err.to_string().contains("EC"), "error must name the class: {err}");
+        }
+    }
+
+    /// `join` picks each class's value from the rule-ordered index,
+    /// `explain_join` recomputes it with [`SelectivityRule::combine`] over
+    /// the eligible predicates: the two must tell the same story.
+    #[test]
+    fn explain_join_agrees_with_join_under_every_rule() {
+        for rule in [
+            SelectivityRule::Multiplicative,
+            SelectivityRule::SmallestSelectivity,
+            SelectivityRule::LargestSelectivity,
+            SelectivityRule::Representative,
+        ] {
+            let q = example_1b(rule, RepresentativeStrategy::GeometricMean);
+            let state = q.join(&q.initial_state(1).unwrap(), 2).unwrap();
+            let step = q.explain_join(&state, 0).unwrap();
+            assert_eq!(step.classes.len(), 1, "{rule:?}");
+            assert_eq!(step.classes[0].eligible, vec![0.01, 0.001], "{rule:?}");
+            let replayed = step.cardinality_before * step.base_cardinality * step.classes[0].chosen;
+            assert_eq!(step.cardinality_after, replayed, "{rule:?}");
+        }
+    }
+
+    /// Regression: per-class selectivities used to be multiplied in
+    /// `HashMap` iteration order, so with three or more classes crossing
+    /// one step the product could differ in its last bit between two
+    /// processes, or two values prepared from the same input (these four
+    /// selectivities have four distinct products across their 24 orders).
+    /// The product is taken in ascending class order, whatever order the
+    /// predicates arrive in.
+    #[test]
+    fn classes_multiply_in_ascending_id_order_bit_for_bit() {
+        let sels = [0.3, 0.07, 0.011, 0.13];
+        let prepare = |order: [usize; 4]| {
+            let infos = order
+                .iter()
+                .map(|&i| JoinPredicateInfo {
+                    left: c(0, i),
+                    right: c(i + 1, 0),
+                    class: ClassId(i),
+                    selectivity: sels[i],
+                })
+                .collect();
+            PreparedQuery::from_parts(
+                vec![1.0; 5],
+                infos,
+                HashMap::new(),
+                SelectivityRule::LargestSelectivity,
+            )
+        };
+        let expected = (((sels[0] * sels[1]) * sels[2]) * sels[3]).to_bits();
+        for q in [prepare([0, 1, 2, 3]), prepare([0, 1, 2, 3]), prepare([2, 0, 3, 1])] {
+            // The four dimension tables first (cartesian), then the hub:
+            // all four classes cross the last step.
+            let mut dims = q.initial_state(1).unwrap();
+            for t in 2..5 {
+                dims = q.join(&dims, t).unwrap();
+            }
+            assert_eq!(q.join(&dims, 0).unwrap().cardinality().to_bits(), expected);
+            let hub = q.initial_state(0).unwrap();
+            assert_eq!(q.join_sets(&hub, &dims).unwrap().cardinality().to_bits(), expected);
+            assert_eq!(q.join_sets(&dims, &hub).unwrap().cardinality().to_bits(), expected);
+            let explained = q.explain_join(&dims, 0).unwrap();
+            assert_eq!(explained.cardinality_after.to_bits(), expected);
+            let classes: Vec<ClassId> = explained.classes.iter().map(|c| c.class).collect();
+            assert_eq!(classes, (0..4).map(ClassId).collect::<Vec<_>>());
         }
     }
 

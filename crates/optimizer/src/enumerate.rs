@@ -1,15 +1,29 @@
-//! Dynamic-programming enumeration of left-deep join trees.
+//! Dynamic-programming join enumeration over left-deep or bushy trees.
 //!
 //! The classic System R algorithm [13]: the best plan for every subset of
-//! tables is kept, and subsets are extended one table at a time. At each
-//! extension the estimator supplies the intermediate result size — this is
-//! precisely the "incremental estimation" loop the paper's Algorithm ELS
-//! serves — and the cost model prices each available join method; the
-//! cheapest (plan, method) combination survives.
+//! tables is kept, and subsets are extended one base table at a time (and,
+//! under [`TreeShape::Bushy`], paired with every disjoint subset that
+//! already has a plan). At each extension the estimator supplies the
+//! intermediate result size — this is precisely the "incremental
+//! estimation" loop the paper's Algorithm ELS serves — and the cost model
+//! prices each applicable join method; the cheapest (plan, method)
+//! combination survives.
+//!
+//! The loop runs once per candidate (`n·2ⁿ⁻¹` left-deep extensions plus
+//! about `3ⁿ` bushy pairs), so a candidate costs one estimator call, one
+//! cost formula per method and nothing else: a table entry is a `Copy`
+//! record holding back-pointers to its two inputs rather than a plan, and
+//! "do equality keys / range edges link these two sides" is an AND against
+//! per-table adjacency masks. The operator tree, with its key lists and
+//! compiled scan filters, is built once, for the winner, by following the
+//! back-pointers from the full set.
 //!
 //! Cartesian products are permitted but naturally priced out whenever a
-//! connected extension exists. Ties keep the earlier (lower table id)
-//! candidate so results are deterministic.
+//! connected extension exists. A candidate replaces an entry only when it
+//! is strictly cheaper, so **candidate order is tie-break order**: masks
+//! ascending, then base tables ascending, then partner subsets descending;
+//! methods in the caller's order. Reordering any of these loops changes
+//! which of two equal-cost plans is returned.
 
 use els_core::estimator::JoinState;
 use els_core::predicate::{CmpOp, Predicate};
@@ -52,14 +66,116 @@ pub struct EnumerationResult {
     pub estimated_cost: f64,
 }
 
-#[derive(Debug, Clone)]
+/// One plan that was, when it was priced, the cheapest for its table
+/// subset. Its inputs are back-pointers into the list of such plans, not
+/// subtrees: 48 bytes and `Copy`.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     cost: f64,
     state: JoinState,
-    node: PlanNode,
-    /// Combined tuple width of covered tables (for intermediate sizing by
-    /// future cost extensions).
+    /// Combined tuple width of the covered tables (prices rescans of this
+    /// result as a materialized inner).
     width: usize,
+    /// The covered tables.
+    mask: u32,
+    /// Positions of the two inputs in the plan list (unused for a scan).
+    left: u32,
+    right: u32,
+    /// `None` for a base-table scan.
+    method: Option<JoinMethod>,
+}
+
+/// The DP table: every plan that ever became the best for its subset, in
+/// the order they won, and per subset the position of the current best.
+///
+/// A superseded plan stays in the list because a bushy candidate may have
+/// taken it as its inner before the cheaper one arrived (a partner subset
+/// numerically above the outer's is not final yet); the back-pointer then
+/// still leads to the plan whose cost the candidate was charged.
+struct PlanTable {
+    plans: Vec<Entry>,
+    best: Vec<Option<u32>>,
+}
+
+impl PlanTable {
+    fn new(n: usize) -> PlanTable {
+        PlanTable { plans: Vec::with_capacity(1 << n), best: vec![None; 1 << n] }
+    }
+
+    /// The current best plan for `mask` and its position in the list.
+    fn best(&self, mask: u32) -> Option<(u32, Entry)> {
+        let at = (*self.best.get(mask as usize)?)?;
+        Some((at, *self.plans.get(at as usize)?))
+    }
+
+    /// Install `candidate` when it is strictly cheaper than the current
+    /// best for its subset (so the earliest of equal-cost candidates stays).
+    fn offer(&mut self, candidate: Entry) {
+        let incumbent = self.best(candidate.mask);
+        if incumbent.is_none_or(|(_, e)| candidate.cost < e.cost) {
+            if let Some(slot) = self.best.get_mut(candidate.mask as usize) {
+                *slot = Some(self.plans.len() as u32);
+                self.plans.push(candidate);
+            }
+        }
+    }
+
+    /// The operator tree of the plan at `at`, rebuilt from the
+    /// back-pointers. Each base table occurs once in a tree, so its
+    /// compiled filters are moved out of `filters`. `None` only if a
+    /// back-pointer leads nowhere.
+    fn build(
+        &self,
+        at: u32,
+        predicates: &[Predicate],
+        filters: &mut [Vec<CompiledFilter>],
+    ) -> Option<PlanNode> {
+        let entry = self.plans.get(at as usize)?;
+        let Some(method) = entry.method else {
+            let table_id = entry.mask.trailing_zeros() as usize;
+            return Some(PlanNode::Scan {
+                table_id,
+                filters: std::mem::take(filters.get_mut(table_id)?),
+            });
+        };
+        let side = |at: u32| self.plans.get(at as usize).map(|e| u64::from(e.mask));
+        let (left_mask, right_mask) = (side(entry.left)?, side(entry.right)?);
+        Some(PlanNode::Join {
+            method,
+            left: Box::new(self.build(entry.left, predicates, filters)?),
+            right: Box::new(self.build(entry.right, predicates, filters)?),
+            keys: join_keys_between(predicates, left_mask, right_mask),
+            ranges: range_keys_between(predicates, left_mask, right_mask),
+        })
+    }
+}
+
+/// What the loop needs of one base table, computed once per enumeration.
+struct BaseTable {
+    profile: TableProfile,
+    /// Planning cardinality: what a filtered scan is expected to produce.
+    effective_rows: f64,
+    /// Tables linked to this one by an equality / an inequality predicate.
+    key_adjacent: u32,
+    range_adjacent: u32,
+}
+
+/// The inner input of a candidate join, as the cost model distinguishes it.
+#[derive(Clone, Copy)]
+enum Inner<'a> {
+    /// A stored table: scanned (or rescanned, or index-probed) in place.
+    Base(&'a TableProfile),
+    /// A materialized intermediate of this tuple width.
+    Intermediate { width: usize },
+}
+
+/// Row counts of one candidate join.
+#[derive(Clone, Copy)]
+struct Rows {
+    outer: f64,
+    inner: f64,
+    /// The estimator's size for the joined set.
+    out: f64,
 }
 
 /// Scan filters for one table: every local predicate of the (possibly
@@ -194,169 +310,127 @@ pub fn enumerate(
     }
     let predicates = els.predicates();
 
-    let mut best: Vec<Option<Entry>> = vec![None; 1usize << n];
+    let mut tables: Vec<BaseTable> = Vec::with_capacity(n);
+    let mut filters: Vec<Vec<CompiledFilter>> = Vec::with_capacity(n);
+    let mut dp = PlanTable::new(n);
     for (t, profile) in profiles.iter().enumerate() {
-        let state = els.initial_state(t)?;
-        let node = PlanNode::Scan { table_id: t, filters: scan_filters(predicates, t)? };
-        best[1usize << t] =
-            Some(Entry { cost: params.scan(profile), state, node, width: profile.row_bytes });
+        tables.push(BaseTable {
+            profile: *profile,
+            effective_rows: els.effective_cardinality(t)?,
+            key_adjacent: 0,
+            range_adjacent: 0,
+        });
+        filters.push(scan_filters(predicates, t)?);
+        dp.offer(Entry {
+            cost: params.scan(profile),
+            state: els.initial_state(t)?,
+            width: profile.row_bytes,
+            mask: 1 << t,
+            left: 0,
+            right: 0,
+            method: None,
+        });
     }
+    for p in predicates {
+        let (l, r, is_key) = match p {
+            Predicate::JoinEq { left, right } => (left.table, right.table, true),
+            Predicate::JoinRange { left, right, .. } => (left.table, right.table, false),
+            _ => continue,
+        };
+        if l >= n || r >= n {
+            continue;
+        }
+        for (t, other) in [(l, r), (r, l)] {
+            if let Some(table) = tables.get_mut(t) {
+                let adjacent =
+                    if is_key { &mut table.key_adjacent } else { &mut table.range_adjacent };
+                *adjacent |= 1 << other;
+            }
+        }
+    }
+    // One candidate: `outer ⋈ inner`, offered at its cheapest applicable
+    // method (none may be — e.g. IndexNestedLoop-only configurations over
+    // an intermediate — which is no candidate, not a panic). An inner that
+    // is a scan is a stored table; anything else is materialized.
+    let consider = |dp: &mut PlanTable,
+                    &(outer_at, outer): &(u32, Entry),
+                    &(inner_at, inner): &(u32, Entry),
+                    links: (bool, bool)|
+     -> OptimizerResult<()> {
+        let t = inner.mask.trailing_zeros() as usize;
+        let (state, kind, inner_rows, inputs_cost) = match tables.get(t) {
+            // The stored inner's scan is charged inside each method's formula.
+            Some(table) if inner.method.is_none() => (
+                els.join(&outer.state, t)?,
+                Inner::Base(&table.profile),
+                table.effective_rows,
+                outer.cost,
+            ),
+            _ => (
+                els.join_sets(&outer.state, &inner.state)?,
+                Inner::Intermediate { width: inner.width },
+                inner.state.cardinality(),
+                outer.cost + inner.cost,
+            ),
+        };
+        let rows =
+            Rows { outer: outer.state.cardinality(), inner: inner_rows, out: state.cardinality() };
+        if let Some((method, join_cost)) = cheapest_method(methods, params, kind, rows, links) {
+            dp.offer(Entry {
+                cost: inputs_cost + join_cost,
+                state,
+                width: outer.width + inner.width,
+                mask: outer.mask | inner.mask,
+                left: outer_at,
+                right: inner_at,
+                method: Some(method),
+            });
+        }
+        Ok(())
+    };
 
     // Extend subsets in increasing mask order (all proper submasks of m are
-    // numerically smaller than m, so they are final when m is built).
-    for mask in 1usize..(1 << n) {
-        let Some(entry) = best[mask].clone() else { continue };
+    // numerically smaller than m, so m's plan is final when m is extended).
+    let universe = (1u32 << n) - 1;
+    for mask in 1..=universe {
+        let Some(outer) = dp.best(mask) else { continue };
+        // Every table a key / a range edge leads to from inside `mask`:
+        // "do keys link `mask` to this other side" is then one AND.
+        let (key_reach, range_reach) = tables
+            .iter()
+            .enumerate()
+            .filter(|(t, _)| mask & (1 << t) != 0)
+            .fold((0u32, 0u32), |(k, r), (_, b)| (k | b.key_adjacent, r | b.range_adjacent));
+        let links = |other: u32| (key_reach & other != 0, range_reach & other != 0);
 
         // Left-deep transitions: extend by one base table.
-        #[allow(clippy::needless_range_loop)] // `t` is a table id, not just an index
-        for t in 0..n {
-            if mask & (1 << t) != 0 {
-                continue;
-            }
-            let new_state = els.join(&entry.state, t)?;
-            let outer_rows = entry.state.cardinality();
-            let inner_eff = els.effective_cardinality(t)?;
-            let out_rows = new_state.cardinality();
-            let keys = join_keys(predicates, mask as u64, t);
-            let ranges = range_keys(predicates, mask as u64, t);
-
-            // The band join is not part of the configured method list: it
-            // becomes a candidate exactly when it is executable — no
-            // equi-keys but at least one inequality edge. Keyed joins treat
-            // the inequalities as residual filters instead.
-            let band_ok = keys.is_empty() && !ranges.is_empty();
-            // Keyless methods materialize the full cross product before the
-            // residual inequality filter; only the band join prunes while
-            // probing, so only it is charged the filtered output.
-            let emit_rows = if band_ok { outer_rows * inner_eff } else { out_rows };
-            let mut best_method: Option<(JoinMethod, f64)> = None;
-            for &m in methods.iter().chain(band_ok.then_some(&JoinMethod::Range)) {
-                // Indexed nested loops needs at least one key to probe on.
-                if m == JoinMethod::IndexNestedLoop && keys.is_empty() {
-                    continue;
-                }
-                if m == JoinMethod::Range && !band_ok {
-                    continue;
-                }
-                let join_cost = match m {
-                    JoinMethod::NestedLoop => params.nested_loop(outer_rows, &profiles[t]),
-                    JoinMethod::SortMerge => {
-                        params.sort_merge(outer_rows, &profiles[t], inner_eff, emit_rows)
-                    }
-                    JoinMethod::Hash => params.hash(outer_rows, &profiles[t], inner_eff, emit_rows),
-                    JoinMethod::IndexNestedLoop => {
-                        params.index_nested_loop(outer_rows, &profiles[t], emit_rows)
-                    }
-                    JoinMethod::Range => {
-                        params.range_join(outer_rows, &profiles[t], inner_eff, out_rows)
-                    }
-                };
-                if best_method.is_none_or(|(_, c)| join_cost < c) {
-                    best_method = Some((m, join_cost));
-                }
-            }
-            let Some((method, join_cost)) = best_method else { continue };
-            let total = entry.cost + join_cost;
-
-            let new_mask = mask | (1 << t);
-            if best[new_mask].as_ref().is_none_or(|e| total < e.cost) {
-                let node = PlanNode::Join {
-                    method,
-                    left: Box::new(entry.node.clone()),
-                    right: Box::new(PlanNode::Scan {
-                        table_id: t,
-                        filters: scan_filters(predicates, t)?,
-                    }),
-                    keys,
-                    ranges,
-                };
-                best[new_mask] = Some(Entry {
-                    cost: total,
-                    state: new_state,
-                    node,
-                    width: entry.width + profiles[t].row_bytes,
-                });
+        for bit in (0..n).map(|t| 1u32 << t).filter(|bit| mask & bit == 0) {
+            if let Some(scan) = dp.best(bit) {
+                consider(&mut dp, &outer, &scan, links(bit))?;
             }
         }
 
-        // Bushy transitions: pair this subtree with every disjoint,
-        // already-final subtree of size >= 2 (size-1 partners are covered
-        // by the left-deep transitions above, with their cheaper
-        // base-inner cost structure).
-        if shape == TreeShape::Bushy && mask + 1 < (1 << n) {
-            let universe = (1usize << n) - 1;
+        // Bushy transitions: pair this subtree, as the outer, with every
+        // disjoint subtree of size >= 2 that has a plan so far (size-1
+        // partners are covered by the left-deep transitions above, with
+        // their cheaper base-inner cost structure).
+        //
+        // A pair {A, B} with A < B numerically is priced with B outer and
+        // A inner at iteration B, when A's plan is final. The other
+        // orientation is priced at iteration A only against whatever plan
+        // masks below A have pushed into B by then — often none: at
+        // A = 0b0011 nothing has reached B = 0b1100, which only masks 4 and
+        // 8 push into. So "A outer, B inner" is in general not considered,
+        // although nested loops over a materialized inner and a parallel
+        // probe cost the two orientations differently (ROADMAP, "bushy
+        // orientation").
+        if shape == TreeShape::Bushy {
             let rest = universe & !mask;
-            // Iterate non-empty submasks of `rest`. A pair {A, B} is
-            // evaluated at iteration A with best[B] and at iteration B with
-            // best[A]; at iteration max(A, B) both entries are final (every
-            // push into a mask comes from a numerically smaller mask), so
-            // the optimal combination is always considered.
             let mut sub = rest;
             while sub > 0 {
                 if sub.count_ones() >= 2 {
-                    if let Some(partner) = best[sub].clone() {
-                        let new_state = els.join_sets(&entry.state, &partner.state)?;
-                        let out_rows = new_state.cardinality();
-                        let outer_rows = entry.state.cardinality();
-                        let inner_rows = partner.state.cardinality();
-
-                        let keys = join_keys_between(predicates, mask as u64, sub as u64);
-                        let ranges = range_keys_between(predicates, mask as u64, sub as u64);
-                        let band_ok = keys.is_empty() && !ranges.is_empty();
-                        let emit_rows = if band_ok { outer_rows * inner_rows } else { out_rows };
-                        let mut best_method: Option<(JoinMethod, f64)> = None;
-                        for &m in methods.iter().chain(band_ok.then_some(&JoinMethod::Range)) {
-                            // Indexes exist on stored tables only.
-                            if m == JoinMethod::IndexNestedLoop {
-                                continue;
-                            }
-                            if m == JoinMethod::Range && !band_ok {
-                                continue;
-                            }
-                            let join_cost = match m {
-                                JoinMethod::NestedLoop => params.nested_loop_intermediate(
-                                    outer_rows,
-                                    inner_rows,
-                                    partner.width,
-                                ),
-                                JoinMethod::SortMerge => params
-                                    .sort_merge_intermediate(outer_rows, inner_rows, emit_rows),
-                                JoinMethod::Hash => {
-                                    params.hash_intermediate(outer_rows, inner_rows, emit_rows)
-                                }
-                                JoinMethod::Range => {
-                                    params.range_join_intermediate(outer_rows, inner_rows, out_rows)
-                                }
-                                JoinMethod::IndexNestedLoop => unreachable!("skipped above"),
-                            };
-                            if best_method.is_none_or(|(_, c)| join_cost < c) {
-                                best_method = Some((m, join_cost));
-                            }
-                        }
-                        // All enabled methods may have been skipped (e.g.
-                        // IndexNestedLoop-only configurations): no bushy
-                        // candidate for this pair, not a panic.
-                        let Some((method, join_cost)) = best_method else {
-                            sub = (sub - 1) & rest;
-                            continue;
-                        };
-                        let total = entry.cost + partner.cost + join_cost;
-                        let new_mask = mask | sub;
-                        if best[new_mask].as_ref().is_none_or(|e| total < e.cost) {
-                            let node = PlanNode::Join {
-                                method,
-                                left: Box::new(entry.node.clone()),
-                                right: Box::new(partner.node.clone()),
-                                keys,
-                                ranges,
-                            };
-                            best[new_mask] = Some(Entry {
-                                cost: total,
-                                state: new_state,
-                                node,
-                                width: entry.width + partner.width,
-                            });
-                        }
+                    if let Some(partner) = dp.best(sub) {
+                        consider(&mut dp, &outer, &partner, links(sub))?;
                     }
                 }
                 sub = (sub - 1) & rest;
@@ -364,24 +438,76 @@ pub fn enumerate(
         }
     }
 
-    let full = (1usize << n) - 1;
     // Every subset should be reachable (left-deep transitions alone connect
     // any mask), but a serving thread must degrade to an error — never
     // panic — if that invariant is ever broken by a bad configuration.
-    let winner = best[full].clone().ok_or_else(|| {
+    let no_plan = || {
         OptimizerError::Internal(format!(
             "join enumeration built no plan for the full table set ({n} tables)"
         ))
-    })?;
-    let join_order = winner.node.join_order();
+    };
+    let (at, winner) = dp.best(universe).ok_or_else(no_plan)?;
+    let root = dp.build(at, predicates, &mut filters).ok_or_else(no_plan)?;
+    let join_order = root.join_order();
     let mut estimated_sizes = Vec::new();
-    node_sizes(els, &winner.node, &mut estimated_sizes)?;
-    Ok(EnumerationResult {
-        root: winner.node,
-        join_order,
-        estimated_sizes,
-        estimated_cost: winner.cost,
-    })
+    node_sizes(els, &root, &mut estimated_sizes)?;
+    Ok(EnumerationResult { root, join_order, estimated_sizes, estimated_cost: winner.cost })
+}
+
+/// The cheapest applicable method for one candidate join, the earliest
+/// enabled one on ties; `None` when no enabled method can run it.
+/// `(has_keys, has_ranges)` say which kinds of predicate link the two inputs.
+fn cheapest_method(
+    methods: &[JoinMethod],
+    p: &CostParams,
+    inner: Inner<'_>,
+    rows: Rows,
+    (has_keys, has_ranges): (bool, bool),
+) -> Option<(JoinMethod, f64)> {
+    // The band join is not part of the configured method list: it
+    // becomes a candidate exactly when it is executable — no equi-keys
+    // but at least one inequality edge. Keyed joins treat the
+    // inequalities as residual filters instead.
+    let band_ok = !has_keys && has_ranges;
+    // Keyless methods materialize the full cross product before the
+    // residual inequality filter; only the band join prunes while
+    // probing, so only it is charged the filtered output.
+    let emit = if band_ok { rows.outer * rows.inner } else { rows.out };
+    let mut best: Option<(JoinMethod, f64)> = None;
+    for &m in methods.iter().chain(band_ok.then_some(&JoinMethod::Range)) {
+        let cost = match (m, inner) {
+            (JoinMethod::NestedLoop, Inner::Base(t)) => p.nested_loop(rows.outer, t),
+            (JoinMethod::NestedLoop, Inner::Intermediate { width }) => {
+                p.nested_loop_intermediate(rows.outer, rows.inner, width)
+            }
+            (JoinMethod::SortMerge, Inner::Base(t)) => {
+                p.sort_merge(rows.outer, t, rows.inner, emit)
+            }
+            (JoinMethod::SortMerge, Inner::Intermediate { .. }) => {
+                p.sort_merge_intermediate(rows.outer, rows.inner, emit)
+            }
+            (JoinMethod::Hash, Inner::Base(t)) => p.hash(rows.outer, t, rows.inner, emit),
+            (JoinMethod::Hash, Inner::Intermediate { .. }) => {
+                p.hash_intermediate(rows.outer, rows.inner, emit)
+            }
+            // Indexed nested loops probes a stored table's index, so
+            // it needs a base inner and at least one key to probe on.
+            (JoinMethod::IndexNestedLoop, Inner::Base(t)) if has_keys => {
+                p.index_nested_loop(rows.outer, t, emit)
+            }
+            (JoinMethod::Range, Inner::Base(t)) if band_ok => {
+                p.range_join(rows.outer, t, rows.inner, rows.out)
+            }
+            (JoinMethod::Range, Inner::Intermediate { .. }) if band_ok => {
+                p.range_join_intermediate(rows.outer, rows.inner, rows.out)
+            }
+            (JoinMethod::IndexNestedLoop | JoinMethod::Range, _) => continue,
+        };
+        if best.is_none_or(|(_, c)| cost < c) {
+            best = Some((m, cost));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -416,6 +542,12 @@ mod tests {
     }
 
     const NL_SM: [JoinMethod; 2] = [JoinMethod::NestedLoop, JoinMethod::SortMerge];
+
+    /// DESIGN.md quotes this figure for the DP table's footprint.
+    #[test]
+    fn a_table_entry_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 48);
+    }
 
     #[test]
     fn single_table_is_a_scan() {
@@ -644,6 +776,58 @@ mod tests {
         assert!(bushy.estimated_cost <= ld.estimated_cost + 1e-9);
         // Final estimate is (10 ⋈ 10) × (10 ⋈ 10) = 100 either way.
         assert!((bushy.estimated_sizes.last().unwrap() - 100.0).abs() < 1e-6);
+    }
+
+    /// Pins a known gap rather than a virtue: a bushy pair {A, B} is only
+    /// priced with the numerically larger mask as the outer (see the note
+    /// in `enumerate`), so renumbering the tables changes the best cost
+    /// when the two orientations are priced differently — here nested
+    /// loops, which rescans its materialized inner once per outer tuple.
+    /// When the ROADMAP's "bushy orientation" item lands, both numberings
+    /// must cost what the cheaper one does today.
+    #[test]
+    fn bushy_prices_a_pair_only_with_the_higher_mask_as_outer() {
+        // Two independent pairs: one joins to 10 tuples, the other to 1000.
+        let bushy_nl = |small_pair_first: bool| {
+            let mk = |rows: f64| {
+                TableStatistics::new(
+                    rows,
+                    vec![ColumnStatistics::with_domain(rows, 0.0, rows - 1.0)],
+                )
+            };
+            let stats = QueryStatistics::new(vec![mk(1000.0), mk(1000.0), mk(1000.0), mk(1000.0)]);
+            let (small, big) = if small_pair_first { (0, 2) } else { (2, 0) };
+            let preds = vec![
+                Predicate::col_eq(c(0, 0), c(1, 0)),
+                Predicate::col_eq(c(2, 0), c(3, 0)),
+                Predicate::local_cmp(c(small, 0), CmpOp::Lt, 10i64),
+                Predicate::local_cmp(c(big, 0), CmpOp::Lt, 1000i64),
+            ];
+            let els = Els::prepare(&preds, &stats, &ElsOptions::algorithm_els()).unwrap();
+            let profiles: Vec<TableProfile> =
+                (0..4).map(|_| TableProfile::synthetic(1000.0, 16)).collect();
+            let methods = [JoinMethod::NestedLoop];
+            enumerate(&els, &profiles, &methods, &CostParams::default(), TreeShape::Bushy).unwrap()
+        };
+        let sides = |r: &EnumerationResult| match &r.root {
+            PlanNode::Join { left, right, .. } => (left.tables(), right.tables()),
+            PlanNode::Scan { .. } => panic!("join root expected"),
+        };
+        // Small pair numbered {2, 3}: it is the outer, and the big pair's
+        // result is rescanned ten times.
+        let cheap = bushy_nl(false);
+        assert_eq!(sides(&cheap), (vec![2, 3], vec![0, 1]), "{}", cheap.root.explain());
+        // Small pair numbered {0, 1}: "{0, 1} outer, {2, 3} inner" is never
+        // priced (nothing has pushed into 0b1100 at iteration 0b0011), so
+        // the big pair stays the outer and the same query costs more.
+        let dear = bushy_nl(true);
+        assert_eq!(sides(&dear), (vec![2, 3], vec![0, 1]), "{}", dear.root.explain());
+        assert!(
+            dear.estimated_cost > cheap.estimated_cost,
+            "renumbered {} vs {}",
+            dear.estimated_cost,
+            cheap.estimated_cost
+        );
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`rewrite`] — predicate transitive closure as a standalone query
 //!   rewrite (the paper implemented PTC as a Starburst rewrite rule [11] so
 //!   it could be toggled; the same toggle exists here).
-//! * [`enumerate`] — dynamic-programming enumeration of left-deep join
-//!   trees, choosing join order *and* join method per step from estimated
-//!   cardinalities.
+//! * [`enumerate`] — dynamic-programming enumeration of left-deep or bushy
+//!   join trees, choosing join order *and* join method per step from
+//!   estimated cardinalities.
 //! * [`plan_cache`] — a concurrent LRU plan cache keyed by canonical query
 //!   fingerprint + catalog epoch, so repeated queries skip enumeration
 //!   entirely (counters in [`els_exec::EngineCounters`]).

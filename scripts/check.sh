@@ -18,6 +18,13 @@ cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
+# The benchmark (benchmark/, BENCHMARK.json) is a package of its own that
+# the workspace commands above never see, and whoever judges a change
+# builds it from that change's sources: compile it here, so an API change
+# that breaks benchmark/src/pipeline.rs fails this gate first. Compile
+# only — running it is benchmark/repeat.sh's job.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 # Static analysis: the in-workspace linter (crates/lint) runs the per-file
 # token passes (panic-freedom, determinism, metrics-only I/O, atomics
 # discipline, numeric-cast discipline, crate layering) plus the
