@@ -51,3 +51,26 @@ pub use error::{ServerError, ServerResult};
 pub use pool::{serve, ServerHandle};
 pub use server::ServerConfig;
 pub use tenant::Tenants;
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    /// A `Write` that keeps every byte and the size of every `write`
+    /// call: how the tests count the syscalls a reply or request costs.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: Vec<usize>,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+}

@@ -1,20 +1,25 @@
 //! End-to-end failure-path coverage for the TCP front door: malformed
 //! SQL, mid-result disconnects, tenant isolation, admission rejection,
-//! and cached-plan-only shedding — all over real loopback sockets.
+//! cached-plan-only shedding, hostile bytes in either direction, and the
+//! exact bytes of a reply — all over real loopback sockets.
 
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use els::engine::{Engine, EngineError};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
+use els::storage::{ColumnVector, Table};
+use els_server::protocol::MAX_LINE_BYTES;
 use els_server::{serve, Client, ServerConfig, ServerError, Tenants};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Two tenants, same table name, different contents: the sharpest probe
 /// for catalog or plan-cache bleed-through.
-fn two_tenant_server(config: ServerConfig) -> els_server::ServerHandle {
+fn two_tenants() -> Tenants {
     let tenants = Tenants::isolated(&["alpha", "beta"], 256).unwrap();
     for (name, rows, seed) in [("alpha", 1000usize, 1u64), ("beta", 500, 2)] {
         tenants
@@ -27,7 +32,41 @@ fn two_tenant_server(config: ServerConfig) -> els_server::ServerHandle {
             )
             .unwrap();
     }
-    serve("127.0.0.1:0", tenants, config).unwrap()
+    tenants
+}
+
+fn two_tenant_server(config: ServerConfig) -> els_server::ServerHandle {
+    serve("127.0.0.1:0", two_tenants(), config).unwrap()
+}
+
+/// A raw connection that has said `HELLO` and been told `READY`.
+fn raw_connection(addr: SocketAddr, tenant: &str) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream.set_write_timeout(Some(TIMEOUT)).unwrap();
+    let mut raw = BufReader::new(stream);
+    raw.get_mut().write_all(format!("HELLO {tenant}\n").as_bytes()).unwrap();
+    let mut ready = String::new();
+    raw.read_line(&mut ready).unwrap();
+    assert_eq!(ready, "READY\n");
+    raw
+}
+
+/// A one-connection stand-in for the server that answers each line it
+/// reads with the next canned reply, whatever the line says.
+fn scripted_server(replies: &'static [&'static str]) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let thread = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream);
+        for reply in replies {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            reader.get_mut().write_all(reply.as_bytes()).unwrap();
+        }
+    });
+    (addr, thread)
 }
 
 fn wait_for_depth(handle: &els_server::ServerHandle, depth: usize) {
@@ -61,11 +100,17 @@ fn malformed_sql_answers_typed_error_and_keeps_the_connection() {
 
 #[test]
 fn disconnect_mid_result_leaves_the_engine_serving_others() {
-    let handle = two_tenant_server(ServerConfig { workers: 2, ..ServerConfig::default() });
-    // A projection with a real row stream, so the server is mid-result
-    // when the socket dies.
+    let tenants = two_tenants();
+    // 60 000 rows of `R\t<k>\n` is some 470 KB on the wire: the reply goes
+    // out as several buffer-loads, so the server is mid-result, between
+    // writes, when the socket dies.
+    let wide = TableSpec::new("wide", 60_000)
+        .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }));
+    tenants.resolve("alpha").unwrap().generate(wide, 7).unwrap();
+    let config = ServerConfig { workers: 3, ..ServerConfig::default() };
+    let handle = serve("127.0.0.1:0", tenants, config).unwrap();
     let rude = Client::connect(handle.addr(), "alpha", TIMEOUT).unwrap();
-    rude.fire_and_hang_up("SELECT t.k FROM t WHERE k < 900").unwrap();
+    rude.fire_and_hang_up("SELECT w.k FROM wide w").unwrap();
     // The polite client gets full service throughout.
     let mut polite = Client::connect(handle.addr(), "beta", TIMEOUT).unwrap();
     for _ in 0..5 {
@@ -74,6 +119,13 @@ fn disconnect_mid_result_leaves_the_engine_serving_others() {
     let rows = polite.query("SELECT t.k FROM t WHERE k < 3").unwrap();
     assert_eq!(rows.rows.len(), 3);
     polite.quit();
+    // And a client that stays gets the same many-chunk reply whole.
+    let mut patient = Client::connect(handle.addr(), "alpha", TIMEOUT).unwrap();
+    let reply = patient.query("SELECT w.k FROM wide w").unwrap();
+    assert_eq!(reply.rows.len(), 60_000);
+    let keys: Vec<u64> = reply.rows.iter().map(|r| r[0].parse().unwrap()).collect();
+    assert!(keys.iter().copied().eq(0..60_000), "rows lost or reordered between chunks");
+    patient.quit();
     handle.shutdown();
 }
 
@@ -170,7 +222,6 @@ fn garbage_handshake_is_refused_without_harming_the_server() {
     let handle = two_tenant_server(ServerConfig::default());
     // Speak garbage instead of HELLO.
     {
-        use std::io::{BufRead, BufReader, Write};
         let mut raw = TcpStream::connect(handle.addr()).unwrap();
         raw.set_read_timeout(Some(TIMEOUT)).unwrap();
         writeln!(raw, "GET / HTTP/1.1").unwrap();
@@ -242,4 +293,114 @@ fn engine_lane_isolation_under_shared_cache() {
     assert_eq!(alpha.execute(sql).unwrap().count, 100);
     assert_eq!(beta.execute(sql).unwrap().count, 200);
     assert!(alpha.execute_if_cached(sql).unwrap().unwrap().cache_hit);
+}
+
+#[test]
+fn reply_bytes_are_exactly_the_documented_framing() {
+    let handle = two_tenant_server(ServerConfig::default());
+    let mut raw = raw_connection(handle.addr(), "alpha");
+    // Three requests in one packet; the replies come back in order.
+    let requests = "SELECT t.k FROM t WHERE k < 3\nSELECT COUNT(*) FROM t\nQUIT\n";
+    raw.get_mut().write_all(requests.as_bytes()).unwrap();
+    let mut transcript = String::new();
+    raw.read_to_string(&mut transcript).unwrap();
+    assert_eq!(
+        transcript,
+        "OK rows=3 count=3 cached=0\nR\t0\nR\t1\nR\t2\n.\n\
+         OK rows=1 count=1000 cached=0\nR\t1000\n.\n\
+         BYE\n"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn trailing_empty_and_blank_cells_survive_the_wire() {
+    let tenants = two_tenants();
+    let notes = Table::new(
+        "notes",
+        vec![
+            ("k".to_string(), ColumnVector::from_ints(0..4)),
+            ("s".to_string(), ColumnVector::from_strs(["x", "", " ", "nbsp\u{a0}"])),
+        ],
+    )
+    .unwrap();
+    tenants.resolve("alpha").unwrap().register(notes).unwrap();
+    let handle = serve("127.0.0.1:0", tenants, ServerConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr(), "alpha", TIMEOUT).unwrap();
+    // The last cell of a row is the last thing on its line: an empty one
+    // leaves the line ending in its tab, a blank one in a blank.
+    let reply = c.query("SELECT n.k, n.s FROM notes n").unwrap();
+    let expected = [["0", "x"], ["1", ""], ["2", " "], ["3", "nbsp\u{a0}"]];
+    assert_eq!(reply.rows, expected);
+    // Alone on its line, an empty string is one empty cell, not none.
+    let reply = c.query("SELECT n.s FROM notes n").unwrap();
+    assert_eq!(reply.rows, [["x"], [""], [" "], ["nbsp\u{a0}"]]);
+    c.quit();
+    handle.shutdown();
+}
+
+#[test]
+fn a_newline_free_flood_is_cut_off_with_a_typed_error() {
+    let handle = two_tenant_server(ServerConfig::default());
+    let mut raw = raw_connection(handle.addr(), "alpha");
+    // Stream far more than a line may hold and never end it, without a
+    // pause the server's read poll could slip a length check into. A
+    // reader thread waits for the verdict meanwhile.
+    let mut flood = raw.get_ref().try_clone().unwrap();
+    let answered = Arc::new(AtomicBool::new(false));
+    let verdict = {
+        let answered = Arc::clone(&answered);
+        std::thread::spawn(move || {
+            let mut line = String::new();
+            let read = raw.read_line(&mut line);
+            answered.store(true, Ordering::SeqCst);
+            read.map(|_| line)
+        })
+    };
+    let block = vec![b'x'; 64 * 1024];
+    let budget = 16 * MAX_LINE_BYTES;
+    let mut sent = 0;
+    while sent < budget && !answered.load(Ordering::SeqCst) && flood.write_all(&block).is_ok() {
+        sent += block.len();
+    }
+    let line = verdict.join().unwrap().unwrap();
+    assert!(line.starts_with("ERR protocol"), "{line:?}");
+    // The server stopped reading one block past the cap; only what the
+    // socket buffers between the two ends absorbed got sent after that.
+    assert!(sent < budget, "the server swallowed all {sent} bytes before objecting");
+
+    // A line that does end, but past the cap, is the same protocol error
+    // (not a query for the SQL parser to chew on).
+    let mut raw = raw_connection(handle.addr(), "alpha");
+    let mut long_line = vec![b'x'; MAX_LINE_BYTES + 1];
+    long_line.push(b'\n');
+    // The server may hang up before the last bytes are written.
+    let _ = raw.get_mut().write_all(&long_line);
+    let mut line = String::new();
+    raw.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ERR protocol"), "{line:?}");
+
+    // Neither episode cost the server anything.
+    let mut c = Client::connect(handle.addr(), "beta", TIMEOUT).unwrap();
+    assert_eq!(c.query("SELECT COUNT(*) FROM t").unwrap().count, 500);
+    c.quit();
+    handle.shutdown();
+}
+
+#[test]
+fn a_header_promising_the_moon_is_a_typed_error_not_a_panic() {
+    let (addr, server) =
+        scripted_server(&["READY\n", "OK rows=18446744073709551615 count=0 cached=0\nR\t1\n.\n"]);
+    let mut c = Client::connect(addr, "anyone", TIMEOUT).unwrap();
+    let err = c.query("SELECT 1").unwrap_err();
+    assert!(matches!(&err, ServerError::Protocol(m) if m.contains("got 1")), "{err:?}");
+    server.join().unwrap();
+}
+
+#[test]
+fn a_handshake_refusal_arrives_typed_and_unescaped() {
+    let (addr, server) = scripted_server(&["ERR unknown-tenant no tenant `a\\tb` here\n"]);
+    let err = Client::connect(addr, "a\tb", TIMEOUT).unwrap_err();
+    assert_eq!(err, ServerError::UnknownTenant("no tenant `a\tb` here".to_string()));
+    server.join().unwrap();
 }
