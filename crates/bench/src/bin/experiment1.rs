@@ -21,8 +21,7 @@
 //! than the ELS plan, whose estimates are exactly 100 everywhere.
 
 use els_bench::{fmt_num, section8_catalog, SECTION8_SQL};
-use els_exec::execute_plan;
-use els_exec::executor::execute_plan_buffered;
+use els_exec::{execute_plan_observed, execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 
@@ -61,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut tuples = 0u64;
         let mut count = 0u64;
         for _ in 0..3 {
-            let out = execute_plan(&optimized.plan, &tables)?;
+            let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default())?;
             best_ms = best_ms.min(out.metrics.elapsed.as_secs_f64() * 1e3);
             pages = out.metrics.pages_read;
             tuples = out.metrics.tuples_scanned;
@@ -100,7 +99,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut best_ms = f64::INFINITY;
         let mut phys = 0u64;
         for _ in 0..3 {
-            let out = execute_plan_buffered(&optimized.plan, &tables, 500)?;
+            let out =
+                execute_plan_observed(&optimized.plan, &tables, ExecMode::default(), Some(500))?.0;
             assert_eq!(out.count, 100);
             best_ms = best_ms.min(out.metrics.elapsed.as_secs_f64() * 1e3);
             phys = out.metrics.physical_pages_read;

@@ -17,7 +17,7 @@
 //! rather than adding machinery downstream of it.
 
 use els_bench::{section8_catalog, SECTION8_SQL};
-use els_exec::execute_plan;
+use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (_, configure) in repertoires {
             let options = configure(OptimizerOptions::preset(preset));
             let optimized = optimize_bound(&bound, &catalog, &options)?;
-            let out = execute_plan(&optimized.plan, &tables)?;
+            let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default())?;
             assert_eq!(out.count, 100, "{} must compute the true answer", preset.label());
             row.push(out.metrics.pages_read);
         }

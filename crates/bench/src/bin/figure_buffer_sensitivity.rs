@@ -15,8 +15,7 @@
 //! between these two regimes.
 
 use els_bench::{section8_catalog, SECTION8_SQL};
-use els_exec::execute_plan;
-use els_exec::executor::execute_plan_buffered;
+use els_exec::{execute_plan_observed, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 
@@ -56,10 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset))?;
         let mut row = Vec::new();
         for b in buffers {
-            let out = match b {
-                None => execute_plan(&optimized.plan, &tables)?,
-                Some(n) => execute_plan_buffered(&optimized.plan, &tables, n)?,
-            };
+            let (out, _) = execute_plan_observed(&optimized.plan, &tables, ExecMode::default(), b)?;
             assert_eq!(out.count, 100);
             row.push(out.metrics.physical_pages_read);
         }

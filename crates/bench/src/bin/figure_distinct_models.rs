@@ -18,7 +18,7 @@
 use els_catalog::collect::CollectOptions;
 use els_catalog::Catalog;
 use els_core::local_effects::DistinctReduction;
-use els_exec::execute_plan;
+use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             options.els = options.els.with_distinct_reduction(reduction);
             let optimized = optimize_bound(&bound, &catalog, &options)?;
             estimates.push(*optimized.estimated_sizes.last().unwrap());
-            truth = execute_plan(&optimized.plan, &tables)?.count;
+            truth = execute_plan_with(&optimized.plan, &tables, ExecMode::default())?.count;
         }
         let t = truth as f64;
         println!(

@@ -12,7 +12,7 @@
 use els_bench::geometric_mean;
 use els_catalog::collect::CollectOptions;
 use els_catalog::Catalog;
-use els_exec::execute_plan;
+use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut counts = Vec::new();
         for preset in presets {
             let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset))?;
-            let out = execute_plan(&optimized.plan, &tables)?;
+            let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default())?;
             pages.push(out.metrics.pages_read as f64);
             counts.push(out.count);
         }

@@ -13,7 +13,7 @@
 //! preserved.
 
 use els_bench::workload::{generate, q_error, quantile, Shape, WorkloadSpec};
-use els_exec::execute_plan;
+use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 
 fn family(label: &str, spec: &WorkloadSpec, trials: u64) {
@@ -25,7 +25,8 @@ fn family(label: &str, spec: &WorkloadSpec, trials: u64) {
         // Ground truth: execute once (any plan computes the same count).
         let reference =
             optimize_bound(&inst.bound, &inst.catalog, &OptimizerOptions::default()).unwrap();
-        let truth = execute_plan(&reference.plan, &tables).unwrap().count as f64;
+        let truth =
+            execute_plan_with(&reference.plan, &tables, ExecMode::default()).unwrap().count as f64;
         for (slot, preset) in presets.iter().enumerate() {
             let optimized =
                 optimize_bound(&inst.bound, &inst.catalog, &OptimizerOptions::preset(*preset))

@@ -15,7 +15,7 @@
 
 use els_catalog::collect::CollectOptions;
 use els_catalog::Catalog;
-use els_exec::execute_plan;
+use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
@@ -53,7 +53,8 @@ fn run_case(theta: f64, with_filter: bool) -> (f64, f64) {
     let tables = bound_query_tables(&bound, &catalog).unwrap();
     let optimized =
         optimize_bound(&bound, &catalog, &OptimizerOptions::preset(EstimatorPreset::Els)).unwrap();
-    let truth = execute_plan(&optimized.plan, &tables).unwrap().count as f64;
+    let truth =
+        execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap().count as f64;
     let estimate = *optimized.estimated_sizes.last().unwrap();
     (estimate, truth)
 }
@@ -87,7 +88,8 @@ fn run_zipf_zipf(theta: f64) -> (f64, f64) {
         &OptimizerOptions::preset(EstimatorPreset::Els).with_hash_join(),
     )
     .unwrap();
-    let truth = execute_plan(&optimized.plan, &tables).unwrap().count as f64;
+    let truth =
+        execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap().count as f64;
     (*optimized.estimated_sizes.last().unwrap(), truth)
 }
 

@@ -11,7 +11,6 @@
 
 pub mod accuracy;
 pub mod bakeoff;
-pub mod driver;
 pub mod server_load;
 pub mod workload;
 

@@ -174,7 +174,12 @@ mod tests {
                 &els_optimizer::OptimizerOptions::default(),
             )
             .unwrap();
-            let out = els_exec::execute_plan(&optimized.plan, &tables).unwrap();
+            let out = els_exec::execute_plan_with(
+                &optimized.plan,
+                &tables,
+                els_exec::ExecMode::default(),
+            )
+            .unwrap();
             // Sanity: finite result, metrics populated.
             assert!(out.metrics.tuples_scanned > 0, "seed {seed}");
         }

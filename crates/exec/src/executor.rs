@@ -51,85 +51,16 @@ impl Default for ExecMode {
     }
 }
 
-/// A named evaluation strategy over the same plan/tables interface — lets
-/// benches and differential tests iterate over evaluators.
-pub trait PlanEvaluator {
-    /// Short display name (for bench reports and test diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// The mode this evaluator runs plans under.
-    fn mode(&self) -> ExecMode;
-
-    /// Evaluate a plan, unbuffered.
-    fn run(&self, plan: &QueryPlan, tables: &[Arc<Table>]) -> ExecResult<ExecOutput> {
-        execute_plan_with(plan, tables, self.mode())
-    }
-}
-
-/// The tuple-at-a-time reference oracle.
-pub struct RowOracle;
-
-impl PlanEvaluator for RowOracle {
-    fn name(&self) -> &'static str {
-        "row"
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::RowAtATime
-    }
-}
-
-/// The vectorized engine with a configurable probe worker count.
-pub struct VectorizedEvaluator {
-    /// Probe-side worker threads.
-    pub workers: usize,
-}
-
-impl PlanEvaluator for VectorizedEvaluator {
-    fn name(&self) -> &'static str {
-        "vectorized"
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Vectorized { workers: self.workers }
-    }
-}
-
 /// Execute `plan` against `tables`, where `tables[i]` is the data of query
-/// table `i` (the `FROM`-list position). No buffering: every logical base
-/// page read is physical. Runs in the default [`ExecMode`].
-pub fn execute_plan(plan: &QueryPlan, tables: &[Arc<Table>]) -> ExecResult<ExecOutput> {
-    execute_plan_with(plan, tables, ExecMode::default())
-}
-
-/// [`execute_plan`] under an explicit execution mode.
+/// table `i` (the `FROM`-list position), unbuffered: every logical base
+/// page read is physical. [`execute_plan_observed`] with the per-operator
+/// observations dropped.
 pub fn execute_plan_with(
     plan: &QueryPlan,
     tables: &[Arc<Table>],
     mode: ExecMode,
 ) -> ExecResult<ExecOutput> {
-    execute_plan_io(plan, tables, &mut crate::buffer::PageIo::unbuffered(), mode)
-}
-
-/// [`execute_plan`] with an LRU buffer pool of `buffer_pages` pages: base
-/// pages already resident cost no physical I/O (the paper's experiment ran
-/// with a fixed buffer size).
-pub fn execute_plan_buffered(
-    plan: &QueryPlan,
-    tables: &[Arc<Table>],
-    buffer_pages: usize,
-) -> ExecResult<ExecOutput> {
-    execute_plan_buffered_with(plan, tables, buffer_pages, ExecMode::default())
-}
-
-/// [`execute_plan_buffered`] under an explicit execution mode.
-pub fn execute_plan_buffered_with(
-    plan: &QueryPlan,
-    tables: &[Arc<Table>],
-    buffer_pages: usize,
-    mode: ExecMode,
-) -> ExecResult<ExecOutput> {
-    execute_plan_io(plan, tables, &mut crate::buffer::PageIo::with_pool(buffer_pages), mode)
+    execute_plan_observed(plan, tables, mode, None).map(|(out, _)| out)
 }
 
 /// Per-operator output sizes observed during execution, in post-order —
@@ -164,50 +95,6 @@ impl PartialEq for Observations {
     }
 }
 
-/// [`execute_plan`] that also records per-operator actual cardinalities.
-pub fn execute_plan_observed(
-    plan: &QueryPlan,
-    tables: &[Arc<Table>],
-) -> ExecResult<(ExecOutput, Observations)> {
-    execute_plan_observed_with(plan, tables, ExecMode::default())
-}
-
-/// [`execute_plan_observed`] under an explicit execution mode.
-pub fn execute_plan_observed_with(
-    plan: &QueryPlan,
-    tables: &[Arc<Table>],
-    mode: ExecMode,
-) -> ExecResult<(ExecOutput, Observations)> {
-    let mut obs = Observations::default();
-    let out = execute_plan_io_observed(
-        plan,
-        tables,
-        &mut crate::buffer::PageIo::unbuffered(),
-        &mut obs,
-        mode,
-    )?;
-    Ok((out, obs))
-}
-
-/// [`execute_plan_buffered_with`] that also records per-operator actual
-/// cardinalities and wall times — the execution half of EXPLAIN ANALYZE.
-pub fn execute_plan_buffered_observed_with(
-    plan: &QueryPlan,
-    tables: &[Arc<Table>],
-    buffer_pages: usize,
-    mode: ExecMode,
-) -> ExecResult<(ExecOutput, Observations)> {
-    let mut obs = Observations::default();
-    let out = execute_plan_io_observed(
-        plan,
-        tables,
-        &mut crate::buffer::PageIo::with_pool(buffer_pages),
-        &mut obs,
-        mode,
-    )?;
-    Ok((out, obs))
-}
-
 /// Mutable execution state threaded through every operator: counters,
 /// simulated page I/O, and observed cardinalities.
 pub(crate) struct ExecState<'a> {
@@ -216,31 +103,31 @@ pub(crate) struct ExecState<'a> {
     pub(crate) obs: &'a mut Observations,
 }
 
-fn execute_plan_io(
+/// Execute `plan` under `mode` and return its output together with the
+/// per-operator actual cardinalities and wall times — the execution half
+/// of EXPLAIN ANALYZE. With `buffer_pages`, base-table reads go through an
+/// LRU buffer pool of that many pages: pages already resident cost no
+/// physical I/O (the paper's experiment ran with a fixed buffer size).
+pub fn execute_plan_observed(
     plan: &QueryPlan,
     tables: &[Arc<Table>],
-    io: &mut crate::buffer::PageIo,
     mode: ExecMode,
-) -> ExecResult<ExecOutput> {
-    execute_plan_io_observed(plan, tables, io, &mut Observations::default(), mode)
-}
-
-fn execute_plan_io_observed(
-    plan: &QueryPlan,
-    tables: &[Arc<Table>],
-    io: &mut crate::buffer::PageIo,
-    obs: &mut Observations,
-    mode: ExecMode,
-) -> ExecResult<ExecOutput> {
+    buffer_pages: Option<usize>,
+) -> ExecResult<(ExecOutput, Observations)> {
+    let mut io = match buffer_pages {
+        None => crate::buffer::PageIo::unbuffered(),
+        Some(pages) => crate::buffer::PageIo::with_pool(pages),
+    };
+    let mut obs = Observations::default();
     let start = Stopwatch::start();
     let mut metrics = ExecMetrics::default();
-    let (mut rows, count): (Table, u64) = match mode {
+    let (mut rows, mut count): (Table, u64) = match mode {
         ExecMode::RowAtATime => {
-            let chunk = execute_node_observed(&plan.root, tables, &mut metrics, io, obs)?;
+            let chunk = execute_node(&plan.root, tables, &mut metrics, &mut io, &mut obs)?;
             shape_output(chunk, &plan.output, &mut metrics)?
         }
         ExecMode::Vectorized { workers } => {
-            let mut st = ExecState { metrics: &mut metrics, io, obs };
+            let mut st = ExecState { metrics: &mut metrics, io: &mut io, obs: &mut obs };
             if matches!(plan.output, PlanOutput::CountStar) {
                 // COUNT(*) never materializes the join result — the point
                 // of carrying row ids to the top of the plan — and a keyed
@@ -263,17 +150,20 @@ fn execute_plan_io_observed(
     if !plan.order_by.is_empty() {
         rows = sort_output(&rows, &plan.order_by, &mut metrics)?;
     }
-    let mut count = count;
     if let Some(limit) = plan.limit {
         let keep = (limit as usize).min(rows.num_rows());
         if keep < rows.num_rows() {
             let indices: Vec<usize> = (0..keep).collect();
             rows = rows.gather(rows.name().to_owned(), &indices)?;
         }
-        count = count.min(limit);
+        // A COUNT(*) reports the aggregate, not the size of its one-row
+        // output: only LIMIT 0, which returns no row at all, changes it.
+        if limit == 0 || !matches!(plan.output, PlanOutput::CountStar) {
+            count = count.min(limit);
+        }
     }
     metrics.elapsed = start.elapsed();
-    Ok(ExecOutput { rows, count, metrics })
+    Ok((ExecOutput { rows, count, metrics }, obs))
 }
 
 /// Shape a materialized root chunk into the client-facing table per the
@@ -353,7 +243,7 @@ fn sort_output(
 /// Hash-aggregate `chunk` by the given key columns, producing a table of
 /// the keys plus a trailing `count` column, sorted by key (deterministic
 /// output order). NULL keys form their own group, as in SQL `GROUP BY`.
-pub fn group_count(
+fn group_count(
     chunk: &Chunk,
     columns: &[els_core::ColumnRef],
     metrics: &mut ExecMetrics,
@@ -400,18 +290,9 @@ pub fn group_count(
     Ok(Table::new("group_count", out_columns)?)
 }
 
-/// Recursively execute one plan node.
-pub fn execute_node(
-    node: &PlanNode,
-    tables: &[Arc<Table>],
-    metrics: &mut ExecMetrics,
-    io: &mut crate::buffer::PageIo,
-) -> ExecResult<Chunk> {
-    execute_node_observed(node, tables, metrics, io, &mut Observations::default())
-}
-
-/// [`execute_node`] recording per-operator output sizes into `obs`.
-pub fn execute_node_observed(
+/// Recursively execute one plan node, recording its output size and
+/// inclusive wall time into `obs`.
+fn execute_node(
     node: &PlanNode,
     tables: &[Arc<Table>],
     metrics: &mut ExecMetrics,
@@ -451,35 +332,42 @@ fn execute_node_inner(
             Ok(filtered)
         }
         PlanNode::Join { method, left, right, keys, ranges } => {
-            let l = execute_node_observed(left, tables, metrics, io, obs)?;
-            // Nested loops with a base-table inner uses the System-R access
-            // pattern: rescan the stored relation (filters applied on the
-            // fly) once per outer tuple. Other shapes materialize the inner.
-            if let (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) =
-                (method, right.as_ref())
-            {
-                let mut st = ExecState { metrics, io, obs };
-                let out = rescan_nested_loop(&l, *table_id, filters, keys, tables, &mut st)?;
-                return crate::join::apply_join_ranges(out, ranges, metrics);
-            }
-            if *method == JoinMethod::IndexNestedLoop {
-                let mut st = ExecState { metrics, io, obs };
-                let out = indexed_nested_loop(&l, right, keys, tables, &mut st)?;
-                return crate::join::apply_join_ranges(out, ranges, metrics);
-            }
-            let r = execute_node_observed(right, tables, metrics, io, obs)?;
-            if *method == JoinMethod::Range {
-                if !keys.is_empty() {
-                    return Err(ExecError::InvalidPlan("range join cannot carry equi-keys".into()));
+            let l = execute_node(left, tables, metrics, io, obs)?;
+            let out = match (method, right.as_ref()) {
+                // Nested loops with a base-table inner uses the System-R
+                // access pattern: rescan the stored relation (filters
+                // applied on the fly) once per outer tuple.
+                (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) => {
+                    let mut st = ExecState { metrics, io, obs };
+                    rescan_nested_loop(&l, *table_id, filters, keys, tables, &mut st)?
                 }
-                return crate::join::range_join(&l, &r, ranges, metrics);
-            }
-            let out = match method {
-                JoinMethod::NestedLoop => nested_loop_join(&l, &r, keys, metrics),
-                JoinMethod::SortMerge => sort_merge_join(&l, &r, keys, metrics),
-                JoinMethod::Hash => hash_join(&l, &r, keys, metrics),
-                JoinMethod::IndexNestedLoop | JoinMethod::Range => unreachable!("handled above"),
-            }?;
+                (JoinMethod::IndexNestedLoop, _) => {
+                    let mut st = ExecState { metrics, io, obs };
+                    indexed_nested_loop(&l, right, keys, tables, &mut st)?
+                }
+                // Every other shape materializes the inner.
+                (JoinMethod::Range, _) => {
+                    let r = execute_node(right, tables, metrics, io, obs)?;
+                    if !keys.is_empty() {
+                        return Err(ExecError::InvalidPlan(
+                            "range join cannot carry equi-keys".into(),
+                        ));
+                    }
+                    return crate::join::range_join(&l, &r, ranges, metrics);
+                }
+                (JoinMethod::NestedLoop, _) => {
+                    let r = execute_node(right, tables, metrics, io, obs)?;
+                    nested_loop_join(&l, &r, keys, metrics)?
+                }
+                (JoinMethod::SortMerge, _) => {
+                    let r = execute_node(right, tables, metrics, io, obs)?;
+                    sort_merge_join(&l, &r, keys, metrics)?
+                }
+                (JoinMethod::Hash, _) => {
+                    let r = execute_node(right, tables, metrics, io, obs)?;
+                    hash_join(&l, &r, keys, metrics)?
+                }
+            };
             crate::join::apply_join_ranges(out, ranges, metrics)
         }
     }
@@ -584,7 +472,9 @@ mod tests {
     #[test]
     fn count_star_counts_join_result() {
         for method in [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash] {
-            let out = execute_plan(&join_plan(method, Vec::new()), &tables()).unwrap();
+            let out =
+                execute_plan_with(&join_plan(method, Vec::new()), &tables(), ExecMode::default())
+                    .unwrap();
             assert_eq!(out.count, 100, "{method:?}");
             assert_eq!(out.rows.row(0).unwrap(), vec![Value::Int(100)]);
         }
@@ -597,13 +487,23 @@ mod tests {
             op: CmpOp::Lt,
             value: Value::Int(10),
         };
-        let out = execute_plan(&join_plan(JoinMethod::SortMerge, vec![f]), &tables()).unwrap();
+        let out = execute_plan_with(
+            &join_plan(JoinMethod::SortMerge, vec![f]),
+            &tables(),
+            ExecMode::default(),
+        )
+        .unwrap();
         assert_eq!(out.count, 10);
     }
 
     #[test]
     fn metrics_accumulate_across_nodes() {
-        let out = execute_plan(&join_plan(JoinMethod::Hash, Vec::new()), &tables()).unwrap();
+        let out = execute_plan_with(
+            &join_plan(JoinMethod::Hash, Vec::new()),
+            &tables(),
+            ExecMode::default(),
+        )
+        .unwrap();
         assert_eq!(out.metrics.tuples_scanned, 1100);
         assert!(out.metrics.pages_read >= 3); // both scans at least.
         assert!(out.metrics.hash_probes == 1000);
@@ -614,7 +514,7 @@ mod tests {
     fn star_output_returns_all_columns() {
         let mut plan = join_plan(JoinMethod::SortMerge, Vec::new());
         plan.output = PlanOutput::Star;
-        let out = execute_plan(&plan, &tables()).unwrap();
+        let out = execute_plan_with(&plan, &tables(), ExecMode::default()).unwrap();
         assert_eq!(out.count, 100);
         assert_eq!(out.rows.num_columns(), 2);
     }
@@ -623,7 +523,7 @@ mod tests {
     fn column_output_projects() {
         let mut plan = join_plan(JoinMethod::SortMerge, Vec::new());
         plan.output = PlanOutput::Columns(vec![ColumnRef::new(1, 0)]);
-        let out = execute_plan(&plan, &tables()).unwrap();
+        let out = execute_plan_with(&plan, &tables(), ExecMode::default()).unwrap();
         assert_eq!(out.rows.num_columns(), 1);
         assert_eq!(out.count, 100);
     }
@@ -647,9 +547,12 @@ mod tests {
             },
             output: PlanOutput::CountStar,
         };
-        let inl = execute_plan(&plan(JoinMethod::IndexNestedLoop), &tables()).unwrap();
+        let inl =
+            execute_plan_with(&plan(JoinMethod::IndexNestedLoop), &tables(), ExecMode::default())
+                .unwrap();
         assert_eq!(inl.count, 10);
-        let nl = execute_plan(&plan(JoinMethod::NestedLoop), &tables()).unwrap();
+        let nl = execute_plan_with(&plan(JoinMethod::NestedLoop), &tables(), ExecMode::default())
+            .unwrap();
         assert_eq!(nl.count, 10);
         // INL scans the inner once for the build; NL rescans it 10 times.
         assert!(
@@ -681,7 +584,10 @@ mod tests {
             },
             output: PlanOutput::CountStar,
         };
-        assert!(matches!(execute_plan(&plan, &tables()), Err(ExecError::InvalidPlan(_))));
+        assert!(matches!(
+            execute_plan_with(&plan, &tables(), ExecMode::default()),
+            Err(ExecError::InvalidPlan(_))
+        ));
     }
 
     #[test]
@@ -701,8 +607,8 @@ mod tests {
             output: PlanOutput::CountStar,
         };
         let ts = tables();
-        let unbuffered = execute_plan(&plan, &ts).unwrap();
-        let buffered = execute_plan_buffered(&plan, &ts, 16).unwrap();
+        let unbuffered = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
+        let buffered = execute_plan_observed(&plan, &ts, ExecMode::default(), Some(16)).unwrap().0;
         assert_eq!(unbuffered.count, buffered.count);
         // Logical reads identical; physical reads collapse.
         assert_eq!(unbuffered.metrics.pages_read, buffered.metrics.pages_read);
@@ -731,8 +637,9 @@ mod tests {
         assert!(t1_pages >= 2);
         // Pool strictly smaller than the rescanned inner: LRU sequential
         // flooding -- physical equals logical on the inner.
-        let out = execute_plan_buffered(&plan, &ts, t1_pages - 1).unwrap();
-        let unbuffered = execute_plan(&plan, &ts).unwrap();
+        let out =
+            execute_plan_observed(&plan, &ts, ExecMode::default(), Some(t1_pages - 1)).unwrap().0;
+        let unbuffered = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.metrics.physical_pages_read, unbuffered.metrics.physical_pages_read);
     }
 
@@ -754,7 +661,7 @@ mod tests {
             root: PlanNode::Scan { table_id: 2, filters: Vec::new() },
             output: PlanOutput::GroupCount(vec![ColumnRef::new(2, 0)]),
         };
-        let out = execute_plan(&plan, &ts).unwrap();
+        let out = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.count, 10); // ten groups
         assert_eq!(out.rows.num_columns(), 2);
         // Every group has count 3; keys are sorted.
@@ -778,7 +685,7 @@ mod tests {
             root: PlanNode::Scan { table_id: 0, filters: Vec::new() },
             output: PlanOutput::GroupCount(vec![ColumnRef::new(0, 0)]),
         };
-        let out = execute_plan(&plan, &ts).unwrap();
+        let out = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.count, 2);
     }
 
@@ -790,7 +697,10 @@ mod tests {
             root: PlanNode::Scan { table_id: 7, filters: Vec::new() },
             output: PlanOutput::CountStar,
         };
-        assert!(matches!(execute_plan(&plan, &tables()), Err(ExecError::UnknownTable(7))));
+        assert!(matches!(
+            execute_plan_with(&plan, &tables(), ExecMode::default()),
+            Err(ExecError::UnknownTable(7))
+        ));
     }
 
     #[test]
@@ -801,7 +711,7 @@ mod tests {
             root: PlanNode::Scan { table_id: 0, filters: Vec::new() },
             output: PlanOutput::CountStar,
         };
-        let out = execute_plan(&plan, &tables()).unwrap();
+        let out = execute_plan_with(&plan, &tables(), ExecMode::default()).unwrap();
         assert_eq!(out.count, 100);
     }
 
@@ -835,11 +745,12 @@ mod tests {
                 let mut plan = join_plan(method, vec![f.clone()]);
                 plan.output = output;
                 let (row, row_obs) =
-                    execute_plan_observed_with(&plan, &tables(), ExecMode::RowAtATime).unwrap();
-                let (vec, vec_obs) = execute_plan_observed_with(
+                    execute_plan_observed(&plan, &tables(), ExecMode::RowAtATime, None).unwrap();
+                let (vec, vec_obs) = execute_plan_observed(
                     &plan,
                     &tables(),
                     ExecMode::Vectorized { workers: 1 },
+                    None,
                 )
                 .unwrap();
                 assert_eq!(vec.count, row.count, "{method:?}");
@@ -877,12 +788,12 @@ mod tests {
             let mut plan = range_plan(JoinMethod::Range, vec![], CmpOp::Lt);
             plan.output = output;
             let (row, row_obs) =
-                execute_plan_observed_with(&plan, &tables(), ExecMode::RowAtATime).unwrap();
+                execute_plan_observed(&plan, &tables(), ExecMode::RowAtATime, None).unwrap();
             assert_eq!(row.count, expected);
             assert_eq!(row.metrics.range_join_rows, expected);
             for workers in [1, 2, 3, 8] {
                 let (vec, vec_obs) =
-                    execute_plan_observed_with(&plan, &tables(), ExecMode::Vectorized { workers })
+                    execute_plan_observed(&plan, &tables(), ExecMode::Vectorized { workers }, None)
                         .unwrap();
                 assert_eq!(vec.count, row.count, "workers={workers}");
                 assert_eq!(vec.rows.num_rows(), row.rows.num_rows(), "workers={workers}");
@@ -928,20 +839,6 @@ mod tests {
             let err = execute_plan_with(&plan, &tables(), mode).unwrap_err();
             assert!(matches!(err, ExecError::InvalidPlan(_)), "{err}");
         }
-    }
-
-    #[test]
-    fn evaluators_expose_modes_and_run() {
-        assert_eq!(RowOracle.mode(), ExecMode::RowAtATime);
-        assert_eq!(RowOracle.name(), "row");
-        let v = VectorizedEvaluator { workers: 2 };
-        assert_eq!(v.mode(), ExecMode::Vectorized { workers: 2 });
-        assert_eq!(v.name(), "vectorized");
-        assert_eq!(ExecMode::default(), ExecMode::Vectorized { workers: 1 });
-        let plan = join_plan(JoinMethod::Hash, Vec::new());
-        let a = RowOracle.run(&plan, &tables()).unwrap();
-        let b = v.run(&plan, &tables()).unwrap();
-        assert_eq!(a.count, b.count);
     }
 
     #[test]
@@ -1017,7 +914,7 @@ mod tests {
             },
             output: PlanOutput::CountStar,
         };
-        let out = execute_plan(&plan, &ts).unwrap();
+        let out = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.count, 50);
     }
 }

@@ -51,12 +51,7 @@ pub mod vectorized;
 pub use buffer::{BufferPool, PageIo};
 pub use chunk::Chunk;
 pub use error::{check_rowid_range, ExecError, ExecResult};
-pub use executor::{
-    execute_plan, execute_plan_buffered, execute_plan_buffered_observed_with,
-    execute_plan_buffered_with, execute_plan_observed, execute_plan_observed_with,
-    execute_plan_with, ExecMode, ExecOutput, Observations, PlanEvaluator, RowOracle,
-    VectorizedEvaluator,
-};
+pub use executor::{execute_plan_observed, execute_plan_with, ExecMode, ExecOutput, Observations};
 pub use metrics::{
     json_escape, EngineCounters, EngineCountersSnapshot, ExecMetrics, MetricsRegistry,
     QErrorHistogram, ServerCounters, ServerCountersSnapshot,

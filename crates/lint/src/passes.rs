@@ -34,7 +34,7 @@ pub enum Lint {
     /// external dependencies.
     Layering,
     /// Inter-procedural: a panic site (assert, slice index, unwrap) is
-    /// reachable from a public entry point (`Database::execute`,
+    /// reachable from a public entry point (`Engine::execute`,
     /// `serve_connection`, ...) through the workspace call graph. Reported
     /// at the panic site with the shortest call path, ratcheted per file.
     PanicReachability,

@@ -252,17 +252,6 @@ pub fn range_keys_between(
     ranges
 }
 
-/// Run the DP over left-deep trees. `els` must have been prepared over the
-/// same table numbering as `profiles`.
-pub fn enumerate_left_deep(
-    els: &dyn CardinalityEstimator,
-    profiles: &[TableProfile],
-    methods: &[JoinMethod],
-    params: &CostParams,
-) -> OptimizerResult<EnumerationResult> {
-    enumerate(els, profiles, methods, params, TreeShape::LeftDeep)
-}
-
 /// Post-order estimated sizes of every join node in a plan tree (for a
 /// left-deep tree this equals the step-by-step sizes of
 /// [`CardinalityEstimator::estimate_order`]).
@@ -556,11 +545,12 @@ mod tests {
             vec![ColumnStatistics::with_distinct(10.0)],
         )]);
         let els = Els::prepare(&[], &stats, &ElsOptions::default()).unwrap();
-        let r = enumerate_left_deep(
+        let r = enumerate(
             &els,
             &[TableProfile::synthetic(10.0, 8)],
             &NL_SM,
             &CostParams::default(),
+            TreeShape::LeftDeep,
         )
         .unwrap();
         assert!(matches!(r.root, PlanNode::Scan { table_id: 0, .. }));
@@ -571,7 +561,8 @@ mod tests {
     #[test]
     fn section8_els_avoids_nested_loops_over_giants() {
         let (els, profiles) = section8(&ElsOptions::algorithm_els());
-        let r = enumerate_left_deep(&els, &profiles, &NL_SM, &CostParams::default()).unwrap();
+        let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
+            .unwrap();
         // Every intermediate is estimated at 100.
         for s in &r.estimated_sizes {
             assert!((s - 100.0).abs() < 1e-6, "sizes {:?}", r.estimated_sizes);
@@ -596,7 +587,8 @@ mod tests {
     #[test]
     fn section8_sm_is_misled_into_rescanning_a_giant() {
         let (els, profiles) = section8(&ElsOptions::algorithm_sm());
-        let r = enumerate_left_deep(&els, &profiles, &NL_SM, &CostParams::default()).unwrap();
+        let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
+            .unwrap();
         // The final intermediate estimates collapse toward zero...
         assert!(r.estimated_sizes.last().copied().unwrap() < 1e-3, "sizes {:?}", r.estimated_sizes);
         // ...so some nested-loops rescan of a big table looks free. G (or at
@@ -622,7 +614,8 @@ mod tests {
         ]);
         let els = Els::prepare(&[], &stats, &ElsOptions::default()).unwrap();
         let profiles = vec![TableProfile::synthetic(10.0, 8), TableProfile::synthetic(20.0, 8)];
-        let r = enumerate_left_deep(&els, &profiles, &NL_SM, &CostParams::default()).unwrap();
+        let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
+            .unwrap();
         assert_eq!(r.estimated_sizes, vec![200.0]);
         if let PlanNode::Join { keys, .. } = &r.root {
             assert!(keys.is_empty());
@@ -648,7 +641,8 @@ mod tests {
         let els = Els::prepare(&preds, &stats, &ElsOptions::algorithm_els()).unwrap();
         let profiles =
             vec![TableProfile::synthetic(1000.0, 16), TableProfile::synthetic(5000.0, 16)];
-        let r = enumerate_left_deep(&els, &profiles, &NL_SM, &CostParams::default()).unwrap();
+        let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
+            .unwrap();
         let PlanNode::Join { method, keys, ranges, left, right } = &r.root else {
             panic!("expected a join root");
         };
@@ -695,7 +689,8 @@ mod tests {
         let els = Els::prepare(&preds, &stats, &ElsOptions::algorithm_els()).unwrap();
         let profiles =
             vec![TableProfile::synthetic(1000.0, 16), TableProfile::synthetic(1000.0, 16)];
-        let r = enumerate_left_deep(&els, &profiles, &NL_SM, &CostParams::default()).unwrap();
+        let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
+            .unwrap();
         let PlanNode::Join { method, keys, ranges, .. } = &r.root else {
             panic!("expected a join root");
         };
@@ -847,7 +842,7 @@ mod tests {
         let stats = QueryStatistics::new(vec![]);
         let els = Els::prepare(&[], &stats, &ElsOptions::default()).unwrap();
         assert!(matches!(
-            enumerate_left_deep(&els, &[], &NL_SM, &CostParams::default()),
+            enumerate(&els, &[], &NL_SM, &CostParams::default(), TreeShape::LeftDeep),
             Err(OptimizerError::Unsupported(_))
         ));
         let stats =
@@ -856,12 +851,12 @@ mod tests {
         let profiles: Vec<TableProfile> =
             (0..20).map(|_| TableProfile::synthetic(1.0, 8)).collect();
         assert!(matches!(
-            enumerate_left_deep(&els, &profiles, &NL_SM, &CostParams::default()),
+            enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep),
             Err(OptimizerError::Unsupported(_))
         ));
         let (els, profiles) = section8(&ElsOptions::default());
         assert!(matches!(
-            enumerate_left_deep(&els, &profiles, &[], &CostParams::default()),
+            enumerate(&els, &profiles, &[], &CostParams::default(), TreeShape::LeftDeep),
             Err(OptimizerError::Unsupported(_))
         ));
     }

@@ -49,8 +49,8 @@ pub use enumerate::{EnumerationResult, TreeShape};
 pub use error::{OptimizerError, OptimizerResult};
 pub use heuristic::{cost_order, greedy_order, iterative_improvement};
 pub use optimizer::{
-    bound_query_tables, optimize, optimize_bound, optimize_full, optimize_with_oracle,
-    EstimatorPreset, EstimatorStrategy, OptimizedQuery, OptimizerOptions,
+    bound_query_tables, optimize, optimize_bound, optimize_full, EstimatorPreset,
+    EstimatorStrategy, OptimizedQuery, OptimizerOptions,
 };
 pub use plan_cache::{CachedPlan, PlanCache};
 pub use profile::TableProfile;

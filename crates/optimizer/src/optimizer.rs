@@ -267,41 +267,14 @@ pub fn optimize(
     output: PlanOutput,
     options: &OptimizerOptions,
 ) -> OptimizerResult<OptimizedQuery> {
-    optimize_with_oracle(
-        predicates,
-        stats,
-        profiles,
-        output,
-        options,
-        &els_core::selectivity::NoOracle,
-    )
-}
-
-/// Output decorations (final sort + limit) applied to a plan after
-/// optimization; they do not influence join order or method choice.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OutputDecorations {
-    /// `(column, descending)` final sort keys.
-    pub order_by: Vec<(els_core::ColumnRef, bool)>,
-    /// Row limit.
-    pub limit: Option<u64>,
-}
-
-/// [`optimize`] with a selectivity oracle (histograms) for local predicates.
-pub fn optimize_with_oracle(
-    predicates: &[Predicate],
-    stats: &QueryStatistics,
-    profiles: &[TableProfile],
-    output: PlanOutput,
-    options: &OptimizerOptions,
-    oracle: &dyn els_core::selectivity::SelectivityOracle,
-) -> OptimizerResult<OptimizedQuery> {
+    let oracle = &els_core::selectivity::NoOracle;
     optimize_full(predicates, stats, profiles, output, options, oracle, &NoCorrections)
 }
 
-/// [`optimize_with_oracle`] plus a runtime-feedback correction source whose
-/// published factors are multiplied into selectivities before clamping.
-/// Pass [`NoCorrections`] to reproduce the uncorrected estimates exactly.
+/// [`optimize`] with a selectivity oracle (histograms) for local predicates
+/// and a runtime-feedback correction source whose published factors are
+/// multiplied into selectivities before clamping. Pass [`NoCorrections`]
+/// to reproduce the uncorrected estimates exactly.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_full(
     predicates: &[Predicate],
@@ -367,22 +340,15 @@ pub fn optimize_bound(
         BoundProjection::Columns(cols) => PlanOutput::Columns(cols.clone()),
         BoundProjection::GroupCount(cols) => PlanOutput::GroupCount(cols.clone()),
     };
-    let mut optimized = if options.feedback.applies() {
-        let corrections = catalog.corrections(&from)?;
-        let mut o = optimize_full(
-            &query.predicates,
-            &stats,
-            &profiles,
-            output,
-            options,
-            &oracle,
-            &corrections,
-        )?;
-        o.corrections_applied = corrections.applied();
-        o
-    } else {
-        optimize_with_oracle(&query.predicates, &stats, &profiles, output, options, &oracle)?
+    let corrections =
+        if options.feedback.applies() { Some(catalog.corrections(&from)?) } else { None };
+    let source: &dyn CorrectionSource = match &corrections {
+        Some(published) => published,
+        None => &NoCorrections,
     };
+    let mut optimized =
+        optimize_full(&query.predicates, &stats, &profiles, output, options, &oracle, source)?;
+    optimized.corrections_applied = corrections.map_or(0, |c| c.applied());
     optimized.plan.order_by = query.order_by.clone();
     optimized.plan.limit = query.limit;
     Ok(optimized)
@@ -404,7 +370,7 @@ pub fn bound_query_tables(
 mod tests {
     use super::*;
     use els_catalog::collect::CollectOptions;
-    use els_exec::execute_plan;
+    use els_exec::{execute_plan_with, ExecMode};
     use els_sql::{bind, parse};
     use els_storage::datagen::starburst_experiment_tables;
 
@@ -437,7 +403,7 @@ mod tests {
         for preset in EstimatorPreset::all() {
             let optimized =
                 optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset)).unwrap();
-            let out = execute_plan(&optimized.plan, &tables).unwrap();
+            let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
             assert_eq!(out.count, 100, "{} got {}", preset.label(), out.count);
         }
     }
@@ -466,7 +432,10 @@ mod tests {
         let run = |preset| {
             let optimized =
                 optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset)).unwrap();
-            execute_plan(&optimized.plan, &tables).unwrap().metrics.pages_read
+            execute_plan_with(&optimized.plan, &tables, ExecMode::default())
+                .unwrap()
+                .metrics
+                .pages_read
         };
         let sm_pages = run(EstimatorPreset::Sm);
         let els_pages = run(EstimatorPreset::Els);
@@ -489,7 +458,7 @@ mod tests {
         let run = |preset| {
             let optimized =
                 optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset)).unwrap();
-            let out = execute_plan(&optimized.plan, &tables).unwrap();
+            let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
             assert_eq!(out.count, 100);
             (optimized, out.metrics)
         };

@@ -299,14 +299,17 @@ fn engine_lane_isolation_under_shared_cache() {
 fn reply_bytes_are_exactly_the_documented_framing() {
     let handle = two_tenant_server(ServerConfig::default());
     let mut raw = raw_connection(handle.addr(), "alpha");
-    // Three requests in one packet; the replies come back in order.
-    let requests = "SELECT t.k FROM t WHERE k < 3\nSELECT COUNT(*) FROM t\nQUIT\n";
+    // Four requests in one packet; the replies come back in order. The
+    // LIMIT on an aggregate bounds its one-row output, not the aggregate.
+    let requests = "SELECT t.k FROM t WHERE k < 3\nSELECT COUNT(*) FROM t\n\
+                    SELECT COUNT(*) FROM t LIMIT 5\nQUIT\n";
     raw.get_mut().write_all(requests.as_bytes()).unwrap();
     let mut transcript = String::new();
     raw.read_to_string(&mut transcript).unwrap();
     assert_eq!(
         transcript,
         "OK rows=3 count=3 cached=0\nR\t0\nR\t1\nR\t2\n.\n\
+         OK rows=1 count=1000 cached=0\nR\t1000\n.\n\
          OK rows=1 count=1000 cached=0\nR\t1000\n.\n\
          BYE\n"
     );

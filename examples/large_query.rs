@@ -16,7 +16,7 @@ use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
 use els::core::{Els, ElsOptions};
 use els::exec::plan::PlanOutput;
-use els::exec::{execute_plan, JoinMethod, QueryPlan};
+use els::exec::{execute_plan_with, ExecMode, JoinMethod, QueryPlan};
 use els::optimizer::{greedy_order, iterative_improvement, CostParams, TableProfile};
 use els::sql::{bind, parse};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Execute the greedy plan.
     let tables: Vec<Arc<_>> = from_refs.iter().map(|n| catalog.table_data(n).unwrap()).collect();
     let plan = QueryPlan::new(greedy.root, PlanOutput::CountStar);
-    let out = execute_plan(&plan, &tables)?;
+    let out = execute_plan_with(&plan, &tables, ExecMode::default())?;
     println!("\nexecuted greedy plan: COUNT(*) = {}", out.count);
     println!("metrics: {}", out.metrics);
 

@@ -16,7 +16,7 @@
 
 use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
-use els::exec::execute_plan;
+use els::exec::{execute_plan_with, ExecMode};
 use els::optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els::sql::{bind, parse};
 use els::storage::datagen::starburst_experiment_tables;
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let order: Vec<&str> = optimized.join_order.iter().map(|&t| names[t]).collect();
         let sizes: Vec<String> =
             optimized.estimated_sizes.iter().map(|s| format!("{s:.3e}")).collect();
-        let out = execute_plan(&optimized.plan, &tables)?;
+        let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default())?;
         assert_eq!(out.count, 100, "every plan must compute the true answer");
         println!(
             "{:<14} {:<18} {:<34} {:>10} {:>10} {:>9.2}",

@@ -36,7 +36,7 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # To re-ratchet after burning down baselined debt:
 #   ELS_LINT_BASELINE_UPDATE=1 cargo run -q -p els-lint -- --baseline-update
 # The full structured report (lock-order edges, panic witness paths) is
-# archived at the repo root alongside the BENCH_*.json artifacts.
+# archived at the repo root (LINT_report.json).
 cargo run --release -q -p els-lint
 cargo run --release -q -p els-lint -- --json > LINT_report.json
 echo "check.sh: lint report archived to LINT_report.json"

@@ -212,7 +212,7 @@ impl Builder<'_> {
     }
 
     /// Walk one plan node, consuming its observations in the exact order
-    /// the executor produced them (see `execute_node_observed`) and
+    /// the executor produced them (see `execute_node` in `els-exec`) and
     /// recomputing the estimator's belief for the node's subtree. Returns
     /// the estimator state covering the subtree.
     fn walk(&mut self, node: &PlanNode, depth: usize) -> ElsResult<JoinState> {

@@ -1,15 +1,16 @@
 //! A batteries-included facade: register tables, run SQL, inspect plans.
 //!
-//! Two entry points share the pipeline (catalog → parser → binder →
-//! optimizer → executor):
+//! One pipeline (catalog → parser → binder → optimizer → executor), one
+//! place it is spelled — [`Engine`] — and two ways to hold it:
 //!
-//! * [`Database`] — a single-user, `&mut self` facade for scripts and
-//!   tests.
 //! * [`Engine`] — a concurrent, cache-fronted service: all query methods
 //!   take `&self`, readers run against immutable catalog snapshots
 //!   ([`els_catalog::SharedCatalog`]), and optimized plans are reused
 //!   across threads through a fingerprint+epoch keyed
-//!   [`els_optimizer::PlanCache`].
+//!   [`els_optimizer::PlanCache`]. Configuration is fixed at construction.
+//! * [`Database`] — a single-user view over an `Engine` with the plan cache
+//!   off, for scripts and tests: `&mut self` setters reconfigure it in
+//!   place after load, and every query is optimized afresh.
 //!
 //! [`Database`] wires the whole pipeline behind three calls:
 //!
@@ -48,12 +49,12 @@ use crate::analyze::{
 use els_catalog::collect::CollectOptions;
 use els_catalog::{Catalog, CatalogSnapshot, FeedbackMode, SharedCatalog};
 use els_exec::{
-    execute_plan_buffered_observed_with, execute_plan_buffered_with, execute_plan_observed_with,
-    execute_plan_with, EngineCountersSnapshot, ExecMetrics, ExecMode, MetricsRegistry,
+    execute_plan_observed, EngineCountersSnapshot, ExecMetrics, ExecMode, ExecOutput,
+    MetricsRegistry,
 };
 use els_optimizer::{
-    bound_query_tables, optimize_bound, CachedPlan, EstimatorPreset, EstimatorStrategy,
-    OptimizedQuery, OptimizerOptions, PlanCache,
+    optimize_bound, CachedPlan, EstimatorPreset, EstimatorStrategy, OptimizedQuery,
+    OptimizerOptions, PlanCache,
 };
 use els_sql::{bind, canonical_sql, parse};
 use els_storage::datagen::TableSpec;
@@ -130,14 +131,20 @@ pub struct QueryResult {
     pub cache_hit: bool,
 }
 
-/// An embedded single-user database over in-memory tables.
-#[derive(Debug, Clone, Default)]
+/// An embedded single-user database over in-memory tables: a view over an
+/// [`Engine`] whose plan cache is off, so every query is optimized afresh
+/// and the `&mut self` setters below can change the configuration after
+/// load — the in-place reconfiguration [`Engine`] forbids, because a shared
+/// engine's configuration is part of what its cached plans mean.
+#[derive(Debug)]
 pub struct Database {
-    catalog: Catalog,
-    optimizer_options: OptimizerOptions,
-    collect_options: CollectOptions,
-    buffer_pages: Option<usize>,
-    exec_mode: ExecMode,
+    engine: Engine,
+}
+
+impl Default for Database {
+    fn default() -> Database {
+        Database { engine: Engine::new().cache_capacity(0) }
+    }
 }
 
 impl Database {
@@ -150,39 +157,36 @@ impl Database {
     /// Switch the estimation algorithm (SM / SSS / ELS, per the paper's
     /// experiment presets).
     pub fn set_estimator(&mut self, preset: EstimatorPreset) {
-        self.optimizer_options = OptimizerOptions::preset(preset);
+        self.set_optimizer_options(OptimizerOptions::preset(preset));
     }
 
     /// Replace the full optimizer configuration.
     pub fn set_optimizer_options(&mut self, options: OptimizerOptions) {
-        self.optimizer_options = options;
+        self.engine.set_strategy(options.strategy);
+        self.engine.options = options;
     }
 
-    /// Set the runtime-feedback policy. Under `Observe` or `Apply`,
-    /// [`Database::explain_analyze`] harvests each operator's
-    /// `(estimated, actual)` pair into the catalog's
-    /// [`els_catalog::FeedbackStore`]; under `Apply` the optimizer also
-    /// multiplies published corrections into its selectivities.
+    /// Set the runtime-feedback policy (see [`Engine::feedback`]).
     pub fn set_feedback(&mut self, mode: FeedbackMode) {
-        self.optimizer_options.feedback = mode;
+        self.engine.options.feedback = mode;
     }
 
     /// Plan with a different estimator strategy (ELS pipeline, the
     /// UES-style upper bound, or the no-estimates baseline).
     pub fn set_strategy(&mut self, strategy: EstimatorStrategy) {
-        self.optimizer_options.strategy = strategy;
+        self.engine.set_strategy(strategy);
     }
 
     /// Configure how statistics are collected for *subsequently* registered
     /// tables (e.g. [`CollectOptions::full`] for histograms + MCVs).
     pub fn set_collect_options(&mut self, options: CollectOptions) {
-        self.collect_options = options;
+        self.engine.collect_options = options;
     }
 
     /// Execute queries through an LRU buffer pool of `pages` pages (`None`
     /// = unbuffered; every logical base-table page read is physical).
     pub fn set_buffer_pages(&mut self, pages: Option<usize>) {
-        self.buffer_pages = pages;
+        self.engine.buffer_pages = pages;
     }
 
     /// Choose the execution mode (default: vectorized, one worker). Both
@@ -191,97 +195,42 @@ impl Database {
     /// hash joins (radix-partitioned for big build sides, work-stealing
     /// morsel probes otherwise).
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
+        self.engine.exec_mode = mode;
     }
 
     /// Register an existing table.
     pub fn register(&mut self, table: Table) -> EngineResult<()> {
-        self.catalog.register(table, &self.collect_options)?;
-        Ok(())
+        self.engine.register(table)
     }
 
     /// Generate and register a table from a spec with a seed.
     pub fn generate(&mut self, spec: TableSpec, seed: u64) -> EngineResult<()> {
-        self.register(spec.generate(seed))
+        self.engine.generate(spec, seed)
     }
 
-    /// The underlying catalog (read-only).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+    /// The catalog as of now (an immutable snapshot).
+    pub fn catalog(&self) -> CatalogSnapshot {
+        self.engine.snapshot()
     }
 
-    /// Parse, bind, and optimize without executing.
-    pub fn prepare(&self, sql: &str) -> EngineResult<OptimizedQuery> {
-        let bound = bind(&parse(sql)?, &self.catalog)?;
-        Ok(optimize_bound(&bound, &self.catalog, &self.optimizer_options)?)
-    }
-
-    /// Run a query end to end.
+    /// Run a query end to end (see [`Engine::execute`]).
     pub fn execute(&self, sql: &str) -> EngineResult<QueryResult> {
-        let bound = bind(&parse(sql)?, &self.catalog)?;
-        let optimized = optimize_bound(&bound, &self.catalog, &self.optimizer_options)?;
-        let tables = bound_query_tables(&bound, &self.catalog)?;
-        let out = match self.buffer_pages {
-            None => execute_plan_with(&optimized.plan, &tables, self.exec_mode)?,
-            Some(pages) => {
-                execute_plan_buffered_with(&optimized.plan, &tables, pages, self.exec_mode)?
-            }
-        };
-        let join_order =
-            optimized.join_order.iter().map(|&t| bound.binding_names[t].clone()).collect();
-        Ok(QueryResult {
-            rows: out.rows,
-            count: out.count,
-            metrics: out.metrics,
-            join_order,
-            estimated_sizes: optimized.estimated_sizes,
-            cache_hit: false,
-        })
+        self.engine.execute(sql)
     }
 
-    /// EXPLAIN ANALYZE: run the query and report, per operator, the
-    /// optimizer's estimated cardinality next to the measured one — the
-    /// estimation-quality view the paper's experiment table is built from.
-    /// The report also lands in the process-wide
-    /// [`els_exec::MetricsRegistry`]. Render with `Display` for the
-    /// human-readable tree.
+    /// EXPLAIN ANALYZE (see [`Engine::explain_analyze`]).
     pub fn explain_analyze(&self, sql: &str) -> EngineResult<ExplainAnalyzeReport> {
-        let bound = bind(&parse(sql)?, &self.catalog)?;
-        let optimized = optimize_bound(&bound, &self.catalog, &self.optimizer_options)?;
-        let tables = bound_query_tables(&bound, &self.catalog)?;
-        let report = analyze_query(
-            sql,
-            &optimized,
-            &bound.binding_names,
-            &tables,
-            self.buffer_pages,
-            self.exec_mode,
-            false,
-        )?;
-        // A single-user database optimizes every query, so publications
-        // need no plan invalidation — the next optimize sees them.
-        harvest_query(
-            &self.catalog,
-            self.optimizer_options.feedback,
-            &optimized,
-            &bound.table_names,
-            &report.operators,
-        );
-        Ok(report)
+        self.engine.explain_analyze(sql)
     }
 
-    /// An EXPLAIN-style report: the rewritten predicates, equivalence
-    /// classes, effective statistics, estimated sizes, and the plan tree.
+    /// An EXPLAIN-style report (see [`Engine::explain`]).
     pub fn explain(&self, sql: &str) -> EngineResult<String> {
-        let bound = bind(&parse(sql)?, &self.catalog)?;
-        let optimized = optimize_bound(&bound, &self.catalog, &self.optimizer_options)?;
-        Ok(explain_report(sql, &bound.binding_names, &optimized))
+        self.engine.explain(sql)
     }
 }
 
 /// A concurrent, cache-fronted query engine.
 ///
-/// Where [`Database`] is single-user (`&mut self`, one caller),
 /// `Engine` is built to be shared: every query method takes `&self`, so an
 /// `Engine` behind an `Arc` (or borrowed into [`std::thread::scope`])
 /// serves many threads at once.
@@ -512,10 +461,9 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Parse → fingerprint → cache lookup, optimizing on a miss. Returns
-    /// the ready-to-execute plan, the snapshot it is valid against, and
-    /// whether it was a hit.
-    fn prepare_at(&self, sql: &str) -> EngineResult<(Arc<CachedPlan>, CatalogSnapshot, bool)> {
+    /// Parse → fingerprint → cache lookup: everything a query costs before
+    /// the engine knows whether it has to plan it.
+    fn probe(&self, sql: &str) -> EngineResult<Probe> {
         let ast = parse(sql)?;
         let options = self.effective_options();
         // The optimizer configuration is part of the key: the same SQL
@@ -526,7 +474,15 @@ impl Engine {
         // Epoch and contents come from the same snapshot, so a plan stamped
         // with this epoch is exactly a plan over these statistics.
         let snapshot = self.catalog.snapshot();
-        if let Some(plan) = self.cache.get(&fingerprint, snapshot.epoch()) {
+        let cached = self.cache.get(&fingerprint, snapshot.epoch());
+        Ok(Probe { ast, options, fingerprint, snapshot, cached })
+    }
+
+    /// [`Engine::probe`], optimizing on a miss. Returns the ready-to-execute
+    /// plan, the snapshot it is valid against, and whether it was a hit.
+    fn prepare_at(&self, sql: &str) -> EngineResult<(Arc<CachedPlan>, CatalogSnapshot, bool)> {
+        let Probe { ast, options, fingerprint, snapshot, cached } = self.probe(sql)?;
+        if let Some(plan) = cached {
             return Ok((plan, snapshot, true));
         }
         let bound = bind(&ast, snapshot.catalog())?;
@@ -559,74 +515,65 @@ impl Engine {
     /// cache hits skip binding, estimation and join enumeration, so serving
     /// only them bounds per-query planning work while under pressure.
     pub fn execute_if_cached(&self, sql: &str) -> EngineResult<Option<QueryResult>> {
-        let ast = parse(sql)?;
-        let options = self.effective_options();
-        let fingerprint = format!("{}#{:016x}", canonical_sql(&ast), options.config_fingerprint());
-        let snapshot = self.catalog.snapshot();
-        match self.cache.get(&fingerprint, snapshot.epoch()) {
-            Some(plan) => self.run_plan(&plan, &snapshot, true).map(Some),
-            None => Ok(None),
-        }
+        let probe = self.probe(sql)?;
+        probe.cached.map(|plan| self.run_plan(&plan, &probe.snapshot, true)).transpose()
     }
 
-    /// Execute a prepared plan against the snapshot it was optimized for
-    /// (the shared tail of [`Engine::execute`] and
-    /// [`Engine::execute_if_cached`]).
-    fn run_plan(
+    /// Execute a prepared plan against the snapshot it was optimized for.
+    /// With `report` — EXPLAIN ANALYZE, or a feedback mode that observes —
+    /// also build the per-operator estimated-vs-actual reports and fold
+    /// their residuals into the shared feedback store.
+    fn run_observed(
         &self,
-        plan: &Arc<CachedPlan>,
+        plan: &CachedPlan,
         snapshot: &CatalogSnapshot,
-        cache_hit: bool,
-    ) -> EngineResult<QueryResult> {
+        report: bool,
+    ) -> EngineResult<(ExecOutput, Vec<OperatorReport>)> {
         let tables = plan
             .table_names
             .iter()
             .map(|name| snapshot.table_data(name))
             .collect::<Result<Vec<_>, _>>()?;
-        let out = if self.options.feedback.observes() {
-            // Feedback needs per-operator actuals: run the observed
-            // executor variant (same results, plus observation streams)
-            // and fold the residuals into the shared feedback store.
-            let (out, obs) = match self.buffer_pages {
-                None => execute_plan_observed_with(&plan.optimized.plan, &tables, self.exec_mode)?,
-                Some(pages) => execute_plan_buffered_observed_with(
-                    &plan.optimized.plan,
-                    &tables,
-                    pages,
-                    self.exec_mode,
-                )?,
-            };
-            let operators = build_operator_reports(
-                &plan.optimized.plan.root,
-                plan.optimized.estimator(),
-                &plan.binding_names,
-                &obs,
-            )
-            .map_err(|e| EngineError::Optimizer(e.to_string()))?;
-            let published = harvest_query(
-                snapshot,
-                self.options.feedback,
-                &plan.optimized,
-                &plan.table_names,
-                &operators,
-            );
-            // Publications only matter to plans that would consult them:
-            // invalidate under Apply, never churn the cache under Observe.
-            if published > 0 && self.options.feedback.applies() {
-                self.catalog.invalidate();
-            }
-            out
-        } else {
-            match self.buffer_pages {
-                None => execute_plan_with(&plan.optimized.plan, &tables, self.exec_mode)?,
-                Some(pages) => execute_plan_buffered_with(
-                    &plan.optimized.plan,
-                    &tables,
-                    pages,
-                    self.exec_mode,
-                )?,
-            }
-        };
+        let (out, obs) = execute_plan_observed(
+            &plan.optimized.plan,
+            &tables,
+            self.exec_mode,
+            self.buffer_pages,
+        )?;
+        if !report {
+            return Ok((out, Vec::new()));
+        }
+        let operators = build_operator_reports(
+            &plan.optimized.plan.root,
+            plan.optimized.estimator(),
+            &plan.binding_names,
+            &obs,
+        )
+        .map_err(|e| EngineError::Optimizer(e.to_string()))?;
+        let published = harvest_query(
+            snapshot,
+            self.options.feedback,
+            &plan.optimized,
+            &plan.table_names,
+            &operators,
+        );
+        // Publications only matter to plans that would consult them:
+        // invalidate under Apply, never churn the cache under Observe.
+        if published > 0 && self.options.feedback.applies() {
+            self.catalog.invalidate();
+        }
+        Ok((out, operators))
+    }
+
+    /// The shared tail of [`Engine::execute`] and
+    /// [`Engine::execute_if_cached`].
+    fn run_plan(
+        &self,
+        plan: &CachedPlan,
+        snapshot: &CatalogSnapshot,
+        cache_hit: bool,
+    ) -> EngineResult<QueryResult> {
+        let (out, _) = self.run_observed(plan, snapshot, self.options.feedback.observes())?;
         let join_order =
             plan.optimized.join_order.iter().map(|&t| plan.binding_names[t].clone()).collect();
         Ok(QueryResult {
@@ -639,45 +586,57 @@ impl Engine {
         })
     }
 
-    /// An EXPLAIN-style report (see [`Database::explain`]); goes through
-    /// the plan cache like [`Engine::execute`].
+    /// An EXPLAIN-style report: the rewritten predicates, equivalence
+    /// classes, effective statistics, estimated sizes, and the plan tree.
+    /// Goes through the plan cache like [`Engine::execute`].
     pub fn explain(&self, sql: &str) -> EngineResult<String> {
         let (plan, _, _) = self.prepare_at(sql)?;
         Ok(explain_report(sql, &plan.binding_names, &plan.optimized))
     }
 
-    /// EXPLAIN ANALYZE through the plan cache: execute with observation
-    /// collection and return the structured estimated-vs-actual report
-    /// (see [`Database::explain_analyze`]). `cache_hit` in the report tells
-    /// whether the estimates came from a previously cached plan.
+    /// EXPLAIN ANALYZE: run the query (through the plan cache) and report,
+    /// per operator, the optimizer's estimated cardinality next to the
+    /// measured one — the estimation-quality view the paper's experiment
+    /// table is built from. `cache_hit` in the report tells whether the
+    /// estimates came from a previously cached plan. The report also lands
+    /// in the process-wide [`els_exec::MetricsRegistry`], under the
+    /// estimator's rule name. Render with `Display` for the human-readable
+    /// tree.
     pub fn explain_analyze(&self, sql: &str) -> EngineResult<ExplainAnalyzeReport> {
         let (plan, snapshot, cache_hit) = self.prepare_at(sql)?;
-        let tables = plan
-            .table_names
-            .iter()
-            .map(|name| snapshot.table_data(name))
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = analyze_query(
-            sql,
-            &plan.optimized,
-            &plan.binding_names,
-            &tables,
-            self.buffer_pages,
-            self.exec_mode,
+        let (out, operators) = self.run_observed(&plan, &snapshot, true)?;
+        let optimized = &plan.optimized;
+        // Alternative estimators have no selectivity rule; key their accuracy
+        // samples in the registry by estimator name instead.
+        let rule = match optimized.strategy() {
+            EstimatorStrategy::Els => optimized.els.options().rule.short_name().to_owned(),
+            _ => optimized.estimator().name().to_owned(),
+        };
+        let report = ExplainAnalyzeReport {
+            sql: sql.to_owned(),
+            rule,
+            mode: self.exec_mode,
             cache_hit,
-        )?;
-        let published = harvest_query(
-            &snapshot,
-            self.options.feedback,
-            &plan.optimized,
-            &plan.table_names,
-            &report.operators,
-        );
-        if published > 0 && self.options.feedback.applies() {
-            self.catalog.invalidate();
-        }
+            corrections_applied: optimized.corrections_applied,
+            result_rows: out.count,
+            operators,
+            metrics: out.metrics,
+        };
+        report.record(MetricsRegistry::global());
         Ok(report)
     }
+}
+
+/// What [`Engine::probe`] found out about one query text.
+struct Probe {
+    ast: els_sql::Query,
+    /// The options in force at the probe, live strategy folded in.
+    options: OptimizerOptions,
+    /// The plan-cache key: canonical SQL plus the options' fingerprint.
+    fingerprint: String,
+    /// The snapshot `cached` was looked up at.
+    snapshot: CatalogSnapshot,
+    cached: Option<Arc<CachedPlan>>,
 }
 
 /// Harvest an executed query's operator reports into the catalog's
@@ -715,48 +674,7 @@ fn harvest_query(
     published
 }
 
-/// Execute with observations and assemble the [`ExplainAnalyzeReport`]
-/// (shared by [`Database::explain_analyze`] and
-/// [`Engine::explain_analyze`]). Records the report into
-/// [`MetricsRegistry::global`] under the estimator's rule name.
-fn analyze_query(
-    sql: &str,
-    optimized: &OptimizedQuery,
-    binding_names: &[String],
-    tables: &[Arc<Table>],
-    buffer_pages: Option<usize>,
-    mode: ExecMode,
-    cache_hit: bool,
-) -> EngineResult<ExplainAnalyzeReport> {
-    let (out, obs) = match buffer_pages {
-        None => execute_plan_observed_with(&optimized.plan, tables, mode)?,
-        Some(pages) => execute_plan_buffered_observed_with(&optimized.plan, tables, pages, mode)?,
-    };
-    let operators =
-        build_operator_reports(&optimized.plan.root, optimized.estimator(), binding_names, &obs)
-            .map_err(|e| EngineError::Optimizer(e.to_string()))?;
-    // Alternative estimators have no selectivity rule; key their accuracy
-    // samples in the registry by estimator name instead.
-    let rule = match optimized.strategy() {
-        EstimatorStrategy::Els => optimized.els.options().rule.short_name().to_owned(),
-        _ => optimized.estimator().name().to_owned(),
-    };
-    let report = ExplainAnalyzeReport {
-        sql: sql.to_owned(),
-        rule,
-        mode,
-        cache_hit,
-        corrections_applied: optimized.corrections_applied,
-        result_rows: out.count,
-        operators,
-        metrics: out.metrics,
-    };
-    report.record(MetricsRegistry::global());
-    Ok(report)
-}
-
-/// Render the EXPLAIN report for an optimized query (shared by
-/// [`Database::explain`] and [`Engine::explain`]).
+/// Render [`Engine::explain`]'s report for an optimized query.
 fn explain_report(sql: &str, binding_names: &[String], optimized: &OptimizedQuery) -> String {
     let els = &optimized.els;
     let mut out = String::new();
@@ -797,20 +715,20 @@ mod tests {
     use super::*;
     use els_storage::datagen::{ColumnSpec, Distribution};
 
+    fn table_a() -> TableSpec {
+        TableSpec::new("a", 1000)
+            .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }))
+    }
+
+    fn table_b() -> TableSpec {
+        TableSpec::new("b", 500)
+            .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }))
+    }
+
     fn db() -> Database {
         let mut db = Database::new();
-        db.generate(
-            TableSpec::new("a", 1000)
-                .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
-            1,
-        )
-        .unwrap();
-        db.generate(
-            TableSpec::new("b", 500)
-                .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
-            2,
-        )
-        .unwrap();
+        db.generate(table_a(), 1).unwrap();
+        db.generate(table_b(), 2).unwrap();
         db
     }
 
@@ -890,7 +808,7 @@ mod tests {
         let db = db();
         assert!(matches!(db.execute("NOT SQL"), Err(EngineError::Sql(_))));
         assert!(matches!(db.execute("SELECT COUNT(*) FROM nope"), Err(EngineError::Sql(_))));
-        let mut db2 = db.clone();
+        let mut db2 = self::db();
         let dup = TableSpec::new("a", 1)
             .column(ColumnSpec::new("k", Distribution::ConstInt { value: 0 }))
             .generate(9);
@@ -905,22 +823,28 @@ mod tests {
         assert_eq!(r.rows.num_columns(), 1);
     }
 
+    #[test]
+    fn limit_on_count_star_keeps_the_aggregate() {
+        let mut db = db();
+        for mode in [ExecMode::default(), ExecMode::RowAtATime] {
+            db.set_exec_mode(mode);
+            let r = db.execute("SELECT COUNT(*) FROM a LIMIT 5").unwrap();
+            assert_eq!(r.count, 1000, "{mode:?}");
+            assert_eq!(r.rows.row(0).unwrap(), vec![els_storage::Value::Int(1000)]);
+            let none = db.execute("SELECT COUNT(*) FROM a LIMIT 0").unwrap();
+            assert_eq!((none.count, none.rows.num_rows()), (0, 0), "{mode:?}");
+            // Everywhere else the count is the number of rows returned.
+            let grouped = db.execute("SELECT k, COUNT(*) FROM a GROUP BY k LIMIT 5").unwrap();
+            assert_eq!((grouped.count, grouped.rows.num_rows()), (5, 5), "{mode:?}");
+            let plain = db.execute("SELECT k FROM a LIMIT 5").unwrap();
+            assert_eq!((plain.count, plain.rows.num_rows()), (5, 5), "{mode:?}");
+        }
+    }
+
     fn engine() -> Engine {
         let engine = Engine::new();
-        engine
-            .generate(
-                TableSpec::new("a", 1000)
-                    .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
-                1,
-            )
-            .unwrap();
-        engine
-            .generate(
-                TableSpec::new("b", 500)
-                    .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
-                2,
-            )
-            .unwrap();
+        engine.generate(table_a(), 1).unwrap();
+        engine.generate(table_b(), 2).unwrap();
         engine
     }
 
@@ -1037,12 +961,65 @@ mod tests {
         assert_eq!(engine.cache_stats().invalidations, 1);
     }
 
+    /// The counters both facades must agree on: everything but wall time.
+    fn logical(mut m: ExecMetrics) -> ExecMetrics {
+        m.elapsed = std::time::Duration::ZERO;
+        m
+    }
+
+    /// One query through a `Database` and through an `Engine` with the
+    /// cache off: same answers, same plans, same reports.
+    fn assert_view_matches(db: &Database, engine: &Engine, sql: &str) {
+        assert_eq!(db.explain(sql).unwrap(), engine.explain(sql).unwrap(), "{sql}");
+        let (d, e) = (db.execute(sql).unwrap(), engine.execute(sql).unwrap());
+        assert!(!d.cache_hit && !e.cache_hit, "{sql}");
+        assert_eq!(d.count, e.count, "{sql}");
+        assert_eq!(d.join_order, e.join_order, "{sql}");
+        assert_eq!(d.estimated_sizes, e.estimated_sizes, "{sql}");
+        assert_eq!(logical(d.metrics), logical(e.metrics), "{sql}");
+        let (d, e) = (db.explain_analyze(sql).unwrap(), engine.explain_analyze(sql).unwrap());
+        assert!(!d.cache_hit && !e.cache_hit, "{sql}");
+        assert_eq!((d.result_rows, &d.rule, d.mode), (e.result_rows, &e.rule, e.mode), "{sql}");
+        assert_eq!(logical(d.metrics), logical(e.metrics), "{sql}");
+        let operators = |r: &ExplainAnalyzeReport| -> Vec<(String, u64, u64)> {
+            r.operators.iter().map(|o| (o.label.clone(), o.estimated.to_bits(), o.actual)).collect()
+        };
+        assert_eq!(operators(&d), operators(&e), "{sql}");
+    }
+
     #[test]
     fn engine_explain_matches_database_explain() {
-        let engine = engine();
-        let db = db();
-        let sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10";
-        assert_eq!(engine.explain(sql).unwrap(), db.explain(sql).unwrap());
+        let mut db = db();
+        let queries = [
+            "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10",
+            "SELECT a.k FROM a, b WHERE a.k = b.k AND a.k < 3",
+            "SELECT COUNT(*) FROM a, b WHERE a.k < b.k AND b.k < 20",
+        ];
+        let twin = engine().cache_capacity(0);
+        for sql in queries {
+            // Twice: a repeat is still a fresh optimization, never a hit.
+            assert_view_matches(&db, &twin, sql);
+            assert_view_matches(&db, &twin, sql);
+        }
+
+        // The setters reconfigure a loaded database; the next query runs
+        // like an engine built with that configuration from the start.
+        db.set_estimator(EstimatorPreset::Sm);
+        db.set_buffer_pages(Some(8));
+        db.set_exec_mode(ExecMode::RowAtATime);
+        let twin = Engine::with_options(OptimizerOptions::preset(EstimatorPreset::Sm))
+            .cache_capacity(0)
+            .buffer_pages(Some(8))
+            .exec_mode(ExecMode::RowAtATime);
+        twin.generate(table_a(), 1).unwrap();
+        twin.generate(table_b(), 2).unwrap();
+        for sql in queries {
+            assert_view_matches(&db, &twin, sql);
+        }
+        let sm = db.explain_analyze(queries[2]).unwrap();
+        assert_eq!((sm.rule.as_str(), sm.mode), ("M", ExecMode::RowAtATime));
+        // The band join rescans its inner; the pool absorbs the repeats.
+        assert!(sm.metrics.physical_pages_read < sm.metrics.pages_read, "{}", sm.metrics);
     }
 
     #[test]

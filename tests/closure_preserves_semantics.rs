@@ -4,7 +4,7 @@
 //! predicates that are already implied.
 
 use els::core::closure::{pairwise_fixpoint, transitive_closure};
-use els::exec::execute_plan;
+use els::exec::{execute_plan_with, ExecMode};
 use els::optimizer::{
     apply_predicate_transitive_closure, bound_query_tables, optimize_bound, EstimatorPreset,
     OptimizerOptions,
@@ -28,13 +28,13 @@ proptest! {
         // Original predicates, closure disabled end to end.
         let no_ptc = OptimizerOptions::preset(EstimatorPreset::SmNoPtc);
         let original = optimize_bound(&inst.bound, &inst.catalog, &no_ptc).unwrap();
-        let a = execute_plan(&original.plan, &tables).unwrap().count;
+        let a = execute_plan_with(&original.plan, &tables, ExecMode::default()).unwrap().count;
 
         // Explicitly rewritten query, closure again disabled (the derived
         // predicates are now *literal*).
         let rewritten = apply_predicate_transitive_closure(&inst.bound);
         let closed = optimize_bound(&rewritten, &inst.catalog, &no_ptc).unwrap();
-        let b = execute_plan(&closed.plan, &tables).unwrap().count;
+        let b = execute_plan_with(&closed.plan, &tables, ExecMode::default()).unwrap().count;
 
         prop_assert_eq!(a, b, "closure changed the result of `{}`", inst.sql);
     }
@@ -73,7 +73,7 @@ fn closure_never_removes_rows_and_never_adds_them() {
         &OptimizerOptions::preset(EstimatorPreset::SmNoPtc),
     )
     .unwrap();
-    let a = execute_plan(&with_ptc.plan, &tables).unwrap().count;
-    let b = execute_plan(&without_ptc.plan, &tables).unwrap().count;
+    let a = execute_plan_with(&with_ptc.plan, &tables, ExecMode::default()).unwrap().count;
+    let b = execute_plan_with(&without_ptc.plan, &tables, ExecMode::default()).unwrap().count;
     assert_eq!(a, b);
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
-use els::exec::execute_plan;
+use els::exec::{execute_plan_with, ExecMode};
 use els::optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els::sql::{bind, parse};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
@@ -116,7 +116,7 @@ fn check_query(sql: &str) {
     for preset in EstimatorPreset::all() {
         let optimized =
             optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset)).unwrap();
-        let out = execute_plan(&optimized.plan, &tables).unwrap();
+        let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
         assert_eq!(out.count, truth, "{sql} under {}", preset.label());
     }
     // Hash joins enabled must agree too.
@@ -126,7 +126,7 @@ fn check_query(sql: &str) {
         &OptimizerOptions::preset(EstimatorPreset::Els).with_hash_join(),
     )
     .unwrap();
-    let out = execute_plan(&optimized.plan, &tables).unwrap();
+    let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
     assert_eq!(out.count, truth, "{sql} with hash joins");
     // And bushy-tree enumeration (plans may have intermediate inners).
     let optimized = optimize_bound(
@@ -135,7 +135,7 @@ fn check_query(sql: &str) {
         &OptimizerOptions::preset(EstimatorPreset::Els).with_hash_join().with_bushy_trees(),
     )
     .unwrap();
-    let out = execute_plan(&optimized.plan, &tables).unwrap();
+    let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
     assert_eq!(out.count, truth, "{sql} with bushy trees");
     // And indexed nested loops in the repertoire.
     let optimized = optimize_bound(
@@ -144,7 +144,7 @@ fn check_query(sql: &str) {
         &OptimizerOptions::preset(EstimatorPreset::Els).with_index_nested_loop(),
     )
     .unwrap();
-    let out = execute_plan(&optimized.plan, &tables).unwrap();
+    let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
     assert_eq!(out.count, truth, "{sql} with index nested loops");
 }
 
@@ -237,7 +237,7 @@ fn inverted_between_is_statically_empty() {
     for preset in EstimatorPreset::all() {
         let optimized =
             optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset)).unwrap();
-        let out = execute_plan(&optimized.plan, &tables).unwrap();
+        let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
         assert_eq!(out.count, 0, "{sql} under {}", preset.label());
         if preset == EstimatorPreset::Els {
             let last = *optimized.estimated_sizes.last().unwrap();
@@ -254,7 +254,7 @@ fn projection_star_and_columns_execute() {
     let tables = bound_query_tables(&bound, &catalog).unwrap();
     let optimized =
         optimize_bound(&bound, &catalog, &OptimizerOptions::preset(EstimatorPreset::Els)).unwrap();
-    let out = execute_plan(&optimized.plan, &tables).unwrap();
+    let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
     assert_eq!(out.rows.num_columns(), 2);
     assert!(out.count > 0);
 }
@@ -269,7 +269,7 @@ fn estimates_are_exact_when_model_assumptions_hold() {
     let tables = bound_query_tables(&bound, &catalog).unwrap();
     let optimized =
         optimize_bound(&bound, &catalog, &OptimizerOptions::preset(EstimatorPreset::Els)).unwrap();
-    let out = execute_plan(&optimized.plan, &tables).unwrap();
+    let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
     let final_estimate = *optimized.estimated_sizes.last().unwrap();
     assert_eq!(final_estimate.round() as u64, out.count);
 }

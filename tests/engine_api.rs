@@ -42,7 +42,7 @@ fn csv_round_trip_through_the_engine() {
     let mut buf = Vec::new();
     write_csv(&dim, &mut buf).unwrap();
     let copy = read_csv("dim2", &mut Cursor::new(&buf), None).unwrap();
-    let mut db2 = db.clone();
+    let mut db2 = self::db();
     db2.register(copy).unwrap();
     let r = db2.execute("SELECT COUNT(*) FROM dim, dim2 WHERE dim.id = dim2.id").unwrap();
     assert_eq!(r.count, 100);

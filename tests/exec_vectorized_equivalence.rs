@@ -13,8 +13,7 @@ use std::sync::Arc;
 use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
 use els::exec::{
-    execute_plan_observed_with, ExecMetrics, ExecMode, JoinMethod, Observations, PlanNode,
-    QueryPlan,
+    execute_plan_observed, ExecMetrics, ExecMode, JoinMethod, Observations, PlanNode, QueryPlan,
 };
 use els::optimizer::{bound_query_tables, optimize_bound, OptimizerOptions};
 use els::sql::{bind, parse};
@@ -150,16 +149,29 @@ fn assert_tables_equal(a: &Table, b: &Table, context: &str) {
     }
 }
 
-/// Run `plan` under the row oracle and both vectorized variants; all three
-/// must agree on rows, counters, and observations.
+/// Run `plan` under the row oracle and the vectorized variants, unbuffered
+/// and through buffer pools smaller than, around and larger than the test
+/// tables; every run must agree on rows, counters (logical *and* physical
+/// page reads) and observations.
 fn check_plan(plan: &QueryPlan, tables: &[Arc<Table>], context: &str) {
+    for buffer_pages in [None, Some(1), Some(8), Some(64)] {
+        check_plan_buffered(plan, tables, buffer_pages, &format!("{context} {buffer_pages:?}"));
+    }
+}
+
+fn check_plan_buffered(
+    plan: &QueryPlan,
+    tables: &[Arc<Table>],
+    buffer_pages: Option<usize>,
+    context: &str,
+) {
     let (row_out, row_obs): (els::exec::ExecOutput, Observations) =
-        execute_plan_observed_with(plan, tables, ExecMode::RowAtATime)
+        execute_plan_observed(plan, tables, ExecMode::RowAtATime, buffer_pages)
             .unwrap_or_else(|e| panic!("{context}: row oracle failed: {e}"));
     for workers in [1usize, 2, 3, 8] {
         let label = format!("{context} workers={workers}");
         let (vec_out, vec_obs) =
-            execute_plan_observed_with(plan, tables, ExecMode::Vectorized { workers })
+            execute_plan_observed(plan, tables, ExecMode::Vectorized { workers }, buffer_pages)
                 .unwrap_or_else(|e| panic!("{label}: vectorized failed: {e}"));
         assert_eq!(vec_out.count, row_out.count, "{label}: count");
         assert_tables_equal(&vec_out.rows, &row_out.rows, &label);
@@ -252,7 +264,7 @@ fn parallel_probe_matches_on_a_large_skewed_table() {
     check_plan(&plan, &tables, "large skewed probe [HASH]");
     // The parallel run must actually have split the probe into morsels.
     let (out, _) =
-        execute_plan_observed_with(&plan, &tables, ExecMode::Vectorized { workers: 4 }).unwrap();
+        execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers: 4 }, None).unwrap();
     assert!(out.metrics.morsels > 1, "expected a morsel split, got {}", out.metrics.morsels);
 }
 
@@ -300,11 +312,11 @@ fn morsel_boundary_probe_sizes_keep_observation_parity() {
 
         let context = format!("probe rows={rows} [HASH]");
         let (row_out, row_obs) =
-            execute_plan_observed_with(&plan, &tables, ExecMode::RowAtATime).unwrap();
+            execute_plan_observed(&plan, &tables, ExecMode::RowAtATime, None).unwrap();
         for workers in [1usize, 2, 4] {
             let label = format!("{context} workers={workers}");
             let (out, obs) =
-                execute_plan_observed_with(&plan, &tables, ExecMode::Vectorized { workers })
+                execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers }, None)
                     .unwrap();
             assert_eq!(out.count, row_out.count, "{label}: count");
             assert_eq!(obs.scan_outputs, row_obs.scan_outputs, "{label}: scan outputs");
@@ -368,7 +380,7 @@ fn radix_partitioned_join_matches_oracle_bit_exactly() {
     check_plan(&plan, &tables, "radix-scale probe [HASH]");
     for workers in [2usize, 3, 8] {
         let (out, _) =
-            execute_plan_observed_with(&plan, &tables, ExecMode::Vectorized { workers }).unwrap();
+            execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers }, None).unwrap();
         assert!(
             out.metrics.partitions > 1,
             "workers={workers}: the radix path should engage, partitions={}",
@@ -381,7 +393,7 @@ fn radix_partitioned_join_matches_oracle_bit_exactly() {
     }
     // Serial never partitions, and the fused root still skips the pair list.
     let (serial, _) =
-        execute_plan_observed_with(&plan, &tables, ExecMode::Vectorized { workers: 1 }).unwrap();
+        execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers: 1 }, None).unwrap();
     assert_eq!(serial.metrics.partitions, 0);
     assert_eq!(serial.metrics.pair_lists, 0);
 }
@@ -431,7 +443,7 @@ fn all_null_and_empty_build_sides_join_to_nothing() {
         check_plan(&plan, &tables, &format!("degenerate build (`{sql}`) [HASH]"));
         for workers in [1usize, 2, 8] {
             let (out, _) =
-                execute_plan_observed_with(&plan, &tables, ExecMode::Vectorized { workers })
+                execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers }, None)
                     .unwrap();
             assert_eq!(out.count, 0, "`{sql}` workers={workers}");
         }
@@ -477,9 +489,11 @@ fn parallel_band_join_matches_on_a_large_outer() {
             order_by: Vec::new(),
             limit: None,
         };
-        check_plan(&plan, &tables, "large band join [RANGE]");
+        // Unbuffered only: each run emits millions of pairs, and a pool
+        // would see nothing but the two base scans the small cases cover.
+        check_plan_buffered(&plan, &tables, None, "large band join [RANGE]");
         let (out, _) =
-            execute_plan_observed_with(&plan, &tables, ExecMode::Vectorized { workers: 4 })
+            execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers: 4 }, None)
                 .unwrap();
         assert!(out.count > 0);
         assert!(out.metrics.morsels > 1, "morsel split expected, got {}", out.metrics.morsels);
@@ -508,7 +522,7 @@ fn giant_int_keys_join_exactly() {
         let mut plan = optimized.plan.clone();
         force_method(&mut plan.root, method);
         let (out, _) =
-            execute_plan_observed_with(&plan, &tables, ExecMode::Vectorized { workers: 1 })
+            execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers: 1 }, None)
                 .unwrap();
         // i64::MAX, MAX-1, MAX-2 match; MAX-3 vs MAX-4 do not.
         assert_eq!(out.count, 3, "{} must not collapse near-MAX keys", method.name());

@@ -8,7 +8,7 @@
 //! * the misled plans pay ≥10× the ELS plan's I/O (the paper's 9–12×).
 
 use els_bench::{section8_catalog, SECTION8_SQL};
-use els_exec::execute_plan;
+use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 
@@ -22,7 +22,7 @@ fn section8_experiment_shape_holds() {
     for preset in EstimatorPreset::all() {
         let optimized =
             optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset)).unwrap();
-        let out = execute_plan(&optimized.plan, &tables).unwrap();
+        let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
         assert_eq!(out.count, 100, "{} computed a wrong answer", preset.label());
         pages.insert(preset.label(), out.metrics.pages_read);
 

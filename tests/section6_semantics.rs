@@ -5,7 +5,7 @@
 
 use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
-use els::exec::execute_plan;
+use els::exec::{execute_plan_with, ExecMode};
 use els::optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els::sql::{bind, parse};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
@@ -55,7 +55,7 @@ fn all_estimators_compute_the_true_count() {
     for preset in EstimatorPreset::all() {
         let optimized =
             optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset)).unwrap();
-        let out = execute_plan(&optimized.plan, &tables).unwrap();
+        let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
         assert_eq!(out.count, expected, "{}", preset.label());
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
 use els::core::Predicate;
-use els::exec::execute_plan;
+use els::exec::{execute_plan_with, ExecMode};
 use els::optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els::sql::{bind, parse};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
@@ -163,7 +163,7 @@ proptest! {
         for (label, options) in configs {
             let optimized = optimize_bound(&bound, &catalog, &options)
                 .unwrap_or_else(|e| panic!("optimize failed ({label}) on `{sql}`: {e}"));
-            let out = execute_plan(&optimized.plan, &tables)
+            let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default())
                 .unwrap_or_else(|e| panic!("execute failed ({label}) on `{sql}`: {e}"));
             prop_assert_eq!(out.count, truth, "{} disagrees on `{}`", label, sql);
         }
@@ -178,7 +178,7 @@ fn group_by_end_to_end() {
     let tables = bound_query_tables(&bound, &catalog).unwrap();
     let optimized =
         optimize_bound(&bound, &catalog, &OptimizerOptions::preset(EstimatorPreset::Els)).unwrap();
-    let out = execute_plan(&optimized.plan, &tables).unwrap();
+    let out = execute_plan_with(&optimized.plan, &tables, ExecMode::default()).unwrap();
     // Brute-force the per-group counts.
     let mut expect: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
     for r0 in 0..tables[0].num_rows() {
