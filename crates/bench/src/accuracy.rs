@@ -76,34 +76,6 @@ pub fn preset_accuracy(tables: &[Table], queries: &[String]) -> Vec<AccuracySumm
         .collect()
 }
 
-/// Render the accuracy summaries as a JSON array (hand-rolled; infinities
-/// become the string `"inf"` to stay valid JSON).
-pub fn accuracy_json(summaries: &[AccuracySummary]) -> String {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "\"inf\"".to_owned()
-        }
-    }
-    let rows: Vec<String> = summaries
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"label\": \"{}\", \"rule\": \"{}\", \"samples\": {}, \
-                 \"median_q\": {}, \"p95_q\": {}, \"max_q\": {}}}",
-                s.label,
-                s.rule,
-                s.samples,
-                num(s.median_q),
-                num(s.p95_q),
-                num(s.max_q)
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
-}
-
 /// The before/after-feedback q-error summary of one preset: the workload
 /// runs twice through one database under [`FeedbackMode::Apply`] — the
 /// first pass learns per-key corrections from its own estimated-vs-actual
@@ -181,39 +153,6 @@ pub fn preset_feedback_accuracy(tables: &[Table], queries: &[String]) -> Vec<Fee
             }
         })
         .collect()
-}
-
-/// Render the feedback summaries as a JSON array (same conventions as
-/// [`accuracy_json`]).
-pub fn feedback_json(summaries: &[FeedbackSummary]) -> String {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "\"inf\"".to_owned()
-        }
-    }
-    let rows: Vec<String> = summaries
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"label\": \"{}\", \"rule\": \"{}\", \"samples\": {}, \
-                 \"median_q_before\": {}, \"median_q_after\": {}, \
-                 \"max_q_before\": {}, \"max_q_after\": {}, \
-                 \"learned\": {}, \"published\": {}}}",
-                s.label,
-                s.rule,
-                s.samples,
-                num(s.median_q_before),
-                num(s.median_q_after),
-                num(s.max_q_before),
-                num(s.max_q_after),
-                s.learned,
-                s.published
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
 }
 
 #[cfg(test)]
@@ -309,46 +248,5 @@ mod tests {
         // per-key cap bounds epoch churn no matter how many replays run.
         let counters = db.catalog().feedback().counters();
         assert!(counters.epoch_bumps <= 8 * counters.keys, "{counters:?}");
-    }
-
-    #[test]
-    fn feedback_json_is_stable_and_inf_safe() {
-        let summaries = vec![FeedbackSummary {
-            label: "Orig. SM".to_owned(),
-            rule: "LS".to_owned(),
-            samples: 3,
-            median_q_before: 100.0,
-            median_q_after: 1.5,
-            max_q_before: f64::INFINITY,
-            max_q_after: 2.0,
-            learned: 12,
-            published: 2,
-        }];
-        let json = feedback_json(&summaries);
-        assert_eq!(
-            json,
-            "[{\"label\": \"Orig. SM\", \"rule\": \"LS\", \"samples\": 3, \
-             \"median_q_before\": 100.0000, \"median_q_after\": 1.5000, \
-             \"max_q_before\": \"inf\", \"max_q_after\": 2.0000, \
-             \"learned\": 12, \"published\": 2}]"
-        );
-    }
-
-    #[test]
-    fn accuracy_json_is_stable_and_inf_safe() {
-        let summaries = vec![AccuracySummary {
-            label: "Orig. ELS".to_owned(),
-            rule: "LS".to_owned(),
-            samples: 3,
-            median_q: 1.0,
-            p95_q: 2.5,
-            max_q: f64::INFINITY,
-        }];
-        let json = accuracy_json(&summaries);
-        assert_eq!(
-            json,
-            "[{\"label\": \"Orig. ELS\", \"rule\": \"LS\", \"samples\": 3, \
-             \"median_q\": 1.0000, \"p95_q\": 2.5000, \"max_q\": \"inf\"}]"
-        );
     }
 }

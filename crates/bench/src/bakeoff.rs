@@ -199,37 +199,6 @@ pub fn bakeoff_regressions(entries: &[BakeoffEntry]) -> Vec<String> {
     msgs
 }
 
-/// Render the bake-off entries as a JSON array (hand-rolled; infinities
-/// become the string `"inf"` to stay valid JSON).
-pub fn bakeoff_json(entries: &[BakeoffEntry]) -> String {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "\"inf\"".to_owned()
-        }
-    }
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"label\": \"{}\", \"rule\": \"{}\", \"samples\": {}, \
-                 \"median_q\": {}, \"p95_q\": {}, \"max_q\": {}, \
-                 \"underestimates\": {}, \"runtime_ms\": {}}}",
-                e.label,
-                e.rule,
-                e.samples,
-                num(e.median_q),
-                num(e.p95_q),
-                num(e.max_q),
-                e.underestimates,
-                num(e.runtime_ms)
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,26 +275,5 @@ mod tests {
         assert_eq!(msgs.len(), 2);
         assert!(msgs[0].contains("not an upper bound"));
         assert!(msgs[1].contains("exceeds"));
-    }
-
-    #[test]
-    fn bakeoff_json_is_stable_and_inf_safe() {
-        let entries = vec![BakeoffEntry {
-            label: "UES bound".to_owned(),
-            rule: "upper-bound".to_owned(),
-            samples: 3,
-            median_q: 4.0,
-            p95_q: f64::INFINITY,
-            max_q: f64::INFINITY,
-            underestimates: 0,
-            runtime_ms: 12.5,
-        }];
-        let json = bakeoff_json(&entries);
-        assert_eq!(
-            json,
-            "[{\"label\": \"UES bound\", \"rule\": \"upper-bound\", \"samples\": 3, \
-             \"median_q\": 4.0000, \"p95_q\": \"inf\", \"max_q\": \"inf\", \
-             \"underestimates\": 0, \"runtime_ms\": 12.5000}]"
-        );
     }
 }

@@ -721,7 +721,6 @@ mod tests {
         m.kernel_rows = 0;
         m.sel_reuses = 0;
         m.morsels = 0;
-        m.partitions = 0;
         m.steals = 0;
         m.pair_lists = 0;
         m.elapsed = std::time::Duration::ZERO;

@@ -15,9 +15,9 @@
 //!   (tuples, simulated page reads, comparisons, wall time), in one of two
 //!   [`ExecMode`]s: the tuple-at-a-time reference oracle, or
 //! * [`vectorized`] — typed whole-column kernels over selection vectors
-//!   with late materialization, a radix-partitioned parallel hash join,
-//!   and fused `COUNT(*)` roots (the default mode; bit-identical results
-//!   and counters).
+//!   with late materialization, a morsel-parallel hash probe and band
+//!   join, and fused `COUNT(*)` roots (the default mode; bit-identical
+//!   results and counters).
 //! * [`scheduler`] — the work-stealing morsel scheduler every parallel
 //!   operator runs on (the only library module allowed to spawn threads).
 //!
@@ -58,4 +58,4 @@ pub use metrics::{
 };
 pub use plan::{JoinMethod, PlanNode, PlanOutput, QueryPlan};
 pub use scheduler::RunStats;
-pub use vectorized::{radix_partitions, MAX_RADIX_PARTITIONS, MORSEL_ROWS, PARALLEL_MIN_ROWS};
+pub use vectorized::{MORSEL_ROWS, PARALLEL_MIN_ROWS};

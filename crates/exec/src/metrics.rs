@@ -48,8 +48,8 @@ pub struct ExecMetrics {
     /// identically on the serial path (the morsels it *would* dispatch), so
     /// the number is a property of the plan, not the schedule.
     pub morsels: u64,
-    /// Radix partitions built by partitioned hash joins (0 when every join
-    /// ran unpartitioned).
+    /// Always 0: no join partitions its inputs. Kept because the benchmark
+    /// reads it for its `exec.partitions` metric.
     pub partitions: u64,
     /// Tasks the work-stealing scheduler moved between workers. The one
     /// schedule-dependent counter: monitoring only, never compared across

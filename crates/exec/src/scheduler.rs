@@ -1,9 +1,9 @@
 //! Work-stealing morsel scheduler — the one library module that spawns
 //! threads.
 //!
-//! Parallel operators (the radix-partitioned hash join, the morsel probe)
-//! describe their work as `n_tasks` independent, index-addressed tasks and
-//! hand a closure to [`run_tasks`]. Each worker starts with a contiguous
+//! Parallel operators (the morsel hash probe, its fused count, the band
+//! join) describe their work as `n_tasks` independent, index-addressed
+//! tasks and hand a closure to [`run_tasks`]. Each worker starts with a contiguous
 //! block of task indices in its own deque, pops from the front of its own
 //! deque, and steals from the *back* of a victim's when it runs dry — the
 //! classic work-stealing shape: owners drain their block in order (cache-

@@ -17,14 +17,12 @@
 //! Single-column `Int` equi-joins take fast paths over raw `i64` slices
 //! (exact — see `HashKey` in [`crate::join`] for the 2⁵³ story). With more
 //! than one worker and a large enough probe side, the int path goes
-//! parallel through the work-stealing scheduler ([`crate::scheduler`]):
-//! either a **radix-partitioned** join (both sides partitioned by the high
-//! bits of the key hash, then independent per-partition build+probe with no
-//! shared hash table — see [`radix_partitions`]) or, when the build side is
-//! too small to be worth splitting, a shared-table probe over fixed-size
-//! **morsels**. Results are deterministic regardless of worker or partition
-//! count: partition/morsel buffers merge in a fixed order and the pair list
-//! gets the same left-major sort the serial path applies. `COUNT(*)` roots
+//! parallel through the work-stealing scheduler ([`crate::scheduler`]): one
+//! shared hash table, built serially, probed in fixed-size **morsels**
+//! (`morsel_pieces` makes that decision for the hash probe, the fused count
+//! and the band join alike). Results are deterministic regardless of worker
+//! count: morsel buffers merge in morsel order and the pair list gets the
+//! same left-major sort the serial path applies. `COUNT(*)` roots
 //! additionally fuse the probe with the count ([`execute_root_count`]) so
 //! no row-id pair list is ever allocated for them.
 //!
@@ -64,40 +62,40 @@ pub const MORSEL_ROWS: usize = 2048;
 /// threshold.
 pub const PARALLEL_MIN_ROWS: usize = 4 * MORSEL_ROWS;
 
-/// Maximum radix fan-out. 64 partitions keeps the per-task partition
-/// buffers and the final merge cheap while making every per-partition
-/// build side cache-resident at the scales this engine generates.
-pub const MAX_RADIX_PARTITIONS: usize = 64;
-
-/// Build rows per radix partition the fan-out decision aims for: small
-/// enough that a partition's hash table stays cache-resident, large enough
-/// that per-partition fixed costs amortize.
-const RADIX_BUILD_ROWS_PER_PARTITION: usize = 2048;
-
-/// The radix fan-out the int hash join will use, as a function of the two
-/// input sizes and the configured worker count. Public because the
-/// optimizer's cost model (`CostParams` in `els-optimizer`) consults the
-/// same decision, keeping plan costs aligned with what the executor will
-/// actually do.
-///
-/// Returns 1 (no partitioning) when the probe is too small to parallelize
-/// or only one worker is configured; otherwise a power of two, capped at
-/// [`MAX_RADIX_PARTITIONS`], sized so each worker gets several independent
-/// partitions to steal and each partition's build side stays around
-/// [`RADIX_BUILD_ROWS_PER_PARTITION`] keys. A build side below one
-/// partition's worth yields 1 — the shared-table morsel probe beats
-/// partitioning a tiny build.
-pub fn radix_partitions(build_rows: usize, probe_rows: usize, workers: usize) -> usize {
-    if workers <= 1 || probe_rows < PARALLEL_MIN_ROWS {
-        return 1;
+/// The one place an operator decides whether it goes parallel, and in what
+/// pieces: `0..rows` splits into [`MORSEL_ROWS`]-sized pieces run on the
+/// work-stealing scheduler when `workers > 1` and `rows` reaches
+/// [`PARALLEL_MIN_ROWS`], and is a single piece on the calling thread
+/// otherwise. Returns the per-piece results in piece order. `morsels` is
+/// charged identically either way (the serial path reports the morsel count
+/// the parallel path dispatches, so accounting is mode-independent);
+/// `steals` only when the scheduler ran.
+fn morsel_pieces<T: Send>(
+    workers: usize,
+    rows: usize,
+    metrics: &mut ExecMetrics,
+    piece: impl Fn(usize, usize) -> T + Sync,
+) -> Vec<T> {
+    let n_morsels = rows.div_ceil(MORSEL_ROWS);
+    metrics.morsels += n_morsels as u64;
+    if workers <= 1 || rows < PARALLEL_MIN_ROWS {
+        return vec![piece(0, rows)];
     }
-    let by_build = (build_rows / RADIX_BUILD_ROWS_PER_PARTITION).max(1);
-    let by_workers = workers.saturating_mul(4);
-    // Round *down* to a power of two: rounding up would let the fan-out
-    // exceed the documented `workers * 4` cap for non-power-of-two worker
-    // counts (workers=3 → cap 12 → next_power_of_two would return 16).
-    let parts = by_build.min(by_workers).min(MAX_RADIX_PARTITIONS);
-    1usize << (usize::BITS - 1 - parts.leading_zeros())
+    let (pieces, stats) = crate::scheduler::run_tasks(workers, n_morsels, |m| {
+        let lo = m * MORSEL_ROWS;
+        piece(lo, (lo + MORSEL_ROWS).min(rows))
+    });
+    metrics.steals += stats.steals;
+    pieces
+}
+
+/// Concatenate per-piece pair lists in piece order. The serial path's
+/// single piece is returned as it is, not copied.
+fn concat_pairs(pieces: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
+    let mut rest = pieces.into_iter();
+    let mut pairs = rest.next().unwrap_or_default();
+    pairs.extend(rest.flatten());
+    pairs
 }
 
 /// One input a selection can point into: either a stored base table
@@ -470,13 +468,11 @@ fn gather_range_keys(side: &SideKey<'_>, len: usize) -> ExecResult<Vec<(Value, u
 /// Vectorized band join on logical row ids — the late-materializing twin
 /// of [`crate::join::range_join`]. Sorts both sides' keys once, binary
 /// searches each outer key's band boundary ([`band_probe`]), and filters
-/// candidates through residual ranges. The outer side splits into morsels
-/// dispatched through the work-stealing scheduler when `workers > 1` and
-/// the outer is at least [`PARALLEL_MIN_ROWS`]; morsel results concatenate
-/// in morsel order, and the final left-major sort makes the pair list
-/// independent of the schedule. Every logical-work counter is charged
-/// exactly as the row operator charges it (`morsels` is reported
-/// identically by the serial and parallel paths, like the hash probe).
+/// candidates through residual ranges. The sorted outer side is probed in
+/// the pieces [`morsel_pieces`] picks; they concatenate in piece order, and
+/// the final left-major sort makes the pair list independent of the
+/// schedule. Every logical-work counter is charged exactly as the row
+/// operator charges it.
 fn vrange_join(
     left: &VChunk,
     right: &VChunk,
@@ -499,19 +495,9 @@ fn vrange_join(
     rrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
     metrics.comparisons += lrows.len() as u64 * probe_charge(rrows.len());
-    let n_morsels = lrows.len().div_ceil(MORSEL_ROWS);
-    metrics.morsels += n_morsels as u64;
-    let mut pairs: Vec<(u32, u32)> = if workers > 1 && lrows.len() >= PARALLEL_MIN_ROWS {
-        let (morsel_pairs, stats) = crate::scheduler::run_tasks(workers, n_morsels, |m| {
-            let lo = m * MORSEL_ROWS;
-            let hi = (lo + MORSEL_ROWS).min(lrows.len());
-            band_probe(&lrows[lo..hi], &rrows, op)
-        });
-        metrics.steals += stats.steals;
-        morsel_pairs.into_iter().flatten().collect()
-    } else {
-        band_probe(&lrows, &rrows, op)
-    };
+    let mut pairs = concat_pairs(morsel_pieces(workers, lrows.len(), metrics, |lo, hi| {
+        band_probe(&lrows[lo..hi], &rrows, op)
+    }));
     if ranges.len() > 1 {
         metrics.comparisons += pairs.len() as u64 * (ranges.len() - 1) as u64;
         pairs = retain_matching_pairs(left, right, pairs, &ranges[1..])?;
@@ -716,211 +702,51 @@ fn vhash_count(
     Ok(n)
 }
 
-/// The full multiply-mix of one `i64` key — the same bits [`IntHasher`]
-/// feeds the hash table. Radix partitioning takes the *high* bits of this
-/// mix while the table's bucket choice uses the low bits, so partition and
-/// bucket assignment stay decorrelated.
-#[inline]
-fn int_key_mix(key: i64) -> u64 {
-    let mut h = IntHasher::default();
-    h.write_i64(key);
-    h.finish()
-}
-
-/// Build an [`IntMap`] from `(key, logical row)` entries, preserving entry
-/// order within each bucket (build-side row order, like the unpartitioned
-/// build loop).
-fn build_int_map(entries: &[(i64, u32)]) -> IntMap {
+/// Build an [`IntMap`] over one side's valid keys, each bucket holding its
+/// logical rows in row order.
+fn build_int_map(keys: &IntKeys<'_>) -> IntMap {
     let mut table = IntMap::default();
-    for &(k, j) in entries {
-        table.entry(k).or_default().push(j);
+    for (j, &rid) in keys.ids.iter().enumerate() {
+        if keys.valid[rid as usize] {
+            table.entry(keys.data[rid as usize]).or_default().push(crate::error::rowid(j));
+        }
     }
     table
 }
 
-/// `i64` fast path: pick a radix fan-out via [`radix_partitions`], then
-/// build+probe. Charges one `hash_probes` per probe-side row (NULLs
-/// included) and one `morsels` per probe morsel, identically on the
-/// serial, stealing, and radix paths.
+/// `i64` fast path: one shared table built serially, probed in the pieces
+/// [`morsel_pieces`] picks. Charges one `hash_probes` per probe-side row
+/// (NULLs included, like the row path).
 fn int_hash_join(
     build: &IntKeys<'_>,
     probe: &IntKeys<'_>,
     workers: usize,
     metrics: &mut ExecMetrics,
 ) -> Vec<(u32, u32)> {
-    let parts = radix_partitions(build.ids.len(), probe.ids.len(), workers);
-    int_hash_join_with(build, probe, workers, parts, metrics)
-}
-
-/// [`int_hash_join`] with an explicit radix fan-out, so tests can pin
-/// partition counts the decision function would not pick. `parts` is
-/// normalized to a power of two within `1..=MAX_RADIX_PARTITIONS`.
-fn int_hash_join_with(
-    build: &IntKeys<'_>,
-    probe: &IntKeys<'_>,
-    workers: usize,
-    parts: usize,
-    metrics: &mut ExecMetrics,
-) -> Vec<(u32, u32)> {
-    let parts = parts.clamp(1, MAX_RADIX_PARTITIONS).next_power_of_two();
-    charge_probe(probe, metrics);
-    let mut pairs = if parts > 1 {
-        radix_join(build, probe, workers, parts, metrics, probe_partition_pairs)
-            .into_iter()
-            .flatten()
-            .collect()
-    } else if workers > 1 && probe.ids.len() >= PARALLEL_MIN_ROWS {
-        let table = build_int_map(&gather_int_entries(build));
-        let n_morsels = probe.ids.len().div_ceil(MORSEL_ROWS);
-        let (morsel_pairs, stats) = crate::scheduler::run_tasks(workers, n_morsels, |m| {
-            let lo = m * MORSEL_ROWS;
-            let hi = (lo + MORSEL_ROWS).min(probe.ids.len());
-            probe_morsel(&table, probe, lo, hi)
-        });
-        metrics.steals += stats.steals;
-        morsel_pairs.into_iter().flatten().collect()
-    } else {
-        let table = build_int_map(&gather_int_entries(build));
-        probe_morsel(&table, probe, 0, probe.ids.len())
-    };
+    metrics.hash_probes += probe.ids.len() as u64;
+    let table = build_int_map(build);
+    let mut pairs = concat_pairs(morsel_pieces(workers, probe.ids.len(), metrics, |lo, hi| {
+        probe_morsel(&table, probe, lo, hi)
+    }));
     pairs.sort_unstable();
     pairs
 }
 
-/// Fused counting twin of [`int_hash_join`]: identical partitioning,
-/// hashing, and counter charges, but sums matching-bucket sizes instead of
-/// allocating a pair list. A count is additive, so no merge order or final
-/// sort is needed for determinism.
+/// Fused counting twin of [`int_hash_join`]: identical table, pieces, and
+/// counter charges, but sums matching-bucket sizes instead of allocating a
+/// pair list. A count is additive, so no merge order or final sort is
+/// needed for determinism.
 fn int_hash_count(
     build: &IntKeys<'_>,
     probe: &IntKeys<'_>,
     workers: usize,
     metrics: &mut ExecMetrics,
 ) -> u64 {
-    let parts = radix_partitions(build.ids.len(), probe.ids.len(), workers);
-    int_hash_count_with(build, probe, workers, parts, metrics)
-}
-
-/// [`int_hash_count`] with an explicit radix fan-out (see
-/// [`int_hash_join_with`]).
-fn int_hash_count_with(
-    build: &IntKeys<'_>,
-    probe: &IntKeys<'_>,
-    workers: usize,
-    parts: usize,
-    metrics: &mut ExecMetrics,
-) -> u64 {
-    let parts = parts.clamp(1, MAX_RADIX_PARTITIONS).next_power_of_two();
-    charge_probe(probe, metrics);
-    if parts > 1 {
-        return radix_join(build, probe, workers, parts, metrics, probe_partition_count)
-            .into_iter()
-            .sum();
-    }
-    let table = build_int_map(&gather_int_entries(build));
-    if workers > 1 && probe.ids.len() >= PARALLEL_MIN_ROWS {
-        let n_morsels = probe.ids.len().div_ceil(MORSEL_ROWS);
-        let (counts, stats) = crate::scheduler::run_tasks(workers, n_morsels, |m| {
-            let lo = m * MORSEL_ROWS;
-            let hi = (lo + MORSEL_ROWS).min(probe.ids.len());
-            count_morsel(&table, probe, lo, hi)
-        });
-        metrics.steals += stats.steals;
-        counts.into_iter().sum()
-    } else {
-        count_morsel(&table, probe, 0, probe.ids.len())
-    }
-}
-
-/// Charge the probe-side counters every int-path variant shares: one
-/// `hash_probes` per probe row (NULLs included, like the row path) and one
-/// `morsels` per probe morsel — the serial path reports the same morsel
-/// count the parallel paths dispatch, so accounting is mode-independent.
-fn charge_probe(probe: &IntKeys<'_>, metrics: &mut ExecMetrics) {
     metrics.hash_probes += probe.ids.len() as u64;
-    metrics.morsels += probe.ids.len().div_ceil(MORSEL_ROWS) as u64;
-}
-
-/// All valid `(key, logical row)` entries of one side, in row order.
-fn gather_int_entries(keys: &IntKeys<'_>) -> Vec<(i64, u32)> {
-    keys.ids
-        .iter()
-        .enumerate()
-        .filter(|&(_, &rid)| keys.valid[rid as usize])
-        .map(|(j, &rid)| (keys.data[rid as usize], crate::error::rowid(j)))
-        .collect()
-}
-
-/// The radix-partitioned parallel join core, generic over what a partition
-/// probe produces (a pair list or a count). Three phases:
-///
-/// 1. the (small) build side is partitioned serially by the high bits of
-///    [`int_key_mix`];
-/// 2. the probe side is partitioned in parallel, one task per morsel, each
-///    task filling its own per-partition buffers (no shared state to
-///    contend on); buffers concatenate in morsel order, so every partition
-///    sees its probe rows in ascending logical-row order;
-/// 3. one task per partition builds that partition's private hash table
-///    and probes it — no shared table, no cross-partition traffic.
-///
-/// Returns the per-partition probe results in partition order.
-fn radix_join<T: Send>(
-    build: &IntKeys<'_>,
-    probe: &IntKeys<'_>,
-    workers: usize,
-    parts: usize,
-    metrics: &mut ExecMetrics,
-    probe_partition: fn(&IntMap, &[(i64, u32)]) -> T,
-) -> Vec<T> {
-    debug_assert!(parts.is_power_of_two() && parts > 1);
-    let shift = 64 - parts.trailing_zeros();
-    let mut bparts: Vec<Vec<(i64, u32)>> = vec![Vec::new(); parts];
-    for (k, j) in gather_int_entries(build) {
-        bparts[(int_key_mix(k) >> shift) as usize].push((k, j));
-    }
-    let n_morsels = probe.ids.len().div_ceil(MORSEL_ROWS);
-    let (morsel_buffers, pstats) = crate::scheduler::run_tasks(workers, n_morsels, |m| {
-        let lo = m * MORSEL_ROWS;
-        let hi = (lo + MORSEL_ROWS).min(probe.ids.len());
-        let mut buf: Vec<Vec<(i64, u32)>> = vec![Vec::new(); parts];
-        for (off, &rid) in probe.ids[lo..hi].iter().enumerate() {
-            if probe.valid[rid as usize] {
-                let k = probe.data[rid as usize];
-                buf[(int_key_mix(k) >> shift) as usize].push((k, crate::error::rowid(lo + off)));
-            }
-        }
-        buf
-    });
-    let mut pparts: Vec<Vec<(i64, u32)>> = vec![Vec::new(); parts];
-    for buf in morsel_buffers {
-        for (p, mut rows) in buf.into_iter().enumerate() {
-            pparts[p].append(&mut rows);
-        }
-    }
-    let (results, jstats) = crate::scheduler::run_tasks(workers, parts, |p| {
-        probe_partition(&build_int_map(&bparts[p]), &pparts[p])
-    });
-    metrics.partitions += parts as u64;
-    metrics.steals += pstats.steals + jstats.steals;
-    results
-}
-
-/// Per-partition probe producing `(build row, probe row)` pairs.
-fn probe_partition_pairs(table: &IntMap, entries: &[(i64, u32)]) -> Vec<(u32, u32)> {
-    let mut pairs = Vec::new();
-    for &(k, j) in entries {
-        if let Some(ls) = table.get(&k) {
-            for &lj in ls {
-                pairs.push((lj, j));
-            }
-        }
-    }
-    pairs
-}
-
-/// Per-partition probe producing only the match count.
-fn probe_partition_count(table: &IntMap, entries: &[(i64, u32)]) -> u64 {
-    entries.iter().map(|(k, _)| table.get(k).map_or(0, |ls| ls.len() as u64)).sum()
+    let table = build_int_map(build);
+    morsel_pieces(workers, probe.ids.len(), metrics, |lo, hi| count_morsel(&table, probe, lo, hi))
+        .into_iter()
+        .sum()
 }
 
 /// Probe rows `lo..hi`, emitting `(build row, probe row)` logical pairs.
@@ -1154,88 +980,90 @@ mod tests {
         Arc::new(t)
     }
 
+    /// Sizes straddling the parallel threshold, one below it that is not a
+    /// whole number of morsels, and one well above it.
+    const PIECE_SIZES: [usize; 5] = [
+        PARALLEL_MIN_ROWS - 1,
+        PARALLEL_MIN_ROWS,
+        PARALLEL_MIN_ROWS + 1,
+        3 * MORSEL_ROWS + 7,
+        3 * PARALLEL_MIN_ROWS,
+    ];
+
     #[test]
     fn parallel_probe_matches_serial_and_counts_morsels() {
         let build = int_keys_table("b", 500, 400);
-        let probe = int_keys_table("p", 3 * PARALLEL_MIN_ROWS, 400);
         let bids: Vec<u32> = (0..build.num_rows() as u32).collect();
-        let pids: Vec<u32> = (0..probe.num_rows() as u32).collect();
         let bcol = build.column(0).unwrap();
-        let pcol = probe.column(0).unwrap();
         let bk = IntKeys { data: bcol.as_int_slice().unwrap(), valid: bcol.validity(), ids: &bids };
-        let pk = IntKeys { data: pcol.as_int_slice().unwrap(), valid: pcol.validity(), ids: &pids };
-        let mut serial_m = ExecMetrics::default();
-        let serial = int_hash_join(&bk, &pk, 1, &mut serial_m);
-        for workers in [2, 3, 8] {
-            let mut par_m = ExecMetrics::default();
-            let parallel = int_hash_join(&bk, &pk, workers, &mut par_m);
-            assert_eq!(parallel, serial, "workers={workers}");
-            assert_eq!(par_m.morsels, (pids.len().div_ceil(MORSEL_ROWS)) as u64);
-            assert_eq!(par_m.hash_probes, serial_m.hash_probes);
+        for rows in PIECE_SIZES {
+            let probe = int_keys_table("p", rows, 400);
+            let pids: Vec<u32> = (0..rows as u32).collect();
+            let pcol = probe.column(0).unwrap();
+            let pk =
+                IntKeys { data: pcol.as_int_slice().unwrap(), valid: pcol.validity(), ids: &pids };
+            let mut serial_m = ExecMetrics::default();
+            let serial = int_hash_join(&bk, &pk, 1, &mut serial_m);
+            assert!(!serial.is_empty());
+            assert_eq!(
+                serial_m.morsels,
+                rows.div_ceil(MORSEL_ROWS) as u64,
+                "serial probe reports the same morsel count the parallel path dispatches"
+            );
+            for workers in [1, 2, 3, 8] {
+                let ctx = format!("rows={rows} workers={workers}");
+                let mut m = ExecMetrics::default();
+                assert_eq!(int_hash_join(&bk, &pk, workers, &mut m), serial, "{ctx}");
+                let mut cm = ExecMetrics::default();
+                assert_eq!(
+                    int_hash_count(&bk, &pk, workers, &mut cm),
+                    serial.len() as u64,
+                    "{ctx}"
+                );
+                for metrics in [&m, &cm] {
+                    assert_eq!(metrics.morsels, serial_m.morsels, "{ctx}");
+                    assert_eq!(metrics.hash_probes, serial_m.hash_probes, "{ctx}");
+                    if workers == 1 || rows < PARALLEL_MIN_ROWS {
+                        assert_eq!(metrics.steals, 0, "{ctx}: the scheduler must not run");
+                    }
+                }
+            }
         }
-        assert_eq!(
-            serial_m.morsels,
-            (pids.len().div_ceil(MORSEL_ROWS)) as u64,
-            "serial probe reports the same morsel count the parallel paths dispatch"
-        );
     }
 
     #[test]
     fn parallel_band_probe_matches_serial_and_counts_morsels() {
-        // Outer side large enough to trip the morsel-parallel path; keys
-        // drawn from a narrow domain so bands overlap heavily.
-        let louter = int_keys_table("l", 2 * PARALLEL_MIN_ROWS, 300);
-        let rinner = int_keys_table("r", 700, 300);
-        let lv = VChunk::scan(0, Arc::clone(&louter), (0..louter.num_rows() as u32).collect());
+        // Keys drawn from a narrow domain so bands overlap heavily; a small
+        // inner keeps the pair lists (outer × about half of it) cheap.
+        let rinner = int_keys_table("r", 50, 300);
         let rv = VChunk::scan(1, Arc::clone(&rinner), (0..rinner.num_rows() as u32).collect());
         let ranges = vec![(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0))];
-        let mut serial_m = ExecMetrics::default();
-        let serial = vrange_join(&lv, &rv, &ranges, 1, &mut serial_m).unwrap();
-        assert!(!serial.is_empty());
-        assert_eq!(serial_m.morsels, (louter.num_rows().div_ceil(MORSEL_ROWS)) as u64);
-        for workers in [2, 3, 8] {
-            let mut par_m = ExecMetrics::default();
-            let parallel = vrange_join(&lv, &rv, &ranges, workers, &mut par_m).unwrap();
-            assert_eq!(parallel, serial, "workers={workers}");
-            assert_eq!(par_m.morsels, serial_m.morsels, "workers={workers}");
-            assert_eq!(par_m.comparisons, serial_m.comparisons, "workers={workers}");
-            assert_eq!(par_m.rows_sorted, serial_m.rows_sorted, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn radix_fanout_decision_respects_floors_and_caps() {
-        assert_eq!(radix_partitions(100_000, 100_000, 1), 1, "one worker never partitions");
-        assert_eq!(radix_partitions(100_000, PARALLEL_MIN_ROWS - 1, 8), 1, "small probe");
-        assert_eq!(radix_partitions(1000, 100_000, 8), 1, "tiny build: shared-table probe wins");
-        assert_eq!(radix_partitions(8 * 2048, 100_000, 2), 8);
-        assert_eq!(radix_partitions(1 << 20, 1 << 20, 64), MAX_RADIX_PARTITIONS);
-    }
-
-    #[test]
-    fn radix_fanout_never_exceeds_workers_times_four() {
-        // Regression: next_power_of_two applied after min(workers*4) used
-        // to round past the cap (workers=3 → cap 12 → returned 16).
-        for workers in [2usize, 3, 5, 6, 7, 9, 11, 13] {
-            for build in [2048usize, 6 * 2048, 12 * 2048, 1 << 20] {
-                let parts = radix_partitions(build, 1 << 20, workers);
-                assert!(
-                    parts <= workers * 4,
-                    "workers={workers} build={build}: {parts} > {} (cap)",
-                    workers * 4
-                );
-                assert!(parts.is_power_of_two(), "workers={workers} build={build}: {parts}");
-                assert!(parts <= MAX_RADIX_PARTITIONS);
+        for rows in PIECE_SIZES {
+            let louter = int_keys_table("l", rows, 300);
+            let lv = VChunk::scan(0, Arc::clone(&louter), (0..rows as u32).collect());
+            let mut serial_m = ExecMetrics::default();
+            let serial = vrange_join(&lv, &rv, &ranges, 1, &mut serial_m).unwrap();
+            assert!(!serial.is_empty());
+            assert_eq!(serial_m.morsels, rows.div_ceil(MORSEL_ROWS) as u64);
+            for workers in [1, 2, 3, 8] {
+                let ctx = format!("rows={rows} workers={workers}");
+                let mut m = ExecMetrics::default();
+                let pairs = vrange_join(&lv, &rv, &ranges, workers, &mut m).unwrap();
+                assert_eq!(pairs, serial, "{ctx}");
+                assert_eq!(m.morsels, serial_m.morsels, "{ctx}");
+                assert_eq!(m.comparisons, serial_m.comparisons, "{ctx}");
+                assert_eq!(m.rows_sorted, serial_m.rows_sorted, "{ctx}");
+                if workers == 1 || rows < PARALLEL_MIN_ROWS {
+                    assert_eq!(m.steals, 0, "{ctx}: the scheduler must not run");
+                }
             }
         }
-        // The specific case from the report.
-        assert_eq!(radix_partitions(1 << 20, 1 << 20, 3), 8, "workers=3 caps at 12, rounds to 8");
     }
 
     #[test]
-    fn radix_join_and_count_match_single_partition_for_any_fanout() {
+    fn stealing_join_and_count_match_serial_with_interleaved_nulls() {
         // Handmade keys with interleaved NULLs so validity filtering is
-        // exercised on both sides and in the partitioning pass.
+        // exercised on both sides, in the build and in every probe morsel.
         let bdata: Vec<i64> = (0..600).map(|i| i % 97).collect();
         let bvalid: Vec<bool> = (0..600).map(|i| i % 13 != 0).collect();
         let pdata: Vec<i64> = (0..3 * PARALLEL_MIN_ROWS as i64).map(|i| i % 97).collect();
@@ -1245,29 +1073,25 @@ mod tests {
         let bk = IntKeys { data: &bdata, valid: &bvalid, ids: &bids };
         let pk = IntKeys { data: &pdata, valid: &pvalid, ids: &pids };
         let mut base_m = ExecMetrics::default();
-        let base = int_hash_join_with(&bk, &pk, 1, 1, &mut base_m);
+        let base = int_hash_join(&bk, &pk, 1, &mut base_m);
         assert!(!base.is_empty());
         for workers in [1, 2, 3, 8] {
-            for parts in [1, 4, 64] {
-                let ctx = format!("workers={workers} parts={parts}");
-                let mut m = ExecMetrics::default();
-                let pairs = int_hash_join_with(&bk, &pk, workers, parts, &mut m);
-                assert_eq!(pairs, base, "{ctx}");
-                let mut cm = ExecMetrics::default();
-                let n = int_hash_count_with(&bk, &pk, workers, parts, &mut cm);
-                assert_eq!(n, base.len() as u64, "{ctx}");
-                for metrics in [&m, &cm] {
-                    assert_eq!(metrics.hash_probes, base_m.hash_probes, "{ctx}");
-                    assert_eq!(metrics.morsels, base_m.morsels, "{ctx}");
-                    let want_parts = if parts > 1 { parts as u64 } else { 0 };
-                    assert_eq!(metrics.partitions, want_parts, "{ctx}");
-                }
+            let ctx = format!("workers={workers}");
+            let mut m = ExecMetrics::default();
+            let pairs = int_hash_join(&bk, &pk, workers, &mut m);
+            assert_eq!(pairs, base, "{ctx}");
+            let mut cm = ExecMetrics::default();
+            let n = int_hash_count(&bk, &pk, workers, &mut cm);
+            assert_eq!(n, base.len() as u64, "{ctx}");
+            for metrics in [&m, &cm] {
+                assert_eq!(metrics.hash_probes, base_m.hash_probes, "{ctx}");
+                assert_eq!(metrics.morsels, base_m.morsels, "{ctx}");
             }
         }
     }
 
     #[test]
-    fn radix_join_handles_empty_and_all_null_sides() {
+    fn stealing_join_handles_empty_and_all_null_sides() {
         let pdata: Vec<i64> = (0..2 * PARALLEL_MIN_ROWS as i64).collect();
         let pvalid = vec![true; pdata.len()];
         let pids: Vec<u32> = (0..pdata.len() as u32).collect();
@@ -1277,16 +1101,14 @@ mod tests {
         let nulls_valid = vec![false; 100];
         let nulls_ids: Vec<u32> = (0..100).collect();
         let nulls = IntKeys { data: &nulls_data, valid: &nulls_valid, ids: &nulls_ids };
-        for workers in [1, 2, 8] {
-            for parts in [1, 4, 64] {
-                let mut m = ExecMetrics::default();
-                assert!(int_hash_join_with(&empty, &pk, workers, parts, &mut m).is_empty());
-                assert_eq!(int_hash_count_with(&empty, &pk, workers, parts, &mut m), 0);
-                assert!(int_hash_join_with(&nulls, &pk, workers, parts, &mut m).is_empty());
-                assert_eq!(int_hash_count_with(&nulls, &pk, workers, parts, &mut m), 0);
-                assert!(int_hash_join_with(&pk, &empty, workers, parts, &mut m).is_empty());
-                assert_eq!(int_hash_count_with(&pk, &nulls, workers, parts, &mut m), 0);
-            }
+        for workers in [1, 2, 3, 8] {
+            let mut m = ExecMetrics::default();
+            assert!(int_hash_join(&empty, &pk, workers, &mut m).is_empty());
+            assert_eq!(int_hash_count(&empty, &pk, workers, &mut m), 0);
+            assert!(int_hash_join(&nulls, &pk, workers, &mut m).is_empty());
+            assert_eq!(int_hash_count(&nulls, &pk, workers, &mut m), 0);
+            assert!(int_hash_join(&pk, &empty, workers, &mut m).is_empty());
+            assert_eq!(int_hash_count(&pk, &nulls, workers, &mut m), 0);
         }
     }
 

@@ -62,27 +62,6 @@ impl CostParams {
         self.probe_parallelism.max(1.0)
     }
 
-    /// Extra cost of the radix-partitioning passes when the parallel
-    /// executor would partition this hash join. Consults
-    /// [`els_exec::radix_partitions`] — the *same* decision function the
-    /// executor runs — with `probe_parallelism` as the worker count, so
-    /// plan costs track what execution will actually do. Both sides are
-    /// rewritten once into partition buffers; the probe-side pass runs
-    /// morsel-parallel, hence the probe divisor. Zero when the join would
-    /// run unpartitioned.
-    fn radix_overhead(&self, build_rows: f64, probe_rows: f64) -> f64 {
-        let clamp = |v: f64| v.clamp(0.0, 1e12) as usize;
-        let parts = els_exec::radix_partitions(
-            clamp(build_rows),
-            clamp(probe_rows),
-            self.probe_div() as usize,
-        );
-        if parts > 1 {
-            (build_rows.max(0.0) + probe_rows.max(0.0)) * self.cpu_tuple_cost / self.probe_div()
-        } else {
-            0.0
-        }
-    }
     /// Cost of a filtered scan of a stored table.
     pub fn scan(&self, profile: &TableProfile) -> f64 {
         profile.pages * self.page_cost + profile.rows * self.cpu_tuple_cost
@@ -125,7 +104,6 @@ impl CostParams {
         self.scan(inner_profile)
             + outer_rows_est * self.cpu_hash_cost
             + inner_rows_eff * self.cpu_hash_cost / self.probe_div()
-            + self.radix_overhead(outer_rows_est, inner_rows_eff)
             + output_rows_est.max(0.0) * self.cpu_tuple_cost
     }
 
@@ -218,7 +196,6 @@ impl CostParams {
     ) -> f64 {
         outer_rows_est * self.cpu_hash_cost
             + inner_rows * self.cpu_hash_cost / self.probe_div()
-            + self.radix_overhead(outer_rows_est, inner_rows)
             + output_rows_est.max(0.0) * self.cpu_tuple_cost
     }
 }
@@ -288,35 +265,20 @@ mod tests {
         let probe_cpu = 100_000.0 * serial.cpu_hash_cost;
         assert!((h_serial - h_par - probe_cpu * 0.75).abs() < 1e-9);
         assert_eq!(serial.nested_loop(10.0, &giant()), par.nested_loop(10.0, &giant()));
+        // A big build changes nothing: the discount is still exactly the
+        // probe side's, for the base-table and the intermediate variant.
+        let big = serial.hash(10_000.0, &giant(), 100_000.0, 10.0)
+            - par.hash(10_000.0, &giant(), 100_000.0, 10.0);
+        assert!((big - probe_cpu * 0.75).abs() < 1e-9);
+        let big_inter = serial.hash_intermediate(10_000.0, 100_000.0, 10.0)
+            - par.hash_intermediate(10_000.0, 100_000.0, 10.0);
+        assert!((big_inter - probe_cpu * 0.75).abs() < 1e-9);
         // Degenerate settings clamp instead of flipping comparisons.
         let broken = CostParams { probe_parallelism: 0.0, ..CostParams::default() };
         assert_eq!(
             broken.hash_intermediate(10.0, 10.0, 1.0),
             serial.hash_intermediate(10.0, 10.0, 1.0)
         );
-    }
-
-    #[test]
-    fn radix_partitioning_cost_engages_for_big_builds() {
-        let serial = CostParams::default();
-        let par = CostParams::with_probe_parallelism(4);
-        // Build side big enough that the executor would radix-partition:
-        // the parallel model keeps the probe discount but charges the
-        // repartitioning pass on top.
-        let h_serial = serial.hash(10_000.0, &giant(), 100_000.0, 10.0);
-        let h_par = par.hash(10_000.0, &giant(), 100_000.0, 10.0);
-        let probe_discount = 100_000.0 * serial.cpu_hash_cost * 0.75;
-        let repartition = (10_000.0 + 100_000.0) * serial.cpu_tuple_cost / 4.0;
-        assert!((h_serial - h_par - (probe_discount - repartition)).abs() < 1e-9);
-        // Same shape for the intermediate variant.
-        let i_serial = serial.hash_intermediate(10_000.0, 100_000.0, 10.0);
-        let i_par = par.hash_intermediate(10_000.0, 100_000.0, 10.0);
-        assert!((i_serial - i_par - (probe_discount - repartition)).abs() < 1e-9);
-        // A tiny build never partitions, so no overhead is charged even in
-        // parallel mode (pinned exactly by the probe-parallelism test too).
-        let small_serial = serial.hash(100.0, &giant(), 100_000.0, 10.0);
-        let small_par = par.hash(100.0, &giant(), 100_000.0, 10.0);
-        assert!((small_serial - small_par - probe_discount).abs() < 1e-9);
     }
 
     #[test]

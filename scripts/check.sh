@@ -51,10 +51,13 @@ fi
 # Bench smoke: the kernel bench on a scaled-down workload. It exits
 # non-zero and prints REGRESSION if any vectorized result diverges from
 # the row-at-a-time oracle, ACCURACY REGRESSION if the ELS median
-# q-error on the Section 8 chain exceeds its pinned threshold, or
-# BAKE-OFF REGRESSION if the UES contender under-estimates any smoke
-# query (it claims to be a guaranteed upper bound) or the bake-off's ELS
-# median q-error degrades past the same threshold.
+# q-error on the Section 8 chain exceeds its pinned threshold, FEEDBACK
+# REGRESSION if a replay under applied corrections has a worse median
+# q-error than the pass that learned them, or BAKE-OFF REGRESSION if the
+# UES contender under-estimates any smoke query (it claims to be a
+# guaranteed upper bound) or the bake-off's ELS median q-error degrades
+# past the same threshold. None of the gates compares wall-clock times:
+# the smoke tables are too small to time anything but noise.
 smoke_out=$(cargo run --release -q -p els-bench --bin bench_exec_kernels -- --smoke)
 echo "$smoke_out"
 if grep -q "REGRESSION" <<<"$smoke_out"; then

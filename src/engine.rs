@@ -191,9 +191,9 @@ impl Database {
 
     /// Choose the execution mode (default: vectorized, one worker). Both
     /// modes produce identical rows and counters; `RowAtATime` is the
-    /// reference oracle, `Vectorized { workers: n > 1 }` adds parallel
-    /// hash joins (radix-partitioned for big build sides, work-stealing
-    /// morsel probes otherwise).
+    /// reference oracle, `Vectorized { workers: n > 1 }` probes hash and
+    /// band joins in work-stealing morsels once the probe side is large
+    /// enough.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.engine.exec_mode = mode;
     }
@@ -383,12 +383,9 @@ impl Engine {
 
     /// Run vectorized with `workers` join threads AND tell the cost model
     /// about it: the optimizer's hash-join probe term is divided by the
-    /// worker count (`CostParams::probe_parallelism`), and its radix
-    /// repartition surcharge engages exactly when the executor's
-    /// partition decision (`els_exec::radix_partitions`) would, so plan
-    /// choice and runtime stay consistent. Consumes `self`: like the
-    /// optimizer configuration, the mode is part of what a cached plan
-    /// means.
+    /// worker count (`CostParams::probe_parallelism`); nothing else in the
+    /// cost model depends on the mode. Consumes `self`: like the optimizer
+    /// configuration, the mode is part of what a cached plan means.
     #[must_use]
     pub fn exec_workers(self, workers: usize) -> Engine {
         let workers = workers.max(1);

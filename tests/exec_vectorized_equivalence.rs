@@ -134,7 +134,6 @@ fn comparable(mut m: ExecMetrics) -> ExecMetrics {
     m.kernel_rows = 0;
     m.sel_reuses = 0;
     m.morsels = 0;
-    m.partitions = 0;
     m.steals = 0;
     m.pair_lists = 0;
     m.elapsed = std::time::Duration::ZERO;
@@ -332,14 +331,13 @@ fn morsel_boundary_probe_sizes_keep_observation_parity() {
     }
 }
 
-/// The radix-partitioned path at scale: a build side spanning several
-/// partition's worth of keys (an exact multiple of the per-partition build
-/// target) against a probe side an exact multiple of the parallel
-/// threshold. Bit-exact against the row oracle across worker counts, with
-/// the partition counter engaged and — for `COUNT(*)` — no pair list ever
+/// The shared-table probe with a large build side: 8 192 build keys
+/// against a skewed probe side four times the parallel threshold, NULLs on
+/// both. Bit-exact against the row oracle across worker counts, with the
+/// probe split into morsels and — for `COUNT(*)` — no pair list ever
 /// materialized.
 #[test]
-fn radix_partitioned_join_matches_oracle_bit_exactly() {
+fn large_build_parallel_probe_matches_oracle_bit_exactly() {
     use els::exec::PARALLEL_MIN_ROWS;
 
     let mut catalog = Catalog::new();
@@ -377,30 +375,29 @@ fn radix_partitioned_join_matches_oracle_bit_exactly() {
     let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::default()).unwrap();
     let mut plan = optimized.plan.clone();
     force_method(&mut plan.root, JoinMethod::Hash);
-    check_plan(&plan, &tables, "radix-scale probe [HASH]");
+    check_plan(&plan, &tables, "large-build probe [HASH]");
     for workers in [2usize, 3, 8] {
         let (out, _) =
             execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers }, None).unwrap();
         assert!(
-            out.metrics.partitions > 1,
-            "workers={workers}: the radix path should engage, partitions={}",
-            out.metrics.partitions
+            out.metrics.morsels > 1,
+            "workers={workers}: the probe should split into morsels, morsels={}",
+            out.metrics.morsels
         );
         assert_eq!(
             out.metrics.pair_lists, 0,
             "workers={workers}: a fused COUNT(*) root must not materialize row-id pairs"
         );
     }
-    // Serial never partitions, and the fused root still skips the pair list.
+    // The fused root skips the pair list on the serial path too.
     let (serial, _) =
         execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers: 1 }, None).unwrap();
-    assert_eq!(serial.metrics.partitions, 0);
     assert_eq!(serial.metrics.pair_lists, 0);
 }
 
 /// Degenerate key populations: an all-NULL build side and a filter-emptied
-/// build side must produce zero matches — identically on the serial,
-/// stealing, and radix paths.
+/// build side must produce zero matches — identically on the serial and
+/// stealing paths.
 #[test]
 fn all_null_and_empty_build_sides_join_to_nothing() {
     use els::exec::PARALLEL_MIN_ROWS;
