@@ -270,6 +270,9 @@ fn compile_kernel<'a>(f: &'a BoundFilter, table: &'a Table) -> ExecResult<RowPre
     })
 }
 
+/// Rows a selection vector is given room for before its filter runs.
+const SEL_RESERVE_ROWS: usize = 1024;
+
 /// Evaluate a conjunction of bound filters over whole columns, producing
 /// the selection vector of surviving row ids (ascending) in `sel`. The
 /// first conjunct fills `sel`; every later conjunct compacts it in place
@@ -300,6 +303,13 @@ pub fn filter_selection(
         if first {
             metrics.comparisons += n as u64;
             metrics.kernel_rows += n as u64;
+            // A filtered iterator promises no rows, so `extend` alone
+            // grows `sel` by doubling: five `realloc`s for a 64-row table,
+            // each under the allocator's arena lock, where two threads of
+            // cached point queries were found queueing (CHANGES.md, PR 19).
+            // A small table gets its room at once; a large one still grows
+            // as rows survive.
+            sel.reserve(n.min(SEL_RESERVE_ROWS));
             sel.extend((0..n).filter(|&i| pred(i)).map(crate::error::rowid));
             first = false;
         } else {

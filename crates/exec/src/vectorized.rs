@@ -931,11 +931,13 @@ fn vsort_merge_count(
 /// `i64` fast path of [`vsort_merge_count`] (see [`int_sort_merge`]).
 fn int_sort_merge_count(l: &IntKeys<'_>, r: &IntKeys<'_>, metrics: &mut ExecMetrics) -> u64 {
     let collect = |k: &IntKeys<'_>| -> Vec<i64> {
-        k.ids
-            .iter()
-            .filter(|&&rid| k.valid[rid as usize])
-            .map(|&rid| k.data[rid as usize])
-            .collect()
+        // Sized for every id: `collect` on a filter grows by doubling, one
+        // `realloc` (and arena lock) per step.
+        let mut rows = Vec::with_capacity(k.ids.len());
+        rows.extend(
+            k.ids.iter().filter(|&&rid| k.valid[rid as usize]).map(|&rid| k.data[rid as usize]),
+        );
+        rows
     };
     let mut lrows = collect(l);
     let mut rrows = collect(r);

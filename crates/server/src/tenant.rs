@@ -130,4 +130,35 @@ mod tests {
         assert_eq!(alpha.execute("SELECT COUNT(*) FROM private").expect("alpha sees it").count, 10);
         assert!(beta.execute("SELECT COUNT(*) FROM private").is_err(), "beta must not");
     }
+
+    #[test]
+    fn identical_bytes_never_cross_lanes_through_the_text_path() {
+        let tenants = Tenants::isolated(&["alpha", "beta"], 32).expect("build");
+        let alpha = tenants.resolve("alpha").expect("alpha");
+        let beta = tenants.resolve("beta").expect("beta");
+        // Same table name, different contents: a plan served across lanes
+        // would still count right, so watch the hits instead.
+        for (engine, rows) in [(&alpha, 10), (&beta, 20)] {
+            engine
+                .generate(
+                    TableSpec::new("t", rows)
+                        .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
+                    1,
+                )
+                .expect("register");
+        }
+        let sql = "SELECT COUNT(*) FROM t WHERE k < 15";
+        for round in 0..3 {
+            for (engine, count) in [(&alpha, 10), (&beta, 15)] {
+                let r = engine.execute(sql).expect("execute");
+                assert_eq!(r.count, count);
+                // Alpha's alias for these bytes is no name for beta's plan:
+                // beta's first send must plan for itself.
+                assert_eq!(r.cache_hit, round > 0, "round {round}");
+            }
+        }
+        assert_eq!(alpha.plan_cache().len(), 2, "one shared cache, one entry per lane");
+        let stats = alpha.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (4, 2));
+    }
 }

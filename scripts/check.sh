@@ -15,7 +15,9 @@ for arg in "$@"; do
 done
 
 cargo build --release
-cargo test -q
+# --workspace: at the root, a bare `cargo test` tests only the `els`
+# package and skips every crate's own unit and integration tests.
+cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
 
 # The benchmark (benchmark/, BENCHMARK.json) is a package of its own that

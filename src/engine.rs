@@ -7,7 +7,8 @@
 //!   take `&self`, readers run against immutable catalog snapshots
 //!   ([`els_catalog::SharedCatalog`]), and optimized plans are reused
 //!   across threads through a fingerprint+epoch keyed
-//!   [`els_optimizer::PlanCache`]. Configuration is fixed at construction.
+//!   [`els_optimizer::PlanCache`], which a repeated text reaches by its
+//!   bytes alone. Configuration is fixed at construction.
 //! * [`Database`] — a single-user view over an `Engine` with the plan cache
 //!   off, for scripts and tests: `&mut self` setters reconfigure it in
 //!   place after load, and every query is optimized afresh.
@@ -40,7 +41,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::analyze::{
     build_operator_reports, harvest_feedback, ExplainAnalyzeReport, OperatorReport,
@@ -163,12 +164,12 @@ impl Database {
     /// Replace the full optimizer configuration.
     pub fn set_optimizer_options(&mut self, options: OptimizerOptions) {
         self.engine.set_strategy(options.strategy);
-        self.engine.options = options;
+        self.engine.update_options(|o| *o = options);
     }
 
     /// Set the runtime-feedback policy (see [`Engine::feedback`]).
     pub fn set_feedback(&mut self, mode: FeedbackMode) {
-        self.engine.options.feedback = mode;
+        self.engine.update_options(|o| o.feedback = mode);
     }
 
     /// Plan with a different estimator strategy (ELS pipeline, the
@@ -244,9 +245,11 @@ impl Database {
 ///   canonical fingerprint ([`els_sql::fingerprint`]), the optimizer
 ///   configuration's [`OptimizerOptions::config_fingerprint`] and the
 ///   snapshot epoch; a hit skips binding, estimation and join
-///   enumeration. Any catalog change bumps the epoch, so stale plans can
-///   never be served — and a plan optimized under one configuration can
-///   never be replayed under another.
+///   enumeration, and a byte-identical repeat also skips the parse (the
+///   cache keeps the text as an alias of its fingerprint, under the same
+///   configuration and epoch checks). Any catalog change bumps the epoch,
+///   so stale plans can never be served — and a plan optimized under one
+///   configuration can never be replayed under another.
 ///
 /// Optimizer configuration is fixed at construction (it is part of what a
 /// cached plan means); build a second engine for a second configuration.
@@ -283,6 +286,11 @@ pub struct Engine {
     /// storage; see [`Engine::set_strategy`]). Overrides
     /// `options.strategy`.
     strategy: std::sync::atomic::AtomicU8,
+    /// `options`' [`OptimizerOptions::config_fingerprint`] under each
+    /// strategy (indexed by [`strategy_code`]), computed on first use: it
+    /// `Debug`-formats the whole struct, as dear as a cached point query.
+    /// [`Engine::update_options`], the one place `options` changes, resets it.
+    config: [OnceLock<u64>; 3],
     collect_options: CollectOptions,
     buffer_pages: Option<usize>,
     exec_mode: ExecMode,
@@ -318,6 +326,12 @@ impl Engine {
         Engine { options, strategy, ..Engine::default() }
     }
 
+    /// Change the optimizer configuration and forget its memoised fingerprints.
+    fn update_options(&mut self, change: impl FnOnce(&mut OptimizerOptions)) {
+        change(&mut self.options);
+        self.config = Default::default();
+    }
+
     /// Set the plan-cache capacity (0 disables caching — every query
     /// re-optimizes, the pre-cache behaviour). Consumes `self`: capacity is
     /// fixed before the engine is shared.
@@ -341,10 +355,9 @@ impl Engine {
     /// engines on the same shared cache with different lanes can never
     /// observe each other's plans — even for byte-identical SQL.
     #[must_use]
-    pub fn plan_lane(self, lane: u64) -> Engine {
-        let mut options = self.options;
-        options.lane = lane;
-        Engine { options, ..self }
+    pub fn plan_lane(mut self, lane: u64) -> Engine {
+        self.update_options(|o| o.lane = lane);
+        self
     }
 
     /// Set statistics collection for subsequently registered tables.
@@ -375,10 +388,9 @@ impl Engine {
     /// cached plans re-optimize. Consumes `self`: like the estimator, the
     /// policy is part of what a cached plan means.
     #[must_use]
-    pub fn feedback(self, mode: FeedbackMode) -> Engine {
-        let mut options = self.options;
-        options.feedback = mode;
-        Engine { options, ..self }
+    pub fn feedback(mut self, mode: FeedbackMode) -> Engine {
+        self.update_options(|o| o.feedback = mode);
+        self
     }
 
     /// Run vectorized with `workers` join threads AND tell the cost model
@@ -387,11 +399,10 @@ impl Engine {
     /// cost model depends on the mode. Consumes `self`: like the optimizer
     /// configuration, the mode is part of what a cached plan means.
     #[must_use]
-    pub fn exec_workers(self, workers: usize) -> Engine {
+    pub fn exec_workers(mut self, workers: usize) -> Engine {
         let workers = workers.max(1);
-        let mut options = self.options;
-        options.cost.probe_parallelism = workers as f64;
-        Engine { exec_mode: ExecMode::Vectorized { workers }, options, ..self }
+        self.update_options(|o| o.cost.probe_parallelism = workers as f64);
+        Engine { exec_mode: ExecMode::Vectorized { workers }, ..self }
     }
 
     /// Register an existing table (publishes a new catalog snapshot and
@@ -443,8 +454,17 @@ impl Engine {
 
     /// The options actually used for planning: the constructed options
     /// with the live strategy folded in.
-    fn effective_options(&self) -> OptimizerOptions {
-        self.options.clone().with_strategy(self.current_strategy())
+    fn effective_options(&self, strategy: EstimatorStrategy) -> OptimizerOptions {
+        self.options.clone().with_strategy(strategy)
+    }
+
+    /// `effective_options(strategy).config_fingerprint()`, memoised.
+    fn config_fingerprint(&self, strategy: EstimatorStrategy) -> u64 {
+        let compute = || self.effective_options(strategy).config_fingerprint();
+        match self.config.get(usize::from(strategy_code(strategy))) {
+            Some(cell) => *cell.get_or_init(compute),
+            None => compute(),
+        }
     }
 
     /// The plan cache (for inspection; counters live on it).
@@ -458,39 +478,55 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Parse → fingerprint → cache lookup: everything a query costs before
-    /// the engine knows whether it has to plan it.
+    /// Text → alias → fingerprint → entry: everything a query costs before
+    /// the engine knows whether it has to plan it. A text the cache knows
+    /// costs one hash and one comparison of the bytes as sent — no parse,
+    /// no canonicalisation, no allocation; a first sighting derives the
+    /// fingerprint the long way, and the plan that finds (here) or makes
+    /// (in [`Engine::prepare_at`]) gets the text as an alias.
     fn probe(&self, sql: &str) -> EngineResult<Probe> {
-        let ast = parse(sql)?;
-        let options = self.effective_options();
         // The optimizer configuration is part of the key: the same SQL
         // planned under a different estimator, rule, or feedback mode is a
         // different plan, and serving one to the other would replay the
-        // wrong estimates.
-        let fingerprint = format!("{}#{:016x}", canonical_sql(&ast), options.config_fingerprint());
+        // wrong estimates. One load of the strategy serves the key and, on
+        // a miss, the options the plan is made with.
+        let strategy = self.current_strategy();
+        let config = self.config_fingerprint(strategy);
         // Epoch and contents come from the same snapshot, so a plan stamped
         // with this epoch is exactly a plan over these statistics.
         let snapshot = self.catalog.snapshot();
-        let cached = self.cache.get(&fingerprint, snapshot.epoch());
-        Ok(Probe { ast, options, fingerprint, snapshot, cached })
+        if let Some(plan) = self.cache.get_by_text(config, sql, snapshot.epoch()) {
+            return Ok(Probe::Hit { plan, snapshot });
+        }
+        let ast = parse(sql)?;
+        let fingerprint = format!("{}#{config:016x}", canonical_sql(&ast));
+        if let Some(plan) = self.cache.get(&fingerprint, snapshot.epoch()) {
+            self.cache.alias(config, sql, &fingerprint);
+            return Ok(Probe::Hit { plan, snapshot });
+        }
+        let options = self.effective_options(strategy);
+        Ok(Probe::Miss(Box::new(Miss { ast, options, config, fingerprint, snapshot })))
     }
 
     /// [`Engine::probe`], optimizing on a miss. Returns the ready-to-execute
     /// plan, the snapshot it is valid against, and whether it was a hit.
     fn prepare_at(&self, sql: &str) -> EngineResult<(Arc<CachedPlan>, CatalogSnapshot, bool)> {
-        let Probe { ast, options, fingerprint, snapshot, cached } = self.probe(sql)?;
-        if let Some(plan) = cached {
-            return Ok((plan, snapshot, true));
+        match self.probe(sql)? {
+            Probe::Hit { plan, snapshot } => Ok((plan, snapshot, true)),
+            Probe::Miss(miss) => {
+                let Miss { ast, options, config, fingerprint, snapshot } = *miss;
+                let bound = bind(&ast, snapshot.catalog())?;
+                let optimized = optimize_bound(&bound, snapshot.catalog(), &options)?;
+                let plan = Arc::new(CachedPlan {
+                    optimized,
+                    table_names: bound.table_names,
+                    binding_names: bound.binding_names,
+                });
+                self.cache.insert(fingerprint.clone(), snapshot.epoch(), Arc::clone(&plan));
+                self.cache.alias(config, sql, &fingerprint);
+                Ok((plan, snapshot, false))
+            }
         }
-        let bound = bind(&ast, snapshot.catalog())?;
-        let optimized = optimize_bound(&bound, snapshot.catalog(), &options)?;
-        let plan = Arc::new(CachedPlan {
-            optimized,
-            table_names: bound.table_names,
-            binding_names: bound.binding_names,
-        });
-        self.cache.insert(fingerprint, snapshot.epoch(), Arc::clone(&plan));
-        Ok((plan, snapshot, false))
     }
 
     /// Parse, bind and optimize (through the cache) without executing.
@@ -512,8 +548,10 @@ impl Engine {
     /// cache hits skip binding, estimation and join enumeration, so serving
     /// only them bounds per-query planning work while under pressure.
     pub fn execute_if_cached(&self, sql: &str) -> EngineResult<Option<QueryResult>> {
-        let probe = self.probe(sql)?;
-        probe.cached.map(|plan| self.run_plan(&plan, &probe.snapshot, true)).transpose()
+        match self.probe(sql)? {
+            Probe::Hit { plan, snapshot } => self.run_plan(&plan, &snapshot, true).map(Some),
+            Probe::Miss(_) => Ok(None),
+        }
     }
 
     /// Execute a prepared plan against the snapshot it was optimized for.
@@ -624,16 +662,28 @@ impl Engine {
     }
 }
 
-/// What [`Engine::probe`] found out about one query text.
-struct Probe {
+/// What [`Engine::probe`] found out about one query text. Only a miss
+/// carries an AST: a hit by text never parsed one.
+enum Probe {
+    Hit {
+        plan: Arc<CachedPlan>,
+        /// The snapshot `plan` was looked up at.
+        snapshot: CatalogSnapshot,
+    },
+    Miss(Box<Miss>),
+}
+
+/// What [`Engine::prepare_at`] needs to plan a text no plan was found for.
+struct Miss {
     ast: els_sql::Query,
     /// The options in force at the probe, live strategy folded in.
     options: OptimizerOptions,
-    /// The plan-cache key: canonical SQL plus the options' fingerprint.
+    /// `options.config_fingerprint()`.
+    config: u64,
+    /// The plan-cache key: canonical SQL plus `config`.
     fingerprint: String,
-    /// The snapshot `cached` was looked up at.
+    /// The snapshot the plan was looked up, and is to be made, at.
     snapshot: CatalogSnapshot,
-    cached: Option<Arc<CachedPlan>>,
 }
 
 /// Harvest an executed query's operator reports into the catalog's
@@ -863,6 +913,32 @@ mod tests {
     }
 
     #[test]
+    fn two_spellings_are_two_names_for_one_entry() {
+        let cached = engine();
+        let twin = engine().cache_capacity(0);
+        let spellings = [
+            "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10",
+            "select  count(*)  from a, b  where b.k = a.k and a.k < 10",
+        ];
+        for round in 0..3 {
+            for (i, sql) in spellings.iter().enumerate() {
+                let (got, want) = (cached.execute(sql).unwrap(), twin.execute(sql).unwrap());
+                // Only the very first sighting plans; the second spelling
+                // finds the entry the long way, every later send by text.
+                assert_eq!(got.cache_hit, (round, i) != (0, 0), "round {round} `{sql}`");
+                assert!(!want.cache_hit);
+                assert_eq!(got.count, want.count);
+                assert_eq!(got.join_order, want.join_order);
+                assert_eq!(got.estimated_sizes, want.estimated_sizes);
+                assert_eq!(logical(got.metrics), logical(want.metrics));
+            }
+        }
+        assert_eq!(cached.plan_cache().len(), 1);
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (5, 1));
+    }
+
+    #[test]
     fn flipped_inequalities_share_a_cache_entry() {
         // `a.k < b.k` and `b.k > a.k` canonicalize to the same fingerprint.
         let engine = engine();
@@ -935,6 +1011,20 @@ mod tests {
         assert_eq!(back.estimated_sizes, els.estimated_sizes);
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 3));
+
+        // The same bytes again under each strategy: a hit on that
+        // strategy's own entry, whichever one the text was last sent under.
+        for (strategy, sizes) in [
+            (EstimatorStrategy::NoEstimates, &ne.estimated_sizes),
+            (EstimatorStrategy::Els, &els.estimated_sizes),
+            (EstimatorStrategy::UpperBound, &ub.estimated_sizes),
+        ] {
+            engine.set_strategy(strategy);
+            let again = engine.execute(sql).unwrap();
+            assert!(again.cache_hit, "{strategy:?}");
+            assert_eq!(&again.estimated_sizes, sizes, "{strategy:?}");
+        }
+        assert_eq!(engine.plan_cache().len(), 3);
     }
 
     #[test]
@@ -956,6 +1046,11 @@ mod tests {
         assert!(!after.cache_hit, "stale-epoch plan must not be served");
         assert_eq!(after.count, 100);
         assert_eq!(engine.cache_stats().invalidations, 1);
+        // The same bytes a fourth time name the re-planned entry.
+        assert!(engine.execute(sql).unwrap().cache_hit);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.invalidations), (2, 2, 1));
+        assert_eq!(engine.plan_cache().len(), 1);
     }
 
     /// The counters both facades must agree on: everything but wall time.
@@ -1210,6 +1305,9 @@ mod tests {
         assert!(!b.execute(sql).unwrap().cache_hit, "lane isolation violated");
         assert!(b.execute_if_cached(sql).unwrap().expect("B's own plan").cache_hit);
         assert!(a.execute(sql).unwrap().cache_hit, "A's entry must survive B's traffic");
+        // Both lanes now know the text, as two aliases of two entries.
+        assert!(a.execute(sql).unwrap().cache_hit && b.execute(sql).unwrap().cache_hit);
+        assert_eq!(shared.len(), 2);
     }
 
     #[test]

@@ -277,3 +277,74 @@ fn snapshot_isolation_under_concurrent_registration() {
     let stats = engine.cache_stats();
     assert_eq!(stats.hits + stats.misses, 200);
 }
+
+#[test]
+fn one_hot_text_never_meets_a_plan_of_another_epoch() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let _guard = GUARD.lock().unwrap();
+    let engine = small_engine();
+    let sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10";
+    engine.prepare(sql).unwrap();
+
+    // Four readers send the same bytes over and over while a writer bumps
+    // the epoch; the writer waits for fresh reader traffic between bumps,
+    // so every epoch is both planned for and hit by text.
+    let (done, sent) = (AtomicBool::new(false), AtomicU64::new(0));
+    let (engine, done, sent) = (&engine, &done, &sent);
+    let observed: Vec<_> = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for i in 0..8u64 {
+                let seen = sent.load(Ordering::SeqCst);
+                while sent.load(Ordering::SeqCst) < seen + 40 {
+                    std::thread::yield_now();
+                }
+                engine
+                    .generate(
+                        TableSpec::new(format!("extra{i}"), 5)
+                            .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
+                        i,
+                    )
+                    .unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut seen = Vec::new();
+                    while !done.load(Ordering::SeqCst) {
+                        let before = engine.epoch();
+                        let plan = engine.prepare(sql).unwrap();
+                        let after = engine.epoch();
+                        assert_eq!(engine.execute(sql).unwrap().count, 10);
+                        sent.fetch_add(1, Ordering::SeqCst);
+                        seen.push((before, after, plan));
+                    }
+                    seen
+                })
+            })
+            .collect();
+        readers.into_iter().flat_map(|r| r.join().unwrap()).collect()
+    });
+
+    // A plan belongs to the one epoch it was made at, and `prepare` serves
+    // it only at that epoch — which lies between the epochs read just
+    // before and just after the call. So all sightings of one plan (the
+    // `Arc`s are kept, so a pointer is a plan) must agree on an epoch.
+    let mut windows = std::collections::HashMap::new();
+    for (before, after, plan) in &observed {
+        let w = windows.entry(Arc::as_ptr(plan)).or_insert((*before, *after));
+        *w = (w.0.max(*before), w.1.min(*after));
+    }
+    for (latest_before, earliest_after) in windows.values() {
+        assert!(latest_before <= earliest_after, "one plan was served at two epochs");
+    }
+    // (The last epoch may go unseen: the readers stop with the writer.)
+    assert!(windows.len() >= 8, "every epoch re-plans: {} plans", windows.len());
+    let stats = engine.cache_stats();
+    assert_eq!(stats.hits + stats.misses, 1 + 2 * observed.len() as u64);
+    assert!(stats.hits > stats.misses, "{stats:?}");
+    assert_eq!(engine.plan_cache().len(), 1);
+}

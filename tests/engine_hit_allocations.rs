@@ -1,0 +1,87 @@
+//! A byte-identical repeat of a cached text must reach its plan without
+//! touching the heap: no parse (an AST is `Vec`s and `String`s), no
+//! `canonical_sql` (a `String`), no `config_fingerprint()` (a `format!`),
+//! no clone of the optimizer options (a `Vec` of join methods). `prepare`
+//! is `execute` up to, but not including, running the plan.
+//!
+//! Its own test binary: the counting allocator is process-wide (the count
+//! itself is per thread, so the test harness's threads do not disturb it).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use els::engine::Engine;
+use els::optimizer::EstimatorStrategy;
+use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a thread-local statistic and publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn a_repeat_text_reaches_its_plan_without_allocating() {
+    let engine = Engine::new();
+    for (name, rows) in [("a", 64), ("b", 256)] {
+        let key = ColumnSpec::new("k", Distribution::SequentialInt { start: 0 });
+        engine.generate(TableSpec::new(name, rows).column(key), 1).unwrap();
+    }
+    let point = "SELECT COUNT(*) FROM b WHERE k < 117";
+    let join = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 24";
+    let respelled = "select  count(*)  from  a,  b  where  a.k  =  b.k  and  a.k  <  24";
+
+    for sql in [point, join, respelled] {
+        let (first, cold) = allocations_in(|| engine.prepare(sql).unwrap());
+        assert!(cold > 0, "a first sighting parses: `{sql}`");
+        for _ in 0..3 {
+            let (again, warm) = allocations_in(|| engine.prepare(sql).unwrap());
+            assert_eq!(warm, 0, "{warm} allocations on a repeat of `{sql}`");
+            assert!(std::sync::Arc::ptr_eq(&first, &again));
+        }
+    }
+    assert_eq!(engine.plan_cache().len(), 2, "the respelling is a second name, not a second plan");
+
+    // The configuration fingerprint is computed once per live strategy:
+    // the first text under a new strategy pays for it, a repeat does not.
+    engine.set_strategy(EstimatorStrategy::NoEstimates);
+    engine.prepare(point).unwrap();
+    let (_, warm) = allocations_in(|| engine.prepare(point).unwrap());
+    assert_eq!(warm, 0, "{warm} allocations on a repeat under a switched strategy");
+    engine.set_strategy(EstimatorStrategy::Els);
+    let (_, warm) = allocations_in(|| engine.prepare(point).unwrap());
+    assert_eq!(warm, 0, "{warm} allocations after switching back");
+}

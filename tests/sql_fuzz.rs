@@ -170,6 +170,58 @@ proptest! {
     }
 }
 
+/// The same tokens in other bytes: keywords in either case, blanks doubled.
+fn respell(sql: &str, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut out = String::new();
+    for word in sql.split(' ') {
+        let keyword = !word.is_empty() && word.chars().all(|c| c.is_ascii_uppercase());
+        if keyword && rng.gen_bool(0.5) {
+            out.push_str(&word.to_lowercase());
+        } else {
+            out.push_str(word);
+        }
+        out.push_str(if rng.gen_bool(0.5) { "  " } else { " " });
+    }
+    out
+}
+
+#[test]
+fn respelled_texts_hit_the_cache_and_agree_with_parsing_every_time() {
+    let tables = || {
+        let c = catalog();
+        ["t0", "t1", "t2"].map(|name| Table::clone(&c.table_data(name).unwrap()))
+    };
+    // One long-lived cached engine, as a server would run it, next to a
+    // twin that parses and plans every text it is sent.
+    let cached = els::engine::Engine::new().cache_capacity(16);
+    let twin = els::engine::Engine::new().cache_capacity(0);
+    for engine in [&cached, &twin] {
+        for table in tables() {
+            engine.register(table).unwrap();
+        }
+    }
+    for seed in 0..300u64 {
+        let sql = random_query(seed);
+        let texts = [sql.clone(), respell(&sql, seed), sql.clone(), respell(&sql, seed)];
+        for (i, text) in texts.iter().enumerate() {
+            let (got, want) = (cached.execute(text).unwrap(), twin.execute(text).unwrap());
+            assert_eq!(got.count, want.count, "seed {seed} `{text}`");
+            assert_eq!(got.rows.num_rows(), want.rows.num_rows(), "seed {seed} `{text}`");
+            assert_eq!(got.join_order, want.join_order, "seed {seed} `{text}`");
+            assert_eq!(got.estimated_sizes, want.estimated_sizes, "seed {seed} `{text}`");
+            // An earlier seed may have cached the query already; from the
+            // second send on, under either spelling, it must be a hit.
+            assert!(got.cache_hit || i == 0, "seed {seed} send {i} `{text}`");
+            assert!(!want.cache_hit);
+        }
+    }
+    let stats = cached.cache_stats();
+    assert_eq!(stats.hits + stats.misses, 1200);
+    assert!(stats.evictions > 0, "the walk must also evict: {stats:?}");
+    assert!(cached.plan_cache().len() <= 16);
+}
+
 #[test]
 fn group_by_end_to_end() {
     let catalog = catalog();
