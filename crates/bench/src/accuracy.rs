@@ -1,10 +1,10 @@
-//! Estimation-accuracy measurement for the throughput/kernels benches.
+//! Estimation-accuracy measurement for the `bakeoff` experiment.
 //!
 //! Runs a workload through [`Database::explain_analyze`] under each of the
 //! paper's four estimator presets and summarizes the per-join q-errors —
 //! the same estimated-vs-actual comparison as the paper's Section 8 table,
-//! but folded to median/p95/max so the BENCH JSONs can carry an `accuracy`
-//! section and the smoke gate can pin a regression threshold on it.
+//! but folded to median/p95/max so the unit tests below can pin a
+//! regression threshold on it.
 
 use els::engine::Database;
 use els_catalog::FeedbackMode;
@@ -43,8 +43,7 @@ pub fn preset_accuracy(tables: &[Table], queries: &[String]) -> Vec<AccuracySumm
         .iter()
         .map(|&preset| {
             let mut db = Database::new();
-            // Same plan space as the throughput engine so the analyzed
-            // plans match the ones the benches execute.
+            // Same plan space as the bake-off's contenders.
             db.set_optimizer_options(
                 OptimizerOptions::preset(preset).with_bushy_trees().with_hash_join(),
             );
@@ -158,55 +157,60 @@ pub fn preset_feedback_accuracy(tables: &[Table], queries: &[String]) -> Vec<Fee
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SECTION8_SCALED_ROWS as SCALE;
     use els_storage::datagen::starburst_experiment_tables_sized;
 
     #[test]
     fn accuracy_ranks_els_at_or_above_the_baselines() {
-        let tables = starburst_experiment_tables_sized(7, &[50, 500, 2_000, 4_000usize]);
-        let queries = vec![crate::SECTION8_SQL.to_owned()];
-        let summaries = preset_accuracy(&tables, &queries);
-        assert_eq!(summaries.len(), 4);
-        let els = summaries.iter().find(|s| s.label == "Orig. ELS").unwrap();
-        let sm = summaries.iter().find(|s| s.label == "Orig. SM").unwrap();
-        assert_eq!(els.samples, 3, "three joins in the 4-table chain");
-        // The paper's headline: ELS estimates the chain well; plain SM
-        // without closure is far off.
-        assert!(els.median_q <= sm.median_q, "ELS {} vs SM {}", els.median_q, sm.median_q);
-        assert!(els.median_q < 2.0, "ELS median q-error degraded: {}", els.median_q);
+        for seed in [7, 42] {
+            let tables = starburst_experiment_tables_sized(seed, &SCALE);
+            let queries = vec![crate::SECTION8_SQL.to_owned()];
+            let summaries = preset_accuracy(&tables, &queries);
+            assert_eq!(summaries.len(), 4);
+            let els = summaries.iter().find(|s| s.label == "Orig. ELS").unwrap();
+            let sm = summaries.iter().find(|s| s.label == "Orig. SM").unwrap();
+            assert_eq!(els.samples, 3, "three joins in the 4-table chain");
+            // The paper's headline: ELS estimates the chain well; plain SM
+            // without closure is far off.
+            assert!(els.median_q <= sm.median_q, "ELS {} vs SM {}", els.median_q, sm.median_q);
+            assert!(els.median_q < 2.0, "ELS median q-error degraded: {}", els.median_q);
+        }
     }
 
     #[test]
     fn feedback_replay_never_regresses_and_rescues_sss() {
-        let tables = starburst_experiment_tables_sized(7, &[50, 500, 2_000, 4_000usize]);
-        let queries = vec![crate::SECTION8_SQL.to_owned()];
-        let summaries = preset_feedback_accuracy(&tables, &queries);
-        assert_eq!(summaries.len(), 4);
-        for s in &summaries {
+        for seed in [7, 42] {
+            let tables = starburst_experiment_tables_sized(seed, &SCALE);
+            let queries = vec![crate::SECTION8_SQL.to_owned()];
+            let summaries = preset_feedback_accuracy(&tables, &queries);
+            assert_eq!(summaries.len(), 4);
+            for s in &summaries {
+                assert!(
+                    s.median_q_after <= s.median_q_before,
+                    "{}: feedback regressed {} -> {}",
+                    s.label,
+                    s.median_q_before,
+                    s.median_q_after
+                );
+                assert!(s.learned > 0, "{}: nothing harvested", s.label);
+            }
+            // SSS collapses its estimates on this chain; one learning pass pulls
+            // the replay's median down by orders of magnitude (the class residual
+            // transfers cleanly because SS applies one correction per class).
+            let sss = summaries.iter().find(|s| s.label == "Orig.+PTC SSS").unwrap();
             assert!(
-                s.median_q_after <= s.median_q_before,
-                "{}: feedback regressed {} -> {}",
-                s.label,
-                s.median_q_before,
-                s.median_q_after
+                sss.median_q_before > 10.0,
+                "SSS fixture not broken enough: {}",
+                sss.median_q_before
             );
-            assert!(s.learned > 0, "{}: nothing harvested", s.label);
+            assert!(
+                sss.median_q_after < sss.median_q_before / 2.0,
+                "feedback should rescue SSS: {} -> {}",
+                sss.median_q_before,
+                sss.median_q_after
+            );
+            assert!(sss.published >= 1);
         }
-        // SSS collapses its estimates on this chain; one learning pass pulls
-        // the replay's median down by orders of magnitude (the class residual
-        // transfers cleanly because SS applies one correction per class).
-        let sss = summaries.iter().find(|s| s.label == "Orig.+PTC SSS").unwrap();
-        assert!(
-            sss.median_q_before > 10.0,
-            "SSS fixture not broken enough: {}",
-            sss.median_q_before
-        );
-        assert!(
-            sss.median_q_after < sss.median_q_before / 2.0,
-            "feedback should rescue SSS: {} -> {}",
-            sss.median_q_before,
-            sss.median_q_after
-        );
-        assert!(sss.published >= 1);
     }
 
     #[test]
@@ -215,7 +219,7 @@ mod tests {
         // chosen plan's estimates, so the optimizer escapes to the next
         // still-collapsed plan shape for a pass or two before every shape is
         // corrected. The replay medians must converge, not cycle.
-        let tables = starburst_experiment_tables_sized(7, &[50, 500, 2_000, 4_000usize]);
+        let tables = starburst_experiment_tables_sized(7, &SCALE);
         let mut db = Database::new();
         db.set_optimizer_options(
             OptimizerOptions::preset(EstimatorPreset::Sm)

@@ -17,21 +17,24 @@
 //!
 //! Per contender we pool the join-operator q-errors (via
 //! `explain_analyze`) and separately time plain `execute` over the
-//! workload, so the JSON carries both the estimation error and the
+//! workload, so the table carries both the estimation error and the
 //! runtime of the plans that error bought. The timed pass runs the
 //! vectorized executor with the caller's worker count — and tells the
 //! cost model about it (`CostParams::probe_parallelism`) — so contenders
 //! are compared on the engine configuration a real deployment would run.
 
-use std::time::Instant;
-
 use els::engine::Database;
 use els_catalog::FeedbackMode;
+use els_exec::timing::Stopwatch;
 use els_exec::ExecMode;
 use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
+use els_storage::datagen::starburst_experiment_tables_sized;
 use els_storage::Table;
 
+use crate::accuracy::{preset_accuracy, preset_feedback_accuracy};
+use crate::table::{l, r, Table as Report};
 use crate::workload::quantile;
+use crate::SECTION8_SCALED_ROWS as SCALE;
 
 /// One contender's row of the bake-off table.
 #[derive(Debug, Clone)]
@@ -151,7 +154,7 @@ pub fn estimator_bakeoff(
             };
             // Chosen-plan runtime: plain execution (no observation
             // overhead) of the same workload, planned by this contender.
-            let start = Instant::now();
+            let start = Stopwatch::start();
             for sql in queries {
                 db.execute(sql).expect("bake-off timed pass executes");
             }
@@ -170,12 +173,11 @@ pub fn estimator_bakeoff(
         .collect()
 }
 
-/// The smoke-gate regression threshold on the ELS contender's median
-/// q-error.
+/// The regression threshold on the ELS contender's median q-error.
 pub const ELS_MEDIAN_Q_LIMIT: f64 = 2.0;
 
-/// The gate conditions the smoke runs enforce. Returns one message per
-/// violated invariant (empty = healthy):
+/// The gate conditions [`run`] and the unit tests enforce. Returns one
+/// message per violated invariant (empty = healthy):
 ///
 /// * the UES contender under-estimated a measured join (it claims to be an
 ///   upper bound, so a single miss is a correctness bug, not noise), or
@@ -199,19 +201,81 @@ pub fn bakeoff_regressions(entries: &[BakeoffEntry]) -> Vec<String> {
     msgs
 }
 
+/// Print the accuracy, feedback and bake-off tables for the Section 8
+/// chain; an error if a bake-off gate is violated.
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
+    let tables = starburst_experiment_tables_sized(42, &SCALE);
+    let queries = vec![crate::SECTION8_SQL.to_owned()];
+    let q = |v: f64| format!("{v:.2}");
+    println!("# Bake-off — estimator accuracy and chosen-plan runtime on the Section 8 chain");
+    println!(
+        "(S/M/B/G at {SCALE:?} rows, seed 42; q = join-operator q-error, truth by execution)\n"
+    );
+
+    let report = Report::header(&[
+        l("preset", 14),
+        l("rule", 4),
+        r("median q", 9),
+        r("p95 q", 9),
+        r("max q", 9),
+    ]);
+    for s in preset_accuracy(&tables, &queries) {
+        report.row(&[&s.label, &s.rule, &q(s.median_q), &q(s.p95_q), &q(s.max_q)]);
+    }
+
+    println!("\nreplay under FeedbackMode::Apply (first pass learns, second is corrected):\n");
+    let report = Report::header(&[
+        l("preset", 14),
+        r("median q", 9),
+        r("replayed", 9),
+        r("max q", 9),
+        r("replayed", 9),
+        r("learned", 7),
+        r("published", 9),
+    ]);
+    for s in preset_feedback_accuracy(&tables, &queries) {
+        report.row(&[
+            &s.label,
+            &q(s.median_q_before),
+            &q(s.median_q_after),
+            &q(s.max_q_before),
+            &q(s.max_q_after),
+            &s.learned,
+            &s.published,
+        ]);
+    }
+
+    println!("\nfive contenders plan and execute the chain (2 exec workers):\n");
+    let report = Report::header(&[
+        l("contender", 14),
+        l("rule", 12),
+        r("median q", 9),
+        r("max q", 9),
+        r("under-est", 9),
+        r("runtime ms", 10),
+    ]);
+    let entries = estimator_bakeoff(&tables, &queries, 2);
+    for e in &entries {
+        let ms = format_args!("{:.3}", e.runtime_ms);
+        report.row(&[&e.label, &e.rule, &q(e.median_q), &q(e.max_q), &e.underestimates, &ms]);
+    }
+    match bakeoff_regressions(&entries).as_slice() {
+        [] => Ok(()),
+        msgs => Err(msgs.join("; ").into()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use els_storage::datagen::starburst_experiment_tables_sized;
 
-    fn fixture() -> (Vec<Table>, Vec<String>) {
-        let tables = starburst_experiment_tables_sized(7, &[50, 500, 2_000, 4_000usize]);
-        (tables, vec![crate::SECTION8_SQL.to_owned()])
+    fn fixture(seed: u64) -> (Vec<Table>, Vec<String>) {
+        (starburst_experiment_tables_sized(seed, &SCALE), vec![crate::SECTION8_SQL.to_owned()])
     }
 
     #[test]
     fn bakeoff_covers_all_five_contenders() {
-        let (tables, queries) = fixture();
+        let (tables, queries) = fixture(7);
         let entries = estimator_bakeoff(&tables, &queries, 2);
         let labels: Vec<&str> = entries.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, ["ELS", "Rule-M", "ELS+feedback", "UES bound", "Simpli-Squared"]);
@@ -223,19 +287,25 @@ mod tests {
 
     #[test]
     fn ues_bound_never_underestimates_and_gate_is_quiet() {
-        let (tables, queries) = fixture();
-        let entries = estimator_bakeoff(&tables, &queries, 1);
-        let ues = entries.iter().find(|e| e.label == "UES bound").unwrap();
-        assert_eq!(ues.underestimates, 0, "UES produced a below-actual estimate");
-        // An upper bound over-estimates by construction, so its q-error is
-        // its over-estimation factor — finite and at least 1.
-        assert!(ues.median_q >= 1.0 && ues.median_q.is_finite());
-        assert!(bakeoff_regressions(&entries).is_empty(), "{:?}", bakeoff_regressions(&entries));
+        for seed in [7, 42] {
+            let (tables, queries) = fixture(seed);
+            let entries = estimator_bakeoff(&tables, &queries, 1);
+            let ues = entries.iter().find(|e| e.label == "UES bound").unwrap();
+            assert_eq!(ues.underestimates, 0, "UES produced a below-actual estimate");
+            // An upper bound over-estimates by construction, so its q-error is
+            // its over-estimation factor — finite and at least 1.
+            assert!(ues.median_q >= 1.0 && ues.median_q.is_finite());
+            assert!(
+                bakeoff_regressions(&entries).is_empty(),
+                "{:?}",
+                bakeoff_regressions(&entries)
+            );
+        }
     }
 
     #[test]
     fn feedback_contender_beats_or_matches_raw_els() {
-        let (tables, queries) = fixture();
+        let (tables, queries) = fixture(7);
         let entries = estimator_bakeoff(&tables, &queries, 2);
         let els = entries.iter().find(|e| e.label == "ELS").unwrap();
         let fed = entries.iter().find(|e| e.label == "ELS+feedback").unwrap();

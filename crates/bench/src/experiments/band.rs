@@ -23,30 +23,22 @@
 //! and the **No-estimates** baseline. Per contender we pool the
 //! join-operator q-errors from `explain_analyze` (truth by execution).
 //!
-//! In `--smoke` mode (scaled-down tables, no JSON) the run exits non-zero
-//! and prints a `REGRESSION` line — grepped by `scripts/check.sh` — if the
-//! pooled ELS median q-error exceeds [`BAND_ELS_MEDIAN_Q_LIMIT`], if the
-//! UES bound under-estimates any band join, or if any two contenders
-//! disagree on an executed result count. The full run writes
-//! `BENCH_band_join.json`.
-
-// Tooling layer: printing tables and exiting non-zero is this binary's
-// job, so the workspace-wide clippy.toml bans do not apply here.
-#![allow(clippy::disallowed_methods)]
-
-use std::fmt::Write as _;
+//! [`run`] prints the per-family table; the gates on it (ELS median, the
+//! UES bound, result agreement, RANGE plans) are
+//! `tests/band_join_gates.rs`, over the same [`measure`] at a smaller size.
 
 use els::engine::Database;
-use els_bench::workload::quantile;
 use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
 use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
 use els_storage::Table;
 
-/// The pinned smoke-gate threshold on the pooled ELS median q-error over
-/// the band-join families. Inequality estimates lean on histogram
-/// resolution, so the bar is looser than the equi-join gate's 2.0 — but
-/// anything above this is an estimator regression, not noise.
-const BAND_ELS_MEDIAN_Q_LIMIT: f64 = 4.0;
+use crate::workload::quantile;
+
+/// The pinned limit on the pooled ELS median q-error over the band-join
+/// families. Inequality estimates lean on histogram resolution, so the bar
+/// is looser than the equi-join gate's 2.0 — but anything above this is an
+/// estimator regression, not noise.
+pub const BAND_ELS_MEDIAN_Q_LIMIT: f64 = 4.0;
 
 /// One band-join data family: a generator and the queries asked over it.
 struct Family {
@@ -129,35 +121,59 @@ const CONTENDERS: [(&str, EstimatorStrategy); 3] = [
     ("No-estimates", EstimatorStrategy::NoEstimates),
 ];
 
-/// Pooled per-contender, per-family measurements.
-#[derive(Default, Clone)]
-struct Cell {
-    rule: String,
-    qerrs: Vec<f64>,
-    underestimates: usize,
+/// Rows per table and seeds per family of the printed run.
+const ROWS: usize = 1_200;
+const SEEDS: u64 = 6;
+
+/// Pooled measurements of one contender on one family.
+#[derive(Debug, Default, Clone)]
+pub struct Cell {
+    /// The planning estimator's short name, as `explain_analyze` reports it.
+    pub rule: String,
+    /// Join-operator q-errors, sorted.
+    pub qerrs: Vec<f64>,
+    /// Join operators whose estimate fell below the observed actual.
+    pub underestimates: usize,
     /// Join operators executed by the band operator (RANGE method).
-    range_plans: usize,
+    pub range_plans: usize,
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (rows, trials) = if smoke { (240usize, 2u64) } else { (1_200, 6) };
-    println!(
-        "band join: {} families x {} contenders, {rows} rows/table, {trials} seed(s){}",
-        FAMILIES.len(),
-        CONTENDERS.len(),
-        if smoke { " [smoke]" } else { "" }
-    );
+/// What [`measure`] observed.
+#[derive(Debug)]
+pub struct BandReport {
+    /// `cells[family][contender]`: uniform, zipf, offset × ELS, UES bound,
+    /// No-estimates.
+    pub cells: Vec<Vec<Cell>>,
+    /// One line per query on which a contender's executed count differed
+    /// from the first contender's: estimation must never change a result.
+    pub disagreements: Vec<String>,
+}
 
-    let mut regression = false;
-    // cells[family][contender]
-    let mut cells: Vec<Vec<Cell>> = vec![vec![Cell::default(); CONTENDERS.len()]; FAMILIES.len()];
+impl BandReport {
+    /// One contender's cells, across the families.
+    pub fn contender(&self, label: &str) -> impl Iterator<Item = &Cell> {
+        let ci = CONTENDERS.iter().position(|&(l, _)| l == label).expect("a CONTENDERS label");
+        self.cells.iter().map(move |family| &family[ci])
+    }
 
+    /// Median q-error of the ELS contender, pooled across the families.
+    pub fn els_pooled_median_q(&self) -> f64 {
+        let mut qs: Vec<f64> =
+            self.contender("ELS").flat_map(|c| c.qerrs.iter().copied()).collect();
+        qs.sort_by(f64::total_cmp);
+        quantile(&qs, 0.5)
+    }
+}
+
+/// Run every contender over every family's queries, `seeds` data sets of
+/// `rows` rows per table each, pooling the join-operator q-errors from
+/// `explain_analyze` (truth by execution).
+pub fn measure(rows: usize, seeds: u64) -> BandReport {
+    let mut cells = vec![vec![Cell::default(); CONTENDERS.len()]; FAMILIES.len()];
+    let mut disagreements = Vec::new();
     for (fi, family) in FAMILIES.iter().enumerate() {
-        for seed in 0..trials {
+        for seed in 0..seeds {
             let tables = (family.make)(seed, rows);
-            // truth[query] from the first contender: estimation strategy
-            // must never change the executed result.
             let mut truth: Vec<u64> = Vec::new();
             for (ci, &(label, strategy)) in CONTENDERS.iter().enumerate() {
                 let mut db = Database::new();
@@ -172,49 +188,36 @@ fn main() {
                     cell.rule = report.rule.clone();
                     for op in report.join_operators() {
                         cell.qerrs.push(op.q_error());
-                        if op.estimated < op.actual as f64 {
-                            cell.underestimates += 1;
-                        }
-                        if op.label.contains("RANGE") {
-                            cell.range_plans += 1;
-                        }
+                        cell.underestimates += usize::from(op.estimated < op.actual as f64);
+                        cell.range_plans += usize::from(op.label.contains("RANGE"));
                     }
                     if ci == 0 {
                         truth.push(report.result_rows);
                     } else if report.result_rows != truth[qi] {
-                        regression = true;
-                        println!(
-                            "BAND RESULT REGRESSION: {label} returned {} rows on \
-                             `{sql}` ({} seed {seed}), {} returned {}",
+                        disagreements.push(format!(
+                            "{label} returned {} rows on `{sql}` ({} seed {seed}), {} returned {}",
                             report.result_rows, family.name, CONTENDERS[0].0, truth[qi]
-                        );
+                        ));
                     }
                 }
             }
         }
     }
+    for cell in cells.iter_mut().flatten() {
+        cell.qerrs.sort_by(f64::total_cmp);
+    }
+    BandReport { cells, disagreements }
+}
 
-    // Per-family table + JSON rows.
-    let mut json = String::from("{\n  \"bench\": \"band_join\",\n");
-    let _ = write!(
-        json,
-        "  \"smoke\": {smoke}, \"rows_per_table\": {rows}, \"trials\": {trials}, \
-         \"els_median_q_limit\": {BAND_ELS_MEDIAN_Q_LIMIT},\n  \"results\": [\n"
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
+    println!(
+        "band join: {} families x {} contenders, {ROWS} rows/table, {SEEDS} seed(s)",
+        FAMILIES.len(),
+        CONTENDERS.len(),
     );
-    let mut json_rows: Vec<String> = Vec::new();
-    for (fi, family) in FAMILIES.iter().enumerate() {
-        for (ci, &(label, _)) in CONTENDERS.iter().enumerate() {
-            let cell = &mut cells[fi][ci];
-            cell.qerrs.sort_by(f64::total_cmp);
-            let (median_q, p95_q, max_q) = if cell.qerrs.is_empty() {
-                (1.0, 1.0, 1.0)
-            } else {
-                (
-                    quantile(&cell.qerrs, 0.5),
-                    quantile(&cell.qerrs, 0.95),
-                    *cell.qerrs.last().unwrap(),
-                )
-            };
+    let report = measure(ROWS, SEEDS);
+    for (family, cells) in FAMILIES.iter().zip(&report.cells) {
+        for (&(label, _), cell) in CONTENDERS.iter().zip(cells) {
             println!(
                 "{:<8} {:<13} rule {:<11} samples {:>2}  median q {:>9.2}  p95 q {:>9.2}  \
                  max q {:>9.2}  under-est {:>2}  range plans {:>2}",
@@ -222,74 +225,20 @@ fn main() {
                 label,
                 cell.rule,
                 cell.qerrs.len(),
-                median_q,
-                p95_q,
-                max_q,
+                quantile(&cell.qerrs, 0.5),
+                quantile(&cell.qerrs, 0.95),
+                quantile(&cell.qerrs, 1.0),
                 cell.underestimates,
                 cell.range_plans
             );
-            let num = |v: f64| {
-                if v.is_finite() {
-                    format!("{v:.4}")
-                } else {
-                    "\"inf\"".to_owned()
-                }
-            };
-            json_rows.push(format!(
-                "    {{\"family\": \"{}\", \"label\": \"{label}\", \"rule\": \"{}\", \
-                 \"samples\": {}, \"median_q\": {}, \"p95_q\": {}, \"max_q\": {}, \
-                 \"underestimates\": {}, \"range_plans\": {}}}",
-                family.name,
-                cell.rule,
-                cell.qerrs.len(),
-                num(median_q),
-                num(p95_q),
-                num(max_q),
-                cell.underestimates,
-                cell.range_plans
-            ));
         }
     }
-    let _ = write!(json, "{}\n  ]\n}}\n", json_rows.join(",\n"));
-
-    // Gates, pooled across families. The band operator must actually have
-    // been exercised — a plan-space regression that stops choosing RANGE
-    // would otherwise silently hollow out the accuracy numbers.
-    let pool = |ci: usize| {
-        let mut qs: Vec<f64> = cells.iter().flat_map(|f| f[ci].qerrs.iter().copied()).collect();
-        qs.sort_by(f64::total_cmp);
-        qs
-    };
-    let els_qs = pool(0);
-    let els_median = quantile(&els_qs, 0.5);
-    println!("pooled ELS band median q-error: {els_median:.2} (limit {BAND_ELS_MEDIAN_Q_LIMIT})");
-    if !(els_median <= BAND_ELS_MEDIAN_Q_LIMIT) {
-        regression = true;
-        println!(
-            "BAND ACCURACY REGRESSION: ELS median q-error {els_median:.2} exceeds the pinned \
-             limit {BAND_ELS_MEDIAN_Q_LIMIT}"
-        );
+    for line in &report.disagreements {
+        println!("result mismatch: {line}");
     }
-    let ues_under: usize = cells.iter().map(|f| f[1].underestimates).sum();
-    if ues_under > 0 {
-        regression = true;
-        println!(
-            "BAND BOUND REGRESSION: UES bound under-estimated {ues_under} band join operator(s) \
-             — not an upper bound"
-        );
-    }
-    let els_range: usize = cells.iter().map(|f| f[0].range_plans).sum();
-    if els_range == 0 {
-        regression = true;
-        println!("BAND PLAN REGRESSION: no query executed through the RANGE band-join operator");
-    }
-
-    if !smoke {
-        std::fs::write("BENCH_band_join.json", &json).expect("write BENCH_band_join.json");
-        println!("wrote BENCH_band_join.json");
-    }
-    if regression {
-        println!("REGRESSION: band-join accuracy or bound gate failed");
-        std::process::exit(1);
-    }
+    println!(
+        "pooled ELS band median q-error: {:.2} (limit {BAND_ELS_MEDIAN_Q_LIMIT})",
+        report.els_pooled_median_q()
+    );
+    Ok(())
 }

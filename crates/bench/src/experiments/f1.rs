@@ -12,12 +12,13 @@
 //! underestimation as joins accumulate), Rule SS decays more slowly, and
 //! Rule LS stays at exactly 1.
 
-use els_bench::{chain_predicates, chain_statistics, geometric_mean};
+use crate::table::{r, Table};
+use crate::{chain_predicates, chain_statistics, geometric_mean};
 use els_core::{exact, Els, ElsOptions, SelectivityRule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     const TRIALS: usize = 200;
     let rules = [
         ("M", SelectivityRule::Multiplicative),
@@ -27,8 +28,7 @@ fn main() {
 
     println!("# F1 — estimate/true ratio vs number of joined tables");
     println!("(geometric mean over {TRIALS} random chain catalogs; truth = Equation 3)\n");
-    println!("| {:>2} | {:>12} | {:>12} | {:>12} |", "n", "Rule M", "Rule SS", "Rule LS");
-    println!("|{}|{}|{}|{}|", "-".repeat(4), "-".repeat(14), "-".repeat(14), "-".repeat(14));
+    let table = Table::header(&[r("n", 2), r("Rule M", 12), r("Rule SS", 12), r("Rule LS", 12)]);
 
     for n in 2..=12usize {
         let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); rules.len()];
@@ -51,19 +51,18 @@ fn main() {
                 order.swap(i, rng.gen_range(0..=i));
             }
             for (slot, (_, rule)) in rules.iter().enumerate() {
-                let els =
-                    Els::prepare(&preds, &stats, &ElsOptions::default().with_rule(*rule)).unwrap();
-                let est = els.estimate_final(&order).unwrap();
+                let els = Els::prepare(&preds, &stats, &ElsOptions::default().with_rule(*rule))?;
+                let est = els.estimate_final(&order)?;
                 ratios[slot].push(est / truth);
             }
         }
-        println!(
-            "| {:>2} | {:>12.4e} | {:>12.4e} | {:>12.6} |",
-            n,
-            geometric_mean(&ratios[0]),
-            geometric_mean(&ratios[1]),
-            geometric_mean(&ratios[2]),
-        );
+        table.row(&[
+            &n,
+            &format_args!("{:.4e}", geometric_mean(&ratios[0])),
+            &format_args!("{:.4e}", geometric_mean(&ratios[1])),
+            &format_args!("{:.6}", geometric_mean(&ratios[2])),
+        ]);
     }
     println!("\nexpected shape: M decays multiplicatively, SS decays slower, LS == 1 exactly.");
+    Ok(())
 }

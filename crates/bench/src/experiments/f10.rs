@@ -14,32 +14,28 @@
 //! which is why the paper insists on an algorithm that at least adds no
 //! error of its own.
 
-use els_bench::workload::q_error;
-use els_bench::{chain_predicates, chain_statistics, workload::quantile};
+use crate::table::{r, Table};
+use crate::workload::{q_error, quantile};
+use crate::{chain_predicates, chain_statistics};
 use els_core::error_model::{perturb_statistics, worst_case_amplification};
 use els_core::{exact, Els, ElsOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     const TRIALS: u64 = 200;
     let eps_values = [0.05, 0.1, 0.2];
 
     println!("# F10 — q-error of Rule LS under perturbed catalogs ({TRIALS} trials)");
     println!("(truth = Equation 3 on exact statistics; worst = (1+ε)^n/(1−ε)^(n−1))\n");
-    println!(
-        "| {:>2} | {:>4} | {:>9} | {:>9} | {:>9} | {:>11} |",
-        "n", "ε", "median q", "p90 q", "max q", "worst case"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(4),
-        "-".repeat(6),
-        "-".repeat(11),
-        "-".repeat(11),
-        "-".repeat(11),
-        "-".repeat(13)
-    );
+    let table = Table::header(&[
+        r("n", 2),
+        r("ε", 4),
+        r("median q", 9),
+        r("p90 q", 9),
+        r("max q", 9),
+        r("worst case", 11),
+    ]);
 
     for n in [2usize, 4, 6, 8, 10] {
         for &eps in &eps_values {
@@ -57,21 +53,21 @@ fn main() {
                 let stats = chain_statistics(&dims);
                 let preds = chain_predicates(n);
                 let perturbed = perturb_statistics(&stats, eps, trial * 1000 + n as u64);
-                let els = Els::prepare(&preds, &perturbed, &ElsOptions::default()).unwrap();
+                let els = Els::prepare(&preds, &perturbed, &ElsOptions::default())?;
                 let order: Vec<usize> = (0..n).collect();
-                let est = els.estimate_final(&order).unwrap();
+                let est = els.estimate_final(&order)?;
                 qs.push(q_error(est, truth));
             }
             qs.sort_by(f64::total_cmp);
-            println!(
-                "| {:>2} | {:>4.2} | {:>9.3} | {:>9.3} | {:>9.3} | {:>11.3} |",
-                n,
-                eps,
-                quantile(&qs, 0.5),
-                quantile(&qs, 0.9),
-                quantile(&qs, 1.0),
-                worst_case_amplification(n, eps, eps),
-            );
+            table.row(&[
+                &n,
+                &format_args!("{eps:.2}"),
+                &format_args!("{:.3}", quantile(&qs, 0.5)),
+                &format_args!("{:.3}", quantile(&qs, 0.9)),
+                &format_args!("{:.3}", quantile(&qs, 1.0)),
+                &format_args!("{:.3}", worst_case_amplification(n, eps, eps)),
+            ]);
         }
     }
+    Ok(())
 }

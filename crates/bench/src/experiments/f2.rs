@@ -11,6 +11,7 @@
 //! two everywhere; proportional scaling collapses when rows-per-value is
 //! high (the paper's 9933-vs-5000 example).
 
+use crate::table::{r, Table};
 use els_core::urn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,55 +37,47 @@ fn simulate(d: u64, n: u64, frac: f64, trials: usize, rng: &mut StdRng) -> f64 {
     total as f64 / trials as f64
 }
 
-fn main() {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(5);
     println!("# F2 — surviving distinct values after a restriction");
     println!("(simulation = mean of 20 random selections; urn vs proportional)\n");
-    println!(
-        "| {:>6} | {:>8} | {:>5} | {:>10} | {:>10} | {:>10} | {:>8} | {:>8} |",
-        "d", "rows", "frac", "simulated", "urn", "prop", "urn err", "prop err"
-    );
-    println!(
-        "|{}|",
-        [
-            "-".repeat(8),
-            "-".repeat(10),
-            "-".repeat(7),
-            "-".repeat(12),
-            "-".repeat(12),
-            "-".repeat(12),
-            "-".repeat(10),
-            "-".repeat(10)
-        ]
-        .join("|")
-    );
+    let table = Table::header(&[
+        r("d", 6),
+        r("rows", 8),
+        r("frac", 5),
+        r("simulated", 10),
+        r("urn", 10),
+        r("prop", 10),
+        r("urn err", 8),
+        r("prop err", 8),
+    ]);
 
     for (d, per_value) in [(100u64, 10u64), (1000, 10), (10_000, 10), (10_000, 2), (1000, 100)] {
         let n = d * per_value;
         for frac in [0.1, 0.25, 0.5, 0.75, 0.9] {
             let k = n as f64 * frac;
             let sim = simulate(d, n, frac, 20, &mut rng);
-            let urn_est = urn::expected_distinct(d as f64, k).unwrap();
-            let prop_est = urn::proportional_distinct(d as f64, k, n as f64).unwrap();
+            let urn_est = urn::expected_distinct(d as f64, k)?;
+            let prop_est = urn::proportional_distinct(d as f64, k, n as f64)?;
             let err = |est: f64| (est - sim).abs() / sim.max(1.0);
-            println!(
-                "| {:>6} | {:>8} | {:>5.2} | {:>10.1} | {:>10.1} | {:>10.1} | {:>7.2}% | {:>7.2}% |",
-                d,
-                n,
-                frac,
-                sim,
-                urn_est,
-                prop_est,
-                err(urn_est) * 100.0,
-                err(prop_est) * 100.0,
-            );
+            table.row(&[
+                &d,
+                &n,
+                &format_args!("{frac:.2}"),
+                &format_args!("{sim:.1}"),
+                &format_args!("{urn_est:.1}"),
+                &format_args!("{prop_est:.1}"),
+                &format_args!("{:.2}%", err(urn_est) * 100.0),
+                &format_args!("{:.2}%", err(prop_est) * 100.0),
+            ]);
         }
     }
 
     println!("\n# the paper's Section 5 numeric example");
     println!(
         "d=10000, ||R||=100000, ||R||'=50000: urn = {} (paper: 9933), proportional = {} (paper: 5000)",
-        urn::expected_distinct_rounded(10_000.0, 50_000.0).unwrap(),
-        urn::proportional_distinct(10_000.0, 50_000.0, 100_000.0).unwrap(),
+        urn::expected_distinct_rounded(10_000.0, 50_000.0)?,
+        urn::proportional_distinct(10_000.0, 50_000.0, 100_000.0)?,
     );
+    Ok(())
 }

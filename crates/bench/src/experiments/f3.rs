@@ -13,6 +13,7 @@
 //! part of the error while the join-uniformity error remains — exactly the
 //! division of labour the paper describes in Section 5.
 
+use crate::table::{l, r, Table};
 use els_catalog::collect::CollectOptions;
 use els_catalog::Catalog;
 use els_exec::{execute_plan_with, ExecMode};
@@ -93,45 +94,32 @@ fn run_zipf_zipf(theta: f64) -> (f64, f64) {
     (*optimized.estimated_sizes.last().unwrap(), truth)
 }
 
-fn main() {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     println!("# F3 — ELS estimate/truth under Zipf(θ) join columns");
     println!("(FACT 20000 rows ⋈ DIM 500 rows; histograms + MCV collected on FACT)\n");
-    println!(
-        "| {:>4} | {:<26} | {:>10} | {:>10} | {:>9} |",
-        "θ", "query", "estimate", "truth", "est/true"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|",
-        "-".repeat(6),
-        "-".repeat(28),
-        "-".repeat(12),
-        "-".repeat(12),
-        "-".repeat(11)
-    );
+    let table = Table::header(&[
+        r("θ", 4),
+        l("query", 26),
+        r("estimate", 10),
+        r("truth", 10),
+        r("est/true", 9),
+    ]);
+    let row = |theta: f64, query: &str, (estimate, truth): (f64, f64)| {
+        table.row(&[
+            &format_args!("{theta:.1}"),
+            &query,
+            &format_args!("{estimate:.1}"),
+            &format_args!("{truth:.0}"),
+            &format_args!("{:.3}", estimate / truth.max(1.0)),
+        ]);
+    };
     for theta in [0.0, 0.5, 1.0, 1.5] {
-        for with_filter in [false, true] {
-            let (estimate, truth) = run_case(theta, with_filter);
-            println!(
-                "| {:>4.1} | {:<26} | {:>10.1} | {:>10.0} | {:>9.3} |",
-                theta,
-                if with_filter { "join + hot-value filter" } else { "plain join" },
-                estimate,
-                truth,
-                estimate / truth.max(1.0),
-            );
-        }
+        row(theta, "plain join", run_case(theta, false));
+        row(theta, "join + hot-value filter", run_case(theta, true));
     }
     println!();
     for theta in [0.0, 0.5, 1.0, 1.5] {
-        let (estimate, truth) = run_zipf_zipf(theta);
-        println!(
-            "| {:>4.1} | {:<26} | {:>10.1} | {:>10.0} | {:>9.3} |",
-            theta,
-            "Zipf ⋈ Zipf (both skewed)",
-            estimate,
-            truth,
-            estimate / truth.max(1.0),
-        );
+        row(theta, "Zipf ⋈ Zipf (both skewed)", run_zipf_zipf(theta));
     }
     println!(
         "\nexpected shape: the FK join stays exact even under skew — uniformity is only \
@@ -142,4 +130,5 @@ fn main() {
          underestimates it, increasingly with θ — the future-work case of the paper's \
          Section 9."
     );
+    Ok(())
 }

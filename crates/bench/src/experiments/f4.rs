@@ -9,7 +9,8 @@
 //! Expected shape: ELS never loses; SM/SSS pay large multiples whenever a
 //! query contains derived predicates that collapse their estimates.
 
-use els_bench::geometric_mean;
+use crate::geometric_mean;
+use crate::table::{l, r, Table};
 use els_catalog::collect::CollectOptions;
 use els_catalog::Catalog;
 use els_exec::{execute_plan_with, ExecMode};
@@ -63,25 +64,20 @@ const QUERIES: [(&str, &str); 6] = [
     ),
 ];
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = catalog(99);
     let presets = [EstimatorPreset::Sm, EstimatorPreset::Sss, EstimatorPreset::Els];
 
     println!("# F4 — measured plan work (simulated page reads) by estimator");
     println!("(all plans verified to produce identical counts)\n");
-    println!(
-        "| {:<24} | {:>12} | {:>12} | {:>12} | {:>8} | {:>8} |",
-        "query", "SM pages", "SSS pages", "ELS pages", "SM/ELS", "SSS/ELS"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(26),
-        "-".repeat(14),
-        "-".repeat(14),
-        "-".repeat(14),
-        "-".repeat(10),
-        "-".repeat(10)
-    );
+    let table = Table::header(&[
+        l("query", 24),
+        r("SM pages", 12),
+        r("SSS pages", 12),
+        r("ELS pages", 12),
+        r("SM/ELS", 8),
+        r("SSS/ELS", 8),
+    ]);
 
     let mut sm_ratios = Vec::new();
     let mut sss_ratios = Vec::new();
@@ -100,15 +96,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (sm, sss, els) = (pages[0], pages[1], pages[2]);
         sm_ratios.push(sm / els);
         sss_ratios.push(sss / els);
-        println!(
-            "| {:<24} | {:>12.0} | {:>12.0} | {:>12.0} | {:>7.1}x | {:>7.1}x |",
-            label,
-            sm,
-            sss,
-            els,
-            sm / els,
-            sss / els
-        );
+        table.row(&[
+            &label,
+            &sm,
+            &sss,
+            &els,
+            &format_args!("{:.1}x", sm / els),
+            &format_args!("{:.1}x", sss / els),
+        ]);
     }
     println!(
         "\ngeometric-mean slowdown vs ELS: SM {:.1}x, SSS {:.1}x",

@@ -15,6 +15,7 @@
 //! *overestimates* the join (smaller max(d) denominator), so the
 //! proportional column drifts above 1.
 
+use crate::table::{r, Table};
 use els_catalog::collect::CollectOptions;
 use els_catalog::Catalog;
 use els_core::local_effects::DistinctReduction;
@@ -23,7 +24,7 @@ use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, Optimiz
 use els_sql::{bind, parse};
 use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     let rows = 20_000usize;
     let d_b = 200u64;
     let s_rows = 50usize; // S's domain is a subset of b's (containment)
@@ -46,19 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "(R: {rows} rows, d_b = {d_b}; S: {s_rows} rows; query: R ⋈ S on b = id, filter a < c)\n"
     );
-    println!(
-        "| {:>9} | {:>10} | {:>12} | {:>12} | {:>9} | {:>9} |",
-        "filter", "truth", "urn est", "prop est", "urn/true", "prop/true"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(11),
-        "-".repeat(12),
-        "-".repeat(14),
-        "-".repeat(14),
-        "-".repeat(11),
-        "-".repeat(11)
-    );
+    let table = Table::header(&[
+        r("filter", 9),
+        r("truth", 10),
+        r("urn est", 12),
+        r("prop est", 12),
+        r("urn/true", 9),
+        r("prop/true", 9),
+    ]);
 
     for frac in [0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9] {
         let cut = (rows as f64 * frac) as i64;
@@ -75,15 +71,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             truth = execute_plan_with(&optimized.plan, &tables, ExecMode::default())?.count;
         }
         let t = truth as f64;
-        println!(
-            "| {:>8.0}% | {:>10} | {:>12.1} | {:>12.1} | {:>9.3} | {:>9.3} |",
-            frac * 100.0,
-            truth,
-            estimates[0],
-            estimates[1],
-            estimates[0] / t,
-            estimates[1] / t,
-        );
+        table.row(&[
+            &format_args!("{:.0}%", frac * 100.0),
+            &truth,
+            &format_args!("{:.1}", estimates[0]),
+            &format_args!("{:.1}", estimates[1]),
+            &format_args!("{:.3}", estimates[0] / t),
+            &format_args!("{:.3}", estimates[1] / t),
+        ]);
     }
     println!(
         "\nnote: the join selectivity is 1/max(d_b', d_id), so the d_b' model only matters \

@@ -16,12 +16,13 @@
 //! just join order — which is precisely why the paper fixes estimation
 //! rather than adding machinery downstream of it.
 
-use els_bench::{section8_catalog, SECTION8_SQL};
+use crate::table::{l, r, Table};
+use crate::{section8_catalog, SECTION8_SQL};
 use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = section8_catalog(42);
     let bound = bind(&parse(SECTION8_SQL)?, &catalog)?;
     let tables = bound_query_tables(&bound, &catalog)?;
@@ -35,11 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("# F6 — measured page reads by estimator × join-method repertoire");
     println!("query: {SECTION8_SQL}\n");
-    println!(
-        "| {:<14} | {:>14} | {:>14} | {:>14} |",
-        "estimator", "NL+SM", "NL+SM+HASH", "NL+SM+INL"
-    );
-    println!("|{}|{}|{}|{}|", "-".repeat(16), "-".repeat(16), "-".repeat(16), "-".repeat(16));
+    let report = Table::header(&[
+        l("estimator", 14),
+        r("NL+SM", 14),
+        r("NL+SM+HASH", 14),
+        r("NL+SM+INL", 14),
+    ]);
 
     let mut table: Vec<(String, Vec<u64>)> = Vec::new();
     for preset in [EstimatorPreset::Sm, EstimatorPreset::Sss, EstimatorPreset::Els] {
@@ -51,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             assert_eq!(out.count, 100, "{} must compute the true answer", preset.label());
             row.push(out.metrics.pages_read);
         }
-        println!("| {:<14} | {:>14} | {:>14} | {:>14} |", preset.label(), row[0], row[1], row[2]);
+        report.row(&[&preset.label(), &row[0], &row[1], &row[2]]);
         table.push((preset.label().to_owned(), row));
     }
 

@@ -12,40 +12,30 @@
 //! tables — evidence that a *correct incremental estimator* composes with
 //! every optimizer architecture the paper names.
 
-// Tooling/timing layer: measuring wall clocks (and exiting non-zero) is
-// this crate's job, so the workspace-wide `disallowed-methods` bans from
-// clippy.toml do not apply here.
-#![allow(clippy::disallowed_methods)]
-
-use std::time::Instant;
-
-use els_bench::{chain_predicates, chain_statistics};
+use crate::table::{r, Table};
+use crate::{chain_predicates, chain_statistics};
 use els_core::{Els, ElsOptions};
+use els_exec::timing::timed;
 use els_exec::JoinMethod;
 use els_optimizer::enumerate::{enumerate, TreeShape};
 use els_optimizer::heuristic::{greedy_order, iterative_improvement};
 use els_optimizer::{CostParams, TableProfile};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     let methods = [JoinMethod::NestedLoop, JoinMethod::SortMerge];
     let params = CostParams::default();
 
     println!("# F7 — plan cost (relative to exact DP) and optimization time by strategy");
     println!("(chain queries, filter on table 0, ELS estimation)\n");
-    println!(
-        "| {:>3} | {:>12} | {:>12} | {:>12} | {:>9} | {:>9} | {:>9} |",
-        "n", "DP cost", "greedy/DP", "iter-imp/DP", "DP ms", "greedy ms", "II ms"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(5),
-        "-".repeat(14),
-        "-".repeat(14),
-        "-".repeat(14),
-        "-".repeat(11),
-        "-".repeat(11),
-        "-".repeat(11)
-    );
+    let table = Table::header(&[
+        r("n", 3),
+        r("DP cost", 12),
+        r("greedy/DP", 12),
+        r("iter-imp/DP", 12),
+        r("DP ms", 9),
+        r("greedy ms", 9),
+        r("II ms", 9),
+    ]);
 
     for n in [4usize, 6, 8, 10, 12, 14, 16, 20, 24] {
         let dims: Vec<(f64, f64)> = (0..n)
@@ -66,9 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dims.iter().map(|&(rows, _)| TableProfile::synthetic(rows, 16)).collect();
 
         let time = |f: &mut dyn FnMut() -> f64| {
-            let start = Instant::now();
-            let cost = f();
-            (cost, start.elapsed().as_secs_f64() * 1e3)
+            let (cost, elapsed) = timed(f);
+            (cost, elapsed.as_secs_f64() * 1e3)
         };
 
         let (dp_cost, dp_ms) = if n <= 16 {
@@ -87,16 +76,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
 
         let rel = |c: f64| if dp_cost.is_nan() { f64::NAN } else { c / dp_cost };
-        println!(
-            "| {:>3} | {:>12.1} | {:>12.3} | {:>12.3} | {:>9.2} | {:>9.2} | {:>9.2} |",
-            n,
-            dp_cost,
-            rel(greedy_cost),
-            rel(ii_cost),
-            dp_ms,
-            greedy_ms,
-            ii_ms,
-        );
+        table.row(&[
+            &n,
+            &format_args!("{dp_cost:.1}"),
+            &format_args!("{:.3}", rel(greedy_cost)),
+            &format_args!("{:.3}", rel(ii_cost)),
+            &format_args!("{dp_ms:.2}"),
+            &format_args!("{greedy_ms:.2}"),
+            &format_args!("{ii_ms:.2}"),
+        ]);
     }
     println!("\n(n > 16: the dense DP is out of reach — NaN — while both heuristics continue.)");
     Ok(())

@@ -14,12 +14,13 @@
 //! comparisons. The paper's 9–12× with Starburst's fixed buffer sits
 //! between these two regimes.
 
-use els_bench::{section8_catalog, SECTION8_SQL};
+use crate::table::{l, r, Table};
+use crate::{section8_catalog, SECTION8_SQL};
 use els_exec::{execute_plan_observed, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = section8_catalog(42);
     let bound = bind(&parse(SECTION8_SQL)?, &catalog)?;
     let tables = bound_query_tables(&bound, &catalog)?;
@@ -32,23 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n# F8 — physical page reads by buffer capacity");
     println!("query: {SECTION8_SQL}\n");
-    print!("| {:<14} |", "estimator");
-    for b in buffers {
-        match b {
-            None => print!(" {:>10} |", "unbuffered"),
-            Some(n) => print!(" {:>10} |", format!("{n}p")),
-        }
-    }
-    println!();
-    println!(
-        "|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(16),
-        "-".repeat(12),
-        "-".repeat(12),
-        "-".repeat(12),
-        "-".repeat(12),
-        "-".repeat(12)
-    );
+    let headings = buffers.map(|b| b.map_or("unbuffered".to_owned(), |n| format!("{n}p")));
+    let mut cols = vec![l("estimator", 14)];
+    cols.extend(headings.iter().map(|h| r(h, 10)));
+    let table = Table::header(&cols);
 
     let mut rows = Vec::new();
     for preset in presets {
@@ -59,11 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             assert_eq!(out.count, 100);
             row.push(out.metrics.physical_pages_read);
         }
-        print!("| {:<14} |", preset.label());
-        for v in &row {
-            print!(" {:>10} |", v);
-        }
-        println!();
+        let label = preset.label();
+        let mut cells: Vec<&dyn std::fmt::Display> = vec![&label];
+        cells.extend(row.iter().map(|v| v as &dyn std::fmt::Display));
+        table.row(&cells);
         rows.push(row);
     }
 

@@ -12,11 +12,12 @@
 //! degrades (the paper's stated future work), but their *ordering* is
 //! preserved.
 
-use els_bench::workload::{generate, q_error, quantile, Shape, WorkloadSpec};
+use crate::table::{l, r, Table};
+use crate::workload::{generate, q_error, quantile, Shape, WorkloadSpec};
 use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 
-fn family(label: &str, spec: &WorkloadSpec, trials: u64) {
+fn family(table: &Table, label: &str, spec: &WorkloadSpec, trials: u64) {
     let presets = [EstimatorPreset::Sm, EstimatorPreset::Sss, EstimatorPreset::Els];
     let mut qs: Vec<Vec<f64>> = vec![Vec::new(); presets.len()];
     for seed in 0..trials {
@@ -37,46 +38,34 @@ fn family(label: &str, spec: &WorkloadSpec, trials: u64) {
     }
     for (slot, preset) in presets.iter().enumerate() {
         qs[slot].sort_by(f64::total_cmp);
-        println!(
-            "| {:<22} | {:<13} | {:>9.2} | {:>9.2} | {:>11.2e} | {:>11.2e} |",
-            label,
-            preset.label(),
-            quantile(&qs[slot], 0.5),
-            quantile(&qs[slot], 0.9),
-            quantile(&qs[slot], 0.99),
-            quantile(&qs[slot], 1.0),
-        );
+        table.row(&[
+            &label,
+            &preset.label(),
+            &format_args!("{:.2}", quantile(&qs[slot], 0.5)),
+            &format_args!("{:.2}", quantile(&qs[slot], 0.9)),
+            &format_args!("{:.2e}", quantile(&qs[slot], 0.99)),
+            &format_args!("{:.2e}", quantile(&qs[slot], 1.0)),
+        ]);
     }
 }
 
-fn main() {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     const TRIALS: u64 = 60;
     println!("# F9 — q-error of the final join-size estimate ({TRIALS} random instances/family)");
     println!("(q = max(est/true, true/est); 1.0 is perfect)\n");
-    println!(
-        "| {:<22} | {:<13} | {:>9} | {:>9} | {:>11} | {:>11} |",
-        "family", "estimator", "median", "p90", "p99", "max"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(24),
-        "-".repeat(15),
-        "-".repeat(11),
-        "-".repeat(11),
-        "-".repeat(13),
-        "-".repeat(13)
-    );
-    family("chain-3 uniform", &WorkloadSpec::default(), TRIALS);
-    family("chain-5 uniform", &WorkloadSpec { tables: 5, ..Default::default() }, TRIALS);
-    family(
-        "star-4 uniform",
-        &WorkloadSpec { tables: 4, shape: Shape::Star, ..Default::default() },
-        TRIALS,
-    );
-    family("chain-3 zipf(1.0)", &WorkloadSpec { theta: 1.0, ..Default::default() }, TRIALS);
-    family(
-        "star-4 zipf(1.0)",
-        &WorkloadSpec { tables: 4, shape: Shape::Star, theta: 1.0, ..Default::default() },
-        TRIALS,
-    );
+    let table = Table::header(&[
+        l("family", 22),
+        l("estimator", 13),
+        r("median", 9),
+        r("p90", 9),
+        r("p99", 11),
+        r("max", 11),
+    ]);
+    let star4 = WorkloadSpec { tables: 4, shape: Shape::Star, ..Default::default() };
+    family(&table, "chain-3 uniform", &WorkloadSpec::default(), TRIALS);
+    family(&table, "chain-5 uniform", &WorkloadSpec { tables: 5, ..Default::default() }, TRIALS);
+    family(&table, "star-4 uniform", &star4, TRIALS);
+    family(&table, "chain-3 zipf(1.0)", &WorkloadSpec { theta: 1.0, ..Default::default() }, TRIALS);
+    family(&table, "star-4 zipf(1.0)", &WorkloadSpec { theta: 1.0, ..star4.clone() }, TRIALS);
+    Ok(())
 }

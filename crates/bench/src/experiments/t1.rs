@@ -20,12 +20,13 @@
 //! magnitude and execute roughly an order of magnitude (or more) slower
 //! than the ELS plan, whose estimates are exactly 100 everywhere.
 
-use els_bench::{fmt_num, section8_catalog, SECTION8_SQL};
+use crate::table::{l, r, Table};
+use crate::{fmt_num, section8_catalog, SECTION8_SQL};
 use els_exec::{execute_plan_observed, execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = section8_catalog(42);
     let bound = bind(&parse(SECTION8_SQL)?, &catalog)?;
     let tables = bound_query_tables(&bound, &catalog)?;
@@ -34,19 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("# T1 — Section 8 experiment");
     println!("query: {SECTION8_SQL}");
     println!("true size after any subset of joins: 100\n");
-    println!(
-        "| {:<13} | {:<11} | {:<28} | {:>9} | {:>10} | {:>9} |",
-        "algorithm", "join order", "estimated sizes", "pages", "tuples", "time(ms)"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(15),
-        "-".repeat(13),
-        "-".repeat(30),
-        "-".repeat(11),
-        "-".repeat(12),
-        "-".repeat(11)
-    );
+    let table = Table::header(&[
+        l("algorithm", 13),
+        l("join order", 11),
+        l("estimated sizes", 28),
+        r("pages", 9),
+        r("tuples", 10),
+        r("time(ms)", 9),
+    ]);
 
     let mut measured: Vec<(EstimatorPreset, u64, f64)> = Vec::new();
     for preset in EstimatorPreset::all() {
@@ -67,15 +63,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             count = out.count;
         }
         assert_eq!(count, 100, "plan must compute the true answer");
-        println!(
-            "| {:<13} | {:<11} | {:<28} | {:>9} | {:>10} | {:>9.2} |",
-            preset.label(),
-            order.join("⋈"),
-            format!("({})", sizes.join(", ")),
-            pages,
-            tuples,
-            best_ms,
-        );
+        table.row(&[
+            &preset.label(),
+            &order.join("⋈"),
+            &format_args!("({})", sizes.join(", ")),
+            &pages,
+            &tuples,
+            &format_args!("{best_ms:.2}"),
+        ]);
         measured.push((preset, pages, best_ms));
     }
 
@@ -92,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper ran with a fixed buffer; show the same plans through a
     // 500-page LRU pool (G = 391 pages fits): physical I/O converges, CPU
-    // damage remains. Full sweep: figure_buffer_sensitivity (F8).
+    // damage remains. Full sweep: experiment `f8`.
     println!("\nwith a 500-page LRU buffer pool (physical pages / wall time):");
     for preset in EstimatorPreset::all() {
         let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::preset(preset))?;

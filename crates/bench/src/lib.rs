@@ -1,17 +1,13 @@
 //! # els-bench
 //!
-//! Shared harness code for the experiment drivers and criterion benchmarks.
-//! Each binary under `src/bin/` regenerates one table or figure of
-//! `EXPERIMENTS.md`; see `DESIGN.md` for the experiment index.
-
-// Tooling/timing layer: measuring wall clocks (and exiting non-zero) is
-// this crate's job, so the workspace-wide `disallowed-methods` bans from
-// clippy.toml do not apply here.
-#![allow(clippy::disallowed_methods)]
+//! The experiment driver: `els-bench <name>` regenerates one table or
+//! figure of `EXPERIMENTS.md` (see [`experiments::EXPERIMENTS`], and
+//! `DESIGN.md` for the experiment index). The rest of this crate is what
+//! the experiments share.
 
 pub mod accuracy;
-pub mod bakeoff;
-pub mod server_load;
+pub mod experiments;
+pub mod table;
 pub mod workload;
 
 use els_catalog::collect::CollectOptions;
@@ -22,6 +18,11 @@ use els_storage::datagen::starburst_experiment_tables;
 /// The Section 8 query.
 pub const SECTION8_SQL: &str =
     "SELECT COUNT(*) FROM S, M, B, G WHERE s = m AND m = b AND b = g AND s < 100";
+
+/// S/M/B/G row counts of the Section 8 schema scaled down 20–25× (the full
+/// tables have 1k/10k/50k/100k rows): the size the `bakeoff` experiment
+/// prints and the accuracy and bake-off unit tests pin their gates on.
+pub const SECTION8_SCALED_ROWS: [usize; 4] = [50, 500, 2_000, 4_000];
 
 /// Build the Section 8 catalog (S/M/B/G with key join columns + payload).
 pub fn section8_catalog(seed: u64) -> Catalog {

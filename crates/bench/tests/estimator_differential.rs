@@ -71,8 +71,7 @@ fn trait_path_is_bit_exact_with_inherent_els_across_rules() {
         SelectivityRule::Representative,
     ];
     for rule in rules {
-        let mut els_options = els_core::ElsOptions::default();
-        els_options.rule = rule;
+        let els_options = els_core::ElsOptions::default().with_rule(rule);
         let els = Els::prepare(&preds, &stats, &els_options).expect("fixture prepares");
         let dynamic: &dyn CardinalityEstimator = &els;
         for order in orders() {

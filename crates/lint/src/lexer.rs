@@ -106,9 +106,9 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             lex_line_comment(&mut cur)
         } else if c == '/' && cur.peek(1) == Some('*') {
             lex_block_comment(&mut cur)
-        } else if c == 'r' && is_raw_string_ahead(&mut cur, 1) {
-            lex_raw_string(&mut cur)
-        } else if c == 'b' && cur.peek(1) == Some('r') && is_raw_string_ahead(&mut cur, 2) {
+        } else if (c == 'r' && is_raw_string_ahead(&mut cur, 1))
+            || (c == 'b' && cur.peek(1) == Some('r') && is_raw_string_ahead(&mut cur, 2))
+        {
             lex_raw_string(&mut cur)
         } else if c == '"' || (c == 'b' && cur.peek(1) == Some('"')) {
             lex_string(&mut cur)

@@ -201,7 +201,7 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
 /// violation is itself an error — stale allows rot into lies.
 fn apply_suppressions(
     file: &SourceFile,
-    violations: &mut Vec<Violation>,
+    violations: &mut [Violation],
     hard_errors: &mut Vec<HardError>,
 ) {
     for sup in &file.suppressions {

@@ -296,9 +296,9 @@ pub const LAYER_ORDER: &[&str] = &[
 ];
 
 /// External dependencies library crates may use: the vendored std-only
-/// `rand` shim. Everything else (including `proptest`/`criterion`) is
-/// dev-only; the offline build has no registry, so a new name here means
-/// someone is about to break the build.
+/// `rand` shim. Everything else (including `proptest`) is dev-only; the
+/// offline build has no registry, so a new name here means someone is
+/// about to break the build.
 const ALLOWED_EXTERNAL: &[&str] = &["rand"];
 
 /// Check one library crate manifest. `crate_name` is the `els-*` package

@@ -154,10 +154,10 @@ fn scan_file(file_idx: usize, pf: &ParsedFile, table: &mut SymbolTable) {
     // `[u8; 4]` in a parameter list does not end a bodyless declaration).
     let (mut pdepth, mut bdepth) = (0i32, 0i32);
 
-    for ci in 0..n {
+    for (ci, at) in fn_at.iter_mut().enumerate() {
         let Some(tok) = pf.tok(ci) else { break };
         // Record the innermost enclosing fn for this token.
-        fn_at[ci] = scopes.iter().rev().find_map(|s| match s {
+        *at = scopes.iter().rev().find_map(|s| match s {
             Scope::Fn(i) => Some(*i),
             _ => None,
         });
@@ -200,7 +200,7 @@ fn scan_file(file_idx: usize, pf: &ParsedFile, table: &mut SymbolTable) {
                 if let Some(idx) = pending_fn.take() {
                     if pdepth == 0 && bdepth == 0 {
                         table.fns[idx].body = Some((ci, ci));
-                        fn_at[ci] = Some(idx);
+                        *at = Some(idx);
                         scopes.push(Scope::Fn(idx));
                     } else {
                         // A brace inside a header we do not model; give the

@@ -439,8 +439,8 @@ mod tests {
         let after = global.snapshot();
         // Other tests run concurrently against the same global registry, so
         // assert deltas as lower bounds.
-        assert!(after.hits >= before.hits + 1);
-        assert!(after.misses >= before.misses + 1);
+        assert!(after.hits > before.hits);
+        assert!(after.misses > before.misses);
     }
 
     /// The cache without aliases: a string-keyed LRU with the same clock

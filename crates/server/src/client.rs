@@ -1,11 +1,11 @@
 //! A small blocking client for the line protocol.
 //!
-//! Exists so the integration tests and the `bench_server_traffic` load
+//! Exists so the integration tests and the benchmark's `wire_mixed` load
 //! generator speak the protocol through one implementation instead of
 //! three hand-rolled ones. Every response parses back into the typed
-//! [`ServerError`] vocabulary, so a bench can distinguish a clean
+//! [`ServerError`] vocabulary, so a caller can distinguish a clean
 //! `Overloaded` rejection from a hang (the read timeout) — the difference
-//! the overload-regression gate is built on.
+//! the connection-storm test is built on.
 
 use std::borrow::Cow;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -84,7 +84,7 @@ fn read_line<'a, R: BufRead>(reader: &mut R, line: &'a mut Vec<u8>) -> ServerRes
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             // Unlike the server, a client read timeout is terminal:
-            // the bench counts it as a hang, the protocol's one
+            // the storm test counts it as a hang, the protocol's one
             // unacceptable outcome.
             Err(e) => return Err(ServerError::Io(e.to_string())),
         }

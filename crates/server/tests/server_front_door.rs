@@ -12,6 +12,7 @@ use std::time::Duration;
 use els::engine::{Engine, EngineError};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 use els::storage::{ColumnVector, Table};
+use els_exec::timing::Stopwatch;
 use els_server::protocol::MAX_LINE_BYTES;
 use els_server::{serve, Client, ServerConfig, ServerError, Tenants};
 
@@ -69,14 +70,18 @@ fn scripted_server(replies: &'static [&'static str]) -> (SocketAddr, std::thread
     (addr, thread)
 }
 
-fn wait_for_depth(handle: &els_server::ServerHandle, depth: usize) {
-    for _ in 0..400 {
-        if handle.queue_depth() >= depth {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(5));
+/// Spin until `reached()`; a state the server never gets to within the
+/// client timeout is a failure, not a wait.
+fn wait_until(what: &str, reached: impl Fn() -> bool) {
+    let waited = Stopwatch::start();
+    while !reached() {
+        assert!(waited.elapsed() < TIMEOUT, "{what} never happened");
+        std::thread::yield_now();
     }
-    panic!("queue depth never reached {depth}");
+}
+
+fn wait_for_depth(handle: &els_server::ServerHandle, depth: usize) {
+    wait_until(&format!("queue depth {depth}"), || handle.queue_depth() >= depth);
 }
 
 #[test]
@@ -181,6 +186,99 @@ fn admission_full_rejects_with_typed_overloaded_and_never_hangs() {
     assert!(handle.counters().rejected >= 1);
     drop(parked);
     held.quit();
+    handle.shutdown();
+}
+
+/// How one storm client's attempt ended.
+#[derive(Debug, PartialEq)]
+enum StormEnd {
+    /// Admitted, and both its queries answered.
+    Served,
+    /// Admitted, cached query answered, uncached one refused `ERR shed`.
+    Shed,
+    /// Turned away at the door with `ERR overloaded`.
+    Rejected,
+    /// Anything else: the outcome the front door promises never to produce.
+    Untyped(String),
+}
+
+/// One storm client: connect, the query every holder has cached, one
+/// query nobody has run, hang up.
+fn storm_attempt(addr: SocketAddr, index: u64) -> StormEnd {
+    let mut client = match Client::connect(addr, "alpha", TIMEOUT) {
+        Ok(client) => client,
+        Err(ServerError::Overloaded) => return StormEnd::Rejected,
+        Err(e) => return StormEnd::Untyped(format!("connect: {e:?}")),
+    };
+    // Admitted: a cached plan serves even in shed mode.
+    match client.query("SELECT COUNT(*) FROM t") {
+        Ok(reply) if reply.count == 1000 => {}
+        other => return StormEnd::Untyped(format!("cached query: {other:?}")),
+    }
+    let k = 100 + index;
+    let end = match client.query(&format!("SELECT COUNT(*) FROM t WHERE k < {k}")) {
+        Ok(reply) if reply.count == k => StormEnd::Served,
+        Err(ServerError::Shed) => StormEnd::Shed,
+        other => StormEnd::Untyped(format!("uncached query: {other:?}")),
+    };
+    client.quit();
+    end
+}
+
+#[test]
+fn connection_storm_ends_every_attempt_typed_and_promptly() {
+    const WORKERS: usize = 2;
+    const QUEUE: usize = 2;
+    const STORM: usize = 12; // C >> workers + queue
+    let handle = two_tenant_server(ServerConfig {
+        workers: WORKERS,
+        queue_depth: QUEUE,
+        shed_watermark: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    // Hold every worker with a live, answered client before the storm, so
+    // nothing the acceptor queues can be popped: the first QUEUE storm
+    // clients fill the queue and every later one must be rejected, by
+    // construction rather than by timing.
+    let held: Vec<Client> = (0..WORKERS)
+        .map(|_| {
+            let mut c = Client::connect(addr, "alpha", TIMEOUT).unwrap();
+            assert_eq!(c.query("SELECT COUNT(*) FROM t").unwrap().count, 1000);
+            c
+        })
+        .collect();
+    let ends: Vec<(StormEnd, Duration)> = std::thread::scope(|scope| {
+        let storm: Vec<_> = (0..STORM as u64)
+            .map(|i| {
+                scope.spawn(move || {
+                    let watch = Stopwatch::start();
+                    (storm_attempt(addr, i), watch.elapsed())
+                })
+            })
+            .collect();
+        // Saturated: the queue is full and the rest have been turned away.
+        let turned_away = (STORM - QUEUE) as u64;
+        wait_until("the storm's rejections", || handle.counters().rejected >= turned_away);
+        assert_eq!(handle.queue_depth(), QUEUE);
+        // Free the workers; the queued clients are served, or shed while
+        // another still waits behind them.
+        held.into_iter().for_each(Client::quit);
+        storm.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let count = |end: &StormEnd| ends.iter().filter(|(e, _)| e == end).count();
+    let (served, shed, rejected) =
+        (count(&StormEnd::Served), count(&StormEnd::Shed), count(&StormEnd::Rejected));
+    assert_eq!(served + shed + rejected, STORM, "an attempt ended untyped: {ends:?}");
+    assert_eq!(rejected, STORM - QUEUE, "{ends:?}");
+    assert_eq!(served + shed, QUEUE, "{ends:?}");
+    for (end, elapsed) in &ends {
+        assert!(*elapsed < TIMEOUT / 2, "{end:?} took {elapsed:?}: a hang in all but name");
+    }
+    let counters = handle.counters();
+    assert_eq!(counters.rejected, (STORM - QUEUE) as u64, "{counters:?}");
+    assert_eq!(counters.connections, (WORKERS + QUEUE) as u64, "{counters:?}");
+    assert_eq!(counters.shed, shed as u64, "{counters:?}");
     handle.shutdown();
 }
 

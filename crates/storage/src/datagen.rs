@@ -280,9 +280,9 @@ pub fn starburst_experiment_tables(seed: u64) -> Vec<Table> {
 }
 
 /// [`starburst_experiment_tables`] at caller-chosen cardinalities for
-/// S/M/B/G (`sizes` must have four entries). Used by the smoke-scale bench
-/// gates, which need the same schema and containment structure at a
-/// fraction of the rows.
+/// S/M/B/G (`sizes` must have four entries). Used by the accuracy and
+/// bake-off tests, which need the same schema and containment structure at
+/// a fraction of the rows.
 pub fn starburst_experiment_tables_sized(seed: u64, sizes: &[usize; 4]) -> Vec<Table> {
     let specs = [("S", "s"), ("M", "m"), ("B", "b"), ("G", "g")];
     specs

@@ -314,6 +314,9 @@ macro_rules! __proptest_impl {
             while __ran < __config.cases && __attempts < __config.cases.saturating_mul(10) {
                 __attempts += 1;
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)*
+                // The closure is what `prop_assert!`'s early `return Err(..)`
+                // returns from; it cannot be inlined.
+                #[allow(clippy::redundant_closure_call)]
                 let __outcome: ::std::result::Result<(), $crate::TestCaseError> = (|| {
                     { $body }
                     ::std::result::Result::Ok(())
