@@ -4,17 +4,22 @@
 //!
 //! * the original tuple-at-a-time path ([`apply_filters`]), kept as the
 //!   reference oracle, and
-//! * whole-column kernels ([`filter_selection`]) that specialize each
-//!   predicate to its column types once and produce a selection vector of
-//!   surviving row ids — no per-row [`Value`] allocation, no per-row
-//!   `position_of` lookup.
+//! * whole-column kernels ([`filter_selection`]) that dispatch once per
+//!   conjunct on (column type, constant type, operator) to a loop compiled
+//!   for exactly that test, and produce a selection vector of surviving row
+//!   ids block by block without branching on the data — no per-row
+//!   [`Value`], closure call or `position_of` lookup.
 //!
 //! Both resolve column positions once per operator via [`bind_filters`]
 //! (satellite of the vectorization PR: `Chunk::position_of` is an
 //! O(columns) scan and used to run per row per predicate).
 
+use std::cell::Cell;
+use std::cmp::Ordering;
+
 use els_core::predicate::{CmpOp, Predicate};
 use els_core::ColumnRef;
+use els_storage::value::cmp_int_float;
 use els_storage::{Table, Value};
 
 use crate::chunk::Chunk;
@@ -216,68 +221,78 @@ pub fn apply_filters(
     chunk.filter_rows(&keep)
 }
 
-/// One filter's per-row predicate, specialized to its column types once.
-type RowPred<'a> = Box<dyn Fn(usize) -> bool + Sync + 'a>;
+/// Rows the first conjunct examines between two resizes of the selection.
+const BLOCK_ROWS: usize = 1024;
 
-/// Specialize one bound filter against a table's concrete column types.
-/// The returned closure captures borrowed payload slices — evaluating it
-/// allocates nothing and performs no type dispatch.
-fn compile_kernel<'a>(f: &'a BoundFilter, table: &'a Table) -> ExecResult<RowPred<'a>> {
-    Ok(match f {
-        BoundFilter::Cmp { pos, op, value } => {
-            let col = table.column(*pos)?;
-            let valid = col.validity();
-            let op = *op;
-            match (col.as_int_slice(), col.as_float_slice(), col.as_str_slice(), value) {
-                (Some(data), _, _, Value::Int(c)) => {
-                    let c = *c;
-                    Box::new(move |i| valid[i] && op.eval(data[i].cmp(&c)))
-                }
-                (Some(data), _, _, Value::Float(c)) => {
-                    let c = *c;
-                    Box::new(move |i| valid[i] && op.eval((data[i] as f64).total_cmp(&c)))
-                }
-                (_, Some(data), _, Value::Int(c)) => {
-                    let c = *c as f64;
-                    Box::new(move |i| valid[i] && op.eval(data[i].total_cmp(&c)))
-                }
-                (_, Some(data), _, Value::Float(c)) => {
-                    let c = *c;
-                    Box::new(move |i| valid[i] && op.eval(data[i].total_cmp(&c)))
-                }
-                (_, _, Some(data), Value::Str(c)) => {
-                    Box::new(move |i| valid[i] && op.eval(data[i].as_str().cmp(c.as_str())))
-                }
-                // NULL constant or incomparable types: SQL comparison is
-                // unknown / false for every row.
-                _ => Box::new(|_| false),
-            }
-        }
-        BoundFilter::ColEq { left, right } => {
-            let lc = table.column(*left)?;
-            let rc = table.column(*right)?;
-            let (lv, rv) = (lc.validity(), rc.validity());
-            match (lc.as_int_slice(), rc.as_int_slice()) {
-                (Some(a), Some(b)) => Box::new(move |i| lv[i] && rv[i] && a[i] == b[i]),
-                _ => Box::new(move |i| lc.value_ref(i).sql_eq(rc.value_ref(i))),
-            }
-        }
-        BoundFilter::IsNull { pos, negated } => {
-            let valid = table.column(*pos)?.validity();
-            let negated = *negated;
-            Box::new(move |i| valid[i] == negated)
-        }
-    })
+/// One conjunct's turn at the selection vector: the first fills it, every
+/// later one compacts it in place.
+struct Pass<'a> {
+    sel: &'a mut Vec<u32>,
+    first: bool,
 }
 
-/// Rows a selection vector is given room for before its filter runs.
-const SEL_RESERVE_ROWS: usize = 1024;
+impl Pass<'_> {
+    /// The one selection loop. `hit(row, payload, valid)` is a closure type,
+    /// so every caller gets its own copy with the test inlined. The first
+    /// conjunct grows `sel` by a block, stores each row id at the write
+    /// cursor, advances the cursor only past a hit and cuts the unused tail
+    /// off again: a store and an add per row, no branch on the data, and a
+    /// big table's selection grows only as rows survive. A later conjunct
+    /// reads ahead of its own write cursor, hence the `Cell` view.
+    fn select<T>(&mut self, data: &[T], valid: &[bool], hit: impl Fn(usize, &T, bool) -> bool) {
+        let sel = &mut *self.sel;
+        if self.first {
+            let mut row = 0;
+            for (xs, oks) in data.chunks(BLOCK_ROWS).zip(valid.chunks(BLOCK_ROWS)) {
+                let kept = sel.len();
+                sel.resize(kept + xs.len(), 0);
+                let out = sel.get_mut(kept..).unwrap_or_default();
+                let mut k = 0;
+                for (x, &ok) in xs.iter().zip(oks) {
+                    if let Some(slot) = out.get_mut(k) {
+                        *slot = crate::error::rowid(row);
+                    }
+                    k += usize::from(hit(row, x, ok));
+                    row += 1;
+                }
+                sel.truncate(kept + k);
+            }
+        } else {
+            let cells = Cell::from_mut(sel.as_mut_slice()).as_slice_of_cells();
+            let mut k = 0;
+            for cell in cells {
+                let row = cell.get() as usize;
+                if let Some(slot) = cells.get(k) {
+                    slot.set(cell.get());
+                }
+                let x = data.get(row).zip(valid.get(row));
+                k += usize::from(x.is_some_and(|(x, &ok)| hit(row, x, ok)));
+            }
+            sel.truncate(k);
+        }
+    }
+
+    /// `column op constant` over non-NULL rows: the one place the operator
+    /// is matched, per conjunct and outside the loop.
+    fn cmp<T>(&mut self, data: &[T], valid: &[bool], op: CmpOp, ord: impl Fn(&T) -> Ordering) {
+        match op {
+            CmpOp::Eq => self.select(data, valid, |_, x, ok| ok & ord(x).is_eq()),
+            CmpOp::Ne => self.select(data, valid, |_, x, ok| ok & ord(x).is_ne()),
+            CmpOp::Lt => self.select(data, valid, |_, x, ok| ok & ord(x).is_lt()),
+            CmpOp::Le => self.select(data, valid, |_, x, ok| ok & ord(x).is_le()),
+            CmpOp::Gt => self.select(data, valid, |_, x, ok| ok & ord(x).is_gt()),
+            CmpOp::Ge => self.select(data, valid, |_, x, ok| ok & ord(x).is_ge()),
+        }
+    }
+}
 
 /// Evaluate a conjunction of bound filters over whole columns, producing
 /// the selection vector of surviving row ids (ascending) in `sel`. The
 /// first conjunct fills `sel`; every later conjunct compacts it in place
 /// (counted by [`ExecMetrics::sel_reuses`]), so one scan allocates at most
-/// one selection vector regardless of the number of predicates.
+/// one selection vector regardless of the number of predicates. Each
+/// conjunct dispatches once, on its shape and column types, to a
+/// statically-dispatched [`Pass::select`] loop.
 ///
 /// Charges exactly the comparisons the tuple-at-a-time path would: a row
 /// is a candidate for conjunct `k` iff it survived conjuncts `1..k`, which
@@ -297,26 +312,47 @@ pub fn filter_selection(
         sel.extend((0..n).map(crate::error::rowid));
         return Ok(());
     }
-    let mut first = true;
-    for f in bound {
-        let pred = compile_kernel(f, table)?;
-        if first {
-            metrics.comparisons += n as u64;
-            metrics.kernel_rows += n as u64;
-            // A filtered iterator promises no rows, so `extend` alone
-            // grows `sel` by doubling: five `realloc`s for a 64-row table,
-            // each under the allocator's arena lock, where two threads of
-            // cached point queries were found queueing (CHANGES.md, PR 19).
-            // A small table gets its room at once; a large one still grows
-            // as rows survive.
-            sel.reserve(n.min(SEL_RESERVE_ROWS));
-            sel.extend((0..n).filter(|&i| pred(i)).map(crate::error::rowid));
-            first = false;
-        } else {
-            metrics.comparisons += sel.len() as u64;
-            metrics.kernel_rows += sel.len() as u64;
-            metrics.sel_reuses += 1;
-            sel.retain(|&i| pred(i as usize));
+    for (k, f) in bound.iter().enumerate() {
+        let candidates = if k == 0 { n } else { sel.len() };
+        metrics.comparisons += candidates as u64;
+        metrics.kernel_rows += candidates as u64;
+        metrics.sel_reuses += u64::from(k > 0);
+        let mut pass = Pass { sel: &mut *sel, first: k == 0 };
+        match f {
+            BoundFilter::Cmp { pos, op, value } => {
+                let col = table.column(*pos)?;
+                let ok = col.validity();
+                match (col.as_int_slice(), col.as_float_slice(), col.as_str_slice(), value) {
+                    (Some(d), _, _, Value::Int(c)) => pass.cmp(d, ok, *op, |x| x.cmp(c)),
+                    (Some(d), _, _, Value::Float(c)) => {
+                        pass.cmp(d, ok, *op, |x| cmp_int_float(*x, *c));
+                    }
+                    (_, Some(d), _, Value::Int(c)) => {
+                        pass.cmp(d, ok, *op, |x| cmp_int_float(*c, *x).reverse());
+                    }
+                    (_, Some(d), _, Value::Float(c)) => pass.cmp(d, ok, *op, |x| x.total_cmp(c)),
+                    (_, _, Some(d), Value::Str(c)) => pass.cmp(d, ok, *op, |x| x.as_str().cmp(c)),
+                    // NULL constant or incomparable types: SQL comparison
+                    // is unknown / false for every row.
+                    _ => pass.select(ok, ok, |_, _, _| false),
+                }
+            }
+            BoundFilter::ColEq { left, right } => {
+                let (lc, rc) = (table.column(*left)?, table.column(*right)?);
+                let (lv, rv) = (lc.validity(), rc.validity());
+                match (lc.as_int_slice(), rc.as_int_slice()) {
+                    (Some(a), Some(b)) => pass.select(a, lv, |row, x, ok| {
+                        ok & matches!((b.get(row), rv.get(row)), (Some(y), Some(true)) if x == y)
+                    }),
+                    _ => {
+                        pass.select(lv, lv, |row, _, _| lc.value_ref(row).sql_eq(rc.value_ref(row)))
+                    }
+                }
+            }
+            BoundFilter::IsNull { pos, negated } => {
+                let ok = table.column(*pos)?.validity();
+                pass.select(ok, ok, |_, _, ok| ok == *negated);
+            }
         }
     }
     Ok(())
@@ -549,5 +585,140 @@ mod tests {
         filter_selection(&ch.data, &[], &mut sel, &mut m).unwrap();
         assert_eq!(sel, vec![0, 1, 2, 3]);
         assert_eq!(m.comparisons, 0);
+    }
+
+    /// Column 0 and 1 are `Int`, 2 is `Float`, 3 is `Str`; cell `i` of a
+    /// column is drawn from its pool by `picks[i]`, pool index 0 being NULL.
+    fn pooled_table(rows: usize, picks: &[Vec<u8>]) -> Table {
+        let two53 = 9_007_199_254_740_992i64;
+        let ints = [i64::MIN, -1, 0, 1, 2, two53, two53 + 1, i64::MAX].map(Value::Int);
+        let floats =
+            [f64::NEG_INFINITY, -0.0, 0.0, 0.5, 1.0, 2.0, two53 as f64, f64::INFINITY, f64::NAN]
+                .map(Value::Float);
+        let strs = ["", "a", "b", "c"].map(Value::from);
+        let pools: [(DataType, &[Value]); 4] = [
+            (DataType::Int, &ints),
+            (DataType::Int, &ints),
+            (DataType::Float, &floats),
+            (DataType::Str, &strs),
+        ];
+        let columns = pools
+            .iter()
+            .zip(picks)
+            .enumerate()
+            .map(|(c, ((ty, pool), picks))| {
+                let mut col = els_storage::ColumnVector::with_capacity(*ty, rows);
+                for pick in picks.iter().take(rows) {
+                    let pick = *pick as usize % (pool.len() + 1);
+                    col.push(pick.checked_sub(1).map_or(Value::Null, |i| pool[i].clone())).unwrap();
+                }
+                (format!("c{c}"), col)
+            })
+            .collect();
+        Table::new("t", columns).unwrap()
+    }
+
+    /// Constants of every type, comparable or not with a given column.
+    fn constants() -> Vec<Value> {
+        let two53 = 9_007_199_254_740_992i64;
+        let mut pool = vec![Value::Null, Value::from(""), Value::from("b")];
+        pool.extend([i64::MIN, -1, 0, 1, two53, two53 + 1, i64::MAX].map(Value::Int));
+        pool.extend(
+            [f64::NEG_INFINITY, -0.0, 0.5, 1.0, two53 as f64, 1e19, f64::INFINITY, f64::NAN]
+                .map(Value::Float),
+        );
+        pool
+    }
+
+    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+    /// `filter_selection` against the short-circuiting row loop over
+    /// [`BoundFilter::matches`]: same ascending ids, same counters.
+    fn check_against_row_oracle(table: &Table, bound: &[BoundFilter]) -> Result<(), String> {
+        let mut want = Vec::new();
+        let mut comparisons = 0u64;
+        for row in 0..table.num_rows() {
+            let mut keep = true;
+            for f in bound {
+                comparisons += 1;
+                keep = f.matches(table, row).unwrap();
+                if !keep {
+                    break;
+                }
+            }
+            if keep {
+                want.push(row as u32);
+            }
+        }
+        let mut m = ExecMetrics::default();
+        let mut sel = vec![u32::MAX; 3]; // stale contents must not survive
+        filter_selection(table, bound, &mut sel, &mut m).unwrap();
+        let got = (&sel, m.comparisons, m.kernel_rows, m.sel_reuses);
+        let want = (&want, comparisons, comparisons, bound.len() as u64 - 1);
+        if got == want {
+            return Ok(());
+        }
+        Err(format!(
+            "{bound:?} over {} rows: {} ids, counters {:?}; oracle {} ids, counters {:?}",
+            table.num_rows(),
+            got.0.len(),
+            (got.1, got.2, got.3),
+            want.0.len(),
+            (want.1, want.2, want.3)
+        ))
+    }
+
+    #[test]
+    fn every_column_constant_operator_triple_matches_the_row_oracle() {
+        let rows = BLOCK_ROWS + 1;
+        let picks: Vec<Vec<u8>> =
+            (0..4u8).map(|c| (0..rows).map(|i| (i * 7 + i / 11) as u8 ^ c).collect()).collect();
+        let table = pooled_table(rows, &picks);
+        for pos in 0..4 {
+            for value in constants() {
+                for op in OPS {
+                    let f = BoundFilter::Cmp { pos, op, value: value.clone() };
+                    check_against_row_oracle(&table, &[f]).unwrap();
+                }
+            }
+        }
+    }
+
+    const SIZES: [usize; 6] =
+        [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn random_conjunctions_match_the_row_oracle(
+            size in 0usize..SIZES.len(),
+            picks in proptest::collection::vec(
+                proptest::collection::vec(0u8..=255, 3 * BLOCK_ROWS + 7),
+                4,
+            ),
+            conjuncts in proptest::collection::vec(
+                (0usize..9, 0usize..4, 0usize..4, 0usize..6, 0usize..64),
+                1..4,
+            ),
+        ) {
+            let table = pooled_table(SIZES[size], &picks);
+            let constants = constants();
+            let bound: Vec<BoundFilter> = conjuncts
+                .into_iter()
+                .map(|(shape, pos, other, op, value)| match shape {
+                    0 | 1 => BoundFilter::IsNull { pos, negated: shape == 1 },
+                    2 => BoundFilter::ColEq { left: pos, right: other },
+                    _ => BoundFilter::Cmp {
+                        pos,
+                        op: OPS[op],
+                        value: constants[value % constants.len()].clone(),
+                    },
+                })
+                .collect();
+            if let Err(why) = check_against_row_oracle(&table, &bound) {
+                return Err(proptest::TestCaseError::fail(why));
+            }
+        }
     }
 }

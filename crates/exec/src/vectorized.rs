@@ -15,7 +15,9 @@
 //!   ([`VChunk::materialize`]), or never, for `COUNT(*)` outputs.
 //!
 //! Single-column `Int` equi-joins take fast paths over raw `i64` slices
-//! (exact — see `HashKey` in [`crate::join`] for the 2⁵³ story). With more
+//! (exact — see `HashKey` in [`crate::join`] for the 2⁵³ story); the hash
+//! join builds `IntTable`, a flat table over the distinct keys plus one
+//! vector of row ids, with no allocation per key. With more
 //! than one worker and a large enough probe side, the int path goes
 //! parallel through the work-stealing scheduler ([`crate::scheduler`]): one
 //! shared hash table, built serially, probed in fixed-size **morsels**
@@ -35,7 +37,6 @@
 //! by the execution mode.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use els_core::predicate::CmpOp;
@@ -404,6 +405,13 @@ struct SideKey<'a> {
     ids: &'a [u32],
 }
 
+impl<'a> SideKey<'a> {
+    /// The side as raw `i64` slices, when its key column is `Int`.
+    fn int_keys(&self) -> Option<IntKeys<'a>> {
+        Some(IntKeys { data: self.col.as_int_slice()?, valid: self.col.validity(), ids: self.ids })
+    }
+}
+
 fn side_keys<'a>(
     v: &'a VChunk,
     refs: impl Iterator<Item = ColumnRef>,
@@ -548,41 +556,110 @@ fn retain_matching_pairs(
     Ok(kept)
 }
 
-/// A minimal deterministic multiply-mix hasher for `i64` join keys; the
-/// default SipHash is the dominant cost of an integer hash join.
-#[derive(Default, Clone, Copy)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^ (h >> 33)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
+/// One distinct build key and where its rows sit in [`IntTable::rows`];
+/// `len == 0` marks an empty slot.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    key: i64,
+    start: u32,
+    len: u32,
 }
 
-type IntMap = HashMap<i64, Vec<u32>, BuildHasherDefault<IntHasher>>;
+/// The build side of an `i64` hash join: open addressing over the *distinct*
+/// keys, in a power of two of at least twice the valid build rows (so the
+/// load stays under one half and a linear probe always ends), plus every
+/// bucket's logical rows back to back in `rows`, in row order. Two
+/// allocations per build (one for a count), none per key.
+struct IntTable {
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's high bits.
+    shift: u32,
+    rows: Vec<u32>,
+    /// Least and greatest valid build key (`min > max` without one): a probe
+    /// key outside them has no match and is not hashed.
+    min: i64,
+    max: i64,
+}
+
+impl IntTable {
+    /// Count pass: one slot per distinct valid key, `len` its row count.
+    /// With `with_rows`, two more passes lay the buckets out in `rows`:
+    /// prefix sums leave each `start` at its bucket's end, then the valid
+    /// rows, walked last to first, each step their bucket's `start` down
+    /// and land there — so a bucket reads in ascending row order.
+    fn build(keys: &IntKeys<'_>, with_rows: bool) -> IntTable {
+        let (n, min, max) = keys
+            .valid_keys()
+            .fold((0usize, i64::MAX, i64::MIN), |(n, lo, hi), k| (n + 1, lo.min(k), hi.max(k)));
+        let cap = (2 * n).next_power_of_two().max(2);
+        let (slots, shift) = (vec![Slot::default(); cap], 64 - cap.trailing_zeros());
+        let mut table = IntTable { slots, shift, rows: Vec::new(), min, max };
+        for key in keys.valid_keys() {
+            let at = table.slot_of(key);
+            if let Some(slot) = table.slots.get_mut(at) {
+                slot.key = key;
+                slot.len += 1;
+            }
+        }
+        if with_rows {
+            let mut end = 0;
+            for slot in &mut table.slots {
+                end += slot.len;
+                slot.start = end;
+            }
+            table.rows = vec![0; n];
+            for (j, &rid) in keys.ids.iter().enumerate().rev() {
+                let Some(key) = keys.key(rid) else { continue };
+                let at = table.slot_of(key);
+                let Some(slot) = table.slots.get_mut(at) else { continue };
+                slot.start -= 1;
+                if let Some(row) = table.rows.get_mut(slot.start as usize) {
+                    *row = crate::error::rowid(j);
+                }
+            }
+        }
+        table
+    }
+
+    /// Index of the slot holding `key`, or of the empty one ending its probe.
+    /// The probe starts at a multiplicative hash: sequential and power-of-two
+    /// strided keys land far apart in the product's high bits.
+    fn slot_of(&self, key: i64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = ((key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        while self.slots.get(i).is_some_and(|s| s.len != 0 && s.key != key) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The bucket of `key`, if the build side holds it.
+    fn find(&self, key: i64) -> Option<&Slot> {
+        if key < self.min || key > self.max {
+            return None;
+        }
+        self.slots.get(self.slot_of(key)).filter(|s| s.len != 0)
+    }
+}
 
 /// One side's single `Int` key column as raw slices.
 struct IntKeys<'a> {
     data: &'a [i64],
     valid: &'a [bool],
     ids: &'a [u32],
+}
+
+impl IntKeys<'_> {
+    /// The key at physical row `rid`; `None` when it is NULL.
+    fn key(&self, rid: u32) -> Option<i64> {
+        let (ok, key) = (self.valid.get(rid as usize)?, self.data.get(rid as usize)?);
+        ok.then_some(*key)
+    }
+
+    /// The non-NULL keys, in logical row order.
+    fn valid_keys(&self) -> impl Iterator<Item = i64> + '_ {
+        self.ids.iter().filter_map(|&rid| self.key(rid))
+    }
 }
 
 /// Vectorized hash join on logical row ids. Charges one `hash_probes` per
@@ -598,9 +675,7 @@ fn vhash_join(
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(ld), Some(rd)) = (lk.col.as_int_slice(), rk.col.as_int_slice()) {
-            let build = IntKeys { data: ld, valid: lk.col.validity(), ids: lk.ids };
-            let probe = IntKeys { data: rd, valid: rk.col.validity(), ids: rk.ids };
+        if let (Some(build), Some(probe)) = (lk.int_keys(), rk.int_keys()) {
             return Ok(int_hash_join(&build, &probe, workers, metrics));
         }
         if let (Some(ld), Some(rd)) = (lk.col.as_str_slice(), rk.col.as_str_slice()) {
@@ -667,9 +742,7 @@ fn vhash_count(
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(ld), Some(rd)) = (lk.col.as_int_slice(), rk.col.as_int_slice()) {
-            let build = IntKeys { data: ld, valid: lk.col.validity(), ids: lk.ids };
-            let probe = IntKeys { data: rd, valid: rk.col.validity(), ids: rk.ids };
+        if let (Some(build), Some(probe)) = (lk.int_keys(), rk.int_keys()) {
             return Ok(int_hash_count(&build, &probe, workers, metrics));
         }
         if let (Some(ld), Some(rd)) = (lk.col.as_str_slice(), rk.col.as_str_slice()) {
@@ -702,18 +775,6 @@ fn vhash_count(
     Ok(n)
 }
 
-/// Build an [`IntMap`] over one side's valid keys, each bucket holding its
-/// logical rows in row order.
-fn build_int_map(keys: &IntKeys<'_>) -> IntMap {
-    let mut table = IntMap::default();
-    for (j, &rid) in keys.ids.iter().enumerate() {
-        if keys.valid[rid as usize] {
-            table.entry(keys.data[rid as usize]).or_default().push(crate::error::rowid(j));
-        }
-    }
-    table
-}
-
 /// `i64` fast path: one shared table built serially, probed in the pieces
 /// [`morsel_pieces`] picks. Charges one `hash_probes` per probe-side row
 /// (NULLs included, like the row path).
@@ -724,7 +785,7 @@ fn int_hash_join(
     metrics: &mut ExecMetrics,
 ) -> Vec<(u32, u32)> {
     metrics.hash_probes += probe.ids.len() as u64;
-    let table = build_int_map(build);
+    let table = IntTable::build(build, true);
     let mut pairs = concat_pairs(morsel_pieces(workers, probe.ids.len(), metrics, |lo, hi| {
         probe_morsel(&table, probe, lo, hi)
     }));
@@ -743,38 +804,29 @@ fn int_hash_count(
     metrics: &mut ExecMetrics,
 ) -> u64 {
     metrics.hash_probes += probe.ids.len() as u64;
-    let table = build_int_map(build);
+    let table = IntTable::build(build, false);
     morsel_pieces(workers, probe.ids.len(), metrics, |lo, hi| count_morsel(&table, probe, lo, hi))
         .into_iter()
         .sum()
 }
 
 /// Probe rows `lo..hi`, emitting `(build row, probe row)` logical pairs.
-fn probe_morsel(table: &IntMap, probe: &IntKeys<'_>, lo: usize, hi: usize) -> Vec<(u32, u32)> {
+fn probe_morsel(table: &IntTable, probe: &IntKeys<'_>, lo: usize, hi: usize) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
-    for (off, &rid) in probe.ids[lo..hi].iter().enumerate() {
-        if probe.valid[rid as usize] {
-            if let Some(ls) = table.get(&probe.data[rid as usize]) {
-                for &lj in ls {
-                    pairs.push((lj, crate::error::rowid(lo + off)));
-                }
-            }
+    for (j, &rid) in (lo..hi).zip(probe.ids.get(lo..hi).unwrap_or_default()) {
+        if let Some(slot) = probe.key(rid).and_then(|key| table.find(key)) {
+            let (start, rj) = (slot.start as usize, crate::error::rowid(j));
+            let bucket = table.rows.get(start..start + slot.len as usize).unwrap_or_default();
+            pairs.extend(bucket.iter().map(|&lj| (lj, rj)));
         }
     }
     pairs
 }
 
 /// Counting twin of [`probe_morsel`].
-fn count_morsel(table: &IntMap, probe: &IntKeys<'_>, lo: usize, hi: usize) -> u64 {
-    let mut n = 0u64;
-    for &rid in &probe.ids[lo..hi] {
-        if probe.valid[rid as usize] {
-            if let Some(ls) = table.get(&probe.data[rid as usize]) {
-                n += ls.len() as u64;
-            }
-        }
-    }
-    n
+fn count_morsel(table: &IntTable, probe: &IntKeys<'_>, lo: usize, hi: usize) -> u64 {
+    let ids = probe.ids.get(lo..hi).unwrap_or_default();
+    ids.iter().filter_map(|&rid| table.find(probe.key(rid)?)).map(|s| u64::from(s.len)).sum()
 }
 
 /// Vectorized sort-merge join on logical row ids; replicates the row
@@ -790,9 +842,7 @@ fn vsort_merge(
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(ld), Some(rd)) = (lk.col.as_int_slice(), rk.col.as_int_slice()) {
-            let l = IntKeys { data: ld, valid: lk.col.validity(), ids: lk.ids };
-            let r = IntKeys { data: rd, valid: rk.col.validity(), ids: rk.ids };
+        if let (Some(l), Some(r)) = (lk.int_keys(), rk.int_keys()) {
             return Ok(int_sort_merge(&l, &r, metrics));
         }
     }
@@ -837,12 +887,8 @@ fn vsort_merge(
 /// matches the generic algorithm.
 fn int_sort_merge(l: &IntKeys<'_>, r: &IntKeys<'_>, metrics: &mut ExecMetrics) -> Vec<(u32, u32)> {
     let collect = |k: &IntKeys<'_>| -> Vec<(i64, u32)> {
-        k.ids
-            .iter()
-            .enumerate()
-            .filter(|&(_, &rid)| k.valid[rid as usize])
-            .map(|(j, &rid)| (k.data[rid as usize], crate::error::rowid(j)))
-            .collect()
+        let keyed = |(j, &rid)| Some((k.key(rid)?, crate::error::rowid(j)));
+        k.ids.iter().enumerate().filter_map(keyed).collect()
     };
     let mut lrows = collect(l);
     let mut rrows = collect(r);
@@ -891,9 +937,7 @@ fn vsort_merge_count(
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(ld), Some(rd)) = (lk.col.as_int_slice(), rk.col.as_int_slice()) {
-            let l = IntKeys { data: ld, valid: lk.col.validity(), ids: lk.ids };
-            let r = IntKeys { data: rd, valid: rk.col.validity(), ids: rk.ids };
+        if let (Some(l), Some(r)) = (lk.int_keys(), rk.int_keys()) {
             return Ok(int_sort_merge_count(&l, &r, metrics));
         }
     }
@@ -934,9 +978,7 @@ fn int_sort_merge_count(l: &IntKeys<'_>, r: &IntKeys<'_>, metrics: &mut ExecMetr
         // Sized for every id: `collect` on a filter grows by doubling, one
         // `realloc` (and arena lock) per step.
         let mut rows = Vec::with_capacity(k.ids.len());
-        rows.extend(
-            k.ids.iter().filter(|&&rid| k.valid[rid as usize]).map(|&rid| k.data[rid as usize]),
-        );
+        rows.extend(k.valid_keys());
         rows
     };
     let mut lrows = collect(l);
@@ -1114,14 +1156,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn int_hasher_spreads_sequential_keys() {
-        let mut buckets = std::collections::HashSet::new();
-        for k in 0..1000i64 {
-            let mut h = IntHasher::default();
-            h.write_i64(k);
-            buckets.insert(h.finish() % 64);
+    /// One side of a handmade join: keys with NULLs, identity selection.
+    struct Side {
+        data: Vec<i64>,
+        valid: Vec<bool>,
+        ids: Vec<u32>,
+    }
+
+    impl Side {
+        fn new(keys: impl IntoIterator<Item = Option<i64>>) -> Side {
+            let keys: Vec<Option<i64>> = keys.into_iter().collect();
+            Side {
+                data: keys.iter().map(|k| k.unwrap_or(0)).collect(),
+                valid: keys.iter().map(Option::is_some).collect(),
+                ids: (0..keys.len() as u32).collect(),
+            }
         }
-        assert_eq!(buckets.len(), 64, "sequential keys must not cluster");
+
+        fn keys(&self) -> IntKeys<'_> {
+            IntKeys { data: &self.data, valid: &self.valid, ids: &self.ids }
+        }
+    }
+
+    /// Every `(build row, probe row)` with equal non-NULL keys, left-major.
+    fn nested_loop_oracle(build: &Side, probe: &Side) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for (i, (b, bok)) in build.data.iter().zip(&build.valid).enumerate() {
+            for (j, (p, pok)) in probe.data.iter().zip(&probe.valid).enumerate() {
+                if *bok && *pok && b == p {
+                    pairs.push((i as u32, j as u32));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn flat_table_matches_a_nested_loop_on_adversarial_keys() {
+        let big = PARALLEL_MIN_ROWS as i64 + 100;
+        let extremes = |n: i64| (0..n).map(|i| Some([i64::MIN, i64::MAX, 0, -1][i as usize % 4]));
+        let strided = |shift: u32, n: i64| (0..n).map(move |i| Some((i - n / 2) << shift));
+        let some_null = |n: i64| (0..n).map(|i| (i % 5 != 0).then_some(i % 200));
+        let cases: Vec<(&str, Side, Side)> = vec![
+            ("extreme keys", Side::new(extremes(40)), Side::new(extremes(big))),
+            ("one key", Side::new((0..50).map(|_| Some(7))), Side::new((0..big).map(|_| Some(7)))),
+            ("all distinct", Side::new((0..300).map(Some)), Side::new((0..big).map(Some))),
+            ("stride 2^16", Side::new(strided(16, 300)), Side::new(strided(16, big))),
+            ("stride 2^32", Side::new(strided(32, 300)), Side::new(strided(32, big))),
+            ("build larger than probe", Side::new(some_null(big)), Side::new(some_null(150))),
+            (
+                "outside the build's key range",
+                Side::new((50..60).map(Some)),
+                Side::new(some_null(big)),
+            ),
+        ];
+        for (name, build, probe) in &cases {
+            let expect = nested_loop_oracle(build, probe);
+            assert!(!expect.is_empty(), "{name}");
+            for workers in [1, 2, 3, 8] {
+                let ctx = format!("{name}, workers={workers}");
+                let mut m = ExecMetrics::default();
+                assert_eq!(
+                    int_hash_join(&build.keys(), &probe.keys(), workers, &mut m),
+                    expect,
+                    "{ctx}"
+                );
+                let mut cm = ExecMetrics::default();
+                let n = int_hash_count(&build.keys(), &probe.keys(), workers, &mut cm);
+                assert_eq!(n, expect.len() as u64, "{ctx}");
+                assert_eq!(
+                    m.hash_probes,
+                    probe.ids.len() as u64,
+                    "{ctx}: pruned probes are charged"
+                );
+                assert_eq!(cm.hash_probes, m.hash_probes, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn int_table_keeps_probe_sequences_short_for_sequential_and_strided_keys() {
+        // A probe never leaves the run of occupied slots it starts in, so
+        // the longest run (cyclically) bounds every probe sequence. Patterned
+        // keys are where a multiplicative hash does best.
+        const LONGEST_RUN: usize = 8;
+        for shift in [0u32, 1, 4, 16, 32, 48] {
+            for n in [1_000i64, 4_096, 5_000] {
+                let side = Side::new((0..n).map(|i| Some((i - n / 2) << shift)));
+                let table = IntTable::build(&side.keys(), true);
+                assert!(table.slots.len() >= 2 * n as usize && table.slots.len() < 4 * n as usize);
+                assert!(side.data.iter().all(|&k| table.find(k).is_some_and(|s| s.len == 1)));
+                let (mut run, mut longest) = (0, 0);
+                for slot in table.slots.iter().chain(&table.slots) {
+                    run = if slot.len == 0 { 0 } else { run + 1 };
+                    longest = longest.max(run);
+                }
+                assert!(
+                    longest <= LONGEST_RUN,
+                    "stride 2^{shift}, {n} keys: {longest} occupied slots in a row"
+                );
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use crate::error::{StorageError, StorageResult};
-use crate::value::{DataType, Value};
+use crate::value::{cmp_int_float, DataType, Value};
 
 /// A typed column of values plus a validity bitmap.
 ///
@@ -315,8 +315,9 @@ impl ValueRef<'_> {
             (ValueRef::Null, _) | (_, ValueRef::Null) => false,
             (ValueRef::Int(a), ValueRef::Int(b)) => a == b,
             (ValueRef::Float(a), ValueRef::Float(b)) => a.total_cmp(&b).is_eq(),
-            (ValueRef::Int(a), ValueRef::Float(b)) => (a as f64).total_cmp(&b).is_eq(),
-            (ValueRef::Float(a), ValueRef::Int(b)) => a.total_cmp(&(b as f64)).is_eq(),
+            (ValueRef::Int(a), ValueRef::Float(b)) | (ValueRef::Float(b), ValueRef::Int(a)) => {
+                cmp_int_float(a, b).is_eq()
+            }
             (ValueRef::Str(a), ValueRef::Str(b)) => a == b,
             _ => false,
         }
@@ -437,6 +438,9 @@ mod tests {
     #[test]
     fn value_ref_equality_matches_sql_semantics() {
         assert!(ValueRef::Int(2).sql_eq(ValueRef::Float(2.0)));
+        let two53 = 9_007_199_254_740_992i64;
+        assert!(ValueRef::Float(two53 as f64).sql_eq(ValueRef::Int(two53)));
+        assert!(!ValueRef::Int(two53 + 1).sql_eq(ValueRef::Float(two53 as f64)));
         assert!(!ValueRef::Null.sql_eq(ValueRef::Null));
         assert!(ValueRef::Str("x").sql_eq(ValueRef::Str("x")));
         assert!(!ValueRef::Int(1).sql_eq(ValueRef::Str("1")));

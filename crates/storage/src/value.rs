@@ -81,8 +81,8 @@ impl Value {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Float(a), Value::Float(b)) => Some(a.total_cmp(b)),
-            (Value::Int(a), Value::Float(b)) => Some((*a as f64).total_cmp(b)),
-            (Value::Float(a), Value::Int(b)) => Some(a.total_cmp(&(*b as f64))),
+            (Value::Int(a), Value::Float(b)) => Some(cmp_int_float(*a, *b)),
+            (Value::Float(a), Value::Int(b)) => Some(cmp_int_float(*b, *a).reverse()),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             _ => None,
         }
@@ -139,6 +139,29 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Exact numeric comparison of an integer with a float: the one place
+/// `Int` meets `Float` under SQL comparison ([`Value::sql_cmp`],
+/// `ValueRef::sql_eq` and the executor's filter kernels all call it).
+///
+/// Widening the integer with `a as f64` would round beyond 2⁵³ and make
+/// `9007199254740993` equal to `9007199254740992.0`; instead the float's
+/// integer part is compared as an `i64` and its fraction breaks the tie.
+/// A constant outside `i64`'s range, an infinity
+/// or a NaN is ordered by its sign alone, which is where `f64::total_cmp`
+/// puts them; `-0.0` still orders below `Int(0)`, as it does under
+/// `total_cmp` (the sort order and the join keys share that placement).
+#[inline]
+pub fn cmp_int_float(a: i64, b: f64) -> Ordering {
+    /// 2⁶³, the first float above every `i64`.
+    const I64_END: f64 = 9_223_372_036_854_775_808.0;
+    if !(-I64_END..I64_END).contains(&b) {
+        return if b.is_sign_negative() { Ordering::Greater } else { Ordering::Less };
+    }
+    // In range, so the truncation is exact, and so is widening it back.
+    let whole = b.trunc() as i64;
+    a.cmp(&whole).then_with(|| (whole as f64).total_cmp(&b))
 }
 
 impl fmt::Display for Value {
@@ -200,6 +223,40 @@ mod tests {
         assert!(Value::Int(2).sql_eq(&Value::Float(2.0)));
         assert_eq!(Value::Int(1).sql_cmp(&Value::Float(1.5)), Some(Ordering::Less));
         assert_eq!(Value::Float(2.5).sql_cmp(&Value::Int(2)), Some(Ordering::Greater));
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact_beyond_2_pow_53() {
+        use Ordering::{Equal, Greater, Less};
+        let two53 = 9_007_199_254_740_992i64;
+        assert_eq!(cmp_int_float(two53, two53 as f64), Equal);
+        assert_eq!(cmp_int_float(two53 + 1, two53 as f64), Greater);
+        assert_eq!(cmp_int_float(-two53 - 1, -(two53 as f64)), Less);
+        assert_eq!(Value::Int(two53 + 1).sql_cmp(&Value::Float(two53 as f64)), Some(Greater));
+        assert_eq!(Value::Float(two53 as f64).sql_cmp(&Value::Int(two53 + 1)), Some(Less));
+        assert!(!Value::Int(two53 + 1).sql_eq(&Value::Float(two53 as f64)));
+        // Fractions on both sides of zero, and the ends of the i64 range.
+        for (a, b, want) in [
+            (2, 2.5, Less),
+            (3, 2.5, Greater),
+            (-2, -2.5, Greater),
+            (-3, -2.5, Less),
+            (0, -0.5, Greater),
+            (0, 0.5, Less),
+            (i64::MAX, 9_223_372_036_854_775_808.0, Less),
+            (i64::MIN, -9_223_372_036_854_775_808.0, Equal),
+            (i64::MIN, -9_223_372_036_854_777_856.0, Greater),
+            (i64::MAX, f64::INFINITY, Less),
+            (i64::MIN, f64::NEG_INFINITY, Greater),
+        ] {
+            assert_eq!(cmp_int_float(a, b), want, "{a} vs {b}");
+        }
+        // NaN and -0.0 stay where `total_cmp` on the widened integer put them.
+        for a in [i64::MIN, -1, 0, 1, i64::MAX] {
+            for b in [f64::NAN, -f64::NAN, -0.0, 0.0] {
+                assert_eq!(cmp_int_float(a, b), (a as f64).total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

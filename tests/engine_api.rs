@@ -188,3 +188,42 @@ fn explain_analyze_reports_estimates_vs_actuals() {
     assert!(text.contains("qerr="), "{text}");
     assert!(text.contains("fact"), "{text}");
 }
+
+/// 2^53 and 2^53 + 1 share an f64 image; comparing through it answered
+/// `>` with 0 rows and `=` with 2. A float column holding 2^53 must
+/// likewise meet only the one integer constant it is the image of.
+fn int_meets_float_exactly_beyond_2_pow_53(mode: els::exec::ExecMode) {
+    use els::storage::{ColumnVector, Table};
+    let two53 = 9_007_199_254_740_992i64;
+    let mut db = Database::new();
+    db.set_exec_mode(mode);
+    let columns = vec![
+        ("k".to_owned(), ColumnVector::from_ints([two53, two53 + 1])),
+        ("f".to_owned(), ColumnVector::from_floats([two53 as f64, 0.5])),
+    ];
+    db.register(Table::new("t", columns).unwrap()).unwrap();
+    for (predicate, rows) in [
+        ("k > 9007199254740992.0", 1),
+        ("k = 9007199254740992.0", 1),
+        ("k >= 9007199254740992.0", 2),
+        ("k <= 9007199254740992.0", 1),
+        ("k <> 9007199254740992.0", 1),
+        ("k < 9007199254740994.0", 2),
+        ("f = 9007199254740993", 0),
+        ("f < 9007199254740993", 2),
+        ("f = 9007199254740992", 1),
+    ] {
+        let sql = format!("SELECT COUNT(*) FROM t WHERE {predicate}");
+        assert_eq!(db.execute(&sql).unwrap().count, rows, "{sql}");
+    }
+}
+
+#[test]
+fn row_oracle_compares_int_with_float_exactly() {
+    int_meets_float_exactly_beyond_2_pow_53(els::exec::ExecMode::RowAtATime);
+}
+
+#[test]
+fn vectorized_kernels_compare_int_with_float_exactly() {
+    int_meets_float_exactly_beyond_2_pow_53(els::exec::ExecMode::Vectorized { workers: 1 });
+}

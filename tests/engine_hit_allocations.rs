@@ -4,6 +4,10 @@
 //! no clone of the optimizer options (a `Vec` of join methods). `prepare`
 //! is `execute` up to, but not including, running the plan.
 //!
+//! Running the plan still allocates (selection vectors, observations, the
+//! join's working set); `a_hit_executes_under_its_allocation_ceiling` pins
+//! how often, so the count can only go down.
+//!
 //! Its own test binary: the counting allocator is process-wide (the count
 //! itself is per thread, so the test harness's threads do not disturb it).
 
@@ -11,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use els::engine::Engine;
-use els::optimizer::EstimatorStrategy;
+use els::optimizer::{EstimatorStrategy, OptimizerOptions};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
 struct Counting;
@@ -53,18 +57,23 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-#[test]
-fn a_repeat_text_reaches_its_plan_without_allocating() {
-    let engine = Engine::new();
+const POINT: &str = "SELECT COUNT(*) FROM b WHERE k < 117";
+const JOIN: &str = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 24";
+
+fn with_tables(engine: Engine) -> Engine {
     for (name, rows) in [("a", 64), ("b", 256)] {
         let key = ColumnSpec::new("k", Distribution::SequentialInt { start: 0 });
         engine.generate(TableSpec::new(name, rows).column(key), 1).unwrap();
     }
-    let point = "SELECT COUNT(*) FROM b WHERE k < 117";
-    let join = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 24";
+    engine
+}
+
+#[test]
+fn a_repeat_text_reaches_its_plan_without_allocating() {
+    let engine = with_tables(Engine::new());
     let respelled = "select  count(*)  from  a,  b  where  a.k  =  b.k  and  a.k  <  24";
 
-    for sql in [point, join, respelled] {
+    for sql in [POINT, JOIN, respelled] {
         let (first, cold) = allocations_in(|| engine.prepare(sql).unwrap());
         assert!(cold > 0, "a first sighting parses: `{sql}`");
         for _ in 0..3 {
@@ -78,10 +87,30 @@ fn a_repeat_text_reaches_its_plan_without_allocating() {
     // The configuration fingerprint is computed once per live strategy:
     // the first text under a new strategy pays for it, a repeat does not.
     engine.set_strategy(EstimatorStrategy::NoEstimates);
-    engine.prepare(point).unwrap();
-    let (_, warm) = allocations_in(|| engine.prepare(point).unwrap());
+    engine.prepare(POINT).unwrap();
+    let (_, warm) = allocations_in(|| engine.prepare(POINT).unwrap());
     assert_eq!(warm, 0, "{warm} allocations on a repeat under a switched strategy");
     engine.set_strategy(EstimatorStrategy::Els);
-    let (_, warm) = allocations_in(|| engine.prepare(point).unwrap());
+    let (_, warm) = allocations_in(|| engine.prepare(POINT).unwrap());
     assert_eq!(warm, 0, "{warm} allocations after switching back");
+}
+
+/// Heap allocations of one `Engine::execute` on a cached text, as `<=`
+/// ceilings: an allocation per filter conjunct, or per distinct build key of
+/// the hash join (24 here), would put a run over them.
+#[test]
+fn a_hit_executes_under_its_allocation_ceiling() {
+    let sort_merge = with_tables(Engine::new());
+    let hash = with_tables(Engine::with_options(OptimizerOptions::default().with_hash_join()));
+    for (engine, sql, method, rows, ceiling) in [
+        (&sort_merge, POINT, "", 117, 16),
+        (&sort_merge, JOIN, "SMJoin", 24, 29),
+        (&hash, JOIN, "HASHJoin", 24, 29),
+    ] {
+        assert!(engine.explain(sql).unwrap().contains(method), "`{sql}` is not a {method}");
+        assert_eq!(engine.execute(sql).unwrap().count, rows);
+        let (again, warm) = allocations_in(|| engine.execute(sql).unwrap());
+        assert_eq!(again.count, rows);
+        assert!(warm <= ceiling, "{warm} allocations executing `{sql}` ({method}), over {ceiling}");
+    }
 }
