@@ -374,9 +374,10 @@ fn execute_node_inner(
 }
 
 /// Nested loops over a stored inner (System-R rescan access pattern),
-/// recording the inner's scan observation. Shared by the row and vectorized
-/// paths — the operator's cost is the simulated rescans, so the vectorized
-/// path delegates here rather than reimplementing it.
+/// recording the inner's scan observation. The row path's operator: the
+/// vectorized path charges the same rescans around a pair-list kernel
+/// (`nested_loop_inner` in [`crate::vectorized`]) and is checked against
+/// this one by the differential tests.
 pub(crate) fn rescan_nested_loop(
     l: &Chunk,
     inner_table_id: usize,
@@ -883,6 +884,75 @@ mod tests {
         let out = execute_plan_with(&plan, &tables(), ExecMode::Vectorized { workers: 1 }).unwrap();
         assert_eq!(out.count, 100);
         assert_eq!(out.metrics.pair_lists, 1, "only the lower join materializes");
+    }
+
+    #[test]
+    fn nested_loops_and_composite_hash_joins_are_pair_list_kernels() {
+        let mode = ExecMode::Vectorized { workers: 1 };
+        let scan = |table_id| Box::new(PlanNode::Scan { table_id, filters: Vec::new() });
+        let key = |l, r| (ColumnRef::new(l, 0), ColumnRef::new(r, 0));
+        let count = |root| QueryPlan {
+            order_by: Vec::new(),
+            limit: None,
+            root,
+            output: PlanOutput::CountStar,
+        };
+        // Under a fused root, a nested loop (rescanned and evaluated inner)
+        // and a two-key hash join each build the plan's one pair list.
+        let filtered = CompiledFilter::Cmp {
+            column: ColumnRef::new(1, 0),
+            op: CmpOp::Lt,
+            value: Value::Int(500),
+        };
+        let evaluated_inner = Box::new(PlanNode::Join {
+            method: JoinMethod::Hash,
+            left: Box::new(PlanNode::Scan { table_id: 1, filters: vec![filtered] }),
+            right: scan(0),
+            keys: vec![key(1, 0)],
+            ranges: vec![],
+        });
+        for (method, right, keys, pair_lists) in [
+            (JoinMethod::NestedLoop, scan(1), vec![key(0, 1)], 1),
+            (JoinMethod::NestedLoop, evaluated_inner, vec![key(0, 1)], 2),
+            (JoinMethod::Hash, scan(1), vec![key(0, 1), key(0, 1)], 1),
+        ] {
+            let lower = PlanNode::Join { method, left: scan(0), right, keys, ranges: vec![] };
+            let plan = count(PlanNode::Join {
+                method: JoinMethod::Hash,
+                left: Box::new(lower),
+                right: scan(1),
+                keys: vec![key(0, 1)],
+                ranges: vec![],
+            });
+            let out = execute_plan_with(&plan, &tables(), mode).unwrap();
+            let row = execute_plan_with(&plan, &tables(), ExecMode::RowAtATime).unwrap();
+            assert_eq!(out.count, 100, "{method:?}");
+            assert_eq!(out.metrics.pair_lists, pair_lists, "{method:?} under a fused root");
+            assert_eq!(comparable(out.metrics), comparable(row.metrics), "{method:?}");
+        }
+        // A nested-loop root: counted without a pair list, gathered from one.
+        for (keys, ranges, rows) in [
+            (vec![key(0, 1)], vec![], 100),
+            (vec![], vec![(ColumnRef::new(0, 0), CmpOp::Gt, ColumnRef::new(1, 0))], 4950),
+        ] {
+            let root = PlanNode::Join {
+                method: JoinMethod::NestedLoop,
+                left: scan(0),
+                right: scan(1),
+                keys,
+                ranges,
+            };
+            let mut plan = count(root);
+            let counted = execute_plan_with(&plan, &tables(), mode).unwrap();
+            assert_eq!((counted.count, counted.metrics.pair_lists), (rows, 0));
+            plan.output = PlanOutput::Star;
+            let gathered = execute_plan_with(&plan, &tables(), mode).unwrap();
+            assert_eq!((gathered.count, gathered.metrics.pair_lists), (rows, 1));
+            let mut without = gathered.metrics;
+            without.pair_lists = 0;
+            without.elapsed = counted.metrics.elapsed;
+            assert_eq!(without, counted.metrics, "the count charges what the join charges");
+        }
     }
 
     #[test]

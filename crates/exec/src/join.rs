@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use els_core::predicate::CmpOp;
 use els_core::ColumnRef;
+use els_storage::column::ValueRef;
 use els_storage::Value;
 
 use crate::chunk::Chunk;
@@ -168,7 +169,9 @@ pub fn nested_loop_join(
 /// exists, and the cost structure of the paper's Starburst experiment
 /// (an unfiltered giant inner is charged its full page count per outer
 /// tuple). Produces exactly the same rows as filtering the inner once and
-/// calling [`nested_loop_join`].
+/// calling [`nested_loop_join`] — which is how the vectorized path evaluates
+/// it, charging what this operator charges: the reference it is tested
+/// against, like every row operator in this module.
 pub fn nested_loop_rescan_join(
     left: &Chunk,
     inner_table_id: usize,
@@ -341,18 +344,24 @@ pub fn hash_join(
 /// which agrees with SQL comparison on same-typed operands and keeps
 /// `Int`/`Float` cross-type comparisons consistent with the filter layer.
 pub(crate) fn range_pair_matches(lv: &Value, rv: &Value, op: CmpOp) -> bool {
-    if lv.is_null() || rv.is_null() {
-        return false;
-    }
-    let ord = lv.total_cmp(rv);
-    match op {
-        CmpOp::Lt => ord == std::cmp::Ordering::Less,
-        CmpOp::Le => ord != std::cmp::Ordering::Greater,
-        CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-        CmpOp::Ge => ord != std::cmp::Ordering::Less,
-        CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-        CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-    }
+    !lv.is_null() && !rv.is_null() && op.eval(lv.total_cmp(rv))
+}
+
+/// [`range_pair_matches`] over borrowed cells, for the vectorized operators:
+/// the same truth for every pair of cells, without a `Value` (and so without
+/// a string clone) per operand.
+pub(crate) fn range_ref_matches(lv: ValueRef<'_>, rv: ValueRef<'_>, op: CmpOp) -> bool {
+    use std::cmp::Ordering;
+    let ord = match (lv, rv) {
+        (ValueRef::Null, _) | (_, ValueRef::Null) => return false,
+        (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
+        // `Value::total_cmp` ranks every string above every number.
+        (ValueRef::Str(_), _) => Ordering::Greater,
+        (_, ValueRef::Str(_)) => Ordering::Less,
+        // Two numbers: `to_value` copies eight bytes.
+        (a, b) => a.to_value().total_cmp(&b.to_value()),
+    };
+    op.eval(ord)
 }
 
 /// Comparisons charged per outer row for the band probe's binary search
@@ -850,6 +859,45 @@ mod tests {
                 proptest::prop_assert!(range_pair_matches(&row[0], &row[1], op));
             }
             proptest::prop_assert_eq!(m.range_join_rows, expect.len() as u64);
+        }
+    }
+
+    #[test]
+    fn borrowed_range_test_agrees_with_the_owned_one_on_every_pair_of_cells() {
+        let cells = [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(2),
+            Value::Int((1 << 53) + 1),
+            Value::Float(-0.0),
+            Value::Float(2.0),
+            Value::Float(2.5),
+            Value::Float((1u64 << 53) as f64),
+            Value::Float(f64::NAN),
+            Value::Str(String::new()),
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+        ];
+        fn view(v: &Value) -> ValueRef<'_> {
+            match v {
+                Value::Null => ValueRef::Null,
+                Value::Int(x) => ValueRef::Int(*x),
+                Value::Float(x) => ValueRef::Float(*x),
+                Value::Str(s) => ValueRef::Str(s),
+            }
+        }
+        let refs: Vec<ValueRef<'_>> = cells.iter().map(view).collect();
+        for (lv, lr) in cells.iter().zip(&refs) {
+            for (rv, rr) in cells.iter().zip(&refs) {
+                for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne] {
+                    assert_eq!(
+                        range_ref_matches(*lr, *rr, op),
+                        range_pair_matches(lv, rv, op),
+                        "{lv:?} {op} {rv:?}"
+                    );
+                }
+            }
         }
     }
 

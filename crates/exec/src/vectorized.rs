@@ -8,16 +8,22 @@
 //! * a scan produces a selection vector over the stored table (built by the
 //!   typed filter kernels in [`crate::filter::filter_selection`]) — no data
 //!   is copied;
-//! * hash and sort-merge joins work on **typed key columns** and produce a
-//!   pair list of logical row ids, which is *composed* with the inputs'
-//!   selections — still no data copied;
+//! * every join but the indexed nested loop works on **typed key columns**
+//!   and produces a pair list of logical row ids, which is *composed* with
+//!   the inputs' selections — still no data copied;
 //! * only the plan root gathers each surviving column once
 //!   ([`VChunk::materialize`]), or never, for `COUNT(*)` outputs.
 //!
-//! Single-column `Int` equi-joins take fast paths over raw `i64` slices
-//! (exact — see `HashKey` in [`crate::join`] for the 2⁵³ story); the hash
-//! join builds `IntTable`, a flat table over the distinct keys plus one
-//! vector of row ids, with no allocation per key. With more
+//! Hash joins whose key pairs are all `Int`/`Int` — one pair, or the
+//! composite keys predicate transitive closure puts on every join above the
+//! first of an equivalence class — run over raw `i64` slices (exact — see
+//! `HashKey` in [`crate::join`] for the 2⁵³ story): `IntTable` is built on
+//! the first pair, a flat table over the distinct keys plus one vector of
+//! row ids, with no allocation per key, and the other pairs are checked per
+//! bucket candidate. A key component of any other type takes the whole join
+//! to the normalized `HashKey`s the row path uses. The sort-merge sorts
+//! `(key, row)` entries for a single `Int` pair and gathers `Value`s per
+//! row for everything else, composite `Int` keys included. With more
 //! than one worker and a large enough probe side, the int path goes
 //! parallel through the work-stealing scheduler ([`crate::scheduler`]): one
 //! shared hash table, built serially, probed in fixed-size **morsels**
@@ -25,31 +31,35 @@
 //! and the band join alike). Results are deterministic regardless of worker
 //! count: morsel buffers merge in morsel order and the pair list gets the
 //! same left-major sort the serial path applies. `COUNT(*)` roots
-//! additionally fuse the probe with the count ([`execute_root_count`]) so
+//! additionally fuse the join with the count ([`execute_root_count`]) so
 //! no row-id pair list is ever allocated for them.
 //!
-//! Nested-loops shapes (rescan, indexed, and keyless joins) delegate to the
-//! row-path operators on materialized inputs: their cost is dominated by
-//! the simulated rescan charges, and sharing the implementation keeps the
-//! two paths' metrics identical by construction. Every operator charges
+//! Nested loops — over a rescanned stored inner, over an evaluated inner,
+//! and every keyless join — are a pair list as well (`nested_loop`): the
+//! stored inner's filters run once into a selection, the loop compares
+//! typed cells, and the rescans the row path performs per outer row are
+//! charged, in the same order, without being performed
+//! (`nested_loop_inner`). Only the indexed nested loop still hands
+//! materialized inputs to the row-path operator. Every operator charges
 //! exactly the counters the row-at-a-time oracle charges (a property the
 //! differential tests assert), so plan-quality experiments are unaffected
 //! by the execution mode.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use els_core::predicate::CmpOp;
 use els_core::ColumnRef;
-use els_storage::{ColumnVector, Table, Value};
+use els_storage::column::ValueRef;
+use els_storage::{ColumnVector, Table, Value, PAGE_SIZE_BYTES};
 
 use crate::chunk::Chunk;
-use crate::error::{ExecError, ExecResult};
+use crate::error::{rowid, ExecError, ExecResult};
 use crate::executor::ExecState;
-use crate::filter::{bind_filters, filter_selection};
+use crate::filter::{bind_filters, filter_selection, CompiledFilter};
 use crate::join::{
-    band_probe, cmp_key_slices, hash_join, hash_key, nested_loop_join, probe_charge,
-    range_pair_matches, sort_charge, sort_merge_join, HashKey,
+    band_probe, cmp_key_slices, hash_key, probe_charge, range_ref_matches, sort_charge, HashKey,
 };
 use crate::metrics::ExecMetrics;
 use crate::plan::{JoinMethod, PlanNode};
@@ -100,13 +110,23 @@ fn concat_pairs(pieces: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
 }
 
 /// One input a selection can point into: either a stored base table
-/// (shared, never copied) or a materialized intermediate produced by a
-/// delegated row-path operator.
+/// (shared, never copied) or the materialized output of the indexed nested
+/// loop, the one operator still delegated to the row path.
 enum VSource {
     /// A base table behind its query `table_id`.
     Base { table_id: usize, data: Arc<Table> },
     /// A materialized intermediate with provenance.
     Mat(Box<Chunk>),
+}
+
+impl VSource {
+    /// The physical table the source's row ids address.
+    fn table(&self) -> &Table {
+        match self {
+            VSource::Base { data, .. } => data,
+            VSource::Mat(ch) => &ch.data,
+        }
+    }
 }
 
 /// A late-materialized intermediate result: parallel `(source, row ids)`
@@ -132,7 +152,7 @@ impl VChunk {
         crate::error::check_rowid_range(len)?;
         Ok(VChunk {
             sources: vec![VSource::Mat(Box::new(c))],
-            rowids: vec![(0..len).map(crate::error::rowid).collect()],
+            rowids: vec![(0..len).map(rowid).collect()],
             len,
         })
     }
@@ -163,12 +183,11 @@ impl VChunk {
         None
     }
 
-    /// The physical column behind `(source index, column position)`.
-    fn source_column(&self, si: usize, pos: usize) -> ExecResult<&ColumnVector> {
-        match &self.sources[si] {
-            VSource::Base { data, .. } => Ok(data.column(pos)?),
-            VSource::Mat(ch) => Ok(ch.data.column(pos)?),
-        }
+    /// Simulated pages of the chunk the row path would have materialized
+    /// here: every source's columns side by side, `len` rows of them.
+    fn num_pages(&self) -> usize {
+        let row_bytes: usize = self.sources.iter().map(|s| s.table().estimated_row_bytes()).sum();
+        self.len.div_ceil((PAGE_SIZE_BYTES / row_bytes.max(1)).max(1))
     }
 
     /// Compose a join's pair list with both inputs' selections: source `s`
@@ -257,13 +276,13 @@ pub(crate) fn execute_root(
     exec_node(node, tables, workers, st)
 }
 
-/// Fused `COUNT(*)` evaluation: when the plan root is a *keyed* hash or
-/// sort-merge join, count the matches in one pass over the probe instead
-/// of materializing, merging, and sorting the root's row-id pair list.
-/// Only the root can fuse — lower joins' parents compose selections from
-/// their pair lists — and NL/INL/keyless roots fall back to the general
-/// path (they delegate to row operators and never build a pair list).
-/// Counters and observations are charged exactly as the unfused path
+/// Fused `COUNT(*)` evaluation: when the plan root is a nested loop, or a
+/// *keyed* hash or sort-merge join without residual ranges, count the
+/// matches in one pass instead of building (and, for the hash join, merging
+/// and sorting) the root's row-id pair list. Only the root can fuse — lower
+/// joins' parents compose selections from their pair lists — and indexed
+/// nested loops, band joins and residual-filtered roots take the general
+/// path. Counters and observations are charged exactly as the unfused path
 /// charges them, minus the `pair_lists` allocation the fusion removes.
 pub(crate) fn execute_root_count(
     node: &PlanNode,
@@ -272,18 +291,23 @@ pub(crate) fn execute_root_count(
     st: &mut ExecState<'_>,
 ) -> ExecResult<u64> {
     if let PlanNode::Join { method, left, right, keys, ranges } = node {
-        if !keys.is_empty()
-            && ranges.is_empty()
-            && matches!(method, JoinMethod::Hash | JoinMethod::SortMerge)
-        {
+        let nested = is_nested_loop(*method, keys);
+        let keyed = matches!(method, JoinMethod::Hash | JoinMethod::SortMerge);
+        if nested || (keyed && ranges.is_empty()) {
             let start = crate::timing::Stopwatch::start();
             let l = exec_node(left, tables, workers, st)?;
-            let r = exec_node(right, tables, workers, st)?;
-            let n = match method {
-                JoinMethod::Hash => vhash_count(&l, &r, keys, workers, st.metrics)?,
-                _ => vsort_merge_count(&l, &r, keys, st.metrics)?,
-            };
-            st.metrics.tuples_emitted += n;
+            let mut n = 0u64;
+            if nested {
+                let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
+                nested_loop(&l, &r, keys, ranges, st.metrics, |_, _| n += 1)?;
+            } else {
+                let r = exec_node(right, tables, workers, st)?;
+                n = match method {
+                    JoinMethod::Hash => vhash_count(&l, &r, keys, workers, st.metrics)?,
+                    _ => vsort_merge(&l, &r, keys, st.metrics, None)?,
+                };
+                st.metrics.tuples_emitted += n;
+            }
             st.obs.join_outputs.push((node.tables(), n));
             st.obs.join_elapsed.push(start.elapsed());
             return Ok(n);
@@ -326,75 +350,234 @@ fn exec_inner(
             let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
             st.metrics.tuples_scanned += data.num_rows() as u64;
             st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
-            let ncols = data.num_columns();
-            let bound = bind_filters(filters, |c| {
-                (c.table == *table_id && c.column < ncols).then_some(c.column)
-            })?;
-            let mut sel = Vec::new();
-            filter_selection(data, &bound, &mut sel, st.metrics)?;
+            let sel = scan_selection(*table_id, data, filters, st.metrics)?;
             st.metrics.tuples_emitted += sel.len() as u64;
             Ok(VChunk::scan(*table_id, Arc::clone(data), sel))
         }
         PlanNode::Join { method, left, right, keys, ranges } => {
             let l = exec_node(left, tables, workers, st)?;
-            // Rescanning and indexed nested loops share the row-path
-            // operators (see module docs): their cost is the simulated
-            // rescans, not the evaluation loop.
-            if let (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) =
-                (method, right.as_ref())
-            {
-                let lchunk = l.materialize()?;
-                let out = crate::executor::rescan_nested_loop(
-                    &lchunk, *table_id, filters, keys, tables, st,
-                )?;
-                let out = crate::join::apply_join_ranges(out, ranges, st.metrics)?;
-                return VChunk::from_chunk(out);
-            }
             if *method == JoinMethod::IndexNestedLoop {
+                // The one delegated shape (see module docs): the row-path
+                // operator on a materialized outer.
                 let lchunk = l.materialize()?;
                 let out = crate::executor::indexed_nested_loop(&lchunk, right, keys, tables, st)?;
                 let out = crate::join::apply_join_ranges(out, ranges, st.metrics)?;
                 return VChunk::from_chunk(out);
             }
-            let r = exec_node(right, tables, workers, st)?;
-            if *method == JoinMethod::Range {
-                if !keys.is_empty() {
-                    return Err(ExecError::InvalidPlan("range join cannot carry equi-keys".into()));
-                }
-                let pairs = vrange_join(&l, &r, ranges, workers, st.metrics)?;
-                st.metrics.pair_lists += 1;
-                st.metrics.tuples_emitted += pairs.len() as u64;
-                st.metrics.range_join_rows += pairs.len() as u64;
-                return Ok(VChunk::compose(l, r, &pairs));
-            }
-            if keys.is_empty() || *method == JoinMethod::NestedLoop {
-                // Keyless joins degenerate to cartesian nested loops in
-                // every method; NL over a materialized inner is the row
-                // operator by definition.
-                let (lc, rc) = (l.materialize()?, r.materialize()?);
-                let out = match method {
-                    JoinMethod::NestedLoop => nested_loop_join(&lc, &rc, keys, st.metrics)?,
-                    JoinMethod::SortMerge => sort_merge_join(&lc, &rc, keys, st.metrics)?,
-                    JoinMethod::Hash => hash_join(&lc, &rc, keys, st.metrics)?,
-                    JoinMethod::IndexNestedLoop | JoinMethod::Range => {
-                        unreachable!("handled above")
+            let mut pairs = Vec::new();
+            let r = if is_nested_loop(*method, keys) {
+                let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
+                nested_loop(&l, &r, keys, ranges, st.metrics, |lj, rj| pairs.push((lj, rj)))?;
+                r
+            } else {
+                let r = exec_node(right, tables, workers, st)?;
+                if *method == JoinMethod::Range {
+                    if !keys.is_empty() {
+                        return Err(ExecError::InvalidPlan(
+                            "range join cannot carry equi-keys".into(),
+                        ));
                     }
-                };
-                let out = crate::join::apply_join_ranges(out, ranges, st.metrics)?;
-                return VChunk::from_chunk(out);
-            }
-            let pairs = match method {
-                JoinMethod::SortMerge => vsort_merge(&l, &r, keys, st.metrics)?,
-                JoinMethod::Hash => vhash_join(&l, &r, keys, workers, st.metrics)?,
-                JoinMethod::NestedLoop | JoinMethod::IndexNestedLoop | JoinMethod::Range => {
-                    unreachable!("handled above")
+                    pairs = vrange_join(&l, &r, ranges, workers, st.metrics)?;
+                    st.metrics.tuples_emitted += pairs.len() as u64;
+                    st.metrics.range_join_rows += pairs.len() as u64;
+                } else {
+                    if *method == JoinMethod::SortMerge {
+                        vsort_merge(&l, &r, keys, st.metrics, Some(&mut pairs))?;
+                    } else {
+                        pairs = vhash_join(&l, &r, keys, workers, st.metrics)?;
+                    }
+                    st.metrics.tuples_emitted += pairs.len() as u64;
+                    pairs = filter_pairs_by_ranges(&l, &r, pairs, ranges, st.metrics)?;
                 }
+                r
             };
             st.metrics.pair_lists += 1;
-            st.metrics.tuples_emitted += pairs.len() as u64;
-            let pairs = filter_pairs_by_ranges(&l, &r, pairs, ranges, st.metrics)?;
             Ok(VChunk::compose(l, r, &pairs))
         }
+    }
+}
+
+/// The rows of stored table `table_id` that pass `filters`, ascending.
+fn scan_selection(
+    table_id: usize,
+    data: &Table,
+    filters: &[CompiledFilter],
+    metrics: &mut ExecMetrics,
+) -> ExecResult<Vec<u32>> {
+    let ncols = data.num_columns();
+    let bound =
+        bind_filters(filters, |c| (c.table == table_id && c.column < ncols).then_some(c.column))?;
+    let mut sel = Vec::new();
+    filter_selection(data, &bound, &mut sel, metrics)?;
+    Ok(sel)
+}
+
+/// Whether a join runs as nested loops: the method itself, and every keyless
+/// hash or sort-merge join, which degenerates to the cartesian nested loop.
+fn is_nested_loop(method: JoinMethod, keys: &[(ColumnRef, ColumnRef)]) -> bool {
+    method == JoinMethod::NestedLoop
+        || (keys.is_empty() && matches!(method, JoinMethod::Hash | JoinMethod::SortMerge))
+}
+
+/// The inner side of a nested loop under `outer` rows, with the simulated
+/// cost of reading it once per outer row. A stored inner under
+/// `NestedLoop` is what the row path *rescans* (System R's access pattern),
+/// filtering on the fly: here its filters run once, and every rescan is
+/// charged — a pass through the buffer pool per outer row, in outer order,
+/// the stored rows scanned, the comparisons one filter pass makes — plus the
+/// phantom scan observation the row path records. Any other inner is
+/// evaluated once and charged, per outer row, the pages its materialized
+/// rows would fill.
+fn nested_loop_inner(
+    outer: usize,
+    method: JoinMethod,
+    right: &PlanNode,
+    tables: &[Arc<Table>],
+    workers: usize,
+    st: &mut ExecState<'_>,
+) -> ExecResult<VChunk> {
+    let outer = outer as u64;
+    if let (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) = (method, right) {
+        let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
+        let mut pass = ExecMetrics::default();
+        let sel = scan_selection(*table_id, data, filters, &mut pass)?;
+        st.metrics.kernel_rows += pass.kernel_rows;
+        st.metrics.sel_reuses += pass.sel_reuses;
+        st.metrics.comparisons += outer * pass.comparisons;
+        st.metrics.tuples_scanned += outer * data.num_rows() as u64;
+        for _ in 0..outer {
+            st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
+        }
+        st.obs.scan_outputs.push((*table_id, data.num_rows() as u64));
+        st.obs.scan_elapsed.push(std::time::Duration::ZERO);
+        return Ok(VChunk::scan(*table_id, Arc::clone(data), sel));
+    }
+    let r = exec_node(right, tables, workers, st)?;
+    st.metrics.pages_read += outer * r.num_pages() as u64;
+    Ok(r)
+}
+
+/// The nested-loops kernel: `emit` sees, outer-major and in row order, every
+/// `(outer row, inner row)` whose `keys` are SQL-equal and whose `ranges`
+/// ([`oriented`]) all hold. When every column involved is `Int` the loop
+/// runs over `i64` slices; otherwise over borrowed cells, under the row
+/// path's `sql_eq` and range semantics. Charges what the row operators
+/// charge once the inner is in hand: `max(|keys|, 1)` comparisons per pair
+/// examined, one more per range per key match, and the key matches as
+/// `tuples_emitted`.
+fn nested_loop(
+    l: &VChunk,
+    r: &VChunk,
+    keys: &[(ColumnRef, ColumnRef)],
+    ranges: &[(ColumnRef, CmpOp, ColumnRef)],
+    metrics: &mut ExecMetrics,
+    emit: impl FnMut(u32, u32),
+) -> ExecResult<()> {
+    let tests: Vec<(ColumnRef, CmpOp, ColumnRef)> = keys
+        .iter()
+        .map(|&(a, b)| (a, CmpOp::Eq, b))
+        .chain(ranges.iter().map(|&range| oriented(l, range)))
+        .collect();
+    let outer = side_keys(l, tests.iter().map(|t| t.0))?;
+    let inner = side_keys(r, tests.iter().map(|t| t.2))?;
+    let sides = || outer.iter().zip(&inner).zip(&tests);
+    let typed: Option<Vec<IntTest<'_>>> =
+        sides().map(|((o, i), t)| Some(IntTest::new(o.int_keys()?, t.1, i.int_keys()?))).collect();
+    let (nl, nr) = (rowid(l.len()), rowid(r.len()));
+    let matched = if let Some(tests) = typed {
+        let (keys, ranges) = tests.split_at(keys.len());
+        let all = |tests: &[IntTest<'_>], lj, rj| tests.iter().all(|t| t.holds(lj, rj));
+        pair_loop(nl, nr, |lj, rj| all(keys, lj, rj), |lj, rj| all(ranges, lj, rj), emit)
+    } else {
+        let cells: Vec<_> = sides().map(|((o, i), t)| (o, t.1, i)).collect();
+        let (keys, ranges) = cells.split_at(keys.len());
+        pair_loop(
+            nl,
+            nr,
+            |lj, rj| keys.iter().all(|(o, _, i)| o.value(lj).sql_eq(i.value(rj))),
+            |lj, rj| {
+                ranges.iter().all(|(o, op, i)| range_ref_matches(o.value(lj), i.value(rj), *op))
+            },
+            emit,
+        )
+    };
+    let examined = l.len() as u64 * r.len() as u64;
+    metrics.comparisons += examined * keys.len().max(1) as u64 + matched * ranges.len() as u64;
+    metrics.tuples_emitted += matched;
+    Ok(())
+}
+
+/// A join range with its first column on the `left` input's side. The row
+/// path resolves a range's columns in the joined schema, so a plan may name
+/// them in either order: one written right-to-left is mirrored.
+fn oriented(
+    left: &VChunk,
+    (a, op, b): (ColumnRef, CmpOp, ColumnRef),
+) -> (ColumnRef, CmpOp, ColumnRef) {
+    match left.resolve(a) {
+        Some(_) => (a, op, b),
+        None => (b, op.flip(), a),
+    }
+}
+
+/// The loop of [`nested_loop`]: `emit` every pair that passes `key` and then
+/// `range`; returns how many passed `key`.
+fn pair_loop(
+    outer: u32,
+    inner: u32,
+    key: impl Fn(u32, u32) -> bool,
+    range: impl Fn(u32, u32) -> bool,
+    mut emit: impl FnMut(u32, u32),
+) -> u64 {
+    let mut matched = 0;
+    for lj in 0..outer {
+        for rj in 0..inner {
+            if key(lj, rj) {
+                matched += 1;
+                if range(lj, rj) {
+                    emit(lj, rj);
+                }
+            }
+        }
+    }
+    matched
+}
+
+/// `outer op inner` over two `Int` key columns. The operator is matched
+/// once, here, into the set of orderings it accepts, so the loops that call
+/// [`IntTest::holds`] per pair carry no branch on it.
+struct IntTest<'a> {
+    outer: IntKeys<'a>,
+    inner: IntKeys<'a>,
+    /// Accepted orderings, as the sum of their [`IntTest::bit`]s.
+    accepts: u8,
+}
+
+impl<'a> IntTest<'a> {
+    fn new(outer: IntKeys<'a>, op: CmpOp, inner: IntKeys<'a>) -> IntTest<'a> {
+        let accepts = [Ordering::Less, Ordering::Equal, Ordering::Greater]
+            .into_iter()
+            .filter(|&ord| op.eval(ord))
+            .map(IntTest::bit)
+            .sum();
+        IntTest { outer, inner, accepts }
+    }
+
+    fn bit(ord: Ordering) -> u8 {
+        match ord {
+            Ordering::Less => 1,
+            Ordering::Equal => 2,
+            Ordering::Greater => 4,
+        }
+    }
+
+    /// Whether logical rows `lj` of the outer and `rj` of the inner side
+    /// pass; a NULL on either side never does.
+    fn holds(&self, lj: u32, rj: u32) -> bool {
+        matches!(
+            (self.outer.at(lj), self.inner.at(rj)),
+            (Some(a), Some(b)) if self.accepts & IntTest::bit(a.cmp(&b)) != 0
+        )
     }
 }
 
@@ -410,17 +593,58 @@ impl<'a> SideKey<'a> {
     fn int_keys(&self) -> Option<IntKeys<'a>> {
         Some(IntKeys { data: self.col.as_int_slice()?, valid: self.col.validity(), ids: self.ids })
     }
+
+    /// The side's keys in logical row order (`None` for a NULL), when its
+    /// key column is `Str`.
+    fn str_keys(&self) -> Option<impl Iterator<Item = Option<&'a str>> + 'a> {
+        let (data, valid) = (self.col.as_str_slice()?, self.col.validity());
+        let key = move |&rid: &u32| {
+            let (ok, key) = (valid.get(rid as usize)?, data.get(rid as usize)?);
+            ok.then_some(key.as_str())
+        };
+        Some(self.ids.iter().map(key))
+    }
+
+    /// The physical row behind logical row `j`; outside the selection, a
+    /// row outside every column.
+    fn rid(&self, j: usize) -> usize {
+        self.ids.get(j).map_or(usize::MAX, |&rid| rid as usize)
+    }
+
+    /// The cell of logical row `j`, borrowed.
+    fn value(&self, j: u32) -> ValueRef<'a> {
+        self.ids.get(j as usize).map_or(ValueRef::Null, |&rid| self.col.value_ref(rid as usize))
+    }
+}
+
+fn side_key(v: &VChunk, c: ColumnRef) -> ExecResult<SideKey<'_>> {
+    let missing = || ExecError::ColumnNotInSchema(c);
+    let (si, pos) = v.resolve(c).ok_or_else(missing)?;
+    let (src, ids) = v.sources.get(si).zip(v.rowids.get(si)).ok_or_else(missing)?;
+    Ok(SideKey { col: src.table().column(pos)?, ids })
 }
 
 fn side_keys<'a>(
     v: &'a VChunk,
     refs: impl Iterator<Item = ColumnRef>,
 ) -> ExecResult<Vec<SideKey<'a>>> {
-    refs.map(|c| {
-        let (si, pos) = v.resolve(c).ok_or(ExecError::ColumnNotInSchema(c))?;
-        Ok(SideKey { col: v.source_column(si, pos)?, ids: &v.rowids[si] })
-    })
-    .collect()
+    refs.map(|c| side_key(v, c)).collect()
+}
+
+/// A join's key columns as raw `i64` slices, left side then right.
+type IntSides<'a> = (Vec<IntKeys<'a>>, Vec<IntKeys<'a>>);
+
+/// Both sides of a join's key pairs as raw `i64` slices, when every
+/// component on either side is `Int` — what the typed hash join and its
+/// fused count run on, a single pair being the one-component case.
+fn int_sides<'a>(
+    left: &'a VChunk,
+    right: &'a VChunk,
+    keys: &[(ColumnRef, ColumnRef)],
+) -> ExecResult<Option<IntSides<'a>>> {
+    let l = keys.iter().map(|k| Ok(side_key(left, k.0)?.int_keys())).collect::<ExecResult<_>>()?;
+    let r = keys.iter().map(|k| Ok(side_key(right, k.1)?.int_keys())).collect::<ExecResult<_>>()?;
+    Ok(Option::zip(l, r))
 }
 
 /// Per-row composite hash keys for the generic join path; `None` marks a
@@ -430,8 +654,7 @@ fn gather_hash_keys(side: &[SideKey<'_>], len: usize) -> ExecResult<Vec<Option<V
         .map(|j| {
             let mut ks = Vec::with_capacity(side.len());
             for sk in side {
-                let v = sk.col.get(sk.ids[j] as usize)?;
-                match hash_key(&v) {
+                match hash_key(&sk.col.get(sk.rid(j))?) {
                     None => return Ok(None),
                     Some(k) => ks.push(k),
                 }
@@ -441,20 +664,19 @@ fn gather_hash_keys(side: &[SideKey<'_>], len: usize) -> ExecResult<Vec<Option<V
         .collect()
 }
 
-/// Non-NULL composite sort keys with their logical row ids, in row order
-/// (so the stable sorts below permute exactly like the row path's).
+/// Non-NULL composite sort keys with their logical row ids, in row order.
 fn gather_sort_keys(side: &[SideKey<'_>], len: usize) -> ExecResult<Vec<(Vec<Value>, u32)>> {
     let mut out = Vec::with_capacity(len);
     'rows: for j in 0..len {
         let mut ks = Vec::with_capacity(side.len());
         for sk in side {
-            let v = sk.col.get(sk.ids[j] as usize)?;
+            let v = sk.col.get(sk.rid(j))?;
             if v.is_null() {
                 continue 'rows;
             }
             ks.push(v);
         }
-        out.push((ks, crate::error::rowid(j)));
+        out.push((ks, rowid(j)));
     }
     Ok(out)
 }
@@ -465,9 +687,9 @@ fn gather_sort_keys(side: &[SideKey<'_>], len: usize) -> ExecResult<Vec<(Vec<Val
 fn gather_range_keys(side: &SideKey<'_>, len: usize) -> ExecResult<Vec<(Value, u32)>> {
     let mut out = Vec::with_capacity(len);
     for j in 0..len {
-        let v = side.col.get(side.ids[j] as usize)?;
+        let v = side.col.get(side.rid(j))?;
         if !v.is_null() {
-            out.push((v, crate::error::rowid(j)));
+            out.push((v, rowid(j)));
         }
     }
     Ok(out)
@@ -488,72 +710,53 @@ fn vrange_join(
     workers: usize,
     metrics: &mut ExecMetrics,
 ) -> ExecResult<Vec<(u32, u32)>> {
-    let Some(&(lc, op, rc)) = ranges.first() else {
+    let Some((&(lc, op, rc), residual)) = ranges.split_first() else {
         return Err(ExecError::InvalidPlan("range join requires at least one range".into()));
     };
     if !op.is_range() {
         return Err(ExecError::InvalidPlan(format!("`{op}` cannot drive a range join")));
     }
-    let lside = side_keys(left, std::iter::once(lc))?;
-    let rside = side_keys(right, std::iter::once(rc))?;
-    let mut lrows = gather_range_keys(&lside[0], left.len())?;
-    let mut rrows = gather_range_keys(&rside[0], right.len())?;
+    let mut lrows = gather_range_keys(&side_key(left, lc)?, left.len())?;
+    let mut rrows = gather_range_keys(&side_key(right, rc)?, right.len())?;
     metrics.rows_sorted += (lrows.len() + rrows.len()) as u64;
     lrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     rrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
     metrics.comparisons += lrows.len() as u64 * probe_charge(rrows.len());
     let mut pairs = concat_pairs(morsel_pieces(workers, lrows.len(), metrics, |lo, hi| {
-        band_probe(&lrows[lo..hi], &rrows, op)
+        band_probe(lrows.get(lo..hi).unwrap_or_default(), &rrows, op)
     }));
-    if ranges.len() > 1 {
-        metrics.comparisons += pairs.len() as u64 * (ranges.len() - 1) as u64;
-        pairs = retain_matching_pairs(left, right, pairs, &ranges[1..])?;
-    }
+    pairs = filter_pairs_by_ranges(left, right, pairs, residual, metrics)?;
     pairs.sort_unstable();
     Ok(pairs)
 }
 
-/// Residual inequality filter over a keyed join's pair list — the
-/// late-materializing twin of [`crate::join::apply_join_ranges`], charging
-/// the same one comparison per candidate pair per range.
+/// Residual inequality filter over a pair list — the late-materializing
+/// twin of [`crate::join::apply_join_ranges`], charging the same one
+/// comparison per candidate pair per range and keeping the pairs that
+/// satisfy every range (NULLs never match). Each range is one pass over the
+/// survivors: over `i64` slices when both its columns are `Int`
+/// ([`IntTest`]), over borrowed cells otherwise.
 fn filter_pairs_by_ranges(
     left: &VChunk,
     right: &VChunk,
-    pairs: Vec<(u32, u32)>,
+    mut pairs: Vec<(u32, u32)>,
     ranges: &[(ColumnRef, CmpOp, ColumnRef)],
     metrics: &mut ExecMetrics,
 ) -> ExecResult<Vec<(u32, u32)>> {
-    if ranges.is_empty() {
-        return Ok(pairs);
-    }
     metrics.comparisons += pairs.len() as u64 * ranges.len() as u64;
-    retain_matching_pairs(left, right, pairs, ranges)
-}
-
-/// Keep the pairs whose row values satisfy every range (NULLs never
-/// match). Pure filtering — the caller charges the comparisons.
-fn retain_matching_pairs(
-    left: &VChunk,
-    right: &VChunk,
-    pairs: Vec<(u32, u32)>,
-    ranges: &[(ColumnRef, CmpOp, ColumnRef)],
-) -> ExecResult<Vec<(u32, u32)>> {
-    let lsides = side_keys(left, ranges.iter().map(|&(l, _, _)| l))?;
-    let rsides = side_keys(right, ranges.iter().map(|&(_, _, r)| r))?;
-    let ops: Vec<CmpOp> = ranges.iter().map(|&(_, o, _)| o).collect();
-    let mut kept = Vec::with_capacity(pairs.len());
-    'pairs: for (lj, rj) in pairs {
-        for ((ls, rs), &o) in lsides.iter().zip(&rsides).zip(&ops) {
-            let lv = ls.col.get(ls.ids[lj as usize] as usize)?;
-            let rv = rs.col.get(rs.ids[rj as usize] as usize)?;
-            if !range_pair_matches(&lv, &rv, o) {
-                continue 'pairs;
+    for &range in ranges {
+        let (lc, op, rc) = oriented(left, range);
+        let (l, r) = (side_key(left, lc)?, side_key(right, rc)?);
+        match (l.int_keys(), r.int_keys()) {
+            (Some(li), Some(ri)) => {
+                let test = IntTest::new(li, op, ri);
+                pairs.retain(|&(lj, rj)| test.holds(lj, rj));
             }
+            _ => pairs.retain(|&(lj, rj)| range_ref_matches(l.value(lj), r.value(rj), op)),
         }
-        kept.push((lj, rj));
     }
-    Ok(kept)
+    Ok(pairs)
 }
 
 /// One distinct build key and where its rows sit in [`IntTable::rows`];
@@ -633,6 +836,13 @@ impl IntTable {
         i
     }
 
+    /// A bucket's logical build rows, ascending (empty for a table built
+    /// without rows).
+    fn bucket(&self, slot: &Slot) -> &[u32] {
+        let start = slot.start as usize;
+        self.rows.get(start..start + slot.len as usize).unwrap_or_default()
+    }
+
     /// The bucket of `key`, if the build side holds it.
     fn find(&self, key: i64) -> Option<&Slot> {
         if key < self.min || key > self.max {
@@ -642,7 +852,7 @@ impl IntTable {
     }
 }
 
-/// One side's single `Int` key column as raw slices.
+/// One `Int` key column of one side, as raw slices.
 struct IntKeys<'a> {
     data: &'a [i64],
     valid: &'a [bool],
@@ -656,10 +866,21 @@ impl IntKeys<'_> {
         ok.then_some(*key)
     }
 
+    /// The key of logical row `j`; `None` when it is NULL.
+    fn at(&self, j: u32) -> Option<i64> {
+        self.key(*self.ids.get(j as usize)?)
+    }
+
     /// The non-NULL keys, in logical row order.
     fn valid_keys(&self) -> impl Iterator<Item = i64> + '_ {
         self.ids.iter().filter_map(|&rid| self.key(rid))
     }
+}
+
+/// Whether logical rows `lj` of `l` and `rj` of `r` agree on every key
+/// component; a NULL component never matches.
+fn keys_match(l: &[IntKeys<'_>], lj: u32, r: &[IntKeys<'_>], rj: u32) -> bool {
+    l.iter().zip(r).all(|(l, r)| matches!((l.at(lj), r.at(rj)), (Some(a), Some(b)) if a == b))
 }
 
 /// Vectorized hash join on logical row ids. Charges one `hash_probes` per
@@ -672,55 +893,41 @@ fn vhash_join(
     workers: usize,
     metrics: &mut ExecMetrics,
 ) -> ExecResult<Vec<(u32, u32)>> {
+    if let Some((build, probe)) = int_sides(left, right, keys)? {
+        return Ok(int_hash_join(&build, &probe, workers, metrics));
+    }
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
+    metrics.hash_probes += right.len() as u64;
+    let mut pairs = Vec::new();
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(build), Some(probe)) = (lk.int_keys(), rk.int_keys()) {
-            return Ok(int_hash_join(&build, &probe, workers, metrics));
-        }
-        if let (Some(ld), Some(rd)) = (lk.col.as_str_slice(), rk.col.as_str_slice()) {
-            let (lv, rv) = (lk.col.validity(), rk.col.validity());
+        if let (Some(lkeys), Some(rkeys)) = (lk.str_keys(), rk.str_keys()) {
             let mut table: HashMap<&str, Vec<u32>> = HashMap::new();
-            for (j, &rid) in lk.ids.iter().enumerate() {
-                if lv[rid as usize] {
-                    table
-                        .entry(ld[rid as usize].as_str())
-                        .or_default()
-                        .push(crate::error::rowid(j));
+            for (j, key) in lkeys.enumerate() {
+                if let Some(key) = key {
+                    table.entry(key).or_default().push(rowid(j));
                 }
             }
-            metrics.hash_probes += rk.ids.len() as u64;
-            let mut pairs = Vec::new();
-            for (j, &rid) in rk.ids.iter().enumerate() {
-                if rv[rid as usize] {
-                    if let Some(ls) = table.get(rd[rid as usize].as_str()) {
-                        for &lj in ls {
-                            pairs.push((lj, crate::error::rowid(j)));
-                        }
-                    }
+            for (j, key) in rkeys.enumerate() {
+                if let Some(ls) = key.and_then(|key| table.get(key)) {
+                    pairs.extend(ls.iter().map(|&lj| (lj, rowid(j))));
                 }
             }
             pairs.sort_unstable();
             return Ok(pairs);
         }
     }
-    // Generic path: composite and/or mixed-type keys through the same
-    // normalized `HashKey` the row path uses.
+    // Generic path: a key component that is not `Int` (or a lone key that
+    // is not `Str`) through the same normalized `HashKey` the row path uses.
     let mut table: HashMap<Vec<HashKey>, Vec<u32>> = HashMap::new();
     for (j, k) in gather_hash_keys(&lsides, left.len())?.into_iter().enumerate() {
         if let Some(k) = k {
-            table.entry(k).or_default().push(crate::error::rowid(j));
+            table.entry(k).or_default().push(rowid(j));
         }
     }
-    metrics.hash_probes += right.len() as u64;
-    let mut pairs = Vec::new();
     for (j, k) in gather_hash_keys(&rsides, right.len())?.into_iter().enumerate() {
-        if let Some(k) = k {
-            if let Some(ls) = table.get(&k) {
-                for &lj in ls {
-                    pairs.push((lj, crate::error::rowid(j)));
-                }
-            }
+        if let Some(ls) = k.and_then(|k| table.get(&k)) {
+            pairs.extend(ls.iter().map(|&lj| (lj, rowid(j))));
         }
     }
     pairs.sort_unstable();
@@ -739,273 +946,187 @@ fn vhash_count(
     workers: usize,
     metrics: &mut ExecMetrics,
 ) -> ExecResult<u64> {
+    if let Some((build, probe)) = int_sides(left, right, keys)? {
+        return Ok(int_hash_count(&build, &probe, workers, metrics));
+    }
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
+    metrics.hash_probes += right.len() as u64;
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(build), Some(probe)) = (lk.int_keys(), rk.int_keys()) {
-            return Ok(int_hash_count(&build, &probe, workers, metrics));
-        }
-        if let (Some(ld), Some(rd)) = (lk.col.as_str_slice(), rk.col.as_str_slice()) {
-            let (lv, rv) = (lk.col.validity(), rk.col.validity());
+        if let (Some(lkeys), Some(rkeys)) = (lk.str_keys(), rk.str_keys()) {
             let mut table: HashMap<&str, u64> = HashMap::new();
-            for &rid in lk.ids {
-                if lv[rid as usize] {
-                    *table.entry(ld[rid as usize].as_str()).or_default() += 1;
-                }
+            for key in lkeys.flatten() {
+                *table.entry(key).or_default() += 1;
             }
-            metrics.hash_probes += rk.ids.len() as u64;
-            let mut n = 0u64;
-            for &rid in rk.ids {
-                if rv[rid as usize] {
-                    n += table.get(rd[rid as usize].as_str()).copied().unwrap_or(0);
-                }
-            }
-            return Ok(n);
+            return Ok(rkeys.flatten().filter_map(|key| table.get(key)).sum());
         }
     }
     let mut table: HashMap<Vec<HashKey>, u64> = HashMap::new();
     for k in gather_hash_keys(&lsides, left.len())?.into_iter().flatten() {
         *table.entry(k).or_default() += 1;
     }
-    metrics.hash_probes += right.len() as u64;
-    let mut n = 0u64;
-    for k in gather_hash_keys(&rsides, right.len())?.into_iter().flatten() {
-        n += table.get(&k).copied().unwrap_or(0);
-    }
-    Ok(n)
+    let probes = gather_hash_keys(&rsides, right.len())?.into_iter().flatten();
+    Ok(probes.filter_map(|k| table.get(&k)).sum())
 }
 
-/// `i64` fast path: one shared table built serially, probed in the pieces
-/// [`morsel_pieces`] picks. Charges one `hash_probes` per probe-side row
-/// (NULLs included, like the row path).
+/// The typed hash join, built: one table over the build side's first key
+/// component, shared by every probe piece, and the components a bucket
+/// candidate still has to agree on ([`keys_match`]).
+struct IntProbe<'a> {
+    table: IntTable,
+    first: &'a IntKeys<'a>,
+    build_rest: &'a [IntKeys<'a>],
+    probe_rest: &'a [IntKeys<'a>],
+}
+
+impl<'a> IntProbe<'a> {
+    /// Build the table (`with_rows`: bucket rows, not just bucket sizes) and
+    /// charge one `hash_probes` per probe-side row, NULLs included, like the
+    /// row path. `None` without a key.
+    fn new(
+        build: &'a [IntKeys<'a>],
+        probe: &'a [IntKeys<'a>],
+        with_rows: bool,
+        metrics: &mut ExecMetrics,
+    ) -> Option<IntProbe<'a>> {
+        let ((bfirst, build_rest), (first, probe_rest)) =
+            (build.split_first()?, probe.split_first()?);
+        metrics.hash_probes += first.ids.len() as u64;
+        Some(IntProbe { table: IntTable::build(bfirst, with_rows), first, build_rest, probe_rest })
+    }
+
+    /// The probe rows `lo..hi` that find a bucket, each with its bucket.
+    fn hits(&self, lo: usize, hi: usize) -> impl Iterator<Item = (u32, &Slot)> {
+        let ids = self.first.ids.get(lo..hi).unwrap_or_default();
+        let hit = |(j, &rid)| Some((rowid(j), self.table.find(self.first.key(rid)?)?));
+        (lo..hi).zip(ids).filter_map(hit)
+    }
+
+    /// A bucket's build rows that match probe row `rj` on every component.
+    fn matches<'s>(&'s self, slot: &Slot, rj: u32) -> impl Iterator<Item = u32> + 's {
+        let agree = move |&lj: &u32| keys_match(self.build_rest, lj, self.probe_rest, rj);
+        self.table.bucket(slot).iter().copied().filter(agree)
+    }
+
+    /// Probe rows `lo..hi`, emitting `(build row, probe row)` logical pairs.
+    fn pairs(&self, lo: usize, hi: usize) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for (rj, slot) in self.hits(lo, hi) {
+            pairs.extend(self.matches(slot, rj).map(|lj| (lj, rj)));
+        }
+        pairs
+    }
+
+    /// Counting twin of [`IntProbe::pairs`]: for a single component the
+    /// matching buckets' sizes, which a table without rows still knows.
+    fn count(&self, lo: usize, hi: usize) -> u64 {
+        if self.probe_rest.is_empty() {
+            return self.hits(lo, hi).map(|(_, slot)| u64::from(slot.len)).sum();
+        }
+        self.hits(lo, hi).map(|(rj, slot)| self.matches(slot, rj).count() as u64).sum()
+    }
+}
+
+/// Typed path of [`vhash_join`]: the shared table is built serially and
+/// probed in the pieces [`morsel_pieces`] picks.
 fn int_hash_join(
-    build: &IntKeys<'_>,
-    probe: &IntKeys<'_>,
+    build: &[IntKeys<'_>],
+    probe: &[IntKeys<'_>],
     workers: usize,
     metrics: &mut ExecMetrics,
 ) -> Vec<(u32, u32)> {
-    metrics.hash_probes += probe.ids.len() as u64;
-    let table = IntTable::build(build, true);
-    let mut pairs = concat_pairs(morsel_pieces(workers, probe.ids.len(), metrics, |lo, hi| {
-        probe_morsel(&table, probe, lo, hi)
-    }));
+    let Some(join) = IntProbe::new(build, probe, true, metrics) else { return Vec::new() };
+    let rows = join.first.ids.len();
+    let mut pairs =
+        concat_pairs(morsel_pieces(workers, rows, metrics, |lo, hi| join.pairs(lo, hi)));
     pairs.sort_unstable();
     pairs
 }
 
 /// Fused counting twin of [`int_hash_join`]: identical table, pieces, and
-/// counter charges, but sums matching-bucket sizes instead of allocating a
-/// pair list. A count is additive, so no merge order or final sort is
-/// needed for determinism.
+/// counter charges, but sums matches instead of allocating a pair list, and
+/// keeps bucket rows only when there are further components to verify. A
+/// count is additive, so no merge order or final sort is needed for
+/// determinism.
 fn int_hash_count(
-    build: &IntKeys<'_>,
-    probe: &IntKeys<'_>,
+    build: &[IntKeys<'_>],
+    probe: &[IntKeys<'_>],
     workers: usize,
     metrics: &mut ExecMetrics,
 ) -> u64 {
-    metrics.hash_probes += probe.ids.len() as u64;
-    let table = IntTable::build(build, false);
-    morsel_pieces(workers, probe.ids.len(), metrics, |lo, hi| count_morsel(&table, probe, lo, hi))
-        .into_iter()
-        .sum()
+    let Some(join) = IntProbe::new(build, probe, build.len() > 1, metrics) else { return 0 };
+    let rows = join.first.ids.len();
+    morsel_pieces(workers, rows, metrics, |lo, hi| join.count(lo, hi)).into_iter().sum()
 }
 
-/// Probe rows `lo..hi`, emitting `(build row, probe row)` logical pairs.
-fn probe_morsel(table: &IntTable, probe: &IntKeys<'_>, lo: usize, hi: usize) -> Vec<(u32, u32)> {
-    let mut pairs = Vec::new();
-    for (j, &rid) in (lo..hi).zip(probe.ids.get(lo..hi).unwrap_or_default()) {
-        if let Some(slot) = probe.key(rid).and_then(|key| table.find(key)) {
-            let (start, rj) = (slot.start as usize, crate::error::rowid(j));
-            let bucket = table.rows.get(start..start + slot.len as usize).unwrap_or_default();
-            pairs.extend(bucket.iter().map(|&lj| (lj, rj)));
-        }
-    }
-    pairs
-}
-
-/// Counting twin of [`probe_morsel`].
-fn count_morsel(table: &IntTable, probe: &IntKeys<'_>, lo: usize, hi: usize) -> u64 {
-    let ids = probe.ids.get(lo..hi).unwrap_or_default();
-    ids.iter().filter_map(|&rid| table.find(probe.key(rid)?)).map(|s| u64::from(s.len)).sum()
-}
-
-/// Vectorized sort-merge join on logical row ids; replicates the row
-/// algorithm (stable key sorts, `n log n` sort charge, one comparison per
-/// merge iteration, equal-run cross products) so counters and output order
-/// match exactly.
+/// Vectorized sort-merge join on logical row ids, and its fused counting
+/// twin: returns the number of matches and, given a pair list, pushes them
+/// onto it in the row algorithm's output order. A single `Int`/`Int` key
+/// pair sorts `(key, row)` entries (`i64::cmp` orders identically to
+/// `Value::total_cmp` on `Int`s); composite and non-`Int` keys gather
+/// `Value`s per row. [`sort_merge`] is the algorithm either way.
 fn vsort_merge(
     left: &VChunk,
     right: &VChunk,
     keys: &[(ColumnRef, ColumnRef)],
     metrics: &mut ExecMetrics,
-) -> ExecResult<Vec<(u32, u32)>> {
-    let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
-    let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
-    if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(l), Some(r)) = (lk.int_keys(), rk.int_keys()) {
-            return Ok(int_sort_merge(&l, &r, metrics));
-        }
-    }
-    let mut lrows = gather_sort_keys(&lsides, left.len())?;
-    let mut rrows = gather_sort_keys(&rsides, right.len())?;
-    metrics.rows_sorted += (lrows.len() + rrows.len()) as u64;
-    lrows.sort_by(|a, b| cmp_key_slices(&a.0, &b.0));
-    rrows.sort_by(|a, b| cmp_key_slices(&a.0, &b.0));
-    metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
-    let mut pairs = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lrows.len() && j < rrows.len() {
-        metrics.comparisons += 1;
-        match cmp_key_slices(&lrows[i].0, &rrows[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let mut ie = i + 1;
-                while ie < lrows.len() && cmp_key_slices(&lrows[ie].0, &lrows[i].0).is_eq() {
-                    ie += 1;
-                }
-                let mut je = j + 1;
-                while je < rrows.len() && cmp_key_slices(&rrows[je].0, &rrows[j].0).is_eq() {
-                    je += 1;
-                }
-                for lrow in &lrows[i..ie] {
-                    for rrow in &rrows[j..je] {
-                        pairs.push((lrow.1, rrow.1));
-                    }
-                }
-                i = ie;
-                j = je;
-            }
-        }
-    }
-    Ok(pairs)
-}
-
-/// `i64` fast path of [`vsort_merge`]: sorts `(key, row)` pairs instead of
-/// allocating `Vec<Value>` per row. `i64::cmp` orders identically to
-/// `Value::total_cmp` on `Int`s, so the permutation (and every counter)
-/// matches the generic algorithm.
-fn int_sort_merge(l: &IntKeys<'_>, r: &IntKeys<'_>, metrics: &mut ExecMetrics) -> Vec<(u32, u32)> {
-    let collect = |k: &IntKeys<'_>| -> Vec<(i64, u32)> {
-        let keyed = |(j, &rid)| Some((k.key(rid)?, crate::error::rowid(j)));
-        k.ids.iter().enumerate().filter_map(keyed).collect()
-    };
-    let mut lrows = collect(l);
-    let mut rrows = collect(r);
-    metrics.rows_sorted += (lrows.len() + rrows.len()) as u64;
-    lrows.sort_by_key(|e| e.0);
-    rrows.sort_by_key(|e| e.0);
-    metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
-    let mut pairs = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lrows.len() && j < rrows.len() {
-        metrics.comparisons += 1;
-        match lrows[i].0.cmp(&rrows[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let mut ie = i + 1;
-                while ie < lrows.len() && lrows[ie].0 == lrows[i].0 {
-                    ie += 1;
-                }
-                let mut je = j + 1;
-                while je < rrows.len() && rrows[je].0 == rrows[j].0 {
-                    je += 1;
-                }
-                for &(_, lj) in &lrows[i..ie] {
-                    for &(_, rj) in &rrows[j..je] {
-                        pairs.push((lj, rj));
-                    }
-                }
-                i = ie;
-                j = je;
-            }
-        }
-    }
-    pairs
-}
-
-/// Fused counting twin of [`vsort_merge`]: identical sorts, sort charges,
-/// and merge loop, but an equal run contributes `|left run| * |right run|`
-/// to a running count instead of materializing its cross product.
-fn vsort_merge_count(
-    left: &VChunk,
-    right: &VChunk,
-    keys: &[(ColumnRef, ColumnRef)],
-    metrics: &mut ExecMetrics,
+    pairs: Option<&mut Vec<(u32, u32)>>,
 ) -> ExecResult<u64> {
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
         if let (Some(l), Some(r)) = (lk.int_keys(), rk.int_keys()) {
-            return Ok(int_sort_merge_count(&l, &r, metrics));
+            let entries = |k: &IntKeys<'_>| {
+                // Sized for every id: `collect` on a filter grows by
+                // doubling, one `realloc` (and arena lock) per step.
+                let mut rows = Vec::with_capacity(k.ids.len());
+                let keyed = |(j, &rid)| Some((k.key(rid)?, rowid(j)));
+                rows.extend(k.ids.iter().enumerate().filter_map(keyed));
+                rows
+            };
+            return Ok(sort_merge(entries(&l), entries(&r), i64::cmp, metrics, pairs));
         }
     }
-    let mut lrows = gather_sort_keys(&lsides, left.len())?;
-    let mut rrows = gather_sort_keys(&rsides, right.len())?;
-    metrics.rows_sorted += (lrows.len() + rrows.len()) as u64;
-    lrows.sort_by(|a, b| cmp_key_slices(&a.0, &b.0));
-    rrows.sort_by(|a, b| cmp_key_slices(&a.0, &b.0));
-    metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
-    let mut n = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lrows.len() && j < rrows.len() {
-        metrics.comparisons += 1;
-        match cmp_key_slices(&lrows[i].0, &rrows[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let mut ie = i + 1;
-                while ie < lrows.len() && cmp_key_slices(&lrows[ie].0, &lrows[i].0).is_eq() {
-                    ie += 1;
-                }
-                let mut je = j + 1;
-                while je < rrows.len() && cmp_key_slices(&rrows[je].0, &rrows[j].0).is_eq() {
-                    je += 1;
-                }
-                n += ((ie - i) * (je - j)) as u64;
-                i = ie;
-                j = je;
-            }
-        }
-    }
-    Ok(n)
+    let lrows = gather_sort_keys(&lsides, left.len())?;
+    let rrows = gather_sort_keys(&rsides, right.len())?;
+    Ok(sort_merge(lrows, rrows, |a, b| cmp_key_slices(a, b), metrics, pairs))
 }
 
-/// `i64` fast path of [`vsort_merge_count`] (see [`int_sort_merge`]).
-fn int_sort_merge_count(l: &IntKeys<'_>, r: &IntKeys<'_>, metrics: &mut ExecMetrics) -> u64 {
-    let collect = |k: &IntKeys<'_>| -> Vec<i64> {
-        // Sized for every id: `collect` on a filter grows by doubling, one
-        // `realloc` (and arena lock) per step.
-        let mut rows = Vec::with_capacity(k.ids.len());
-        rows.extend(k.valid_keys());
-        rows
-    };
-    let mut lrows = collect(l);
-    let mut rrows = collect(r);
+/// The sort-merge algorithm, replicating the row operator so counters and
+/// output order match exactly: sort both sides' non-NULL `(key, row)`
+/// entries, charge `n log n` per sort, then merge with one comparison per
+/// step, an equal-key run pair contributing its cross product. Entries
+/// arrive in row order, so breaking key ties by row is the row operator's
+/// stable sort without its scratch buffer.
+fn sort_merge<K>(
+    mut lrows: Vec<(K, u32)>,
+    mut rrows: Vec<(K, u32)>,
+    cmp: impl Fn(&K, &K) -> Ordering,
+    metrics: &mut ExecMetrics,
+    mut pairs: Option<&mut Vec<(u32, u32)>>,
+) -> u64 {
     metrics.rows_sorted += (lrows.len() + rrows.len()) as u64;
-    lrows.sort_unstable();
-    rrows.sort_unstable();
+    lrows.sort_unstable_by(|a, b| cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
+    rrows.sort_unstable_by(|a, b| cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
+    let (mut lrest, mut rrest) = (lrows.as_slice(), rrows.as_slice());
     let mut n = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lrows.len() && j < rrows.len() {
+    while let (Some((a, ltail)), Some((b, rtail))) = (lrest.split_first(), rrest.split_first()) {
         metrics.comparisons += 1;
-        match lrows[i].cmp(&rrows[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let mut ie = i + 1;
-                while ie < lrows.len() && lrows[ie] == lrows[i] {
-                    ie += 1;
+        match cmp(&a.0, &b.0) {
+            Ordering::Less => lrest = ltail,
+            Ordering::Greater => rrest = rtail,
+            Ordering::Equal => {
+                let lrun = 1 + ltail.iter().take_while(|e| cmp(&e.0, &a.0).is_eq()).count();
+                let rrun = 1 + rtail.iter().take_while(|e| cmp(&e.0, &b.0).is_eq()).count();
+                let ((lrun, ltail), (rrun, rtail)) = (lrest.split_at(lrun), rrest.split_at(rrun));
+                n += lrun.len() as u64 * rrun.len() as u64;
+                if let Some(pairs) = pairs.as_deref_mut() {
+                    for (_, lj) in lrun {
+                        pairs.extend(rrun.iter().map(|(_, rj)| (*lj, *rj)));
+                    }
                 }
-                let mut je = j + 1;
-                while je < rrows.len() && rrows[je] == rrows[j] {
-                    je += 1;
-                }
-                n += ((ie - i) * (je - j)) as u64;
-                i = ie;
-                j = je;
+                (lrest, rrest) = (ltail, rtail);
             }
         }
     }
@@ -1016,6 +1137,7 @@ fn int_sort_merge_count(l: &IntKeys<'_>, r: &IntKeys<'_>, metrics: &mut ExecMetr
 mod tests {
     use super::*;
     use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
+    use std::slice::from_ref as one;
 
     fn int_keys_table(name: &str, rows: usize, modulo: i64) -> Arc<Table> {
         let t = TableSpec::new(name, rows)
@@ -1047,7 +1169,7 @@ mod tests {
             let pk =
                 IntKeys { data: pcol.as_int_slice().unwrap(), valid: pcol.validity(), ids: &pids };
             let mut serial_m = ExecMetrics::default();
-            let serial = int_hash_join(&bk, &pk, 1, &mut serial_m);
+            let serial = int_hash_join(one(&bk), one(&pk), 1, &mut serial_m);
             assert!(!serial.is_empty());
             assert_eq!(
                 serial_m.morsels,
@@ -1057,10 +1179,10 @@ mod tests {
             for workers in [1, 2, 3, 8] {
                 let ctx = format!("rows={rows} workers={workers}");
                 let mut m = ExecMetrics::default();
-                assert_eq!(int_hash_join(&bk, &pk, workers, &mut m), serial, "{ctx}");
+                assert_eq!(int_hash_join(one(&bk), one(&pk), workers, &mut m), serial, "{ctx}");
                 let mut cm = ExecMetrics::default();
                 assert_eq!(
-                    int_hash_count(&bk, &pk, workers, &mut cm),
+                    int_hash_count(one(&bk), one(&pk), workers, &mut cm),
                     serial.len() as u64,
                     "{ctx}"
                 );
@@ -1117,15 +1239,15 @@ mod tests {
         let bk = IntKeys { data: &bdata, valid: &bvalid, ids: &bids };
         let pk = IntKeys { data: &pdata, valid: &pvalid, ids: &pids };
         let mut base_m = ExecMetrics::default();
-        let base = int_hash_join(&bk, &pk, 1, &mut base_m);
+        let base = int_hash_join(one(&bk), one(&pk), 1, &mut base_m);
         assert!(!base.is_empty());
         for workers in [1, 2, 3, 8] {
             let ctx = format!("workers={workers}");
             let mut m = ExecMetrics::default();
-            let pairs = int_hash_join(&bk, &pk, workers, &mut m);
+            let pairs = int_hash_join(one(&bk), one(&pk), workers, &mut m);
             assert_eq!(pairs, base, "{ctx}");
             let mut cm = ExecMetrics::default();
-            let n = int_hash_count(&bk, &pk, workers, &mut cm);
+            let n = int_hash_count(one(&bk), one(&pk), workers, &mut cm);
             assert_eq!(n, base.len() as u64, "{ctx}");
             for metrics in [&m, &cm] {
                 assert_eq!(metrics.hash_probes, base_m.hash_probes, "{ctx}");
@@ -1147,12 +1269,12 @@ mod tests {
         let nulls = IntKeys { data: &nulls_data, valid: &nulls_valid, ids: &nulls_ids };
         for workers in [1, 2, 3, 8] {
             let mut m = ExecMetrics::default();
-            assert!(int_hash_join(&empty, &pk, workers, &mut m).is_empty());
-            assert_eq!(int_hash_count(&empty, &pk, workers, &mut m), 0);
-            assert!(int_hash_join(&nulls, &pk, workers, &mut m).is_empty());
-            assert_eq!(int_hash_count(&nulls, &pk, workers, &mut m), 0);
-            assert!(int_hash_join(&pk, &empty, workers, &mut m).is_empty());
-            assert_eq!(int_hash_count(&pk, &nulls, workers, &mut m), 0);
+            assert!(int_hash_join(one(&empty), one(&pk), workers, &mut m).is_empty());
+            assert_eq!(int_hash_count(one(&empty), one(&pk), workers, &mut m), 0);
+            assert!(int_hash_join(one(&nulls), one(&pk), workers, &mut m).is_empty());
+            assert_eq!(int_hash_count(one(&nulls), one(&pk), workers, &mut m), 0);
+            assert!(int_hash_join(one(&pk), one(&empty), workers, &mut m).is_empty());
+            assert_eq!(int_hash_count(one(&pk), one(&nulls), workers, &mut m), 0);
         }
     }
 
@@ -1217,12 +1339,12 @@ mod tests {
                 let ctx = format!("{name}, workers={workers}");
                 let mut m = ExecMetrics::default();
                 assert_eq!(
-                    int_hash_join(&build.keys(), &probe.keys(), workers, &mut m),
+                    int_hash_join(one(&build.keys()), one(&probe.keys()), workers, &mut m),
                     expect,
                     "{ctx}"
                 );
                 let mut cm = ExecMetrics::default();
-                let n = int_hash_count(&build.keys(), &probe.keys(), workers, &mut cm);
+                let n = int_hash_count(one(&build.keys()), one(&probe.keys()), workers, &mut cm);
                 assert_eq!(n, expect.len() as u64, "{ctx}");
                 assert_eq!(
                     m.hash_probes,
@@ -1257,5 +1379,188 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A chunk over a handmade all-`Int` table, one column per key
+    /// component, read through `sel`.
+    fn int_chunk(
+        table_id: usize,
+        rows: &[Vec<Option<i64>>],
+        width: usize,
+        sel: Vec<u32>,
+    ) -> VChunk {
+        let columns = (0..width).map(|c| {
+            let mut col = ColumnVector::new(els_storage::DataType::Int);
+            for row in rows {
+                col.push(row[c].map_or(Value::Null, Value::Int)).unwrap();
+            }
+            (format!("c{c}"), col)
+        });
+        VChunk::scan(table_id, Arc::new(Table::new("t", columns.collect()).unwrap()), sel)
+    }
+
+    /// Every `(left row, right row)` of the two selections whose components
+    /// are all non-NULL and equal, left-major.
+    fn composite_oracle(
+        (lrows, lsel): (&[Vec<Option<i64>>], &[u32]),
+        (rrows, rsel): (&[Vec<Option<i64>>], &[u32]),
+    ) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for (i, &l) in lsel.iter().enumerate() {
+            for (j, &r) in rsel.iter().enumerate() {
+                let (l, r) = (&lrows[l as usize], &rrows[r as usize]);
+                if l.iter().zip(r).all(|(a, b)| a.is_some() && a == b) {
+                    pairs.push((i as u32, j as u32));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn composite_int_keys_match_a_naive_oracle_in_every_kernel() {
+        type Rows = Vec<Vec<Option<i64>>>;
+        let row = |cells: &[i64]| cells.iter().map(|&c| Some(c)).collect::<Vec<_>>();
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        let cases: Vec<(&str, Rows, Rows)> = vec![
+            (
+                "NULL in the second component only",
+                vec![vec![Some(1), Some(5)], vec![Some(1), None], vec![Some(2), Some(6)]],
+                vec![vec![Some(1), Some(5)], vec![Some(2), None], vec![Some(2), Some(6)]],
+            ),
+            (
+                "duplicate composite keys on both sides",
+                [[1, 1], [2, 2], [1, 1], [1, 2], [2, 2], [1, 1]].iter().map(|r| row(r)).collect(),
+                [[2, 2], [1, 1], [2, 1], [2, 2], [1, 1], [2, 2]].iter().map(|r| row(r)).collect(),
+            ),
+            (
+                "extreme components",
+                [[lo, hi], [hi, lo], [lo, lo], [hi, hi], [0, -1]].iter().map(|r| row(r)).collect(),
+                [[hi, hi], [lo, hi], [-1, 0], [hi, lo], [lo, lo], [lo, hi]]
+                    .iter()
+                    .map(|r| row(r))
+                    .collect(),
+            ),
+            (
+                "three components, the last one deciding",
+                [[7, 7, 1], [7, 7, 2], [7, 7, 2], [8, 7, 2]].iter().map(|r| row(r)).collect(),
+                [[7, 7, 2], [7, 7, 3], [7, 8, 2], [7, 7, 1]].iter().map(|r| row(r)).collect(),
+            ),
+            ("empty left side", Vec::new(), vec![row(&[1, 1])]),
+            ("empty right side", vec![row(&[1, 1])], Vec::new()),
+            (
+                "a side with one component all NULL",
+                vec![vec![None, Some(1)], vec![None, Some(2)]],
+                vec![row(&[1, 1]), vec![Some(2), None]],
+            ),
+        ];
+        for (name, lrows, rrows) in &cases {
+            let width = lrows.iter().chain(rrows).map(Vec::len).max().unwrap_or(2);
+            // Identity selections, then reversed ones with a row dropped: a
+            // logical row is not its physical row.
+            let identity = |n: usize| (0..n as u32).collect::<Vec<_>>();
+            let reversed = |n: usize| (0..n as u32).rev().skip(1).collect::<Vec<_>>();
+            for (lsel, rsel) in [
+                (identity(lrows.len()), identity(rrows.len())),
+                (reversed(lrows.len()), reversed(rrows.len())),
+            ] {
+                let want = composite_oracle((lrows, &lsel), (rrows, &rsel));
+                let l = int_chunk(0, lrows, width, lsel);
+                let r = int_chunk(1, rrows, width, rsel);
+                let keys: Vec<_> =
+                    (0..width).map(|c| (ColumnRef::new(0, c), ColumnRef::new(1, c))).collect();
+                let n = want.len() as u64;
+
+                for workers in [1, 3] {
+                    let (mut m, mut cm) = (ExecMetrics::default(), ExecMetrics::default());
+                    assert_eq!(vhash_join(&l, &r, &keys, workers, &mut m).unwrap(), want, "{name}");
+                    assert_eq!(vhash_count(&l, &r, &keys, workers, &mut cm).unwrap(), n, "{name}");
+                    assert_eq!(m.hash_probes, r.len() as u64, "{name}: one probe per probe row");
+                    assert_eq!(cm, m, "{name}: the count charges what the join charges");
+                }
+
+                let (mut m, mut cm) = (ExecMetrics::default(), ExecMetrics::default());
+                let mut merged = Vec::new();
+                assert_eq!(vsort_merge(&l, &r, &keys, &mut m, Some(&mut merged)).unwrap(), n);
+                merged.sort_unstable();
+                assert_eq!(merged, want, "{name}: sort-merge");
+                assert_eq!(vsort_merge(&l, &r, &keys, &mut cm, None).unwrap(), n, "{name}");
+                assert_eq!(cm, m, "{name}: the count charges what the join charges");
+
+                let (mut m, mut cm) = (ExecMetrics::default(), ExecMetrics::default());
+                let (mut looped, mut counted) = (Vec::new(), 0u64);
+                nested_loop(&l, &r, &keys, &[], &mut m, |lj, rj| looped.push((lj, rj))).unwrap();
+                nested_loop(&l, &r, &keys, &[], &mut cm, |_, _| counted += 1).unwrap();
+                assert_eq!(looped, want, "{name}: nested loop, in its own order");
+                assert_eq!((counted, m.tuples_emitted), (n, n), "{name}");
+                assert_eq!(cm, m, "{name}: the count charges what the join charges");
+                assert_eq!(m.comparisons, (l.len() * r.len() * width) as u64, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn sort_merge_emits_runs_in_key_order_with_stable_ties() {
+        // Keys (k, 0): the second component never decides, so the output is
+        // the single-key order, rows of one key in row order on both sides.
+        let lrows: Vec<_> = [3, 1, 3, 2, 1].iter().map(|&k| vec![Some(k), Some(0)]).collect();
+        let rrows: Vec<_> = [1, 3, 1, 4].iter().map(|&k| vec![Some(k), Some(0)]).collect();
+        let l = int_chunk(0, &lrows, 2, (0..5).collect());
+        let r = int_chunk(1, &rrows, 2, (0..4).collect());
+        let keys: Vec<_> = (0..2).map(|c| (ColumnRef::new(0, c), ColumnRef::new(1, c))).collect();
+        let (mut m, mut pairs) = (ExecMetrics::default(), Vec::new());
+        vsort_merge(&l, &r, &keys, &mut m, Some(&mut pairs)).unwrap();
+        assert_eq!(pairs, [(1, 0), (1, 2), (4, 0), (4, 2), (0, 1), (2, 1)]);
+        assert_eq!(m.rows_sorted, 9);
+        // Merge steps: 1=1 (run), 2<3, 3=3 (run); then the left side is out.
+        assert_eq!(m.comparisons, sort_charge(5) + sort_charge(4) + 3);
+    }
+
+    #[test]
+    fn nested_loop_tests_keys_and_ranges_in_one_pass_and_mirrors_a_reversed_range() {
+        // c0 is the key, c1 the range column; a NULL in either never passes.
+        let lrows = vec![
+            vec![Some(1), Some(10)],
+            vec![Some(1), None],
+            vec![Some(2), Some(i64::MIN)],
+            vec![None, Some(0)],
+        ];
+        let rrows = vec![
+            vec![Some(1), Some(11)],
+            vec![Some(1), Some(10)],
+            vec![Some(2), Some(i64::MAX)],
+            vec![Some(2), None],
+        ];
+        let l = int_chunk(0, &lrows, 2, (0..4).collect());
+        let r = int_chunk(1, &rrows, 2, (0..4).collect());
+        let keys = [(ColumnRef::new(0, 0), ColumnRef::new(1, 0))];
+        let (lc, rc) = (ColumnRef::new(0, 1), ColumnRef::new(1, 1));
+        for (range, want) in [
+            ((lc, CmpOp::Lt, rc), vec![(0, 0), (2, 2)]),
+            ((rc, CmpOp::Gt, lc), vec![(0, 0), (2, 2)]),
+            ((lc, CmpOp::Ge, rc), vec![(0, 1)]),
+            ((rc, CmpOp::Le, lc), vec![(0, 1)]),
+            ((lc, CmpOp::Ne, rc), vec![(0, 0), (2, 2)]),
+        ] {
+            let (mut m, mut pairs) = (ExecMetrics::default(), Vec::new());
+            nested_loop(&l, &r, &keys, &[range], &mut m, |lj, rj| pairs.push((lj, rj))).unwrap();
+            assert_eq!(pairs, want, "{range:?}");
+            // Key matches: rows 0 and 1 meet inner rows 0 and 1, row 2 meets
+            // inner rows 2 and 3; each is charged one range comparison.
+            assert_eq!(m.tuples_emitted, 6, "{range:?}");
+            assert_eq!(m.comparisons, 16 + 6, "{range:?}");
+            let residual = filter_pairs_by_ranges(
+                &l,
+                &r,
+                vhash_join(&l, &r, &keys, 1, &mut m).unwrap(),
+                &[range],
+                &mut m,
+            );
+            assert_eq!(residual.unwrap(), want, "{range:?}: as a residual on a keyed join");
+        }
+        // Keyless: the cartesian product, one comparison per pair.
+        let (mut m, mut n) = (ExecMetrics::default(), 0u64);
+        nested_loop(&l, &r, &[], &[(lc, CmpOp::Lt, rc)], &mut m, |_, _| n += 1).unwrap();
+        assert_eq!((n, m.tuples_emitted, m.comparisons), (8, 16, 16 + 16));
     }
 }

@@ -6,7 +6,9 @@
 //!
 //! Running the plan still allocates (selection vectors, observations, the
 //! join's working set); `a_hit_executes_under_its_allocation_ceiling` pins
-//! how often, so the count can only go down.
+//! how often, so the count can only go down, and
+//! `composite_key_and_nested_loop_hits_do_not_allocate_with_the_data` that
+//! it is a count per operator: ten times the rows add a few `Vec` doublings.
 //!
 //! Its own test binary: the counting allocator is process-wide (the count
 //! itself is per thread, so the test harness's threads do not disturb it).
@@ -112,5 +114,49 @@ fn a_hit_executes_under_its_allocation_ceiling() {
         let (again, warm) = allocations_in(|| engine.execute(sql).unwrap());
         assert_eq!(again.count, rows);
         assert!(warm <= ceiling, "{warm} allocations executing `{sql}` ({method}), over {ceiling}");
+    }
+}
+
+const CHAIN: &str = "SELECT COUNT(*) FROM a, b, c WHERE a.k = b.k AND b.k = c.k";
+const BAND: &str = "SELECT COUNT(*) FROM a, b WHERE a.k < b.k AND b.k < 20";
+
+/// `a`, `b` and `c` with sequential keys, `scale` times 64, 256 and 128 rows.
+fn with_scaled_tables(engine: Engine, scale: usize) -> Engine {
+    for (name, rows) in [("a", 64), ("b", 256), ("c", 128)] {
+        let key = ColumnSpec::new("k", Distribution::SequentialInt { start: 0 });
+        engine.generate(TableSpec::new(name, rows * scale).column(key), 1).unwrap();
+    }
+    engine
+}
+
+/// The hash join closure makes composite (`{a, b} ⋈ c` on two key pairs)
+/// and the nested loop of a band count allocate per operator, not per row,
+/// key or pair: with ten times the rows in every table a cached `execute`
+/// may only add the few doublings of the lower join's pair list. (The band
+/// count starts from larger tables: below them the optimizer picks the
+/// sort-based band join. A composite-key *sort-merge* still gathers a
+/// `Vec<Value>` per row and has no ceiling here.)
+#[test]
+fn composite_key_and_nested_loop_hits_do_not_allocate_with_the_data() {
+    let hash = || Engine::with_options(OptimizerOptions::default().with_hash_join());
+    for (engine, sql, method, scale, ceiling, ceiling_at_ten_times) in [
+        (hash as fn() -> Engine, CHAIN, "HASHJoin", 1, 47, 51),
+        (Engine::new as fn() -> Engine, BAND, "NLJoin", 4, 28, 29),
+    ] {
+        for (scale, ceiling) in [(scale, ceiling), (10 * scale, ceiling_at_ten_times)] {
+            let engine = with_scaled_tables(engine(), scale);
+            let plan = engine.explain(sql).unwrap();
+            assert!(plan.contains(method), "`{sql}` is not a {method} at scale {scale}:\n{plan}");
+            let first = engine.execute(sql).unwrap().count;
+            let (again, warm) = allocations_in(|| engine.execute(sql).unwrap());
+            assert_eq!(again.count, first);
+            // Keys are 0, 1, 2, ...: the chain keeps `a`'s, the band the pairs under 20.
+            let rows = if sql == CHAIN { 64 * scale as u64 } else { (0..20).sum() };
+            assert_eq!(first, rows, "`{sql}` at scale {scale}");
+            assert!(
+                warm <= ceiling,
+                "{warm} allocations executing `{sql}` ({method}) at scale {scale}, over {ceiling}"
+            );
+        }
     }
 }

@@ -526,3 +526,151 @@ fn giant_int_keys_join_exactly() {
         check_plan(&plan, &tables, &format!("giant keys [{}]", method.name()));
     }
 }
+
+/// Four small tables for the composite-key cases: `k` and `f` are both
+/// `Int` over narrow domains and both carry NULLs (a two-component key
+/// matches, misses, and meets a NULL in either component), `v` is a float
+/// or a string per table.
+fn closure_catalog(seed: u64) -> Catalog {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xd1342543de82ef95));
+    let mut catalog = Catalog::new();
+    for i in 0..4 {
+        let int = |hi| Distribution::WithNulls {
+            inner: Box::new(Distribution::UniformInt { lo: 0, hi }),
+            null_fraction: 0.12,
+        };
+        let typed = if rng.gen_bool(0.5) {
+            Distribution::UniformFloat { lo: 0.0, hi: 3.0 }
+        } else {
+            Distribution::StrTag { prefix: "v".into(), modulus: rng.gen_range(2..5) }
+        };
+        catalog
+            .register(
+                TableSpec::new(format!("t{i}"), rng.gen_range(15..=45usize))
+                    .column(ColumnSpec::new("k", int(rng.gen_range(5..12))))
+                    .column(ColumnSpec::new("v", typed))
+                    .column(ColumnSpec::new("f", int(rng.gen_range(2..6))))
+                    .generate(seed.wrapping_mul(131).wrapping_add(i)),
+                &CollectOptions::default(),
+            )
+            .expect("fresh catalog accepts generated tables");
+    }
+    catalog
+}
+
+/// The join shapes the random generator above never emits, one per
+/// `seed % 4`, each with a random output shape and sometimes a local filter
+/// for closure to copy along the equivalence class:
+/// 0. a second `Int` equality stacked on a `k` edge — a true two-component
+///    key with NULLs in both components;
+/// 1. `v = v` stacked on a `k` edge — an `Int` component plus a float or
+///    string one, which pins the generic fallback;
+/// 2. a four-table chain on `k`, where closure puts three key pairs on the
+///    last join;
+/// 3. ranges written right-to-left (`t1.f > t0.f`), alone (a keyless join)
+///    or stacked on a `k` edge, with a third table so that a nested loop
+///    also runs below the root.
+fn closure_sql(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545f4914f6cdd1d));
+    let (from, mut conjuncts): (&str, Vec<String>) = match seed % 4 {
+        0 => ("t0, t1, t2", vec!["t0.k = t1.k".into(), "t0.f = t1.f".into(), "t1.k = t2.k".into()]),
+        1 => ("t0, t1, t2", vec!["t0.k = t1.k".into(), "t0.v = t1.v".into(), "t1.k = t2.k".into()]),
+        2 => ("t0, t1, t2, t3", (1..4).map(|i| format!("t{}.k = t{i}.k", i - 1)).collect()),
+        _ => {
+            let op = [">", ">=", "<", "<="][rng.gen_range(0..4usize)];
+            let mut edge = vec![format!("t1.f {op} t0.f"), "t1.k = t2.k".into()];
+            if rng.gen_bool(0.5) {
+                edge.push("t0.k = t1.k".into());
+            }
+            ("t0, t1, t2", edge)
+        }
+    };
+    if rng.gen_bool(0.5) {
+        conjuncts.push(format!("t0.k < {}", rng.gen_range(3..9)));
+    }
+    let select = if rng.gen_bool(0.5) { "COUNT(*)" } else { "*" };
+    format!("SELECT {select} FROM {from} WHERE {}", conjuncts.join(" AND "))
+}
+
+#[test]
+fn composite_key_and_right_to_left_range_joins_match_the_row_oracle() {
+    let mut shapes_with_rows = [false; 4];
+    for seed in 0..24u64 {
+        let catalog = closure_catalog(seed);
+        let sql = closure_sql(seed);
+        let bound = bind(&parse(&sql).unwrap(), &catalog)
+            .unwrap_or_else(|e| panic!("generator emits bindable SQL (`{sql}`): {e}"));
+        let tables = bound_query_tables(&bound, &catalog).unwrap();
+        let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::default())
+            .unwrap_or_else(|e| panic!("optimize failed on `{sql}`: {e}"));
+        if seed % 4 != 3 {
+            // Closure is what makes these keys composite: the top join
+            // carries one key pair per table already joined below it.
+            let PlanNode::Join { keys, .. } = &optimized.plan.root else {
+                panic!("`{sql}` plans a join");
+            };
+            assert!(keys.len() >= 2, "`{sql}`: closure should stack keys, got {keys:?}");
+        }
+        check_plan(&optimized.plan, &tables, &format!("`{sql}` [optimized]"));
+        for method in [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash] {
+            let mut plan = optimized.plan.clone();
+            force_method(&mut plan.root, method);
+            check_plan(&plan, &tables, &format!("`{sql}` [{}]", method.name()));
+        }
+        let (out, _) =
+            execute_plan_observed(&optimized.plan, &tables, ExecMode::default(), None).unwrap();
+        shapes_with_rows[(seed % 4) as usize] |= out.count > 0;
+    }
+    assert_eq!(shapes_with_rows, [true; 4], "every shape must join to something on some seed");
+}
+
+/// Hand-built plans the planner would orient the other way: a range whose
+/// columns are named inner-first, on a keyless join of every method (each
+/// one a cartesian nested loop, over a rescanned and over an evaluated
+/// inner) and as a residual on a keyed join of every method. The row path
+/// resolves range columns in the joined schema, so both spellings mean the
+/// same thing there; so they must here, under every buffer size.
+#[test]
+fn ranges_naming_the_inner_column_first_match_the_row_oracle() {
+    use els::core::{CmpOp, ColumnRef};
+    use els::exec::PlanOutput;
+
+    let catalog = closure_catalog(5);
+    let tables: Vec<Arc<Table>> =
+        ["t0", "t1"].iter().map(|name| catalog.table_data(name).unwrap()).collect();
+    let (k, f) = (0, 2);
+    let inner_filter = els::exec::filter::CompiledFilter::Cmp {
+        column: ColumnRef::new(1, k),
+        op: CmpOp::Ge,
+        value: els::storage::Value::Int(2),
+    };
+    for method in [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash] {
+        for keyed in [false, true] {
+            for op in [CmpOp::Gt, CmpOp::Le] {
+                for output in [PlanOutput::CountStar, PlanOutput::Star] {
+                    let plan = QueryPlan {
+                        root: PlanNode::Join {
+                            method,
+                            left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
+                            right: Box::new(PlanNode::Scan {
+                                table_id: 1,
+                                filters: vec![inner_filter.clone()],
+                            }),
+                            keys: if keyed {
+                                vec![(ColumnRef::new(0, k), ColumnRef::new(1, k))]
+                            } else {
+                                Vec::new()
+                            },
+                            ranges: vec![(ColumnRef::new(1, f), op, ColumnRef::new(0, f))],
+                        },
+                        output,
+                        order_by: Vec::new(),
+                        limit: None,
+                    };
+                    let context = format!("{} keyed={keyed} t1.f {op} t0.f", method.name());
+                    check_plan(&plan, &tables, &context);
+                }
+            }
+        }
+    }
+}
