@@ -183,6 +183,74 @@ impl BaseTables {
     }
 }
 
+/// An estimator whose size for a join state depends on the table *set*
+/// alone, not on the order that built it: all it has to say is
+/// [`SetSized::size_of`], and the [`CardinalityEstimator`] surface — stored
+/// cardinalities on both accessors, states that are a mask plus that size,
+/// the already-joined, overlap and empty-side guards — is written once below.
+trait SetSized: std::fmt::Debug {
+    /// [`CardinalityEstimator::name`].
+    const NAME: &'static str;
+
+    /// The stored cardinalities and the closed predicate set.
+    fn base(&self) -> &BaseTables;
+
+    /// The planning size of the non-empty table set `mask`.
+    fn size_of(&self, mask: u64) -> ElsResult<f64>;
+}
+
+impl<T: SetSized> CardinalityEstimator for T {
+    fn name(&self) -> &'static str {
+        T::NAME
+    }
+
+    fn num_tables(&self) -> usize {
+        self.base().cardinality.len()
+    }
+
+    fn predicates(&self) -> &[Predicate] {
+        &self.base().predicates
+    }
+
+    fn effective_cardinality(&self, table: TableId) -> ElsResult<f64> {
+        self.base().checked(table)
+    }
+
+    fn original_cardinality(&self, table: TableId) -> ElsResult<f64> {
+        self.base().checked(table)
+    }
+
+    fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
+        let cardinality = self.base().checked(table)?;
+        Ok(JoinState::from_parts(1u64 << table, cardinality))
+    }
+
+    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
+        let single = self.initial_state(table)?;
+        if state.contains(table) {
+            return Err(ElsError::InvalidJoinStep { table, reason: "table already joined" });
+        }
+        self.join_sets(state, &single)
+    }
+
+    fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
+        if a.table_mask() & b.table_mask() != 0 {
+            return Err(ElsError::InvalidJoinStep {
+                table: (a.table_mask() & b.table_mask()).trailing_zeros() as usize,
+                reason: "join sides overlap",
+            });
+        }
+        if a.is_empty() {
+            return Ok(*b);
+        }
+        if b.is_empty() {
+            return Ok(*a);
+        }
+        let mask = a.table_mask() | b.table_mask();
+        Ok(JoinState::from_parts(mask, self.size_of(mask)?))
+    }
+}
+
 /// A UES-style upper-bound estimator.
 ///
 /// For a join `R ⋈ S` on `a = b`, the result size is
@@ -264,12 +332,20 @@ impl UpperBoundEstimator {
             .copied()
             .ok_or(ElsError::UnknownColumn(c))
     }
+}
+
+impl SetSized for UpperBoundEstimator {
+    const NAME: &'static str = "upper-bound";
+
+    fn base(&self) -> &BaseTables {
+        &self.base
+    }
 
     /// The upper bound for one table set, by folding tables into a
     /// growing component (connected tables first, lowest id breaking
     /// ties, cartesian only when forced). The fold tracks a per-column
     /// max-frequency bound of the intermediate alongside its size bound.
-    fn bound_for_mask(&self, mask: u64) -> ElsResult<f64> {
+    fn size_of(&self, mask: u64) -> ElsResult<f64> {
         let tables: Vec<TableId> = (0..MAX_TABLES).filter(|t| mask & (1u64 << t) != 0).collect();
         let Some((&first, rest)) = tables.split_first() else {
             return Ok(0.0);
@@ -330,62 +406,6 @@ impl UpperBoundEstimator {
     }
 }
 
-impl CardinalityEstimator for UpperBoundEstimator {
-    fn name(&self) -> &'static str {
-        "upper-bound"
-    }
-
-    fn num_tables(&self) -> usize {
-        self.base.cardinality.len()
-    }
-
-    fn predicates(&self) -> &[Predicate] {
-        &self.base.predicates
-    }
-
-    fn effective_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        self.base.checked(table)
-    }
-
-    fn original_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        self.base.checked(table)
-    }
-
-    fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
-        let cardinality = self.base.checked(table)?;
-        Ok(JoinState::from_parts(1u64 << table, cardinality))
-    }
-
-    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
-        self.base.checked(table)?;
-        if state.contains(table) {
-            return Err(ElsError::InvalidJoinStep { table, reason: "table already joined" });
-        }
-        if state.is_empty() {
-            return self.initial_state(table);
-        }
-        let mask = state.table_mask() | (1u64 << table);
-        Ok(JoinState::from_parts(mask, self.bound_for_mask(mask)?))
-    }
-
-    fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
-        if a.table_mask() & b.table_mask() != 0 {
-            return Err(ElsError::InvalidJoinStep {
-                table: (a.table_mask() & b.table_mask()).trailing_zeros() as usize,
-                reason: "join sides overlap",
-            });
-        }
-        if a.is_empty() {
-            return Ok(*b);
-        }
-        if b.is_empty() {
-            return Ok(*a);
-        }
-        let mask = a.table_mask() | b.table_mask();
-        Ok(JoinState::from_parts(mask, self.bound_for_mask(mask)?))
-    }
-}
-
 /// The Simpli-Squared no-estimates baseline.
 ///
 /// Uses no statistic beyond table cardinalities and assumes joins never
@@ -408,63 +428,18 @@ impl NoEstimatesEstimator {
     }
 }
 
-impl CardinalityEstimator for NoEstimatesEstimator {
-    fn name(&self) -> &'static str {
-        "no-estimates"
+impl SetSized for NoEstimatesEstimator {
+    const NAME: &'static str = "no-estimates";
+
+    fn base(&self) -> &BaseTables {
+        &self.base
     }
 
-    fn num_tables(&self) -> usize {
-        self.base.cardinality.len()
-    }
-
-    fn predicates(&self) -> &[Predicate] {
-        &self.base.predicates
-    }
-
-    fn effective_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        self.base.checked(table)
-    }
-
-    fn original_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        self.base.checked(table)
-    }
-
-    fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
-        let cardinality = self.base.checked(table)?;
-        Ok(JoinState::from_parts(1u64 << table, cardinality))
-    }
-
-    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
-        let card = self.base.checked(table)?;
-        if state.contains(table) {
-            return Err(ElsError::InvalidJoinStep { table, reason: "table already joined" });
-        }
-        if state.is_empty() {
-            return self.initial_state(table);
-        }
-        Ok(JoinState::from_parts(
-            state.table_mask() | (1u64 << table),
-            state.cardinality().max(card),
-        ))
-    }
-
-    fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
-        if a.table_mask() & b.table_mask() != 0 {
-            return Err(ElsError::InvalidJoinStep {
-                table: (a.table_mask() & b.table_mask()).trailing_zeros() as usize,
-                reason: "join sides overlap",
-            });
-        }
-        if a.is_empty() {
-            return Ok(*b);
-        }
-        if b.is_empty() {
-            return Ok(*a);
-        }
-        Ok(JoinState::from_parts(
-            a.table_mask() | b.table_mask(),
-            a.cardinality().max(b.cardinality()),
-        ))
+    /// The largest member: joins are assumed never to expand.
+    fn size_of(&self, mask: u64) -> ElsResult<f64> {
+        let tables = self.base.cardinality.iter().take(MAX_TABLES).enumerate();
+        let members = tables.filter(|(t, _)| mask & (1u64 << t) != 0);
+        Ok(members.fold(0.0, |largest, (_, &cardinality)| largest.max(cardinality)))
     }
 }
 

@@ -4,8 +4,8 @@
 //! effective statistics (Steps 3–4), equivalence classes and Section 6
 //! adjustments (Step 5), and the per-step selectivity choices for one join
 //! order (Step 6) — into a structured [`EstimationReport`] whose `Display`
-//! renders an EXPLAIN-style text block. Tools (and the `els` engine's
-//! `explain`) build on this instead of poking at internals.
+//! renders an EXPLAIN-style text block. The `els` engine's `explain`
+//! prints it, between a table-name legend and the plan tree.
 
 use std::fmt;
 

@@ -1,4 +1,8 @@
-//! Plan interpretation.
+//! Plan interpretation: the two entry points, output shaping shared by both
+//! modes, and the row-at-a-time interpreter — `execute_node` and the
+//! operators it calls in [`crate::join`] and [`crate::index`], reachable
+//! through [`ExecMode::RowAtATime`] only. The default mode evaluates the same
+//! plans in [`crate::vectorized`] and shares no operator with it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -141,8 +145,7 @@ pub fn execute_plan_observed(
                 )?;
                 (count_table(n)?, n)
             } else {
-                let v =
-                    crate::vectorized::execute_root(&plan.root, tables, workers.max(1), &mut st)?;
+                let v = crate::vectorized::exec_node(&plan.root, tables, workers.max(1), &mut st)?;
                 shape_output(v.materialize()?, &plan.output, &mut metrics)?
             }
         }
@@ -378,7 +381,7 @@ fn execute_node_inner(
 /// vectorized path charges the same rescans around a pair-list kernel
 /// (`nested_loop_inner` in [`crate::vectorized`]) and is checked against
 /// this one by the differential tests.
-pub(crate) fn rescan_nested_loop(
+fn rescan_nested_loop(
     l: &Chunk,
     inner_table_id: usize,
     inner_filters: &[crate::filter::CompiledFilter],
@@ -403,8 +406,11 @@ pub(crate) fn rescan_nested_loop(
 
 /// Indexed nested loops: build a sorted index on the inner's first key
 /// column (charged as a scan plus a sort), then probe per outer tuple.
-/// `right` must be a base-table scan. Shared by both execution paths.
-pub(crate) fn indexed_nested_loop(
+/// `right` must be a base-table scan, and the first key's right side a
+/// column of it. The row path's operator: the vectorized path's
+/// `index_nested_loop` kernel is checked against this one by the
+/// differential tests.
+fn indexed_nested_loop(
     l: &Chunk,
     right: &PlanNode,
     keys: &[(els_core::ColumnRef, els_core::ColumnRef)],
@@ -422,6 +428,9 @@ pub(crate) fn indexed_nested_loop(
             "index nested loops requires at least one join key".into(),
         ));
     };
+    if first_right.table != *table_id || first_right.column >= inner.num_columns() {
+        return Err(ExecError::ColumnNotInSchema(first_right));
+    }
     let index = crate::index::SortedIndex::build(inner, first_right.column)?;
     st.metrics.tuples_scanned += inner.num_rows() as u64;
     st.io.scan_table(*table_id, inner.num_pages() as u64, st.metrics);

@@ -1,4 +1,4 @@
-//! A sorted secondary index and the indexed nested-loops join.
+//! A sorted secondary index and the row path's indexed nested-loops join.
 //!
 //! System R's nested loops becomes viable on large inners when the inner
 //! has an index on the join key: each outer tuple costs an index descent
@@ -9,7 +9,10 @@
 //! damage an index would absorb.
 //!
 //! [`SortedIndex`] is a binary-searchable `(key, row)` array — the moral
-//! equivalent of a read-only B⁺-tree for an in-memory store.
+//! equivalent of a read-only B⁺-tree for an in-memory store. Both execution
+//! modes build and probe it; [`index_nested_loop_join`] is the row-at-a-time
+//! operator, the oracle the vectorized kernel (`index_nested_loop` in
+//! [`crate::vectorized`]) is checked against.
 
 use els_core::ColumnRef;
 use els_storage::{Table, Value};
@@ -54,6 +57,11 @@ impl SortedIndex {
     /// True when no entries are indexed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Comparisons one descent is charged: `⌊log₂ entries⌋`, at least one.
+    pub(crate) fn descent_charge(&self) -> u64 {
+        (self.len().max(2) as f64).log2() as u64
     }
 
     /// Rows whose key equals `key`, in row order. Binary search; O(log n +
@@ -102,7 +110,7 @@ pub fn index_nested_loop_join(
             continue;
         }
         // One index descent per outer tuple.
-        metrics.comparisons += (index.len().max(2) as f64).log2() as u64;
+        metrics.comparisons += index.descent_charge();
         'hit: for r in index.lookup(&key) {
             // Fetch the data page holding the matched tuple.
             io.read_page(inner_table_id, r as u64 / tuples_per_page.max(1), metrics);

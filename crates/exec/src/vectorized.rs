@@ -1,52 +1,37 @@
-//! Late-materializing vectorized plan evaluation.
+//! Late-materializing vectorized plan evaluation (DESIGN.md §4c).
 //!
-//! The tentpole of the vectorization PR. Instead of materializing a full
-//! [`Chunk`] at every operator (the row-at-a-time path clones whole tables
-//! at scans and gathers every column at every join), this evaluator carries
-//! **row-id selections over shared sources**:
+//! Instead of materializing a full [`Chunk`] at every operator (the
+//! row-at-a-time path clones whole tables at scans and gathers every column
+//! at every join), this evaluator carries **row-id selections over the
+//! stored tables**:
 //!
 //! * a scan produces a selection vector over the stored table (built by the
 //!   typed filter kernels in [`crate::filter::filter_selection`]) — no data
 //!   is copied;
-//! * every join but the indexed nested loop works on **typed key columns**
-//!   and produces a pair list of logical row ids, which is *composed* with
-//!   the inputs' selections — still no data copied;
+//! * every join produces a pair list of logical row ids, which is
+//!   *composed* with the inputs' selections — still no data copied;
 //! * only the plan root gathers each surviving column once
-//!   ([`VChunk::materialize`]), or never, for `COUNT(*)` outputs.
+//!   ([`VChunk::materialize`]), or never, for `COUNT(*)` outputs, whose
+//!   root also fuses the join with the count ([`execute_root_count`]).
 //!
-//! Hash joins whose key pairs are all `Int`/`Int` — one pair, or the
-//! composite keys predicate transitive closure puts on every join above the
-//! first of an equivalence class — run over raw `i64` slices (exact — see
-//! `HashKey` in [`crate::join`] for the 2⁵³ story): `IntTable` is built on
-//! the first pair, a flat table over the distinct keys plus one vector of
-//! row ids, with no allocation per key, and the other pairs are checked per
-//! bucket candidate. A key component of any other type takes the whole join
-//! to the normalized `HashKey`s the row path uses. The sort-merge sorts
-//! `(key, row)` entries for a single `Int` pair and gathers `Value`s per
-//! row for everything else, composite `Int` keys included. With more
-//! than one worker and a large enough probe side, the int path goes
-//! parallel through the work-stealing scheduler ([`crate::scheduler`]): one
-//! shared hash table, built serially, probed in fixed-size **morsels**
-//! (`morsel_pieces` makes that decision for the hash probe, the fused count
-//! and the band join alike). Results are deterministic regardless of worker
-//! count: morsel buffers merge in morsel order and the pair list gets the
-//! same left-major sort the serial path applies. `COUNT(*)` roots
-//! additionally fuse the join with the count ([`execute_root_count`]) so
-//! no row-id pair list is ever allocated for them.
-//!
-//! Nested loops — over a rescanned stored inner, over an evaluated inner,
-//! and every keyless join — are a pair list as well (`nested_loop`): the
-//! stored inner's filters run once into a selection, the loop compares
-//! typed cells, and the rescans the row path performs per outer row are
-//! charged, in the same order, without being performed
-//! (`nested_loop_inner`). Only the indexed nested loop still hands
-//! materialized inputs to the row-path operator. Every operator charges
-//! exactly the counters the row-at-a-time oracle charges (a property the
-//! differential tests assert), so plan-quality experiments are unaffected
-//! by the execution mode.
+//! One kernel per join shape: the hash join (`vhash_join`: `IntTable` over
+//! raw `i64` slices when every key pair is `Int`/`Int`, exact — see
+//! `HashKey` in [`crate::join`] for the 2⁵³ story — and a generic fallback
+//! otherwise), the sort-merge (`vsort_merge`), the band join
+//! (`vrange_join`), nested loops over a rescanned or an evaluated inner
+//! (`nested_loop`, whose rescans are charged, in order, without being
+//! performed) and indexed nested loops (`index_nested_loop`, probing the
+//! [`SortedIndex`] the row path builds). `morsel_pieces` is the one place
+//! an operator goes parallel; results do not depend on the worker count.
+//! Every operator charges exactly the counters the row-at-a-time oracle
+//! charges (a property the differential tests assert), so plan-quality
+//! experiments are unaffected by the execution mode; [`crate::join`] and
+//! [`crate::index`] are used here for shared data structures and charge
+//! formulas only.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use els_core::predicate::CmpOp;
@@ -58,6 +43,7 @@ use crate::chunk::Chunk;
 use crate::error::{rowid, ExecError, ExecResult};
 use crate::executor::ExecState;
 use crate::filter::{bind_filters, filter_selection, CompiledFilter};
+use crate::index::SortedIndex;
 use crate::join::{
     band_probe, cmp_key_slices, hash_key, probe_charge, range_ref_matches, sort_charge, HashKey,
 };
@@ -109,171 +95,85 @@ fn concat_pairs(pieces: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
     pairs
 }
 
-/// One input a selection can point into: either a stored base table
-/// (shared, never copied) or the materialized output of the indexed nested
-/// loop, the one operator still delegated to the row path.
-enum VSource {
-    /// A base table behind its query `table_id`.
-    Base { table_id: usize, data: Arc<Table> },
-    /// A materialized intermediate with provenance.
-    Mat(Box<Chunk>),
+/// A selection over a stored base table (shared, never copied) behind its
+/// query `table_id`: the only thing a chunk is made of.
+struct VSource {
+    table_id: usize,
+    data: Arc<Table>,
+    rows: Vec<u32>,
 }
 
-impl VSource {
-    /// The physical table the source's row ids address.
-    fn table(&self) -> &Table {
-        match self {
-            VSource::Base { data, .. } => data,
-            VSource::Mat(ch) => &ch.data,
-        }
-    }
-}
-
-/// A late-materialized intermediate result: parallel `(source, row ids)`
-/// pairs. Logical row `j` of the chunk is row `rowids[s][j]` of source `s`,
-/// for every source — all rowid vectors share the same length.
+/// A late-materialized intermediate result: one source or more, all of one
+/// length. Logical row `j` of the chunk is row `rows[j]` of every source.
 pub(crate) struct VChunk {
     sources: Vec<VSource>,
-    rowids: Vec<Vec<u32>>,
-    len: usize,
 }
 
 impl VChunk {
     /// A filtered scan: the stored table plus its selection vector.
-    fn scan(table_id: usize, data: Arc<Table>, sel: Vec<u32>) -> VChunk {
-        let len = sel.len();
-        VChunk { sources: vec![VSource::Base { table_id, data }], rowids: vec![sel], len }
-    }
-
-    /// Wrap a materialized chunk (identity selection). Fallible because
-    /// the identity selection addresses rows with `u32` ids.
-    fn from_chunk(c: Chunk) -> ExecResult<VChunk> {
-        let len = c.num_rows();
-        crate::error::check_rowid_range(len)?;
-        Ok(VChunk {
-            sources: vec![VSource::Mat(Box::new(c))],
-            rowids: vec![(0..len).map(rowid).collect()],
-            len,
-        })
+    fn scan(table_id: usize, data: Arc<Table>, rows: Vec<u32>) -> VChunk {
+        VChunk { sources: vec![VSource { table_id, data, rows }] }
     }
 
     /// Number of logical rows.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.sources.first().map_or(0, |src| src.rows.len())
     }
 
     /// Resolve a query column to `(source index, column position)`,
     /// searching sources left to right — the same order the row path's
     /// `Chunk::position_of` searches the concatenated join schema.
     fn resolve(&self, c: ColumnRef) -> Option<(usize, usize)> {
-        for (si, src) in self.sources.iter().enumerate() {
-            match src {
-                VSource::Base { table_id, data } => {
-                    if c.table == *table_id && c.column < data.num_columns() {
-                        return Some((si, c.column));
-                    }
-                }
-                VSource::Mat(ch) => {
-                    if let Some(pos) = ch.position_of(c) {
-                        return Some((si, pos));
-                    }
-                }
-            }
-        }
-        None
+        let holds = |src: &VSource| c.table == src.table_id && c.column < src.data.num_columns();
+        Some((self.sources.iter().position(holds)?, c.column))
     }
 
     /// Simulated pages of the chunk the row path would have materialized
     /// here: every source's columns side by side, `len` rows of them.
     fn num_pages(&self) -> usize {
-        let row_bytes: usize = self.sources.iter().map(|s| s.table().estimated_row_bytes()).sum();
-        self.len.div_ceil((PAGE_SIZE_BYTES / row_bytes.max(1)).max(1))
+        let row_bytes: usize = self.sources.iter().map(|s| s.data.estimated_row_bytes()).sum();
+        self.len().div_ceil((PAGE_SIZE_BYTES / row_bytes.max(1)).max(1))
     }
 
-    /// Compose a join's pair list with both inputs' selections: source `s`
-    /// of the result selects `left.rowids[s][l]` for every pair `(l, r)`.
-    /// No column data moves; this is the late-materialization step.
+    /// Compose a join's pair list with both inputs' selections: a source
+    /// of the left input selects its `rows[l]` for every pair `(l, r)`, one
+    /// of the right its `rows[r]`. No column data moves; this is the
+    /// late-materialization step. A pair outside its input's selection
+    /// selects a row outside every column, which the root's gather reports.
     fn compose(left: VChunk, right: VChunk, pairs: &[(u32, u32)]) -> VChunk {
-        let mut sources = Vec::with_capacity(left.sources.len() + right.sources.len());
-        let mut rowids: Vec<Vec<u32>> = Vec::with_capacity(sources.capacity());
-        for (src, ids) in left.sources.into_iter().zip(left.rowids) {
-            rowids.push(pairs.iter().map(|&(lj, _)| ids[lj as usize]).collect());
-            sources.push(src);
+        fn reselect(
+            src: VSource,
+            pairs: &[(u32, u32)],
+            side: impl Fn(&(u32, u32)) -> u32,
+        ) -> VSource {
+            let row = |p| src.rows.get(side(p) as usize).copied().unwrap_or(u32::MAX);
+            VSource { rows: pairs.iter().map(row).collect(), ..src }
         }
-        for (src, ids) in right.sources.into_iter().zip(right.rowids) {
-            rowids.push(pairs.iter().map(|&(_, rj)| ids[rj as usize]).collect());
-            sources.push(src);
-        }
-        VChunk { sources, rowids, len: pairs.len() }
+        let left = left.sources.into_iter().map(|src| reselect(src, pairs, |p| p.0));
+        let right = right.sources.into_iter().map(|src| reselect(src, pairs, |p| p.1));
+        VChunk { sources: left.chain(right).collect() }
     }
 
     /// Gather every column once, reproducing exactly the chunk the
-    /// row-at-a-time path would have built: base-table names for a single
-    /// scanned source, the source's own names for a single materialized
-    /// intermediate, synthesized `t{T}_c{C}` names under table `join` for
-    /// multi-source join results.
+    /// row-at-a-time path would have built: the base table's own names for
+    /// a single scanned source, synthesized `t{T}_c{C}` names under table
+    /// `join` for a join result. Called at the plan root only.
     pub(crate) fn materialize(&self) -> ExecResult<Chunk> {
-        if let [VSource::Base { table_id, data }] = self.sources.as_slice() {
-            let ids = &self.rowids[0];
-            let columns = data
-                .column_names()
-                .iter()
-                .zip(data.columns())
-                .map(|(n, col)| Ok((n.clone(), col.gather_u32(ids)?)))
-                .collect::<ExecResult<Vec<_>>>()?;
-            let provenance =
-                (0..data.num_columns()).map(|i| ColumnRef::new(*table_id, i)).collect();
-            return Ok(Chunk { data: Table::new(data.name().to_owned(), columns)?, provenance });
-        }
-        if let [VSource::Mat(ch)] = self.sources.as_slice() {
-            let ids = &self.rowids[0];
-            if ids.len() == ch.num_rows() && ids.iter().enumerate().all(|(i, &v)| v as usize == i) {
-                return Ok((**ch).clone());
-            }
-            let columns = ch
-                .data
-                .column_names()
-                .iter()
-                .zip(ch.data.columns())
-                .map(|(n, col)| Ok((n.clone(), col.gather_u32(ids)?)))
-                .collect::<ExecResult<Vec<_>>>()?;
-            return Ok(Chunk {
-                data: Table::new(ch.data.name().to_owned(), columns)?,
-                provenance: ch.provenance.clone(),
-            });
-        }
+        let (name, scanned) = match self.sources.as_slice() {
+            [only] => (only.data.name(), true),
+            _ => ("join", false),
+        };
         let mut columns: Vec<(String, ColumnVector)> = Vec::new();
         let mut provenance: Vec<ColumnRef> = Vec::new();
-        for (src, ids) in self.sources.iter().zip(&self.rowids) {
-            match src {
-                VSource::Base { table_id, data } => {
-                    for (ci, col) in data.columns().iter().enumerate() {
-                        let p = ColumnRef::new(*table_id, ci);
-                        columns.push((format!("t{}_c{}", p.table, p.column), col.gather_u32(ids)?));
-                        provenance.push(p);
-                    }
-                }
-                VSource::Mat(ch) => {
-                    for (ci, col) in ch.data.columns().iter().enumerate() {
-                        let p = ch.provenance[ci];
-                        columns.push((format!("t{}_c{}", p.table, p.column), col.gather_u32(ids)?));
-                        provenance.push(p);
-                    }
-                }
+        for VSource { table_id, data, rows } in &self.sources {
+            for (ci, (own, col)) in data.column_names().iter().zip(data.columns()).enumerate() {
+                let name = if scanned { own.clone() } else { format!("t{table_id}_c{ci}") };
+                columns.push((name, col.gather_u32(rows)?));
+                provenance.push(ColumnRef::new(*table_id, ci));
             }
         }
-        Ok(Chunk { data: Table::new("join", columns)?, provenance })
+        Ok(Chunk { data: Table::new(name, columns)?, provenance })
     }
-}
-
-/// Evaluate a plan tree, returning the root's late-materialized result.
-pub(crate) fn execute_root(
-    node: &PlanNode,
-    tables: &[Arc<Table>],
-    workers: usize,
-    st: &mut ExecState<'_>,
-) -> ExecResult<VChunk> {
-    exec_node(node, tables, workers, st)
 }
 
 /// Fused `COUNT(*)` evaluation: when the plan root is a nested loop, or a
@@ -303,7 +203,7 @@ pub(crate) fn execute_root_count(
             } else {
                 let r = exec_node(right, tables, workers, st)?;
                 n = match method {
-                    JoinMethod::Hash => vhash_count(&l, &r, keys, workers, st.metrics)?,
+                    JoinMethod::Hash => vhash_join(&l, &r, keys, workers, st.metrics, None)?,
                     _ => vsort_merge(&l, &r, keys, st.metrics, None)?,
                 };
                 st.metrics.tuples_emitted += n;
@@ -313,12 +213,13 @@ pub(crate) fn execute_root_count(
             return Ok(n);
         }
     }
-    Ok(execute_root(node, tables, workers, st)?.len() as u64)
+    Ok(exec_node(node, tables, workers, st)?.len() as u64)
 }
 
-/// Recursive node evaluation, recording the same per-operator observations
-/// (in the same post-order) as the row path.
-fn exec_node(
+/// Evaluate a plan (sub)tree into its late-materialized result, recording
+/// the same per-operator observations (in the same post-order) as the row
+/// path.
+pub(crate) fn exec_node(
     node: &PlanNode,
     tables: &[Arc<Table>],
     workers: usize,
@@ -356,16 +257,12 @@ fn exec_inner(
         }
         PlanNode::Join { method, left, right, keys, ranges } => {
             let l = exec_node(left, tables, workers, st)?;
-            if *method == JoinMethod::IndexNestedLoop {
-                // The one delegated shape (see module docs): the row-path
-                // operator on a materialized outer.
-                let lchunk = l.materialize()?;
-                let out = crate::executor::indexed_nested_loop(&lchunk, right, keys, tables, st)?;
-                let out = crate::join::apply_join_ranges(out, ranges, st.metrics)?;
-                return VChunk::from_chunk(out);
-            }
             let mut pairs = Vec::new();
-            let r = if is_nested_loop(*method, keys) {
+            let r = if *method == JoinMethod::IndexNestedLoop {
+                let r = index_nested_loop(&l, right, keys, tables, st, &mut pairs)?;
+                pairs = filter_pairs_by_ranges(&l, &r, pairs, ranges, st.metrics)?;
+                r
+            } else if is_nested_loop(*method, keys) {
                 let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
                 nested_loop(&l, &r, keys, ranges, st.metrics, |lj, rj| pairs.push((lj, rj)))?;
                 r
@@ -384,7 +281,7 @@ fn exec_inner(
                     if *method == JoinMethod::SortMerge {
                         vsort_merge(&l, &r, keys, st.metrics, Some(&mut pairs))?;
                     } else {
-                        pairs = vhash_join(&l, &r, keys, workers, st.metrics)?;
+                        vhash_join(&l, &r, keys, workers, st.metrics, Some(&mut pairs))?;
                     }
                     st.metrics.tuples_emitted += pairs.len() as u64;
                     pairs = filter_pairs_by_ranges(&l, &r, pairs, ranges, st.metrics)?;
@@ -507,6 +404,79 @@ fn nested_loop(
     Ok(())
 }
 
+/// The indexed nested loop: `pairs` receives, outer-major and in index
+/// order, every `(outer row, stored inner row)` that agrees on all `keys`
+/// and passes the inner's filters; the returned chunk is the stored inner,
+/// unselected, which those inner rows address. Charges what the row
+/// operator in [`crate::index`] charges, in its order: the index build (a
+/// scan and a sort of the inner), then per outer row with a non-NULL probe
+/// key one descent, and per hit one page read plus one comparison per filter
+/// and per residual key tested, short-circuit. The filters run per hit, so
+/// the inner's scan observation is its stored row count, with no time.
+fn index_nested_loop(
+    l: &VChunk,
+    right: &PlanNode,
+    keys: &[(ColumnRef, ColumnRef)],
+    tables: &[Arc<Table>],
+    st: &mut ExecState<'_>,
+    pairs: &mut Vec<(u32, u32)>,
+) -> ExecResult<VChunk> {
+    let PlanNode::Scan { table_id, filters } = right else {
+        return Err(ExecError::InvalidPlan(
+            "index nested loops requires a base-table inner".into(),
+        ));
+    };
+    let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
+    let Some((&(probe, indexed), residual)) = keys.split_first() else {
+        return Err(ExecError::InvalidPlan(
+            "index nested loops requires at least one join key".into(),
+        ));
+    };
+    if indexed.table != *table_id || indexed.column >= data.num_columns() {
+        return Err(ExecError::ColumnNotInSchema(indexed));
+    }
+    let index = SortedIndex::build(data, indexed.column)?;
+    let r = VChunk::scan(*table_id, Arc::clone(data), (0..data.num_rows()).map(rowid).collect());
+    let stored = data.num_rows() as u64;
+    st.metrics.tuples_scanned += stored;
+    st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
+    st.metrics.rows_sorted += stored;
+
+    let probe = side_key(l, probe)?;
+    let outer = side_keys(l, residual.iter().map(|k| k.0))?;
+    let inner = side_keys(&r, residual.iter().map(|k| k.1))?;
+    let filters = bind_filters(filters, |c| r.resolve(c).map(|(_, pos)| pos))?;
+    let per_page = data.tuples_per_page().max(1) as u64;
+    for lj in 0..rowid(l.len()) {
+        let key = probe.value(lj).to_value();
+        if key.is_null() {
+            continue;
+        }
+        st.metrics.comparisons += index.descent_charge();
+        'hit: for row in index.lookup(&key) {
+            st.io.read_page(*table_id, row as u64 / per_page, st.metrics);
+            for f in &filters {
+                st.metrics.comparisons += 1;
+                if !f.matches(data, row)? {
+                    continue 'hit;
+                }
+            }
+            let rj = rowid(row);
+            for (o, i) in outer.iter().zip(&inner) {
+                st.metrics.comparisons += 1;
+                if !o.value(lj).sql_eq(i.value(rj)) {
+                    continue 'hit;
+                }
+            }
+            pairs.push((lj, rj));
+        }
+    }
+    st.metrics.tuples_emitted += pairs.len() as u64;
+    st.obs.scan_outputs.push((*table_id, stored));
+    st.obs.scan_elapsed.push(std::time::Duration::ZERO);
+    Ok(r)
+}
+
 /// A join range with its first column on the `left` input's side. The row
 /// path resolves a range's columns in the joined schema, so a plan may name
 /// them in either order: one written right-to-left is mirrored.
@@ -620,8 +590,8 @@ impl<'a> SideKey<'a> {
 fn side_key(v: &VChunk, c: ColumnRef) -> ExecResult<SideKey<'_>> {
     let missing = || ExecError::ColumnNotInSchema(c);
     let (si, pos) = v.resolve(c).ok_or_else(missing)?;
-    let (src, ids) = v.sources.get(si).zip(v.rowids.get(si)).ok_or_else(missing)?;
-    Ok(SideKey { col: src.table().column(pos)?, ids })
+    let src = v.sources.get(si).ok_or_else(missing)?;
+    Ok(SideKey { col: src.data.column(pos)?, ids: &src.rows })
 }
 
 fn side_keys<'a>(
@@ -631,20 +601,11 @@ fn side_keys<'a>(
     refs.map(|c| side_key(v, c)).collect()
 }
 
-/// A join's key columns as raw `i64` slices, left side then right.
-type IntSides<'a> = (Vec<IntKeys<'a>>, Vec<IntKeys<'a>>);
-
-/// Both sides of a join's key pairs as raw `i64` slices, when every
-/// component on either side is `Int` — what the typed hash join and its
-/// fused count run on, a single pair being the one-component case.
-fn int_sides<'a>(
-    left: &'a VChunk,
-    right: &'a VChunk,
-    keys: &[(ColumnRef, ColumnRef)],
-) -> ExecResult<Option<IntSides<'a>>> {
-    let l = keys.iter().map(|k| Ok(side_key(left, k.0)?.int_keys())).collect::<ExecResult<_>>()?;
-    let r = keys.iter().map(|k| Ok(side_key(right, k.1)?.int_keys())).collect::<ExecResult<_>>()?;
-    Ok(Option::zip(l, r))
+/// One side's key columns as raw `i64` slices, when every component is
+/// `Int` — what the typed hash join and its fused count run on, a single
+/// pair being the one-component case.
+fn all_int_keys<'a>(side: &[SideKey<'a>]) -> Option<Vec<IntKeys<'a>>> {
+    side.iter().map(SideKey::int_keys).collect()
 }
 
 /// Per-row composite hash keys for the generic join path; `None` marks a
@@ -731,9 +692,9 @@ fn vrange_join(
     Ok(pairs)
 }
 
-/// Residual inequality filter over a pair list — the late-materializing
-/// twin of [`crate::join::apply_join_ranges`], charging the same one
-/// comparison per candidate pair per range and keeping the pairs that
+/// Residual inequality filter over a pair list, charging what the row
+/// path's residual filter over a joined chunk charges — one comparison per
+/// candidate pair per range — and keeping the pairs that
 /// satisfy every range (NULLs never match). Each range is one pass over the
 /// survivors: over `i64` slices when both its columns are `Int`
 /// ([`IntTest`]), over borrowed cells otherwise.
@@ -883,90 +844,68 @@ fn keys_match(l: &[IntKeys<'_>], lj: u32, r: &[IntKeys<'_>], rj: u32) -> bool {
     l.iter().zip(r).all(|(l, r)| matches!((l.at(lj), r.at(rj)), (Some(a), Some(b)) if a == b))
 }
 
-/// Vectorized hash join on logical row ids. Charges one `hash_probes` per
-/// probe-side row (NULLs included), like the row path, and returns pairs in
-/// left-major order (the row path's `rows.sort_unstable()`).
+/// Vectorized hash join on logical row ids, and its fused counting twin:
+/// returns the number of matches and, given a pair list, fills it in
+/// left-major order (the row path's `rows.sort_unstable()`). Without one no
+/// `(u32, u32)` is ever allocated and the build tables hold bucket *sizes*,
+/// not row-id lists, where possible. Charges one `hash_probes` per
+/// probe-side row (NULLs included), like the row path. All-`Int` keys take
+/// the typed table; a lone `Str` pair hashes borrowed `&str`s; any other
+/// component type goes through the normalized [`HashKey`]s the row path uses.
 fn vhash_join(
     left: &VChunk,
     right: &VChunk,
     keys: &[(ColumnRef, ColumnRef)],
     workers: usize,
     metrics: &mut ExecMetrics,
-) -> ExecResult<Vec<(u32, u32)>> {
-    if let Some((build, probe)) = int_sides(left, right, keys)? {
-        return Ok(int_hash_join(&build, &probe, workers, metrics));
-    }
+    pairs: Option<&mut Vec<(u32, u32)>>,
+) -> ExecResult<u64> {
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
+    if let (Some(build), Some(probe)) = (all_int_keys(&lsides), all_int_keys(&rsides)) {
+        let Some(pairs) = pairs else {
+            return Ok(int_hash_count(&build, &probe, workers, metrics));
+        };
+        *pairs = int_hash_join(&build, &probe, workers, metrics);
+        return Ok(pairs.len() as u64);
+    }
     metrics.hash_probes += right.len() as u64;
-    let mut pairs = Vec::new();
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
         if let (Some(lkeys), Some(rkeys)) = (lk.str_keys(), rk.str_keys()) {
-            let mut table: HashMap<&str, Vec<u32>> = HashMap::new();
-            for (j, key) in lkeys.enumerate() {
-                if let Some(key) = key {
-                    table.entry(key).or_default().push(rowid(j));
-                }
-            }
-            for (j, key) in rkeys.enumerate() {
-                if let Some(ls) = key.and_then(|key| table.get(key)) {
-                    pairs.extend(ls.iter().map(|&lj| (lj, rowid(j))));
-                }
-            }
-            pairs.sort_unstable();
-            return Ok(pairs);
+            return Ok(hash_join_on(lkeys, rkeys, pairs));
         }
     }
-    // Generic path: a key component that is not `Int` (or a lone key that
-    // is not `Str`) through the same normalized `HashKey` the row path uses.
-    let mut table: HashMap<Vec<HashKey>, Vec<u32>> = HashMap::new();
-    for (j, k) in gather_hash_keys(&lsides, left.len())?.into_iter().enumerate() {
-        if let Some(k) = k {
-            table.entry(k).or_default().push(rowid(j));
+    let lkeys = gather_hash_keys(&lsides, left.len())?.into_iter();
+    Ok(hash_join_on(lkeys, gather_hash_keys(&rsides, right.len())?.into_iter(), pairs))
+}
+
+/// The fallback hash join over any hashable key, each side's keys in logical
+/// row order (`None` for a row with a NULL component, which never matches).
+fn hash_join_on<K: Hash + Eq>(
+    build: impl Iterator<Item = Option<K>>,
+    probe: impl Iterator<Item = Option<K>>,
+    pairs: Option<&mut Vec<(u32, u32)>>,
+) -> u64 {
+    let Some(pairs) = pairs else {
+        let mut sizes: HashMap<K, u64> = HashMap::new();
+        for key in build.flatten() {
+            *sizes.entry(key).or_default() += 1;
+        }
+        return probe.flatten().filter_map(|key| sizes.get(&key)).sum();
+    };
+    let mut rows: HashMap<K, Vec<u32>> = HashMap::new();
+    for (j, key) in build.enumerate() {
+        if let Some(key) = key {
+            rows.entry(key).or_default().push(rowid(j));
         }
     }
-    for (j, k) in gather_hash_keys(&rsides, right.len())?.into_iter().enumerate() {
-        if let Some(ls) = k.and_then(|k| table.get(&k)) {
+    for (j, key) in probe.enumerate() {
+        if let Some(ls) = key.and_then(|key| rows.get(&key)) {
             pairs.extend(ls.iter().map(|&lj| (lj, rowid(j))));
         }
     }
     pairs.sort_unstable();
-    Ok(pairs)
-}
-
-/// Fused counting twin of [`vhash_join`]: the same three key paths with
-/// the same `hash_probes` charge, but only a running count crosses the
-/// probe loop — no `(u32, u32)` pair list is ever allocated (so the
-/// `pair_lists` counter stays untouched) and the build tables hold bucket
-/// *sizes*, not row-id lists, where possible.
-fn vhash_count(
-    left: &VChunk,
-    right: &VChunk,
-    keys: &[(ColumnRef, ColumnRef)],
-    workers: usize,
-    metrics: &mut ExecMetrics,
-) -> ExecResult<u64> {
-    if let Some((build, probe)) = int_sides(left, right, keys)? {
-        return Ok(int_hash_count(&build, &probe, workers, metrics));
-    }
-    let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
-    let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
-    metrics.hash_probes += right.len() as u64;
-    if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
-        if let (Some(lkeys), Some(rkeys)) = (lk.str_keys(), rk.str_keys()) {
-            let mut table: HashMap<&str, u64> = HashMap::new();
-            for key in lkeys.flatten() {
-                *table.entry(key).or_default() += 1;
-            }
-            return Ok(rkeys.flatten().filter_map(|key| table.get(key)).sum());
-        }
-    }
-    let mut table: HashMap<Vec<HashKey>, u64> = HashMap::new();
-    for k in gather_hash_keys(&lsides, left.len())?.into_iter().flatten() {
-        *table.entry(k).or_default() += 1;
-    }
-    let probes = gather_hash_keys(&rsides, right.len())?.into_iter().flatten();
-    Ok(probes.filter_map(|k| table.get(&k)).sum())
+    pairs.len() as u64
 }
 
 /// The typed hash join, built: one table over the build side's first key
@@ -1473,8 +1412,11 @@ mod tests {
 
                 for workers in [1, 3] {
                     let (mut m, mut cm) = (ExecMetrics::default(), ExecMetrics::default());
-                    assert_eq!(vhash_join(&l, &r, &keys, workers, &mut m).unwrap(), want, "{name}");
-                    assert_eq!(vhash_count(&l, &r, &keys, workers, &mut cm).unwrap(), n, "{name}");
+                    let mut hashed = Vec::new();
+                    let joined = vhash_join(&l, &r, &keys, workers, &mut m, Some(&mut hashed));
+                    assert_eq!((joined.unwrap(), hashed), (n, want.clone()), "{name}");
+                    let counted = vhash_join(&l, &r, &keys, workers, &mut cm, None);
+                    assert_eq!(counted.unwrap(), n, "{name}");
                     assert_eq!(m.hash_probes, r.len() as u64, "{name}: one probe per probe row");
                     assert_eq!(cm, m, "{name}: the count charges what the join charges");
                 }
@@ -1549,13 +1491,9 @@ mod tests {
             // inner rows 2 and 3; each is charged one range comparison.
             assert_eq!(m.tuples_emitted, 6, "{range:?}");
             assert_eq!(m.comparisons, 16 + 6, "{range:?}");
-            let residual = filter_pairs_by_ranges(
-                &l,
-                &r,
-                vhash_join(&l, &r, &keys, 1, &mut m).unwrap(),
-                &[range],
-                &mut m,
-            );
+            let mut hashed = Vec::new();
+            vhash_join(&l, &r, &keys, 1, &mut m, Some(&mut hashed)).unwrap();
+            let residual = filter_pairs_by_ranges(&l, &r, hashed, &[range], &mut m);
             assert_eq!(residual.unwrap(), want, "{range:?}: as a residual on a keyed join");
         }
         // Keyless: the cartesian product, one comparison per pair.

@@ -140,12 +140,13 @@ impl PlanTable {
         };
         let side = |at: u32| self.plans.get(at as usize).map(|e| u64::from(e.mask));
         let (left_mask, right_mask) = (side(entry.left)?, side(entry.right)?);
+        let (keys, ranges) = edges_between(predicates, left_mask, right_mask);
         Some(PlanNode::Join {
             method,
             left: Box::new(self.build(entry.left, predicates, filters)?),
             right: Box::new(self.build(entry.right, predicates, filters)?),
-            keys: join_keys_between(predicates, left_mask, right_mask),
-            ranges: range_keys_between(predicates, left_mask, right_mask),
+            keys,
+            ranges,
         })
     }
 }
@@ -162,7 +163,7 @@ struct BaseTable {
 
 /// The inner input of a candidate join, as the cost model distinguishes it.
 #[derive(Clone, Copy)]
-enum Inner<'a> {
+pub(crate) enum Inner<'a> {
     /// A stored table: scanned (or rescanned, or index-probed) in place.
     Base(&'a TableProfile),
     /// A materialized intermediate of this tuple width.
@@ -171,11 +172,11 @@ enum Inner<'a> {
 
 /// Row counts of one candidate join.
 #[derive(Clone, Copy)]
-struct Rows {
-    outer: f64,
-    inner: f64,
+pub(crate) struct Rows {
+    pub(crate) outer: f64,
+    pub(crate) inner: f64,
     /// The estimator's size for the joined set.
-    out: f64,
+    pub(crate) out: f64,
 }
 
 /// Scan filters for one table: every local predicate of the (possibly
@@ -191,6 +192,43 @@ pub fn scan_filters(
         .collect()
 }
 
+/// The equality keys and the inequality ranges of one join.
+pub(crate) type JoinEdges = (Vec<(ColumnRef, ColumnRef)>, Vec<(ColumnRef, CmpOp, ColumnRef)>);
+
+/// The join predicates between two disjoint table sets, keys and ranges, in
+/// one pass: each oriented `(column in left_mask, column in right_mask)`,
+/// a range's operator flipped when it is stored the other way round. The one
+/// place a predicate is matched against the two sides of a join.
+pub(crate) fn edges_between(
+    predicates: &[Predicate],
+    left_mask: u64,
+    right_mask: u64,
+) -> JoinEdges {
+    let links = |l: &ColumnRef, r: &ColumnRef| {
+        left_mask & (1 << l.table) != 0 && right_mask & (1 << r.table) != 0
+    };
+    let (mut keys, mut ranges) = (Vec::new(), Vec::new());
+    for p in predicates {
+        let (l, op, r) = match p {
+            Predicate::JoinEq { left, right } => (left, None, right),
+            Predicate::JoinRange { left, op, right } => (left, Some(*op), right),
+            _ => continue,
+        };
+        let (l, op, r) = if links(l, r) {
+            (l, op, r)
+        } else if links(r, l) {
+            (r, op.map(CmpOp::flip), l)
+        } else {
+            continue;
+        };
+        match op {
+            None => keys.push((*l, *r)),
+            Some(op) => ranges.push((*l, op, *r)),
+        }
+    }
+    (keys, ranges)
+}
+
 /// Join keys linking the tables of `mask` to `table`: `(left, right)` pairs
 /// with `left` inside the mask and `right` on the new table.
 pub fn join_keys(predicates: &[Predicate], mask: u64, table: usize) -> Vec<(ColumnRef, ColumnRef)> {
@@ -204,19 +242,7 @@ pub fn join_keys_between(
     left_mask: u64,
     right_mask: u64,
 ) -> Vec<(ColumnRef, ColumnRef)> {
-    let in_left = |t: usize| left_mask & (1 << t) != 0;
-    let in_right = |t: usize| right_mask & (1 << t) != 0;
-    let mut keys = Vec::new();
-    for p in predicates {
-        if let Predicate::JoinEq { left, right } = p {
-            if in_left(left.table) && in_right(right.table) {
-                keys.push((*left, *right));
-            } else if in_left(right.table) && in_right(left.table) {
-                keys.push((*right, *left));
-            }
-        }
-    }
-    keys
+    edges_between(predicates, left_mask, right_mask).0
 }
 
 /// Inequality predicates linking the tables of `mask` to `table`, oriented
@@ -237,19 +263,7 @@ pub fn range_keys_between(
     left_mask: u64,
     right_mask: u64,
 ) -> Vec<(ColumnRef, CmpOp, ColumnRef)> {
-    let in_left = |t: usize| left_mask & (1 << t) != 0;
-    let in_right = |t: usize| right_mask & (1 << t) != 0;
-    let mut ranges = Vec::new();
-    for p in predicates {
-        if let Predicate::JoinRange { left, op, right } = p {
-            if in_left(left.table) && in_right(right.table) {
-                ranges.push((*left, *op, *right));
-            } else if in_left(right.table) && in_right(left.table) {
-                ranges.push((*right, op.flip(), *left));
-            }
-        }
-    }
-    ranges
+    edges_between(predicates, left_mask, right_mask).1
 }
 
 /// Post-order estimated sizes of every join node in a plan tree (for a
@@ -446,7 +460,9 @@ pub fn enumerate(
 /// The cheapest applicable method for one candidate join, the earliest
 /// enabled one on ties; `None` when no enabled method can run it.
 /// `(has_keys, has_ranges)` say which kinds of predicate link the two inputs.
-fn cheapest_method(
+/// The method policy of every search strategy: the DP above and the fixed
+/// orders [`crate::heuristic`] prices.
+pub(crate) fn cheapest_method(
     methods: &[JoinMethod],
     p: &CostParams,
     inner: Inner<'_>,

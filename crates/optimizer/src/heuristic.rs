@@ -27,12 +27,15 @@ use rand::{Rng, SeedableRng};
 use els_core::CardinalityEstimator;
 
 use crate::cost::CostParams;
-use crate::enumerate::{join_keys, range_keys, scan_filters, EnumerationResult};
+use crate::enumerate::{
+    cheapest_method, edges_between, scan_filters, EnumerationResult, Inner, Rows,
+};
 use crate::error::{OptimizerError, OptimizerResult};
 use crate::profile::TableProfile;
 
-/// Cost one fixed left-deep order, choosing the best join method per step
-/// (shared by all strategies in this module).
+/// Cost one fixed left-deep order, choosing the join method of each step by
+/// the DP's policy ([`cheapest_method`]); shared by all strategies in this
+/// module. `profiles` holds one profile per table of `els`.
 pub fn cost_order(
     order: &[usize],
     els: &dyn CardinalityEstimator,
@@ -43,53 +46,31 @@ pub fn cost_order(
     let Some((&first, rest)) = order.split_first() else {
         return Err(OptimizerError::Unsupported("empty join order".into()));
     };
+    let profile = |t: usize| {
+        profiles.get(t).ok_or_else(|| {
+            let (have, want) = (profiles.len(), els.num_tables());
+            OptimizerError::Unsupported(format!("table {t} of {want} has no profile among {have}"))
+        })
+    };
     let predicates = els.predicates();
     let mut state = els.initial_state(first)?;
     let mut node = PlanNode::Scan { table_id: first, filters: scan_filters(predicates, first)? };
-    let mut cost = params.scan(&profiles[first]);
+    let mut cost = params.scan(profile(first)?);
     let mut mask: u64 = 1 << first;
     let mut sizes = Vec::with_capacity(rest.len());
 
     for &t in rest {
         let new_state = els.join(&state, t)?;
-        let outer_rows = state.cardinality();
-        let inner_eff = els.effective_cardinality(t)?;
-        let out_rows = new_state.cardinality();
-        let keys = join_keys(predicates, mask, t);
-        let ranges = range_keys(predicates, mask, t);
-
-        // Same method policy as the DP: the band join competes exactly when
-        // it is executable (no equi-keys, at least one inequality edge).
-        let band_ok = keys.is_empty() && !ranges.is_empty();
-        // Keyless methods emit the full cross product before the residual
-        // inequality filter; only the band join prunes while probing.
-        let emit_rows = if band_ok { outer_rows * inner_eff } else { out_rows };
-        let mut best: Option<(JoinMethod, f64)> = None;
-        for &m in methods.iter().chain(band_ok.then_some(&JoinMethod::Range)) {
-            if m == JoinMethod::IndexNestedLoop && keys.is_empty() {
-                continue;
-            }
-            if m == JoinMethod::Range && !band_ok {
-                continue;
-            }
-            let join_cost = match m {
-                JoinMethod::NestedLoop => params.nested_loop(outer_rows, &profiles[t]),
-                JoinMethod::SortMerge => {
-                    params.sort_merge(outer_rows, &profiles[t], inner_eff, emit_rows)
-                }
-                JoinMethod::Hash => params.hash(outer_rows, &profiles[t], inner_eff, emit_rows),
-                JoinMethod::IndexNestedLoop => {
-                    params.index_nested_loop(outer_rows, &profiles[t], emit_rows)
-                }
-                JoinMethod::Range => {
-                    params.range_join(outer_rows, &profiles[t], inner_eff, out_rows)
-                }
-            };
-            if best.is_none_or(|(_, c)| join_cost < c) {
-                best = Some((m, join_cost));
-            }
-        }
-        let Some((method, join_cost)) = best else {
+        let rows = Rows {
+            outer: state.cardinality(),
+            inner: els.effective_cardinality(t)?,
+            out: new_state.cardinality(),
+        };
+        let (keys, ranges) = edges_between(predicates, mask, 1 << t);
+        let links = (!keys.is_empty(), !ranges.is_empty());
+        let Some((method, join_cost)) =
+            cheapest_method(methods, params, Inner::Base(profile(t)?), rows, links)
+        else {
             return Err(OptimizerError::Unsupported("no join methods enabled".into()));
         };
         cost += join_cost;
@@ -315,6 +296,15 @@ mod tests {
             iterative_improvement(&els, &profiles, &NL_SM, &CostParams::default(), 3, 42).unwrap();
         assert_eq!(a.join_order, b.join_order);
         assert_eq!(a.estimated_cost, b.estimated_cost);
+    }
+
+    #[test]
+    fn a_profile_count_that_disagrees_with_the_estimator_is_unsupported() {
+        let (els, profiles) = chain(2);
+        for short in [&profiles[..1], &[]] {
+            let err = cost_order(&[0, 1], &els, short, &NL_SM, &CostParams::default());
+            assert!(matches!(err, Err(OptimizerError::Unsupported(_))), "{err:?}");
+        }
     }
 
     #[test]

@@ -621,12 +621,14 @@ impl Engine {
         })
     }
 
-    /// An EXPLAIN-style report: the rewritten predicates, equivalence
-    /// classes, effective statistics, estimated sizes, and the plan tree.
-    /// Goes through the plan cache like [`Engine::execute`].
+    /// An EXPLAIN-style report: the planning estimator, the rewritten
+    /// predicates, equivalence classes, Section 6 adjustments, effective
+    /// statistics and per-step selectivity choices as Algorithm ELS reports
+    /// them, the estimated sizes, and the plan tree. Goes through the plan
+    /// cache like [`Engine::execute`].
     pub fn explain(&self, sql: &str) -> EngineResult<String> {
         let (plan, _, _) = self.prepare_at(sql)?;
-        Ok(explain_report(sql, &plan.binding_names, &plan.optimized))
+        explain_report(sql, &plan.binding_names, &plan.optimized)
     }
 
     /// EXPLAIN ANALYZE: run the query (through the plan cache) and report,
@@ -721,40 +723,34 @@ fn harvest_query(
     published
 }
 
-/// Render [`Engine::explain`]'s report for an optimized query.
-fn explain_report(sql: &str, binding_names: &[String], optimized: &OptimizedQuery) -> String {
-    let els = &optimized.els;
-    let mut out = String::new();
-    out.push_str(&format!("query: {sql}\n"));
-    out.push_str("predicates (after Step 1-2):\n");
-    for p in els.predicates() {
-        out.push_str(&format!("  {p}\n"));
-    }
-    if !els.classes().is_empty() {
-        out.push_str("equivalence classes:\n");
-        for (id, members) in els.classes().iter() {
-            let names: Vec<String> = members.iter().map(|m| m.to_string()).collect();
-            out.push_str(&format!("  {id}: {{{}}}\n", names.join(", ")));
-        }
-    }
-    out.push_str("effective statistics:\n");
-    for (t, table) in els.effective_stats().tables.iter().enumerate() {
-        out.push_str(&format!(
-            "  {} (R{t}): ||R|| {} -> {:.1}\n",
-            binding_names[t], table.original_cardinality, table.cardinality
-        ));
-    }
-    let order: Vec<&str> =
-        optimized.join_order.iter().map(|&t| binding_names[t].as_str()).collect();
-    out.push_str(&format!(
-        "join order: {} | estimated sizes: {:?} | cost: {:.1}\n",
+/// Render [`Engine::explain`]'s report: who sized the plan, Algorithm ELS's
+/// own account of the query ([`els_core::Els::report`], under the legend its
+/// `R{t}` names need), the chosen order with its sizes and cost, and the plan.
+fn explain_report(
+    sql: &str,
+    binding_names: &[String],
+    optimized: &OptimizedQuery,
+) -> EngineResult<String> {
+    let report =
+        optimized.els.report(&optimized.join_order).map_err(els_optimizer::OptimizerError::from)?;
+    let name = |t: usize| binding_names.get(t).map_or("?", String::as_str);
+    let legend: Vec<String> =
+        (0..binding_names.len()).map(|t| format!("R{t} = {}", name(t))).collect();
+    let order: Vec<&str> = optimized.join_order.iter().map(|&t| name(t)).collect();
+    let aside = match optimized.strategy() {
+        EstimatorStrategy::Els => "",
+        _ => " (Algorithm ELS's account below is for reference)",
+    };
+    Ok(format!(
+        "query: {sql}\nplanned by: {}{aside}\ntables: {}\n{report}\
+         join order: {} | estimated sizes: {:?} | cost: {:.1}\nplan:\n{}",
+        optimized.estimator().name(),
+        legend.join(", "),
         order.join(" ⋈ "),
         optimized.estimated_sizes,
-        optimized.estimated_cost
-    ));
-    out.push_str("plan:\n");
-    out.push_str(&optimized.plan.root.explain());
-    out
+        optimized.estimated_cost,
+        optimized.plan.root.explain()
+    ))
 }
 
 #[cfg(test)]
@@ -848,6 +844,20 @@ mod tests {
         assert!(text.contains("join order"));
         assert!(text.contains("Scan"));
         assert!(text.contains("effective statistics"));
+    }
+
+    #[test]
+    fn explain_names_the_estimator_that_sized_the_plan() {
+        let mut db = db();
+        let sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10";
+        let text = db.explain(sql).unwrap();
+        // Algorithm ELS's own report, not a summary of it: the per-step choices.
+        for part in ["planned by: els\n", "R0 = a, R1 = b", "join steps:", "-> chose"] {
+            assert!(text.contains(part), "no `{part}` in:\n{text}");
+        }
+        db.set_strategy(EstimatorStrategy::UpperBound);
+        let text = db.explain(sql).unwrap();
+        assert!(text.contains("planned by: upper-bound (Algorithm ELS's account"), "{text}");
     }
 
     #[test]

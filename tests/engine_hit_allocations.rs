@@ -17,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use els::engine::Engine;
+use els::exec::JoinMethod;
 use els::optimizer::{EstimatorStrategy, OptimizerOptions};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
@@ -119,12 +120,17 @@ fn a_hit_executes_under_its_allocation_ceiling() {
 
 const CHAIN: &str = "SELECT COUNT(*) FROM a, b, c WHERE a.k = b.k AND b.k = c.k";
 const BAND: &str = "SELECT COUNT(*) FROM a, b WHERE a.k < b.k AND b.k < 20";
+const PAIR: &str = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k";
 
-/// `a`, `b` and `c` with sequential keys, `scale` times 64, 256 and 128 rows.
+/// `a`, `b` and `c` with sequential keys, `scale` times 64, 256 and 128
+/// rows, and a string payload no query reads: one heap allocation per row
+/// for whoever copies a table or materializes an input.
 fn with_scaled_tables(engine: Engine, scale: usize) -> Engine {
     for (name, rows) in [("a", 64), ("b", 256), ("c", 128)] {
         let key = ColumnSpec::new("k", Distribution::SequentialInt { start: 0 });
-        engine.generate(TableSpec::new(name, rows * scale).column(key), 1).unwrap();
+        let tag = Distribution::StrTag { prefix: "payload".into(), modulus: 1 << 20 };
+        let spec = TableSpec::new(name, rows * scale).column(key);
+        engine.generate(spec.column(ColumnSpec::new("tag", tag)), 1).unwrap();
     }
     engine
 }
@@ -135,13 +141,21 @@ fn with_scaled_tables(engine: Engine, scale: usize) -> Engine {
 /// may only add the few doublings of the lower join's pair list. (The band
 /// count starts from larger tables: below them the optimizer picks the
 /// sort-based band join. A composite-key *sort-merge* still gathers a
-/// `Vec<Value>` per row and has no ceiling here.)
+/// `Vec<Value>` per row and has no ceiling here.) An indexed nested loop
+/// probes its stored inner in place and composes row ids like every other
+/// join, so it clones and materializes neither input and adds only the
+/// doublings of its own pair list.
 #[test]
 fn composite_key_and_nested_loop_hits_do_not_allocate_with_the_data() {
     let hash = || Engine::with_options(OptimizerOptions::default().with_hash_join());
+    let indexed = || {
+        let join_methods = vec![JoinMethod::IndexNestedLoop];
+        Engine::with_options(OptimizerOptions { join_methods, ..OptimizerOptions::default() })
+    };
     for (engine, sql, method, scale, ceiling, ceiling_at_ten_times) in [
         (hash as fn() -> Engine, CHAIN, "HASHJoin", 1, 47, 51),
         (Engine::new as fn() -> Engine, BAND, "NLJoin", 4, 28, 29),
+        (indexed as fn() -> Engine, PAIR, "INLJoin", 1, 31, 35),
     ] {
         for (scale, ceiling) in [(scale, ceiling), (10 * scale, ceiling_at_ten_times)] {
             let engine = with_scaled_tables(engine(), scale);
@@ -150,8 +164,8 @@ fn composite_key_and_nested_loop_hits_do_not_allocate_with_the_data() {
             let first = engine.execute(sql).unwrap().count;
             let (again, warm) = allocations_in(|| engine.execute(sql).unwrap());
             assert_eq!(again.count, first);
-            // Keys are 0, 1, 2, ...: the chain keeps `a`'s, the band the pairs under 20.
-            let rows = if sql == CHAIN { 64 * scale as u64 } else { (0..20).sum() };
+            // Keys are 0, 1, 2, ...: the equi-joins keep `a`'s, the band the pairs under 20.
+            let rows = if sql == BAND { (0..20).sum() } else { 64 * scale as u64 };
             assert_eq!(first, rows, "`{sql}` at scale {scale}");
             assert!(
                 warm <= ceiling,

@@ -3,7 +3,8 @@
 //!
 //! Random tables (uniform / Zipf / sequential key distributions, NULLs
 //! mixed in, int / float / string join columns) × random predicates and
-//! join keys × all three forceable join methods: the vectorized path —
+//! join keys × all three forceable join methods, and indexed nested loops
+//! wherever a join has a stored inner and a key: the vectorized path —
 //! serial and morsel-parallel — must reproduce the row oracle *exactly*:
 //! same rows, same column names, same counters (minus the vectorized-only
 //! kernel counters), same per-operator observations.
@@ -116,11 +117,17 @@ fn random_sql(seed: u64, catalog: &Catalog) -> String {
     sql
 }
 
+/// The methods [`force_method`] pins plans to.
+const FORCED_METHODS: [JoinMethod; 4] =
+    [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash, JoinMethod::IndexNestedLoop];
+
 fn force_method(node: &mut PlanNode, m: JoinMethod) {
     if let PlanNode::Join { method, keys, left, right, .. } = node {
         // Keyless joins (cartesian steps and band joins) keep whatever the
-        // optimizer picked — the keyed methods are not defined for them.
-        if !keys.is_empty() {
+        // optimizer picked — the keyed methods are not defined for them —
+        // and so does an evaluated inner under indexed nested loops.
+        let stored_inner = matches!(right.as_ref(), PlanNode::Scan { .. });
+        if !keys.is_empty() && (stored_inner || m != JoinMethod::IndexNestedLoop) {
             *method = m;
         }
         force_method(left, m);
@@ -217,7 +224,7 @@ proptest! {
         // The optimizer's own plan (whatever methods it picked) …
         check_plan(&optimized.plan, &tables, &format!("`{sql}` [optimized]"));
         // … and the same tree pinned to each join method in turn.
-        for method in [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash] {
+        for method in FORCED_METHODS {
             let mut plan = optimized.plan.clone();
             force_method(&mut plan.root, method);
             check_plan(&plan, &tables, &format!("`{sql}` [{}]", method.name()));
@@ -612,7 +619,7 @@ fn composite_key_and_right_to_left_range_joins_match_the_row_oracle() {
             assert!(keys.len() >= 2, "`{sql}`: closure should stack keys, got {keys:?}");
         }
         check_plan(&optimized.plan, &tables, &format!("`{sql}` [optimized]"));
-        for method in [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash] {
+        for method in FORCED_METHODS {
             let mut plan = optimized.plan.clone();
             force_method(&mut plan.root, method);
             check_plan(&plan, &tables, &format!("`{sql}` [{}]", method.name()));
@@ -644,8 +651,11 @@ fn ranges_naming_the_inner_column_first_match_the_row_oracle() {
         op: CmpOp::Ge,
         value: els::storage::Value::Int(2),
     };
-    for method in [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash] {
+    for method in FORCED_METHODS {
         for keyed in [false, true] {
+            if method == JoinMethod::IndexNestedLoop && !keyed {
+                continue; // nothing to index
+            }
             for op in [CmpOp::Gt, CmpOp::Le] {
                 for output in [PlanOutput::CountStar, PlanOutput::Star] {
                     let plan = QueryPlan {
@@ -671,6 +681,35 @@ fn ranges_naming_the_inner_column_first_match_the_row_oracle() {
                     check_plan(&plan, &tables, &context);
                 }
             }
+        }
+    }
+}
+
+/// A hand-built indexed nested loop whose first key names, on its inner
+/// side, a column of another table has no index to build: both modes must
+/// refuse it instead of indexing that column *position* of the inner.
+#[test]
+fn indexed_nested_loop_refuses_a_key_outside_its_inner() {
+    use els::core::ColumnRef;
+    use els::exec::{ExecError, PlanOutput};
+
+    let catalog = closure_catalog(5);
+    let tables: Vec<Arc<Table>> =
+        ["t0", "t1", "t2"].iter().map(|name| catalog.table_data(name).unwrap()).collect();
+    let scan = |table_id| Box::new(PlanNode::Scan { table_id, filters: Vec::new() });
+    let stray = ColumnRef::new(2, 0);
+    let root = PlanNode::Join {
+        method: JoinMethod::IndexNestedLoop,
+        left: scan(0),
+        right: scan(1),
+        keys: vec![(ColumnRef::new(0, 0), stray)],
+        ranges: Vec::new(),
+    };
+    let plan = QueryPlan::new(root, PlanOutput::CountStar);
+    for mode in [ExecMode::RowAtATime, ExecMode::Vectorized { workers: 1 }] {
+        match execute_plan_observed(&plan, &tables, mode, None) {
+            Err(ExecError::ColumnNotInSchema(c)) => assert_eq!(c, stray, "{mode:?}"),
+            other => panic!("{mode:?}: expected ColumnNotInSchema, got {other:?}"),
         }
     }
 }
