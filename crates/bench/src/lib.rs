@@ -5,6 +5,8 @@
 //! `DESIGN.md` for the experiment index). The rest of this crate is what
 //! the experiments share.
 
+#![deny(unsafe_code)]
+
 pub mod accuracy;
 pub mod experiments;
 pub mod table;

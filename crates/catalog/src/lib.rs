@@ -46,6 +46,7 @@
     not(test),
     warn(clippy::unwrap_used, clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)
 )]
+#![deny(unsafe_code)]
 
 pub mod catalog;
 pub mod collect;

@@ -34,9 +34,9 @@
 //!   thread acquires a class out of order — covering the closures and
 //!   trait objects the static pass cannot see through.
 
-#[cfg(feature = "els_lock_audit")]
-use std::sync::Condvar;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// The committed total order of engine lock classes, outermost first. A
 /// class is `<file stem>.<field>`; the acquiring module and the field the
@@ -48,15 +48,16 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 /// outermost state transition and may run caller closures under
 /// `SharedCatalog::update`; the plan cache and admission queue are
 /// mid-level control structures; the metrics and feedback maps are leaf
-/// counters that never call out while held; the scheduler deques are
-/// innermost, held only for a single pop/steal.
+/// counters that never call out while held; the scheduler's pool state and
+/// result slots are innermost, held for a handful of field updates and
+/// never across a task.
 pub const LOCK_ORDER: &[&str] = &[
     "shared.state",
     "plan_cache.state",
     "admission.state",
     "metrics.qerr",
     "feedback.entries",
-    "scheduler.deques",
+    "scheduler.state",
 ];
 
 /// Guard type returned by [`lock_recovering`]: the plain `MutexGuard` in
@@ -127,14 +128,30 @@ pub fn write_recovering<T: ?Sized>(lock: &RwLock<T>) -> WriteGuard<'_, T> {
     Audited { inner: lock.write().unwrap_or_else(PoisonError::into_inner), token }
 }
 
-/// Wait on a condvar with a timeout, recovering the reacquired guard if a
-/// holder panicked during the wait. Returns the guard and whether the wait
-/// timed out. This is the one legal way to pass a recovered guard to a
-/// `Condvar` — it keeps the poison policy centralized here and lets the
-/// audit build release/reacquire the guard's rank around the wait.
+/// Wait on a condvar, recovering the reacquired guard if a holder panicked
+/// during the wait. With [`wait_timeout_recovering`], the one legal way to
+/// pass a recovered guard to a `Condvar` — it keeps the poison policy
+/// centralized here and lets the audit build release/reacquire the guard's
+/// rank around the wait.
+#[cfg(not(feature = "els_lock_audit"))]
+pub fn wait_recovering<'a, T>(cv: &Condvar, guard: LockGuard<'a, T>) -> LockGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on a condvar, recovering the reacquired guard if a holder panicked
+/// during the wait (audited: the rank is released for the duration of the
+/// wait, exactly like the OS lock).
+#[cfg(feature = "els_lock_audit")]
+pub fn wait_recovering<'a, T>(cv: &Condvar, guard: LockGuard<'a, T>) -> LockGuard<'a, T> {
+    let wait = |inner| (cv.wait(inner).unwrap_or_else(PoisonError::into_inner), ());
+    guard.around_wait(wait).0
+}
+
+/// [`wait_recovering`] with a timeout: returns the guard and whether the
+/// wait timed out.
 #[cfg(not(feature = "els_lock_audit"))]
 pub fn wait_timeout_recovering<'a, T>(
-    cv: &std::sync::Condvar,
+    cv: &Condvar,
     guard: LockGuard<'a, T>,
     timeout: std::time::Duration,
 ) -> (LockGuard<'a, T>, bool) {
@@ -151,11 +168,9 @@ pub fn wait_timeout_recovering<'a, T>(
     guard: LockGuard<'a, T>,
     timeout: std::time::Duration,
 ) -> (LockGuard<'a, T>, bool) {
-    let Audited { inner, token } = guard;
-    let rank = token.rank();
-    drop(token); // the wait releases the lock, so release the rank too
-    let (inner, wait) = cv.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
-    (Audited { inner, token: audit::enter_rank(rank) }, wait.timed_out())
+    let wait = |inner| cv.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
+    let (guard, wait) = guard.around_wait(wait);
+    (guard, wait.timed_out())
 }
 
 /// A guard carrying its lock-order audit token. Derefs straight through to
@@ -166,6 +181,20 @@ pub fn wait_timeout_recovering<'a, T>(
 pub struct Audited<G> {
     inner: G,
     token: audit::Token,
+}
+
+#[cfg(feature = "els_lock_audit")]
+impl<G> Audited<G> {
+    /// Hand the OS guard to a condvar `wait`, which releases the lock: the
+    /// rank is released with it and re-entered (order asserted) once the
+    /// wait has the lock back.
+    fn around_wait<R>(self, wait: impl FnOnce(G) -> (G, R)) -> (Audited<G>, R) {
+        let Audited { inner, token } = self;
+        let rank = token.rank();
+        drop(token);
+        let (inner, out) = wait(inner);
+        (Audited { inner, token: audit::enter_rank(rank) }, out)
+    }
 }
 
 #[cfg(feature = "els_lock_audit")]
@@ -328,6 +357,23 @@ mod tests {
             wait_timeout_recovering(&cv, guard, std::time::Duration::from_millis(1));
         assert!(timed_out);
         assert_eq!(*guard, 7);
+    }
+
+    #[test]
+    fn wait_recovering_returns_the_guard_once_notified() {
+        let shared = Arc::new((Mutex::new(false), Condvar::new()));
+        let notifier = Arc::clone(&shared);
+        let handle = std::thread::spawn(move || {
+            *lock_recovering(&notifier.0) = true;
+            notifier.1.notify_one();
+        });
+        let mut ready = lock_recovering(&shared.0);
+        while !*ready {
+            ready = wait_recovering(&shared.1, ready);
+        }
+        assert!(*ready);
+        drop(ready);
+        handle.join().expect("notifier");
     }
 
     #[test]

@@ -34,6 +34,9 @@
     not(test),
     warn(clippy::unwrap_used, clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)
 )]
+// The one exception, and the only `#[allow(unsafe_code)]` in a library
+// crate: the lifetime erasure in `scheduler::Posted::new`.
+#![deny(unsafe_code)]
 
 pub mod buffer;
 pub mod chunk;

@@ -53,8 +53,9 @@ use crate::plan::{JoinMethod, PlanNode};
 /// Probe rows per morsel handed to one parallel worker.
 pub const MORSEL_ROWS: usize = 2048;
 
-/// Minimum probe rows before the parallel path engages; below this the
-/// thread-spawn overhead dominates any probe speedup. Public so the
+/// Minimum probe rows before the parallel path engages: four morsels, so
+/// that waking a parked helper (no thread is spawned per join) buys it
+/// more than one task. A constant, not a fitted value. Public so the
 /// boundary-straddling differential tests can pin sizes right at the
 /// threshold.
 pub const PARALLEL_MIN_ROWS: usize = 4 * MORSEL_ROWS;
@@ -86,12 +87,16 @@ fn morsel_pieces<T: Send>(
     pieces
 }
 
-/// Concatenate per-piece pair lists in piece order. The serial path's
-/// single piece is returned as it is, not copied.
-fn concat_pairs(pieces: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
-    let mut rest = pieces.into_iter();
-    let mut pairs = rest.next().unwrap_or_default();
-    pairs.extend(rest.flatten());
+/// Concatenate per-piece pair lists in piece order, into one allocation of
+/// the summed length (growing the first piece instead is a `realloc`, and
+/// an arena lock, per doubling). The serial path's single piece is returned
+/// as it is, not copied.
+fn concat_pairs(mut pieces: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
+    if pieces.len() <= 1 {
+        return pieces.pop().unwrap_or_default();
+    }
+    let mut pairs = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
+    pieces.iter().for_each(|piece| pairs.extend_from_slice(piece));
     pairs
 }
 
@@ -729,18 +734,26 @@ struct Slot {
     len: u32,
 }
 
-/// The build side of an `i64` hash join: open addressing over the *distinct*
-/// keys, in a power of two of at least twice the valid build rows (so the
-/// load stays under one half and a linear probe always ends), plus every
-/// bucket's logical rows back to back in `rows`, in row order. Two
-/// allocations per build (one for a count), none per key.
+/// The build side of an `i64` hash join: one slot per *distinct* key plus
+/// every bucket's logical rows back to back in `rows`, in row order. Two
+/// allocations per build (one for a count), none per key. The slot array
+/// takes one of two layouts, chosen from the build keys alone: *dense*,
+/// `max - min + 1` slots addressed by `key - min`, when that is fewer
+/// slots than hashing would take (sequential key domains: one array read
+/// per probe, sequential probes read sequential slots, and a
+/// duplicate-heavy build side gets a table the size of its key range, not
+/// of its row count); otherwise *hashed*, open addressing in a power of two
+/// of at least twice the valid build rows (so the load stays under one
+/// half and a linear probe always ends).
 struct IntTable {
     slots: Vec<Slot>,
-    /// `64 - log2(slots.len())`: the hash keeps the product's high bits.
-    shift: u32,
+    /// Hashed layout: `64 - log2(slots.len())`, the hash keeps the
+    /// product's high bits. `None` for the dense layout.
+    shift: Option<u32>,
     rows: Vec<u32>,
     /// Least and greatest valid build key (`min > max` without one): a probe
-    /// key outside them has no match and is not hashed.
+    /// key outside them has no match and is not looked up, which is also
+    /// the dense layout's bounds check.
     min: i64,
     max: i64,
 }
@@ -755,9 +768,14 @@ impl IntTable {
         let (n, min, max) = keys
             .valid_keys()
             .fold((0usize, i64::MAX, i64::MIN), |(n, lo, hi), k| (n + 1, lo.min(k), hi.max(k)));
-        let cap = (2 * n).next_power_of_two().max(2);
-        let (slots, shift) = (vec![Slot::default(); cap], 64 - cap.trailing_zeros());
-        let mut table = IntTable { slots, shift, rows: Vec::new(), min, max };
+        let hashed = (2 * n).next_power_of_two().max(2);
+        let span = max.checked_sub(min).and_then(|span| usize::try_from(span).ok());
+        let (cap, shift) = match span.filter(|&span| span < hashed) {
+            Some(span) => (span + 1, None),
+            None => (hashed, Some(64 - hashed.trailing_zeros())),
+        };
+        let mut table =
+            IntTable { slots: vec![Slot::default(); cap], shift, rows: Vec::new(), min, max };
         for key in keys.valid_keys() {
             let at = table.slot_of(key);
             if let Some(slot) = table.slots.get_mut(at) {
@@ -785,12 +803,14 @@ impl IntTable {
         table
     }
 
-    /// Index of the slot holding `key`, or of the empty one ending its probe.
-    /// The probe starts at a multiplicative hash: sequential and power-of-two
-    /// strided keys land far apart in the product's high bits.
+    /// Index of the slot of `key`, a key in `min..=max`: dense, `key - min`;
+    /// hashed, the slot holding it or the empty one ending its probe, which
+    /// starts at a multiplicative hash (sequential and power-of-two strided
+    /// keys land far apart in the product's high bits).
     fn slot_of(&self, key: i64) -> usize {
+        let Some(shift) = self.shift else { return key.wrapping_sub(self.min) as usize };
         let mask = self.slots.len() - 1;
-        let mut i = ((key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        let mut i = ((key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
         while self.slots.get(i).is_some_and(|s| s.len != 0 && s.key != key) {
             i = (i + 1) & mask;
         }
@@ -1239,6 +1259,12 @@ mod tests {
         }
     }
 
+    /// 300 build keys over `0..=span`. They hash into 1 024 slots, so a span
+    /// of 1 023 is the widest dense table and 1 024 the narrowest hashed one.
+    fn spanning(span: i64) -> Side {
+        Side::new((0..299).chain([span]).map(Some))
+    }
+
     /// Every `(build row, probe row)` with equal non-NULL keys, left-major.
     fn nested_loop_oracle(build: &Side, probe: &Side) -> Vec<(u32, u32)> {
         let mut pairs = Vec::new();
@@ -1270,10 +1296,31 @@ mod tests {
                 Side::new((50..60).map(Some)),
                 Side::new(some_null(big)),
             ),
+            ("span one below capacity", spanning(1023), Side::new((-5..big).map(Some))),
+            ("span at capacity", spanning(1024), Side::new((-5..big).map(Some))),
+            ("negative keys", Side::new((-500..-200).map(Some)), Side::new((-big..0).map(Some))),
+            (
+                "mixed-sign keys",
+                Side::new((-150..150).map(Some)),
+                Side::new((0..big).map(|i| Some(i % 400 - 200))),
+            ),
+            (
+                "400 duplicates of 3 keys",
+                Side::new((0..400).map(|i| Some(i % 3 * 7 - 7))),
+                Side::new((0..big).map(|i| Some(i % 23 - 11))),
+            ),
+            (
+                "probe keys just outside the build's",
+                Side::new((-5..=5).map(Some)),
+                Side::new((0..big).map(|i| Some(i % 15 - 7))),
+            ),
+            ("one build row", Side::new([Some(-3)]), Side::new((0..big).map(|i| Some(i % 7 - 3)))),
+            ("all-NULL build", Side::new((0..40).map(|_| None)), Side::new((0..big).map(Some))),
+            ("all-NULL probe", Side::new((0..40).map(Some)), Side::new((0..big).map(|_| None))),
         ];
         for (name, build, probe) in &cases {
             let expect = nested_loop_oracle(build, probe);
-            assert!(!expect.is_empty(), "{name}");
+            assert_eq!(expect.is_empty(), name.starts_with("all-NULL"), "{name}");
             for workers in [1, 2, 3, 8] {
                 let ctx = format!("{name}, workers={workers}");
                 let mut m = ExecMetrics::default();
@@ -1297,25 +1344,72 @@ mod tests {
 
     #[test]
     fn int_table_keeps_probe_sequences_short_for_sequential_and_strided_keys() {
-        // A probe never leaves the run of occupied slots it starts in, so
-        // the longest run (cyclically) bounds every probe sequence. Patterned
-        // keys are where a multiplicative hash does best.
+        // Hashed, a probe never leaves the run of occupied slots it starts
+        // in, so the longest run (cyclically) bounds every probe sequence;
+        // patterned keys are where a multiplicative hash does best. Dense,
+        // there is no probe sequence: one slot per value of the key range.
         const LONGEST_RUN: usize = 8;
         for shift in [0u32, 1, 4, 16, 32, 48] {
             for n in [1_000i64, 4_096, 5_000] {
+                let ctx = format!("stride 2^{shift}, {n} keys");
                 let side = Side::new((0..n).map(|i| Some((i - n / 2) << shift)));
                 let table = IntTable::build(&side.keys(), true);
-                assert!(table.slots.len() >= 2 * n as usize && table.slots.len() < 4 * n as usize);
                 assert!(side.data.iter().all(|&k| table.find(k).is_some_and(|s| s.len == 1)));
+                let hashed = (2 * n as usize).next_power_of_two();
+                let span = ((n - 1) << shift) as usize;
+                assert_eq!(table.shift.is_none(), span < hashed, "{ctx}: layout");
+                if table.shift.is_none() {
+                    assert!(shift <= 1, "{ctx}: only strides 1 and 2 are dense");
+                    assert_eq!(table.slots.len(), span + 1, "{ctx}");
+                    continue;
+                }
+                assert_eq!(table.slots.len(), hashed, "{ctx}");
                 let (mut run, mut longest) = (0, 0);
                 for slot in table.slots.iter().chain(&table.slots) {
                     run = if slot.len == 0 { 0 } else { run + 1 };
                     longest = longest.max(run);
                 }
-                assert!(
-                    longest <= LONGEST_RUN,
-                    "stride 2^{shift}, {n} keys: {longest} occupied slots in a row"
-                );
+                assert!(longest <= LONGEST_RUN, "{ctx}: {longest} occupied slots in a row");
+            }
+        }
+    }
+
+    #[test]
+    fn int_table_layout_follows_the_key_span_and_never_outgrows_the_hashed_one() {
+        // (build keys, dense?)
+        let cases = [
+            ("span one below capacity", spanning(1023), true),
+            ("span at capacity", spanning(1024), false),
+            ("400 duplicates of 3 keys", Side::new((0..400).map(|i| Some(i % 3 * 7 - 7))), true),
+            ("the whole i64 range", Side::new([Some(i64::MIN), Some(i64::MAX)]), false),
+            ("span i64::MAX", Side::new([Some(-1), Some(i64::MAX - 1)]), false),
+            ("one key", Side::new([Some(i64::MIN)]), true),
+            ("NULLs do not count", Side::new((0..64).map(|i| (i < 2).then_some(i))), true),
+            ("all NULL", Side::new((0..8).map(|_| None)), false),
+            ("empty", Side::new([]), false),
+        ];
+        for (name, side, dense) in &cases {
+            let valid: Vec<i64> = side.keys().valid_keys().collect();
+            let hashed = (2 * valid.len()).next_power_of_two().max(2);
+            for with_rows in [false, true] {
+                let table = IntTable::build(&side.keys(), with_rows);
+                assert_eq!(table.shift.is_none(), *dense, "{name}");
+                if let (true, Some(min), Some(max)) =
+                    (*dense, valid.iter().min(), valid.iter().max())
+                {
+                    assert_eq!(table.slots.len() as i64, max - min + 1, "{name}");
+                    assert!(table.slots.len() <= hashed, "{name}");
+                    for outside in [min.checked_sub(1), max.checked_add(1)].into_iter().flatten() {
+                        assert!(table.find(outside).is_none(), "{name}: {outside}");
+                    }
+                } else {
+                    assert_eq!(table.slots.len(), hashed, "{name}");
+                }
+                for key in &valid {
+                    let rows = valid.iter().filter(|k| *k == key).count();
+                    assert_eq!(table.find(*key).map(|s| s.len as usize), Some(rows), "{name}");
+                }
+                assert_eq!(table.rows.len(), if with_rows { valid.len() } else { 0 }, "{name}");
             }
         }
     }
@@ -1384,6 +1478,21 @@ mod tests {
                 "three components, the last one deciding",
                 [[7, 7, 1], [7, 7, 2], [7, 7, 2], [8, 7, 2]].iter().map(|r| row(r)).collect(),
                 [[7, 7, 2], [7, 7, 3], [7, 8, 2], [7, 7, 1]].iter().map(|r| row(r)).collect(),
+            ),
+            (
+                "dense, duplicate-heavy first component",
+                (0..40).map(|i| row(&[i % 3 - 1, i % 5])).collect(),
+                (0..30).map(|i| row(&[i % 5 - 2, i % 4])).collect(),
+            ),
+            (
+                "hashed first component, mixed signs",
+                (0..12).map(|i| row(&[(i - 6) * 1_000, i % 2])).collect(),
+                (0..12).map(|i| row(&[(i - 4) * 1_000, i % 2])).collect(),
+            ),
+            (
+                "probe keys just outside a one-key build",
+                vec![row(&[-4, 9]), row(&[-4, 9])],
+                [[-5, 9], [-4, 9], [-3, 9], [-4, 8]].iter().map(|r| row(r)).collect(),
             ),
             ("empty left side", Vec::new(), vec![row(&[1, 1])]),
             ("empty right side", vec![row(&[1, 1])], Vec::new()),

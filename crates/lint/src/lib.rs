@@ -16,6 +16,8 @@
 //! fail, and suppressions require a written justification that is
 //! reviewed like code.
 
+#![deny(unsafe_code)]
+
 pub mod baseline;
 pub mod callgraph;
 pub mod lexer;

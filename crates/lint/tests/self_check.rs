@@ -96,7 +96,7 @@ fn the_lock_order_graph_is_derived_and_acyclic() {
             "admission.state",
             "metrics.qerr",
             "feedback.entries",
-            "scheduler.deques"
+            "scheduler.state"
         ],
         "lock order no longer matches els_core::sync::LOCK_ORDER"
     );

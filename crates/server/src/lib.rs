@@ -38,6 +38,8 @@
 //! handle.shutdown();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod client;
 pub mod error;

@@ -102,6 +102,71 @@ fn eight_threads_of_mixed_queries_match_serial_results() {
     assert_eq!(stats.invalidations, 0);
 }
 
+/// Four clients share one engine whose joins go parallel: the scheduler's
+/// pool runs one job at a time, so at any moment one client's probe has the
+/// helper and the others' run inline on their own threads. Which is which
+/// must not show: every answer equals the one-worker engine's.
+#[test]
+fn four_clients_on_a_two_worker_engine_match_the_serial_answers() {
+    use els::exec::{MORSEL_ROWS, PARALLEL_MIN_ROWS};
+
+    let _guard = GUARD.lock().unwrap();
+    let engine_with = |workers: usize| {
+        let options = els::optimizer::OptimizerOptions::default().with_hash_join();
+        let engine = Engine::with_options(options).exec_workers(workers);
+        let build = TableSpec::new("build", 2000)
+            .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }));
+        let probe = TableSpec::new("probe", 3 * PARALLEL_MIN_ROWS)
+            .column(ColumnSpec::new("k", Distribution::UniformInt { lo: 0, hi: 2999 }))
+            .column(ColumnSpec::new("f", Distribution::UniformInt { lo: 0, hi: 99 }));
+        engine.generate(build, 1).unwrap();
+        engine.generate(probe, 2).unwrap();
+        engine
+    };
+    let mut queries = vec!["SELECT COUNT(*) FROM build, probe WHERE build.k = probe.k".to_owned()];
+    for cut in [5, 25, 50] {
+        queries.push(format!(
+            "SELECT COUNT(*) FROM build, probe WHERE build.k = probe.k AND probe.f >= {cut}"
+        ));
+    }
+    queries.push("SELECT probe.k FROM build, probe WHERE build.k = probe.k AND probe.f < 2".into());
+    let answer = |engine: &Engine, sql: &str| {
+        let out = engine.execute(sql).unwrap();
+        let mut keys: Vec<_> =
+            out.rows.columns().first().map(|k| k.iter().collect()).unwrap_or_default();
+        keys.sort_by(|a: &els::storage::Value, b| a.total_cmp(b));
+        (out.count, keys, out.metrics.morsels)
+    };
+    let serial = engine_with(1);
+    let expected: Vec<_> = queries.iter().map(|q| answer(&serial, q)).collect();
+    assert!(expected.iter().all(|(count, _, _)| *count > 0));
+
+    let engine = engine_with(2);
+    std::thread::scope(|scope| {
+        for t in 0..4usize {
+            let (engine, queries, expected) = (&engine, &queries, &expected);
+            scope.spawn(move || {
+                for i in 0..40usize {
+                    let q = (i + t) % queries.len();
+                    let (count, keys, morsels) = answer(engine, &queries[q]);
+                    assert_eq!(
+                        (count, &keys),
+                        (expected[q].0, &expected[q].1),
+                        "thread {t}, `{}`",
+                        queries[q]
+                    );
+                    // All but the last query probe more than half of `probe`.
+                    assert!(
+                        morsels >= (PARALLEL_MIN_ROWS / MORSEL_ROWS) as u64 || q == 4,
+                        "`{}` probes enough rows to go parallel: {morsels} morsels",
+                        queries[q]
+                    );
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn cache_hits_skip_enumeration() {
     let _guard = GUARD.lock().unwrap();

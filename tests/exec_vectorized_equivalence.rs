@@ -1,8 +1,9 @@
 //! Differential testing of the vectorized executor against the
 //! row-at-a-time oracle.
 //!
-//! Random tables (uniform / Zipf / sequential key distributions, NULLs
-//! mixed in, int / float / string join columns) × random predicates and
+//! Random tables (uniform / Zipf / sequential key distributions, dense or
+//! spread over a wide range, NULLs mixed in, int / float / string join
+//! columns) × random predicates and
 //! join keys × all three forceable join methods, and indexed nested loops
 //! wherever a join has a stored inner and a key: the vectorized path —
 //! serial and morsel-parallel — must reproduce the row oracle *exactly*:
@@ -19,15 +20,40 @@ use els::exec::{
 use els::optimizer::{bound_query_tables, optimize_bound, OptimizerOptions};
 use els::sql::{bind, parse};
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
-use els::storage::Table;
+use els::storage::{ColumnVector, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The stride that takes a generated key column from the integer hash
+/// join's dense table layout (`key - min` addresses a slot) to its hashed
+/// one: the key range ends up a thousand times the row count.
+const SPARSE_STRIDE: i64 = 1009;
+
+/// `table` with every `k` multiplied by `stride`: the same matches and the
+/// same order across tables, over a `stride` times wider key range.
+fn spread_keys(table: Table, stride: i64) -> Table {
+    let spread = |name: &String, col: &ColumnVector| match col.as_int_slice() {
+        Some(keys) if name == "k" => {
+            let mut wide = ColumnVector::new(col.data_type());
+            for (key, valid) in keys.iter().zip(col.validity()) {
+                wide.push(if *valid { Value::Int(key * stride) } else { Value::Null }).unwrap();
+            }
+            wide
+        }
+        _ => col.clone(),
+    };
+    let columns = table.column_names().iter().zip(table.columns());
+    let columns = columns.map(|(name, col)| (name.clone(), spread(name, col))).collect();
+    Table::new(table.name(), columns).unwrap()
+}
+
 /// A random 2–3 table catalog. Every table gets an integer join key with a
-/// randomly chosen distribution (and sometimes NULLs), a typed secondary
-/// join column (float or string), and an integer filter column.
+/// randomly chosen distribution (and sometimes NULLs; spread by
+/// [`SPARSE_STRIDE`] in every odd-seeded catalog), a typed secondary join
+/// column (float or string), and an integer filter column.
 fn random_catalog(seed: u64) -> Catalog {
+    let stride = if seed.is_multiple_of(2) { 1 } else { SPARSE_STRIDE };
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
     let mut catalog = Catalog::new();
     let ntables = rng.gen_range(2..=3usize);
@@ -57,15 +83,13 @@ fn random_catalog(seed: u64) -> Catalog {
             inner: Box::new(Distribution::UniformInt { lo: 0, hi: 99 }),
             null_fraction: 0.1,
         };
+        let table = TableSpec::new(format!("t{i}"), rows)
+            .column(ColumnSpec::new("k", key))
+            .column(ColumnSpec::new("v", typed))
+            .column(ColumnSpec::new("f", filter))
+            .generate(seed.wrapping_mul(31).wrapping_add(i as u64));
         catalog
-            .register(
-                TableSpec::new(format!("t{i}"), rows)
-                    .column(ColumnSpec::new("k", key))
-                    .column(ColumnSpec::new("v", typed))
-                    .column(ColumnSpec::new("f", filter))
-                    .generate(seed.wrapping_mul(31).wrapping_add(i as u64)),
-                &CollectOptions::default(),
-            )
+            .register(spread_keys(table, stride), &CollectOptions::default())
             .expect("fresh catalog accepts generated tables");
     }
     catalog
@@ -238,40 +262,40 @@ proptest! {
 /// observation parity across the serial and parallel probe paths.
 #[test]
 fn parallel_probe_matches_on_a_large_skewed_table() {
-    let mut catalog = Catalog::new();
-    catalog
-        .register(
-            TableSpec::new("build", 800)
-                .column(ColumnSpec::new("k", Distribution::UniformInt { lo: 0, hi: 500 }))
-                .generate(7),
-            &CollectOptions::default(),
-        )
-        .unwrap();
-    catalog
-        .register(
-            TableSpec::new("probe", 30_000)
-                .column(ColumnSpec::new(
-                    "k",
-                    Distribution::WithNulls {
-                        inner: Box::new(Distribution::ZipfInt { n: 400, theta: 0.8, start: 0 }),
-                        null_fraction: 0.05,
-                    },
-                ))
-                .generate(8),
-            &CollectOptions::default(),
-        )
-        .unwrap();
-    let sql = "SELECT COUNT(*) FROM build, probe WHERE build.k = probe.k";
-    let bound = bind(&parse(sql).unwrap(), &catalog).unwrap();
-    let tables = bound_query_tables(&bound, &catalog).unwrap();
-    let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::default()).unwrap();
-    let mut plan = optimized.plan.clone();
-    force_method(&mut plan.root, JoinMethod::Hash);
-    check_plan(&plan, &tables, "large skewed probe [HASH]");
-    // The parallel run must actually have split the probe into morsels.
-    let (out, _) =
-        execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers: 4 }, None).unwrap();
-    assert!(out.metrics.morsels > 1, "expected a morsel split, got {}", out.metrics.morsels);
+    for stride in [1, SPARSE_STRIDE] {
+        let build = TableSpec::new("build", 800)
+            .column(ColumnSpec::new("k", Distribution::UniformInt { lo: 0, hi: 500 }))
+            .generate(7);
+        let probe = TableSpec::new("probe", 30_000)
+            .column(ColumnSpec::new(
+                "k",
+                Distribution::WithNulls {
+                    inner: Box::new(Distribution::ZipfInt { n: 400, theta: 0.8, start: 0 }),
+                    null_fraction: 0.05,
+                },
+            ))
+            .generate(8);
+        let mut catalog = Catalog::new();
+        for table in [build, probe] {
+            catalog.register(spread_keys(table, stride), &CollectOptions::default()).unwrap();
+        }
+        // The fused count and the pair list, which concatenates per morsel.
+        for select in ["COUNT(*)", "*"] {
+            let sql = format!("SELECT {select} FROM build, probe WHERE build.k = probe.k");
+            let bound = bind(&parse(&sql).unwrap(), &catalog).unwrap();
+            let tables = bound_query_tables(&bound, &catalog).unwrap();
+            let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::default()).unwrap();
+            let mut plan = optimized.plan.clone();
+            force_method(&mut plan.root, JoinMethod::Hash);
+            let context = format!("large skewed probe, keys x{stride}, {select} [HASH]");
+            check_plan(&plan, &tables, &context);
+            // The parallel run must actually have split the probe into morsels.
+            let (out, _) =
+                execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers: 4 }, None)
+                    .unwrap();
+            assert!(out.metrics.morsels > 1, "{context}: morsels {}", out.metrics.morsels);
+        }
+    }
 }
 
 /// Probe sizes straddling both the morsel size (2048) and the parallel
