@@ -2,17 +2,19 @@
 //!
 //! [`SharedCatalog`] wraps a [`Catalog`] for multi-threaded serving: readers
 //! take an immutable [`CatalogSnapshot`] (an `Arc<Catalog>` plus the *epoch*
-//! at which it was published) and then run entirely lock-free — binding,
-//! optimization and execution all happen against the snapshot, never against
-//! shared mutable state. Writers copy the current catalog, apply their
-//! change, and publish the result under a short write lock, bumping the
-//! epoch.
+//! at which it was published) under a brief read lock, and then bind,
+//! optimize and execute against the snapshot, never against shared mutable
+//! state. Writers copy the current catalog, apply their change, and publish
+//! the result under a short write lock, bumping the epoch.
 //!
 //! The epoch is the invalidation token for everything derived from catalog
 //! contents (statistics, plans): a cached artifact stamped with epoch `e` is
 //! valid exactly while `shared.epoch() == e`. The plan cache in
-//! `els-optimizer` keys on it.
+//! `els-optimizer` keys on it. [`SharedCatalog::epoch`] is one atomic load,
+//! so a reader that needs only the epoch — a plan-cache hit — takes no lock
+//! and writes nothing.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use els_storage::Table;
@@ -25,7 +27,7 @@ use crate::error::CatalogResult;
 
 /// An immutable view of the catalog as of one publication.
 ///
-/// Cloning is two `Arc`-count bumps; holding a snapshot never blocks
+/// Cloning is one `Arc`-count bump; holding a snapshot never blocks
 /// writers (they publish a *new* catalog instead of mutating this one).
 #[derive(Debug, Clone)]
 pub struct CatalogSnapshot {
@@ -75,15 +77,20 @@ impl std::ops::Deref for CatalogSnapshot {
 /// ```
 #[derive(Debug, Default)]
 pub struct SharedCatalog {
-    // The Arc and the epoch must change together, so both live under one
-    // lock; readers only hold it long enough to clone the Arc.
-    state: RwLock<Versioned>,
-}
-
-#[derive(Debug, Default)]
-struct Versioned {
-    catalog: Arc<Catalog>,
-    epoch: u64,
+    /// The published catalog, replaced whole under the write lock.
+    state: RwLock<Arc<Catalog>>,
+    /// The epoch `state` was published at. Written only while the write
+    /// lock is held, so under the read lock it is the catalog's own.
+    ///
+    /// Publication: a writer puts the new catalog in place and then stores
+    /// the new epoch with `Release`; [`SharedCatalog::epoch`] loads it with
+    /// `Acquire`. A reader that sees epoch `e` therefore sees everything
+    /// published before `e`, and any snapshot it takes afterwards is at `e`
+    /// or later, never older. A reader that needs no more than `e` — a
+    /// plan cache comparing it with the epoch a plan was made at — needs
+    /// nothing else to be visible: a plan stamped `e` was made against the
+    /// snapshot taken at `e`, and carries what it read from it.
+    epoch: AtomicU64,
 }
 
 impl SharedCatalog {
@@ -94,19 +101,27 @@ impl SharedCatalog {
 
     /// Wrap an already-populated catalog (epoch starts at 0).
     pub fn from_catalog(catalog: Catalog) -> SharedCatalog {
-        SharedCatalog { state: RwLock::new(Versioned { catalog: Arc::new(catalog), epoch: 0 }) }
+        SharedCatalog { state: RwLock::new(Arc::new(catalog)), epoch: AtomicU64::new(0) }
     }
 
-    /// The current contents + epoch. Readers work from this and never
-    /// contend with each other.
+    /// The current contents + epoch, under a brief read lock. Readers do
+    /// not block each other, but every snapshot writes the lock's word and
+    /// the catalog's reference count, which all readers share.
     pub fn snapshot(&self) -> CatalogSnapshot {
         let state = read_recovering(&self.state);
-        CatalogSnapshot { catalog: Arc::clone(&state.catalog), epoch: state.epoch }
+        CatalogSnapshot { catalog: Arc::clone(&state), epoch: self.epoch.load(Ordering::Acquire) }
     }
 
-    /// The current epoch (advances by at least 1 on every mutation).
+    /// The current epoch (advances by at least 1 on every mutation). One
+    /// atomic load: no lock, no write.
     pub fn epoch(&self) -> u64 {
-        read_recovering(&self.state).epoch
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Bump the epoch. Callers hold the write lock, after putting in place
+    /// whatever the new epoch publishes.
+    fn bump_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Register a table (copy-on-write publish; bumps the epoch on
@@ -120,10 +135,10 @@ impl SharedCatalog {
     /// multi-table changes that must appear atomically.
     pub fn update<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
         let mut state = write_recovering(&self.state);
-        let mut next = (*state.catalog).clone();
+        let mut next = (**state).clone();
         let out = f(&mut next);
-        state.catalog = Arc::new(next);
-        state.epoch += 1;
+        *state = Arc::new(next);
+        self.bump_epoch();
         out
     }
 
@@ -131,10 +146,10 @@ impl SharedCatalog {
     /// only when the mutation succeeds.
     pub fn try_update<R, E>(&self, f: impl FnOnce(&mut Catalog) -> Result<R, E>) -> Result<R, E> {
         let mut state = write_recovering(&self.state);
-        let mut next = (*state.catalog).clone();
+        let mut next = (**state).clone();
         let out = f(&mut next)?;
-        state.catalog = Arc::new(next);
-        state.epoch += 1;
+        *state = Arc::new(next);
+        self.bump_epoch();
         Ok(out)
     }
 
@@ -143,7 +158,8 @@ impl SharedCatalog {
     /// hatch for invalidation causes the epoch cannot see, such as edited
     /// cost-model constants.
     pub fn invalidate(&self) {
-        write_recovering(&self.state).epoch += 1;
+        let _state = write_recovering(&self.state);
+        self.bump_epoch();
     }
 }
 
@@ -231,5 +247,30 @@ mod tests {
         });
         assert_eq!(shared.snapshot().len(), 4);
         assert_eq!(shared.epoch(), 4);
+    }
+
+    #[test]
+    fn a_snapshot_is_never_older_than_an_epoch_read_before_it() {
+        let shared = SharedCatalog::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..50 {
+                    shared
+                        .register(table(&format!("t{i}"), 1), &CollectOptions::default())
+                        .unwrap();
+                    shared.invalidate();
+                }
+            });
+            scope.spawn(|| {
+                for _ in 0..2_000 {
+                    let epoch = shared.epoch();
+                    let snap = shared.snapshot();
+                    assert!(snap.epoch() >= epoch);
+                    // Registrations and invalidations alternate from epoch 0.
+                    assert_eq!(snap.len() as u64, snap.epoch().div_ceil(2));
+                }
+            });
+        });
+        assert_eq!(shared.epoch(), 100);
     }
 }

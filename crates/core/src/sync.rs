@@ -47,13 +47,16 @@ use std::sync::{
 /// Rationale for the order: catalog publication (`shared.state`) is the
 /// outermost state transition and may run caller closures under
 /// `SharedCatalog::update`; the plan cache and admission queue are
-/// mid-level control structures; the metrics and feedback maps are leaf
+/// mid-level control structures, and a plan-cache stripe's text slots sit
+/// inside the cache's state because an entry's slots are removed while
+/// that state is held; the metrics and feedback maps are leaf
 /// counters that never call out while held; the scheduler's pool state and
 /// result slots are innermost, held for a handful of field updates and
 /// never across a task.
 pub const LOCK_ORDER: &[&str] = &[
     "shared.state",
     "plan_cache.state",
+    "stripe.slots",
     "admission.state",
     "metrics.qerr",
     "feedback.entries",
@@ -220,12 +223,23 @@ impl<G: std::ops::DerefMut> std::ops::DerefMut for Audited<G> {
 /// run — release builds carry none of this.
 #[cfg(feature = "els_lock_audit")]
 pub mod audit {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     use super::LOCK_ORDER;
 
     thread_local! {
         static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+        /// Acquisitions so far on this thread, by rank.
+        static ACQUIRED: Cell<[u64; LOCK_ORDER.len()]> =
+            const { Cell::new([0; LOCK_ORDER.len()]) };
+    }
+
+    /// How many times this thread has acquired each class so far, in
+    /// [`LOCK_ORDER`] order (test hook: compare two readings around a call
+    /// to see which locks it takes).
+    pub fn acquisitions() -> Vec<(&'static str, u64)> {
+        let counts = ACQUIRED.with(Cell::get);
+        LOCK_ORDER.iter().copied().zip(counts).collect()
     }
 
     /// RAII token for one audited acquisition; dropping it releases the
@@ -292,6 +306,13 @@ pub mod audit {
                     );
                 }
                 held.push(rank);
+            });
+            ACQUIRED.with(|acquired| {
+                let mut counts = acquired.get();
+                if let Some(n) = counts.get_mut(rank) {
+                    *n += 1;
+                }
+                acquired.set(counts);
             });
         }
         Token { rank }

@@ -69,6 +69,22 @@ fn locks_acquired_from_unranked_files_are_not_audited() {
 }
 
 #[test]
+fn acquisitions_are_counted_per_thread_by_class() {
+    let count = |class: &str| {
+        audit::acquisitions().into_iter().find(|(c, _)| *c == class).map_or(0, |(_, n)| n)
+    };
+    let before = count(LOCK_ORDER[1]);
+    drop(audit::enter_class(LOCK_ORDER[1]));
+    drop(audit::enter_class(LOCK_ORDER[1]));
+    drop(audit::enter_class("no_such.class"));
+    assert_eq!(count(LOCK_ORDER[1]), before + 2);
+    // Another thread's acquisitions are its own.
+    std::thread::spawn(|| drop(audit::enter_class(LOCK_ORDER[1]))).join().unwrap();
+    assert_eq!(count(LOCK_ORDER[1]), before + 2);
+    assert_eq!(audit::acquisitions().len(), LOCK_ORDER.len());
+}
+
+#[test]
 fn unknown_class_names_get_no_rank() {
     let t = audit::enter_class("no_such.class");
     assert_eq!(audit::held_ranks(), Vec::<usize>::new());

@@ -56,8 +56,9 @@ pub use chunk::Chunk;
 pub use error::{check_rowid_range, ExecError, ExecResult};
 pub use executor::{execute_plan_observed, execute_plan_with, ExecMode, ExecOutput, Observations};
 pub use metrics::{
-    json_escape, EngineCounters, EngineCountersSnapshot, ExecMetrics, MetricsRegistry,
-    QErrorHistogram, ServerCounters, ServerCountersSnapshot,
+    json_escape, thread_stripe, EngineCounters, EngineCountersSnapshot, ExecMetrics,
+    MetricsRegistry, QErrorHistogram, ServerCounters, ServerCountersSnapshot, StripedCounter,
+    STRIPES,
 };
 pub use plan::{JoinMethod, PlanNode, PlanOutput, QueryPlan};
 pub use scheduler::RunStats;

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
@@ -114,11 +114,57 @@ impl fmt::Display for ExecMetrics {
     }
 }
 
+/// How many stripes a [`StripedCounter`] and the plan cache's text slots
+/// spread over: more than the threads that serve queries at once on the
+/// hardware this runs on, so two busy threads rarely share one.
+pub const STRIPES: usize = 8;
+
+/// This thread's stripe, in `0..STRIPES`. Threads are numbered
+/// round-robin on first use, so the first [`STRIPES`] threads of a process
+/// each have one of their own.
+pub fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.try_with(|s| *s).unwrap_or(0)
+}
+
+/// One counter on a cache line of its own: 128 bytes, because x86 fetches
+/// lines in adjacent pairs.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Line(AtomicU64);
+
+/// A count that many threads bump at once: each thread adds to its own
+/// [`thread_stripe`]'s line and a read sums the lines, so bumps from two
+/// threads never write the same cache line. The sum is exact.
+#[derive(Debug, Default)]
+pub struct StripedCounter {
+    lines: [Line; STRIPES],
+}
+
+impl StripedCounter {
+    /// Add `n` on this thread's stripe.
+    pub fn add(&self, n: u64) {
+        if let Some(line) = self.lines.get(thread_stripe()) {
+            line.0.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// The total over all stripes.
+    pub fn get(&self) -> u64 {
+        self.lines.iter().map(|line| line.0.load(Ordering::Relaxed)).sum()
+    }
+}
+
 /// Thread-safe counters for the cache-fronted engine: plan-cache traffic
 /// plus how often the optimizer's join enumeration actually ran. The
 /// per-query [`ExecMetrics`] above stays a plain value; these are the
 /// *shared* counters many serving threads bump concurrently, so they are
-/// atomics behind `&self`.
+/// atomics behind `&self`. Hits are striped: a hit touches nothing else
+/// another thread writes, and neither should its count. The other three
+/// come from paths that take the cache's lock anyway.
 ///
 /// The cache counters are per-cache instances (each
 /// `els-optimizer` plan cache owns one); the enumeration counter is
@@ -127,7 +173,7 @@ impl fmt::Display for ExecMetrics {
 #[derive(Debug, Default)]
 pub struct EngineCounters {
     /// Plan-cache lookups answered from the cache.
-    pub hits: AtomicU64,
+    pub hits: StripedCounter,
     /// Plan-cache lookups that had to optimize.
     pub misses: AtomicU64,
     /// Entries evicted by the capacity bound (LRU).
@@ -147,7 +193,7 @@ impl EngineCounters {
     /// monitoring).
     pub fn snapshot(&self) -> EngineCountersSnapshot {
         EngineCountersSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.hits.get(),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
@@ -603,7 +649,7 @@ mod tests {
     #[test]
     fn counters_snapshot_and_hit_rate() {
         let c = EngineCounters::new();
-        c.hits.fetch_add(3, Ordering::Relaxed);
+        c.hits.add(3);
         c.misses.fetch_add(1, Ordering::Relaxed);
         c.evictions.fetch_add(2, Ordering::Relaxed);
         let s = c.snapshot();
@@ -614,6 +660,20 @@ mod tests {
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(EngineCountersSnapshot::default().hit_rate(), 0.0);
         assert!(s.to_string().contains("hit_rate=75.0%"));
+    }
+
+    #[test]
+    fn striped_counts_sum_exactly_over_threads() {
+        let c = StripedCounter::default();
+        std::thread::scope(|scope| {
+            for t in 0..2 * STRIPES as u64 {
+                let c = &c;
+                scope.spawn(move || (0..1000).for_each(|_| c.add(t)));
+            }
+        });
+        assert_eq!(c.get(), 1000 * (0..2 * STRIPES as u64).sum::<u64>());
+        assert!(thread_stripe() < STRIPES);
+        assert_eq!(std::mem::align_of::<Line>(), 128);
     }
 
     #[test]
@@ -692,7 +752,7 @@ mod tests {
             range_join_rows: 6,
             ..ExecMetrics::default()
         });
-        r.cache_counters().hits.fetch_add(1, Ordering::Relaxed);
+        r.cache_counters().hits.add(1);
 
         assert_eq!(r.queries(), 1);
         let ls = r.q_error_histogram("LS").unwrap();

@@ -83,22 +83,28 @@ fn the_original_lints_stay_at_zero_baseline() {
 #[test]
 fn the_lock_order_graph_is_derived_and_acyclic() {
     // The pass parsed the order out of els_core::sync (not a stale copy).
-    // Today the engine holds no lock while acquiring another, so the edge
-    // set is empty; if nesting ever appears, every edge must run forward.
-    // Acyclicity is enforced inside run() as a hard error, which
-    // workspace_passes_its_own_lints already asserts empty.
+    // The one nesting today is the plan cache dropping an entry's text
+    // slots from their stripes while it holds its state; every edge must
+    // run forward. Acyclicity is enforced inside run() as a hard error,
+    // which workspace_passes_its_own_lints already asserts empty.
     let outcome = run(workspace_root()).expect("lint run must not fail to read the tree");
     assert_eq!(
         outcome.lock_order,
         [
             "shared.state",
             "plan_cache.state",
+            "stripe.slots",
             "admission.state",
             "metrics.qerr",
             "feedback.entries",
             "scheduler.state"
         ],
         "lock order no longer matches els_core::sync::LOCK_ORDER"
+    );
+    assert!(
+        outcome.lock_edges.iter().any(|e| e.from == "plan_cache.state" && e.to == "stripe.slots"),
+        "{:?}",
+        outcome.lock_edges
     );
     for e in &outcome.lock_edges {
         let from = outcome.lock_order.iter().position(|c| *c == e.from);

@@ -16,7 +16,8 @@
 //!   estimated cardinalities.
 //! * [`plan_cache`] — a concurrent LRU plan cache keyed by canonical query
 //!   fingerprint + catalog epoch, so repeated queries skip enumeration
-//!   entirely (counters in [`els_exec::EngineCounters`]).
+//!   entirely, and a repeated text reaches its plan through per-thread
+//!   text slots (counters in [`els_exec::EngineCounters`]).
 //! * [`optimizer`] — the front door: configure an estimation algorithm
 //!   (the paper's **SM**, **SSS**, or **ELS**), optimize a bound query, and
 //!   get back an executable [`els_exec::QueryPlan`] plus the estimated
@@ -44,6 +45,7 @@ pub mod optimizer;
 pub mod plan_cache;
 pub mod profile;
 pub mod rewrite;
+mod stripe;
 
 pub use cost::CostParams;
 pub use enumerate::{EnumerationResult, TreeShape};
@@ -53,6 +55,6 @@ pub use optimizer::{
     bound_query_tables, optimize, optimize_bound, optimize_full, EstimatorPreset,
     EstimatorStrategy, OptimizedQuery, OptimizerOptions,
 };
-pub use plan_cache::{CachedPlan, PlanCache};
+pub use plan_cache::{CachedPlan, PlanCache, Slot};
 pub use profile::TableProfile;
 pub use rewrite::apply_predicate_transitive_closure;

@@ -20,37 +20,53 @@
 //!   it, so stale plans can never be served.
 //!
 //! Naming a query by that fingerprint costs a parse and a canonicalisation,
-//! so the cache also keeps **exact-text aliases**: (configuration
-//! fingerprint, SQL bytes as sent) → entry. [`PlanCache::get_by_text`] on a
-//! repeat text is one hash, taken outside the lock, and one byte
-//! comparison; only a first sighting derives the fingerprint, asks
-//! [`PlanCache::get`] and registers its spelling with [`PlanCache::alias`].
-//! Exact text rather than a token-normalised one needs no second lexer kept
-//! in step with the real one; two spellings are simply two aliases of one
-//! entry. An alias is a faster way to learn a fingerprint, never a second
-//! source of truth: whether a plan is cached, and at which epoch, is read
-//! from the entry on every lookup, and an alias lives exactly as long as
-//! its entry. Aliases per entry are capped, so respelling one hot query
-//! cannot grow memory — a further spelling keeps taking the slow path.
+//! so a repeat of the exact text is served from a **text slot** instead:
+//! (configuration fingerprint, SQL bytes as sent) → [`Slot`], the entry's
+//! plan with its input tables resolved at the entry's epoch. Slots live in
+//! [`STRIPES`] stripes, and a thread uses the one [`thread_stripe`] picks
+//! for it, so [`PlanCache::get_by_text`] on a repeat text locks that
+//! thread's own stripe, clones that stripe's own `Arc<Slot>`, reads the
+//! LRU clock and stamp, and bumps its own line of the hit counter: it
+//! writes no line another thread writes, and never the shared plan's or
+//! the tables' reference counts. Only a thread's first sighting of a text
+//! derives the fingerprint, asks [`PlanCache::get`] and keeps a slot with
+//! [`PlanCache::remember`]. Exact text rather than a token-normalised one
+//! needs no second lexer kept in step with the real one; two spellings are
+//! simply two slots of one entry.
 //!
-//! Eviction is LRU by a logical access clock under a capacity bound.
-//! Hit/miss/eviction/invalidation counters live in
-//! [`els_exec::EngineCounters`] so monitoring sits next to the execution
-//! metrics.
+//! A slot is a faster way to reach an entry, never a second source of
+//! truth: it names one entry and one epoch, and lives exactly as long as
+//! its entry. Eviction, the stale drop, replacement and [`PlanCache::clear`]
+//! remove an entry's slots from every stripe under the state lock, there
+//! and then. A stripe keeps at most four spellings of one entry, so
+//! respelling one hot query cannot grow memory — a further spelling keeps
+//! taking the slow path.
+//!
+//! Eviction is LRU by a coarse logical clock under a capacity bound. The
+//! clock advances only on operations that take the state lock anyway:
+//! inserts, misses and invalidations. An insert stamps its entry `2·clock`;
+//! a hit, whichever path finds it, raises the stamp to `2·clock + 1` when
+//! it is lower, so under nothing but hits no stamp is written. Eviction
+//! takes the lowest (stamp, insertion order). Hit/miss/eviction/
+//! invalidation counters live in [`els_exec::EngineCounters`] so
+//! monitoring sits next to the execution metrics; hits are striped like
+//! the slots.
 
-use std::collections::hash_map::{self, HashMap, RandomState};
+use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::BuildHasher;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use els_core::sync::lock_recovering;
-use els_exec::{EngineCounters, EngineCountersSnapshot, MetricsRegistry};
+use els_exec::{thread_stripe, EngineCounters, EngineCountersSnapshot, MetricsRegistry, STRIPES};
+use els_storage::Table;
 
 use crate::optimizer::OptimizedQuery;
+use crate::stripe::Stripe;
 
 /// Bump one counter on this cache and mirror it into the process-wide
 /// [`MetricsRegistry`], which aggregates cache traffic across all engines.
-fn bump(local: &std::sync::atomic::AtomicU64, global: &std::sync::atomic::AtomicU64, n: u64) {
+fn bump(local: &AtomicU64, global: &AtomicU64, n: u64) {
     local.fetch_add(n, Ordering::Relaxed);
     global.fetch_add(n, Ordering::Relaxed);
 }
@@ -68,44 +84,50 @@ pub struct CachedPlan {
     pub binding_names: Vec<String>,
 }
 
-/// Spellings remembered per entry; a further one takes the slow path.
-const MAX_ALIASES_PER_ENTRY: usize = 4;
+/// A plan with its input tables, resolved at the epoch the plan was made
+/// for: what a by-text hit hands back, ready to execute. Each stripe keeps
+/// its own `Slot` for a text, so a hit writes only that slot's reference
+/// count. Cache-line aligned, so that count shares a line with nothing
+/// another thread writes.
+#[derive(Debug)]
+#[repr(align(128))]
+pub struct Slot {
+    /// The plan.
+    pub plan: Arc<CachedPlan>,
+    /// The tables `plan.table_names` named at the plan's epoch.
+    pub inputs: Vec<Arc<Table>>,
+    /// The LRU stamp of the entry the slot names, which a hit on the slot
+    /// raises; a fresh one, which nothing reads, when the cache had no
+    /// such entry to keep the slot for.
+    stamp: Arc<Stamp>,
+}
+
+/// An entry's LRU stamp, on a cache line of its own (its `Arc`'s counts
+/// sit on the line before): every hit on the entry reads it, the first
+/// hit after the clock moves writes it.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Stamp(AtomicU64);
+
+/// Spellings of one entry a stripe keeps slots for; a further one takes
+/// the slow path.
+const MAX_SLOTS_PER_STRIPE: usize = 4;
 
 #[derive(Debug)]
 struct Entry {
     epoch: u64,
     plan: Arc<CachedPlan>,
-    last_used: u64,
-    /// Keys into `State::aliases` of the spellings that name this entry.
-    aliases: Vec<u64>,
-}
-
-/// One spelling of a cached query, keyed in `State::aliases` by the hash of
-/// `(config, text)`. A lookup compares both: a collision is a slow path.
-#[derive(Debug)]
-struct Alias {
-    config: u64,
-    text: Box<str>,
-    /// The entry's key (the same allocation).
-    fingerprint: Arc<str>,
+    stamp: Arc<Stamp>,
+    /// Insertion order: the eviction tie-break between equal stamps.
+    seq: u64,
+    /// `(stripe, key)` of every slot that names this entry.
+    slots: Vec<(usize, u64)>,
 }
 
 #[derive(Debug, Default)]
 struct State {
-    entries: HashMap<Arc<str>, Entry>,
-    aliases: HashMap<u64, Alias>,
-    clock: u64,
-}
-
-impl State {
-    /// The one way an entry leaves the cache: its aliases go with it.
-    fn remove_entry(&mut self, fingerprint: &str) -> Option<Entry> {
-        let entry = self.entries.remove(fingerprint)?;
-        for hash in &entry.aliases {
-            self.aliases.remove(hash);
-        }
-        Some(entry)
-    }
+    entries: HashMap<String, Entry>,
+    inserts: u64,
 }
 
 /// A bounded, thread-safe map from query fingerprint to optimized plan.
@@ -113,9 +135,14 @@ impl State {
 pub struct PlanCache {
     capacity: usize,
     counters: EngineCounters,
-    /// Keys the alias hashes, so texts cannot be crafted to collide.
+    /// Keys the slot hashes, so texts cannot be crafted to collide.
     hasher: RandomState,
+    /// The LRU clock. Advanced under the state lock; read by hits without
+    /// it. Stamps and the clock publish no other data, they only order
+    /// evictions, hence `Relaxed` throughout.
+    clock: AtomicU64,
     state: Mutex<State>,
+    stripes: [Stripe; STRIPES],
 }
 
 impl PlanCache {
@@ -129,7 +156,9 @@ impl PlanCache {
             capacity,
             counters: EngineCounters::new(),
             hasher: RandomState::new(),
+            clock: AtomicU64::new(0),
             state: Mutex::new(State::default()),
+            stripes: Default::default(),
         }
     }
 
@@ -138,30 +167,61 @@ impl PlanCache {
         self.capacity
     }
 
+    /// Advance the LRU clock (state lock held) and return its new value.
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The one LRU rule for a hit, whichever path found it: raise the stamp
+    /// to `2·clock + 1` if it is lower, and otherwise write nothing.
+    fn touch(&self, stamp: &Stamp) {
+        let hit = 2 * self.clock.load(Ordering::Relaxed) + 1;
+        if stamp.0.load(Ordering::Relaxed) < hit {
+            stamp.0.fetch_max(hit, Ordering::Relaxed);
+        }
+    }
+
+    /// Count a hit on this thread's stripe of the counters.
+    fn count_hit(&self) {
+        self.counters.hits.add(1);
+        MetricsRegistry::global().cache_counters().hits.add(1);
+    }
+
+    /// The one way an entry leaves the cache: its slots go with it.
+    fn remove_entry(&self, state: &mut State, fingerprint: &str) -> Option<Entry> {
+        let entry = state.entries.remove(fingerprint)?;
+        for &(stripe, key) in &entry.slots {
+            if let Some(stripe) = self.stripes.get(stripe) {
+                stripe.drop_slot(key);
+            }
+        }
+        Some(entry)
+    }
+
     /// Look up a plan optimized at exactly `epoch`. A present entry from an
     /// older epoch is dropped (counted as an invalidation) and reported as
     /// a miss.
     pub fn get(&self, fingerprint: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
         let global = MetricsRegistry::global().cache_counters();
         let mut state = lock_recovering(&self.state);
-        state.clock += 1;
-        let clock = state.clock;
-        match state.entries.get_mut(fingerprint) {
+        match state.entries.get(fingerprint) {
             Some(entry) if entry.epoch == epoch => {
-                entry.last_used = clock;
+                self.touch(&entry.stamp);
                 let plan = Arc::clone(&entry.plan);
                 drop(state);
-                bump(&self.counters.hits, &global.hits, 1);
+                self.count_hit();
                 Some(plan)
             }
             Some(_) => {
-                state.remove_entry(fingerprint);
+                self.tick();
+                self.remove_entry(&mut state, fingerprint);
                 drop(state);
                 bump(&self.counters.invalidations, &global.invalidations, 1);
                 bump(&self.counters.misses, &global.misses, 1);
                 None
             }
             None => {
+                self.tick();
                 drop(state);
                 bump(&self.counters.misses, &global.misses, 1);
                 None
@@ -170,50 +230,59 @@ impl PlanCache {
     }
 
     /// [`PlanCache::get`] for a query named by its text as sent under the
-    /// configuration `config`. `Some` is a hit, counted and LRU-stamped as
-    /// `get` would. `None` says only that the text led to no plan at `epoch`
-    /// (unknown spelling, or a stale entry) and counts nothing: the caller
-    /// derives the fingerprint and asks `get`, which counts and drops.
-    pub fn get_by_text(&self, config: u64, sql: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
+    /// configuration `config`, answered from this thread's stripe. `Some`
+    /// is a hit, counted and LRU-stamped as `get` would. `None` says only
+    /// that this stripe has no slot for the text at `epoch` (a first
+    /// sighting on this thread, or a stale entry) and counts nothing: the
+    /// caller derives the fingerprint and asks `get`, which counts and
+    /// drops.
+    pub fn get_by_text(&self, config: u64, sql: &str, epoch: u64) -> Option<Arc<Slot>> {
         if self.capacity == 0 {
             return None;
         }
-        let hash = self.hasher.hash_one((config, sql));
-        let mut guard = lock_recovering(&self.state);
-        let state = &mut *guard;
-        let alias = state.aliases.get(&hash).filter(|a| a.config == config && *a.text == *sql)?;
-        let entry = state.entries.get_mut(&*alias.fingerprint).filter(|e| e.epoch == epoch)?;
-        state.clock += 1;
-        entry.last_used = state.clock;
-        let plan = Arc::clone(&entry.plan);
-        drop(guard);
-        let global = MetricsRegistry::global().cache_counters();
-        bump(&self.counters.hits, &global.hits, 1);
-        Some(plan)
+        let key = self.hasher.hash_one((config, sql));
+        let slot = self.stripes.get(thread_stripe())?.find_slot(key, config, sql, epoch)?;
+        self.touch(&slot.stamp);
+        self.count_hit();
+        Some(slot)
     }
 
-    /// Remember that `sql`, under `config`, names the entry `fingerprint`,
-    /// so its next sighting is a [`PlanCache::get_by_text`] hit. A no-op if
-    /// there is no such entry or it has its share of spellings already.
-    pub fn alias(&self, config: u64, sql: &str, fingerprint: &str) {
+    /// A slot for `plan` over `inputs`, kept in this thread's stripe as
+    /// what `sql`, under `config`, names — the entry `fingerprint`, which
+    /// must still hold `plan` — so the thread's next sighting of `sql` is a
+    /// [`PlanCache::get_by_text`] hit. Returns the slot, kept or not: it is
+    /// not kept when the entry is gone or holds another plan (another
+    /// thread replaced it since), or when the stripe has its share of the
+    /// entry's spellings already.
+    pub fn remember(
+        &self,
+        config: u64,
+        sql: &str,
+        fingerprint: &str,
+        plan: Arc<CachedPlan>,
+        inputs: Vec<Arc<Table>>,
+    ) -> Arc<Slot> {
+        let unkept = |plan, inputs| {
+            let stamp = Arc::new(Stamp(AtomicU64::new(0)));
+            Arc::new(Slot { plan, inputs, stamp })
+        };
         if self.capacity == 0 {
-            return;
+            return unkept(plan, inputs);
         }
-        let hash = self.hasher.hash_one((config, sql));
-        let mut guard = lock_recovering(&self.state);
-        let state = &mut *guard;
-        let Some((key, _)) = state.entries.get_key_value(fingerprint) else { return };
-        let key = Arc::clone(key);
-        let Some(entry) = state.entries.get_mut(fingerprint) else { return };
-        if entry.aliases.len() >= MAX_ALIASES_PER_ENTRY {
-            return;
+        let stripe = thread_stripe();
+        let key = self.hasher.hash_one((config, sql));
+        let mut state = lock_recovering(&self.state);
+        let Some(entry) = state.entries.get_mut(fingerprint) else { return unkept(plan, inputs) };
+        let spellings = entry.slots.iter().filter(|&&(s, _)| s == stripe).count();
+        let Some(stripe_slots) = self.stripes.get(stripe) else { return unkept(plan, inputs) };
+        if !Arc::ptr_eq(&entry.plan, &plan) || spellings >= MAX_SLOTS_PER_STRIPE {
+            return unkept(plan, inputs);
         }
-        // An occupied slot is this spelling already, or a colliding one that
-        // keeps it; either way there is nothing to add.
-        if let hash_map::Entry::Vacant(slot) = state.aliases.entry(hash) {
-            slot.insert(Alias { config, text: sql.into(), fingerprint: key });
-            entry.aliases.push(hash);
+        let slot = Arc::new(Slot { plan, inputs, stamp: Arc::clone(&entry.stamp) });
+        if stripe_slots.keep_slot(key, config, sql, entry.epoch, Arc::clone(&slot)) {
+            entry.slots.push((stripe, key));
         }
+        slot
     }
 
     /// Insert a plan optimized at `epoch`, evicting least-recently-used
@@ -234,17 +303,21 @@ impl PlanCache {
         }
         let global = MetricsRegistry::global().cache_counters();
         let mut state = lock_recovering(&self.state);
-        state.clock += 1;
-        let clock = state.clock;
-        let prev = state.remove_entry(&fingerprint);
+        let stamp = Arc::new(Stamp(AtomicU64::new(2 * self.tick())));
+        let prev = self.remove_entry(&mut state, &fingerprint);
         let stale_replaced = prev.as_ref().is_some_and(|e| e.epoch != epoch);
-        let entry = Entry { epoch, plan, last_used: clock, aliases: Vec::new() };
-        state.entries.insert(fingerprint.into(), entry);
+        state.inserts += 1;
+        let entry = Entry { epoch, plan, stamp, seq: state.inserts, slots: Vec::new() };
+        state.entries.insert(fingerprint, entry);
         let mut evicted = 0u64;
         while prev.is_none() && state.entries.len() > self.capacity {
-            let lru = state.entries.iter().min_by_key(|(_, e)| e.last_used);
-            let Some(lru) = lru.map(|(k, _)| Arc::clone(k)) else { break };
-            state.remove_entry(&lru);
+            let lru = state
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| (e.stamp.0.load(Ordering::Relaxed), e.seq))
+                .map(|(k, _)| k.clone());
+            let Some(lru) = lru else { break };
+            self.remove_entry(&mut state, &lru);
             evicted += 1;
         }
         drop(state);
@@ -256,11 +329,13 @@ impl PlanCache {
         }
     }
 
-    /// Drop every entry (configuration changed, tests).
+    /// Drop every entry and slot (configuration changed, tests).
     pub fn clear(&self) {
         let mut state = lock_recovering(&self.state);
         state.entries.clear();
-        state.aliases.clear();
+        for stripe in &self.stripes {
+            stripe.drop_all_slots();
+        }
     }
 
     /// Number of cached plans.
@@ -298,9 +373,14 @@ mod tests {
     use els_exec::{PlanNode, QueryPlan};
 
     impl PlanCache {
-        /// Number of remembered spellings.
-        fn alias_count(&self) -> usize {
-            lock_recovering(&self.state).aliases.len()
+        /// Number of slots kept, over all stripes.
+        fn slot_count(&self) -> usize {
+            self.stripes.iter().map(Stripe::slot_count).sum()
+        }
+
+        /// [`PlanCache::remember`] with no inputs.
+        fn remember_plan(&self, config: u64, sql: &str, fingerprint: &str, plan: &Arc<CachedPlan>) {
+            self.remember(config, sql, fingerprint, Arc::clone(plan), Vec::new());
         }
     }
 
@@ -410,8 +490,9 @@ mod tests {
         assert!(cache.get("a", 1).is_some());
         assert!(cache.get("b", 0).is_some(), "neighbor survived the replacement");
 
-        // The replaced entry took the newest LRU stamp: a later capacity
-        // eviction removes `b` (older), not the refreshed `a`.
+        // Both were hit since the clock last moved, so their stamps tie,
+        // and the replacement is the later insertion: a capacity eviction
+        // removes `b`, not the refreshed `a`.
         assert!(cache.get("a", 1).is_some()); // touch a again
         cache.insert("c".into(), 0, dummy_plan());
         assert_eq!(cache.len(), 2);
@@ -429,6 +510,26 @@ mod tests {
     }
 
     #[test]
+    fn hits_write_no_stamp_until_the_clock_moves() {
+        let cache = PlanCache::new(4);
+        let plan = dummy_plan();
+        cache.insert("a".into(), 0, Arc::clone(&plan));
+        cache.remember_plan(1, "a", "a", &plan);
+        let stamp = || lock_recovering(&cache.state).entries["a"].stamp.0.load(Ordering::Relaxed);
+        assert_eq!(stamp(), 2, "inserted at clock 1");
+        assert!(cache.get_by_text(1, "a", 0).is_some());
+        assert_eq!(stamp(), 3, "the first hit raises it to 2·clock + 1");
+        for _ in 0..10 {
+            assert!(cache.get_by_text(1, "a", 0).is_some());
+            assert!(cache.get("a", 0).is_some());
+        }
+        assert_eq!(stamp(), 3, "later hits at the same clock write nothing");
+        assert!(cache.get("missing", 0).is_none()); // a miss moves the clock
+        assert!(cache.get_by_text(1, "a", 0).is_some());
+        assert_eq!(stamp(), 5);
+    }
+
+    #[test]
     fn cache_traffic_mirrors_into_the_global_registry() {
         let global = MetricsRegistry::global().cache_counters();
         let before = global.snapshot();
@@ -443,22 +544,23 @@ mod tests {
         assert!(after.misses > before.misses);
     }
 
-    /// The cache without aliases: a string-keyed LRU with the same clock
-    /// and the same four counters. Whatever the text path does, every
-    /// observable must match this.
+    /// The cache without text slots: a string-keyed map with the same
+    /// coarse LRU rule and the same four counters. Whatever the text path
+    /// does, every observable must match this.
     #[derive(Default)]
     struct Reference {
-        entries: HashMap<String, (u64, Arc<CachedPlan>, u64)>,
+        /// fingerprint → (epoch, plan, stamp, insertion order)
+        entries: HashMap<String, (u64, Arc<CachedPlan>, u64, u64)>,
         clock: u64,
+        inserts: u64,
         stats: EngineCountersSnapshot,
     }
 
     impl Reference {
         fn get(&mut self, fingerprint: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
-            self.clock += 1;
             match self.entries.get_mut(fingerprint) {
-                Some((e, plan, used)) if *e == epoch => {
-                    *used = self.clock;
+                Some((e, plan, stamp, _)) if *e == epoch => {
+                    *stamp = (*stamp).max(2 * self.clock + 1);
                     self.stats.hits += 1;
                     return Some(Arc::clone(plan));
                 }
@@ -468,6 +570,7 @@ mod tests {
                 }
                 None => {}
             }
+            self.clock += 1;
             self.stats.misses += 1;
             None
         }
@@ -483,12 +586,15 @@ mod tests {
                 return;
             }
             self.clock += 1;
-            let prev = self.entries.insert(fingerprint.to_owned(), (epoch, plan, self.clock));
-            if prev.as_ref().is_some_and(|(e, _, _)| *e != epoch) {
+            self.inserts += 1;
+            let entry = (epoch, plan, 2 * self.clock, self.inserts);
+            let prev = self.entries.insert(fingerprint.to_owned(), entry);
+            if prev.as_ref().is_some_and(|(e, _, _, _)| *e != epoch) {
                 self.stats.invalidations += 1;
             }
             while prev.is_none() && self.entries.len() > capacity {
-                let lru = self.entries.iter().min_by_key(|(_, v)| v.2).map(|(k, _)| k.clone());
+                let lru =
+                    self.entries.iter().min_by_key(|(_, v)| (v.2, v.3)).map(|(k, _)| k.clone());
                 self.entries.remove(&lru.unwrap());
                 self.stats.evictions += 1;
             }
@@ -511,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn random_traffic_matches_a_cache_without_aliases() {
+    fn random_traffic_matches_a_cache_without_text_slots() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         for (seed, capacity) in [(1u64, 3usize), (2, 1), (3, 8), (4, 0), (5, 5)] {
@@ -527,26 +633,41 @@ mod tests {
                 let context = format!("seed {seed} step {step} op {op} `{text}`/{config}");
                 match op {
                     // The engine's probe: text first, the long way on a
-                    // `None`, and a plan found or made leaves an alias.
+                    // `None`, and a plan found or made becomes a slot.
                     0..=54 => {
-                        let by_text = cache.get_by_text(config, &text, epoch);
-                        text_hits += usize::from(by_text.is_some());
-                        let got = by_text.or_else(|| cache.get(&fingerprint, epoch));
-                        let want = model.get(&fingerprint, epoch);
-                        assert_eq!(which(&got), which(&want), "{context}");
-                        if got.is_none() && op < 45 {
-                            let plan = dummy_plan();
-                            cache.insert(fingerprint.clone(), epoch, Arc::clone(&plan));
-                            model.insert(capacity, &fingerprint, epoch, plan);
+                        if let Some(slot) = cache.get_by_text(config, &text, epoch) {
+                            text_hits += 1;
+                            let want = model.get(&fingerprint, epoch);
+                            assert_eq!(
+                                which(&Some(Arc::clone(&slot.plan))),
+                                which(&want),
+                                "{context}"
+                            );
+                        } else {
+                            let mut got = cache.get(&fingerprint, epoch);
+                            let want = model.get(&fingerprint, epoch);
+                            assert_eq!(which(&got), which(&want), "{context}");
+                            if got.is_none() && op < 45 {
+                                let plan = dummy_plan();
+                                cache.insert(fingerprint.clone(), epoch, Arc::clone(&plan));
+                                model.insert(capacity, &fingerprint, epoch, Arc::clone(&plan));
+                                got = Some(plan);
+                            }
+                            if let Some(plan) = got {
+                                cache.remember_plan(config, &text, &fingerprint, &plan);
+                            }
                         }
-                        cache.alias(config, &text, &fingerprint);
                     }
                     // A bare text lookup either says nothing and counts
                     // nothing, or says what `get` would have said.
                     55..=69 => {
-                        if let Some(plan) = cache.get_by_text(config, &text, epoch) {
+                        if let Some(slot) = cache.get_by_text(config, &text, epoch) {
                             let want = model.get(&fingerprint, epoch);
-                            assert_eq!(which(&Some(plan)), which(&want), "{context}");
+                            assert_eq!(
+                                which(&Some(Arc::clone(&slot.plan))),
+                                which(&want),
+                                "{context}"
+                            );
                         }
                     }
                     // The benchmark's staged pipeline: `get`/`insert` only.
@@ -560,8 +681,9 @@ mod tests {
                         cache.insert(fingerprint.clone(), epoch, Arc::clone(&plan));
                         model.insert(capacity, &fingerprint, epoch, plan);
                     }
-                    // An alias for something not cached is no alias.
-                    90..=93 => cache.alias(config, &text, &fingerprint),
+                    // A slot for a plan the entry does not hold (another
+                    // thread replaced it, or nothing is cached) is no slot.
+                    90..=93 => cache.remember_plan(config, &text, &fingerprint, &dummy_plan()),
                     94..=97 => epoch += 1,
                     _ => {
                         cache.clear();
@@ -570,7 +692,7 @@ mod tests {
                 }
                 assert_eq!(cache.len(), model.entries.len(), "{context}");
                 assert_eq!(cache.stats(), model.stats, "{context}");
-                assert!(cache.alias_count() <= MAX_ALIASES_PER_ENTRY * cache.len(), "{context}");
+                assert!(cache.slot_count() <= MAX_SLOTS_PER_STRIPE * cache.len(), "{context}");
             }
             assert!(capacity == 0 || text_hits > 20, "seed {seed}: {text_hits} hits by text");
         }
@@ -586,11 +708,12 @@ mod tests {
             // A first sighting every time: unknown by text, a hit the long
             // way.
             assert!(cache.get_by_text(1, &text, 0).is_none());
-            assert!(cache.get(&fingerprint, 0).is_some());
-            cache.alias(1, &text, &fingerprint);
-            assert!(cache.alias_count() <= MAX_ALIASES_PER_ENTRY * cache.capacity());
+            let plan = cache.get(&fingerprint, 0).unwrap();
+            cache.remember_plan(1, &text, &fingerprint, &plan);
+            assert!(cache.slot_count() <= MAX_SLOTS_PER_STRIPE);
         }
-        assert_eq!(cache.alias_count(), MAX_ALIASES_PER_ENTRY);
+        // One thread, one stripe: it keeps its share of spellings.
+        assert_eq!(cache.slot_count(), MAX_SLOTS_PER_STRIPE);
         // The first spellings are the remembered ones; a later one is not.
         assert!(cache.get_by_text(1, &spelling(0, 0), 0).is_some());
         assert!(cache.get_by_text(1, &spelling(0, 9_999), 0).is_none());
@@ -598,15 +721,29 @@ mod tests {
         assert!(cache.get_by_text(2, &spelling(0, 0), 0).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (10_001, 0));
+        // Every stripe keeps its own share, never more.
+        std::thread::scope(|scope| {
+            for _ in 0..2 * STRIPES {
+                scope.spawn(|| {
+                    for s in 0..100 {
+                        let plan = cache.get(&fingerprint, 0).unwrap();
+                        cache.remember_plan(1, &spelling(0, s), &fingerprint, &plan);
+                    }
+                });
+            }
+        });
+        assert!(cache.slot_count() <= MAX_SLOTS_PER_STRIPE * STRIPES);
     }
 
     #[test]
-    fn zero_capacity_stores_no_alias() {
+    fn zero_capacity_keeps_no_slot() {
         let cache = PlanCache::new(0);
         let fingerprint = fingerprint_of("q0", 1);
-        cache.insert(fingerprint.clone(), 0, dummy_plan());
-        cache.alias(1, "q0", &fingerprint);
-        assert_eq!(cache.alias_count(), 0);
+        let plan = dummy_plan();
+        cache.insert(fingerprint.clone(), 0, Arc::clone(&plan));
+        let slot = cache.remember(1, "q0", &fingerprint, Arc::clone(&plan), Vec::new());
+        assert!(Arc::ptr_eq(&slot.plan, &plan), "the slot comes back, unkept");
+        assert_eq!(cache.slot_count(), 0);
         assert!(cache.get_by_text(1, "q0", 0).is_none());
         assert_eq!(
             cache.stats(),
@@ -616,35 +753,50 @@ mod tests {
     }
 
     #[test]
-    fn aliases_die_with_their_entry() {
+    fn slots_die_with_their_entry() {
         let cache = PlanCache::new(2);
         let (a, b, c) = (fingerprint_of("a", 1), fingerprint_of("b", 1), fingerprint_of("c", 1));
-        cache.insert(a.clone(), 0, dummy_plan());
-        cache.alias(1, "a ", &a);
-        cache.insert(b.clone(), 0, dummy_plan());
-        cache.alias(1, "b ", &b);
-        assert_eq!(cache.alias_count(), 2);
-        // Eviction: `a` is the LRU entry.
+        let plan_a = dummy_plan();
+        cache.insert(a.clone(), 0, Arc::clone(&plan_a));
+        cache.remember_plan(1, "a ", &a, &plan_a);
+        let plan_b = dummy_plan();
+        cache.insert(b.clone(), 0, Arc::clone(&plan_b));
+        cache.remember_plan(1, "b ", &b, &plan_b);
+        assert_eq!(cache.slot_count(), 2);
+        // Eviction: `a` is the LRU entry, and its slot goes with it — the
+        // plan is held by the test alone.
         cache.insert(c, 0, dummy_plan());
-        assert_eq!(cache.alias_count(), 1);
+        assert_eq!(cache.slot_count(), 1);
+        assert_eq!(Arc::strong_count(&plan_a), 1);
         assert!(cache.get_by_text(1, "a ", 0).is_none());
         // A stale epoch is not served by text, and is not dropped by it
         // either: `get` does that, once, and counts it.
         assert!(cache.get_by_text(1, "b ", 1).is_none());
         assert_eq!((cache.len(), cache.stats().invalidations), (2, 0));
         assert!(cache.get(&b, 1).is_none());
-        assert_eq!((cache.alias_count(), cache.stats().invalidations), (0, 1));
-        // A re-inserted plan is reached by text again only once re-aliased.
-        cache.insert(b.clone(), 1, dummy_plan());
+        assert_eq!((cache.slot_count(), cache.stats().invalidations), (0, 1));
+        assert_eq!(Arc::strong_count(&plan_b), 1);
+        // A re-inserted plan is reached by text again only once remembered,
+        // and only as the plan the entry holds now.
+        let plan_b = dummy_plan();
+        cache.insert(b.clone(), 1, Arc::clone(&plan_b));
         assert!(cache.get_by_text(1, "b ", 1).is_none());
-        cache.alias(1, "b ", &b);
-        assert!(cache.get_by_text(1, "b ", 1).is_some());
+        cache.remember_plan(1, "b ", &b, &dummy_plan());
+        assert!(cache.get_by_text(1, "b ", 1).is_none(), "not the entry's plan");
+        cache.remember_plan(1, "b ", &b, &plan_b);
+        let slot = cache.get_by_text(1, "b ", 1).unwrap();
+        assert!(Arc::ptr_eq(&slot.plan, &plan_b));
+        drop(slot);
         // Stale replace in `insert`, then `clear`.
         cache.insert(b.clone(), 2, dummy_plan());
-        assert_eq!(cache.alias_count(), 0);
-        cache.alias(1, "b ", &b);
+        assert_eq!(cache.slot_count(), 0);
+        assert_eq!(Arc::strong_count(&plan_b), 1);
+        let plan_b = cache.get(&b, 2).unwrap();
+        cache.remember_plan(1, "b ", &b, &plan_b);
+        assert_eq!(cache.slot_count(), 1);
         cache.clear();
-        assert_eq!((cache.len(), cache.alias_count()), (0, 0));
+        assert_eq!((cache.len(), cache.slot_count()), (0, 0));
+        assert_eq!(Arc::strong_count(&plan_b), 1);
     }
 
     #[test]
@@ -656,9 +808,18 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200u64 {
                         let key = format!("q{}", (t + i) % 12);
-                        if cache.get(&key, 0).is_none() {
-                            cache.insert(key, 0, dummy_plan());
+                        if cache.get_by_text(1, &key, 0).is_some() {
+                            continue;
                         }
+                        let plan = match cache.get(&key, 0) {
+                            Some(plan) => plan,
+                            None => {
+                                let plan = dummy_plan();
+                                cache.insert(key.clone(), 0, Arc::clone(&plan));
+                                plan
+                            }
+                        };
+                        cache.remember_plan(1, &key, &key, &plan);
                     }
                 });
             }
@@ -666,5 +827,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 800);
         assert!(cache.len() <= 8);
+        assert!(cache.slot_count() <= MAX_SLOTS_PER_STRIPE * cache.len() * STRIPES);
     }
 }

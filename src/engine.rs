@@ -8,7 +8,8 @@
 //!   ([`els_catalog::SharedCatalog`]), and optimized plans are reused
 //!   across threads through a fingerprint+epoch keyed
 //!   [`els_optimizer::PlanCache`], which a repeated text reaches by its
-//!   bytes alone. Configuration is fixed at construction.
+//!   bytes alone, through the calling thread's own text slots.
+//!   Configuration is fixed at construction.
 //! * [`Database`] — a single-user view over an `Engine` with the plan cache
 //!   off, for scripts and tests: `&mut self` setters reconfigure it in
 //!   place after load, and every query is optimized afresh.
@@ -48,14 +49,14 @@ use crate::analyze::{
 };
 
 use els_catalog::collect::CollectOptions;
-use els_catalog::{Catalog, CatalogSnapshot, FeedbackMode, SharedCatalog};
+use els_catalog::{CatalogSnapshot, FeedbackMode, SharedCatalog};
 use els_exec::{
     execute_plan_observed, EngineCountersSnapshot, ExecMetrics, ExecMode, ExecOutput,
     MetricsRegistry,
 };
 use els_optimizer::{
     optimize_bound, CachedPlan, EstimatorPreset, EstimatorStrategy, OptimizedQuery,
-    OptimizerOptions, PlanCache,
+    OptimizerOptions, PlanCache, Slot,
 };
 use els_sql::{bind, canonical_sql, parse};
 use els_storage::datagen::TableSpec;
@@ -236,9 +237,19 @@ impl Database {
 /// `Engine` behind an `Arc` (or borrowed into [`std::thread::scope`])
 /// serves many threads at once.
 ///
-/// * **Reads never lock.** A query takes a [`CatalogSnapshot`] — an
-///   `Arc`'d immutable catalog plus the epoch it was published at — and
-///   binds, optimizes and executes entirely against it.
+/// * **Reads work from snapshots.** A query that has to plan takes a
+///   [`CatalogSnapshot`] — an `Arc`'d immutable catalog plus the epoch it
+///   was published at, under a brief read lock — and binds, optimizes and
+///   executes entirely against it.
+/// * **Repeats write nothing shared.** A text the calling thread has sent
+///   before is looked up in that thread's stripe of the plan cache's text
+///   slots, checked against the catalog epoch (one atomic load, no lock),
+///   and executed on the slot's own plan and input tables: it takes no
+///   lock but its stripe's, and writes no cache line another thread
+///   writes. The one exception is [`Engine::prepare`], which returns the
+///   shared `Arc<CachedPlan>` and so writes its reference count;
+///   `execute`, `execute_if_cached`, `explain` and `explain_analyze` do
+///   not.
 /// * **Writes publish.** [`Engine::register`] copies the catalog, applies
 ///   the change, swaps the `Arc` and bumps the epoch.
 /// * **Plans are cached.** Optimized plans are keyed by the query's
@@ -246,7 +257,7 @@ impl Database {
 ///   configuration's [`OptimizerOptions::config_fingerprint`] and the
 ///   snapshot epoch; a hit skips binding, estimation and join
 ///   enumeration, and a byte-identical repeat also skips the parse (the
-///   cache keeps the text as an alias of its fingerprint, under the same
+///   cache keeps the text as a slot of its entry, under the same
 ///   configuration and epoch checks). Any catalog change bumps the epoch,
 ///   so stale plans can never be served — and a plan optimized under one
 ///   configuration can never be replayed under another.
@@ -478,12 +489,13 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Text → alias → fingerprint → entry: everything a query costs before
-    /// the engine knows whether it has to plan it. A text the cache knows
-    /// costs one hash and one comparison of the bytes as sent — no parse,
-    /// no canonicalisation, no allocation; a first sighting derives the
-    /// fingerprint the long way, and the plan that finds (here) or makes
-    /// (in [`Engine::prepare_at`]) gets the text as an alias.
+    /// Text → slot, or text → fingerprint → entry: everything a query
+    /// costs before the engine knows whether it has to plan it. A text
+    /// this thread has sent before costs one hash, the epoch load and one
+    /// lookup in the thread's own stripe — no parse, no canonicalisation,
+    /// no snapshot, no allocation; a first sighting derives the fingerprint
+    /// the long way, and the plan that finds (here) or makes (in
+    /// [`Engine::prepare_at`]) becomes the text's slot.
     fn probe(&self, sql: &str) -> EngineResult<Probe> {
         // The optimizer configuration is part of the key: the same SQL
         // planned under a different estimator, rule, or feedback mode is a
@@ -492,27 +504,46 @@ impl Engine {
         // a miss, the options the plan is made with.
         let strategy = self.current_strategy();
         let config = self.config_fingerprint(strategy);
+        // A slot carries what it read from the snapshot of its epoch, so
+        // the epoch alone decides whether it is current.
+        if let Some(slot) = self.cache.get_by_text(config, sql, self.catalog.epoch()) {
+            return Ok(Probe::Hit(slot));
+        }
         // Epoch and contents come from the same snapshot, so a plan stamped
         // with this epoch is exactly a plan over these statistics.
         let snapshot = self.catalog.snapshot();
-        if let Some(plan) = self.cache.get_by_text(config, sql, snapshot.epoch()) {
-            return Ok(Probe::Hit { plan, snapshot });
-        }
         let ast = parse(sql)?;
         let fingerprint = format!("{}#{config:016x}", canonical_sql(&ast));
         if let Some(plan) = self.cache.get(&fingerprint, snapshot.epoch()) {
-            self.cache.alias(config, sql, &fingerprint);
-            return Ok(Probe::Hit { plan, snapshot });
+            return Ok(Probe::Hit(self.slot(config, sql, &fingerprint, &snapshot, plan)?));
         }
         let options = self.effective_options(strategy);
         Ok(Probe::Miss(Box::new(Miss { ast, options, config, fingerprint, snapshot })))
     }
 
+    /// `plan`, found or made at `snapshot`'s epoch, with its inputs
+    /// resolved there, kept as `sql`'s slot if the cache still holds it.
+    fn slot(
+        &self,
+        config: u64,
+        sql: &str,
+        fingerprint: &str,
+        snapshot: &CatalogSnapshot,
+        plan: Arc<CachedPlan>,
+    ) -> EngineResult<Arc<Slot>> {
+        let inputs = plan
+            .table_names
+            .iter()
+            .map(|name| snapshot.table_data(name))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.cache.remember(config, sql, fingerprint, plan, inputs))
+    }
+
     /// [`Engine::probe`], optimizing on a miss. Returns the ready-to-execute
-    /// plan, the snapshot it is valid against, and whether it was a hit.
-    fn prepare_at(&self, sql: &str) -> EngineResult<(Arc<CachedPlan>, CatalogSnapshot, bool)> {
+    /// slot and whether it was a hit.
+    fn prepare_at(&self, sql: &str) -> EngineResult<(Arc<Slot>, bool)> {
         match self.probe(sql)? {
-            Probe::Hit { plan, snapshot } => Ok((plan, snapshot, true)),
+            Probe::Hit(slot) => Ok((slot, true)),
             Probe::Miss(miss) => {
                 let Miss { ast, options, config, fingerprint, snapshot } = *miss;
                 let bound = bind(&ast, snapshot.catalog())?;
@@ -523,23 +554,22 @@ impl Engine {
                     binding_names: bound.binding_names,
                 });
                 self.cache.insert(fingerprint.clone(), snapshot.epoch(), Arc::clone(&plan));
-                self.cache.alias(config, sql, &fingerprint);
-                Ok((plan, snapshot, false))
+                Ok((self.slot(config, sql, &fingerprint, &snapshot, plan)?, false))
             }
         }
     }
 
     /// Parse, bind and optimize (through the cache) without executing.
     pub fn prepare(&self, sql: &str) -> EngineResult<Arc<CachedPlan>> {
-        Ok(self.prepare_at(sql)?.0)
+        Ok(Arc::clone(&self.prepare_at(sql)?.0.plan))
     }
 
     /// Run a query end to end. Repeated queries reuse the cached plan;
-    /// execution always runs against the snapshot the plan was optimized
-    /// for.
+    /// execution always runs against the tables of the epoch the plan was
+    /// optimized for.
     pub fn execute(&self, sql: &str) -> EngineResult<QueryResult> {
-        let (plan, snapshot, cache_hit) = self.prepare_at(sql)?;
-        self.run_plan(&plan, &snapshot, cache_hit)
+        let (slot, cache_hit) = self.prepare_at(sql)?;
+        self.run_plan(&slot, cache_hit)
     }
 
     /// Run a query *only if* its plan is already cached: parse, fingerprint
@@ -549,29 +579,24 @@ impl Engine {
     /// only them bounds per-query planning work while under pressure.
     pub fn execute_if_cached(&self, sql: &str) -> EngineResult<Option<QueryResult>> {
         match self.probe(sql)? {
-            Probe::Hit { plan, snapshot } => self.run_plan(&plan, &snapshot, true).map(Some),
+            Probe::Hit(slot) => self.run_plan(&slot, true).map(Some),
             Probe::Miss(_) => Ok(None),
         }
     }
 
-    /// Execute a prepared plan against the snapshot it was optimized for.
-    /// With `report` — EXPLAIN ANALYZE, or a feedback mode that observes —
-    /// also build the per-operator estimated-vs-actual reports and fold
-    /// their residuals into the shared feedback store.
+    /// Execute a prepared plan on its slot's inputs. With `report` —
+    /// EXPLAIN ANALYZE, or a feedback mode that observes — also build the
+    /// per-operator estimated-vs-actual reports and fold their residuals
+    /// into the shared feedback store.
     fn run_observed(
         &self,
-        plan: &CachedPlan,
-        snapshot: &CatalogSnapshot,
+        slot: &Slot,
         report: bool,
     ) -> EngineResult<(ExecOutput, Vec<OperatorReport>)> {
-        let tables = plan
-            .table_names
-            .iter()
-            .map(|name| snapshot.table_data(name))
-            .collect::<Result<Vec<_>, _>>()?;
+        let plan = &slot.plan;
         let (out, obs) = execute_plan_observed(
             &plan.optimized.plan,
-            &tables,
+            &slot.inputs,
             self.exec_mode,
             self.buffer_pages,
         )?;
@@ -586,7 +611,7 @@ impl Engine {
         )
         .map_err(|e| EngineError::Optimizer(e.to_string()))?;
         let published = harvest_query(
-            snapshot,
+            &self.catalog,
             self.options.feedback,
             &plan.optimized,
             &plan.table_names,
@@ -602,13 +627,9 @@ impl Engine {
 
     /// The shared tail of [`Engine::execute`] and
     /// [`Engine::execute_if_cached`].
-    fn run_plan(
-        &self,
-        plan: &CachedPlan,
-        snapshot: &CatalogSnapshot,
-        cache_hit: bool,
-    ) -> EngineResult<QueryResult> {
-        let (out, _) = self.run_observed(plan, snapshot, self.options.feedback.observes())?;
+    fn run_plan(&self, slot: &Slot, cache_hit: bool) -> EngineResult<QueryResult> {
+        let (out, _) = self.run_observed(slot, self.options.feedback.observes())?;
+        let plan = &slot.plan;
         let join_order =
             plan.optimized.join_order.iter().map(|&t| plan.binding_names[t].clone()).collect();
         Ok(QueryResult {
@@ -627,8 +648,8 @@ impl Engine {
     /// them, the estimated sizes, and the plan tree. Goes through the plan
     /// cache like [`Engine::execute`].
     pub fn explain(&self, sql: &str) -> EngineResult<String> {
-        let (plan, _, _) = self.prepare_at(sql)?;
-        explain_report(sql, &plan.binding_names, &plan.optimized)
+        let (slot, _) = self.prepare_at(sql)?;
+        explain_report(sql, &slot.plan.binding_names, &slot.plan.optimized)
     }
 
     /// EXPLAIN ANALYZE: run the query (through the plan cache) and report,
@@ -640,9 +661,9 @@ impl Engine {
     /// estimator's rule name. Render with `Display` for the human-readable
     /// tree.
     pub fn explain_analyze(&self, sql: &str) -> EngineResult<ExplainAnalyzeReport> {
-        let (plan, snapshot, cache_hit) = self.prepare_at(sql)?;
-        let (out, operators) = self.run_observed(&plan, &snapshot, true)?;
-        let optimized = &plan.optimized;
+        let (slot, cache_hit) = self.prepare_at(sql)?;
+        let (out, operators) = self.run_observed(&slot, true)?;
+        let optimized = &slot.plan.optimized;
         // Alternative estimators have no selectivity rule; key their accuracy
         // samples in the registry by estimator name instead.
         let rule = match optimized.strategy() {
@@ -665,13 +686,9 @@ impl Engine {
 }
 
 /// What [`Engine::probe`] found out about one query text. Only a miss
-/// carries an AST: a hit by text never parsed one.
+/// carries an AST and a snapshot: a hit by text took neither.
 enum Probe {
-    Hit {
-        plan: Arc<CachedPlan>,
-        /// The snapshot `plan` was looked up at.
-        snapshot: CatalogSnapshot,
-    },
+    Hit(Arc<Slot>),
     Miss(Box<Miss>),
 }
 
@@ -694,7 +711,7 @@ struct Miss {
 /// granted; the caller coalesces any positive count into a single plan
 /// invalidation, so one execution never bumps the epoch more than once.
 fn harvest_query(
-    catalog: &Catalog,
+    catalog: &SharedCatalog,
     feedback: FeedbackMode,
     optimized: &OptimizedQuery,
     table_names: &[String],
@@ -709,7 +726,7 @@ fn harvest_query(
         return 0;
     }
     let names: Vec<&str> = table_names.iter().map(String::as_str).collect();
-    let Ok(corrections) = catalog.corrections(&names) else {
+    let Ok(corrections) = catalog.snapshot().corrections(&names) else {
         return 0;
     };
     // `corrected` must describe the *plan's* estimates, not the mode: an

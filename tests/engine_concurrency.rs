@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 
 use els::catalog::FeedbackMode;
-use els::engine::Engine;
+use els::engine::{Engine, EngineError};
 use els::exec::metrics::enumerations;
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
@@ -412,4 +412,108 @@ fn one_hot_text_never_meets_a_plan_of_another_epoch() {
     assert_eq!(stats.hits + stats.misses, 1 + 2 * observed.len() as u64);
     assert!(stats.hits > stats.misses, "{stats:?}");
     assert_eq!(engine.plan_cache().len(), 1);
+}
+
+/// Text slots under churn: two readers repeat texts through a capacity-4
+/// cache (so entries, and their slots in both readers' stripes, are
+/// evicted all the time) while a writer registers the tables `t1..t6` one
+/// by one and invalidates every plan in between. A text over `t{j}` is a
+/// typed error before `t{j}` exists and `10·j` rows after, so every answer
+/// must be the serial answer at an epoch the call overlapped. Then an
+/// evicted plan is held by no slot, and a dropped engine by nothing.
+#[test]
+fn text_slots_follow_their_entries_through_churn_and_drop() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let _guard = GUARD.lock().unwrap();
+    let owned = Engine::new().cache_capacity(4);
+    let key = ColumnSpec::new("k", Distribution::SequentialInt { start: 0 });
+    owned.generate(TableSpec::new("a", 100).column(key), 1).unwrap();
+    let fixed = [
+        ("SELECT COUNT(*) FROM a WHERE k < 10", 10),
+        ("select count(*) from a where k < 10", 10),
+        ("SELECT COUNT(*) FROM a WHERE k < 20", 20),
+        ("SELECT COUNT(*) FROM a WHERE k >= 90", 10),
+    ];
+    let over = |j: u64| format!("SELECT COUNT(*) FROM t{j} WHERE k >= 0");
+    // The epoch at which `t{j}` was registered; 0 until it is.
+    let registered: Vec<AtomicU64> = (0..=6).map(|_| AtomicU64::new(0)).collect();
+    let (done, issued) = (AtomicBool::new(false), AtomicU64::new(0));
+    let (engine, registered, done, issued) = (&owned, &registered, &done, &issued);
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for j in 1..=6u64 {
+                let seen = issued.load(Ordering::SeqCst);
+                while issued.load(Ordering::SeqCst) < seen + 200 {
+                    std::thread::yield_now();
+                }
+                let table = TableSpec::new(format!("t{j}"), 10 * j as usize)
+                    .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }));
+                // Only this thread moves the epoch: registering moves it
+                // by one. Published first, so a reader that finds the
+                // table also finds its epoch.
+                registered[j as usize].store(engine.epoch() + 1, Ordering::SeqCst);
+                engine.generate(table, j).unwrap();
+                engine.invalidate_plans();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        for reader in 0..2u64 {
+            scope.spawn(move || {
+                let mut i = reader;
+                while !done.load(Ordering::SeqCst) {
+                    i += 1;
+                    let before = engine.epoch();
+                    if i % 3 == 0 {
+                        let j = 1 + i / 3 % 6;
+                        let answer = engine.execute(&over(j)).map(|r| r.count);
+                        let after = engine.epoch();
+                        let at = registered[j as usize].load(Ordering::SeqCst);
+                        match answer {
+                            Ok(count) => {
+                                assert_eq!(count, 10 * j);
+                                assert!(at != 0 && at <= after, "t{j} answered before it existed");
+                            }
+                            Err(e) => {
+                                assert!(matches!(e, EngineError::Sql(_)), "{e}");
+                                assert!(at == 0 || at > before, "t{j} existed at {at}");
+                            }
+                        }
+                    } else {
+                        let (sql, want) = fixed[(i % fixed.len() as u64) as usize];
+                        assert_eq!(engine.execute(sql).unwrap().count, want, "`{sql}`");
+                    }
+                    issued.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    // Every call counted exactly one hit or one miss, errors included
+    // (they fail binding after the probe).
+    let stats = engine.cache_stats();
+    assert_eq!(stats.hits + stats.misses, issued.load(Ordering::SeqCst), "{stats:?}");
+    assert!(stats.evictions > 0 && stats.invalidations > 0, "{stats:?}");
+
+    // One plan, with a slot in this thread's stripe and in two others'.
+    let (sql, _) = fixed[0];
+    let plan = engine.prepare(sql).unwrap();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| (0..2).for_each(|_| assert!(engine.execute(sql).unwrap().cache_hit)));
+        }
+    });
+    assert!(Arc::ptr_eq(&plan, &engine.prepare(sql).unwrap()));
+    assert!(Arc::strong_count(&plan) > 2, "the entry and the slots hold it too");
+    // Four fresh texts evict it from the capacity-4 cache: no stripe may
+    // keep it alive.
+    for c in 30..34 {
+        engine.execute(&format!("SELECT COUNT(*) FROM a WHERE k < {c}")).unwrap();
+    }
+    assert_eq!(Arc::strong_count(&plan), 1, "an evicted plan is held by its caller alone");
+
+    // Dropping the engine drops its cache, and every table its slots held.
+    let table = Arc::downgrade(&engine.snapshot().table_data("a").unwrap());
+    drop(owned);
+    assert!(table.upgrade().is_none(), "a dropped engine's tables outlive it");
 }

@@ -2,7 +2,10 @@
 //! touching the heap: no parse (an AST is `Vec`s and `String`s), no
 //! `canonical_sql` (a `String`), no `config_fingerprint()` (a `format!`),
 //! no clone of the optimizer options (a `Vec` of join methods). `prepare`
-//! is `execute` up to, but not including, running the plan.
+//! is `execute` up to, but not including, running the plan. Nor may it
+//! take a lock another thread's repeat takes:
+//! `a_repeat_text_takes_no_lock_but_its_stripe` counts the lock classes a
+//! repeat acquires under the lock-order audit.
 //!
 //! Running the plan still allocates (selection vectors, observations, the
 //! join's working set); `a_hit_executes_under_its_allocation_ceiling` pins
@@ -16,6 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use els::core::sync::audit;
 use els::engine::Engine;
 use els::exec::JoinMethod;
 use els::optimizer::{EstimatorStrategy, OptimizerOptions};
@@ -98,6 +102,37 @@ fn a_repeat_text_reaches_its_plan_without_allocating() {
     assert_eq!(warm, 0, "{warm} allocations after switching back");
 }
 
+/// The lock classes `f` acquires on this thread, with how often: the
+/// lock-order audit (on in every test build) counts acquisitions by class.
+fn locks_in<T>(f: impl FnOnce() -> T) -> (T, Vec<(&'static str, u64)>) {
+    let before = audit::acquisitions();
+    let out = f();
+    let taken = audit::acquisitions()
+        .into_iter()
+        .zip(before)
+        .filter(|((_, after), (_, before))| after > before)
+        .map(|((class, after), (_, before))| (class, after - before))
+        .collect();
+    (out, taken)
+}
+
+/// A repeat takes its own stripe's lock once and nothing else: not the
+/// catalog's `shared.state`, not the cache's `plan_cache.state`, not the
+/// registry's `metrics.qerr`.
+#[test]
+fn a_repeat_text_takes_no_lock_but_its_stripe() {
+    let engine = with_tables(Engine::new());
+    for sql in [POINT, JOIN] {
+        let (_, cold) = locks_in(|| engine.execute(sql).unwrap());
+        assert!(cold.iter().any(|&(class, _)| class == "plan_cache.state"), "{cold:?}");
+        let (out, taken) = locks_in(|| engine.execute(sql).unwrap());
+        assert!(out.cache_hit);
+        assert_eq!(taken, [("stripe.slots", 1)], "a repeat `execute` of `{sql}`");
+        let (_, taken) = locks_in(|| engine.prepare(sql).unwrap());
+        assert_eq!(taken, [("stripe.slots", 1)], "a repeat `prepare` of `{sql}`");
+    }
+}
+
 /// Heap allocations of one `Engine::execute` on a cached text, as `<=`
 /// ceilings: an allocation per filter conjunct, or per distinct build key of
 /// the hash join (24 here), would put a run over them.
@@ -106,9 +141,9 @@ fn a_hit_executes_under_its_allocation_ceiling() {
     let sort_merge = with_tables(Engine::new());
     let hash = with_tables(Engine::with_options(OptimizerOptions::default().with_hash_join()));
     for (engine, sql, method, rows, ceiling) in [
-        (&sort_merge, POINT, "", 117, 16),
-        (&sort_merge, JOIN, "SMJoin", 24, 29),
-        (&hash, JOIN, "HASHJoin", 24, 29),
+        (&sort_merge, POINT, "", 117, 14),
+        (&sort_merge, JOIN, "SMJoin", 24, 26),
+        (&hash, JOIN, "HASHJoin", 24, 28),
     ] {
         assert!(engine.explain(sql).unwrap().contains(method), "`{sql}` is not a {method}");
         assert_eq!(engine.execute(sql).unwrap().count, rows);
