@@ -72,9 +72,12 @@ pub fn check_rowid_range(rows: usize) -> ExecResult<()> {
 /// provably lossless there — the debug assert re-states (and the tests
 /// exercise) that contract.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the one sanctioned usize->u32 narrowing: callers are downstream of check_rowid_range on their input's row count, and debug builds assert it"
+)]
 pub fn rowid(i: usize) -> u32 {
     debug_assert!(i <= u32::MAX as usize, "row index {i} escaped check_rowid_range");
-    // els-lint: allow(numeric-discipline, "the one sanctioned usize->u32 narrowing: callers are downstream of check_rowid_range on their input's row count, and debug builds assert it")
     i as u32
 }
 

@@ -154,7 +154,7 @@ pub fn execute_plan_observed(
         rows = sort_output(&rows, &plan.order_by, &mut metrics)?;
     }
     if let Some(limit) = plan.limit {
-        let keep = (limit as usize).min(rows.num_rows());
+        let keep = usize::try_from(limit).unwrap_or(usize::MAX).min(rows.num_rows());
         if keep < rows.num_rows() {
             let indices: Vec<usize> = (0..keep).collect();
             rows = rows.gather(rows.name().to_owned(), &indices)?;

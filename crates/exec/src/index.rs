@@ -61,7 +61,7 @@ impl SortedIndex {
 
     /// Comparisons one descent is charged: `⌊log₂ entries⌋`, at least one.
     pub(crate) fn descent_charge(&self) -> u64 {
-        (self.len().max(2) as f64).log2() as u64
+        u64::from(self.len().max(2).ilog2())
     }
 
     /// Rows whose key equals `key`, in row order. Binary search; O(log n +
@@ -78,7 +78,10 @@ impl SortedIndex {
 /// local `filters` and any residual `keys` beyond the indexed one.
 ///
 /// `keys[0].1` must be the indexed column.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the row operator's inputs: outer, inner and its index, filters, keys, metrics and page I/O"
+)]
 pub fn index_nested_loop_join(
     left: &Chunk,
     inner_table_id: usize,

@@ -96,6 +96,10 @@ pub(crate) fn cmp_key_slices(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
 /// Comparisons charged for sorting `n` keys: `n log₂ n`. The real sort
 /// performs them; counting inside the comparator would double-count with
 /// the merge phase.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "n log2 n of a row count is far below u64::MAX, and a float-to-int cast saturates"
+)]
 pub(crate) fn sort_charge(n: usize) -> u64 {
     if n > 1 {
         (n as f64 * (n as f64).log2()) as u64
@@ -109,6 +113,10 @@ fn normalize_float_key(x: f64) -> HashKey {
     // `x as i64` saturates; the round-trip check rejects saturated values,
     // NaN/inf (fract fails), fractional floats, and -0.0 (sign bit differs
     // from `0_i64 as f64`).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the round-trip check below rejects every value the cast changed"
+    )]
     let candidate = x as i64;
     if (candidate as f64).to_bits() == x.to_bits() {
         HashKey::Int(candidate)

@@ -258,9 +258,7 @@ pub fn json_escape(s: &str) -> String {
             '\t' => out.push_str("\\t"),
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
-            // els-lint: allow(numeric-discipline, "char as u32 is a lossless widening (chars are 21-bit scalar values); the lint cannot see source types")
             c if (c as u32) < 0x20 => {
-                // els-lint: allow(numeric-discipline, "same lossless char-to-u32 widening as the guard above")
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -318,8 +316,11 @@ impl QErrorHistogram {
     /// clamp to 1; NaN and infinity land in the overflow bucket.
     pub fn record(&mut self, q: f64) {
         let q = if q.is_nan() { f64::INFINITY } else { q.max(1.0) };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is finite and >= 1 here, so log2 is in [0, 1024): the floor fits usize and the min() clamps the bucket"
+        )]
         let bucket = if q.is_finite() {
-            // els-lint: allow(numeric-discipline, "q is finite and >= 1 here, so log2 is in [0, 1024): the floor fits usize and the min() clamps the bucket")
             (q.log2().floor() as usize).min(Self::BUCKETS - 1)
         } else {
             Self::BUCKETS - 1
@@ -351,7 +352,10 @@ impl QErrorHistogram {
             return 1.0;
         }
         let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        // els-lint: allow(numeric-discipline, "p is clamped to [0, 1] above, so the product is bounded by count and the cast cannot saturate")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "p is clamped to [0, 1] above, so the product is bounded by count and the cast cannot saturate"
+        )]
         let rank = ((p * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {

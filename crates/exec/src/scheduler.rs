@@ -21,8 +21,8 @@
 //! interleavings and a busy pool are invisible to callers: the `steals`
 //! counter is the only schedule-dependent output, and it feeds monitoring.
 //!
-//! **Panics.** els-lint's `parallelism-seam` pass bans `thread::spawn` and
-//! `thread::scope` everywhere else in library code, so every parallel path
+//! **Panics.** els-lint's `parallelism-seam` pass bans `thread::spawn`,
+//! `thread::scope` and `thread::Builder` everywhere else in library code, so every parallel path
 //! shares one policy: a task panic on any worker is re-raised on the caller
 //! once no helper is left in the job, never swallowed into short results.
 
@@ -192,9 +192,13 @@ where
         resume_unwind(payload);
     }
     let filled = |slot: Mutex<Option<T>>| slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let results: Option<Vec<T>> = results.into_iter().map(filled).collect();
-    // els-lint: allow(panic-freedom, "every block was drained and no task panicked, so every slot is filled; anything else would be truncated results")
-    (results.expect("every task ran"), RunStats { steals: steals.load(Ordering::Relaxed) })
+    #[expect(
+        clippy::expect_used,
+        reason = "every block was drained and no task panicked, so every slot is filled; anything else would be truncated results"
+    )]
+    let results =
+        results.into_iter().map(filled).collect::<Option<Vec<T>>>().expect("every task ran");
+    (results, RunStats { steals: steals.load(Ordering::Relaxed) })
 }
 
 #[cfg(test)]

@@ -3,15 +3,17 @@
 //! PR 3 made `Observations` compare timing-blind (a manual `PartialEq`
 //! skips the elapsed vectors) exactly so differential tests never depend
 //! on wall time. That property survives only if clock reads stay behind a
-//! single seam: the `determinism` pass of `els-lint` bans `Instant` and
-//! `SystemTime` in every other library module, and this file is its entire
-//! allowlist. Operators measure durations through [`Stopwatch`]; nothing
+//! single seam: `clippy.toml` bans the `Instant` and `SystemTime` types
+//! and their `now` everywhere in the workspace, and this module is the one
+//! `#[expect]`ed exception. Operators measure durations through [`Stopwatch`]; nothing
 //! else in library code may observe time.
 
 use std::time::Duration;
-// The clippy-level twin of the els-lint determinism pass disallows
-// `Instant::now` everywhere; this module is the seam it points to.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "clippy.toml bans `Instant` everywhere else; this module is the seam it points to"
+)]
 mod clock {
     use std::time::{Duration, Instant};
 

@@ -807,6 +807,10 @@ impl IntTable {
     /// hashed, the slot holding it or the empty one ending its probe, which
     /// starts at a multiplicative hash (sequential and power-of-two strided
     /// keys land far apart in the product's high bits).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "both casts land below slots.len(): a dense key is in min..=max, whose span fits the slots, and the hash keeps only the top log2(slots.len()) bits"
+    )]
     fn slot_of(&self, key: i64) -> usize {
         let Some(shift) = self.shift else { return key.wrapping_sub(self.min) as usize };
         let mask = self.slots.len() - 1;

@@ -9,6 +9,7 @@
 //! reported as slack so a later deliberate update can tighten the file.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Per-lint, per-file grandfathered counts. BTreeMaps keep the serialized
 /// form deterministic so baseline diffs review cleanly.
@@ -31,12 +32,21 @@ pub fn to_json(b: &Baseline) -> String {
     s
 }
 
-fn quote(s: &str) -> String {
+/// A JSON string literal for `s`: the one quoter of the baseline and the
+/// report. Every character below U+0020 is escaped, so any text a
+/// suppression or a file name carries stays valid JSON.
+pub(crate) fn quote(s: &str) -> String {
     let mut out = String::from('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
             c => out.push(c),
         }
     }
@@ -157,7 +167,15 @@ impl Parser {
                     match self.chars.get(self.pos) {
                         Some(&c @ ('"' | '\\' | '/')) => out.push(c),
                         Some('n') => out.push('\n'),
+                        Some('r') => out.push('\r'),
                         Some('t') => out.push('\t'),
+                        Some('u') => {
+                            let hex: String =
+                                self.chars.iter().skip(self.pos + 1).take(4).collect();
+                            let c = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
+                            out.push(c.ok_or_else(|| format!("bad escape `\\u{hex}`"))?);
+                            self.pos += 4;
+                        }
                         other => return Err(format!("unsupported escape {other:?}")),
                     }
                     self.pos += 1;
@@ -191,10 +209,10 @@ mod tests {
 
     fn sample() -> Baseline {
         let mut b = Baseline::new();
-        b.entry("panic-freedom".to_string())
+        b.entry("panic-reachability".to_string())
             .or_default()
             .insert("crates/storage/src/column.rs".to_string(), 4);
-        b.entry("panic-freedom".to_string())
+        b.entry("panic-reachability".to_string())
             .or_default()
             .insert("crates/core/src/closure.rs".to_string(), 2);
         b
@@ -205,6 +223,17 @@ mod tests {
         let b = sample();
         let parsed = from_json(&to_json(&b)).unwrap();
         assert_eq!(parsed, b);
+    }
+
+    #[test]
+    fn control_characters_round_trip() {
+        let mut b = Baseline::new();
+        let file = "crates/a\tb\rc\nd\u{1}e\\f\"g.rs".to_string();
+        b.entry("layering".to_string()).or_default().insert(file, 3);
+        let text = to_json(&b);
+        assert!(text.contains(r#""crates/a\tb\rc\nd\u0001e\\f\"g.rs": 3"#), "{text}");
+        assert_eq!(from_json(&text).unwrap(), b);
+        assert!(from_json("{\"baseline\": {\"l\": {\"\\ud800\": 1}}}").is_err());
     }
 
     #[test]

@@ -372,7 +372,7 @@ mod tests {
     fn char_literal_quote_does_not_open_a_string() {
         // If `'"'` were mis-lexed, the following // comment would be
         // swallowed into a string and the suppression lost.
-        let src = "let c = '\"'; // els-lint: allow(panic-freedom, \"r\")";
+        let src = "let c = '\"'; // els-lint: allow(atomics-discipline, \"r\")";
         let toks = kinds(src);
         assert!(toks.iter().any(|(k, _)| *k == TokenKind::CharLit));
         assert!(toks.iter().any(|(k, t)| *k == TokenKind::LineComment && t.contains("els-lint")));

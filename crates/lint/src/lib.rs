@@ -1,11 +1,12 @@
 //! `els-lint` — in-workspace static analysis for the ELS engine.
 //!
-//! Two layers of passes enforce invariants the test suite cannot see (see
-//! `DESIGN.md` §4f and §4k). The per-file token passes — panic-freedom,
-//! determinism, metrics-only I/O, atomics discipline, numeric-cast
-//! discipline, and crate layering — read one file at a time. On top of
-//! them a workspace layer builds a symbol table and a best-effort call
-//! graph (`symbols`, `callgraph`) and runs two inter-procedural passes:
+//! Two layers of passes enforce the invariants that neither the test suite
+//! nor clippy can see (see `DESIGN.md` §4f and §4k; clippy holds every ban
+//! it can express). The per-file passes — atomics discipline, the
+//! parallelism seam, float and default discipline, and crate layering —
+//! read one file at a time. On top of them a workspace layer builds a
+//! symbol table and a best-effort call graph (`symbols`, `callgraph`) and
+//! runs two inter-procedural passes:
 //! panic-reachability (which panic sites can a public entry point reach,
 //! with shortest witness paths) and lock-order (every lock acquisition
 //! held across another must run forward in `els_core::sync::LOCK_ORDER`;
@@ -22,7 +23,6 @@ pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod lock_order;
-pub mod numeric;
 pub mod panic_reach;
 pub mod passes;
 pub mod report;
@@ -42,9 +42,9 @@ use source::SourceFile;
 use symbols::{ParsedFile, SymbolTable};
 
 /// The library targets the passes cover: the six engine crates, the
-/// umbrella facade, and the server front door. Tooling (els-bench,
-/// els-lint) and the vendored shims are exempt by construction — printing
-/// and clock reads are their job.
+/// umbrella facade, and the server front door. Each crate root also carries
+/// the shared clippy ban list. Tooling (els-bench, els-lint) and the
+/// vendored shims are exempt by construction — printing is their job.
 pub const LIBRARY_SRC_ROOTS: &[(&str, &str)] = &[
     ("els-storage", "crates/storage/src"),
     ("els-core", "crates/core/src"),
@@ -154,8 +154,7 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
                 message: e.message.clone(),
             });
         }
-        passes::run_token_passes(&pf.source, &mut violations);
-        violations.append(&mut numeric::check_file(pf));
+        passes::run_token_passes(pf, &mut violations);
     }
 
     // Workspace passes over the symbol table and call graph.

@@ -40,7 +40,7 @@ use crate::HardError;
 pub const SYNC_FILE: &str = "crates/core/src/sync.rs";
 
 /// The acquisition helpers, the only legal way to take an engine lock
-/// (the `panic-freedom` lint already bans raw `.lock().unwrap()`).
+/// (clippy's `unwrap_used` already bans raw `.lock().unwrap()`).
 const ACQUIRE_FNS: &[&str] = &["lock_recovering", "read_recovering", "write_recovering"];
 
 /// One held-while-acquiring edge, for the JSON report.

@@ -1,8 +1,8 @@
 //! Panic-reachability: which panic sites can a public entry point reach?
 //!
-//! The per-file `panic-freedom` lint bans the loud aborts (`unwrap`,
-//! `panic!`) outright, but deliberately leaves `assert!` and slice
-//! indexing legal outside els-core — kernels index tight loops by design.
+//! Clippy bans the loud aborts (`unwrap`, `expect`, `panic!`) in library
+//! code outright, but `assert!` and slice indexing stay legal outside
+//! els-core — kernels index tight loops by design.
 //! This pass closes the gap *inter-procedurally*: it collects every
 //! remaining panic site in the workspace, walks the call graph forward
 //! from the engine's public entry points, and reports each site a query
@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 use crate::callgraph::CallGraph;
 use crate::lexer::TokenKind;
-use crate::passes::{Lint, Violation, NON_INDEX_KEYWORDS};
+use crate::passes::{Lint, Violation};
 use crate::symbols::{ParsedFile, SymbolTable};
 use crate::HardError;
 
@@ -41,6 +41,15 @@ pub const ENTRY_POINTS: &[(&str, Option<&str>, &str)] = &[
 /// compiled out of release builds, the configuration the engine ships).
 const PANIC_MACROS: &[&str] =
     &["panic", "todo", "unimplemented", "unreachable", "assert", "assert_eq", "assert_ne"];
+
+/// Keywords that can directly precede a `[` that is *not* an index
+/// expression (slice patterns, array types in expression position, ...).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "let", "mut", "ref", "in", "if", "else", "match", "return", "break", "continue", "move", "as",
+    "const", "static", "dyn", "impl", "for", "where", "while", "loop", "use", "pub", "fn", "enum",
+    "struct", "trait", "type", "unsafe", "crate", "super", "mod", "extern", "box", "await",
+    "async", "yield",
+];
 
 /// One reachable panic site with its shortest witness path, for the JSON
 /// report.

@@ -1,34 +1,25 @@
 //! The lint passes.
 //!
-//! Each token pass walks the code tokens of one library source file and
+//! The token walk reads the code tokens of one library source file and
 //! emits [`Violation`]s; the layering pass reads `Cargo.toml` manifests
-//! instead. Passes are deliberately syntactic — they ban *spellings*, not
-//! semantics — because a spelling ban plus a justification-carrying
-//! suppression syntax is auditable in review, while a semantic analysis of
-//! this size would itself become the thing nobody checks.
+//! instead. Every rule here is one clippy cannot express (DESIGN.md §4f):
+//! the bans clippy can see (`unwrap`, `panic!`, slice indexing in
+//! els-core, clock reads, printing, narrowing casts) live in `clippy.toml`
+//! and the crate roots. Passes are deliberately syntactic — they ban
+//! *spellings*, not semantics — because a spelling ban plus a
+//! justification-carrying suppression syntax is auditable in review.
 
-use crate::lexer::{Token, TokenKind};
-use crate::source::SourceFile;
+use crate::lexer::TokenKind;
+use crate::symbols::ParsedFile;
 
 /// The lints, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Lint {
-    /// No `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library
-    /// code; additionally no slice indexing inside els-core, the estimator
-    /// path the paper requires to degrade gracefully (typed `ElsError`s,
-    /// never aborts) on degenerate statistics.
-    PanicFreedom,
-    /// Clock reads (`Instant`, `SystemTime`) confined to the carved-out
-    /// timing module, keeping the differential tests timing-blind.
-    Determinism,
-    /// `println!`/`eprintln!`/`dbg!`/`process::exit` banned in library
-    /// crates — output goes through `MetricsRegistry`.
-    MetricsIo,
     /// `Ordering::Relaxed` only in the allowlisted counter modules.
     Atomics,
-    /// `thread::spawn`/`thread::scope` confined to the work-stealing
-    /// scheduler module, so every parallel code path shares one panic and
-    /// determinism policy.
+    /// `thread::spawn`/`thread::scope`/`thread::Builder` confined to the
+    /// scheduler and the server pool, so every parallel code path shares
+    /// one panic and determinism policy.
     ParallelismSeam,
     /// Crate dependencies must respect the layer order and add no new
     /// external dependencies.
@@ -42,20 +33,16 @@ pub enum Lint {
     /// `els_core::sync` lock classes must agree with the committed
     /// `LOCK_ORDER` total order; a cycle is a hard error.
     LockOrder,
-    /// Numeric-cast and float-comparison discipline in els-core/els-exec:
-    /// no silent narrowing `as` casts, no unguarded float-to-int rounding
-    /// casts, no float `==`/`!=` outside `els_core::float`, no silent
-    /// numeric-literal `unwrap_or` defaults in the estimator path.
+    /// Float and default discipline in els-core: no float-literal
+    /// `==`/`!=` outside `els_core::float` (rule C), no silent
+    /// numeric-literal `unwrap_or` defaults (rule D).
     NumericDiscipline,
 }
 
 impl Lint {
     /// All lints, in report order.
-    pub fn all() -> [Lint; 9] {
+    pub fn all() -> [Lint; 6] {
         [
-            Lint::PanicFreedom,
-            Lint::Determinism,
-            Lint::MetricsIo,
             Lint::Atomics,
             Lint::ParallelismSeam,
             Lint::Layering,
@@ -68,9 +55,6 @@ impl Lint {
     /// The name used in reports, baselines and suppression comments.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::PanicFreedom => "panic-freedom",
-            Lint::Determinism => "determinism",
-            Lint::MetricsIo => "metrics-only-io",
             Lint::Atomics => "atomics-discipline",
             Lint::ParallelismSeam => "parallelism-seam",
             Lint::Layering => "layering",
@@ -106,6 +90,7 @@ pub struct Violation {
 /// Files where `Ordering::Relaxed` is legitimate: monotonic counters and
 /// the morsel dispenser, where no other memory is published through the
 /// atomic. Everything else must spell out an ordering and justify it.
+/// Clippy has no per-file allowlist for a path segment, hence this pass.
 const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/exec/src/metrics.rs",
     "crates/exec/src/scheduler.rs",
@@ -114,170 +99,107 @@ const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/optimizer/src/plan_cache.rs",
 ];
 
-/// The library modules allowed to spawn threads: the work-stealing
-/// scheduler and the server's acceptor/worker pool. Confining parallelism
-/// to named seams gives every parallel code path a written panic policy
-/// (the scheduler re-raises so batch results never truncate; the server
-/// pool isolates so one connection's panic never kills the pool) and
-/// keeps each determinism argument in one reviewable place.
+/// The library modules allowed to start threads: the scheduler's helper
+/// pool and the server's acceptor/worker pool. Confining parallelism to
+/// named seams gives every parallel code path a written panic policy (the
+/// scheduler re-raises so batch results never truncate; the server pool
+/// isolates so one connection's panic never kills the pool) and keeps each
+/// determinism argument in one reviewable place. A workspace-wide clippy
+/// ban cannot say this: the tests spawn threads too.
 const THREAD_ALLOWLIST: &[&str] = &["crates/exec/src/scheduler.rs", "crates/server/src/pool.rs"];
 
-/// The only module allowed to read wall clocks. PR 3 made Observations
-/// compare timing-blind; keeping clock reads behind one seam keeps it so.
-const CLOCK_ALLOWLIST: &[&str] = &["crates/exec/src/timing.rs"];
+/// The sanctioned home of exact float comparison (rule C exemption).
+const FLOAT_HELPER_FILE: &str = "crates/core/src/float.rs";
 
-/// Keywords that can directly precede a `[` that is *not* an index
-/// expression (slice patterns, array types in expression position, ...).
-/// Shared with the panic-reachability pass, which applies the same index
-/// heuristic workspace-wide.
-pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "if", "else", "match", "return", "break", "continue", "move", "as",
-    "const", "static", "dyn", "impl", "for", "where", "while", "loop", "use", "pub", "fn", "enum",
-    "struct", "trait", "type", "unsafe", "crate", "super", "mod", "extern", "box", "await",
-    "async", "yield",
-];
-
-/// Run every token pass over one file.
-pub fn run_token_passes(file: &SourceFile, out: &mut Vec<Violation>) {
-    let code = file.code_indices();
-    let toks = &file.tokens;
-    let at = |ci: usize| -> Option<&Token> { code.get(ci).map(|&i| &toks[i]) };
-    let violation = |lint: Lint, tok: &Token, message: String| Violation {
-        lint,
-        file: file.rel_path.clone(),
-        line: tok.line,
-        col: tok.col,
-        message,
-        suppressed: false,
-    };
-    let in_core = file.rel_path.starts_with("crates/core/");
-
-    for ci in 0..code.len() {
-        let tok = &toks[code[ci]];
-        if tok.kind != TokenKind::Ident {
-            // Slice indexing, els-core only: `expr[...]` panics on
-            // out-of-range and the estimator path must return typed errors
-            // instead.
-            if in_core && tok.kind == TokenKind::Punct('[') && ci > 0 {
-                let indexable = match at(ci - 1) {
-                    Some(p) if p.kind == TokenKind::Ident => {
-                        !NON_INDEX_KEYWORDS.contains(&p.text.as_str())
-                    }
-                    Some(p) => matches!(p.kind, TokenKind::Punct(')') | TokenKind::Punct(']')),
-                    None => false,
-                };
-                if indexable {
-                    out.push(violation(
-                        Lint::PanicFreedom,
-                        tok,
-                        "slice index in estimator path: use `.get()` and return a typed \
-                         `ElsError` so degenerate inputs degrade instead of aborting"
-                            .to_string(),
-                    ));
+/// Run the token walk over one file's non-test code.
+pub fn run_token_passes(pf: &ParsedFile, out: &mut Vec<Violation>) {
+    let path = pf.source.rel_path.as_str();
+    let in_core = path.starts_with("crates/core/src/");
+    for ci in 0..pf.code.len() {
+        let Some(tok) = pf.tok(ci) else { continue };
+        let mut push = |lint: Lint, message: String| {
+            out.push(Violation {
+                lint,
+                file: path.to_string(),
+                line: tok.line,
+                col: tok.col,
+                message,
+                suppressed: false,
+            })
+        };
+        let after_path = |seg: &str| {
+            ci >= 3
+                && pf.is_punct(ci - 1, ':')
+                && pf.is_punct(ci - 2, ':')
+                && pf.text(ci - 3) == seg
+        };
+        match tok.kind {
+            // parallelism seam: thread starts outside the allowlisted modules.
+            TokenKind::Ident
+                if matches!(tok.text.as_str(), "spawn" | "scope" | "Builder")
+                    && after_path("thread")
+                    && !THREAD_ALLOWLIST.contains(&path) =>
+            {
+                push(
+                    Lint::ParallelismSeam,
+                    format!(
+                        "`thread::{}` outside the scheduler module: route parallel work \
+                         through `els_exec::scheduler::run_tasks` so it shares the one \
+                         panic/determinism seam",
+                        tok.text
+                    ),
+                );
+            }
+            // atomics discipline: Relaxed outside the counter allowlist.
+            TokenKind::Ident if tok.text == "Relaxed" && !RELAXED_ALLOWLIST.contains(&path) => {
+                push(
+                    Lint::Atomics,
+                    "`Ordering::Relaxed` outside the counter allowlist: pick an ordering \
+                     that publishes what the readers need, or extend the allowlist in review"
+                        .to_string(),
+                );
+            }
+            // Rule C: `== 1.0` / `1.0 !=`. Clippy's `float_cmp` exempts
+            // comparisons with zero, so it cannot hold this rule.
+            TokenKind::Number if in_core && path != FLOAT_HELPER_FILE && tok.text.contains('.') => {
+                // A unary minus belongs to the literal: `x == -0.0`.
+                let lit = if ci > 0 && pf.is_punct(ci - 1, '-') { ci - 1 } else { ci };
+                let before = lit >= 2
+                    && pf.is_punct(lit - 1, '=')
+                    && (pf.is_punct(lit - 2, '=') || pf.is_punct(lit - 2, '!'));
+                let after = pf.is_punct(ci + 2, '=')
+                    && (pf.is_punct(ci + 1, '=') || pf.is_punct(ci + 1, '!'));
+                if before || after {
+                    push(
+                        Lint::NumericDiscipline,
+                        format!(
+                            "exact float comparison against `{}`: use \
+                             els_core::float::{{exactly_zero, exactly_one, approx_eq}}",
+                            tok.text
+                        ),
+                    );
                 }
             }
-            continue;
-        }
-        let prev_is_dot = ci > 0 && at(ci - 1).is_some_and(|p| p.kind == TokenKind::Punct('.'));
-        let next_is = |kind: TokenKind| at(ci + 1).is_some_and(|n| n.kind == kind);
-
-        // panic-freedom: `.unwrap()` / `.expect(` and aborting macros.
-        if prev_is_dot
-            && (tok.text == "unwrap" || tok.text == "expect")
-            && next_is(TokenKind::Punct('('))
-        {
-            out.push(violation(
-                Lint::PanicFreedom,
-                tok,
-                format!(
-                    "`.{}()` in library code: return a typed error (or use the \
-                     `els_core::sync` poison-policy helpers for locks)",
-                    tok.text
-                ),
-            ));
-        }
-        if !prev_is_dot
-            && matches!(tok.text.as_str(), "panic" | "todo" | "unimplemented")
-            && next_is(TokenKind::Punct('!'))
-        {
-            out.push(violation(
-                Lint::PanicFreedom,
-                tok,
-                format!("`{}!` in library code: return a typed error instead", tok.text),
-            ));
-        }
-
-        // determinism: clock reads outside the timing seam.
-        if matches!(tok.text.as_str(), "Instant" | "SystemTime")
-            && !CLOCK_ALLOWLIST.contains(&file.rel_path.as_str())
-        {
-            out.push(violation(
-                Lint::Determinism,
-                tok,
-                format!(
-                    "`{}` outside `els_exec::timing`: clock reads live behind the \
-                     Stopwatch seam so differential tests stay timing-blind",
-                    tok.text
-                ),
-            ));
-        }
-
-        // metrics-only I/O: stdio macros and process exits.
-        if matches!(tok.text.as_str(), "println" | "eprintln" | "print" | "eprint" | "dbg")
-            && next_is(TokenKind::Punct('!'))
-        {
-            out.push(violation(
-                Lint::MetricsIo,
-                tok,
-                format!(
-                    "`{}!` in library code: route output through `MetricsRegistry` \
-                     (tooling crates els-bench/els-lint may print)",
-                    tok.text
-                ),
-            ));
-        }
-        if matches!(tok.text.as_str(), "exit" | "abort")
-            && ci >= 3
-            && at(ci - 1).is_some_and(|p| p.kind == TokenKind::Punct(':'))
-            && at(ci - 2).is_some_and(|p| p.kind == TokenKind::Punct(':'))
-            && at(ci - 3).is_some_and(|p| p.kind == TokenKind::Ident && p.text == "process")
-        {
-            out.push(violation(
-                Lint::MetricsIo,
-                tok,
-                format!("`process::{}` in library code: surface an error instead", tok.text),
-            ));
-        }
-
-        // parallelism seam: thread spawns outside the scheduler module.
-        if matches!(tok.text.as_str(), "spawn" | "scope")
-            && ci >= 3
-            && at(ci - 1).is_some_and(|p| p.kind == TokenKind::Punct(':'))
-            && at(ci - 2).is_some_and(|p| p.kind == TokenKind::Punct(':'))
-            && at(ci - 3).is_some_and(|p| p.kind == TokenKind::Ident && p.text == "thread")
-            && !THREAD_ALLOWLIST.contains(&file.rel_path.as_str())
-        {
-            out.push(violation(
-                Lint::ParallelismSeam,
-                tok,
-                format!(
-                    "`thread::{}` outside the scheduler module: route parallel work \
-                     through `els_exec::scheduler::run_tasks` so it shares the one \
-                     panic/determinism seam",
-                    tok.text
-                ),
-            ));
-        }
-
-        // atomics discipline: Relaxed outside the counter allowlist.
-        if tok.text == "Relaxed" && !RELAXED_ALLOWLIST.contains(&file.rel_path.as_str()) {
-            out.push(violation(
-                Lint::Atomics,
-                tok,
-                "`Ordering::Relaxed` outside the counter allowlist: pick an ordering \
-                 that publishes what the readers need, or extend the allowlist in review"
-                    .to_string(),
-            ));
+            // Rule D: `.unwrap_or(<number literal>)`; no clippy lint matches it.
+            TokenKind::Ident
+                if in_core
+                    && tok.text == "unwrap_or"
+                    && ci > 0
+                    && pf.is_punct(ci - 1, '.')
+                    && pf.is_punct(ci + 1, '(')
+                    && pf.tok(ci + 2).is_some_and(|t| t.kind == TokenKind::Number) =>
+            {
+                push(
+                    Lint::NumericDiscipline,
+                    format!(
+                        "silent literal default `.unwrap_or({})`: a missing statistic \
+                         deserves a typed ElsError (DegenerateStats) or a suppression \
+                         arguing the default is principled",
+                        pf.text(ci + 2)
+                    ),
+                );
+            }
+            _ => {}
         }
     }
 }
@@ -357,85 +279,25 @@ pub fn run_layering_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::SourceFile;
+
+    fn lint_at(path: &str, src: &str) -> Vec<Violation> {
+        let mut out = Vec::new();
+        run_token_passes(&ParsedFile::new("els-exec", SourceFile::parse(path, src)), &mut out);
+        out
+    }
 
     fn lint_src(src: &str) -> Vec<Violation> {
-        let f = SourceFile::parse("crates/exec/src/x.rs", src);
-        let mut out = Vec::new();
-        run_token_passes(&f, &mut out);
-        out
-    }
-
-    fn lint_core(src: &str) -> Vec<Violation> {
-        let f = SourceFile::parse("crates/core/src/x.rs", src);
-        let mut out = Vec::new();
-        run_token_passes(&f, &mut out);
-        out
+        lint_at("crates/exec/src/x.rs", src)
     }
 
     #[test]
-    fn unwrap_expect_and_aborting_macros_fire() {
-        let v = lint_src("fn f() { a.unwrap(); b.expect(\"x\"); panic!(\"y\"); todo!() }");
-        let names: Vec<_> = v.iter().map(|v| v.message.clone()).collect();
-        assert_eq!(v.len(), 4, "{names:?}");
-        assert!(v.iter().all(|v| v.lint == Lint::PanicFreedom));
-    }
-
-    #[test]
-    fn unwrap_or_and_own_expect_methods_do_not_fire() {
-        let v = lint_src("fn f() { a.unwrap_or(0); a.unwrap_or_else(g); self.expect_token(t); }");
-        assert_eq!(v, vec![]);
-    }
-
-    #[test]
-    fn unwrap_in_cfg_test_module_is_ignored() {
-        let v = lint_src("#[cfg(test)]\nmod tests { fn t() { a.unwrap(); } }");
-        assert_eq!(v, vec![]);
-    }
-
-    #[test]
-    fn unwrap_in_comments_and_strings_is_ignored() {
+    fn comments_strings_and_test_modules_are_invisible() {
         let v = lint_src(
-            "//! let x = a.unwrap();\nfn f() { let s = \"b.unwrap()\"; let r = r#\"c.unwrap()\"#; }",
+            "//! c.fetch_add(1, Ordering::Relaxed);\nfn f() { let s = \"Relaxed\"; }\n\
+             #[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| {}); } }",
         );
         assert_eq!(v, vec![]);
-    }
-
-    #[test]
-    fn slice_index_fires_only_in_core() {
-        let src = "fn f(v: &[f64], i: usize) -> f64 { v[i] }";
-        assert_eq!(lint_src(src), vec![]);
-        let v = lint_core(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, Lint::PanicFreedom);
-    }
-
-    #[test]
-    fn non_index_brackets_do_not_fire_in_core() {
-        let v = lint_core(
-            "#[derive(Debug)]\nstruct S;\nfn f() { let a = [1, 2]; let b = vec![3]; \
-             let [x, y] = a; let _: [u8; 2] = a; let _ = &a[..1]; }",
-        );
-        // `&a[..1]` is a real index expression and should fire; the rest not.
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, Lint::PanicFreedom);
-    }
-
-    #[test]
-    fn clock_reads_fire_outside_the_timing_module() {
-        let v = lint_src("use std::time::Instant; fn f() { let t = Instant::now(); }");
-        assert_eq!(v.iter().filter(|v| v.lint == Lint::Determinism).count(), 2);
-        let f = SourceFile::parse("crates/exec/src/timing.rs", "fn f() { Instant::now(); }");
-        let mut out = Vec::new();
-        run_token_passes(&f, &mut out);
-        assert_eq!(out, vec![]);
-    }
-
-    #[test]
-    fn stdio_and_process_exit_fire() {
-        let v = lint_src(
-            "fn f() { println!(\"x\"); eprintln!(\"y\"); dbg!(1); std::process::exit(1); }",
-        );
-        assert_eq!(v.iter().filter(|v| v.lint == Lint::MetricsIo).count(), 4);
     }
 
     #[test]
@@ -443,24 +305,45 @@ mod tests {
         let src = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }";
         let v = lint_src(src); // exec/x.rs is not allowlisted
         assert_eq!(v.iter().filter(|v| v.lint == Lint::Atomics).count(), 1);
-        let f = SourceFile::parse("crates/exec/src/metrics.rs", src);
-        let mut out = Vec::new();
-        run_token_passes(&f, &mut out);
-        assert_eq!(out, vec![]);
+        assert_eq!(lint_at("crates/exec/src/metrics.rs", src), vec![]);
     }
 
     #[test]
     fn thread_spawns_fire_outside_the_scheduler_module() {
-        let src = "fn f() { std::thread::spawn(|| {}); thread::scope(|s| { s.spawn(|| {}); }); }";
+        let src = "fn f() { std::thread::spawn(|| {}); thread::scope(|s| { s.spawn(|| {}); }); \
+                   std::thread::Builder::new().spawn(|| {}); }";
         let v = lint_src(src);
-        assert_eq!(v.iter().filter(|v| v.lint == Lint::ParallelismSeam).count(), 2, "{v:?}");
-        let f = SourceFile::parse("crates/exec/src/scheduler.rs", src);
-        let mut out = Vec::new();
-        run_token_passes(&f, &mut out);
-        assert_eq!(out.iter().filter(|v| v.lint == Lint::ParallelismSeam).count(), 0);
+        assert_eq!(v.iter().filter(|v| v.lint == Lint::ParallelismSeam).count(), 3, "{v:?}");
+        assert!(v.iter().any(|v| v.message.contains("`thread::Builder`")), "{v:?}");
+        assert_eq!(lint_at("crates/exec/src/scheduler.rs", src), vec![]);
         // Method calls named `spawn` (not through `thread::`) are fine.
         let v = lint_src("fn f(s: &Scope) { s.spawn(|| {}); pool.scope(|x| x); }");
         assert_eq!(v, vec![]);
+    }
+
+    #[test]
+    fn float_literal_equality_is_banned_in_core_outside_the_float_module() {
+        let core = "crates/core/src/m.rs";
+        let v = lint_at(core, "fn f(x: f64) -> bool { x == 0.0 || 1.0 != x || x == -0.0 }");
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|v| v.lint == Lint::NumericDiscipline));
+        let ok = lint_at(FLOAT_HELPER_FILE, "pub fn exactly_zero(x: f64) -> bool { x == 0.0 }");
+        assert_eq!(ok, vec![]);
+        // `<=`/`>=` and assignment are not equality.
+        assert_eq!(lint_at(core, "fn f(x: f64) -> bool { let y = 1.0; x <= 2.5 }"), vec![]);
+        // exec may compare floats (selection kernels do): core-only rule.
+        assert_eq!(lint_src("fn f(x: f64) -> bool { x == 0.0 }"), vec![]);
+    }
+
+    #[test]
+    fn literal_unwrap_or_is_flagged_in_core_only() {
+        let core = "crates/core/src/m.rs";
+        let v = lint_at(core, "fn f(o: Option<f64>) -> f64 { o.unwrap_or(1.0) }");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("unwrap_or(1.0)"));
+        // Variable defaults carry intent; not flagged.
+        assert_eq!(lint_at(core, "fn f(o: Option<f64>, d: f64) -> f64 { o.unwrap_or(d) }"), vec![]);
+        assert_eq!(lint_src("fn f(o: Option<u64>) -> u64 { o.unwrap_or(0) }"), vec![]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::fmt::Write as _;
 
+use crate::baseline::quote;
 use crate::passes::Violation;
 use crate::{per_lint_summary, Outcome};
 
@@ -165,18 +166,4 @@ pub fn json(outcome: &Outcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::from('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

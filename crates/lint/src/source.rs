@@ -240,18 +240,18 @@ mod tests {
 
     #[test]
     fn trailing_suppression_applies_to_its_own_line() {
-        let src = "let a = x.unwrap(); // els-lint: allow(panic-freedom, \"checked above\")";
+        let src = "let a = x.unwrap(); // els-lint: allow(atomics-discipline, \"checked above\")";
         let f = SourceFile::parse("a.rs", src);
         assert_eq!(f.errors, vec![]);
         assert_eq!(f.suppressions.len(), 1);
         assert_eq!(f.suppressions[0].applies_to, 1);
-        assert_eq!(f.suppressions[0].lint, "panic-freedom");
+        assert_eq!(f.suppressions[0].lint, "atomics-discipline");
         assert_eq!(f.suppressions[0].reason, "checked above");
     }
 
     #[test]
     fn standalone_suppression_applies_to_the_next_code_line() {
-        let src = "// els-lint: allow(determinism, \"bench-only module\")\n\n// other\nlet t = Instant::now();";
+        let src = "// els-lint: allow(parallelism-seam, \"bench-only module\")\n\n// other\nlet t = Instant::now();";
         let f = SourceFile::parse("a.rs", src);
         assert_eq!(f.errors, vec![]);
         assert_eq!(f.suppressions[0].applies_to, 4);
@@ -260,11 +260,11 @@ mod tests {
     #[test]
     fn missing_or_empty_justification_is_a_hard_error() {
         for src in [
-            "// els-lint: allow(panic-freedom)",
-            "// els-lint: allow(panic-freedom, \"\")",
-            "// els-lint: allow(panic-freedom, \"   \")",
-            "// els-lint: allow(panic-freedom, unquoted)",
-            "// els-lint: permit(panic-freedom, \"x\")",
+            "// els-lint: allow(atomics-discipline)",
+            "// els-lint: allow(atomics-discipline, \"\")",
+            "// els-lint: allow(atomics-discipline, \"   \")",
+            "// els-lint: allow(atomics-discipline, unquoted)",
+            "// els-lint: permit(atomics-discipline, \"x\")",
         ] {
             let f = SourceFile::parse("a.rs", src);
             assert_eq!(f.suppressions.len(), 0, "{src}");
@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn suppression_marker_inside_a_raw_string_is_not_a_suppression() {
-        let src = "let s = r#\"// els-lint: allow(panic-freedom, \"fake\")\"#;";
+        let src = "let s = r#\"// els-lint: allow(atomics-discipline, \"fake\")\"#;";
         let f = SourceFile::parse("a.rs", src);
         assert!(f.suppressions.is_empty());
         assert!(f.errors.is_empty());

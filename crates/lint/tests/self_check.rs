@@ -1,8 +1,9 @@
 //! The linter must hold on the workspace that ships it: zero hard errors,
 //! zero violations beyond the committed ratchet baseline. This is the same
 //! gate `scripts/check.sh` runs, kept here so `cargo test` alone catches a
-//! regression (a new unwrap, a stray println!, an unjustified suppression)
-//! without the shell harness.
+//! regression (a stray `Ordering::Relaxed`, a layering break, an
+//! unjustified suppression) without the shell harness. It also checks that
+//! every library crate root carries the clippy bans the linter relies on.
 
 use std::path::Path;
 
@@ -59,24 +60,45 @@ fn ratchet_only_tightens() {
 
 #[test]
 fn the_original_lints_stay_at_zero_baseline() {
-    // The five token passes and the layering pass reached zero
-    // grandfathered violations; only the inter-procedural
-    // panic-reachability pass may carry baseline entries. Keeping the
-    // others pinned at zero means a regression in them can never be
-    // ratcheted in by a careless --baseline-update.
+    // Every pass but the inter-procedural panic-reachability one sits at
+    // zero grandfathered violations. Keeping them pinned at zero means a
+    // regression in them can never be ratcheted in by a careless
+    // --baseline-update.
     let outcome = run(workspace_root()).expect("lint run must not fail to read the tree");
-    for lint in [
-        "panic-freedom",
-        "determinism",
-        "metrics-only-io",
-        "atomics-discipline",
-        "parallelism-seam",
-        "layering",
-        "lock-order",
-        "numeric-discipline",
-    ] {
+    for lint in
+        ["atomics-discipline", "parallelism-seam", "layering", "lock-order", "numeric-discipline"]
+    {
         let total: u64 = outcome.baseline.get(lint).map(|m| m.values().sum()).unwrap_or(0);
         assert_eq!(total, 0, "`{lint}` grew a baseline entry; fix or suppress instead");
+    }
+}
+
+#[test]
+fn every_library_crate_root_enables_the_shared_clippy_bans() {
+    // els-lint dropped the bans clippy enforces; this keeps a new library
+    // crate from dropping out of them silently.
+    const BANS: &[&str] = &[
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "todo",
+        "unimplemented",
+        "dbg_macro",
+        "print_stdout",
+        "print_stderr",
+    ];
+    for (crate_name, src_root) in els_lint::LIBRARY_SRC_ROOTS {
+        let path = workspace_root().join(src_root).join("lib.rs");
+        let text = std::fs::read_to_string(&path).expect("library crate root");
+        let enabled: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("#![cfg_attr(not(test), warn("))
+            .flat_map(|l| l.split(['(', ')', ',', ' ']))
+            .filter_map(|w| w.strip_prefix("clippy::"))
+            .collect();
+        for ban in BANS {
+            assert!(enabled.contains(ban), "{crate_name}: {path:?} does not warn on clippy::{ban}");
+        }
     }
 }
 

@@ -16,7 +16,7 @@ const REASON_CHARS: &[u8] =
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-.,:;!?()[]{}<>/'#@";
 
 const LINTS: &[&str] =
-    &["panic-freedom", "determinism", "metrics-only-io", "atomics-discipline", "layering"];
+    &["atomics-discipline", "parallelism-seam", "layering", "lock-order", "numeric-discipline"];
 
 /// Surrounding lines chosen to confuse a text-level (non-lexing) scanner.
 const DECOYS: &[&str] = &[
@@ -78,11 +78,11 @@ proptest! {
 #[test]
 fn justification_is_mandatory() {
     for bad in [
-        "// els-lint: allow(panic-freedom)",
-        "// els-lint: allow(panic-freedom, )",
-        "// els-lint: allow(panic-freedom, \"\")",
-        "// els-lint: allow(panic-freedom, \"   \")",
-        "// els-lint: allow(panic-freedom, reason without quotes)",
+        "// els-lint: allow(atomics-discipline)",
+        "// els-lint: allow(atomics-discipline, )",
+        "// els-lint: allow(atomics-discipline, \"\")",
+        "// els-lint: allow(atomics-discipline, \"   \")",
+        "// els-lint: allow(atomics-discipline, reason without quotes)",
     ] {
         let text = format!("{bad}\nlet x = 1;\n");
         let file = SourceFile::parse("crates/demo/src/lib.rs", &text);

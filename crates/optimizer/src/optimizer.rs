@@ -275,7 +275,6 @@ pub fn optimize(
 /// and a runtime-feedback correction source whose published factors are
 /// multiplied into selectivities before clamping. Pass [`NoCorrections`]
 /// to reproduce the uncorrected estimates exactly.
-#[allow(clippy::too_many_arguments)]
 pub fn optimize_full(
     predicates: &[Predicate],
     stats: &QueryStatistics,

@@ -1,7 +1,7 @@
 //! The acceptor + fixed worker pool: the workspace's second parallelism
 //! seam.
 //!
-//! All `thread::spawn` calls in `els-server` live in this file, mirroring
+//! Every thread `els-server` starts is started in this file, mirroring
 //! the discipline `els-exec::scheduler` established for the first seam
 //! (and which the `parallelism-seam` lint enforces): threads are named,
 //! joined on shutdown, and follow one written panic policy. The policy

@@ -21,11 +21,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # only — running it is benchmark/repeat.sh's job.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-# Static analysis: the in-workspace linter (crates/lint) runs the per-file
-# token passes (panic-freedom, determinism, metrics-only I/O, atomics
-# discipline, numeric-cast discipline, crate layering) plus the
-# workspace-wide call-graph passes: panic-reachability from the public
-# entry points and lock-order deadlock detection against
+# Static analysis, the rules clippy cannot express (DESIGN.md §4f): the
+# in-workspace linter (crates/lint) runs the per-file passes (atomics
+# discipline, the parallelism seam, float and default discipline, crate
+# layering) plus the workspace-wide call-graph passes: panic-reachability
+# from the public entry points and lock-order deadlock detection against
 # els_core::sync::LOCK_ORDER. Findings are checked against the ratchet
 # baseline in lint-baseline.json; a non-zero exit means a new violation, a
 # malformed/unused suppression, a layering break, or a lock-order cycle.

@@ -53,7 +53,7 @@ fn spread_keys(table: Table, stride: i64) -> Table {
 /// [`SPARSE_STRIDE`] in every odd-seeded catalog), a typed secondary join
 /// column (float or string), and an integer filter column.
 fn random_catalog(seed: u64) -> Catalog {
-    let stride = if seed.is_multiple_of(2) { 1 } else { SPARSE_STRIDE };
+    let stride = if seed % 2 == 0 { 1 } else { SPARSE_STRIDE };
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
     let mut catalog = Catalog::new();
     let ntables = rng.gen_range(2..=3usize);
