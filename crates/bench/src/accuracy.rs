@@ -1,17 +1,66 @@
 //! Estimation-accuracy measurement for the `bakeoff` experiment.
 //!
-//! Runs a workload through [`Database::explain_analyze`] under each of the
+//! Runs a workload through [`Engine::explain_analyze`] under each of the
 //! paper's four estimator presets and summarizes the per-join q-errors —
 //! the same estimated-vs-actual comparison as the paper's Section 8 table,
 //! but folded to median/p95/max so the unit tests below can pin a
-//! regression threshold on it.
+//! regression threshold on it. [`contender`] and [`analyze`] are the one
+//! way every accuracy experiment (here, `bakeoff` and `band`) builds a
+//! contender and reads its q-errors.
 
-use els::engine::Database;
+use els::analyze::ExplainAnalyzeReport;
+use els::engine::Engine;
 use els_catalog::FeedbackMode;
-use els_optimizer::{EstimatorPreset, OptimizerOptions};
+use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
 use els_storage::Table;
 
 use crate::workload::quantile;
+
+/// One contender: an engine over `tables` that plans with `options` under
+/// `strategy` and has its plan cache off, so every query is optimized
+/// afresh. Panics if a table fails to register: these are benchmark
+/// fixtures, not user input.
+pub fn contender(
+    options: OptimizerOptions,
+    strategy: EstimatorStrategy,
+    tables: &[Table],
+) -> Engine {
+    let engine = Engine::with_options(options.with_strategy(strategy)).cache_capacity(0);
+    for table in tables {
+        engine.register(table.clone()).expect("contender fixture tables register");
+    }
+    engine
+}
+
+/// A workload's EXPLAIN ANALYZE reports on one engine, in query order, and
+/// their join-operator q-errors pooled and sorted ascending. Panics if a
+/// query fails.
+pub fn analyze<S: AsRef<str>>(
+    engine: &Engine,
+    queries: &[S],
+) -> (Vec<ExplainAnalyzeReport>, Vec<f64>) {
+    let reports: Vec<ExplainAnalyzeReport> = queries
+        .iter()
+        .map(|sql| engine.explain_analyze(sql.as_ref()).expect("workload queries execute"))
+        .collect();
+    let mut qerrs: Vec<f64> =
+        reports.iter().flat_map(|r| r.join_operators().map(|op| op.q_error())).collect();
+    qerrs.sort_by(f64::total_cmp);
+    (reports, qerrs)
+}
+
+/// The rule the last report was planned under ("" for no reports).
+pub fn last_rule(reports: &[ExplainAnalyzeReport]) -> String {
+    reports.last().map_or_else(String::new, |r| r.rule.clone())
+}
+
+/// Median, p95 and max of sorted q-errors; all 1.0 when there are none.
+pub fn summary(qerrs: &[f64]) -> [f64; 3] {
+    match qerrs.last() {
+        None => [1.0; 3],
+        Some(&max) => [quantile(qerrs, 0.5), quantile(qerrs, 0.95), max],
+    }
+}
 
 /// The per-preset q-error summary over one workload.
 #[derive(Debug, Clone)]
@@ -34,7 +83,7 @@ pub struct AccuracySummary {
 pub const PRESETS: [EstimatorPreset; 4] =
     [EstimatorPreset::SmNoPtc, EstimatorPreset::Sm, EstimatorPreset::Sss, EstimatorPreset::Els];
 
-/// Measure estimation accuracy: for each preset, build a database over
+/// Measure estimation accuracy: for each preset, build an engine over
 /// `tables`, `explain_analyze` every query, and pool the join-operator
 /// q-errors. Panics if a workload query fails — these are benchmark
 /// fixtures, not user input.
@@ -42,30 +91,14 @@ pub fn preset_accuracy(tables: &[Table], queries: &[String]) -> Vec<AccuracySumm
     PRESETS
         .iter()
         .map(|&preset| {
-            let mut db = Database::new();
             // Same plan space as the bake-off's contenders.
-            db.set_optimizer_options(
-                OptimizerOptions::preset(preset).with_bushy_trees().with_hash_join(),
-            );
-            for table in tables {
-                db.register(table.clone()).expect("accuracy fixture tables register");
-            }
-            let mut qerrs: Vec<f64> = Vec::new();
-            let mut rule = String::new();
-            for sql in queries {
-                let report = db.explain_analyze(sql).expect("accuracy workload queries execute");
-                rule = report.rule.clone();
-                qerrs.extend(report.join_operators().map(|op| op.q_error()));
-            }
-            qerrs.sort_by(f64::total_cmp);
-            let (median_q, p95_q, max_q) = if qerrs.is_empty() {
-                (1.0, 1.0, 1.0)
-            } else {
-                (quantile(&qerrs, 0.5), quantile(&qerrs, 0.95), *qerrs.last().unwrap())
-            };
+            let options = OptimizerOptions::preset(preset).with_bushy_trees().with_hash_join();
+            let engine = contender(options, EstimatorStrategy::Els, tables);
+            let (reports, qerrs) = analyze(&engine, queries);
+            let [median_q, p95_q, max_q] = summary(&qerrs);
             AccuracySummary {
                 label: preset.label().to_owned(),
-                rule,
+                rule: last_rule(&reports),
                 samples: qerrs.len(),
                 median_q,
                 p95_q,
@@ -76,7 +109,7 @@ pub fn preset_accuracy(tables: &[Table], queries: &[String]) -> Vec<AccuracySumm
 }
 
 /// The before/after-feedback q-error summary of one preset: the workload
-/// runs twice through one database under [`FeedbackMode::Apply`] — the
+/// runs twice through one engine under [`FeedbackMode::Apply`] — the
 /// first pass learns per-key corrections from its own estimated-vs-actual
 /// residuals, the second pass replays the identical queries against the
 /// corrected estimator.
@@ -110,39 +143,20 @@ pub fn preset_feedback_accuracy(tables: &[Table], queries: &[String]) -> Vec<Fee
     PRESETS
         .iter()
         .map(|&preset| {
-            let mut db = Database::new();
-            db.set_optimizer_options(
-                OptimizerOptions::preset(preset)
-                    .with_bushy_trees()
-                    .with_hash_join()
-                    .with_feedback(FeedbackMode::Apply),
-            );
-            for table in tables {
-                db.register(table.clone()).expect("feedback fixture tables register");
-            }
-            let mut rule = String::new();
-            let mut pass = |db: &Database| {
-                let mut qerrs: Vec<f64> = Vec::new();
-                for sql in queries {
-                    let report =
-                        db.explain_analyze(sql).expect("feedback workload queries execute");
-                    rule = report.rule.clone();
-                    qerrs.extend(report.join_operators().map(|op| op.q_error()));
-                }
-                qerrs.sort_by(f64::total_cmp);
-                if qerrs.is_empty() {
-                    (0, 1.0, 1.0)
-                } else {
-                    (qerrs.len(), quantile(&qerrs, 0.5), *qerrs.last().unwrap())
-                }
-            };
-            let (samples, median_q_before, max_q_before) = pass(&db);
-            let (_, median_q_after, max_q_after) = pass(&db);
-            let counters = db.catalog().feedback().counters();
+            let options = OptimizerOptions::preset(preset)
+                .with_bushy_trees()
+                .with_hash_join()
+                .with_feedback(FeedbackMode::Apply);
+            let engine = contender(options, EstimatorStrategy::Els, tables);
+            let (_, before) = analyze(&engine, queries);
+            let (reports, after) = analyze(&engine, queries);
+            let ([median_q_before, _, max_q_before], [median_q_after, _, max_q_after]) =
+                (summary(&before), summary(&after));
+            let counters = engine.snapshot().feedback().counters();
             FeedbackSummary {
                 label: preset.label().to_owned(),
-                rule,
-                samples,
+                rule: last_rule(&reports),
+                samples: before.len(),
                 median_q_before,
                 median_q_after,
                 max_q_before,
@@ -220,27 +234,17 @@ mod tests {
         // still-collapsed plan shape for a pass or two before every shape is
         // corrected. The replay medians must converge, not cycle.
         let tables = starburst_experiment_tables_sized(7, &SCALE);
-        let mut db = Database::new();
-        db.set_optimizer_options(
-            OptimizerOptions::preset(EstimatorPreset::Sm)
-                .with_bushy_trees()
-                .with_hash_join()
-                .with_feedback(FeedbackMode::Apply),
-        );
-        for t in &tables {
-            db.register(t.clone()).unwrap();
-        }
-        let median = |db: &Database| {
-            let report = db.explain_analyze(crate::SECTION8_SQL).unwrap();
-            let mut qs: Vec<f64> = report.join_operators().map(|op| op.q_error()).collect();
-            qs.sort_by(f64::total_cmp);
-            quantile(&qs, 0.5)
-        };
-        let first = median(&db);
+        let options = OptimizerOptions::preset(EstimatorPreset::Sm)
+            .with_bushy_trees()
+            .with_hash_join()
+            .with_feedback(FeedbackMode::Apply);
+        let engine = contender(options, EstimatorStrategy::Els, &tables);
+        let median = || summary(&analyze(&engine, &[crate::SECTION8_SQL]).1)[0];
+        let first = median();
         assert!(first > 10.0, "rule-M fixture not broken enough: {first}");
         let mut last = first;
         for pass in 2..=5 {
-            let m = median(&db);
+            let m = median();
             assert!(m <= last, "pass {pass} regressed: {last} -> {m}");
             last = m;
         }
@@ -250,7 +254,7 @@ mod tests {
         );
         // Convergence means publications stopped, not just slowed: the
         // per-key cap bounds epoch churn no matter how many replays run.
-        let counters = db.catalog().feedback().counters();
+        let counters = engine.snapshot().feedback().counters();
         assert!(counters.epoch_bumps <= 8 * counters.keys, "{counters:?}");
     }
 }

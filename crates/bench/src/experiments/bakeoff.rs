@@ -23,17 +23,16 @@
 //! cost model about it (`CostParams::probe_parallelism`) — so contenders
 //! are compared on the engine configuration a real deployment would run.
 
-use els::engine::Database;
 use els_catalog::FeedbackMode;
 use els_exec::timing::Stopwatch;
-use els_exec::ExecMode;
 use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
 use els_storage::datagen::starburst_experiment_tables_sized;
 use els_storage::Table;
 
-use crate::accuracy::{preset_accuracy, preset_feedback_accuracy};
+use crate::accuracy::{
+    analyze, contender, last_rule, preset_accuracy, preset_feedback_accuracy, summary,
+};
 use crate::table::{l, r, Table as Report};
-use crate::workload::quantile;
 use crate::SECTION8_SCALED_ROWS as SCALE;
 
 /// One contender's row of the bake-off table.
@@ -59,7 +58,7 @@ pub struct BakeoffEntry {
     pub runtime_ms: f64,
 }
 
-/// How a contender configures its database.
+/// How a contender configures its engine.
 struct Contender {
     label: &'static str,
     preset: EstimatorPreset,
@@ -101,7 +100,7 @@ const CONTENDERS: [Contender; 5] = [
 ];
 
 /// Run the bake-off: every contender plans and executes `queries` over its
-/// own database built from `tables`, executing with `exec_workers`
+/// own engine built from `tables`, executing with `exec_workers`
 /// vectorized workers (clamped to at least 1). Panics if a workload query
 /// fails — these are benchmark fixtures, not user input.
 pub fn estimator_bakeoff(
@@ -109,59 +108,37 @@ pub fn estimator_bakeoff(
     queries: &[String],
     exec_workers: usize,
 ) -> Vec<BakeoffEntry> {
-    let workers = exec_workers.max(1);
     CONTENDERS
         .iter()
         .map(|c| {
-            let mut db = Database::new();
             let mut options =
                 OptimizerOptions::preset(c.preset).with_bushy_trees().with_hash_join();
-            options.cost.probe_parallelism = workers as f64;
             if c.feedback {
                 options = options.with_feedback(FeedbackMode::Apply);
             }
-            db.set_optimizer_options(options);
-            db.set_strategy(c.strategy);
-            db.set_exec_mode(ExecMode::Vectorized { workers });
-            for table in tables {
-                db.register(table.clone()).expect("bake-off fixture tables register");
-            }
+            let engine = contender(options, c.strategy, tables).exec_workers(exec_workers);
             if c.feedback {
                 // Learning pass: harvest residuals so the measured pass
                 // replays the workload against corrected estimates.
-                for sql in queries {
-                    db.explain_analyze(sql).expect("bake-off learning pass executes");
-                }
+                analyze(&engine, queries);
             }
-            let mut qerrs: Vec<f64> = Vec::new();
-            let mut underestimates = 0usize;
-            let mut rule = String::new();
-            for sql in queries {
-                let report = db.explain_analyze(sql).expect("bake-off workload queries execute");
-                rule = report.rule.clone();
-                for op in report.join_operators() {
-                    qerrs.extend([op.q_error()]);
-                    if op.estimated < op.actual as f64 {
-                        underestimates += 1;
-                    }
-                }
-            }
-            qerrs.sort_by(f64::total_cmp);
-            let (median_q, p95_q, max_q) = if qerrs.is_empty() {
-                (1.0, 1.0, 1.0)
-            } else {
-                (quantile(&qerrs, 0.5), quantile(&qerrs, 0.95), *qerrs.last().unwrap())
-            };
+            let (reports, qerrs) = analyze(&engine, queries);
+            let underestimates = reports
+                .iter()
+                .flat_map(|r| r.join_operators())
+                .filter(|op| op.estimated < op.actual as f64)
+                .count();
+            let [median_q, p95_q, max_q] = summary(&qerrs);
             // Chosen-plan runtime: plain execution (no observation
             // overhead) of the same workload, planned by this contender.
             let start = Stopwatch::start();
             for sql in queries {
-                db.execute(sql).expect("bake-off timed pass executes");
+                engine.execute(sql).expect("bake-off timed pass executes");
             }
             let runtime_ms = start.elapsed().as_secs_f64() * 1e3;
             BakeoffEntry {
                 label: c.label.to_owned(),
-                rule,
+                rule: last_rule(&reports),
                 samples: qerrs.len(),
                 median_q,
                 p95_q,

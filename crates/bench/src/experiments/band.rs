@@ -27,11 +27,11 @@
 //! UES bound, result agreement, RANGE plans) are
 //! `tests/band_join_gates.rs`, over the same [`measure`] at a smaller size.
 
-use els::engine::Database;
 use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
 use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
 use els_storage::Table;
 
+use crate::accuracy::{analyze, contender};
 use crate::workload::quantile;
 
 /// The pinned limit on the pooled ELS median q-error over the band-join
@@ -176,18 +176,14 @@ pub fn measure(rows: usize, seeds: u64) -> BandReport {
             let tables = (family.make)(seed, rows);
             let mut truth: Vec<u64> = Vec::new();
             for (ci, &(label, strategy)) in CONTENDERS.iter().enumerate() {
-                let mut db = Database::new();
-                db.set_optimizer_options(OptimizerOptions::preset(EstimatorPreset::Els));
-                db.set_strategy(strategy);
-                for t in &tables {
-                    db.register(t.clone()).expect("band fixture tables register");
-                }
-                for (qi, sql) in family.queries.iter().enumerate() {
-                    let report = db.explain_analyze(sql).expect("band workload queries execute");
-                    let cell = &mut cells[fi][ci];
+                let options = OptimizerOptions::preset(EstimatorPreset::Els);
+                let engine = contender(options, strategy, &tables);
+                let (reports, qerrs) = analyze(&engine, family.queries);
+                let cell = &mut cells[fi][ci];
+                cell.qerrs.extend(qerrs);
+                for ((qi, sql), report) in family.queries.iter().enumerate().zip(&reports) {
                     cell.rule = report.rule.clone();
                     for op in report.join_operators() {
-                        cell.qerrs.push(op.q_error());
                         cell.underestimates += usize::from(op.estimated < op.actual as f64);
                         cell.range_plans += usize::from(op.label.contains("RANGE"));
                     }

@@ -6,7 +6,7 @@
 //! paper's four Section 8 presets and every selectivity rule — and that
 //! the UES contender really is an upper bound on the bench workloads.
 
-use els::engine::Database;
+use els_bench::accuracy::{analyze, contender};
 use els_bench::{chain_predicates, chain_statistics};
 use els_core::{CardinalityEstimator, Els, SelectivityRule};
 use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
@@ -102,14 +102,10 @@ fn ues_bound_holds_on_the_bench_workloads() {
         "SELECT COUNT(*) FROM S, M WHERE s = m",
     ];
     for scale in [[50usize, 500, 2_000, 4_000], [100, 1_000, 5_000, 10_000]] {
-        let mut db = Database::new();
-        db.set_optimizer_options(OptimizerOptions::default().with_bushy_trees().with_hash_join());
-        db.set_strategy(EstimatorStrategy::UpperBound);
-        for table in starburst_experiment_tables_sized(7, &scale) {
-            db.register(table).expect("fixture tables register");
-        }
-        for sql in workloads {
-            let report = db.explain_analyze(sql).expect("workload executes");
+        let options = OptimizerOptions::default().with_bushy_trees().with_hash_join();
+        let tables = starburst_experiment_tables_sized(7, &scale);
+        let engine = contender(options, EstimatorStrategy::UpperBound, &tables);
+        for (sql, report) in workloads.iter().zip(analyze(&engine, &workloads).0) {
             for op in report.join_operators() {
                 assert!(
                     op.estimated >= op.actual as f64,

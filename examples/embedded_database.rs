@@ -1,16 +1,17 @@
 //! The embedded-database workflow: CSV in, SQL out.
 //!
-//! Shows the `els::engine::Database` facade end to end: load a table from
+//! Shows the `els::engine::Engine` facade end to end: load a table from
 //! CSV, generate a companion table, run filtered joins and a GROUP BY, and
 //! print an EXPLAIN report — all with the paper's Algorithm ELS doing the
-//! cardinality estimation underneath (switchable to the SM/SSS baselines).
+//! cardinality estimation underneath. The SM/SSS baselines are one engine
+//! each, built with their preset.
 //!
 //! Run with: `cargo run --example embedded_database`
 
 use std::io::Cursor;
 
-use els::engine::Database;
-use els::optimizer::EstimatorPreset;
+use els::engine::Engine;
+use els::optimizer::{EstimatorPreset, OptimizerOptions};
 use els::storage::csv::read_csv;
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
@@ -26,21 +27,24 @@ order_id,customer,amount
 8,2,12.0
 ";
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::new();
-
-    // Load one table from CSV, generate another.
-    let orders = read_csv("orders", &mut Cursor::new(ORDERS_CSV), None)?;
-    db.register(orders)?;
-    db.generate(
+/// Load one table from CSV, generate another.
+fn load(engine: Engine) -> Result<Engine, Box<dyn std::error::Error>> {
+    engine.register(read_csv("orders", &mut Cursor::new(ORDERS_CSV), None)?)?;
+    engine.generate(
         TableSpec::new("customers", 5)
             .column(ColumnSpec::new("id", Distribution::SequentialInt { start: 0 }))
             .column(ColumnSpec::new("region", Distribution::CycleInt { modulus: 2, start: 0 })),
         7,
     )?;
+    Ok(engine)
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The plan cache off: every query is optimized afresh.
+    let engine = load(Engine::new().cache_capacity(0))?;
 
     // A filtered join.
-    let r = db.execute(
+    let r = engine.execute(
         "SELECT COUNT(*) FROM orders, customers \
          WHERE orders.customer = customers.id AND customers.region = 1",
     )?;
@@ -48,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  join order: {}   estimates: {:?}", r.join_order.join(" ⋈ "), r.estimated_sizes);
 
     // A grouped count.
-    let r =
-        db.execute("SELECT customer, COUNT(*) FROM orders WHERE amount > 10 GROUP BY customer")?;
+    let r = engine
+        .execute("SELECT customer, COUNT(*) FROM orders WHERE amount > 10 GROUP BY customer")?;
     println!("\norders over 10 by customer:");
     for row in 0..r.rows.num_rows() {
         let vals = r.rows.row(row)?;
@@ -60,13 +64,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nEXPLAIN under ELS:");
     println!(
         "{}",
-        db.explain("SELECT COUNT(*) FROM orders, customers WHERE orders.customer = customers.id")?
+        engine.explain(
+            "SELECT COUNT(*) FROM orders, customers WHERE orders.customer = customers.id"
+        )?
     );
 
     // The same query under the misestimating baseline, for contrast.
-    db.set_estimator(EstimatorPreset::Sm);
+    let sm = load(Engine::with_options(OptimizerOptions::preset(EstimatorPreset::Sm)))?;
     let r =
-        db.execute("SELECT COUNT(*) FROM orders, customers WHERE orders.customer = customers.id")?;
+        sm.execute("SELECT COUNT(*) FROM orders, customers WHERE orders.customer = customers.id")?;
     println!("same answer under Algorithm SM (the plan may differ): {}", r.count);
     Ok(())
 }

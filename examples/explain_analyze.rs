@@ -7,21 +7,21 @@
 //!
 //! Run with: `cargo run --release --example explain_analyze`
 
-use els::engine::Database;
-use els::optimizer::EstimatorPreset;
+use els::engine::Engine;
+use els::optimizer::{EstimatorPreset, OptimizerOptions};
 use els::storage::datagen::starburst_experiment_tables;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::new();
-    for t in starburst_experiment_tables(42) {
-        db.register(t)?;
-    }
     let sql = "SELECT COUNT(*) FROM S, M, B, G WHERE s = m AND m = b AND b = g AND s < 100";
-
+    // One engine per estimator: the estimator is part of an engine's
+    // configuration, fixed when it is built.
     for preset in [EstimatorPreset::Sm, EstimatorPreset::Els] {
-        db.set_estimator(preset);
+        let engine = Engine::with_options(OptimizerOptions::preset(preset));
+        for t in starburst_experiment_tables(42) {
+            engine.register(t)?;
+        }
         println!("=== {} ===", preset.label());
-        println!("{}", db.explain_analyze(sql)?);
+        println!("{}", engine.explain_analyze(sql)?);
     }
     Ok(())
 }

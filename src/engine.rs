@@ -1,44 +1,33 @@
 //! A batteries-included facade: register tables, run SQL, inspect plans.
 //!
-//! One pipeline (catalog → parser → binder → optimizer → executor), one
-//! place it is spelled — [`Engine`] — and two ways to hold it:
+//! One pipeline (catalog → parser → binder → optimizer → executor), spelled
+//! in one place: [`Engine`], a concurrent, cache-fronted service. All query
+//! methods take `&self`, readers run against immutable catalog snapshots
+//! ([`els_catalog::SharedCatalog`]), and optimized plans are reused across
+//! threads through a fingerprint+epoch keyed [`els_optimizer::PlanCache`],
+//! which a repeated text reaches by its bytes alone, through the calling
+//! thread's own text slots.
 //!
-//! * [`Engine`] — a concurrent, cache-fronted service: all query methods
-//!   take `&self`, readers run against immutable catalog snapshots
-//!   ([`els_catalog::SharedCatalog`]), and optimized plans are reused
-//!   across threads through a fingerprint+epoch keyed
-//!   [`els_optimizer::PlanCache`], which a repeated text reaches by its
-//!   bytes alone, through the calling thread's own text slots.
-//!   Configuration is fixed at construction.
-//! * [`Database`] — a single-user view over an `Engine` with the plan cache
-//!   off, for scripts and tests: `&mut self` setters reconfigure it in
-//!   place after load, and every query is optimized afresh.
-//!
-//! [`Database`] wires the whole pipeline behind three calls:
+//! Configuration is fixed at construction. The estimation algorithm
+//! (default: the paper's Algorithm ELS) is part of it, so replaying one
+//! workload under the baselines means one engine per estimator; with the
+//! cache off, every query is optimized afresh:
 //!
 //! ```
-//! use els::engine::Database;
+//! use els::engine::Engine;
+//! use els::optimizer::{EstimatorPreset, OptimizerOptions};
 //! use els::storage::datagen::{TableSpec, ColumnSpec, Distribution};
 //!
-//! let mut db = Database::new();
-//! db.generate(
-//!     TableSpec::new("t", 1000)
-//!         .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
-//!     42,
-//! ).unwrap();
-//! let result = db.execute("SELECT COUNT(*) FROM t WHERE k < 100").unwrap();
-//! assert_eq!(result.count, 100);
-//! ```
-//!
-//! The estimation algorithm is configurable per database (default: the
-//! paper's Algorithm ELS) so the same workload can be replayed under the
-//! baselines:
-//!
-//! ```
-//! # use els::engine::Database;
-//! use els::optimizer::EstimatorPreset;
-//! let mut db = Database::new();
-//! db.set_estimator(EstimatorPreset::Sss);
+//! for preset in [EstimatorPreset::Els, EstimatorPreset::Sss] {
+//!     let engine = Engine::with_options(OptimizerOptions::preset(preset)).cache_capacity(0);
+//!     engine.generate(
+//!         TableSpec::new("t", 1000)
+//!             .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 })),
+//!         42,
+//!     ).unwrap();
+//!     let result = engine.execute("SELECT COUNT(*) FROM t WHERE k < 100").unwrap();
+//!     assert_eq!(result.count, 100);
+//! }
 //! ```
 
 use std::fmt;
@@ -55,8 +44,8 @@ use els_exec::{
     MetricsRegistry,
 };
 use els_optimizer::{
-    optimize_bound, CachedPlan, EstimatorPreset, EstimatorStrategy, OptimizedQuery,
-    OptimizerOptions, PlanCache, Slot,
+    optimize_bound, CachedPlan, EstimatorStrategy, OptimizedQuery, OptimizerOptions, PlanCache,
+    Slot,
 };
 use els_sql::{bind, canonical_sql, parse};
 use els_storage::datagen::TableSpec;
@@ -129,106 +118,8 @@ pub struct QueryResult {
     /// The intermediate sizes the optimizer believed in.
     pub estimated_sizes: Vec<f64>,
     /// True when the plan came from the [`Engine`]'s plan cache (always
-    /// false for [`Database`], which optimizes every query).
+    /// false with [`Engine::cache_capacity`] 0).
     pub cache_hit: bool,
-}
-
-/// An embedded single-user database over in-memory tables: a view over an
-/// [`Engine`] whose plan cache is off, so every query is optimized afresh
-/// and the `&mut self` setters below can change the configuration after
-/// load — the in-place reconfiguration [`Engine`] forbids, because a shared
-/// engine's configuration is part of what its cached plans mean.
-#[derive(Debug)]
-pub struct Database {
-    engine: Engine,
-}
-
-impl Default for Database {
-    fn default() -> Database {
-        Database { engine: Engine::new().cache_capacity(0) }
-    }
-}
-
-impl Database {
-    /// An empty database using Algorithm ELS and exact statistics without
-    /// histograms.
-    pub fn new() -> Database {
-        Database::default()
-    }
-
-    /// Switch the estimation algorithm (SM / SSS / ELS, per the paper's
-    /// experiment presets).
-    pub fn set_estimator(&mut self, preset: EstimatorPreset) {
-        self.set_optimizer_options(OptimizerOptions::preset(preset));
-    }
-
-    /// Replace the full optimizer configuration.
-    pub fn set_optimizer_options(&mut self, options: OptimizerOptions) {
-        self.engine.set_strategy(options.strategy);
-        self.engine.update_options(|o| *o = options);
-    }
-
-    /// Set the runtime-feedback policy (see [`Engine::feedback`]).
-    pub fn set_feedback(&mut self, mode: FeedbackMode) {
-        self.engine.update_options(|o| o.feedback = mode);
-    }
-
-    /// Plan with a different estimator strategy (ELS pipeline, the
-    /// UES-style upper bound, or the no-estimates baseline).
-    pub fn set_strategy(&mut self, strategy: EstimatorStrategy) {
-        self.engine.set_strategy(strategy);
-    }
-
-    /// Configure how statistics are collected for *subsequently* registered
-    /// tables (e.g. [`CollectOptions::full`] for histograms + MCVs).
-    pub fn set_collect_options(&mut self, options: CollectOptions) {
-        self.engine.collect_options = options;
-    }
-
-    /// Execute queries through an LRU buffer pool of `pages` pages (`None`
-    /// = unbuffered; every logical base-table page read is physical).
-    pub fn set_buffer_pages(&mut self, pages: Option<usize>) {
-        self.engine.buffer_pages = pages;
-    }
-
-    /// Choose the execution mode (default: vectorized, one worker). Both
-    /// modes produce identical rows and counters; `RowAtATime` is the
-    /// reference oracle, `Vectorized { workers: n > 1 }` probes hash and
-    /// band joins in work-stealing morsels once the probe side is large
-    /// enough.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.engine.exec_mode = mode;
-    }
-
-    /// Register an existing table.
-    pub fn register(&mut self, table: Table) -> EngineResult<()> {
-        self.engine.register(table)
-    }
-
-    /// Generate and register a table from a spec with a seed.
-    pub fn generate(&mut self, spec: TableSpec, seed: u64) -> EngineResult<()> {
-        self.engine.generate(spec, seed)
-    }
-
-    /// The catalog as of now (an immutable snapshot).
-    pub fn catalog(&self) -> CatalogSnapshot {
-        self.engine.snapshot()
-    }
-
-    /// Run a query end to end (see [`Engine::execute`]).
-    pub fn execute(&self, sql: &str) -> EngineResult<QueryResult> {
-        self.engine.execute(sql)
-    }
-
-    /// EXPLAIN ANALYZE (see [`Engine::explain_analyze`]).
-    pub fn explain_analyze(&self, sql: &str) -> EngineResult<ExplainAnalyzeReport> {
-        self.engine.explain_analyze(sql)
-    }
-
-    /// An EXPLAIN-style report (see [`Engine::explain`]).
-    pub fn explain(&self, sql: &str) -> EngineResult<String> {
-        self.engine.explain(sql)
-    }
 }
 
 /// A concurrent, cache-fronted query engine.
@@ -262,12 +153,8 @@ impl Database {
 ///   so stale plans can never be served — and a plan optimized under one
 ///   configuration can never be replayed under another.
 ///
-/// Optimizer configuration is fixed at construction (it is part of what a
-/// cached plan means); build a second engine for a second configuration.
-/// The one exception is the estimator strategy, which
-/// [`Engine::set_strategy`] switches at runtime: because the strategy is
-/// part of the cache key, plans optimized under the previous strategy
-/// stay cached but can never be served to the new one.
+/// Configuration is fixed at construction (it is part of what a cached
+/// plan means); build a second engine for a second configuration.
 ///
 /// ```
 /// use els::engine::Engine;
@@ -292,36 +179,14 @@ pub struct Engine {
     /// isolation comes from the lane salt in the cache key, not from
     /// separate caches. See [`Engine::shared_cache`].
     cache: Arc<PlanCache>,
+    /// What every plan is made with.
     options: OptimizerOptions,
-    /// The runtime-switchable estimator strategy (encoded for atomic
-    /// storage; see [`Engine::set_strategy`]). Overrides
-    /// `options.strategy`.
-    strategy: std::sync::atomic::AtomicU8,
-    /// `options`' [`OptimizerOptions::config_fingerprint`] under each
-    /// strategy (indexed by [`strategy_code`]), computed on first use: it
+    /// `options.config_fingerprint()`, computed on first use: it
     /// `Debug`-formats the whole struct, as dear as a cached point query.
     /// [`Engine::update_options`], the one place `options` changes, resets it.
-    config: [OnceLock<u64>; 3],
-    collect_options: CollectOptions,
-    buffer_pages: Option<usize>,
-    exec_mode: ExecMode,
-}
-
-/// Strategy <-> atomic encoding for [`Engine::set_strategy`].
-fn strategy_code(strategy: EstimatorStrategy) -> u8 {
-    match strategy {
-        EstimatorStrategy::Els => 0,
-        EstimatorStrategy::UpperBound => 1,
-        EstimatorStrategy::NoEstimates => 2,
-    }
-}
-
-fn strategy_from_code(code: u8) -> EstimatorStrategy {
-    match code {
-        1 => EstimatorStrategy::UpperBound,
-        2 => EstimatorStrategy::NoEstimates,
-        _ => EstimatorStrategy::Els,
-    }
+    config: OnceLock<u64>,
+    /// `Vectorized { workers }`, set by [`Engine::exec_workers`] alone.
+    mode: ExecMode,
 }
 
 impl Engine {
@@ -333,14 +198,13 @@ impl Engine {
 
     /// An empty engine with the given optimizer configuration.
     pub fn with_options(options: OptimizerOptions) -> Engine {
-        let strategy = std::sync::atomic::AtomicU8::new(strategy_code(options.strategy));
-        Engine { options, strategy, ..Engine::default() }
+        Engine { options, ..Engine::default() }
     }
 
-    /// Change the optimizer configuration and forget its memoised fingerprints.
-    fn update_options(&mut self, change: impl FnOnce(&mut OptimizerOptions)) {
+    /// Change the optimizer configuration and forget its memoised fingerprint.
+    fn update_options(mut self, change: impl FnOnce(&mut OptimizerOptions)) -> Engine {
         change(&mut self.options);
-        self.config = Default::default();
+        Engine { config: OnceLock::new(), ..self }
     }
 
     /// Set the plan-cache capacity (0 disables caching — every query
@@ -366,27 +230,8 @@ impl Engine {
     /// engines on the same shared cache with different lanes can never
     /// observe each other's plans — even for byte-identical SQL.
     #[must_use]
-    pub fn plan_lane(mut self, lane: u64) -> Engine {
-        self.update_options(|o| o.lane = lane);
-        self
-    }
-
-    /// Set statistics collection for subsequently registered tables.
-    #[must_use]
-    pub fn collect_options(self, collect_options: CollectOptions) -> Engine {
-        Engine { collect_options, ..self }
-    }
-
-    /// Route execution through an LRU buffer pool of `pages` pages.
-    #[must_use]
-    pub fn buffer_pages(self, pages: Option<usize>) -> Engine {
-        Engine { buffer_pages: pages, ..self }
-    }
-
-    /// Set the execution mode directly (see [`ExecMode`]).
-    #[must_use]
-    pub fn exec_mode(self, mode: ExecMode) -> Engine {
-        Engine { exec_mode: mode, ..self }
+    pub fn plan_lane(self, lane: u64) -> Engine {
+        self.update_options(|o| o.lane = lane)
     }
 
     /// Set the runtime-feedback policy (default
@@ -399,27 +244,27 @@ impl Engine {
     /// cached plans re-optimize. Consumes `self`: like the estimator, the
     /// policy is part of what a cached plan means.
     #[must_use]
-    pub fn feedback(mut self, mode: FeedbackMode) -> Engine {
-        self.update_options(|o| o.feedback = mode);
-        self
+    pub fn feedback(self, mode: FeedbackMode) -> Engine {
+        self.update_options(|o| o.feedback = mode)
     }
 
-    /// Run vectorized with `workers` join threads AND tell the cost model
-    /// about it: the optimizer's hash-join probe term is divided by the
-    /// worker count (`CostParams::probe_parallelism`); nothing else in the
-    /// cost model depends on the mode. Consumes `self`: like the optimizer
-    /// configuration, the mode is part of what a cached plan means.
+    /// Run vectorized with `workers` join threads (default 1) AND tell the
+    /// cost model about it: the optimizer's hash-join probe term is divided
+    /// by the worker count (`CostParams::probe_parallelism`); nothing else
+    /// in the cost model depends on the mode. Consumes `self`: like the
+    /// optimizer configuration, the mode is part of what a cached plan means.
     #[must_use]
-    pub fn exec_workers(mut self, workers: usize) -> Engine {
+    pub fn exec_workers(self, workers: usize) -> Engine {
         let workers = workers.max(1);
-        self.update_options(|o| o.cost.probe_parallelism = workers as f64);
-        Engine { exec_mode: ExecMode::Vectorized { workers }, ..self }
+        let engine = self.update_options(|o| o.cost.probe_parallelism = workers as f64);
+        Engine { mode: ExecMode::Vectorized { workers }, ..engine }
     }
 
     /// Register an existing table (publishes a new catalog snapshot and
-    /// bumps the epoch, invalidating cached plans).
+    /// bumps the epoch, invalidating cached plans). Statistics are the
+    /// default [`CollectOptions`]: exact, without histograms.
     pub fn register(&self, table: Table) -> EngineResult<()> {
-        self.catalog.register(table, &self.collect_options)?;
+        self.catalog.register(table, &CollectOptions::default())?;
         Ok(())
     }
 
@@ -443,39 +288,16 @@ impl Engine {
         self.catalog.invalidate();
     }
 
-    /// The optimizer configuration this engine serves with, as
-    /// constructed. The live estimator strategy may differ — see
-    /// [`Engine::current_strategy`].
+    /// The optimizer configuration every plan of this engine is made with;
+    /// its [`OptimizerOptions::config_fingerprint`] suffixes every cache
+    /// key the engine writes.
     pub fn options(&self) -> &OptimizerOptions {
         &self.options
     }
 
-    /// Switch the estimator strategy at runtime, through a shared
-    /// reference. Safe under concurrency because the strategy is part of
-    /// the plan-cache key: plans optimized under the previous strategy
-    /// stay cached but can never be served to the new one.
-    pub fn set_strategy(&self, strategy: EstimatorStrategy) {
-        self.strategy.store(strategy_code(strategy), std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// The estimator strategy queries are currently planned with.
+    /// The estimator strategy queries are planned with: `options().strategy`.
     pub fn current_strategy(&self) -> EstimatorStrategy {
-        strategy_from_code(self.strategy.load(std::sync::atomic::Ordering::SeqCst))
-    }
-
-    /// The options actually used for planning: the constructed options
-    /// with the live strategy folded in.
-    fn effective_options(&self, strategy: EstimatorStrategy) -> OptimizerOptions {
-        self.options.clone().with_strategy(strategy)
-    }
-
-    /// `effective_options(strategy).config_fingerprint()`, memoised.
-    fn config_fingerprint(&self, strategy: EstimatorStrategy) -> u64 {
-        let compute = || self.effective_options(strategy).config_fingerprint();
-        match self.config.get(usize::from(strategy_code(strategy))) {
-            Some(cell) => *cell.get_or_init(compute),
-            None => compute(),
-        }
+        self.options.strategy
     }
 
     /// The plan cache (for inspection; counters live on it).
@@ -498,12 +320,10 @@ impl Engine {
     /// [`Engine::prepare_at`]) becomes the text's slot.
     fn probe(&self, sql: &str) -> EngineResult<Probe> {
         // The optimizer configuration is part of the key: the same SQL
-        // planned under a different estimator, rule, or feedback mode is a
-        // different plan, and serving one to the other would replay the
-        // wrong estimates. One load of the strategy serves the key and, on
-        // a miss, the options the plan is made with.
-        let strategy = self.current_strategy();
-        let config = self.config_fingerprint(strategy);
+        // planned under a different estimator, rule, or feedback mode (by
+        // another engine on a shared cache) is a different plan, and
+        // serving one to the other would replay the wrong estimates.
+        let config = *self.config.get_or_init(|| self.options.config_fingerprint());
         // A slot carries what it read from the snapshot of its epoch, so
         // the epoch alone decides whether it is current.
         if let Some(slot) = self.cache.get_by_text(config, sql, self.catalog.epoch()) {
@@ -517,8 +337,7 @@ impl Engine {
         if let Some(plan) = self.cache.get(&fingerprint, snapshot.epoch()) {
             return Ok(Probe::Hit(self.slot(config, sql, &fingerprint, &snapshot, plan)?));
         }
-        let options = self.effective_options(strategy);
-        Ok(Probe::Miss(Box::new(Miss { ast, options, config, fingerprint, snapshot })))
+        Ok(Probe::Miss(Box::new(Miss { ast, config, fingerprint, snapshot })))
     }
 
     /// `plan`, found or made at `snapshot`'s epoch, with its inputs
@@ -545,9 +364,9 @@ impl Engine {
         match self.probe(sql)? {
             Probe::Hit(slot) => Ok((slot, true)),
             Probe::Miss(miss) => {
-                let Miss { ast, options, config, fingerprint, snapshot } = *miss;
+                let Miss { ast, config, fingerprint, snapshot } = *miss;
                 let bound = bind(&ast, snapshot.catalog())?;
-                let optimized = optimize_bound(&bound, snapshot.catalog(), &options)?;
+                let optimized = optimize_bound(&bound, snapshot.catalog(), &self.options)?;
                 let plan = Arc::new(CachedPlan {
                     optimized,
                     table_names: bound.table_names,
@@ -594,12 +413,8 @@ impl Engine {
         report: bool,
     ) -> EngineResult<(ExecOutput, Vec<OperatorReport>)> {
         let plan = &slot.plan;
-        let (out, obs) = execute_plan_observed(
-            &plan.optimized.plan,
-            &slot.inputs,
-            self.exec_mode,
-            self.buffer_pages,
-        )?;
+        let (out, obs) =
+            execute_plan_observed(&plan.optimized.plan, &slot.inputs, self.mode, None)?;
         if !report {
             return Ok((out, Vec::new()));
         }
@@ -673,7 +488,7 @@ impl Engine {
         let report = ExplainAnalyzeReport {
             sql: sql.to_owned(),
             rule,
-            mode: self.exec_mode,
+            mode: self.mode,
             cache_hit,
             corrections_applied: optimized.corrections_applied,
             result_rows: out.count,
@@ -695,9 +510,7 @@ enum Probe {
 /// What [`Engine::prepare_at`] needs to plan a text no plan was found for.
 struct Miss {
     ast: els_sql::Query,
-    /// The options in force at the probe, live strategy folded in.
-    options: OptimizerOptions,
-    /// `options.config_fingerprint()`.
+    /// The engine's `options.config_fingerprint()`.
     config: u64,
     /// The plan-cache key: canonical SQL plus `config`.
     fingerprint: String,
@@ -773,6 +586,7 @@ fn explain_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use els_exec::execute_plan_with;
     use els_storage::datagen::{ColumnSpec, Distribution};
 
     fn table_a() -> TableSpec {
@@ -785,25 +599,37 @@ mod tests {
             .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }))
     }
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.generate(table_a(), 1).unwrap();
-        db.generate(table_b(), 2).unwrap();
-        db
+    fn loaded(engine: Engine) -> Engine {
+        engine.generate(table_a(), 1).unwrap();
+        engine.generate(table_b(), 2).unwrap();
+        engine
+    }
+
+    fn engine() -> Engine {
+        loaded(Engine::new())
+    }
+
+    /// `sql`'s prepared plan run by the row-at-a-time reference oracle.
+    fn row_oracle(engine: &Engine, sql: &str) -> ExecOutput {
+        let plan = engine.prepare(sql).unwrap();
+        let snapshot = engine.snapshot();
+        let tables: Vec<_> =
+            plan.table_names.iter().map(|name| snapshot.table_data(name).unwrap()).collect();
+        execute_plan_with(&plan.optimized.plan, &tables, ExecMode::RowAtATime).unwrap()
     }
 
     #[test]
     fn count_star_round_trip() {
-        let db = db();
-        let r = db.execute("SELECT COUNT(*) FROM a WHERE k < 100").unwrap();
+        let engine = engine();
+        let r = engine.execute("SELECT COUNT(*) FROM a WHERE k < 100").unwrap();
         assert_eq!(r.count, 100);
         assert_eq!(r.join_order, vec!["a"]);
     }
 
     #[test]
     fn join_round_trip_with_estimates() {
-        let db = db();
-        let r = db.execute("SELECT COUNT(*) FROM a, b WHERE a.k = b.k").unwrap();
+        let engine = engine();
+        let r = engine.execute("SELECT COUNT(*) FROM a, b WHERE a.k = b.k").unwrap();
         assert_eq!(r.count, 500);
         assert_eq!(r.estimated_sizes, vec![500.0]);
         assert_eq!(r.join_order.len(), 2);
@@ -813,25 +639,23 @@ mod tests {
     fn inequality_join_round_trip() {
         // a.k in 0..1000, b.k in 0..500: |{(x,y) : x < y}| = Σ_{y<500} y.
         let expected: u64 = (0..500u64).sum();
-        let mut db = db();
-        let r = db.execute("SELECT COUNT(*) FROM a, b WHERE a.k < b.k").unwrap();
+        let engine = engine();
+        let sql = "SELECT COUNT(*) FROM a, b WHERE a.k < b.k";
+        let r = engine.execute(sql).unwrap();
         assert_eq!(r.count, expected);
         assert_eq!(r.join_order.len(), 2);
-        db.set_exec_mode(ExecMode::RowAtATime);
-        assert_eq!(
-            db.execute("SELECT COUNT(*) FROM a, b WHERE a.k < b.k").unwrap().count,
-            expected
-        );
+        assert_eq!(row_oracle(&engine, sql).count, expected);
         // BETWEEN on a column pair binds to two inequality edges.
-        let band = db.execute("SELECT COUNT(*) FROM a, b WHERE a.k BETWEEN b.k AND b.k").unwrap();
+        let band =
+            engine.execute("SELECT COUNT(*) FROM a, b WHERE a.k BETWEEN b.k AND b.k").unwrap();
         assert_eq!(band.count, 500, "degenerate band is the equi-join");
     }
 
     #[test]
     fn explain_analyze_reports_range_join_q_error() {
-        let db = db();
+        let engine = engine();
         let expected: u64 = (0..500u64).sum();
-        let rep = db.explain_analyze("SELECT COUNT(*) FROM a, b WHERE a.k < b.k").unwrap();
+        let rep = engine.explain_analyze("SELECT COUNT(*) FROM a, b WHERE a.k < b.k").unwrap();
         assert_eq!(rep.result_rows, expected);
         let joins: Vec<_> = rep.join_operators().collect();
         assert_eq!(joins.len(), 1);
@@ -847,16 +671,18 @@ mod tests {
 
     #[test]
     fn estimator_is_switchable() {
-        let mut db = db();
-        db.set_estimator(EstimatorPreset::Sm);
-        let r = db.execute("SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10").unwrap();
+        let engine = loaded(Engine::with_options(OptimizerOptions::preset(
+            els_optimizer::EstimatorPreset::Sm,
+        )));
+        let r = engine.execute("SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10").unwrap();
         assert_eq!(r.count, 10);
     }
 
     #[test]
     fn explain_contains_the_key_sections() {
-        let db = db();
-        let text = db.explain("SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10").unwrap();
+        let engine = engine();
+        let text =
+            engine.explain("SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10").unwrap();
         assert!(text.contains("equivalence classes"));
         assert!(text.contains("join order"));
         assert!(text.contains("Scan"));
@@ -865,61 +691,54 @@ mod tests {
 
     #[test]
     fn explain_names_the_estimator_that_sized_the_plan() {
-        let mut db = db();
         let sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10";
-        let text = db.explain(sql).unwrap();
+        let text = engine().explain(sql).unwrap();
         // Algorithm ELS's own report, not a summary of it: the per-step choices.
         for part in ["planned by: els\n", "R0 = a, R1 = b", "join steps:", "-> chose"] {
             assert!(text.contains(part), "no `{part}` in:\n{text}");
         }
-        db.set_strategy(EstimatorStrategy::UpperBound);
-        let text = db.explain(sql).unwrap();
+        let options = OptimizerOptions::default().with_strategy(EstimatorStrategy::UpperBound);
+        let text = loaded(Engine::with_options(options)).explain(sql).unwrap();
         assert!(text.contains("planned by: upper-bound (Algorithm ELS's account"), "{text}");
     }
 
     #[test]
     fn errors_are_classified() {
-        let db = db();
-        assert!(matches!(db.execute("NOT SQL"), Err(EngineError::Sql(_))));
-        assert!(matches!(db.execute("SELECT COUNT(*) FROM nope"), Err(EngineError::Sql(_))));
-        let mut db2 = self::db();
+        let engine = loaded(Engine::new().cache_capacity(0));
+        assert!(matches!(engine.execute("NOT SQL"), Err(EngineError::Sql(_))));
+        assert!(matches!(engine.execute("SELECT COUNT(*) FROM nope"), Err(EngineError::Sql(_))));
         let dup = TableSpec::new("a", 1)
             .column(ColumnSpec::new("k", Distribution::ConstInt { value: 0 }))
             .generate(9);
-        assert!(matches!(db2.register(dup), Err(EngineError::Catalog(_))));
+        assert!(matches!(engine.register(dup), Err(EngineError::Catalog(_))));
     }
 
     #[test]
     fn projection_queries_return_rows() {
-        let db = db();
-        let r = db.execute("SELECT a.k FROM a, b WHERE a.k = b.k AND a.k < 3").unwrap();
+        let engine = engine();
+        let r = engine.execute("SELECT a.k FROM a, b WHERE a.k = b.k AND a.k < 3").unwrap();
         assert_eq!(r.count, 3);
         assert_eq!(r.rows.num_columns(), 1);
     }
 
     #[test]
     fn limit_on_count_star_keeps_the_aggregate() {
-        let mut db = db();
-        for mode in [ExecMode::default(), ExecMode::RowAtATime] {
-            db.set_exec_mode(mode);
-            let r = db.execute("SELECT COUNT(*) FROM a LIMIT 5").unwrap();
-            assert_eq!(r.count, 1000, "{mode:?}");
-            assert_eq!(r.rows.row(0).unwrap(), vec![els_storage::Value::Int(1000)]);
-            let none = db.execute("SELECT COUNT(*) FROM a LIMIT 0").unwrap();
-            assert_eq!((none.count, none.rows.num_rows()), (0, 0), "{mode:?}");
-            // Everywhere else the count is the number of rows returned.
-            let grouped = db.execute("SELECT k, COUNT(*) FROM a GROUP BY k LIMIT 5").unwrap();
-            assert_eq!((grouped.count, grouped.rows.num_rows()), (5, 5), "{mode:?}");
-            let plain = db.execute("SELECT k FROM a LIMIT 5").unwrap();
-            assert_eq!((plain.count, plain.rows.num_rows()), (5, 5), "{mode:?}");
-        }
-    }
-
-    fn engine() -> Engine {
-        let engine = Engine::new();
-        engine.generate(table_a(), 1).unwrap();
-        engine.generate(table_b(), 2).unwrap();
-        engine
+        let engine = engine();
+        // (count, first row, rows returned), which the row oracle must match.
+        let run = |sql: &str| {
+            let (got, row) = (engine.execute(sql).unwrap(), row_oracle(&engine, sql));
+            let summary = |rows: &Table, count| (count, rows.row(0).ok(), rows.num_rows());
+            assert_eq!(summary(&row.rows, row.count), summary(&got.rows, got.count), "{sql}");
+            summary(&got.rows, got.count)
+        };
+        let count = vec![els_storage::Value::Int(1000)];
+        assert_eq!(run("SELECT COUNT(*) FROM a LIMIT 5"), (1000, Some(count), 1));
+        assert_eq!(run("SELECT COUNT(*) FROM a LIMIT 0"), (0, None, 0));
+        // Everywhere else the count is the number of rows returned.
+        let grouped = run("SELECT k, COUNT(*) FROM a GROUP BY k LIMIT 5");
+        assert_eq!((grouped.0, grouped.2), (5, 5));
+        let plain = run("SELECT k FROM a LIMIT 5");
+        assert_eq!((plain.0, plain.2), (5, 5));
     }
 
     #[test]
@@ -1009,49 +828,35 @@ mod tests {
 
     #[test]
     fn strategy_switch_never_replays_the_other_estimators_plan() {
-        let engine = engine();
+        // Three engines that differ only in the estimator strategy, on one
+        // shared cache: the strategy is in the key, so byte-identical SQL
+        // is three entries and no engine is ever served another's plan.
+        let shared = Arc::new(PlanCache::new(64));
         let sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k";
-        let els = engine.execute(sql).unwrap();
-        assert!(!els.cache_hit);
-        assert_eq!(els.estimated_sizes, vec![500.0]);
-
-        // Same SQL under a different strategy: a different cache entry
-        // carrying the no-estimates baseline's numbers, not a replay of
-        // the ELS plan.
-        engine.set_strategy(EstimatorStrategy::NoEstimates);
-        assert_eq!(engine.current_strategy(), EstimatorStrategy::NoEstimates);
-        let ne = engine.execute(sql).unwrap();
-        assert!(!ne.cache_hit);
-        assert_eq!(ne.estimated_sizes, vec![1000.0]);
-        assert_eq!(ne.count, els.count);
-
-        engine.set_strategy(EstimatorStrategy::UpperBound);
-        let ub = engine.execute(sql).unwrap();
-        assert!(!ub.cache_hit);
-        assert_eq!(ub.count, els.count);
-
-        // Switching back serves the original entry — still cached, and
-        // never overwritten by the other strategies.
-        engine.set_strategy(EstimatorStrategy::Els);
-        let back = engine.execute(sql).unwrap();
-        assert!(back.cache_hit);
-        assert_eq!(back.estimated_sizes, els.estimated_sizes);
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 3));
-
-        // The same bytes again under each strategy: a hit on that
-        // strategy's own entry, whichever one the text was last sent under.
-        for (strategy, sizes) in [
-            (EstimatorStrategy::NoEstimates, &ne.estimated_sizes),
-            (EstimatorStrategy::Els, &els.estimated_sizes),
-            (EstimatorStrategy::UpperBound, &ub.estimated_sizes),
-        ] {
-            engine.set_strategy(strategy);
+        let strategies =
+            [EstimatorStrategy::Els, EstimatorStrategy::NoEstimates, EstimatorStrategy::UpperBound];
+        let engines = strategies.map(|strategy| {
+            let options = OptimizerOptions::default().with_strategy(strategy);
+            loaded(Engine::with_options(options).shared_cache(Arc::clone(&shared)))
+        });
+        let first = engines.each_ref().map(|e| e.execute(sql).unwrap());
+        for ((engine, strategy), r) in engines.iter().zip(strategies).zip(&first) {
+            assert_eq!(engine.current_strategy(), strategy);
+            assert!(!r.cache_hit, "{strategy:?} must plan its own entry");
+            assert_eq!(r.count, 500, "{strategy:?}");
+        }
+        // ELS is exact here; no-estimates sizes a join as its bigger input;
+        // UES bounds it by min(‖a‖·MF_b, ‖b‖·MF_a).
+        let sizes = first.each_ref().map(|r| r.estimated_sizes.clone());
+        assert_eq!(sizes, [vec![500.0], vec![1000.0], vec![500.0]]);
+        // Repeats, in reverse order: each hits its own entry.
+        for ((engine, strategy), r) in engines.iter().zip(strategies).zip(&first).rev() {
             let again = engine.execute(sql).unwrap();
             assert!(again.cache_hit, "{strategy:?}");
-            assert_eq!(&again.estimated_sizes, sizes, "{strategy:?}");
+            assert_eq!(again.estimated_sizes, r.estimated_sizes, "{strategy:?}");
+            assert_eq!(engine.prepare(sql).unwrap().optimized.strategy(), strategy);
         }
-        assert_eq!(engine.plan_cache().len(), 3);
+        assert_eq!(shared.len(), 3);
     }
 
     #[test]
@@ -1080,65 +885,11 @@ mod tests {
         assert_eq!(engine.plan_cache().len(), 1);
     }
 
-    /// The counters both facades must agree on: everything but wall time.
+    /// The counters a cached and an uncached run must agree on: everything
+    /// but wall time.
     fn logical(mut m: ExecMetrics) -> ExecMetrics {
         m.elapsed = std::time::Duration::ZERO;
         m
-    }
-
-    /// One query through a `Database` and through an `Engine` with the
-    /// cache off: same answers, same plans, same reports.
-    fn assert_view_matches(db: &Database, engine: &Engine, sql: &str) {
-        assert_eq!(db.explain(sql).unwrap(), engine.explain(sql).unwrap(), "{sql}");
-        let (d, e) = (db.execute(sql).unwrap(), engine.execute(sql).unwrap());
-        assert!(!d.cache_hit && !e.cache_hit, "{sql}");
-        assert_eq!(d.count, e.count, "{sql}");
-        assert_eq!(d.join_order, e.join_order, "{sql}");
-        assert_eq!(d.estimated_sizes, e.estimated_sizes, "{sql}");
-        assert_eq!(logical(d.metrics), logical(e.metrics), "{sql}");
-        let (d, e) = (db.explain_analyze(sql).unwrap(), engine.explain_analyze(sql).unwrap());
-        assert!(!d.cache_hit && !e.cache_hit, "{sql}");
-        assert_eq!((d.result_rows, &d.rule, d.mode), (e.result_rows, &e.rule, e.mode), "{sql}");
-        assert_eq!(logical(d.metrics), logical(e.metrics), "{sql}");
-        let operators = |r: &ExplainAnalyzeReport| -> Vec<(String, u64, u64)> {
-            r.operators.iter().map(|o| (o.label.clone(), o.estimated.to_bits(), o.actual)).collect()
-        };
-        assert_eq!(operators(&d), operators(&e), "{sql}");
-    }
-
-    #[test]
-    fn engine_explain_matches_database_explain() {
-        let mut db = db();
-        let queries = [
-            "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 10",
-            "SELECT a.k FROM a, b WHERE a.k = b.k AND a.k < 3",
-            "SELECT COUNT(*) FROM a, b WHERE a.k < b.k AND b.k < 20",
-        ];
-        let twin = engine().cache_capacity(0);
-        for sql in queries {
-            // Twice: a repeat is still a fresh optimization, never a hit.
-            assert_view_matches(&db, &twin, sql);
-            assert_view_matches(&db, &twin, sql);
-        }
-
-        // The setters reconfigure a loaded database; the next query runs
-        // like an engine built with that configuration from the start.
-        db.set_estimator(EstimatorPreset::Sm);
-        db.set_buffer_pages(Some(8));
-        db.set_exec_mode(ExecMode::RowAtATime);
-        let twin = Engine::with_options(OptimizerOptions::preset(EstimatorPreset::Sm))
-            .cache_capacity(0)
-            .buffer_pages(Some(8))
-            .exec_mode(ExecMode::RowAtATime);
-        twin.generate(table_a(), 1).unwrap();
-        twin.generate(table_b(), 2).unwrap();
-        for sql in queries {
-            assert_view_matches(&db, &twin, sql);
-        }
-        let sm = db.explain_analyze(queries[2]).unwrap();
-        assert_eq!((sm.rule.as_str(), sm.mode), ("M", ExecMode::RowAtATime));
-        // The band join rescans its inner; the pool absorbs the repeats.
-        assert!(sm.metrics.physical_pages_read < sm.metrics.pages_read, "{}", sm.metrics);
     }
 
     #[test]
@@ -1159,22 +910,34 @@ mod tests {
 
     #[test]
     fn engine_errors_are_classified_like_database() {
+        // The cache-fronted engine classifies like the uncached one
+        // (`errors_are_classified`), on every query method.
         let engine = engine();
         assert!(matches!(engine.execute("NOT SQL"), Err(EngineError::Sql(_))));
-        assert!(matches!(engine.execute("SELECT COUNT(*) FROM nope"), Err(EngineError::Sql(_))));
+        assert!(matches!(engine.execute_if_cached("NOT SQL"), Err(EngineError::Sql(_))));
+        assert!(matches!(engine.prepare("SELECT COUNT(*) FROM nope"), Err(EngineError::Sql(_))));
+        assert!(matches!(engine.explain("SELECT COUNT(*) FROM nope"), Err(EngineError::Sql(_))));
+        assert!(matches!(engine.explain_analyze("NOT SQL"), Err(EngineError::Sql(_))));
     }
 
     #[test]
     fn engine_exec_workers_sets_mode_and_cost_hook() {
-        let engine = engine().exec_workers(4);
-        assert_eq!(engine.exec_mode, ExecMode::Vectorized { workers: 4 });
+        let sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k";
+        let serial = engine();
+        serial.execute(sql).unwrap();
+        let default_config = *serial.config.get().unwrap();
+        let engine = serial.exec_workers(4);
+        assert_eq!(engine.mode, ExecMode::Vectorized { workers: 4 });
         assert_eq!(engine.options.cost.probe_parallelism, 4.0);
         // Parallel execution returns the same answers as the default engine.
-        let sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k";
         assert_eq!(engine.execute(sql).unwrap().count, 500);
+        // The worker count is part of the configuration, hence of the key:
+        // the builder forgot the fingerprint memoised before it.
+        assert_eq!(engine.config.get(), Some(&engine.options().config_fingerprint()));
+        assert_ne!(engine.config.get(), Some(&default_config));
         // Degenerate worker counts clamp to serial rather than breaking costs.
         let clamped = Engine::new().exec_workers(0);
-        assert_eq!(clamped.exec_mode, ExecMode::Vectorized { workers: 1 });
+        assert_eq!(clamped.mode, ExecMode::Vectorized { workers: 1 });
         assert_eq!(clamped.options.cost.probe_parallelism, 1.0);
     }
 
@@ -1224,6 +987,7 @@ mod tests {
         );
         // The corrected estimate is stable: no further drift, no churn —
         // the third run reuses the corrected plan.
+        assert!(second.to_string().contains("corrected="), "{second}");
         let third = engine.explain_analyze(sql).unwrap();
         assert!(third.cache_hit, "stable corrections must not churn the cache");
         let counters = engine.snapshot().feedback().counters();
@@ -1275,26 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn database_feedback_loop_matches_engine_semantics() {
-        let mut db = Database::new();
-        db.set_feedback(FeedbackMode::Apply);
-        db.generate(
-            TableSpec::new("z", 2000).column(ColumnSpec::new(
-                "k",
-                Distribution::ZipfInt { n: 1000, theta: 1.0, start: 0 },
-            )),
-            7,
-        )
-        .unwrap();
-        let sql = "SELECT COUNT(*) FROM z WHERE k < 10";
-        let first = db.explain_analyze(sql).unwrap();
-        let second = db.explain_analyze(sql).unwrap();
-        assert!(second.query_q_error() <= first.query_q_error());
-        assert!(second.query_q_error() < 1.5);
-        assert!(second.to_string().contains("corrected="), "{second}");
-    }
-
-    #[test]
     fn execute_if_cached_probes_without_optimizing() {
         let engine = engine();
         let sql = "SELECT COUNT(*) FROM a WHERE k < 100";
@@ -1312,7 +1056,6 @@ mod tests {
 
     #[test]
     fn plan_lanes_isolate_tenants_on_a_shared_cache() {
-        use els_optimizer::PlanCache;
         let shared = Arc::new(PlanCache::new(64));
         let mk = |lane: u64| {
             let e = Engine::new().shared_cache(Arc::clone(&shared)).plan_lane(lane);
@@ -1335,16 +1078,5 @@ mod tests {
         // Both lanes now know the text, as two aliases of two entries.
         assert!(a.execute(sql).unwrap().cache_hit && b.execute(sql).unwrap().cache_hit);
         assert_eq!(shared.len(), 2);
-    }
-
-    #[test]
-    fn database_exec_mode_is_switchable() {
-        let mut db = db();
-        let sql = "SELECT a.k FROM a, b WHERE a.k = b.k AND a.k < 5";
-        let vectorized = db.execute(sql).unwrap();
-        db.set_exec_mode(ExecMode::RowAtATime);
-        let row = db.execute(sql).unwrap();
-        assert_eq!(vectorized.count, row.count);
-        assert_eq!(vectorized.rows.num_rows(), row.rows.num_rows());
     }
 }

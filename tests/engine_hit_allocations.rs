@@ -22,7 +22,7 @@ use std::cell::Cell;
 use els::core::sync::audit;
 use els::engine::Engine;
 use els::exec::JoinMethod;
-use els::optimizer::{EstimatorStrategy, OptimizerOptions};
+use els::optimizer::OptimizerOptions;
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
 struct Counting;
@@ -90,16 +90,6 @@ fn a_repeat_text_reaches_its_plan_without_allocating() {
         }
     }
     assert_eq!(engine.plan_cache().len(), 2, "the respelling is a second name, not a second plan");
-
-    // The configuration fingerprint is computed once per live strategy:
-    // the first text under a new strategy pays for it, a repeat does not.
-    engine.set_strategy(EstimatorStrategy::NoEstimates);
-    engine.prepare(POINT).unwrap();
-    let (_, warm) = allocations_in(|| engine.prepare(POINT).unwrap());
-    assert_eq!(warm, 0, "{warm} allocations on a repeat under a switched strategy");
-    engine.set_strategy(EstimatorStrategy::Els);
-    let (_, warm) = allocations_in(|| engine.prepare(POINT).unwrap());
-    assert_eq!(warm, 0, "{warm} allocations after switching back");
 }
 
 /// The lock classes `f` acquires on this thread, with how often: the

@@ -2,8 +2,8 @@
 //! estimated-vs-actual report, its stability across execution modes, and
 //! its aggregation into the global metrics registry.
 
-use els::engine::{Database, Engine};
-use els::exec::{ExecMode, MetricsRegistry};
+use els::engine::Engine;
+use els::exec::{execute_plan_observed, ExecMode, MetricsRegistry};
 use els::storage::datagen::starburst_experiment_tables_sized;
 
 const SECTION8_SQL: &str =
@@ -48,21 +48,24 @@ fn actuals_are_identical_across_execution_modes() {
     let parallel = section8_engine(4).explain_analyze(SECTION8_SQL).unwrap();
     assert_eq!(serial.mode, ExecMode::Vectorized { workers: 1 });
     assert_eq!(parallel.mode, ExecMode::Vectorized { workers: 4 });
-
-    let mut db = Database::new();
-    for t in starburst_experiment_tables_sized(42, &[1_000, 10_000, 20_000, 30_000]) {
-        db.register(t).unwrap();
+    assert_eq!(serial.operators.len(), parallel.operators.len());
+    for (a, b) in serial.operators.iter().zip(&parallel.operators) {
+        assert_eq!(a.actual, b.actual, "{}: actuals diverged across modes", a.label);
+        assert_eq!(a.tables, b.tables, "{}: operator order diverged", a.label);
     }
-    db.set_exec_mode(ExecMode::RowAtATime);
-    let row = db.explain_analyze(SECTION8_SQL).unwrap();
-    assert_eq!(row.mode, ExecMode::RowAtATime);
 
-    for other in [&parallel, &row] {
-        assert_eq!(serial.operators.len(), other.operators.len());
-        for (a, b) in serial.operators.iter().zip(&other.operators) {
-            assert_eq!(a.actual, b.actual, "{}: actuals diverged across modes", a.label);
-            assert_eq!(a.tables, b.tables, "{}: operator order diverged", a.label);
-        }
+    // The row oracle, serial and parallel kernels on one prepared plan.
+    let engine = section8_engine(1);
+    let plan = engine.prepare(SECTION8_SQL).unwrap();
+    let snapshot = engine.snapshot();
+    let tables: Vec<_> =
+        plan.table_names.iter().map(|name| snapshot.table_data(name).unwrap()).collect();
+    let observe =
+        |mode| execute_plan_observed(&plan.optimized.plan, &tables, mode, None).unwrap().1;
+    let row = observe(ExecMode::RowAtATime);
+    assert_eq!(row.join_outputs.len(), 3);
+    for workers in [1, 4] {
+        assert_eq!(observe(ExecMode::Vectorized { workers }), row, "{workers} worker(s)");
     }
 }
 

@@ -252,14 +252,15 @@ fn group_by_end_to_end() {
 
 #[test]
 fn group_by_through_the_engine() {
-    let mut db = els::engine::Database::new();
-    db.generate(
-        TableSpec::new("ev", 100)
-            .column(ColumnSpec::new("kind", Distribution::CycleInt { modulus: 4, start: 0 })),
-        9,
-    )
-    .unwrap();
-    let r = db.execute("SELECT kind, COUNT(*) FROM ev GROUP BY kind").unwrap();
+    let engine = els::engine::Engine::new();
+    engine
+        .generate(
+            TableSpec::new("ev", 100)
+                .column(ColumnSpec::new("kind", Distribution::CycleInt { modulus: 4, start: 0 })),
+            9,
+        )
+        .unwrap();
+    let r = engine.execute("SELECT kind, COUNT(*) FROM ev GROUP BY kind").unwrap();
     assert_eq!(r.count, 4);
     for g in 0..4 {
         assert_eq!(r.rows.row(g).unwrap()[1], els::storage::Value::Int(25));
