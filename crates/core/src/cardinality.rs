@@ -76,6 +76,16 @@ pub trait CardinalityEstimator: std::fmt::Debug {
     /// Join two disjoint intermediate results (the bushy transition).
     fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState>;
 
+    /// True when the estimate for a join set depends on the set alone, to
+    /// the bit, whichever [`join`] / [`join_sets`] calls built it. An
+    /// enumerator may then ask once per table subset instead of once per
+    /// candidate plan. The default, `false`, is always safe: a wrapper that
+    /// does not forward this method is asked per candidate and gets the
+    /// same answers.
+    fn order_independent(&self) -> bool {
+        false
+    }
+
     /// Estimate the sizes of every intermediate result along a join
     /// order (`order.len() - 1` entries).
     fn estimate_order(&self, order: &[TableId]) -> ElsResult<Vec<f64>> {
@@ -137,6 +147,12 @@ impl CardinalityEstimator for Els {
 
     fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
         Els::join_sets(self, a, b)
+    }
+
+    /// Rule LS over min-clique classes: see
+    /// [`crate::estimator::PreparedQuery::order_independent`].
+    fn order_independent(&self) -> bool {
+        self.prepared().order_independent()
     }
 
     fn estimate_order(&self, order: &[TableId]) -> ElsResult<Vec<f64>> {
@@ -248,6 +264,11 @@ impl<T: SetSized> CardinalityEstimator for T {
         }
         let mask = a.table_mask() | b.table_mask();
         Ok(JoinState::from_parts(mask, self.size_of(mask)?))
+    }
+
+    /// Every size is [`SetSized::size_of`] of the state's mask.
+    fn order_independent(&self) -> bool {
+        true
     }
 }
 

@@ -15,11 +15,20 @@
 //! [`SelectivityRule`], classes multiply (independence assumption), and the
 //! new cardinality is `old · ‖T‖′ · ∏ per-class selectivity`.
 //!
-//! An enumerator asks this once per candidate plan, so a step allocates
-//! nothing: the predicates are indexed once, at construction, as table
-//! bitmasks grouped by class, and one pass over that index finds each
-//! class's choice and multiplies the classes in ascending [`ClassId`] order
-//! — the same product, to the bit, for every query prepared the same way.
+//! A step allocates nothing: the predicates are indexed once, at
+//! construction, as table bitmasks grouped by class, and one pass over that
+//! index finds each class's choice and multiplies the classes in ascending
+//! [`ClassId`] order — the same product, to the bit, for every query
+//! prepared the same way.
+//!
+//! Under Rule LS the estimate of a join set is Equation 3 over the set,
+//! whatever order built it (Section 7), when every class is a clique of
+//! `min(s_i, s_j)` pair selectivities — which closure and Equation 2
+//! produce. [`PreparedQuery::from_parts`] checks that condition, and a query
+//! that meets it computes every set's size along one canonical order,
+//! ascending tables, so the estimate is a function of the set to the bit
+//! ([`PreparedQuery::order_independent`]). An enumerator may then ask once
+//! per table subset instead of once per candidate plan.
 
 use std::collections::HashMap;
 
@@ -143,6 +152,43 @@ struct ClassEdges {
     edges: Vec<Edge>,
 }
 
+impl ClassEdges {
+    /// True when the class meets the condition under which Rule LS
+    /// estimates by Equation 3 whatever the join order: every two of its
+    /// tables are linked, and a pair's selectivity (the largest over its
+    /// parallel edges) is `min(s_i, s_j)` for per-table values `s`, to the
+    /// bit. Equation 2 makes this hold for every class that transitive
+    /// closure has made a clique, `s` being the table's `1/d`. Read off the
+    /// edges sorted least selective first: `s_t` is the first edge at `t`,
+    /// a pair's selectivity the first edge linking the two.
+    fn is_min_clique(&self) -> bool {
+        let links_two = |e: &Edge| e.tables.count_ones() == 2 && !e.selectivity.is_nan();
+        if !self.edges.iter().all(links_two) {
+            return false;
+        }
+        let first_over = |tables: u64| {
+            self.edges.iter().find(|e| e.tables & tables == tables).map(|e| e.selectivity)
+        };
+        let members = self.edges.iter().fold(0, |m, e| m | e.tables);
+        bits(members).all(|i| {
+            let above = members & (i.wrapping_neg() ^ i);
+            bits(above).all(|j| match (first_over(i), first_over(j), first_over(i | j)) {
+                (Some(s_i), Some(s_j), Some(pair)) => pair.to_bits() == s_i.min(s_j).to_bits(),
+                _ => false,
+            })
+        })
+    }
+}
+
+/// The single-bit masks of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let low = mask & mask.wrapping_neg();
+        mask ^= low;
+        (low != 0).then_some(low)
+    })
+}
+
 /// The output of Steps 1–5, ready for incremental estimation.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
@@ -162,6 +208,10 @@ pub struct PreparedQuery {
     /// The configured selectivity-choice rule (fixed at construction:
     /// `class_edges` is ordered for it).
     rule: SelectivityRule,
+    /// True when Equation 3 holds for this query (see
+    /// [`PreparedQuery::order_independent`]): every size is then computed
+    /// along its set's canonical order.
+    order_independent: bool,
 }
 
 impl PreparedQuery {
@@ -198,6 +248,8 @@ impl PreparedQuery {
                 SelectivityRule::Multiplicative | SelectivityRule::Representative => {}
             }
         }
+        let order_independent = rule == SelectivityRule::LargestSelectivity
+            && class_edges.iter().all(ClassEdges::is_min_clique);
         PreparedQuery {
             table_cardinality,
             join_predicates,
@@ -205,6 +257,7 @@ impl PreparedQuery {
             class_edges,
             range_edges: Vec::new(),
             rule,
+            order_independent,
         }
     }
 
@@ -243,6 +296,19 @@ impl PreparedQuery {
     /// The selectivity-choice rule in force.
     pub fn rule(&self) -> SelectivityRule {
         self.rule
+    }
+
+    /// True when every join set's estimate is a function of the set alone,
+    /// to the bit: Rule LS, and every equivalence class a clique whose pair
+    /// selectivities are `min(s_i, s_j)` for per-table values `s` (paper
+    /// Section 7: the estimate is then Equation 3 over the set, whatever
+    /// order built it). Such a query computes each set's size along one
+    /// canonical order, ascending tables: [`PreparedQuery::join`] with a
+    /// table above every table of the state is the incremental step, and
+    /// every other `join` or [`PreparedQuery::join_sets`] recomputes that
+    /// canonical chain. Derived from the query; nothing can set it.
+    pub fn order_independent(&self) -> bool {
+        self.order_independent
     }
 
     /// The effective cardinality of `table`, or a typed error when the id
@@ -316,7 +382,9 @@ impl PreparedQuery {
     /// Extend `state` by `table`, returning the new state with its estimated
     /// cardinality. When no predicate links the new table to the state the
     /// step is a cartesian product. Equal, to the bit, to
-    /// [`PreparedQuery::join_sets`] with `table`'s initial state.
+    /// [`PreparedQuery::join_sets`] with `table`'s initial state; when the
+    /// query is [order independent](PreparedQuery::order_independent), equal
+    /// to the bit to any other way of building the same set.
     pub fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
         let base = self.checked_base(table)?;
         if state.contains(table) {
@@ -325,6 +393,15 @@ impl PreparedQuery {
         if state.is_empty() {
             return self.initial_state(table);
         }
+        if self.order_independent && state.tables > (1 << table) {
+            return self.canonical(state.tables | (1 << table));
+        }
+        self.step(state, table, base)
+    }
+
+    /// The incremental step: `state` extended by `table`, whose effective
+    /// cardinality is `base`.
+    fn step(&self, state: &JoinState, table: TableId, base: f64) -> ElsResult<JoinState> {
         let selectivity = self.crossing_selectivity(state.tables, 1 << table)?;
         Ok(JoinState {
             tables: state.tables | (1 << table),
@@ -332,10 +409,27 @@ impl PreparedQuery {
         })
     }
 
+    /// The estimate for the table set `tables` along its canonical order,
+    /// ascending tables: the first table's effective cardinality, then one
+    /// incremental step per further table.
+    fn canonical(&self, tables: u64) -> ElsResult<JoinState> {
+        let mut members = bits(tables).map(|bit| bit.trailing_zeros() as TableId);
+        let Some(first) = members.next() else {
+            return Err(ElsError::InvalidJoinStep { table: MAX_TABLES, reason: "empty join set" });
+        };
+        let mut state = self.initial_state(first)?;
+        for table in members {
+            state = self.step(&state, table, self.checked_base(table)?)?;
+        }
+        Ok(state)
+    }
+
     /// Explain one join step: the eligible selectivities per class, the
     /// value each class contributed under the configured rule, and the
     /// resulting cardinality. Pure diagnostics — [`PreparedQuery::join`]
-    /// computes the same numbers.
+    /// computes the same numbers (for an order-independent query, along
+    /// the set's canonical order, so `cardinality_after` may differ from
+    /// `before · base · chosen` in the last bits).
     pub fn explain_join(
         &self,
         state: &JoinState,
@@ -387,6 +481,13 @@ impl PreparedQuery {
         }
         if b.is_empty() {
             return Ok(*a);
+        }
+        // Unless one side is a single table above every table of the other
+        // (the canonical step itself: `x · y` is `y · x` to the bit), an
+        // order-independent query recomputes the union's canonical chain.
+        let (low, high) = (a.tables.min(b.tables), a.tables.max(b.tables));
+        if self.order_independent && !(high.is_power_of_two() && high > low) {
+            return self.canonical(a.tables | b.tables);
         }
         let selectivity = self.crossing_selectivity(a.tables, b.tables)?;
         Ok(JoinState {

@@ -49,6 +49,74 @@ impl Default for CostParams {
     }
 }
 
+/// What the join formulas read of one input, computed once per input —
+/// per base table when enumeration starts, per DP entry when it wins —
+/// rather than once per candidate join that reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InputTerms {
+    /// Estimated tuples.
+    pub(crate) rows: f64,
+    /// Comparisons to sort the input: `n·log₂n`, 0 for at most one tuple.
+    nlogn: f64,
+    /// Hash CPU with the input on the probe side.
+    hash_probe: f64,
+    /// Comparisons of one band-join boundary search into the input.
+    band_depth: f64,
+}
+
+/// The terms of a materialized intermediate: an [`InputTerms`], plus one
+/// nested-loops rescan of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MaterializedTerms {
+    pub(crate) input: InputTerms,
+    rescan: f64,
+}
+
+/// The terms of a stored table as a join's inner.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StoredTerms {
+    /// Its filtered scan, as an input.
+    input: InputTerms,
+    /// The filtered scan, charged inside each join formula.
+    scan: f64,
+    /// One nested-loops rescan.
+    rescan: f64,
+    /// Indexed nested loops: building the sorted index, and one probe.
+    index: (f64, f64),
+}
+
+/// The inner input of a candidate join, as the cost model distinguishes it.
+#[derive(Clone, Copy)]
+pub(crate) enum Inner<'a> {
+    /// A stored table: scanned (or rescanned, or index-probed) in place.
+    Stored(&'a StoredTerms),
+    /// A materialized intermediate: its production is charged by its subplan.
+    Materialized(&'a MaterializedTerms),
+}
+
+impl Inner<'_> {
+    /// The input's terms, the scan each join formula charges for it (0 for
+    /// an intermediate), its nested-loops rescan, and its index terms if it
+    /// is a stored table.
+    #[inline]
+    pub(crate) fn parts(&self) -> (&InputTerms, f64, f64, Option<(f64, f64)>) {
+        match *self {
+            Inner::Stored(t) => (&t.input, t.scan, t.rescan, Some(t.index)),
+            Inner::Materialized(t) => (&t.input, 0.0, t.rescan, None),
+        }
+    }
+}
+
+/// `n·log₂ n` comparisons of a sort, 0 for at most one tuple.
+#[inline]
+fn nlogn(n: f64) -> f64 {
+    if n > 1.0 {
+        n * n.log2()
+    } else {
+        0.0
+    }
+}
+
 impl CostParams {
     /// Defaults with the hash-probe term divided by `workers` (clamped to
     /// ≥ 1) — the cost-model hook for the morsel-parallel executor.
@@ -58,8 +126,53 @@ impl CostParams {
 
     /// The probe divisor, defensively clamped (a zero or negative setting
     /// would flip cost comparisons).
+    #[inline]
     fn probe_div(&self) -> f64 {
         self.probe_parallelism.max(1.0)
+    }
+
+    /// The terms of an input of `rows` estimated tuples.
+    #[inline]
+    pub(crate) fn input_terms(&self, rows: f64) -> InputTerms {
+        InputTerms {
+            rows,
+            nlogn: nlogn(rows),
+            hash_probe: rows * self.cpu_hash_cost / self.probe_div(),
+            band_depth: if rows > 2.0 { rows.log2() } else { 1.0 },
+        }
+    }
+
+    /// The terms of the stored table `profile` as an inner whose filtered
+    /// scan produces `rows` estimated tuples.
+    pub(crate) fn stored_terms(&self, profile: &TableProfile, rows: f64) -> StoredTerms {
+        StoredTerms {
+            input: self.input_terms(rows),
+            scan: self.scan(profile),
+            rescan: self.rescan(profile.pages, profile.rows),
+            index: self.index_terms(profile),
+        }
+    }
+
+    /// The terms of a materialized intermediate of `rows` estimated tuples,
+    /// `width` bytes each.
+    #[inline]
+    pub(crate) fn materialized_terms(&self, rows: f64, width: usize) -> MaterializedTerms {
+        let pages = TableProfile::pages_for(rows, width);
+        MaterializedTerms { input: self.input_terms(rows), rescan: self.rescan(pages, rows) }
+    }
+
+    /// Indexed nested loops over `profile`: building the sorted index (scan
+    /// + sort), and one logarithmic descent.
+    fn index_terms(&self, profile: &TableProfile) -> (f64, f64) {
+        let n = profile.rows.max(2.0);
+        let build = self.scan(profile) + n * n.log2() * self.cpu_cmp_cost;
+        (build, n.log2() * self.cpu_cmp_cost + self.page_cost)
+    }
+
+    /// One rescan of `rows` tuples on `pages` pages by a nested-loops join.
+    #[inline]
+    fn rescan(&self, pages: f64, rows: f64) -> f64 {
+        pages * self.page_cost + rows * self.cpu_cmp_cost
     }
 
     /// Cost of a filtered scan of a stored table.
@@ -67,12 +180,80 @@ impl CostParams {
         profile.pages * self.page_cost + profile.rows * self.cpu_tuple_cost
     }
 
+    // The join formulas, one definition each. `inner_scan` is the stored
+    // inner's scan, charged inside the formula, or 0 for an intermediate
+    // inner (its production cost is charged by its subplan).
+
+    /// Nested loops: the inner rescanned once per estimated outer tuple.
+    #[inline]
+    pub(crate) fn nested_loop_cost(&self, outer_rows: f64, inner_rescan: f64) -> f64 {
+        outer_rows.max(0.0) * inner_rescan
+    }
+
+    /// Sort-merge: sort both inputs, merge, emit.
+    #[inline]
+    pub(crate) fn sort_merge_cost(
+        &self,
+        inner_scan: f64,
+        outer: &InputTerms,
+        inner: &InputTerms,
+        output_rows: f64,
+    ) -> f64 {
+        inner_scan
+            + (outer.nlogn + inner.nlogn) * self.cpu_cmp_cost
+            + (outer.rows + inner.rows) * self.cpu_tuple_cost
+            + output_rows.max(0.0) * self.cpu_tuple_cost
+    }
+
+    /// Hash: build on the outer, probe with the inner, emit.
+    #[inline]
+    pub(crate) fn hash_cost(
+        &self,
+        inner_scan: f64,
+        outer_rows: f64,
+        inner: &InputTerms,
+        output_rows: f64,
+    ) -> f64 {
+        inner_scan
+            + outer_rows * self.cpu_hash_cost
+            + inner.hash_probe
+            + output_rows.max(0.0) * self.cpu_tuple_cost
+    }
+
+    /// Indexed nested loops over a stored inner: build its index, one
+    /// probe per estimated outer tuple, emit.
+    #[inline]
+    pub(crate) fn index_nested_loop_cost(
+        &self,
+        outer_rows: f64,
+        (build, probe): (f64, f64),
+        output_rows: f64,
+    ) -> f64 {
+        build + outer_rows.max(0.0) * probe + output_rows.max(0.0) * self.cpu_tuple_cost
+    }
+
+    /// Band join: two sorts, one `log₂ inner` boundary search per outer
+    /// tuple, per-tuple emission.
+    #[inline]
+    pub(crate) fn range_join_cost(
+        &self,
+        inner_scan: f64,
+        outer: &InputTerms,
+        inner: &InputTerms,
+        output_rows: f64,
+    ) -> f64 {
+        inner_scan
+            + ((outer.nlogn + inner.nlogn) * self.cpu_cmp_cost
+                + outer.rows.max(0.0) * inner.band_depth * self.cpu_cmp_cost
+                + (outer.rows.max(0.0) + inner.rows.max(0.0)) * self.cpu_tuple_cost
+                + output_rows.max(0.0) * self.cpu_tuple_cost)
+    }
+
     /// Cost of a nested-loops join whose inner is the stored table
     /// `inner_profile`, rescanned (with filters) once per estimated outer
     /// tuple. The outer's own cost is not included.
     pub fn nested_loop(&self, outer_rows_est: f64, inner_profile: &TableProfile) -> f64 {
-        let rescans = outer_rows_est.max(0.0);
-        rescans * (inner_profile.pages * self.page_cost + inner_profile.rows * self.cpu_cmp_cost)
+        self.nested_loop_cost(outer_rows_est, self.rescan(inner_profile.pages, inner_profile.rows))
     }
 
     /// Cost of a sort-merge join: scan the stored inner, sort both filtered
@@ -85,11 +266,8 @@ impl CostParams {
         inner_rows_eff: f64,
         output_rows_est: f64,
     ) -> f64 {
-        let nlogn = |n: f64| if n > 1.0 { n * n.log2() } else { 0.0 };
-        self.scan(inner_profile)
-            + (nlogn(outer_rows_est) + nlogn(inner_rows_eff)) * self.cpu_cmp_cost
-            + (outer_rows_est + inner_rows_eff) * self.cpu_tuple_cost
-            + output_rows_est.max(0.0) * self.cpu_tuple_cost
+        let (outer, inner) = (self.input_terms(outer_rows_est), self.input_terms(inner_rows_eff));
+        self.sort_merge_cost(self.scan(inner_profile), &outer, &inner, output_rows_est)
     }
 
     /// Cost of a hash join: scan the stored inner, build on the outer,
@@ -101,10 +279,8 @@ impl CostParams {
         inner_rows_eff: f64,
         output_rows_est: f64,
     ) -> f64 {
-        self.scan(inner_profile)
-            + outer_rows_est * self.cpu_hash_cost
-            + inner_rows_eff * self.cpu_hash_cost / self.probe_div()
-            + output_rows_est.max(0.0) * self.cpu_tuple_cost
+        let inner = self.input_terms(inner_rows_eff);
+        self.hash_cost(self.scan(inner_profile), outer_rows_est, &inner, output_rows_est)
     }
 
     /// Cost of indexed nested loops over a stored inner: build the sorted
@@ -116,10 +292,11 @@ impl CostParams {
         inner_profile: &TableProfile,
         output_rows_est: f64,
     ) -> f64 {
-        let n = inner_profile.rows.max(2.0);
-        let build = self.scan(inner_profile) + n * n.log2() * self.cpu_cmp_cost;
-        let probes = outer_rows_est.max(0.0) * (n.log2() * self.cpu_cmp_cost + self.page_cost);
-        build + probes + output_rows_est.max(0.0) * self.cpu_tuple_cost
+        self.index_nested_loop_cost(
+            outer_rows_est,
+            self.index_terms(inner_profile),
+            output_rows_est,
+        )
     }
 
     /// Cost of a sort-based band join over a stored inner: scan the inner,
@@ -134,8 +311,8 @@ impl CostParams {
         inner_rows_eff: f64,
         output_rows_est: f64,
     ) -> f64 {
-        self.scan(inner_profile)
-            + self.range_join_cpu(outer_rows_est, inner_rows_eff, output_rows_est)
+        let (outer, inner) = (self.input_terms(outer_rows_est), self.input_terms(inner_rows_eff));
+        self.range_join_cost(self.scan(inner_profile), &outer, &inner, output_rows_est)
     }
 
     /// Band join over two intermediates: sorts + probes + emission, no
@@ -146,18 +323,8 @@ impl CostParams {
         inner_rows: f64,
         output_rows_est: f64,
     ) -> f64 {
-        self.range_join_cpu(outer_rows_est, inner_rows, output_rows_est)
-    }
-
-    /// Shared CPU term of the band join: two sorts, one `log₂ inner`
-    /// boundary search per outer tuple, per-tuple emission.
-    fn range_join_cpu(&self, outer_rows_est: f64, inner_rows: f64, output_rows_est: f64) -> f64 {
-        let nlogn = |n: f64| if n > 1.0 { n * n.log2() } else { 0.0 };
-        let probe_depth = if inner_rows > 2.0 { inner_rows.log2() } else { 1.0 };
-        (nlogn(outer_rows_est) + nlogn(inner_rows)) * self.cpu_cmp_cost
-            + outer_rows_est.max(0.0) * probe_depth * self.cpu_cmp_cost
-            + (outer_rows_est.max(0.0) + inner_rows.max(0.0)) * self.cpu_tuple_cost
-            + output_rows_est.max(0.0) * self.cpu_tuple_cost
+        let (outer, inner) = (self.input_terms(outer_rows_est), self.input_terms(inner_rows));
+        self.range_join_cost(0.0, &outer, &inner, output_rows_est)
     }
 
     /// Bushy variants: the inner is a *materialized intermediate* of
@@ -171,7 +338,7 @@ impl CostParams {
         inner_width: usize,
     ) -> f64 {
         let pages = TableProfile::pages_for(inner_rows, inner_width);
-        outer_rows_est.max(0.0) * (pages * self.page_cost + inner_rows * self.cpu_cmp_cost)
+        self.nested_loop_cost(outer_rows_est, self.rescan(pages, inner_rows))
     }
 
     /// Sort-merge over two intermediates: sort both, merge, emit.
@@ -181,10 +348,8 @@ impl CostParams {
         inner_rows: f64,
         output_rows_est: f64,
     ) -> f64 {
-        let nlogn = |n: f64| if n > 1.0 { n * n.log2() } else { 0.0 };
-        (nlogn(outer_rows_est) + nlogn(inner_rows)) * self.cpu_cmp_cost
-            + (outer_rows_est + inner_rows) * self.cpu_tuple_cost
-            + output_rows_est.max(0.0) * self.cpu_tuple_cost
+        let (outer, inner) = (self.input_terms(outer_rows_est), self.input_terms(inner_rows));
+        self.sort_merge_cost(0.0, &outer, &inner, output_rows_est)
     }
 
     /// Hash join over two intermediates: build + probe + emit.
@@ -194,9 +359,8 @@ impl CostParams {
         inner_rows: f64,
         output_rows_est: f64,
     ) -> f64 {
-        outer_rows_est * self.cpu_hash_cost
-            + inner_rows * self.cpu_hash_cost / self.probe_div()
-            + output_rows_est.max(0.0) * self.cpu_tuple_cost
+        let inner = self.input_terms(inner_rows);
+        self.hash_cost(0.0, outer_rows_est, &inner, output_rows_est)
     }
 }
 

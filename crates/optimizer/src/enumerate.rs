@@ -10,10 +10,14 @@
 //! combination survives.
 //!
 //! The loop runs once per candidate (`n·2ⁿ⁻¹` left-deep extensions plus
-//! about `3ⁿ` bushy pairs), so a candidate costs one estimator call, one
-//! cost formula per method and nothing else: a table entry is a `Copy`
-//! record holding back-pointers to its two inputs rather than a plan, and
-//! "do equality keys / range edges link these two sides" is an AND against
+//! about `3ⁿ` bushy pairs), so a candidate costs one cost formula per
+//! method over terms computed once per input, and nothing else. An
+//! estimator whose sizes depend on the table set alone
+//! ([`CardinalityEstimator::order_independent`]: ELS under Rule LS, UES,
+//! no-estimates) is asked once per subset before the loop; any other once
+//! per candidate, with the same result. A table entry is a `Copy` record
+//! holding back-pointers to its two inputs rather than a plan, and "do
+//! equality keys / range edges link these two sides" is an AND against
 //! per-table adjacency masks. The operator tree, with its key lists and
 //! compiled scan filters, is built once, for the winner, by following the
 //! back-pointers from the full set.
@@ -31,7 +35,7 @@ use els_core::{CardinalityEstimator, ColumnRef};
 use els_exec::filter::CompiledFilter;
 use els_exec::{JoinMethod, PlanNode};
 
-use crate::cost::CostParams;
+use crate::cost::{CostParams, Inner, InputTerms, MaterializedTerms, StoredTerms};
 use crate::error::{OptimizerError, OptimizerResult};
 use crate::profile::TableProfile;
 
@@ -94,29 +98,47 @@ struct Entry {
 /// still leads to the plan whose cost the candidate was charged.
 struct PlanTable {
     plans: Vec<Entry>,
+    /// Parallel to `plans`: each plan's cost terms as a join input,
+    /// computed once, when it wins.
+    terms: Vec<MaterializedTerms>,
     best: Vec<Option<u32>>,
+}
+
+/// The current best plan for a subset.
+#[derive(Clone, Copy)]
+struct Best {
+    /// Its position in the plan list.
+    at: u32,
+    entry: Entry,
+    terms: MaterializedTerms,
 }
 
 impl PlanTable {
     fn new(n: usize) -> PlanTable {
-        PlanTable { plans: Vec::with_capacity(1 << n), best: vec![None; 1 << n] }
+        PlanTable {
+            plans: Vec::with_capacity(1 << n),
+            terms: Vec::with_capacity(1 << n),
+            best: vec![None; 1 << n],
+        }
     }
 
-    /// The current best plan for `mask` and its position in the list.
-    fn best(&self, mask: u32) -> Option<(u32, Entry)> {
+    /// The current best plan for `mask`.
+    fn best(&self, mask: u32) -> Option<Best> {
         let at = (*self.best.get(mask as usize)?)?;
-        Some((at, *self.plans.get(at as usize)?))
+        let (entry, terms) = (*self.plans.get(at as usize)?, *self.terms.get(at as usize)?);
+        Some(Best { at, entry, terms })
     }
 
     /// Install `candidate` when it is strictly cheaper than the current
     /// best for its subset (so the earliest of equal-cost candidates stays).
-    fn offer(&mut self, candidate: Entry) {
-        let incumbent = self.best(candidate.mask);
-        if incumbent.is_none_or(|(_, e)| candidate.cost < e.cost) {
-            if let Some(slot) = self.best.get_mut(candidate.mask as usize) {
-                *slot = Some(self.plans.len() as u32);
-                self.plans.push(candidate);
-            }
+    fn offer(&mut self, candidate: Entry, params: &CostParams) {
+        let Some(slot) = self.best.get_mut(candidate.mask as usize) else { return };
+        let incumbent = slot.and_then(|at| self.plans.get(at as usize));
+        if incumbent.is_none_or(|e| candidate.cost < e.cost) {
+            *slot = Some(self.plans.len() as u32);
+            self.plans.push(candidate);
+            let rows = candidate.state.cardinality();
+            self.terms.push(params.materialized_terms(rows, candidate.width));
         }
     }
 
@@ -153,30 +175,12 @@ impl PlanTable {
 
 /// What the loop needs of one base table, computed once per enumeration.
 struct BaseTable {
-    profile: TableProfile,
-    /// Planning cardinality: what a filtered scan is expected to produce.
-    effective_rows: f64,
+    /// Its cost terms as a stored inner, over the planning cardinality
+    /// (what a filtered scan is expected to produce).
+    terms: StoredTerms,
     /// Tables linked to this one by an equality / an inequality predicate.
     key_adjacent: u32,
     range_adjacent: u32,
-}
-
-/// The inner input of a candidate join, as the cost model distinguishes it.
-#[derive(Clone, Copy)]
-pub(crate) enum Inner<'a> {
-    /// A stored table: scanned (or rescanned, or index-probed) in place.
-    Base(&'a TableProfile),
-    /// A materialized intermediate of this tuple width.
-    Intermediate { width: usize },
-}
-
-/// Row counts of one candidate join.
-#[derive(Clone, Copy)]
-pub(crate) struct Rows {
-    pub(crate) outer: f64,
-    pub(crate) inner: f64,
-    /// The estimator's size for the joined set.
-    pub(crate) out: f64,
 }
 
 /// Scan filters for one table: every local predicate of the (possibly
@@ -318,21 +322,23 @@ pub fn enumerate(
     let mut dp = PlanTable::new(n);
     for (t, profile) in profiles.iter().enumerate() {
         tables.push(BaseTable {
-            profile: *profile,
-            effective_rows: els.effective_cardinality(t)?,
+            terms: params.stored_terms(profile, els.effective_cardinality(t)?),
             key_adjacent: 0,
             range_adjacent: 0,
         });
         filters.push(scan_filters(predicates, t)?);
-        dp.offer(Entry {
-            cost: params.scan(profile),
-            state: els.initial_state(t)?,
-            width: profile.row_bytes,
-            mask: 1 << t,
-            left: 0,
-            right: 0,
-            method: None,
-        });
+        dp.offer(
+            Entry {
+                cost: params.scan(profile),
+                state: els.initial_state(t)?,
+                width: profile.row_bytes,
+                mask: 1 << t,
+                left: 0,
+                right: 0,
+                method: None,
+            },
+            params,
+        );
     }
     for p in predicates {
         let (l, r, is_key) = match p {
@@ -351,50 +357,54 @@ pub fn enumerate(
             }
         }
     }
+    let universe = (1u32 << n) - 1;
+    let sizes =
+        if els.order_independent() { subset_sizes(els, &dp, universe)? } else { Vec::new() };
+
     // One candidate: `outer ⋈ inner`, offered at its cheapest applicable
     // method (none may be — e.g. IndexNestedLoop-only configurations over
     // an intermediate — which is no candidate, not a panic). An inner that
-    // is a scan is a stored table; anything else is materialized.
+    // is a scan is a stored table; anything else is materialized. The size
+    // of the joined set comes from `sizes` when the estimator filled it,
+    // else from one estimator call.
     let consider = |dp: &mut PlanTable,
-                    &(outer_at, outer): &(u32, Entry),
-                    &(inner_at, inner): &(u32, Entry),
+                    outer: &Best,
+                    inner: &Best,
                     links: (bool, bool)|
      -> OptimizerResult<()> {
-        let t = inner.mask.trailing_zeros() as usize;
-        let (state, kind, inner_rows, inputs_cost) = match tables.get(t) {
-            // The stored inner's scan is charged inside each method's formula.
-            Some(table) if inner.method.is_none() => (
-                els.join(&outer.state, t)?,
-                Inner::Base(&table.profile),
-                table.effective_rows,
-                outer.cost,
-            ),
-            _ => (
-                els.join_sets(&outer.state, &inner.state)?,
-                Inner::Intermediate { width: inner.width },
-                inner.state.cardinality(),
-                outer.cost + inner.cost,
-            ),
+        let mask = outer.entry.mask | inner.entry.mask;
+        let t = inner.entry.mask.trailing_zeros() as usize;
+        let stored = tables.get(t).filter(|_| inner.entry.method.is_none());
+        let state = match (sizes.get(mask as usize - 1), stored) {
+            (Some(state), _) => *state,
+            (None, Some(_)) => els.join(&outer.entry.state, t)?,
+            (None, None) => els.join_sets(&outer.entry.state, &inner.entry.state)?,
         };
-        let rows =
-            Rows { outer: outer.state.cardinality(), inner: inner_rows, out: state.cardinality() };
-        if let Some((method, join_cost)) = cheapest_method(methods, params, kind, rows, links) {
-            dp.offer(Entry {
+        // The stored inner's scan is charged inside each method's formula.
+        let (inner_terms, inputs_cost) = match stored {
+            Some(table) => (Inner::Stored(&table.terms), outer.entry.cost),
+            None => (Inner::Materialized(&inner.terms), outer.entry.cost + inner.entry.cost),
+        };
+        let (outer_terms, out) = (&outer.terms.input, state.cardinality());
+        if let Some((method, join_cost)) =
+            cheapest_method(methods, params, outer_terms, inner_terms, out, links)
+        {
+            let candidate = Entry {
                 cost: inputs_cost + join_cost,
                 state,
-                width: outer.width + inner.width,
-                mask: outer.mask | inner.mask,
-                left: outer_at,
-                right: inner_at,
+                width: outer.entry.width + inner.entry.width,
+                mask,
+                left: outer.at,
+                right: inner.at,
                 method: Some(method),
-            });
+            };
+            dp.offer(candidate, params);
         }
         Ok(())
     };
 
     // Extend subsets in increasing mask order (all proper submasks of m are
     // numerically smaller than m, so m's plan is final when m is extended).
-    let universe = (1u32 << n) - 1;
     for mask in 1..=universe {
         let Some(outer) = dp.best(mask) else { continue };
         // Every table a key / a range edge leads to from inside `mask`:
@@ -449,26 +459,55 @@ pub fn enumerate(
             "join enumeration built no plan for the full table set ({n} tables)"
         ))
     };
-    let (at, winner) = dp.best(universe).ok_or_else(no_plan)?;
-    let root = dp.build(at, predicates, &mut filters).ok_or_else(no_plan)?;
+    let winner = dp.best(universe).ok_or_else(no_plan)?;
+    let root = dp.build(winner.at, predicates, &mut filters).ok_or_else(no_plan)?;
     let join_order = root.join_order();
     let mut estimated_sizes = Vec::new();
     node_sizes(els, &root, &mut estimated_sizes)?;
-    Ok(EnumerationResult { root, join_order, estimated_sizes, estimated_cost: winner.cost })
+    Ok(EnumerationResult { root, join_order, estimated_sizes, estimated_cost: winner.entry.cost })
+}
+
+/// The state of every non-empty subset `m` of `universe`, at `m - 1`, for
+/// an [order-independent](CardinalityEstimator::order_independent)
+/// estimator: each subset is its highest table joined to the rest (the
+/// estimator's incremental step), a single table is its scan's state. One
+/// estimator call per subset, where the DP would make one per candidate.
+fn subset_sizes(
+    els: &dyn CardinalityEstimator,
+    dp: &PlanTable,
+    universe: u32,
+) -> OptimizerResult<Vec<JoinState>> {
+    let mut sizes = Vec::with_capacity(universe as usize);
+    for mask in 1..=universe {
+        let high = mask.ilog2();
+        let state = match (mask ^ (1 << high)).checked_sub(1) {
+            None => dp.best(mask).map(|scan| scan.entry.state),
+            Some(rest) => {
+                sizes.get(rest as usize).map(|r| els.join(r, high as usize)).transpose()?
+            }
+        };
+        sizes.push(state.ok_or_else(|| {
+            OptimizerError::Internal(format!("no estimate for the table subset {mask:#b}"))
+        })?);
+    }
+    Ok(sizes)
 }
 
 /// The cheapest applicable method for one candidate join, the earliest
 /// enabled one on ties; `None` when no enabled method can run it.
+/// `output_rows` is the estimator's size for the joined set, and
 /// `(has_keys, has_ranges)` say which kinds of predicate link the two inputs.
 /// The method policy of every search strategy: the DP above and the fixed
 /// orders [`crate::heuristic`] prices.
 pub(crate) fn cheapest_method(
     methods: &[JoinMethod],
     p: &CostParams,
+    outer: &InputTerms,
     inner: Inner<'_>,
-    rows: Rows,
+    output_rows: f64,
     (has_keys, has_ranges): (bool, bool),
 ) -> Option<(JoinMethod, f64)> {
+    let (input, scan, rescan, index) = inner.parts();
     // The band join is not part of the configured method list: it
     // becomes a candidate exactly when it is executable — no equi-keys
     // but at least one inequality edge. Keyed joins treat the
@@ -477,35 +516,19 @@ pub(crate) fn cheapest_method(
     // Keyless methods materialize the full cross product before the
     // residual inequality filter; only the band join prunes while
     // probing, so only it is charged the filtered output.
-    let emit = if band_ok { rows.outer * rows.inner } else { rows.out };
+    let emit = if band_ok { outer.rows * input.rows } else { output_rows };
     let mut best: Option<(JoinMethod, f64)> = None;
     for &m in methods.iter().chain(band_ok.then_some(&JoinMethod::Range)) {
-        let cost = match (m, inner) {
-            (JoinMethod::NestedLoop, Inner::Base(t)) => p.nested_loop(rows.outer, t),
-            (JoinMethod::NestedLoop, Inner::Intermediate { width }) => {
-                p.nested_loop_intermediate(rows.outer, rows.inner, width)
-            }
-            (JoinMethod::SortMerge, Inner::Base(t)) => {
-                p.sort_merge(rows.outer, t, rows.inner, emit)
-            }
-            (JoinMethod::SortMerge, Inner::Intermediate { .. }) => {
-                p.sort_merge_intermediate(rows.outer, rows.inner, emit)
-            }
-            (JoinMethod::Hash, Inner::Base(t)) => p.hash(rows.outer, t, rows.inner, emit),
-            (JoinMethod::Hash, Inner::Intermediate { .. }) => {
-                p.hash_intermediate(rows.outer, rows.inner, emit)
-            }
+        let cost = match (m, index) {
+            (JoinMethod::NestedLoop, _) => p.nested_loop_cost(outer.rows, rescan),
+            (JoinMethod::SortMerge, _) => p.sort_merge_cost(scan, outer, input, emit),
+            (JoinMethod::Hash, _) => p.hash_cost(scan, outer.rows, input, emit),
             // Indexed nested loops probes a stored table's index, so
             // it needs a base inner and at least one key to probe on.
-            (JoinMethod::IndexNestedLoop, Inner::Base(t)) if has_keys => {
-                p.index_nested_loop(rows.outer, t, emit)
+            (JoinMethod::IndexNestedLoop, Some(index)) if has_keys => {
+                p.index_nested_loop_cost(outer.rows, index, emit)
             }
-            (JoinMethod::Range, Inner::Base(t)) if band_ok => {
-                p.range_join(rows.outer, t, rows.inner, rows.out)
-            }
-            (JoinMethod::Range, Inner::Intermediate { .. }) if band_ok => {
-                p.range_join_intermediate(rows.outer, rows.inner, rows.out)
-            }
+            (JoinMethod::Range, _) if band_ok => p.range_join_cost(scan, outer, input, output_rows),
             (JoinMethod::IndexNestedLoop | JoinMethod::Range, _) => continue,
         };
         if best.is_none_or(|(_, c)| cost < c) {
@@ -548,10 +571,15 @@ mod tests {
 
     const NL_SM: [JoinMethod; 2] = [JoinMethod::NestedLoop, JoinMethod::SortMerge];
 
-    /// DESIGN.md quotes this figure for the DP table's footprint.
+    /// DESIGN.md quotes these figures for the DP table's footprint.
     #[test]
     fn a_table_entry_is_48_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 48);
+    }
+
+    #[test]
+    fn an_entrys_pricing_terms_are_40_bytes() {
+        assert_eq!(std::mem::size_of::<MaterializedTerms>(), 40);
     }
 
     #[test]

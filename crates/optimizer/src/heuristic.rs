@@ -26,10 +26,8 @@ use rand::{Rng, SeedableRng};
 
 use els_core::CardinalityEstimator;
 
-use crate::cost::CostParams;
-use crate::enumerate::{
-    cheapest_method, edges_between, scan_filters, EnumerationResult, Inner, Rows,
-};
+use crate::cost::{CostParams, Inner};
+use crate::enumerate::{cheapest_method, edges_between, scan_filters, EnumerationResult};
 use crate::error::{OptimizerError, OptimizerResult};
 use crate::profile::TableProfile;
 
@@ -61,16 +59,18 @@ pub fn cost_order(
 
     for &t in rest {
         let new_state = els.join(&state, t)?;
-        let rows = Rows {
-            outer: state.cardinality(),
-            inner: els.effective_cardinality(t)?,
-            out: new_state.cardinality(),
-        };
+        let outer = params.input_terms(state.cardinality());
+        let inner = params.stored_terms(profile(t)?, els.effective_cardinality(t)?);
         let (keys, ranges) = edges_between(predicates, mask, 1 << t);
         let links = (!keys.is_empty(), !ranges.is_empty());
-        let Some((method, join_cost)) =
-            cheapest_method(methods, params, Inner::Base(profile(t)?), rows, links)
-        else {
+        let Some((method, join_cost)) = cheapest_method(
+            methods,
+            params,
+            &outer,
+            Inner::Stored(&inner),
+            new_state.cardinality(),
+            links,
+        ) else {
             return Err(OptimizerError::Unsupported("no join methods enabled".into()));
         };
         cost += join_cost;

@@ -11,78 +11,19 @@
 //!   back-pointer ever leads to a different subplan than the one the
 //!   candidate was charged for.
 
+#[path = "support/random_graph.rs"]
+mod random_graph;
+
 use els_core::JoinState;
-use els_core::{
-    CardinalityEstimator, CmpOp, ColumnRef, ColumnStatistics, Els, ElsOptions,
-    NoEstimatesEstimator, Predicate, QueryStatistics, TableStatistics, UpperBoundEstimator,
-};
+use els_core::{CardinalityEstimator, Els, ElsOptions, NoEstimatesEstimator, UpperBoundEstimator};
 use els_exec::{JoinMethod, PlanNode};
 use els_optimizer::enumerate::{enumerate, join_keys, range_keys};
 use els_optimizer::{CostParams, TableProfile, TreeShape};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use random_graph::random_query;
 
 const METHODS: [JoinMethod; 4] =
     [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash, JoinMethod::IndexNestedLoop];
-
-struct Query {
-    stats: QueryStatistics,
-    profiles: Vec<TableProfile>,
-    predicates: Vec<Predicate>,
-}
-
-/// A connected-or-not random graph: a random spanning forest plus extra
-/// equality edges, up to two inequality edges, and a local predicate on
-/// about half the tables.
-fn random_query(seed: u64, n: usize) -> Query {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rows: Vec<f64> = (0..n).map(|_| rng.gen_range(10u64..20_000) as f64).collect();
-    let stats = QueryStatistics::new(
-        rows.iter()
-            .map(|&r| {
-                let d0 = (r / rng.gen_range(1u64..8) as f64).max(2.0).floor();
-                TableStatistics::new(
-                    r,
-                    vec![
-                        ColumnStatistics::with_domain(d0, 0.0, d0 - 1.0),
-                        ColumnStatistics::with_domain(r, 0.0, r - 1.0),
-                    ],
-                )
-            })
-            .collect(),
-    );
-    let profiles = rows.iter().map(|&r| TableProfile::synthetic(r, 24)).collect();
-    let col = |rng: &mut StdRng, t: usize| ColumnRef::new(t, rng.gen_range(0usize..2));
-    let mut predicates = Vec::new();
-    for t in 1..n {
-        // One table in five starts a new component (a forced cartesian).
-        if rng.gen_range(0u32..5) > 0 {
-            let other = rng.gen_range(0usize..t);
-            predicates.push(Predicate::col_eq(col(&mut rng, other), col(&mut rng, t)));
-        }
-    }
-    for _ in 0..rng.gen_range(0usize..3) {
-        let (a, b) = (rng.gen_range(0usize..n), rng.gen_range(0usize..n));
-        if a != b {
-            predicates.push(Predicate::col_eq(col(&mut rng, a), col(&mut rng, b)));
-        }
-    }
-    for _ in 0..rng.gen_range(0usize..3) {
-        let (a, b) = (rng.gen_range(0usize..n), rng.gen_range(0usize..n));
-        if a != b {
-            let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][rng.gen_range(0usize..4)];
-            predicates.push(Predicate::join_range(ColumnRef::new(a, 1), op, ColumnRef::new(b, 1)));
-        }
-    }
-    for (t, &r) in rows.iter().enumerate() {
-        if rng.gen_bool(0.5) {
-            let cut = rng.gen_range(1u64..r as u64) as i64;
-            predicates.push(Predicate::local_cmp(ColumnRef::new(t, 1), CmpOp::Lt, cut));
-        }
-    }
-    Query { stats, profiles, predicates }
-}
 
 /// Cost of one left-deep order: the first table's scan, then per step the
 /// cheapest method that can run it.
@@ -195,7 +136,7 @@ proptest! {
         let params = CostParams::default();
         // Estimators whose size for a table set does not depend on the
         // order it was joined in — the assumption the DP itself makes. (ELS
-        // under Rule LS is one up to rounding; Rule M is not.)
+        // under Rule LS is one to the bit, and declares it; Rule M is not.)
         let estimators: Vec<Box<dyn CardinalityEstimator>> = vec![
             Box::new(Els::prepare(&q.predicates, &q.stats, &ElsOptions::algorithm_els()).unwrap()),
             Box::new(UpperBoundEstimator::new(&q.predicates, &q.stats).unwrap()),

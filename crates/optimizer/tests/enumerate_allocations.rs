@@ -2,16 +2,22 @@
 //! prices about 64 000 candidates, and before the DP table held `Copy`
 //! back-pointer entries every one of them cloned a plan subtree and built
 //! two key vectors. What remains is per enumeration (the table itself, the
-//! per-table vectors) or per node of the one tree that is returned.
+//! per-table vectors, the per-subset sizes) or per node of the one tree
+//! that is returned. Nor may it ask an order-independent estimator once
+//! per candidate: once per subset is enough.
 //!
-//! Its own test binary: the counting allocator is process-wide.
+//! Its own test binary: the counting allocator is process-wide, and the
+//! tests here take turns on `SERIAL` so one's allocations never land in
+//! the other's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use els_core::{
-    CmpOp, ColumnRef, ColumnStatistics, Els, ElsOptions, Predicate, QueryStatistics,
-    TableStatistics,
+    CardinalityEstimator, CmpOp, ColumnRef, ColumnStatistics, Els, ElsOptions, ElsResult,
+    JoinState, Predicate, QueryStatistics, TableId, TableStatistics,
 };
 use els_exec::JoinMethod;
 use els_optimizer::enumerate::enumerate;
@@ -20,6 +26,7 @@ use els_optimizer::{CostParams, TableProfile, TreeShape};
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // counter is a statistic and publishes no other data.
@@ -43,9 +50,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn a_ten_table_bushy_clique_enumerates_in_under_a_thousand_allocations() {
-    let n = 10;
+const N: usize = 10;
+
+/// The ten-table clique: a chain on one column, which Step 2's closure
+/// turns into a clique of 45 join predicates, every one of them a key of
+/// the final joins.
+fn clique() -> (Els, Vec<TableProfile>) {
+    let n = N;
     let rows = |i: usize| 1000.0 * (1 + i % 4) as f64;
     let stats = QueryStatistics::new(
         (0..n)
@@ -55,8 +66,6 @@ fn a_ten_table_bushy_clique_enumerates_in_under_a_thousand_allocations() {
             })
             .collect(),
     );
-    // A chain on one column: Step 2's closure turns it into a clique of 45
-    // join predicates, every one of them a key of the final joins.
     let predicates: Vec<Predicate> = (1..n)
         .map(|i| Predicate::col_eq(ColumnRef::new(i - 1, 0), ColumnRef::new(i, 0)))
         .chain([Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Lt, 100i64)])
@@ -64,12 +73,77 @@ fn a_ten_table_bushy_clique_enumerates_in_under_a_thousand_allocations() {
     let els = Els::prepare(&predicates, &stats, &ElsOptions::algorithm_els()).unwrap();
     let profiles: Vec<TableProfile> =
         (0..n).map(|i| TableProfile::synthetic(rows(i), 16)).collect();
-    let methods = [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash];
+    (els, profiles)
+}
 
+const METHODS: [JoinMethod; 3] = [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash];
+
+#[test]
+fn a_ten_table_bushy_clique_enumerates_in_under_a_thousand_allocations() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (els, profiles) = clique();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = enumerate(&els, &profiles, &methods, &CostParams::default(), TreeShape::Bushy);
+    let result = enumerate(&els, &profiles, &METHODS, &CostParams::default(), TreeShape::Bushy);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    assert_eq!(result.unwrap().join_order.len(), n);
+    assert_eq!(result.unwrap().join_order.len(), N);
     assert!(allocations < 1000, "{allocations} allocations for one enumeration");
+}
+
+/// Forwards everything, `order_independent` included, and counts the
+/// estimation calls: `initial_state`, `join` and `join_sets`.
+#[derive(Debug)]
+struct CountingEstimator<'a> {
+    inner: &'a dyn CardinalityEstimator,
+    calls: Cell<usize>,
+}
+
+impl CountingEstimator<'_> {
+    fn count<T>(&self, out: T) -> T {
+        self.calls.set(self.calls.get() + 1);
+        out
+    }
+}
+
+impl CardinalityEstimator for CountingEstimator<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn num_tables(&self) -> usize {
+        self.inner.num_tables()
+    }
+    fn predicates(&self) -> &[Predicate] {
+        self.inner.predicates()
+    }
+    fn effective_cardinality(&self, table: TableId) -> ElsResult<f64> {
+        self.inner.effective_cardinality(table)
+    }
+    fn original_cardinality(&self, table: TableId) -> ElsResult<f64> {
+        self.inner.original_cardinality(table)
+    }
+    fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
+        self.count(self.inner.initial_state(table))
+    }
+    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
+        self.count(self.inner.join(state, table))
+    }
+    fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
+        self.count(self.inner.join_sets(a, b))
+    }
+    fn order_independent(&self) -> bool {
+        self.inner.order_independent()
+    }
+}
+
+#[test]
+fn an_order_independent_estimator_is_asked_once_per_subset() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (els, profiles) = clique();
+    let counting = CountingEstimator { inner: &els, calls: Cell::new(0) };
+    assert!(counting.order_independent());
+    enumerate(&counting, &profiles, &METHODS, &CostParams::default(), TreeShape::Bushy).unwrap();
+    // One call per subset, plus the scans and the sizes of the returned
+    // tree — against one per candidate, about 64 000.
+    let calls = counting.calls.get();
+    assert!(calls <= (1 << N) + 2 * N, "{calls} estimator calls for one enumeration");
 }
