@@ -20,7 +20,9 @@
 //! equality keys / range edges link these two sides" is an AND against
 //! per-table adjacency masks. The operator tree, with its key lists and
 //! compiled scan filters, is built once, for the winner, by following the
-//! back-pointers from the full set.
+//! back-pointers from the full set; the same walk emits the winner's
+//! [`Annotation`]s, one per node in the executor's post-order, holding the
+//! estimates and costs the DP charged, so nothing re-estimates the plan.
 //!
 //! Cartesian products are permitted but naturally priced out whenever a
 //! connected extension exists. A candidate replaces an entry only when it
@@ -64,10 +66,80 @@ pub struct EnumerationResult {
     /// Join order: tables in the sequence the left-deep tree touches them.
     pub join_order: Vec<usize>,
     /// Estimated result size after each join step (`join_order.len() - 1`
-    /// entries) — the numbers the paper's experiment table reports.
+    /// entries) — the numbers the paper's experiment table reports. The
+    /// join annotations' rows, in post-order.
     pub estimated_sizes: Vec<f64>,
-    /// Total estimated cost in page units.
+    /// Total estimated cost in page units: the root annotation's cost.
     pub estimated_cost: f64,
+    /// One record per node of `root`, in the executor's post-order.
+    pub annotations: Vec<Annotation>,
+}
+
+impl EnumerationResult {
+    /// The result for `root`, whose annotations are `annotations`.
+    pub(crate) fn new(root: PlanNode, annotations: Vec<Annotation>) -> EnumerationResult {
+        let joins = annotations.iter().filter(|a| a.method.is_some());
+        let (estimated_sizes, join_order) = (joins.map(|a| a.rows).collect(), root.join_order());
+        let estimated_cost = annotations.last().map_or(0.0, |a| a.cost);
+        EnumerationResult { root, join_order, estimated_sizes, estimated_cost, annotations }
+    }
+}
+
+/// One node of a chosen plan as the optimizer priced it. A plan's
+/// annotations are in the executor's post-order (left input, right input,
+/// node), the order of its scan and join observations, so EXPLAIN ANALYZE
+/// pairs them with the actuals without re-estimating anything.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Annotation {
+    /// The tables under the node, one bit per table.
+    pub tables: u64,
+    /// The join method; `None` for a scan.
+    pub method: Option<JoinMethod>,
+    /// The local predicates a scan applies (0 for a join).
+    pub filters: usize,
+    /// Estimated output rows. A rescanned inner's are its stored
+    /// cardinality, which is what the executor records for it.
+    pub rows: f64,
+    /// Estimated cost of the node's subtree, in page units.
+    pub cost: f64,
+    /// Position of a join's left input in the annotations, below its own
+    /// (0 for a scan).
+    pub left: usize,
+    /// Position of a join's right input, between the left's and its own.
+    pub right: usize,
+    /// A stored inner that its nested-loops or indexed nested-loops join
+    /// rescans instead of executing as a scan.
+    pub rescan: bool,
+}
+
+impl Annotation {
+    /// A scan of `table` applying `filters` local predicates. Under a
+    /// `parent` join that rescans it, its rows are the stored cardinality.
+    pub(crate) fn scan(
+        els: &dyn CardinalityEstimator,
+        table: usize,
+        filters: usize,
+        rows: f64,
+        cost: f64,
+        parent: Option<JoinMethod>,
+    ) -> OptimizerResult<Annotation> {
+        let rescan = matches!(parent, Some(JoinMethod::NestedLoop | JoinMethod::IndexNestedLoop));
+        let rows = if rescan { els.original_cardinality(table)? } else { rows };
+        let (tables, method, left, right) = (1 << table, None, 0, 0);
+        Ok(Annotation { tables, method, filters, rows, cost, left, right, rescan })
+    }
+
+    /// A join of the annotations at positions `left` and `right`.
+    pub(crate) fn join(
+        tables: u64,
+        method: JoinMethod,
+        rows: f64,
+        cost: f64,
+        inputs: (usize, usize),
+    ) -> Self {
+        let (method, (left, right)) = (Some(method), inputs);
+        Annotation { tables, method, filters: 0, rows, cost, left, right, rescan: false }
+    }
 }
 
 /// One plan that was, when it was priced, the cheapest for its table
@@ -143,33 +215,42 @@ impl PlanTable {
     }
 
     /// The operator tree of the plan at `at`, rebuilt from the
-    /// back-pointers. Each base table occurs once in a tree, so its
-    /// compiled filters are moved out of `filters`. `None` only if a
-    /// back-pointer leads nowhere.
+    /// back-pointers, with its [`Annotation`]s appended to `out` in
+    /// post-order; returns the tree and its root's position in `out`.
+    /// `parent` is the method of the join the plan is the inner of. Each
+    /// base table occurs once in a tree, so its compiled filters are moved
+    /// out of `filters`.
     fn build(
         &self,
         at: u32,
-        predicates: &[Predicate],
+        parent: Option<JoinMethod>,
+        els: &dyn CardinalityEstimator,
         filters: &mut [Vec<CompiledFilter>],
-    ) -> Option<PlanNode> {
-        let entry = self.plans.get(at as usize)?;
-        let Some(method) = entry.method else {
-            let table_id = entry.mask.trailing_zeros() as usize;
-            return Some(PlanNode::Scan {
-                table_id,
-                filters: std::mem::take(filters.get_mut(table_id)?),
-            });
+        out: &mut Vec<Annotation>,
+    ) -> OptimizerResult<(PlanNode, usize)> {
+        let lost = || OptimizerError::Internal(format!("join enumeration lost the plan at {at}"));
+        let entry = self.plans.get(at as usize).ok_or_else(lost)?;
+        let (rows, cost) = (entry.state.cardinality(), entry.cost);
+        let (node, annotation) = match entry.method {
+            None => {
+                let table_id = entry.mask.trailing_zeros() as usize;
+                let filters = std::mem::take(filters.get_mut(table_id).ok_or_else(lost)?);
+                let scan = Annotation::scan(els, table_id, filters.len(), rows, cost, parent)?;
+                (PlanNode::Scan { table_id, filters }, scan)
+            }
+            Some(method) => {
+                let inner = u64::from(self.plans.get(entry.right as usize).ok_or_else(lost)?.mask);
+                let outer = u64::from(entry.mask) & !inner;
+                let (keys, ranges) = edges_between(els.predicates(), outer, inner);
+                let (left, l) = self.build(entry.left, None, els, filters, out)?;
+                let (right, r) = self.build(entry.right, Some(method), els, filters, out)?;
+                let (left, right) = (Box::new(left), Box::new(right));
+                let join = Annotation::join(u64::from(entry.mask), method, rows, cost, (l, r));
+                (PlanNode::Join { method, left, right, keys, ranges }, join)
+            }
         };
-        let side = |at: u32| self.plans.get(at as usize).map(|e| u64::from(e.mask));
-        let (left_mask, right_mask) = (side(entry.left)?, side(entry.right)?);
-        let (keys, ranges) = edges_between(predicates, left_mask, right_mask);
-        Some(PlanNode::Join {
-            method,
-            left: Box::new(self.build(entry.left, predicates, filters)?),
-            right: Box::new(self.build(entry.right, predicates, filters)?),
-            keys,
-            ranges,
-        })
+        out.push(annotation);
+        Ok((node, out.len() - 1))
     }
 }
 
@@ -268,26 +349,6 @@ pub fn range_keys_between(
     right_mask: u64,
 ) -> Vec<(ColumnRef, CmpOp, ColumnRef)> {
     edges_between(predicates, left_mask, right_mask).1
-}
-
-/// Post-order estimated sizes of every join node in a plan tree (for a
-/// left-deep tree this equals the step-by-step sizes of
-/// [`CardinalityEstimator::estimate_order`]).
-fn node_sizes(
-    els: &dyn CardinalityEstimator,
-    node: &PlanNode,
-    sizes: &mut Vec<f64>,
-) -> OptimizerResult<els_core::estimator::JoinState> {
-    match node {
-        PlanNode::Scan { table_id, .. } => Ok(els.initial_state(*table_id)?),
-        PlanNode::Join { left, right, .. } => {
-            let l = node_sizes(els, left, sizes)?;
-            let r = node_sizes(els, right, sizes)?;
-            let s = els.join_sets(&l, &r)?;
-            sizes.push(s.cardinality());
-            Ok(s)
-        }
-    }
 }
 
 /// Run the DP over any [`CardinalityEstimator`] (the paper's ELS, the
@@ -460,11 +521,9 @@ pub fn enumerate(
         ))
     };
     let winner = dp.best(universe).ok_or_else(no_plan)?;
-    let root = dp.build(winner.at, predicates, &mut filters).ok_or_else(no_plan)?;
-    let join_order = root.join_order();
-    let mut estimated_sizes = Vec::new();
-    node_sizes(els, &root, &mut estimated_sizes)?;
-    Ok(EnumerationResult { root, join_order, estimated_sizes, estimated_cost: winner.entry.cost })
+    let mut annotations = Vec::with_capacity(2 * n - 1);
+    let (root, _) = dp.build(winner.at, None, els, &mut filters, &mut annotations)?;
+    Ok(EnumerationResult::new(root, annotations))
 }
 
 /// The state of every non-empty subset `m` of `universe`, at `m - 1`, for
@@ -867,18 +926,6 @@ mod tests {
             dear.estimated_cost,
             cheap.estimated_cost
         );
-    }
-
-    #[test]
-    fn node_sizes_matches_estimate_order_on_left_deep_plans() {
-        let (els, profiles) = section8(&ElsOptions::algorithm_sm());
-        let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
-            .unwrap();
-        let expected = els.estimate_order(&r.join_order).unwrap();
-        assert_eq!(r.estimated_sizes.len(), expected.len());
-        for (a, b) in r.estimated_sizes.iter().zip(&expected) {
-            assert!((a - b).abs() <= b.abs() * 1e-12 + 1e-300, "{a} vs {b}");
-        }
     }
 
     #[test]

@@ -27,7 +27,9 @@ use rand::{Rng, SeedableRng};
 use els_core::CardinalityEstimator;
 
 use crate::cost::{CostParams, Inner};
-use crate::enumerate::{cheapest_method, edges_between, scan_filters, EnumerationResult};
+use crate::enumerate::{
+    cheapest_method, edges_between, scan_filters, Annotation, EnumerationResult,
+};
 use crate::error::{OptimizerError, OptimizerResult};
 use crate::profile::TableProfile;
 
@@ -52,10 +54,12 @@ pub fn cost_order(
     };
     let predicates = els.predicates();
     let mut state = els.initial_state(first)?;
-    let mut node = PlanNode::Scan { table_id: first, filters: scan_filters(predicates, first)? };
+    let filters = scan_filters(predicates, first)?;
     let mut cost = params.scan(profile(first)?);
+    let mut annotations =
+        vec![Annotation::scan(els, first, filters.len(), state.cardinality(), cost, None)?];
+    let mut node = PlanNode::Scan { table_id: first, filters };
     let mut mask: u64 = 1 << first;
-    let mut sizes = Vec::with_capacity(rest.len());
 
     for &t in rest {
         let new_state = els.join(&state, t)?;
@@ -73,24 +77,25 @@ pub fn cost_order(
         ) else {
             return Err(OptimizerError::Unsupported("no join methods enabled".into()));
         };
+        let filters = scan_filters(predicates, t)?;
+        let (rows, scan_cost) = (els.initial_state(t)?.cardinality(), params.scan(profile(t)?));
+        let scan = Annotation::scan(els, t, filters.len(), rows, scan_cost, Some(method))?;
+        let outer_at = annotations.len() - 1;
+        annotations.push(scan);
         cost += join_cost;
+        mask |= 1 << t;
+        let rows = new_state.cardinality();
+        annotations.push(Annotation::join(mask, method, rows, cost, (outer_at, outer_at + 1)));
         node = PlanNode::Join {
             method,
             left: Box::new(node),
-            right: Box::new(PlanNode::Scan { table_id: t, filters: scan_filters(predicates, t)? }),
+            right: Box::new(PlanNode::Scan { table_id: t, filters }),
             keys,
             ranges,
         };
-        mask |= 1 << t;
         state = new_state;
-        sizes.push(state.cardinality());
     }
-    Ok(EnumerationResult {
-        root: node,
-        join_order: order.to_vec(),
-        estimated_sizes: sizes,
-        estimated_cost: cost,
-    })
+    Ok(EnumerationResult::new(node, annotations))
 }
 
 /// Greedy minimum-cost augmentation: try every starting table, then extend

@@ -47,7 +47,7 @@ pub mod rewrite;
 mod stripe;
 
 pub use cost::CostParams;
-pub use enumerate::{EnumerationResult, TreeShape};
+pub use enumerate::{Annotation, EnumerationResult, TreeShape};
 pub use error::{OptimizerError, OptimizerResult};
 pub use heuristic::{cost_order, greedy_order, iterative_improvement};
 pub use optimizer::{

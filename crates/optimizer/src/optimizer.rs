@@ -13,7 +13,7 @@ use els_sql::{BoundProjection, BoundQuery};
 use els_storage::Table;
 
 use crate::cost::CostParams;
-use crate::enumerate::{enumerate, TreeShape};
+use crate::enumerate::{enumerate, Annotation, TreeShape};
 use crate::error::{OptimizerError, OptimizerResult};
 use crate::profile::TableProfile;
 
@@ -222,10 +222,14 @@ pub struct OptimizedQuery {
     /// The chosen join order (table positions in the `FROM` list).
     pub join_order: Vec<usize>,
     /// Estimated intermediate result sizes along that order (per the
-    /// planning estimator, i.e. [`Self::estimator`]).
+    /// planning estimator, i.e. [`Self::estimator`]): the join
+    /// annotations' rows.
     pub estimated_sizes: Vec<f64>,
-    /// Total estimated cost in page units.
+    /// Total estimated cost in page units: the root annotation's cost.
     pub estimated_cost: f64,
+    /// The plan's nodes as the optimizer estimated and priced them, in the
+    /// executor's post-order ([`crate::EnumerationResult::annotations`]).
+    pub annotations: Vec<Annotation>,
     /// The prepared ELS estimator (for EXPLAIN-style inspection and
     /// feedback harvesting) — prepared even when another strategy planned
     /// the query.
@@ -313,6 +317,7 @@ pub fn optimize_full(
         join_order: result.join_order,
         estimated_sizes: result.estimated_sizes,
         estimated_cost: result.estimated_cost,
+        annotations: result.annotations,
         els,
         alt,
         corrections_applied: 0,

@@ -403,6 +403,7 @@ mod tests {
                 join_order: vec![0],
                 estimated_sizes: vec![],
                 estimated_cost: 0.0,
+                annotations: vec![],
                 els,
                 alt: None,
                 corrections_applied: 0,

@@ -4,9 +4,15 @@
 //! declares itself — as they must for a wrapper that does not forward
 //! `order_independent` (the benchmark's counting estimator is one), which
 //! takes the per-candidate path over the same estimates.
+//!
+//! Every plan either path returns must also carry its own annotations: its
+//! nodes in post-order, each with the estimate a re-walk of the tree
+//! computes ([`node_sizes`]) to the bit, the root with the plan's cost.
 
 #[path = "support/corpus.rs"]
 mod corpus;
+#[path = "support/node_sizes.rs"]
+mod node_sizes;
 #[path = "support/random_graph.rs"]
 mod random_graph;
 
@@ -17,6 +23,7 @@ use els_core::{
 use els_exec::JoinMethod;
 use els_optimizer::enumerate::{enumerate, EnumerationResult};
 use els_optimizer::{CostParams, TableProfile, TreeShape};
+use node_sizes::node_sizes;
 use proptest::prelude::*;
 
 /// Forwards every call but `order_independent`, which keeps its default.
@@ -56,8 +63,42 @@ fn outcome(r: &EnumerationResult) -> (String, Vec<usize>, Vec<u64>, u64) {
     (r.root.explain(), r.join_order.clone(), sizes, r.estimated_cost.to_bits())
 }
 
+/// `r`'s annotations are `r.root` in post-order: each with its node's
+/// tables, method and input positions (so inputs come first) and the
+/// reference walk's rows, to the bit. `estimated_sizes` holds the joins'
+/// rows, `estimated_cost` is the root's cost, and a left-deep plan's sizes
+/// are `estimate_order`'s.
+fn annotations_hold(
+    r: &EnumerationResult,
+    est: &dyn CardinalityEstimator,
+) -> Result<(), TestCaseError> {
+    let mut reference = Vec::new();
+    node_sizes(est, &r.root, false, &mut reference).unwrap();
+    let got: Vec<_> = r
+        .annotations
+        .iter()
+        .map(|a| (a.tables, a.method.map(|m| (m, a.left, a.right)), a.rows.to_bits()))
+        .collect();
+    let want: Vec<_> = reference.iter().map(|&(t, join, rows)| (t, join, rows.to_bits())).collect();
+    prop_assert_eq!(got, want);
+    let joins: Vec<f64> =
+        r.annotations.iter().filter(|a| a.method.is_some()).map(|a| a.rows).collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&joins), bits(&r.estimated_sizes));
+    prop_assert_eq!(
+        r.annotations.last().map(|a| a.cost.to_bits()),
+        Some(r.estimated_cost.to_bits())
+    );
+    let scan = |at: usize| r.annotations[at].method.is_none();
+    if r.annotations.iter().all(|a| a.method.is_none() || scan(a.right)) {
+        prop_assert_eq!(bits(&est.estimate_order(&r.join_order).unwrap()), bits(&joins));
+    }
+    Ok(())
+}
+
 /// Plan `est` directly and through [`Undeclared`] in both tree shapes;
-/// returns how many of the plans took the per-subset path.
+/// returns how many of the plans took the per-subset path. Both plans'
+/// annotations must hold.
 fn plan_both_ways(
     query: &str,
     est: &dyn CardinalityEstimator,
@@ -69,6 +110,8 @@ fn plan_both_ways(
     for shape in [TreeShape::LeftDeep, TreeShape::Bushy] {
         let memo = enumerate(est, profiles, methods, &params, shape).unwrap();
         let per_candidate = enumerate(&Undeclared(est), profiles, methods, &params, shape).unwrap();
+        annotations_hold(&memo, est)?;
+        annotations_hold(&per_candidate, est)?;
         prop_assert_eq!(
             outcome(&memo),
             outcome(&per_candidate),

@@ -3,12 +3,13 @@
 //! The paper's whole evaluation (Section 8) is a table of *estimated* join
 //! result sizes next to *actual* ones; this module closes that loop at
 //! runtime. Executing a plan with observations enabled yields per-operator
-//! actual cardinalities and wall times; re-running the prepared
-//! [`els_core::Els`] estimator over the *same plan tree shape* yields the
-//! per-operator estimates the optimizer believed in (works for bushy trees,
-//! not just the left-deep chains `estimated_sizes` covers). Each operator
-//! then gets the paper's error ratio (`est/act`) and its symmetric folding,
-//! the **q-error** `max(est/act, act/est)` (see [`els_core::q_error`]).
+//! actual cardinalities and wall times, in post-order; the plan carries the
+//! estimates the optimizer believed in as [`Annotation`]s in the same
+//! post-order (bushy trees too, not just the left-deep chains
+//! `estimated_sizes` covers), so a report is the two arrays zipped. Each
+//! operator then gets the paper's error ratio (`est/act`) and its symmetric
+//! folding, the **q-error** `max(est/act, act/est)` (see
+//! [`els_core::q_error`]).
 //!
 //! Reports are recorded into the process-wide
 //! [`els_exec::MetricsRegistry`], keyed by selectivity rule, so a long-run
@@ -20,11 +21,9 @@ use std::time::Duration;
 use std::collections::HashMap;
 
 use els_catalog::{FeedbackKey, QueryCorrections};
-use els_core::{
-    q_error, scan_fingerprint, CardinalityEstimator, Els, ElsResult, JoinState, Predicate,
-    SelectivityRule,
-};
-use els_exec::{ExecMetrics, ExecMode, JoinMethod, MetricsRegistry, Observations, PlanNode};
+use els_core::{q_error, scan_fingerprint, Els, Predicate, SelectivityRule};
+use els_exec::{ExecMetrics, ExecMode, MetricsRegistry, Observations};
+use els_optimizer::Annotation;
 
 /// One operator of the analyzed plan: the estimator's belief next to the
 /// executor's observation.
@@ -50,6 +49,8 @@ pub struct OperatorReport {
     /// "actual" is the stored row count, not a post-filter cardinality, so
     /// feedback harvesting must not treat it as a scan observation.
     pub rescan: bool,
+    /// A join's two inputs: their positions in the report's operators.
+    pub inputs: Option<(usize, usize)>,
 }
 
 impl OperatorReport {
@@ -179,176 +180,93 @@ impl fmt::Display for ExplainAnalyzeReport {
     }
 }
 
-/// Walker state: two observation cursors (scans and joins are separate
-/// post-order streams) plus the pre-order operator list under construction.
-struct Builder<'a> {
-    est: &'a dyn CardinalityEstimator,
-    binding_names: &'a [String],
-    obs: &'a Observations,
-    scan_cursor: usize,
-    join_cursor: usize,
-    operators: Vec<OperatorReport>,
+/// Observations that belong to another plan than the annotations they meet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mismatch {
+    /// The first annotation (in post-order) without its observation, or the
+    /// number of annotations when observations are left over.
+    pub at: usize,
 }
 
-impl Builder<'_> {
-    fn table_name(&self, t: usize) -> &str {
-        self.binding_names.get(t).map_or("?", |s| s.as_str())
-    }
-
-    fn next_scan(&mut self) -> (usize, u64, Duration) {
-        let (t, rows) = self.obs.scan_outputs.get(self.scan_cursor).copied().unwrap_or((0, 0));
-        let elapsed =
-            self.obs.scan_elapsed.get(self.scan_cursor).copied().unwrap_or(Duration::ZERO);
-        self.scan_cursor += 1;
-        (t, rows, elapsed)
-    }
-
-    fn next_join(&mut self) -> (u64, Duration) {
-        let rows = self.obs.join_outputs.get(self.join_cursor).map_or(0, |(_, r)| *r);
-        let elapsed =
-            self.obs.join_elapsed.get(self.join_cursor).copied().unwrap_or(Duration::ZERO);
-        self.join_cursor += 1;
-        (rows, elapsed)
-    }
-
-    /// Walk one plan node, consuming its observations in the exact order
-    /// the executor produced them (see `execute_node` in `els-exec`) and
-    /// recomputing the estimator's belief for the node's subtree. Returns
-    /// the estimator state covering the subtree.
-    fn walk(&mut self, node: &PlanNode, depth: usize) -> ElsResult<JoinState> {
-        match node {
-            PlanNode::Scan { table_id, filters } => {
-                let state = self.est.initial_state(*table_id)?;
-                let (obs_table, actual, elapsed) = self.next_scan();
-                debug_assert_eq!(obs_table, *table_id, "scan observation order diverged");
-                let mut label = format!("Scan({})", self.table_name(*table_id));
-                if !filters.is_empty() {
-                    label.push_str(&format!(" [{} filter(s)]", filters.len()));
-                }
-                self.operators.push(OperatorReport {
-                    label,
-                    depth,
-                    tables: vec![*table_id],
-                    is_join: false,
-                    estimated: state.cardinality(),
-                    actual,
-                    elapsed,
-                    rescan: false,
-                });
-                Ok(state)
-            }
-            PlanNode::Join { method, left, right, .. } => {
-                // Reserve the join's pre-order slot before descending.
-                let slot = self.operators.len();
-                self.operators.push(OperatorReport {
-                    label: String::new(),
-                    depth,
-                    tables: node.tables(),
-                    is_join: true,
-                    estimated: 0.0,
-                    actual: 0,
-                    elapsed: Duration::ZERO,
-                    rescan: false,
-                });
-                let l = self.walk(left, depth + 1)?;
-
-                // Rescanning access paths (plain NL over a stored inner,
-                // and INL) never execute the inner as a plan node: the
-                // executor records the inner's *stored* row count as its
-                // scan observation. Mirror that — and estimate it with the
-                // original (pre-predicate) cardinality, since that is what
-                // the observation measures.
-                let rescans_inner = matches!(
-                    (method, right.as_ref()),
-                    (JoinMethod::NestedLoop, PlanNode::Scan { .. })
-                ) || *method == JoinMethod::IndexNestedLoop;
-                let r = if rescans_inner {
-                    let PlanNode::Scan { table_id, .. } = right.as_ref() else {
-                        // INL over a non-scan inner fails execution before
-                        // any report is built; estimate it as a plain walk.
-                        let r = self.walk(right, depth + 1)?;
-                        return self.finish_join(slot, method, &l, &r);
-                    };
-                    let (obs_table, actual, elapsed) = self.next_scan();
-                    debug_assert_eq!(obs_table, *table_id, "rescan observation order diverged");
-                    let stored = self.est.original_cardinality(*table_id).unwrap_or(0.0);
-                    self.operators.push(OperatorReport {
-                        label: format!("Rescan({})", self.table_name(*table_id)),
-                        depth: depth + 1,
-                        tables: vec![*table_id],
-                        is_join: false,
-                        estimated: stored,
-                        actual,
-                        elapsed,
-                        rescan: true,
-                    });
-                    self.est.initial_state(*table_id)?
-                } else {
-                    self.walk(right, depth + 1)?
-                };
-                self.finish_join(slot, method, &l, &r)
-            }
-        }
-    }
-
-    /// Fill a reserved join slot from the estimator and the next join
-    /// observation.
-    fn finish_join(
-        &mut self,
-        slot: usize,
-        method: &JoinMethod,
-        l: &JoinState,
-        r: &JoinState,
-    ) -> ElsResult<JoinState> {
-        let state = self.est.join_sets(l, r)?;
-        let (actual, elapsed) = self.next_join();
-        let names: Vec<String> = self.operators[slot]
-            .tables
-            .clone()
-            .into_iter()
-            .map(|t| self.table_name(t).to_owned())
-            .collect();
-        let op = &mut self.operators[slot];
-        op.label = format!("Join<{}> {{{}}}", method.name(), names.join(","));
-        op.estimated = state.cardinality();
-        op.actual = actual;
-        op.elapsed = elapsed;
-        Ok(state)
+impl fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "the observations diverge from the plan at node {}", self.at)
     }
 }
 
-/// Build the per-operator report for an executed plan. `est` must be the
-/// prepared estimator the optimizer used (it carries the effective
-/// statistics the plan was costed with); `obs` the observations from the
-/// same plan's execution.
+impl std::error::Error for Mismatch {}
+
+/// Build the per-operator report of an executed plan: its `annotations`
+/// (the optimizer's estimates, in post-order) zipped with `obs` (what the
+/// execution observed, in the same order: the k-th scan annotation is the
+/// k-th scan observation, and likewise for joins), then laid out in
+/// pre-order from the root through each join's inputs.
 pub fn build_operator_reports(
-    plan_root: &PlanNode,
-    est: &dyn CardinalityEstimator,
+    annotations: &[Annotation],
     binding_names: &[String],
     obs: &Observations,
-) -> ElsResult<Vec<OperatorReport>> {
-    let mut b =
-        Builder { est, binding_names, obs, scan_cursor: 0, join_cursor: 0, operators: Vec::new() };
-    b.walk(plan_root, 0)?;
-    debug_assert_eq!(b.scan_cursor, obs.scan_outputs.len(), "unconsumed scan observations");
-    debug_assert_eq!(b.join_cursor, obs.join_outputs.len(), "unconsumed join observations");
-    Ok(b.operators)
+) -> Result<Vec<OperatorReport>, Mismatch> {
+    let mut scans = obs.scan_outputs.iter().map(|(t, n)| (vec![*t], *n)).zip(&obs.scan_elapsed);
+    let mut joins = obs.join_outputs.iter().cloned().zip(&obs.join_elapsed);
+    let mut post = Vec::with_capacity(annotations.len());
+    for (at, a) in annotations.iter().enumerate() {
+        let tables: Vec<usize> = (0..64).filter(|t| a.tables >> t & 1 == 1).collect();
+        let next = if a.method.is_some() { joins.next() } else { scans.next() };
+        let ((_, actual), &elapsed) =
+            next.filter(|((seen, _), _)| *seen == tables).ok_or(Mismatch { at })?;
+        let names: Vec<&str> =
+            tables.iter().map(|&t| binding_names.get(t).map_or("?", String::as_str)).collect();
+        let names = names.join(",");
+        let label = match a.method {
+            Some(method) => format!("Join<{}> {{{names}}}", method.name()),
+            None if a.rescan => format!("Rescan({names})"),
+            None if a.filters > 0 => format!("Scan({names}) [{} filter(s)]", a.filters),
+            None => format!("Scan({names})"),
+        };
+        post.push(Some(OperatorReport {
+            label,
+            depth: 0,
+            tables,
+            is_join: a.method.is_some(),
+            estimated: a.rows,
+            actual,
+            elapsed,
+            rescan: a.rescan,
+            inputs: a.method.map(|_| (a.left, a.right)),
+        }));
+    }
+    if scans.next().is_some() || joins.next().is_some() {
+        return Err(Mismatch { at: annotations.len() });
+    }
+    let mut operators = Vec::with_capacity(post.len());
+    if let Some(root) = post.len().checked_sub(1) {
+        place(&mut post, root, 0, &mut operators)?;
+    }
+    Ok(operators)
 }
 
-/// The direct children of the join at pre-order index `join`: the operator
-/// right after it, and the next operator at the same child depth after that
-/// child's subtree.
-fn direct_children(operators: &[OperatorReport], join: usize) -> Option<(usize, usize)> {
-    let child_depth = operators[join].depth + 1;
-    let left = join + 1;
-    if operators.get(left)?.depth != child_depth {
-        return None;
+/// Move the subtree under `post[at]` to `out` in pre-order, turning its
+/// joins' `inputs` from positions in `post` into positions in `out`.
+/// Returns the subtree root's position in `out`. Each node can be taken
+/// once, so a node reached twice is a mismatch, not a second report.
+fn place(
+    post: &mut [Option<OperatorReport>],
+    at: usize,
+    depth: usize,
+    out: &mut Vec<OperatorReport>,
+) -> Result<usize, Mismatch> {
+    let mut op = post.get_mut(at).and_then(Option::take).ok_or(Mismatch { at })?;
+    let (position, inputs) = (out.len(), op.inputs.take());
+    op.depth = depth;
+    out.push(op);
+    if let Some((left, right)) = inputs {
+        let left = place(post, left, depth + 1, out)?;
+        let right = place(post, right, depth + 1, out)?;
+        if let Some(op) = out.get_mut(position) {
+            op.inputs = Some((left, right));
+        }
     }
-    let mut right = left + 1;
-    while operators.get(right).is_some_and(|o| o.depth > child_depth) {
-        right += 1;
-    }
-    (operators.get(right)?.depth == child_depth).then_some((left, right))
+    Ok(position)
 }
 
 /// Harvest one executed query's estimated-vs-actual residuals into the
@@ -386,63 +304,53 @@ pub fn harvest_feedback(
     let store = corrections.store();
     let mut observed = 0u64;
     let mut published = 0u64;
-    for (i, op) in operators.iter().enumerate() {
+    for op in operators {
         if op.rescan {
             continue;
         }
-        if !op.is_join {
+        let Some((l, r)) = op.inputs else {
             let Some(&t) = op.tables.first() else { continue };
             let fingerprint = scan_fingerprint(els.predicates(), t);
             let Some(key) = corrections.scan_key(t, &fingerprint) else { continue };
             observed += 1;
             published += u64::from(store.observe(key, op.estimated, op.actual as f64, corrected));
             continue;
-        }
-        let Some((l, r)) = direct_children(operators, i) else { continue };
+        };
+        let (Some(lop), Some(rop)) = (operators.get(l), operators.get(r)) else { continue };
         if op.actual == 0 {
             // An empty observed join: the q-error convention calls a
             // sub-tuple estimate of an empty result exact, and a residual
             // learned from it would only push corrections toward zero.
             continue;
         }
-        let (lop, rop) = (&operators[l], &operators[r]);
         // Count how many times the estimator applied each class's
         // correction at this step: corrections scale *predicate*
         // selectivities, so Rule M (which multiplies every eligible
         // predicate) applies a class's factor once per predicate crossing
         // the two children, while the choosing rules (LS/SS/REP) collapse
         // a class's eligible set into one value and apply it once.
+        let crosses = |l: usize, r: usize| {
+            let (a, b) = (&lop.tables, &rop.tables);
+            (a.contains(&l) && b.contains(&r)) || (b.contains(&l) && a.contains(&r))
+        };
         let mut applications: HashMap<FeedbackKey, usize> = HashMap::new();
         for p in els.predicates() {
-            match p {
-                Predicate::JoinEq { left, right } => {
-                    let crosses = (lop.tables.contains(&left.table)
-                        && rop.tables.contains(&right.table))
-                        || (rop.tables.contains(&left.table) && lop.tables.contains(&right.table));
-                    if !crosses {
-                        continue;
-                    }
-                    let Some(class) = els.classes().class_of(*left) else { continue };
-                    let Some(key) = corrections.join_key(els.classes().members(class)) else {
-                        continue;
-                    };
-                    *applications.entry(key).or_insert(0) += 1;
+            let key = match p {
+                Predicate::JoinEq { left, right } if crosses(left.table, right.table) => {
+                    let classes = els.classes();
+                    classes.class_of(*left).and_then(|c| corrections.join_key(classes.members(c)))
                 }
                 // Inequality edges: applied once per predicate under every
                 // rule (range selectivities multiply independently of the
                 // equi-join rule's choose-vs-multiply policy), keyed by the
                 // canonicalized `(column, op, column)` triple.
-                Predicate::JoinRange { left, op, right } => {
-                    let crosses = (lop.tables.contains(&left.table)
-                        && rop.tables.contains(&right.table))
-                        || (rop.tables.contains(&left.table) && lop.tables.contains(&right.table));
-                    if !crosses {
-                        continue;
-                    }
-                    let Some(key) = corrections.range_key(*left, *op, *right) else { continue };
-                    *applications.entry(key).or_insert(0) += 1;
+                Predicate::JoinRange { left, op, right } if crosses(left.table, right.table) => {
+                    corrections.range_key(*left, *op, *right)
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some(key) = key {
+                *applications.entry(key).or_insert(0) += 1;
             }
         }
         if applications.is_empty() {

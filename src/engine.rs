@@ -418,13 +418,9 @@ impl Engine {
         if !report {
             return Ok((out, Vec::new()));
         }
-        let operators = build_operator_reports(
-            &plan.optimized.plan.root,
-            plan.optimized.estimator(),
-            &plan.binding_names,
-            &obs,
-        )
-        .map_err(|e| EngineError::Optimizer(e.to_string()))?;
+        let operators =
+            build_operator_reports(&plan.optimized.annotations, &plan.binding_names, &obs)
+                .map_err(|e| EngineError::Exec(e.to_string()))?;
         let published = harvest_query(
             &self.catalog,
             self.options.feedback,

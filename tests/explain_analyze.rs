@@ -1,10 +1,19 @@
 //! End-to-end tests of `explain_analyze`: the per-operator
-//! estimated-vs-actual report, its stability across execution modes, and
-//! its aggregation into the global metrics registry.
+//! estimated-vs-actual report, its stability across execution modes, its
+//! aggregation into the global metrics registry, and the typed error when a
+//! plan's annotations meet another plan's observations.
 
+#[path = "../crates/optimizer/tests/support/node_sizes.rs"]
+mod node_sizes;
+
+use els::analyze::{build_operator_reports, Mismatch, OperatorReport};
 use els::engine::Engine;
-use els::exec::{execute_plan_observed, ExecMode, MetricsRegistry};
-use els::storage::datagen::starburst_experiment_tables_sized;
+use els::exec::{execute_plan_observed, ExecMode, MetricsRegistry, Observations};
+use els::optimizer::{CachedPlan, OptimizerOptions};
+use els::storage::datagen::{
+    starburst_experiment_tables_sized, ColumnSpec, Distribution, TableSpec,
+};
+use node_sizes::node_sizes;
 
 const SECTION8_SQL: &str =
     "SELECT COUNT(*) FROM S, M, B, G WHERE s = m AND m = b AND b = g AND s < 100";
@@ -95,4 +104,90 @@ fn second_analysis_hits_the_plan_cache_and_feeds_the_registry() {
     // Each analysis records one sample per join; other tests share the
     // registry, so assert a lower bound rather than an exact delta.
     assert!(after >= before + 6, "expected >= 6 new LS samples, {before} -> {after}");
+}
+
+/// The estimates of `ops[at]`'s subtree in post-order, read through each
+/// join's `inputs`.
+fn post_order(ops: &[OperatorReport], at: usize, out: &mut Vec<f64>) {
+    if let Some((left, right)) = ops[at].inputs {
+        post_order(ops, left, out);
+        post_order(ops, right, out);
+    }
+    out.push(ops[at].estimated);
+}
+
+#[test]
+fn a_bushy_plan_reports_rescanned_inners_at_their_stored_size() {
+    // Two band joins, each a nested loop rescanning its 2 000-row fact
+    // table once per surviving dimension row, under a cartesian root: the
+    // bushy winner joins the two pairs' results.
+    let engine = Engine::with_options(OptimizerOptions::default().with_bushy_trees());
+    for (fact, dim) in [("fact", "dim"), ("f2", "d2")] {
+        let key = Distribution::CycleInt { modulus: 100, start: 0 };
+        engine.generate(TableSpec::new(fact, 2000).column(ColumnSpec::new("key", key)), 1).unwrap();
+        let id = Distribution::SequentialInt { start: 0 };
+        engine.generate(TableSpec::new(dim, 100).column(ColumnSpec::new("id", id)), 2).unwrap();
+    }
+    let sql = "SELECT COUNT(*) FROM fact, dim, f2, d2 \
+               WHERE fact.key < dim.id AND dim.id < 5 AND f2.key < d2.id AND d2.id < 3";
+    let report = engine.explain_analyze(sql).unwrap();
+    let shape: Vec<_> = report
+        .operators
+        .iter()
+        .map(|op| (op.label.as_str(), op.depth, op.tables.clone(), op.rescan))
+        .collect();
+    assert_eq!(
+        shape,
+        [
+            ("Join<NL> {fact,dim,f2,d2}", 0, vec![0, 1, 2, 3], false),
+            ("Join<NL> {f2,d2}", 1, vec![2, 3], false),
+            ("Scan(d2) [1 filter(s)]", 2, vec![3], false),
+            ("Rescan(f2)", 2, vec![2], true),
+            ("Join<NL> {fact,dim}", 1, vec![0, 1], false),
+            ("Scan(dim) [1 filter(s)]", 2, vec![1], false),
+            ("Rescan(fact)", 2, vec![0], true),
+        ],
+        "{report}"
+    );
+    assert_eq!(report.result_rows, 200 * 60, "{report}");
+
+    let plan = engine.prepare(sql).unwrap();
+    let est = plan.optimized.estimator();
+    for op in report.operators.iter().filter(|op| op.rescan) {
+        assert_eq!(op.estimated, est.original_cardinality(op.tables[0]).unwrap(), "{report}");
+        assert_eq!((op.estimated, op.actual), (2000.0, 2000), "{report}");
+    }
+    let (mut reported, mut reference) = (Vec::new(), Vec::new());
+    post_order(&report.operators, 0, &mut reported);
+    node_sizes(est, &plan.optimized.plan.root, false, &mut reference).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let reference: Vec<f64> = reference.iter().map(|&(_, _, rows)| rows).collect();
+    assert_eq!(bits(&reported), bits(&reference), "{report}");
+}
+
+#[test]
+fn another_plans_observations_are_a_typed_error() {
+    let engine = section8_engine(1);
+    let snapshot = engine.snapshot();
+    let observe = |plan: &CachedPlan| -> Observations {
+        let tables: Vec<_> =
+            plan.table_names.iter().map(|name| snapshot.table_data(name).unwrap()).collect();
+        execute_plan_observed(&plan.optimized.plan, &tables, ExecMode::default(), None).unwrap().1
+    };
+    let report = |plan: &CachedPlan, obs: &Observations| {
+        build_operator_reports(&plan.optimized.annotations, &plan.binding_names, obs)
+    };
+    let one = engine.prepare("SELECT COUNT(*) FROM S").unwrap();
+    let two = engine.prepare("SELECT COUNT(*) FROM S, M WHERE s = m").unwrap();
+    let four = engine.prepare(SECTION8_SQL).unwrap();
+    let (one_obs, two_obs, four_obs) = (observe(&one), observe(&two), observe(&four));
+    assert_eq!(report(&two, &two_obs).unwrap().len(), 3);
+    assert_eq!(report(&four, &four_obs).unwrap().len(), 7);
+    // One plan's scan of S is the other's first: then a join observation
+    // is left over, or missing.
+    assert_eq!(report(&one, &two_obs).unwrap_err(), Mismatch { at: 1 });
+    assert_eq!(report(&two, &one_obs).unwrap_err(), Mismatch { at: 1 });
+    // The Section 8 plan scans M first, the two-table plan S.
+    assert_eq!(report(&four, &two_obs).unwrap_err(), Mismatch { at: 0 });
+    assert_eq!(report(&two, &four_obs).unwrap_err(), Mismatch { at: 0 });
 }
