@@ -55,6 +55,7 @@ pub fn chain_predicates(n: usize) -> Vec<els_core::Predicate> {
                 els_core::ColumnRef::new(i - 1, 0),
                 els_core::ColumnRef::new(i, 0),
             )
+            .unwrap()
         })
         .collect()
 }

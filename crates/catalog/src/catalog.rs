@@ -60,8 +60,9 @@ impl Catalog {
     }
 
     fn entry(&self, name: &str) -> CatalogResult<&Entry> {
-        self.find(name)
-            .map(|i| &self.entries[i])
+        self.entries
+            .iter()
+            .find(|e| e.def.name == name)
             .ok_or_else(|| CatalogError::UnknownTable(name.to_owned()))
     }
 
@@ -388,7 +389,8 @@ mod tests {
         let preds = vec![els_core::Predicate::col_eq(
             c.resolve_column(&["A", "B"], "A", "x").unwrap(),
             c.resolve_column(&["A", "B"], "B", "y").unwrap(),
-        )];
+        )
+        .unwrap()];
         let els = els_core::Els::prepare(&preds, &stats, &els_core::ElsOptions::default()).unwrap();
         // ||A ⋈ B|| = 1000·500/max(1000,50) = 500.
         let s = els.join(&els.initial_state(0).unwrap(), 1).unwrap();

@@ -76,19 +76,23 @@ impl Histogram {
         }
         let nb = bucket_count.min(values.len()).max(1);
         let width = (hi - lo) / nb as f64;
-        let mut counts = vec![0u64; nb];
-        let mut distinct: Vec<HashMap<u64, ()>> = vec![HashMap::new(); nb];
+        // Per bucket: its row count and the bit patterns of its values.
+        let mut slots: Vec<(u64, HashMap<u64, ()>)> = vec![(0, HashMap::new()); nb];
         for &v in values {
             let idx = (((v - lo) / width) as usize).min(nb - 1);
-            counts[idx] += 1;
-            distinct[idx].insert(v.to_bits(), ());
+            if let Some((count, seen)) = slots.get_mut(idx) {
+                *count += 1;
+                seen.insert(v.to_bits(), ());
+            }
         }
-        let buckets = (0..nb)
-            .map(|i| Bucket {
+        let buckets = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, (count, seen))| Bucket {
                 lo: lo + width * i as f64,
                 hi: if i == nb - 1 { hi } else { lo + width * (i + 1) as f64 },
-                count: counts[i],
-                distinct: distinct[i].len() as u64,
+                count,
+                distinct: seen.len() as u64,
             })
             .collect();
         Some(Histogram::EquiWidth(EquiWidthHistogram { buckets, total: values.len() as u64 }))
@@ -105,30 +109,22 @@ impl Histogram {
         sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let nb = bucket_count.min(n).max(1);
-        let target = n.div_ceil(nb);
+        let target = n.div_ceil(nb) as u64;
+        // Whole runs of equal values fill a bucket until it holds `target`
+        // rows, so equal values stay together.
         let mut buckets = Vec::with_capacity(nb);
-        let mut start = 0usize;
-        while start < n {
-            let mut end = (start + target).min(n);
-            // Extend so equal values stay together.
-            while end < n && sorted[end] == sorted[end - 1] {
-                end += 1;
+        let mut open: Option<Bucket> = None;
+        for run in sorted.chunk_by(|a, b| a == b) {
+            let (Some(&first), Some(&last)) = (run.first(), run.last()) else { continue };
+            let b = open.get_or_insert(Bucket { lo: first, hi: first, count: 0, distinct: 0 });
+            b.hi = last;
+            b.count += run.len() as u64;
+            b.distinct += 1;
+            if b.count >= target {
+                buckets.extend(open.take());
             }
-            let slice = &sorted[start..end];
-            let mut distinct = 1u64;
-            for w in slice.windows(2) {
-                if w[0] != w[1] {
-                    distinct += 1;
-                }
-            }
-            buckets.push(Bucket {
-                lo: slice[0],
-                hi: slice[slice.len() - 1],
-                count: slice.len() as u64,
-                distinct,
-            });
-            start = end;
         }
+        buckets.extend(open);
         Some(Histogram::EquiDepth(EquiDepthHistogram { buckets, total: n as u64 }))
     }
 

@@ -343,9 +343,9 @@ mod tests {
         let stats =
             QueryStatistics::new(vec![mk(1000.0), mk(10_000.0), mk(50_000.0), mk(100_000.0)]);
         let preds = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),              // s = m
-            Predicate::col_eq(c(1, 0), c(2, 0)),              // m = b
-            Predicate::col_eq(c(2, 0), c(3, 0)),              // b = g
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(), // s = m
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(), // m = b
+            Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(), // b = g
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64), // s < 100
         ];
         (stats, preds)
@@ -428,7 +428,10 @@ mod tests {
                 vec![ColumnStatistics::with_distinct(10.0), ColumnStatistics::with_distinct(50.0)],
             ),
         ]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)), Predicate::col_eq(c(0, 0), c(1, 1))];
+        let preds = vec![
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(0, 0), c(1, 1)).unwrap(),
+        ];
         let els = Els::prepare(&preds, &stats, &ElsOptions::default()).unwrap();
         assert_eq!(els.same_table_adjustments().len(), 1);
         assert_eq!(els.effective_cardinality(1).unwrap(), 20.0);

@@ -486,9 +486,9 @@ mod tests {
         let stats =
             QueryStatistics::new(vec![mk(1000.0), mk(10_000.0), mk(50_000.0), mk(100_000.0)]);
         let preds = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
-            Predicate::col_eq(c(2, 0), c(3, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
+            Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
         ];
         (stats, preds)
@@ -557,7 +557,7 @@ mod tests {
                 vec![ColumnStatistics::with_distinct(25.0).with_max_frequency(4.0)],
             ),
         ]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0))];
+        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];
         let ues = UpperBoundEstimator::new(&preds, &stats).unwrap();
         let s = ues.join(&ues.initial_state(0).unwrap(), 1).unwrap();
         assert_eq!(s.cardinality(), 400.0);
@@ -571,7 +571,7 @@ mod tests {
             TableStatistics::new(100.0, vec![ColumnStatistics::with_distinct(91.0)]),
             TableStatistics::new(50.0, vec![ColumnStatistics::with_distinct(50.0)]),
         ]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0))];
+        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];
         let ues = UpperBoundEstimator::new(&preds, &stats).unwrap();
         let s = ues.join(&ues.initial_state(1).unwrap(), 0).unwrap();
         // min(‖S‖·MF_R, ‖R‖·MF_S) = min(50·10, 100·1) = 100.
@@ -613,7 +613,7 @@ mod tests {
                     vec![ColumnStatistics::with_distinct(d_s).with_max_frequency(mf_s)],
                 ),
             ]);
-            let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0))];
+            let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];
             let ues = UpperBoundEstimator::new(&preds, &stats).unwrap();
             let bound = ues.join(&ues.initial_state(0).unwrap(), 1).unwrap().cardinality();
             assert!(
@@ -632,7 +632,7 @@ mod tests {
             TableStatistics::new(10.0, vec![ColumnStatistics::with_domain(10.0, 0.0, 9.0)]),
             TableStatistics::new(20.0, vec![ColumnStatistics::with_domain(20.0, 0.0, 19.0)]),
         ]);
-        let preds = vec![Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0))];
+        let preds = vec![Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0)).unwrap()];
         let ues = UpperBoundEstimator::new(&preds, &stats).unwrap();
         let s = ues.join(&ues.initial_state(0).unwrap(), 1).unwrap();
         assert_eq!(s.cardinality(), 200.0);
@@ -699,7 +699,7 @@ mod tests {
         assert!(UpperBoundEstimator::new(&[], &stats).is_err());
         assert!(NoEstimatesEstimator::new(&[], &stats).is_err());
         let stats = QueryStatistics::new(vec![TableStatistics::new(10.0, vec![])]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(5, 0))];
+        let preds = vec![Predicate::col_eq(c(0, 0), c(5, 0)).unwrap()];
         assert!(UpperBoundEstimator::new(&preds, &stats).is_err());
     }
 }

@@ -36,8 +36,8 @@ use crate::predicate::{dedup_predicates, Predicate};
 /// let x = ColumnRef::new(0, 0);
 /// let y = ColumnRef::new(1, 0);
 /// let z = ColumnRef::new(2, 0);
-/// let closed = transitive_closure(&[Predicate::col_eq(x, y), Predicate::col_eq(y, z)]);
-/// assert!(closed.contains(&Predicate::col_eq(x, z)));
+/// let closed = transitive_closure(&[Predicate::col_eq(x, y).unwrap(), Predicate::col_eq(y, z).unwrap()]);
+/// assert!(closed.contains(&Predicate::col_eq(x, z).unwrap()));
 /// ```
 pub fn transitive_closure(predicates: &[Predicate]) -> Vec<Predicate> {
     let mut out = dedup_predicates(predicates);
@@ -48,7 +48,8 @@ pub fn transitive_closure(predicates: &[Predicate]) -> Vec<Predicate> {
     for (_, members) in classes.iter() {
         for (i, &a) in members.iter().enumerate() {
             for &b in members.iter().skip(i + 1) {
-                implied.push(Predicate::col_eq(a, b));
+                // Class members are distinct, so no pair is a tautology.
+                implied.extend(Predicate::col_eq(a, b));
             }
         }
     }
@@ -110,7 +111,7 @@ fn imply(p: &Predicate, q: &Predicate) -> Option<Predicate> {
             [(a1 == b1, a2, b2), (a1 == b2, a2, b1), (a2 == b1, a1, b2), (a2 == b2, a1, b1)]
         {
             if shared && x != y {
-                return Some(Predicate::col_eq(x, y));
+                return Predicate::col_eq(x, y).ok();
             }
         }
         return None;
@@ -162,40 +163,52 @@ mod tests {
     #[test]
     fn rule_a_join_join_implies_join() {
         // Example 1a: (R0.x = R1.y) ∧ (R1.y = R2.z) ⇒ (R0.x = R2.z).
-        let input = vec![Predicate::col_eq(c(0, 0), c(1, 0)), Predicate::col_eq(c(1, 0), c(2, 0))];
+        let input = vec![
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
+        ];
         let out = transitive_closure(&input);
-        assert!(out.contains(&Predicate::col_eq(c(0, 0), c(2, 0))));
+        assert!(out.contains(&Predicate::col_eq(c(0, 0), c(2, 0)).unwrap()));
         assert_eq!(out.len(), 3);
     }
 
     #[test]
     fn rule_b_join_join_implies_local() {
         // (R0.x = R1.y) ∧ (R0.x = R1.w) ⇒ (R1.y = R1.w).
-        let input = vec![Predicate::col_eq(c(0, 0), c(1, 0)), Predicate::col_eq(c(0, 0), c(1, 1))];
+        let input = vec![
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(0, 0), c(1, 1)).unwrap(),
+        ];
         let out = transitive_closure(&input);
-        assert!(out.contains(&Predicate::col_eq(c(1, 0), c(1, 1))));
+        assert!(out.contains(&Predicate::col_eq(c(1, 0), c(1, 1)).unwrap()));
     }
 
     #[test]
     fn rule_c_local_local_implies_local() {
-        let input = vec![Predicate::col_eq(c(0, 0), c(0, 1)), Predicate::col_eq(c(0, 1), c(0, 2))];
+        let input = vec![
+            Predicate::col_eq(c(0, 0), c(0, 1)).unwrap(),
+            Predicate::col_eq(c(0, 1), c(0, 2)).unwrap(),
+        ];
         let out = transitive_closure(&input);
-        assert!(out.contains(&Predicate::col_eq(c(0, 0), c(0, 2))));
+        assert!(out.contains(&Predicate::col_eq(c(0, 0), c(0, 2)).unwrap()));
     }
 
     #[test]
     fn rule_d_join_local_implies_join() {
         // (R0.x = R1.y) ∧ (R0.x = R0.v) ⇒ (R1.y = R0.v).
-        let input = vec![Predicate::col_eq(c(0, 0), c(1, 0)), Predicate::col_eq(c(0, 0), c(0, 1))];
+        let input = vec![
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(0, 0), c(0, 1)).unwrap(),
+        ];
         let out = transitive_closure(&input);
-        assert!(out.contains(&Predicate::col_eq(c(0, 1), c(1, 0))));
+        assert!(out.contains(&Predicate::col_eq(c(0, 1), c(1, 0)).unwrap()));
     }
 
     #[test]
     fn rule_e_propagates_constant_comparisons() {
         // (R0.x = R1.y) ∧ (R0.x < 100) ⇒ (R1.y < 100).
         let input = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
         ];
         let out = transitive_closure(&input);
@@ -207,16 +220,19 @@ mod tests {
         // s = m AND m = b AND b = g AND s < 100 over tables 0..4 (S, M, B, G)
         // must imply s=b, s=g, m=g and the filters m<100, b<100, g<100.
         let input = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
-            Predicate::col_eq(c(2, 0), c(3, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
+            Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
         ];
         let out = transitive_closure(&input);
         // 6 join predicates (all pairs of 4 columns) + 4 local filters.
         assert_eq!(out.len(), 10);
         for (a, b) in [(0, 2), (0, 3), (1, 3)] {
-            assert!(out.contains(&Predicate::col_eq(c(a, 0), c(b, 0))), "missing join {a}-{b}");
+            assert!(
+                out.contains(&Predicate::col_eq(c(a, 0), c(b, 0)).unwrap()),
+                "missing join {a}-{b}"
+            );
         }
         for t in 1..4 {
             assert!(
@@ -229,8 +245,8 @@ mod tests {
     #[test]
     fn closure_is_idempotent() {
         let input = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
         ];
         let once = transitive_closure(&input);
@@ -241,9 +257,9 @@ mod tests {
     #[test]
     fn closure_matches_pairwise_fixpoint_on_section8() {
         let input = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
-            Predicate::col_eq(c(2, 0), c(3, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
+            Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
         ];
         assert_eq!(
@@ -256,7 +272,7 @@ mod tests {
     fn unrelated_predicates_pass_through() {
         let input = vec![
             Predicate::local_cmp(c(0, 0), CmpOp::Gt, 5i64),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
         ];
         let out = transitive_closure(&input);
         assert_eq!(as_sorted_strings(&out), as_sorted_strings(&input));
@@ -288,7 +304,7 @@ mod tests {
                 } else {
                     let b = c(rng.gen_range(0..3), rng.gen_range(0..2));
                     if a != b {
-                        preds.push(Predicate::col_eq(a, b));
+                        preds.push(Predicate::col_eq(a, b).unwrap());
                     }
                 }
             }

@@ -123,7 +123,7 @@ mod tests {
         let preds = vec![
             Predicate::is_null(c(0, 1)),
             Predicate::is_not_null(c(0, 2)),
-            Predicate::col_eq(c(0, 0), c(1, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
         ];
         assert_eq!(scan_fingerprint(&preds, 0), "c1 IS NULL&c2 IS NOT NULL");
         assert_eq!(scan_fingerprint(&preds, 1), "");

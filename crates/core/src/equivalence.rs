@@ -111,8 +111,8 @@ impl EquivalenceClasses {
     /// ```
     /// use els_core::{equivalence::EquivalenceClasses, ColumnRef, Predicate};
     /// let preds = vec![
-    ///     Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-    ///     Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
+    ///     Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+    ///     Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
     /// ];
     /// let classes = EquivalenceClasses::from_predicates(&preds);
     /// assert_eq!(classes.len(), 1);
@@ -225,7 +225,10 @@ mod tests {
     #[test]
     fn classes_from_example_1a() {
         // J1: R0.x = R1.y, J2: R1.y = R2.z  =>  {x, y, z} one class.
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)), Predicate::col_eq(c(1, 0), c(2, 0))];
+        let preds = vec![
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
+        ];
         let ec = EquivalenceClasses::from_predicates(&preds);
         assert_eq!(ec.len(), 1);
         assert_eq!(ec.members(ClassId(0)), &[c(0, 0), c(1, 0), c(2, 0)]);
@@ -234,7 +237,10 @@ mod tests {
 
     #[test]
     fn separate_classes_stay_separate() {
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)), Predicate::col_eq(c(0, 1), c(2, 0))];
+        let preds = vec![
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(0, 1), c(2, 0)).unwrap(),
+        ];
         let ec = EquivalenceClasses::from_predicates(&preds);
         assert_eq!(ec.len(), 2);
         assert!(!ec.equivalent(c(1, 0), c(2, 0)));
@@ -246,7 +252,10 @@ mod tests {
     #[test]
     fn local_column_equality_merges_within_table() {
         // R1.y = R1.w plus R0.x = R1.y puts all three together.
-        let preds = vec![Predicate::col_eq(c(1, 0), c(1, 1)), Predicate::col_eq(c(0, 0), c(1, 0))];
+        let preds = vec![
+            Predicate::col_eq(c(1, 0), c(1, 1)).unwrap(),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+        ];
         let ec = EquivalenceClasses::from_predicates(&preds);
         assert_eq!(ec.len(), 1);
         assert_eq!(ec.members_in_table(ClassId(0), 1), vec![c(1, 0), c(1, 1)]);
@@ -272,7 +281,10 @@ mod tests {
 
     #[test]
     fn iter_visits_all_classes() {
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)), Predicate::col_eq(c(2, 0), c(3, 0))];
+        let preds = vec![
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
+        ];
         let ec = EquivalenceClasses::from_predicates(&preds);
         let sizes: Vec<usize> = ec.iter().map(|(_, m)| m.len()).collect();
         assert_eq!(sizes, vec![2, 2]);

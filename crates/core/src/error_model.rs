@@ -167,7 +167,7 @@ mod tests {
         // Els::prepare accepts perturbed statistics and produces finite
         // estimates — the Monte-Carlo loop of F10 relies on this.
         let base = stats();
-        let preds = vec![Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0))];
+        let preds = vec![Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap()];
         for seed in 0..20 {
             let p = perturb_statistics(&base, 0.3, seed);
             let els = Els::prepare(&preds, &p, &ElsOptions::default()).unwrap();

@@ -530,8 +530,8 @@ mod tests {
     /// cardinalities 100/1000/1000, d = 10/100/1000.
     fn example_1b(rule: SelectivityRule, rep: RepresentativeStrategy) -> PreparedQuery {
         let preds = transitive_closure(&[
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
         ]);
         let classes = EquivalenceClasses::from_predicates(&preds);
         let d = |cr: ColumnRef| [10.0, 100.0, 1000.0][cr.table];
@@ -748,7 +748,7 @@ mod tests {
     /// ignoring the representative map entirely.
     #[test]
     fn missing_representative_is_an_error_only_under_rule_rep() {
-        let preds = transitive_closure(&[Predicate::col_eq(c(0, 0), c(1, 0))]);
+        let preds = transitive_closure(&[Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()]);
         let classes = EquivalenceClasses::from_predicates(&preds);
         let infos =
             annotate_join_predicates(&preds, &classes, |cr| [10.0, 100.0][cr.table]).unwrap();

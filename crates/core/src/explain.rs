@@ -160,9 +160,9 @@ mod tests {
         let stats =
             QueryStatistics::new(vec![mk(1000.0), mk(10_000.0), mk(50_000.0), mk(100_000.0)]);
         let preds = vec![
-            Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-            Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
-            Predicate::col_eq(ColumnRef::new(2, 0), ColumnRef::new(3, 0)),
+            Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+            Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
+            Predicate::col_eq(ColumnRef::new(2, 0), ColumnRef::new(3, 0)).unwrap(),
             Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Lt, 100i64),
         ];
         Els::prepare(&preds, &stats, &ElsOptions::default().with_rule(rule)).unwrap()

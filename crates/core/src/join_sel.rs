@@ -132,7 +132,7 @@ pub fn annotate_range_predicates(
             let mut selectivity = match oracle.join_range_selectivity(*left, *op, *right) {
                 Some(s) => s.clamp(0.0, 1.0),
                 None => {
-                    model_join_range_selectivity(stats.column(*left)?, *op, stats.column(*right)?)
+                    model_join_range_selectivity(stats.column(*left)?, *op, stats.column(*right)?)?
                 }
             };
             if let Some(corr) = corrections.range_correction(*left, *op, *right) {
@@ -176,8 +176,8 @@ mod tests {
     #[test]
     fn annotate_assigns_classes_and_selectivities() {
         let preds = crate::closure::transitive_closure(&[
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
         ]);
         let classes = EquivalenceClasses::from_predicates(&preds);
         let d = |cr: ColumnRef| [10.0, 100.0, 1000.0][cr.table];
@@ -193,7 +193,7 @@ mod tests {
     fn annotate_rejects_classless_join_predicate() {
         // Classes built from a *different* predicate set than the join list.
         let classes = EquivalenceClasses::from_predicates(&[]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0))];
+        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];
         let err = annotate_join_predicates(&preds, &classes, |_| 1.0).unwrap_err();
         assert!(matches!(err, ElsError::MalformedPredicate(_)));
     }
@@ -213,8 +213,8 @@ mod tests {
             }
         }
         let preds = crate::closure::transitive_closure(&[
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
         ]);
         let classes = EquivalenceClasses::from_predicates(&preds);
         let d = |cr: ColumnRef| [10.0, 100.0, 1000.0][cr.table];
@@ -257,8 +257,8 @@ mod tests {
             TableStatistics::new(100.0, vec![ColumnStatistics::with_domain(100.0, 0.0, 99.0)]),
         ]);
         let preds = vec![
-            Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0)),
-            Predicate::col_eq(c(0, 0), c(1, 0)),
+            Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0)).unwrap(),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
         ];
         // Model path: identical 100-point grids → (d−1)/2d = 0.495.
         let infos = crate::correction::NoCorrections;

@@ -151,46 +151,55 @@ impl Predicate {
     /// Build an equality between two columns, classifying it as a join or a
     /// local column equality and canonicalizing operand order.
     ///
-    /// # Panics
-    /// Panics when both sides are the same column (`R.x = R.x` is a
-    /// tautology the caller should drop; keeping it would silently skew
-    /// selectivities).
-    pub fn col_eq(a: ColumnRef, b: ColumnRef) -> Predicate {
-        assert_ne!(a, b, "column equality with itself is a tautology");
+    /// # Errors
+    /// [`ElsError::MalformedPredicate`] when both sides are the same column
+    /// (`R.x = R.x` is a tautology the caller should drop; keeping it would
+    /// silently skew selectivities).
+    pub fn col_eq(a: ColumnRef, b: ColumnRef) -> ElsResult<Predicate> {
+        if a == b {
+            return Err(ElsError::MalformedPredicate(format!(
+                "column equality `{a} = {b}` with itself is a tautology"
+            )));
+        }
         let (left, right) = if a <= b { (a, b) } else { (b, a) };
-        if left.table == right.table {
+        Ok(if left.table == right.table {
             Predicate::LocalColEq { left, right }
         } else {
             Predicate::JoinEq { left, right }
-        }
+        })
     }
 
-    /// Build a join equality. Panics if both columns are in the same table —
-    /// use [`Predicate::col_eq`] when the classification isn't known.
-    pub fn join_eq(a: ColumnRef, b: ColumnRef) -> Predicate {
-        let p = Predicate::col_eq(a, b);
-        assert!(
-            matches!(p, Predicate::JoinEq { .. }),
-            "join_eq called with two columns of the same table"
-        );
-        p
+    /// Build a join equality; two columns of the same table are an
+    /// [`ElsError::MalformedPredicate`] — use [`Predicate::col_eq`] when the
+    /// classification isn't known.
+    pub fn join_eq(a: ColumnRef, b: ColumnRef) -> ElsResult<Predicate> {
+        match Predicate::col_eq(a, b)? {
+            p @ Predicate::JoinEq { .. } => Ok(p),
+            _ => Err(ElsError::MalformedPredicate(format!(
+                "join equality `{a} = {b}` between two columns of the same table"
+            ))),
+        }
     }
 
     /// Build an inequality join predicate `a op b` between columns of two
     /// different tables, canonicalizing so the lower-numbered table is on
     /// the left (the operator flips with the operands).
     ///
-    /// # Panics
-    /// Panics when `op` is not a range operator or both columns are in the
-    /// same table — same-table inequalities are not join predicates.
-    pub fn join_range(a: ColumnRef, op: CmpOp, b: ColumnRef) -> Predicate {
-        assert!(op.is_range(), "join_range requires a range operator, got `{op}`");
-        assert_ne!(a.table, b.table, "join_range called with two columns of the same table");
-        if a.table < b.table {
+    /// # Errors
+    /// [`ElsError::MalformedPredicate`] when `op` is not a range operator or
+    /// both columns are in the same table — same-table inequalities are not
+    /// join predicates.
+    pub fn join_range(a: ColumnRef, op: CmpOp, b: ColumnRef) -> ElsResult<Predicate> {
+        if !op.is_range() || a.table == b.table {
+            return Err(ElsError::MalformedPredicate(format!(
+                "join range `{a} {op} {b}` needs a range operator between two tables"
+            )));
+        }
+        Ok(if a.table < b.table {
             Predicate::JoinRange { left: a, op, right: b }
         } else {
             Predicate::JoinRange { left: b, op: op.flip(), right: a }
-        }
+        })
     }
 
     /// Build `column IS NULL`.
@@ -331,12 +340,12 @@ mod tests {
 
     #[test]
     fn col_eq_classifies_and_canonicalizes() {
-        let same = Predicate::col_eq(ColumnRef::new(1, 3), ColumnRef::new(1, 0));
+        let same = Predicate::col_eq(ColumnRef::new(1, 3), ColumnRef::new(1, 0)).unwrap();
         assert_eq!(
             same,
             Predicate::LocalColEq { left: ColumnRef::new(1, 0), right: ColumnRef::new(1, 3) }
         );
-        let cross = Predicate::col_eq(ColumnRef::new(2, 0), ColumnRef::new(0, 1));
+        let cross = Predicate::col_eq(ColumnRef::new(2, 0), ColumnRef::new(0, 1)).unwrap();
         assert_eq!(
             cross,
             Predicate::JoinEq { left: ColumnRef::new(0, 1), right: ColumnRef::new(2, 0) }
@@ -344,17 +353,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tautology")]
-    fn self_equality_panics() {
+    fn self_equality_is_malformed() {
         let c = ColumnRef::new(0, 0);
-        let _ = Predicate::col_eq(c, c);
+        assert!(
+            matches!(Predicate::col_eq(c, c), Err(ElsError::MalformedPredicate(m)) if m.contains("tautology"))
+        );
+        let same_table = Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(0, 1));
+        assert!(
+            matches!(same_table, Err(ElsError::MalformedPredicate(m)) if m.contains("same table"))
+        );
     }
 
     #[test]
     fn dedup_drops_structural_duplicates() {
         let a = Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Gt, 500i64);
-        let b = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0));
-        let b_flipped = Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(0, 0));
+        let b = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap();
+        let b_flipped = Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(0, 0)).unwrap();
         let out = dedup_predicates(&[a.clone(), b.clone(), a.clone(), b_flipped]);
         assert_eq!(out, vec![a, b]);
     }
@@ -386,7 +400,8 @@ mod tests {
 
     #[test]
     fn join_range_canonicalizes_by_flipping() {
-        let forward = Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0));
+        let forward =
+            Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0)).unwrap();
         assert_eq!(
             forward,
             Predicate::JoinRange {
@@ -396,28 +411,30 @@ mod tests {
             }
         );
         // `R1.c0 > R0.c0` is the same predicate written the other way round.
-        let flipped = Predicate::join_range(ColumnRef::new(1, 0), CmpOp::Gt, ColumnRef::new(0, 0));
+        let flipped =
+            Predicate::join_range(ColumnRef::new(1, 0), CmpOp::Gt, ColumnRef::new(0, 0)).unwrap();
         assert_eq!(flipped, forward);
         let out = dedup_predicates(&[forward.clone(), flipped]);
         assert_eq!(out, vec![forward]);
     }
 
     #[test]
-    #[should_panic(expected = "range operator")]
     fn join_range_rejects_equality_operator() {
-        let _ = Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Eq, ColumnRef::new(1, 0));
+        let p = Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Eq, ColumnRef::new(1, 0));
+        assert!(matches!(p, Err(ElsError::MalformedPredicate(m)) if m.contains("range operator")));
     }
 
     #[test]
-    #[should_panic(expected = "same table")]
     fn join_range_rejects_same_table() {
-        let _ = Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(0, 1));
+        let p = Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(0, 1));
+        assert!(matches!(p, Err(ElsError::MalformedPredicate(m)) if m.contains("two tables")));
     }
 
     #[test]
     fn join_range_validates_and_is_not_local() {
         let shape = vec![2usize, 1];
-        let p = Predicate::join_range(ColumnRef::new(0, 1), CmpOp::Le, ColumnRef::new(1, 0));
+        let p =
+            Predicate::join_range(ColumnRef::new(0, 1), CmpOp::Le, ColumnRef::new(1, 0)).unwrap();
         assert!(p.validate(&shape).is_ok());
         assert!(!p.is_local());
         assert!(!p.is_column_equality());
@@ -440,9 +457,10 @@ mod tests {
     fn display_is_readable() {
         let p = Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Lt, 100i64);
         assert_eq!(p.to_string(), "R0.c0 < 100");
-        let j = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0));
+        let j = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap();
         assert_eq!(j.to_string(), "R0.c0 = R1.c0");
-        let r = Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0));
+        let r =
+            Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0)).unwrap();
         assert_eq!(r.to_string(), "R0.c0 < R1.c0");
     }
 }

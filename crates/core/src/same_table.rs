@@ -135,8 +135,8 @@ mod tests {
             ),
         ]);
         let preds = crate::closure::transitive_closure(&[
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(0, 0), c(1, 1)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(0, 0), c(1, 1)).unwrap(),
         ]);
         (stats, preds)
     }
@@ -179,8 +179,8 @@ mod tests {
             ],
         )]);
         let preds = crate::closure::transitive_closure(&[
-            Predicate::col_eq(c(0, 0), c(0, 1)),
-            Predicate::col_eq(c(0, 1), c(0, 2)),
+            Predicate::col_eq(c(0, 0), c(0, 1)).unwrap(),
+            Predicate::col_eq(c(0, 1), c(0, 2)).unwrap(),
         ]);
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
@@ -198,7 +198,7 @@ mod tests {
             TableStatistics::new(100.0, vec![ColumnStatistics::with_distinct(10.0)]),
             TableStatistics::new(200.0, vec![ColumnStatistics::with_distinct(20.0)]),
         ]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0))];
+        let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
             compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
@@ -216,7 +216,7 @@ mod tests {
             10.0,
             vec![ColumnStatistics::with_distinct(10.0), ColumnStatistics::with_distinct(10.0)],
         )]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(0, 1))];
+        let preds = vec![Predicate::col_eq(c(0, 0), c(0, 1)).unwrap()];
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
             compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
@@ -234,7 +234,7 @@ mod tests {
         )]);
         // A contradictory local predicate empties column 0 first.
         let preds = crate::closure::transitive_closure(&[
-            Predicate::col_eq(c(0, 0), c(0, 1)),
+            Predicate::col_eq(c(0, 0), c(0, 1)).unwrap(),
             Predicate::local_cmp(c(0, 0), crate::CmpOp::Eq, 1i64),
             Predicate::local_cmp(c(0, 0), crate::CmpOp::Eq, 2i64),
         ]);
@@ -258,7 +258,7 @@ mod tests {
                 ColumnStatistics::with_distinct(900.0), // unrelated wide column
             ],
         )]);
-        let preds = vec![Predicate::col_eq(c(0, 0), c(0, 1))];
+        let preds = vec![Predicate::col_eq(c(0, 0), c(0, 1)).unwrap()];
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
             compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)

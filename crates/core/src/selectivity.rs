@@ -23,6 +23,7 @@
 
 use els_storage::Value;
 
+use crate::error::{ElsError, ElsResult};
 use crate::ids::ColumnRef;
 use crate::predicate::CmpOp;
 use crate::stats::ColumnStatistics;
@@ -76,19 +77,31 @@ impl SelectivityOracle for NoOracle {
 /// closed form; `P(L = R)` reuses Equation 2's `1 / max(d1, d2)` when the
 /// domains overlap. NULLs never satisfy a comparison, so both null
 /// fractions scale the result. Falls back to
-/// [`DEFAULT_RANGE_JOIN_SELECTIVITY`] when either domain is unknown.
+/// [`DEFAULT_RANGE_JOIN_SELECTIVITY`] when either domain is unknown; `=` and
+/// `<>` are an [`ElsError::MalformedPredicate`].
 pub fn model_join_range_selectivity(
     left: &ColumnStatistics,
     op: CmpOp,
     right: &ColumnStatistics,
-) -> f64 {
-    debug_assert!(op.is_range(), "model_join_range_selectivity wants a range operator");
+) -> ElsResult<f64> {
+    // `L < R` (or `L > R`), and whether the diagonal `L = R` counts too.
+    let (less, or_equal) = match op {
+        CmpOp::Lt => (true, false),
+        CmpOp::Le => (true, true),
+        CmpOp::Gt => (false, false),
+        CmpOp::Ge => (false, true),
+        CmpOp::Eq | CmpOp::Ne => {
+            return Err(ElsError::MalformedPredicate(format!(
+                "`{op}` is not a range operator for an inequality join"
+            )))
+        }
+    };
     let non_null = (1.0 - left.null_fraction) * (1.0 - right.null_fraction);
     let (Some(a), Some(b), Some(c), Some(d)) = (left.min, left.max, right.min, right.max) else {
-        return (DEFAULT_RANGE_JOIN_SELECTIVITY * non_null).clamp(0.0, 1.0);
+        return Ok((DEFAULT_RANGE_JOIN_SELECTIVITY * non_null).clamp(0.0, 1.0));
     };
     if !(a.is_finite() && b.is_finite() && c.is_finite() && d.is_finite()) || b < a || d < c {
-        return (DEFAULT_RANGE_JOIN_SELECTIVITY * non_null).clamp(0.0, 1.0);
+        return Ok((DEFAULT_RANGE_JOIN_SELECTIVITY * non_null).clamp(0.0, 1.0));
     }
     // Mass on the diagonal: zero when the domains are disjoint, Equation 2's
     // containment bound otherwise. The continuous integral below splits that
@@ -103,16 +116,10 @@ pub fn model_join_range_selectivity(
     } else {
         crate::join_sel::join_selectivity(left.distinct.max(1.0), right.distinct.max(1.0))
     };
-    let lt = (uniform_prob_less(a, b, c, d) - eq / 2.0).max(0.0);
-    let gt = (uniform_prob_less(c, d, a, b) - eq / 2.0).max(0.0);
-    let sel = match op {
-        CmpOp::Lt => lt,
-        CmpOp::Le => lt + eq,
-        CmpOp::Gt => gt,
-        CmpOp::Ge => gt + eq,
-        CmpOp::Eq | CmpOp::Ne => unreachable!("guarded by is_range"),
-    };
-    (sel * non_null).clamp(0.0, 1.0)
+    let strict = if less { uniform_prob_less(a, b, c, d) } else { uniform_prob_less(c, d, a, b) };
+    let strict = (strict - eq / 2.0).max(0.0);
+    let sel = if or_equal { strict + eq } else { strict };
+    Ok((sel * non_null).clamp(0.0, 1.0))
 }
 
 /// `P(L < R)` for independent `L ~ U[a, b]`, `R ~ U[c, d]`, handling
@@ -310,34 +317,16 @@ pub fn resolve_column_predicates(
             .clamp(0.0, 1.0)
     };
 
-    // Phase 1: equalities. All must agree on one constant; the constant must
-    // satisfy every other predicate on the column.
-    let equalities: Vec<&Value> =
-        preds.iter().filter_map(|(op, v)| (*op == CmpOp::Eq).then_some(v)).collect();
-    if let Some(first) = equalities.first() {
-        if equalities.iter().any(|v| !v.sql_eq(first)) {
-            return ResolvedColumn { selectivity: 0.0, shape: ResolvedShape::Contradiction };
-        }
-        for (op, v) in preds.iter().filter(|(op, _)| *op != CmpOp::Eq) {
-            let sat = first.sql_cmp(v).map(|ord| op.eval(ord));
-            if sat == Some(false) {
-                return ResolvedColumn { selectivity: 0.0, shape: ResolvedShape::Contradiction };
-            }
-        }
-        return ResolvedColumn {
-            selectivity: sel_of(CmpOp::Eq, first),
-            shape: ResolvedShape::Equality((*first).clone()),
-        };
-    }
-
-    // Phase 2: tightest lower bound (largest constant; at a tie the strict
-    // bound is tighter) and tightest upper bound (smallest constant; strict
-    // tighter).
+    // Sort the predicates: the equalities, the tightest lower bound (largest
+    // constant; at a tie the strict bound is tighter), the tightest upper
+    // bound (smallest constant; strict tighter) and the `<>` count.
+    let mut equalities: Vec<&Value> = Vec::new();
     let mut lower: Option<(CmpOp, &Value)> = None;
     let mut upper: Option<(CmpOp, &Value)> = None;
     let mut ne_count = 0usize;
     for (op, v) in preds {
         match op {
+            CmpOp::Eq => equalities.push(v),
             CmpOp::Gt | CmpOp::Ge => {
                 lower = Some(match lower {
                     None => (*op, v),
@@ -359,10 +348,28 @@ pub fn resolve_column_predicates(
                 });
             }
             CmpOp::Ne => ne_count += 1,
-            CmpOp::Eq => unreachable!("equalities handled above"),
         }
     }
 
+    // Phase 1: equalities. All must agree on one constant; the constant must
+    // satisfy every other predicate on the column.
+    if let Some(first) = equalities.first() {
+        if equalities.iter().any(|v| !v.sql_eq(first)) {
+            return ResolvedColumn { selectivity: 0.0, shape: ResolvedShape::Contradiction };
+        }
+        for (op, v) in preds.iter().filter(|(op, _)| *op != CmpOp::Eq) {
+            let sat = first.sql_cmp(v).map(|ord| op.eval(ord));
+            if sat == Some(false) {
+                return ResolvedColumn { selectivity: 0.0, shape: ResolvedShape::Contradiction };
+            }
+        }
+        return ResolvedColumn {
+            selectivity: sel_of(CmpOp::Eq, first),
+            shape: ResolvedShape::Equality((*first).clone()),
+        };
+    }
+
+    // Phase 2: the bounds.
     // Detect an empty range (lo >= hi in the strict sense).
     if let (Some((lop, lv)), Some((uop, uv))) = (&lower, &upper) {
         if let Some(ord) = lv.sql_cmp(uv) {
@@ -605,12 +612,12 @@ mod tests {
         // L and R both d=1000 sequential values 0..999: exactly
         // P(L < R) = (d−1)/2d = 0.4995, P(L <= R) = (d+1)/2d = 0.5005.
         let stats = seq_stats(1000.0);
-        let lt = model_join_range_selectivity(&stats, CmpOp::Lt, &stats);
+        let lt = model_join_range_selectivity(&stats, CmpOp::Lt, &stats).unwrap();
         assert!((lt - 0.4995).abs() < 1e-12, "got {lt}");
-        let le = model_join_range_selectivity(&stats, CmpOp::Le, &stats);
+        let le = model_join_range_selectivity(&stats, CmpOp::Le, &stats).unwrap();
         assert!((le - 0.5005).abs() < 1e-12, "got {le}");
         // Lt and Gt are symmetric on identical domains.
-        let gt = model_join_range_selectivity(&stats, CmpOp::Gt, &stats);
+        let gt = model_join_range_selectivity(&stats, CmpOp::Gt, &stats).unwrap();
         assert_eq!(lt, gt);
     }
 
@@ -618,10 +625,10 @@ mod tests {
     fn join_range_model_on_disjoint_domains_is_zero_or_one() {
         let lo = ColumnStatistics::with_domain(100.0, 0.0, 99.0);
         let hi = ColumnStatistics::with_domain(100.0, 1000.0, 1099.0);
-        assert_eq!(model_join_range_selectivity(&lo, CmpOp::Lt, &hi), 1.0);
-        assert_eq!(model_join_range_selectivity(&lo, CmpOp::Gt, &hi), 0.0);
-        assert_eq!(model_join_range_selectivity(&hi, CmpOp::Le, &lo), 0.0);
-        assert_eq!(model_join_range_selectivity(&hi, CmpOp::Ge, &lo), 1.0);
+        assert_eq!(model_join_range_selectivity(&lo, CmpOp::Lt, &hi).unwrap(), 1.0);
+        assert_eq!(model_join_range_selectivity(&lo, CmpOp::Gt, &hi).unwrap(), 0.0);
+        assert_eq!(model_join_range_selectivity(&hi, CmpOp::Le, &lo).unwrap(), 0.0);
+        assert_eq!(model_join_range_selectivity(&hi, CmpOp::Ge, &lo).unwrap(), 1.0);
     }
 
     #[test]
@@ -631,32 +638,32 @@ mod tests {
         // minus half the diagonal mass 1/101.
         let l = ColumnStatistics::with_domain(101.0, 0.0, 100.0);
         let r = ColumnStatistics::with_domain(101.0, 50.0, 150.0);
-        let lt = model_join_range_selectivity(&l, CmpOp::Lt, &r);
+        let lt = model_join_range_selectivity(&l, CmpOp::Lt, &r).unwrap();
         assert!((lt - (0.875 - 0.5 / 101.0)).abs() < 1e-12, "got {lt}");
         // Degenerate single-point sides.
         let point = ColumnStatistics::with_domain(1.0, 7.0, 7.0);
         let wide = ColumnStatistics::with_domain(100.0, 0.0, 13.0);
         // P(7 < R) with R ~ U[0, 13] = 6/13, minus half the diagonal mass
         // 1/max(1, 100) = 0.01.
-        let s = model_join_range_selectivity(&point, CmpOp::Lt, &wide);
+        let s = model_join_range_selectivity(&point, CmpOp::Lt, &wide).unwrap();
         assert!((s - (6.0 / 13.0 - 0.005)).abs() < 1e-12, "got {s}");
         // Two identical points: L < R never, L <= R always (eq mass 1).
-        let s = model_join_range_selectivity(&point, CmpOp::Lt, &point);
+        let s = model_join_range_selectivity(&point, CmpOp::Lt, &point).unwrap();
         assert_eq!(s, 0.0);
-        let s = model_join_range_selectivity(&point, CmpOp::Le, &point);
+        let s = model_join_range_selectivity(&point, CmpOp::Le, &point).unwrap();
         assert_eq!(s, 1.0);
     }
 
     #[test]
     fn join_range_model_without_domains_uses_default_and_scales_nulls() {
         let unknown = ColumnStatistics::with_distinct(100.0);
-        let s = model_join_range_selectivity(&unknown, CmpOp::Lt, &unknown);
+        let s = model_join_range_selectivity(&unknown, CmpOp::Lt, &unknown).unwrap();
         assert_eq!(s, DEFAULT_RANGE_JOIN_SELECTIVITY);
         let mut nully = seq_stats(10.0);
         nully.null_fraction = 0.5;
         let full = seq_stats(10.0);
-        let s = model_join_range_selectivity(&nully, CmpOp::Lt, &full);
-        let base = model_join_range_selectivity(&full, CmpOp::Lt, &full);
+        let s = model_join_range_selectivity(&nully, CmpOp::Lt, &full).unwrap();
+        let base = model_join_range_selectivity(&full, CmpOp::Lt, &full).unwrap();
         assert!((s - base * 0.5).abs() < 1e-12);
     }
 
@@ -672,10 +679,10 @@ mod tests {
         ) {
             let l = ColumnStatistics::with_domain(d1.floor(), a, a + w1);
             let r = ColumnStatistics::with_domain(d2.floor(), c, c + w2);
-            let lt = model_join_range_selectivity(&l, CmpOp::Lt, &r);
-            let le = model_join_range_selectivity(&l, CmpOp::Le, &r);
-            let gt = model_join_range_selectivity(&l, CmpOp::Gt, &r);
-            let ge = model_join_range_selectivity(&l, CmpOp::Ge, &r);
+            let lt = model_join_range_selectivity(&l, CmpOp::Lt, &r).unwrap();
+            let le = model_join_range_selectivity(&l, CmpOp::Le, &r).unwrap();
+            let gt = model_join_range_selectivity(&l, CmpOp::Gt, &r).unwrap();
+            let ge = model_join_range_selectivity(&l, CmpOp::Ge, &r).unwrap();
             for s in [lt, le, gt, ge] {
                 proptest::prop_assert!((0.0..=1.0).contains(&s));
             }

@@ -296,6 +296,7 @@ pub mod audit {
             HELD.with(|held| {
                 let mut held = held.borrow_mut();
                 for &r in held.iter() {
+                    // els-lint: allow(assert-ban, "panicking on an order violation is the audit's job: a diagnostic instead of a deadlock")
                     assert!(
                         r < rank,
                         "lock-order violation: acquiring `{}` (rank {rank}) while holding \

@@ -50,15 +50,11 @@ impl Chunk {
         let (l_idx, r_idx): (Vec<usize>, Vec<usize>) = rows.iter().copied().unzip();
         let mut columns: Vec<(String, ColumnVector)> = Vec::new();
         let mut provenance = Vec::new();
-        for (i, col) in left.data.columns().iter().enumerate() {
-            let p = left.provenance[i];
-            columns.push((format!("t{}_c{}", p.table, p.column), col.gather(&l_idx)?));
-            provenance.push(p);
-        }
-        for (i, col) in right.data.columns().iter().enumerate() {
-            let p = right.provenance[i];
-            columns.push((format!("t{}_c{}", p.table, p.column), col.gather(&r_idx)?));
-            provenance.push(p);
+        for (side, idx) in [(left, &l_idx), (right, &r_idx)] {
+            for (col, &p) in side.data.columns().iter().zip(&side.provenance) {
+                columns.push((format!("t{}_c{}", p.table, p.column), col.gather(idx)?));
+                provenance.push(p);
+            }
         }
         Ok(Chunk { data: Table::new("join", columns)?, provenance })
     }

@@ -282,9 +282,8 @@ fn group_count(
     let mut counts =
         els_storage::ColumnVector::with_capacity(els_storage::DataType::Int, groups.len());
     for (witness, n) in groups.values() {
-        for (slot, &p) in positions.iter().enumerate() {
-            let v = chunk.data.column(p)?.get(*witness)?;
-            out_columns[slot].1.push(v)?;
+        for ((_, out), &p) in out_columns.iter_mut().zip(&positions) {
+            out.push(chunk.data.column(p)?.get(*witness)?)?;
         }
         counts.push(els_storage::Value::Int(*n as i64))?;
     }

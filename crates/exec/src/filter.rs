@@ -19,6 +19,7 @@ use std::cmp::Ordering;
 
 use els_core::predicate::{CmpOp, Predicate};
 use els_core::ColumnRef;
+use els_storage::column::ValueRef;
 use els_storage::value::cmp_int_float;
 use els_storage::{Table, Value};
 
@@ -138,12 +139,12 @@ impl BoundFilter {
                 Ok(v.sql_cmp(value).map(|ord| op.eval(ord)).unwrap_or(false))
             }
             BoundFilter::ColEq { left, right } => {
-                let lv = table.column(*left)?.value_ref(row);
-                let rv = table.column(*right)?.value_ref(row);
+                let lv = table.column(*left)?.value_ref(row)?;
+                let rv = table.column(*right)?.value_ref(row)?;
                 Ok(lv.sql_eq(rv))
             }
             BoundFilter::IsNull { pos, negated } => {
-                let is_null = !table.column(*pos)?.validity()[row];
+                let is_null = matches!(table.column(*pos)?.value_ref(row)?, ValueRef::Null);
                 Ok(is_null != *negated)
             }
         }
@@ -345,7 +346,10 @@ pub fn filter_selection(
                         ok & matches!((b.get(row), rv.get(row)), (Some(y), Some(true)) if x == y)
                     }),
                     _ => {
-                        pass.select(lv, lv, |row, _, _| lc.value_ref(row).sql_eq(rc.value_ref(row)))
+                        let eq = (0..lc.len())
+                            .map(|row| Ok(lc.value_ref(row)?.sql_eq(rc.value_ref(row)?)))
+                            .collect::<ExecResult<Vec<bool>>>()?;
+                        pass.select(&eq, lv, |_, &eq, _| eq);
                     }
                 }
             }
@@ -421,9 +425,9 @@ mod tests {
 
     #[test]
     fn join_predicates_rejected() {
-        let p = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0));
+        let p = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap();
         assert!(CompiledFilter::from_predicate(&p).is_err());
-        let p = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(0, 1));
+        let p = Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(0, 1)).unwrap();
         assert!(CompiledFilter::from_predicate(&p).is_ok());
     }
 

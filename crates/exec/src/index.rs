@@ -69,7 +69,11 @@ impl SortedIndex {
     pub fn lookup<'a>(&'a self, key: &'a Value) -> impl Iterator<Item = usize> + 'a {
         let lo =
             self.entries.partition_point(|(k, _)| k.total_cmp(key) == std::cmp::Ordering::Less);
-        self.entries[lo..].iter().take_while(move |(k, _)| k.sql_eq(key)).map(|(_, r)| *r as usize)
+        self.entries
+            .iter()
+            .skip(lo)
+            .take_while(move |(k, _)| k.sql_eq(key))
+            .map(|(_, r)| *r as usize)
     }
 }
 
@@ -92,7 +96,7 @@ pub fn index_nested_loop_join(
     metrics: &mut ExecMetrics,
     io: &mut crate::buffer::PageIo,
 ) -> ExecResult<Chunk> {
-    let Some(&(first_left, _)) = keys.first() else {
+    let Some((&(first_left, _), residual_keys)) = keys.split_first() else {
         return Err(ExecError::InvalidPlan(
             "index nested loops requires at least one join key".into(),
         ));
@@ -100,7 +104,7 @@ pub fn index_nested_loop_join(
     let inner_chunk = Chunk::from_base_table(inner_table_id, inner.clone());
     let probe_pos = left.require(first_left)?;
     // Residual keys beyond the indexed first.
-    let residual: Vec<(usize, usize)> = keys[1..]
+    let residual: Vec<(usize, usize)> = residual_keys
         .iter()
         .map(|&(l, r)| Ok((left.require(l)?, inner_chunk.require(r)?)))
         .collect::<ExecResult<Vec<_>>>()?;

@@ -149,9 +149,9 @@ pub fn nested_loop_join(
                 None => false,
                 Some(lvals) => {
                     let mut ok = true;
-                    for (k, &(_, rp)) in pos.iter().enumerate() {
+                    for (&(_, rp), lv) in pos.iter().zip(lvals) {
                         let rv = right.data.column(rp)?.get(r)?;
-                        if !lvals[k].sql_eq(&rv) {
+                        if !lv.sql_eq(&rv) {
                             ok = false;
                             break;
                         }
@@ -218,9 +218,9 @@ pub fn nested_loop_rescan_join(
                 None => false,
                 Some(lvals) => {
                     let mut ok = true;
-                    for (k, &(_, rp)) in pos.iter().enumerate() {
+                    for (&(_, rp), lv) in pos.iter().zip(lvals) {
                         let rv = inner_chunk.data.column(rp)?.get(r)?;
-                        if !lvals[k].sql_eq(&rv) {
+                        if !lv.sql_eq(&rv) {
                             ok = false;
                             break;
                         }
@@ -272,30 +272,33 @@ pub fn sort_merge_join(
     rrows.sort_by(|a, b| cmp_keys(&a.0, &b.0));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
 
+    // Merge the equal-key runs (`chunk_by` yields no empty run), charging
+    // one comparison per row a side skips and one per matched pair of runs.
+    let same_key = |a: &(Vec<Value>, usize), b: &(Vec<Value>, usize)| cmp_keys(&a.0, &b.0).is_eq();
+    let (mut lruns, mut rruns) =
+        (lrows.chunk_by(same_key).peekable(), rrows.chunk_by(same_key).peekable());
     let mut rows: Vec<(usize, usize)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lrows.len() && j < rrows.len() {
-        metrics.comparisons += 1;
-        match cmp_keys(&lrows[i].0, &rrows[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+    while let (Some(lrun @ [(lkey, _), ..]), Some(rrun @ [(rkey, _), ..])) =
+        (lruns.peek().copied(), rruns.peek().copied())
+    {
+        match cmp_keys(lkey, rkey) {
+            std::cmp::Ordering::Less => {
+                metrics.comparisons += lrun.len() as u64;
+                lruns.next();
+            }
+            std::cmp::Ordering::Greater => {
+                metrics.comparisons += rrun.len() as u64;
+                rruns.next();
+            }
             std::cmp::Ordering::Equal => {
-                // Find the equal runs on both sides.
-                let mut ie = i + 1;
-                while ie < lrows.len() && cmp_keys(&lrows[ie].0, &lrows[i].0).is_eq() {
-                    ie += 1;
-                }
-                let mut je = j + 1;
-                while je < rrows.len() && cmp_keys(&rrows[je].0, &rrows[j].0).is_eq() {
-                    je += 1;
-                }
-                for lrow in &lrows[i..ie] {
-                    for rrow in &rrows[j..je] {
+                metrics.comparisons += 1;
+                for lrow in lrun {
+                    for rrow in rrun {
                         rows.push((lrow.1, rrow.1));
                     }
                 }
-                i = ie;
-                j = je;
+                lruns.next();
+                rruns.next();
             }
         }
     }
@@ -386,41 +389,36 @@ pub(crate) fn probe_charge(n: usize) -> u64 {
 /// both inputs are non-NULL `(key, logical row)` entries sorted ascending
 /// by key; every left entry binary-searches the right side for its band
 /// boundary and emits each `(left row, right row)` pair with
-/// `left key op right key`. Pure — the caller charges
-/// `len(left) · probe_charge(len(right))` comparisons and sorts the result.
+/// `left key op right key`; `=` and `<>` are an [`ExecError::InvalidPlan`].
+/// Pure — the caller charges `len(left) · probe_charge(len(right))`
+/// comparisons and sorts the result.
 pub(crate) fn band_probe(
     lrows: &[(Value, u32)],
     rrows: &[(Value, u32)],
     op: CmpOp,
-) -> Vec<(u32, u32)> {
+) -> ExecResult<Vec<(u32, u32)>> {
+    // Matches lie above the boundary (`Lt`, `Le`) or below it (`Gt`, `Ge`);
+    // right keys equal to the left key sort below it for `Lt` and `Ge`.
+    let (above, equal_below) = match op {
+        CmpOp::Lt => (true, true),
+        CmpOp::Le => (true, false),
+        CmpOp::Gt => (false, false),
+        CmpOp::Ge => (false, true),
+        CmpOp::Eq | CmpOp::Ne => {
+            return Err(ExecError::InvalidPlan(format!("`{op}` cannot drive a range join")))
+        }
+    };
     let mut pairs = Vec::new();
     for (lv, lj) in lrows {
-        let matches = match op {
-            // Matches form a suffix (right keys above the boundary) ...
-            CmpOp::Lt => {
-                &rrows[rrows
-                    .partition_point(|(rv, _)| rv.total_cmp(lv) != std::cmp::Ordering::Greater)..]
-            }
-            CmpOp::Le => {
-                &rrows[rrows
-                    .partition_point(|(rv, _)| rv.total_cmp(lv) == std::cmp::Ordering::Less)..]
-            }
-            // ... or a prefix (right keys below it).
-            CmpOp::Gt => {
-                &rrows[..rrows
-                    .partition_point(|(rv, _)| rv.total_cmp(lv) == std::cmp::Ordering::Less)]
-            }
-            CmpOp::Ge => {
-                &rrows[..rrows
-                    .partition_point(|(rv, _)| rv.total_cmp(lv) != std::cmp::Ordering::Greater)]
-            }
-            CmpOp::Eq | CmpOp::Ne => unreachable!("range operators validated by the join operator"),
-        };
-        for &(_, rj) in matches {
-            pairs.push((*lj, rj));
-        }
+        let boundary = rrows.partition_point(|(rv, _)| match rv.total_cmp(lv) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Equal => equal_below,
+            std::cmp::Ordering::Greater => false,
+        });
+        let (skip, take) = if above { (boundary, rrows.len()) } else { (0, boundary) };
+        pairs.extend(rrows.iter().take(take).skip(skip).map(|&(_, rj)| (*lj, rj)));
     }
-    pairs
+    Ok(pairs)
 }
 
 /// Sort-based band join on inequality `ranges` (no equi-keys): sort both
@@ -436,12 +434,9 @@ pub fn range_join(
     ranges: &[(ColumnRef, CmpOp, ColumnRef)],
     metrics: &mut ExecMetrics,
 ) -> ExecResult<Chunk> {
-    let Some(&(lc, op, rc)) = ranges.first() else {
+    let Some((&(lc, op, rc), residual)) = ranges.split_first() else {
         return Err(ExecError::InvalidPlan("range join requires at least one range".into()));
     };
-    if !op.is_range() {
-        return Err(ExecError::InvalidPlan(format!("`{op}` cannot drive a range join")));
-    }
     crate::error::check_rowid_range(left.num_rows())?;
     crate::error::check_rowid_range(right.num_rows())?;
     let (lp, rp) = (left.require(lc)?, right.require(rc)?);
@@ -462,13 +457,13 @@ pub fn range_join(
     rrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
     metrics.comparisons += lrows.len() as u64 * probe_charge(rrows.len());
-    let mut pairs = band_probe(&lrows, &rrows, op);
-    if ranges.len() > 1 {
+    let mut pairs = band_probe(&lrows, &rrows, op)?;
+    if !residual.is_empty() {
         // Residual ranges filter the band's candidates; charge one
         // comparison per candidate per residual regardless of
         // short-circuiting, so the charge is schedule-independent.
-        metrics.comparisons += pairs.len() as u64 * (ranges.len() - 1) as u64;
-        let extras: Vec<(usize, CmpOp, usize)> = ranges[1..]
+        metrics.comparisons += pairs.len() as u64 * residual.len() as u64;
+        let extras: Vec<(usize, CmpOp, usize)> = residual
             .iter()
             .map(|&(l, o, r)| Ok((left.require(l)?, o, right.require(r)?)))
             .collect::<ExecResult<_>>()?;

@@ -28,14 +28,17 @@
 //! against a brute-force cartesian evaluator.
 
 // Degrade, don't panic, and print nothing (DESIGN.md §4f). scripts/check.sh
-// runs clippy with `-D warnings`, so these are bans on non-test library code;
+// runs clippy with `-D warnings`, so these are bans on non-test library code,
+// waived only by an `#[expect(..., reason = "...")]`, never a bare `#[allow]`;
 // every library crate root carries the same list (lint/tests/self_check.rs).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), warn(clippy::todo, clippy::unimplemented, clippy::dbg_macro))]
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 // Row ids and counts narrow only where a bound says they fit.
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
-// The one exception, and the only `#[allow(unsafe_code)]` in a library
+// The one exception, and the only `#[expect(unsafe_code)]` in a library
 // crate: the lifetime erasure in `scheduler::Posted::new`.
 #![deny(unsafe_code)]
 

@@ -325,7 +325,9 @@ impl QErrorHistogram {
         } else {
             Self::BUCKETS - 1
         };
-        self.buckets[bucket] += 1;
+        // `bucket < BUCKETS` by the `min` above, so every q-error lands.
+        let Some(n) = self.buckets.get_mut(bucket) else { return };
+        *n += 1;
         self.count += 1;
         if q > self.max {
             self.max = q;

@@ -91,7 +91,7 @@ impl<'a> Posted<'a> {
     /// Offer `body` to `seats` helpers, which call it with the worker
     /// indices `1..=seats`; `None` when the pool is busy. Fewer helpers
     /// than seats (the OS refused a thread) is fine: unowned work is stolen.
-    #[allow(unsafe_code)]
+    #[expect(unsafe_code, reason = "the one lifetime erasure; the SAFETY comment below")]
     fn new(body: Body<'a>, seats: usize) -> Option<Posted<'a>> {
         let mut state = lock_recovering(&STATE);
         if state.job.is_some() {
@@ -191,13 +191,16 @@ where
     if let Some(payload) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
         resume_unwind(payload);
     }
-    let filled = |slot: Mutex<Option<T>>| slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-    #[expect(
-        clippy::expect_used,
-        reason = "every block was drained and no task panicked, so every slot is filled; anything else would be truncated results"
-    )]
-    let results =
-        results.into_iter().map(filled).collect::<Option<Vec<T>>>().expect("every task ran");
+    // Every block was drained and no task panicked, so every slot is
+    // filled; a slot found empty anyway runs its task here, so the results
+    // are never truncated.
+    let results = results
+        .into_iter()
+        .enumerate()
+        .map(|(t, slot)| {
+            slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| task(t))
+        })
+        .collect();
     (results, RunStats { steals: steals.load(Ordering::Relaxed) })
 }
 

@@ -389,19 +389,17 @@ fn nested_loop(
     let matched = if let Some(tests) = typed {
         let (keys, ranges) = tests.split_at(keys.len());
         let all = |tests: &[IntTest<'_>], lj, rj| tests.iter().all(|t| t.holds(lj, rj));
-        pair_loop(nl, nr, |lj, rj| all(keys, lj, rj), |lj, rj| all(ranges, lj, rj), emit)
+        pair_loop(nl, nr, |lj, rj| Ok(all(keys, lj, rj)), |lj, rj| Ok(all(ranges, lj, rj)), emit)?
     } else {
         let cells: Vec<_> = sides().map(|((o, i), t)| (o, t.1, i)).collect();
         let (keys, ranges) = cells.split_at(keys.len());
         pair_loop(
             nl,
             nr,
-            |lj, rj| keys.iter().all(|(o, _, i)| o.value(lj).sql_eq(i.value(rj))),
-            |lj, rj| {
-                ranges.iter().all(|(o, op, i)| range_ref_matches(o.value(lj), i.value(rj), *op))
-            },
+            |lj, rj| cells_hold(keys, lj, rj, |l, r, _| l.sql_eq(r)),
+            |lj, rj| cells_hold(ranges, lj, rj, range_ref_matches),
             emit,
-        )
+        )?
     };
     let examined = l.len() as u64 * r.len() as u64;
     metrics.comparisons += examined * keys.len().max(1) as u64 + matched * ranges.len() as u64;
@@ -453,7 +451,7 @@ fn index_nested_loop(
     let filters = bind_filters(filters, |c| r.resolve(c).map(|(_, pos)| pos))?;
     let per_page = data.tuples_per_page().max(1) as u64;
     for lj in 0..rowid(l.len()) {
-        let key = probe.value(lj).to_value();
+        let key = probe.value(lj)?.to_value();
         if key.is_null() {
             continue;
         }
@@ -469,7 +467,7 @@ fn index_nested_loop(
             let rj = rowid(row);
             for (o, i) in outer.iter().zip(&inner) {
                 st.metrics.comparisons += 1;
-                if !o.value(lj).sql_eq(i.value(rj)) {
+                if !o.value(lj)?.sql_eq(i.value(rj)?) {
                     continue 'hit;
                 }
             }
@@ -500,22 +498,38 @@ fn oriented(
 fn pair_loop(
     outer: u32,
     inner: u32,
-    key: impl Fn(u32, u32) -> bool,
-    range: impl Fn(u32, u32) -> bool,
+    key: impl Fn(u32, u32) -> ExecResult<bool>,
+    range: impl Fn(u32, u32) -> ExecResult<bool>,
     mut emit: impl FnMut(u32, u32),
-) -> u64 {
+) -> ExecResult<u64> {
     let mut matched = 0;
     for lj in 0..outer {
         for rj in 0..inner {
-            if key(lj, rj) {
+            if key(lj, rj)? {
                 matched += 1;
-                if range(lj, rj) {
+                if range(lj, rj)? {
                     emit(lj, rj);
                 }
             }
         }
     }
-    matched
+    Ok(matched)
+}
+
+/// Whether `holds(outer cell, inner cell, op)` for every test at the pair
+/// `(lj, rj)`, short-circuit.
+fn cells_hold(
+    tests: &[(&SideKey<'_>, CmpOp, &SideKey<'_>)],
+    lj: u32,
+    rj: u32,
+    holds: fn(ValueRef<'_>, ValueRef<'_>, CmpOp) -> bool,
+) -> ExecResult<bool> {
+    for (o, op, i) in tests {
+        if !holds(o.value(lj)?, i.value(rj)?, *op) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// `outer op inner` over two `Int` key columns. The operator is matched
@@ -586,9 +600,10 @@ impl<'a> SideKey<'a> {
         self.ids.get(j).map_or(usize::MAX, |&rid| rid as usize)
     }
 
-    /// The cell of logical row `j`, borrowed.
-    fn value(&self, j: u32) -> ValueRef<'a> {
-        self.ids.get(j as usize).map_or(ValueRef::Null, |&rid| self.col.value_ref(rid as usize))
+    /// The cell of logical row `j`, borrowed; a row outside the selection
+    /// or the column is an error.
+    fn value(&self, j: u32) -> ExecResult<ValueRef<'a>> {
+        Ok(self.col.value_ref(self.rid(j as usize))?)
     }
 }
 
@@ -679,9 +694,6 @@ fn vrange_join(
     let Some((&(lc, op, rc), residual)) = ranges.split_first() else {
         return Err(ExecError::InvalidPlan("range join requires at least one range".into()));
     };
-    if !op.is_range() {
-        return Err(ExecError::InvalidPlan(format!("`{op}` cannot drive a range join")));
-    }
     let mut lrows = gather_range_keys(&side_key(left, lc)?, left.len())?;
     let mut rrows = gather_range_keys(&side_key(right, rc)?, right.len())?;
     metrics.rows_sorted += (lrows.len() + rrows.len()) as u64;
@@ -689,9 +701,10 @@ fn vrange_join(
     rrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
     metrics.comparisons += lrows.len() as u64 * probe_charge(rrows.len());
-    let mut pairs = concat_pairs(morsel_pieces(workers, lrows.len(), metrics, |lo, hi| {
+    let pieces = morsel_pieces(workers, lrows.len(), metrics, |lo, hi| {
         band_probe(lrows.get(lo..hi).unwrap_or_default(), &rrows, op)
-    }));
+    });
+    let mut pairs = concat_pairs(pieces.into_iter().collect::<ExecResult<_>>()?);
     pairs = filter_pairs_by_ranges(left, right, pairs, residual, metrics)?;
     pairs.sort_unstable();
     Ok(pairs)
@@ -719,7 +732,17 @@ fn filter_pairs_by_ranges(
                 let test = IntTest::new(li, op, ri);
                 pairs.retain(|&(lj, rj)| test.holds(lj, rj));
             }
-            _ => pairs.retain(|&(lj, rj)| range_ref_matches(l.value(lj), r.value(rj), op)),
+            _ => {
+                let mut failed = Ok(());
+                pairs.retain(|&(lj, rj)| match (l.value(lj), r.value(rj)) {
+                    (Ok(lv), Ok(rv)) => range_ref_matches(lv, rv, op),
+                    (Err(e), _) | (_, Err(e)) => {
+                        failed = Err(e);
+                        false
+                    }
+                });
+                failed?;
+            }
         }
     }
     Ok(pairs)
@@ -1107,6 +1130,15 @@ mod tests {
             .column(ColumnSpec::new("k", Distribution::UniformInt { lo: 0, hi: modulo }))
             .generate(rows as u64);
         Arc::new(t)
+    }
+
+    #[test]
+    fn a_row_id_outside_the_column_is_an_error_not_a_null() {
+        let col = ColumnVector::from_ints([7, 8]);
+        let side = SideKey { col: &col, ids: &[1, 5] };
+        assert!(matches!(side.value(0), Ok(ValueRef::Int(8))));
+        assert!(side.value(1).is_err(), "physical row 5 of a 2-row column");
+        assert!(side.value(2).is_err(), "logical row 2 of a 2-row selection");
     }
 
     /// Sizes straddling the parallel threshold, one below it that is not a

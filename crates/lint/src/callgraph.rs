@@ -2,12 +2,16 @@
 //!
 //! Edges are extracted from token patterns with a hard rule: **no false
 //! edges**. Every heuristic errs toward dropping an edge rather than
-//! inventing one, because the passes downstream (panic-reachability,
-//! lock-order) turn edges into findings and a phantom edge becomes a
-//! phantom finding someone has to argue with. The recall limits this buys
-//! are documented per pattern below; the runtime `els_lock_audit` shim and
-//! the per-site token lints cover what the graph cannot see (closures,
-//! function values, trait objects, turbofish calls).
+//! inventing one, because the pass downstream (lock-order) turns edges
+//! into findings and a phantom edge becomes a phantom finding someone has
+//! to argue with. The recall limits this buys are documented per pattern
+//! below; the runtime `els_lock_audit` shim and the per-site token lints
+//! cover what the graph cannot see.
+//!
+//! Known blind spots: closures and function values passed as arguments
+//! (`scheduler::run_tasks(task)`), trait-object dispatch (`dyn
+//! CardinalityEstimator`), and turbofish calls produce no edges, so what
+//! happens behind them is missed, not misattributed.
 //!
 //! Call forms resolved:
 //!

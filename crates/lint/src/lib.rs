@@ -3,27 +3,22 @@
 //! Two layers of passes enforce the invariants that neither the test suite
 //! nor clippy can see (see `DESIGN.md` §4f and §4k; clippy holds every ban
 //! it can express). The per-file passes — atomics discipline, the
-//! parallelism seam, float and default discipline, and crate layering —
-//! read one file at a time. On top of them a workspace layer builds a
-//! symbol table and a best-effort call graph (`symbols`, `callgraph`) and
-//! runs two inter-procedural passes:
-//! panic-reachability (which panic sites can a public entry point reach,
-//! with shortest witness paths) and lock-order (every lock acquisition
-//! held across another must run forward in `els_core::sync::LOCK_ORDER`;
-//! a cycle is a hard error no baseline can absorb).
+//! parallelism seam, the assert ban, float and default discipline, and
+//! crate layering — read one file at a time. On top of them a workspace
+//! layer builds a symbol table and a best-effort call graph (`symbols`,
+//! `callgraph`) and runs the inter-procedural lock-order pass: every lock
+//! acquisition held across another must run forward in
+//! `els_core::sync::LOCK_ORDER`, and a cycle is a hard error.
 //!
-//! Pre-existing violations are grandfathered in `lint-baseline.json`, a
-//! ratchet: per-file-per-lint counts may only decrease, new violations
-//! fail, and suppressions require a written justification that is
-//! reviewed like code.
+//! Any unsuppressed violation fails the run. A suppression carries a
+//! written justification that is reviewed like code, and one that
+//! discharges nothing is itself an error.
 
 #![deny(unsafe_code)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod lock_order;
-pub mod panic_reach;
 pub mod passes;
 pub mod report;
 pub mod source;
@@ -33,10 +28,8 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baseline::Baseline;
 use callgraph::CallGraph;
 use lock_order::LockEdge;
-use panic_reach::PanicPath;
 use passes::{Lint, Violation};
 use source::SourceFile;
 use symbols::{ParsedFile, SymbolTable};
@@ -68,11 +61,8 @@ pub const LIBRARY_MANIFESTS: &[(&str, &str)] = &[
     ("els-server", "crates/server/Cargo.toml"),
 ];
 
-/// Name of the committed ratchet file at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.json";
-
-/// Hard errors that fail the run regardless of the baseline: malformed or
-/// unused suppressions, unreadable files.
+/// Hard errors that no suppression can discharge: malformed or unused
+/// suppressions, unreadable files, lock-order cycles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HardError {
     /// Workspace-relative file.
@@ -90,29 +80,23 @@ pub struct Outcome {
     pub files_scanned: usize,
     /// All violations, suppressed ones included (marked).
     pub violations: Vec<Violation>,
-    /// Unsuppressed counts per (lint, file).
-    pub counts: Baseline,
-    /// The committed baseline the counts were compared against.
-    pub baseline: Baseline,
-    /// Raw text of the baseline file as loaded (None when absent) — lets
-    /// `--baseline-update` detect a file that changed under the run.
-    pub baseline_raw: Option<String>,
-    /// Violations not covered by the baseline — these fail the run.
-    pub new_violations: Vec<Violation>,
     /// Malformed/unused suppressions and I/O problems — always fail.
     pub hard_errors: Vec<HardError>,
     /// The lock order parsed from `els_core::sync`, for the JSON report.
     pub lock_order: Vec<String>,
     /// Every held-while-acquiring edge the lock-order pass derived.
     pub lock_edges: Vec<LockEdge>,
-    /// Shortest entry-to-panic witness paths from panic-reachability.
-    pub panic_paths: Vec<PanicPath>,
 }
 
 impl Outcome {
-    /// True when the tree is clean under the ratchet.
+    /// The violations no justified suppression covers — these fail the run.
+    pub fn unsuppressed(&self) -> impl Iterator<Item = &Violation> {
+        self.violations.iter().filter(|v| !v.suppressed)
+    }
+
+    /// True when the tree is clean: no unsuppressed violation, no error.
     pub fn is_ok(&self) -> bool {
-        self.new_violations.is_empty() && self.hard_errors.is_empty()
+        self.unsuppressed().next().is_none() && self.hard_errors.is_empty()
     }
 }
 
@@ -121,8 +105,8 @@ impl Outcome {
 /// Order matters: all files are parsed up front so the workspace passes
 /// see the whole call graph; suppressions are applied *last*, after every
 /// pass (per-file and inter-procedural) has produced its violations, so a
-/// suppression can discharge a panic-reachability or lock-order finding
-/// the same way it discharges a token-pass one.
+/// suppression can discharge a lock-order finding the same way it
+/// discharges a token-pass one.
 pub fn run(root: &Path) -> Result<Outcome, String> {
     let mut violations = Vec::new();
     let mut hard_errors = Vec::new();
@@ -160,7 +144,6 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
     // Workspace passes over the symbol table and call graph.
     let table = SymbolTable::build(&parsed);
     let graph = CallGraph::build(&parsed, &table);
-    let panic_paths = panic_reach::run(&parsed, &table, &graph, &mut violations, &mut hard_errors);
     let (lock_order, lock_edges) =
         lock_order::run(&parsed, &table, &graph, &mut violations, &mut hard_errors);
 
@@ -174,33 +157,15 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
         apply_suppressions(&pf.source, &mut violations, &mut hard_errors);
     }
 
-    let counts = count_unsuppressed(&violations);
-    let baseline_raw = read_baseline_raw(root)?;
-    let baseline = match &baseline_raw {
-        Some(text) => baseline::from_json(text).map_err(|e| format!("{BASELINE_FILE}: {e}"))?,
-        None => Baseline::new(),
-    };
-    let new_violations = find_new(&violations, &counts, &baseline);
-
-    Ok(Outcome {
-        files_scanned,
-        violations,
-        counts,
-        baseline,
-        baseline_raw,
-        new_violations,
-        hard_errors,
-        lock_order,
-        lock_edges,
-        panic_paths,
-    })
+    violations.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
+    Ok(Outcome { files_scanned, violations, hard_errors, lock_order, lock_edges })
 }
 
 /// Apply one file's suppressions to the full violation set.
 /// Suppression rules: the lint name must exist, the justification is
 /// mandatory (enforced at parse), and a suppression that matches no
 /// violation is itself an error — stale allows rot into lies.
-fn apply_suppressions(
+pub(crate) fn apply_suppressions(
     file: &SourceFile,
     violations: &mut [Violation],
     hard_errors: &mut Vec<HardError>,
@@ -239,88 +204,14 @@ fn apply_suppressions(
     }
 }
 
-/// Unsuppressed violation counts per (lint, file).
-pub fn count_unsuppressed(violations: &[Violation]) -> Baseline {
-    let mut counts = Baseline::new();
-    for v in violations.iter().filter(|v| !v.suppressed) {
-        *counts.entry(v.lint.name().to_string()).or_default().entry(v.file.clone()).or_insert(0) +=
-            1;
-    }
-    counts
-}
-
-/// The violations exceeding the baseline: for each (lint, file) whose
-/// count is above its grandfathered allowance, the trailing `count -
-/// allowed` violations (by source order) are reported as new.
-fn find_new(violations: &[Violation], counts: &Baseline, baseline: &Baseline) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (lint, files) in counts {
-        for (file, &count) in files {
-            let allowed = baseline.get(lint).and_then(|f| f.get(file)).copied().unwrap_or(0);
-            if count <= allowed {
-                continue;
-            }
-            let over = (count - allowed) as usize;
-            let mut matching: Vec<&Violation> = violations
-                .iter()
-                .filter(|v| !v.suppressed && v.lint.name() == lint && v.file == *file)
-                .collect();
-            matching.sort_by_key(|v| (v.line, v.col));
-            out.extend(matching.into_iter().rev().take(over).rev().cloned());
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-    out
-}
-
-/// Raw baseline text; `None` when the file is absent (the bootstrap
-/// case).
-pub fn read_baseline_raw(root: &Path) -> Result<Option<String>, String> {
-    let path = root.join(BASELINE_FILE);
-    if !path.exists() {
-        return Ok(None);
-    }
-    fs::read_to_string(&path).map(Some).map_err(|e| format!("cannot read {BASELINE_FILE}: {e}"))
-}
-
-/// Load `lint-baseline.json`; a missing file is an empty baseline.
-pub fn load_baseline(root: &Path) -> Result<Baseline, String> {
-    match read_baseline_raw(root)? {
-        Some(text) => baseline::from_json(&text).map_err(|e| format!("{BASELINE_FILE}: {e}")),
-        None => Ok(Baseline::new()),
-    }
-}
-
-/// True when the baseline file on disk no longer matches what this run
-/// loaded — e.g. edited by hand or by a concurrent run. `--baseline-update`
-/// refuses to write over such a file: an update must start from the state
-/// it was ratcheted against.
-pub fn baseline_dirty(root: &Path, outcome: &Outcome) -> bool {
-    fs::read_to_string(root.join(BASELINE_FILE)).ok() != outcome.baseline_raw
-}
-
-/// Write the current counts as the new baseline. The caller has already
-/// checked the `ELS_LINT_BASELINE_UPDATE` gate.
-pub fn write_baseline(root: &Path, counts: &Baseline) -> Result<(), String> {
-    fs::write(root.join(BASELINE_FILE), baseline::to_json(counts))
-        .map_err(|e| format!("cannot write {BASELINE_FILE}: {e}"))
-}
-
-/// Per-lint rollup used by the delta report: (current, baselined,
-/// suppressed) for each lint name.
-pub fn per_lint_summary(outcome: &Outcome) -> BTreeMap<String, (u64, u64, u64)> {
-    let mut out: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    for lint in Lint::all() {
-        out.insert(lint.name().to_string(), (0, 0, 0));
-    }
-    for (lint, files) in &outcome.counts {
-        out.entry(lint.clone()).or_default().0 += files.values().sum::<u64>();
-    }
-    for (lint, files) in &outcome.baseline {
-        out.entry(lint.clone()).or_default().1 += files.values().sum::<u64>();
-    }
-    for v in outcome.violations.iter().filter(|v| v.suppressed) {
-        out.entry(v.lint.name().to_string()).or_default().2 += 1;
+/// Per-lint rollup for the reports: (current, suppressed) for each lint
+/// name, where current counts the unsuppressed violations.
+pub fn per_lint_summary(outcome: &Outcome) -> BTreeMap<&'static str, (u64, u64)> {
+    let mut out: BTreeMap<&'static str, (u64, u64)> =
+        Lint::all().into_iter().map(|l| (l.name(), (0, 0))).collect();
+    for v in &outcome.violations {
+        let (current, suppressed) = out.entry(v.lint.name()).or_default();
+        *if v.suppressed { suppressed } else { current } += 1;
     }
     out
 }

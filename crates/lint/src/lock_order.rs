@@ -24,7 +24,7 @@
 //! through any call-graph path — is an edge `held class -> acquired
 //! class`. Every edge must run strictly forward in `LOCK_ORDER`
 //! (self-edges are re-entrant acquisition, a deadlock with `std` locks);
-//! a cycle among classes is a **hard error** that no baseline can absorb.
+//! a cycle among classes is a **hard error** that no suppression can absorb.
 //! Closures and trait objects the call graph cannot see are covered by
 //! the runtime audit shim during `cargo test`.
 
@@ -213,7 +213,7 @@ pub fn run(
         }
     }
 
-    // Cycles can never be baselined away: hard error.
+    // Cycles can never be suppressed: hard error.
     if let Some(cycle) = find_cycle(&order, &edges) {
         hard_errors.push(HardError {
             file: SYNC_FILE.to_string(),

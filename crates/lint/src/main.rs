@@ -1,13 +1,12 @@
 //! CLI for `els-lint`. Run from the workspace root:
 //!
 //! ```text
-//! cargo run --release -q -p els-lint            # human report, ratchet check
+//! cargo run --release -q -p els-lint            # human report
 //! cargo run --release -q -p els-lint -- --json  # structured report
-//! ELS_LINT_BASELINE_UPDATE=1 cargo run -q -p els-lint -- --baseline-update
 //! ```
 //!
-//! Exit codes: 0 clean, 1 new violations or malformed/unused suppressions,
-//! 2 usage or I/O errors.
+//! Exit codes: 0 clean, 1 unsuppressed violations or malformed/unused
+//! suppressions, 2 usage or I/O errors.
 
 use std::env;
 use std::path::PathBuf;
@@ -15,13 +14,11 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut update = false;
     let mut root: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--baseline-update" => update = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root needs a path"),
@@ -39,40 +36,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if update {
-        // The ratchet only loosens deliberately: the flag alone is not
-        // enough, the environment must opt in too (see scripts/check.sh).
-        if env::var("ELS_LINT_BASELINE_UPDATE").as_deref() != Ok("1") {
-            eprintln!(
-                "els-lint: --baseline-update is gated: set ELS_LINT_BASELINE_UPDATE=1 \
-                 to rewrite the ratchet baseline"
-            );
-            return ExitCode::from(2);
-        }
-        if !outcome.hard_errors.is_empty() {
-            print!("{}", els_lint::report::human(&outcome));
-            eprintln!("els-lint: fix suppression errors before updating the baseline");
-            return ExitCode::from(1);
-        }
-        if els_lint::baseline_dirty(&root, &outcome) {
-            eprintln!(
-                "els-lint: {} changed on disk since this run loaded it; re-run \
-                 --baseline-update against the current file",
-                els_lint::BASELINE_FILE
-            );
-            return ExitCode::from(2);
-        }
-        if let Err(e) = els_lint::write_baseline(&root, &outcome.counts) {
-            eprintln!("els-lint: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "els-lint: baseline rewritten with {} grandfathered violation(s)",
-            outcome.counts.values().flat_map(|f| f.values()).sum::<u64>()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     if json {
         print!("{}", els_lint::report::json(&outcome));
     } else {
@@ -87,7 +50,7 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("els-lint: {msg}");
-    eprintln!("usage: els-lint [--json] [--baseline-update] [--root <workspace>]");
+    eprintln!("usage: els-lint [--json] [--root <workspace>]");
     ExitCode::from(2)
 }
 

@@ -3,8 +3,8 @@
 //! The token walk reads the code tokens of one library source file and
 //! emits [`Violation`]s; the layering pass reads `Cargo.toml` manifests
 //! instead. Every rule here is one clippy cannot express (DESIGN.md §4f):
-//! the bans clippy can see (`unwrap`, `panic!`, slice indexing in
-//! els-core, clock reads, printing, narrowing casts) live in `clippy.toml`
+//! the bans clippy can see (`unwrap`, `panic!`, `unreachable!`, slice
+//! indexing, clock reads, printing, narrowing casts) live in `clippy.toml`
 //! and the crate roots. Passes are deliberately syntactic — they ban
 //! *spellings*, not semantics — because a spelling ban plus a
 //! justification-carrying suppression syntax is auditable in review.
@@ -24,11 +24,11 @@ pub enum Lint {
     /// Crate dependencies must respect the layer order and add no new
     /// external dependencies.
     Layering,
-    /// Inter-procedural: a panic site (assert, slice index, unwrap) is
-    /// reachable from a public entry point (`Engine::execute`,
-    /// `serve_connection`, ...) through the workspace call graph. Reported
-    /// at the panic site with the shortest call path, ratcheted per file.
-    PanicReachability,
+    /// No `assert!`, `assert_eq!` or `assert_ne!` in library code: together
+    /// with clippy's bans it leaves no panic site there. `debug_assert*`
+    /// stays legal; it is compiled out of the release build the engine
+    /// ships. Clippy's `disallowed-macros` cannot exempt test code.
+    AssertBan,
     /// Inter-procedural: the held-while-acquiring graph over the
     /// `els_core::sync` lock classes must agree with the committed
     /// `LOCK_ORDER` total order; a cycle is a hard error.
@@ -46,19 +46,19 @@ impl Lint {
             Lint::Atomics,
             Lint::ParallelismSeam,
             Lint::Layering,
-            Lint::PanicReachability,
+            Lint::AssertBan,
             Lint::LockOrder,
             Lint::NumericDiscipline,
         ]
     }
 
-    /// The name used in reports, baselines and suppression comments.
+    /// The name used in reports and suppression comments.
     pub fn name(self) -> &'static str {
         match self {
             Lint::Atomics => "atomics-discipline",
             Lint::ParallelismSeam => "parallelism-seam",
             Lint::Layering => "layering",
-            Lint::PanicReachability => "panic-reachability",
+            Lint::AssertBan => "assert-ban",
             Lint::LockOrder => "lock-order",
             Lint::NumericDiscipline => "numeric-discipline",
         }
@@ -108,6 +108,9 @@ const RELAXED_ALLOWLIST: &[&str] = &[
 /// ban cannot say this: the tests spawn threads too.
 const THREAD_ALLOWLIST: &[&str] = &["crates/exec/src/scheduler.rs", "crates/server/src/pool.rs"];
 
+/// The assert family: each panics in release builds when it fires.
+const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
+
 /// The sanctioned home of exact float comparison (rule C exemption).
 const FLOAT_HELPER_FILE: &str = "crates/core/src/float.rs";
 
@@ -146,6 +149,21 @@ pub fn run_token_passes(pf: &ParsedFile, out: &mut Vec<Violation>) {
                         "`thread::{}` outside the scheduler module: route parallel work \
                          through `els_exec::scheduler::run_tasks` so it shares the one \
                          panic/determinism seam",
+                        tok.text
+                    ),
+                );
+            }
+            // assert ban: a panic site clippy's bans do not cover.
+            TokenKind::Ident
+                if ASSERT_MACROS.contains(&tok.text.as_str())
+                    && pf.is_punct(ci + 1, '!')
+                    && pf.is_punct(ci + 2, '(') =>
+            {
+                push(
+                    Lint::AssertBan,
+                    format!(
+                        "`{}!` in library code panics when it fires: return a typed error, \
+                         or use `debug_assert!` for an internal invariant",
                         tok.text
                     ),
                 );
@@ -344,6 +362,53 @@ mod tests {
         // Variable defaults carry intent; not flagged.
         assert_eq!(lint_at(core, "fn f(o: Option<f64>, d: f64) -> f64 { o.unwrap_or(d) }"), vec![]);
         assert_eq!(lint_src("fn f(o: Option<u64>) -> u64 { o.unwrap_or(0) }"), vec![]);
+    }
+
+    #[test]
+    fn the_assert_family_is_banned_outside_tests() {
+        let v = lint_src(
+            "fn f(a: u32, b: u32) { assert!(a < b); assert_eq!(a, 1); assert_ne!(b, 2, \"m\"); }",
+        );
+        let names: Vec<&str> = v.iter().map(|v| v.lint.name()).collect();
+        assert_eq!(names, ["assert-ban"; 3], "{v:?}");
+        assert!(v[1].message.contains("`assert_eq!`"), "{v:?}");
+        // A `#[cfg(test)]` item may assert; so may a `!=` on a variable
+        // that happens to be called `assert`.
+        let ok = lint_src(
+            "fn f(assert: u32) -> bool { assert != 1 }\n\
+             #[cfg(test)]\nmod tests { #[test] fn t() { assert!(true); assert_eq!(1, 1); } }",
+        );
+        assert_eq!(ok, vec![]);
+    }
+
+    #[test]
+    fn debug_assert_is_not_a_panic_source() {
+        let v = lint_src(
+            "fn f(a: u32) { debug_assert!(a > 0); debug_assert_eq!(a, 1); debug_assert_ne!(a, 2); }",
+        );
+        assert_eq!(v, vec![]);
+    }
+
+    #[test]
+    fn a_justified_suppression_discharges_an_assert_and_an_unused_one_fails() {
+        let src = "fn f(n: u64) {\n\
+                   // els-lint: allow(assert-ban, \"the signature is pinned\")\n\
+                   assert!(n > 0);\n\
+                   // els-lint: allow(assert-ban, \"nothing here\")\n\
+                   let m = n;\n}";
+        let file = SourceFile::parse("crates/exec/src/x.rs", src);
+        let mut v = Vec::new();
+        run_token_passes(
+            &ParsedFile::new("els-exec", SourceFile::parse(&file.rel_path, src)),
+            &mut v,
+        );
+        let mut hard = Vec::new();
+        crate::apply_suppressions(&file, &mut v, &mut hard);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].suppressed, "{v:?}");
+        assert_eq!(hard.len(), 1, "{hard:?}");
+        assert!(hard[0].message.contains("unused suppression"), "{hard:?}");
+        assert_eq!(hard[0].line, 4);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Human and JSON reports.
 //!
-//! The human report leads with the per-lint delta against the baseline —
-//! the line `scripts/check.sh` surfaces — then lists anything that fails
-//! the run. The JSON report carries the full structured outcome for
-//! tooling.
+//! The human report leads with a per-lint table of current (unsuppressed)
+//! and suppressed counts — the line `scripts/check.sh` surfaces — then
+//! lists anything that fails the run. The JSON report carries the full
+//! structured outcome for tooling.
 
 use std::fmt::Write as _;
 
-use crate::baseline::quote;
 use crate::passes::Violation;
 use crate::{per_lint_summary, Outcome};
 
@@ -15,47 +14,23 @@ use crate::{per_lint_summary, Outcome};
 pub fn human(outcome: &Outcome) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "els-lint: scanned {} library source files", outcome.files_scanned);
-    let _ = writeln!(
-        s,
-        "  {:<20} {:>8} {:>9} {:>11} {:>7}",
-        "lint", "current", "baseline", "suppressed", "delta"
-    );
-    for (lint, (current, baselined, suppressed)) in per_lint_summary(outcome) {
-        let delta = current as i64 - baselined as i64;
-        let delta = match delta {
-            0 => "0".to_string(),
-            d if d > 0 => format!("+{d}"),
-            d => d.to_string(),
-        };
-        let _ = writeln!(
-            s,
-            "  {:<20} {:>8} {:>9} {:>11} {:>7}",
-            lint, current, baselined, suppressed, delta
-        );
-    }
-    let slack: Vec<String> = slack_lines(outcome);
-    if !slack.is_empty() {
-        let _ = writeln!(
-            s,
-            "  ratchet slack (counts below baseline — tighten with --baseline-update):"
-        );
-        for line in slack {
-            let _ = writeln!(s, "    {line}");
-        }
+    let _ = writeln!(s, "  {:<20} {:>8} {:>11}", "lint", "current", "suppressed");
+    for (lint, (current, suppressed)) in per_lint_summary(outcome) {
+        let _ = writeln!(s, "  {lint:<20} {current:>8} {suppressed:>11}");
     }
     for e in &outcome.hard_errors {
         let _ = writeln!(s, "error: {}:{}: {}", e.file, e.line, e.message);
     }
-    for v in &outcome.new_violations {
-        let _ = writeln!(s, "new violation: {}", format_violation(v));
+    for v in outcome.unsuppressed() {
+        let _ = writeln!(s, "violation: {}", format_violation(v));
     }
     if outcome.is_ok() {
-        let _ = writeln!(s, "els-lint: OK (no new violations)");
+        let _ = writeln!(s, "els-lint: OK (no violations)");
     } else {
         let _ = writeln!(
             s,
-            "els-lint: FAILED ({} new violation(s), {} error(s))",
-            outcome.new_violations.len(),
+            "els-lint: FAILED ({} violation(s), {} error(s))",
+            outcome.unsuppressed().count(),
             outcome.hard_errors.len()
         );
     }
@@ -66,21 +41,6 @@ fn format_violation(v: &Violation) -> String {
     format!("{}:{}:{}: [{}] {}", v.file, v.line, v.col, v.lint.name(), v.message)
 }
 
-/// Per-(lint, file) entries where the tree is now cleaner than the
-/// baseline admits.
-fn slack_lines(outcome: &Outcome) -> Vec<String> {
-    let mut out = Vec::new();
-    for (lint, files) in &outcome.baseline {
-        for (file, &allowed) in files {
-            let current = outcome.counts.get(lint).and_then(|f| f.get(file)).copied().unwrap_or(0);
-            if current < allowed {
-                out.push(format!("{lint}: {file}: {current} (baseline allows {allowed})"));
-            }
-        }
-    }
-    out
-}
-
 /// Render the JSON report.
 pub fn json(outcome: &Outcome) -> String {
     let mut s = String::from("{\n");
@@ -88,22 +48,19 @@ pub fn json(outcome: &Outcome) -> String {
     let _ = writeln!(s, "  \"ok\": {},", outcome.is_ok());
     s.push_str("  \"lints\": {\n");
     let summary = per_lint_summary(outcome);
-    for (i, (lint, (current, baselined, suppressed))) in summary.iter().enumerate() {
+    for (i, (lint, (current, suppressed))) in summary.iter().enumerate() {
         let comma = if i + 1 < summary.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {}: {{\"current\": {}, \"baseline\": {}, \"suppressed\": {}}}{}",
-            quote(lint),
-            current,
-            baselined,
-            suppressed,
-            comma
+            "    {}: {{\"current\": {current}, \"suppressed\": {suppressed}}}{comma}",
+            quote(lint)
         );
     }
     s.push_str("  },\n");
-    s.push_str("  \"new_violations\": [\n");
-    for (i, v) in outcome.new_violations.iter().enumerate() {
-        let comma = if i + 1 < outcome.new_violations.len() { "," } else { "" };
+    s.push_str("  \"violations\": [\n");
+    let violations: Vec<&Violation> = outcome.unsuppressed().collect();
+    for (i, v) in violations.iter().enumerate() {
+        let comma = if i + 1 < violations.len() { "," } else { "" };
         let _ = writeln!(
             s,
             "    {{\"lint\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}}}{}",
@@ -136,22 +93,6 @@ pub fn json(outcome: &Outcome) -> String {
         );
     }
     s.push_str("    ]\n  },\n");
-    s.push_str("  \"panic_paths\": [\n");
-    for (i, p) in outcome.panic_paths.iter().enumerate() {
-        let comma = if i + 1 < outcome.panic_paths.len() { "," } else { "" };
-        let path: Vec<String> = p.path.iter().map(|f| quote(f)).collect();
-        let _ = writeln!(
-            s,
-            "    {{\"file\": {}, \"line\": {}, \"col\": {}, \"what\": {}, \"path\": [{}]}}{}",
-            quote(&p.file),
-            p.line,
-            p.col,
-            quote(&p.what),
-            path.join(", "),
-            comma
-        );
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"errors\": [\n");
     for (i, e) in outcome.hard_errors.iter().enumerate() {
         let comma = if i + 1 < outcome.hard_errors.len() { "," } else { "" };
@@ -166,4 +107,36 @@ pub fn json(outcome: &Outcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+/// A JSON string literal for `s`. Every character below U+0020 is
+/// escaped, so any text a message or a file name carries stays valid JSON.
+fn quote(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quote;
+
+    #[test]
+    fn quote_escapes_every_control_character() {
+        let quoted = quote("crates/a\tb\rc\nd\u{1}e\\f\"g.rs");
+        assert_eq!(quoted, r#""crates/a\tb\rc\nd\u0001e\\f\"g.rs""#);
+    }
 }

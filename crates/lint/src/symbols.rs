@@ -1,8 +1,8 @@
 //! Workspace symbol table: every `fn` definition, with its enclosing
 //! `impl`/`trait` owner, resolved from the token streams alone.
 //!
-//! This is the foundation the inter-procedural passes (`panic-reachability`,
-//! `lock-order`) stand on. It is deliberately a *token-level* model, not a
+//! This is the foundation the inter-procedural `lock-order` pass stands
+//! on. It is deliberately a *token-level* model, not a
 //! parser: one linear pass per file tracks brace nesting, `impl`/`trait`
 //! headers, and `fn` items, and records for every code token which function
 //! body it sits inside (`fn_at`). That is exact for the constructs this

@@ -615,9 +615,9 @@ mod tests {
         let stats =
             QueryStatistics::new(vec![mk(1000.0), mk(10_000.0), mk(50_000.0), mk(100_000.0)]);
         let preds = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
-            Predicate::col_eq(c(2, 0), c(3, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
+            Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
         ];
         let els = Els::prepare(&preds, &stats, options).unwrap();
@@ -740,7 +740,7 @@ mod tests {
             ),
             TableStatistics::new(5000.0, vec![ColumnStatistics::with_domain(1000.0, 0.0, 999.0)]),
         ]);
-        let preds = vec![Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0))];
+        let preds = vec![Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0)).unwrap()];
         let els = Els::prepare(&preds, &stats, &ElsOptions::algorithm_els()).unwrap();
         let profiles =
             vec![TableProfile::synthetic(1000.0, 16), TableProfile::synthetic(5000.0, 16)];
@@ -762,7 +762,7 @@ mod tests {
 
     #[test]
     fn range_keys_between_flips_the_operator_with_the_sides() {
-        let preds = vec![Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0))];
+        let preds = vec![Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0)).unwrap()];
         let fwd = range_keys_between(&preds, 0b01, 0b10);
         assert_eq!(fwd, vec![(c(0, 0), CmpOp::Lt, c(1, 0))]);
         let rev = range_keys_between(&preds, 0b10, 0b01);
@@ -786,8 +786,8 @@ mod tests {
         };
         let stats = QueryStatistics::new(vec![mk(1000.0), mk(1000.0)]);
         let preds = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::join_range(c(0, 1), CmpOp::Le, c(1, 1)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::join_range(c(0, 1), CmpOp::Le, c(1, 1)).unwrap(),
         ];
         let els = Els::prepare(&preds, &stats, &ElsOptions::algorithm_els()).unwrap();
         let profiles =
@@ -805,8 +805,8 @@ mod tests {
     #[test]
     fn join_keys_collects_all_closure_edges() {
         let preds = els_core::closure::transitive_closure(&[
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(1, 0), c(2, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
         ]);
         // Mask {0, 1}, new table 2: keys from both s=... and m=...
         let keys = join_keys(&preds, 0b011, 2);
@@ -822,7 +822,7 @@ mod tests {
         let preds = vec![
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
             Predicate::local_cmp(c(1, 0), CmpOp::Gt, 5i64),
-            Predicate::col_eq(c(0, 0), c(1, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
         ];
         let f0 = scan_filters(&preds, 0).unwrap();
         assert_eq!(f0.len(), 1);
@@ -859,8 +859,8 @@ mod tests {
         };
         let stats = QueryStatistics::new(vec![mk(1000.0), mk(1000.0), mk(1000.0), mk(1000.0)]);
         let preds = vec![
-            Predicate::col_eq(c(0, 0), c(1, 0)),
-            Predicate::col_eq(c(2, 0), c(3, 0)),
+            Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+            Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 10i64),
             Predicate::local_cmp(c(2, 0), CmpOp::Lt, 10i64),
         ];
@@ -896,8 +896,8 @@ mod tests {
             let stats = QueryStatistics::new(vec![mk(1000.0), mk(1000.0), mk(1000.0), mk(1000.0)]);
             let (small, big) = if small_pair_first { (0, 2) } else { (2, 0) };
             let preds = vec![
-                Predicate::col_eq(c(0, 0), c(1, 0)),
-                Predicate::col_eq(c(2, 0), c(3, 0)),
+                Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+                Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
                 Predicate::local_cmp(c(small, 0), CmpOp::Lt, 10i64),
                 Predicate::local_cmp(c(big, 0), CmpOp::Lt, 1000i64),
             ];

@@ -219,7 +219,7 @@ mod tests {
                 .collect(),
         );
         let mut preds: Vec<Predicate> =
-            (1..n).map(|i| Predicate::col_eq(c(i - 1, 0), c(i, 0))).collect();
+            (1..n).map(|i| Predicate::col_eq(c(i - 1, 0), c(i, 0)).unwrap()).collect();
         preds.push(Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64));
         let els = Els::prepare(&preds, &stats, &ElsOptions::algorithm_els()).unwrap();
         let profiles =

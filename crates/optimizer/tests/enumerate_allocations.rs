@@ -67,7 +67,7 @@ fn clique() -> (Els, Vec<TableProfile>) {
             .collect(),
     );
     let predicates: Vec<Predicate> = (1..n)
-        .map(|i| Predicate::col_eq(ColumnRef::new(i - 1, 0), ColumnRef::new(i, 0)))
+        .map(|i| Predicate::col_eq(ColumnRef::new(i - 1, 0), ColumnRef::new(i, 0)).unwrap())
         .chain([Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Lt, 100i64)])
         .collect();
     let els = Els::prepare(&predicates, &stats, &ElsOptions::algorithm_els()).unwrap();

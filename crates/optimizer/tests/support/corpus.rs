@@ -24,7 +24,7 @@ pub struct Query {
 }
 
 pub fn corpus() -> Vec<Query> {
-    let chain = |n: usize| (1..n).map(|i| Predicate::col_eq(c(i - 1, 0), c(i, 0)));
+    let chain = |n: usize| (1..n).map(|i| Predicate::col_eq(c(i - 1, 0), c(i, 0)).unwrap());
     let clique_rows = [1000.0, 10_000.0, 50_000.0, 100_000.0, 2000.0, 400.0, 30_000.0, 7000.0];
     let clique = |name, n: usize| Query {
         name,
@@ -63,7 +63,7 @@ pub fn corpus() -> Vec<Query> {
                 std::iter::once(hub).chain(star_dims.iter().map(|&d| keyed(d))).collect(),
             ),
             predicates: (0..5)
-                .map(|i| Predicate::col_eq(c(0, i), c(i + 1, 0)))
+                .map(|i| Predicate::col_eq(c(0, i), c(i + 1, 0)).unwrap())
                 .chain([
                     Predicate::local_cmp(c(2, 0), CmpOp::Lt, 64i64),
                     Predicate::local_cmp(c(5, 0), CmpOp::Ge, 60_000i64),
@@ -82,10 +82,10 @@ pub fn corpus() -> Vec<Query> {
                 keyed(300.0),
             ]),
             predicates: vec![
-                Predicate::col_eq(c(0, 0), c(1, 0)),
-                Predicate::col_eq(c(1, 0), c(2, 0)),
-                Predicate::join_range(c(2, 0), CmpOp::Lt, c(3, 0)),
-                Predicate::col_eq(c(3, 0), c(4, 0)),
+                Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+                Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
+                Predicate::join_range(c(2, 0), CmpOp::Lt, c(3, 0)).unwrap(),
+                Predicate::col_eq(c(3, 0), c(4, 0)).unwrap(),
                 Predicate::local_cmp(c(3, 0), CmpOp::Lt, 50i64),
             ],
         },
@@ -98,8 +98,8 @@ pub fn corpus() -> Vec<Query> {
                 keyed(9000.0),
             ]),
             predicates: vec![
-                Predicate::col_eq(c(0, 0), c(1, 0)),
-                Predicate::col_eq(c(2, 0), c(3, 0)),
+                Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
+                Predicate::col_eq(c(2, 0), c(3, 0)).unwrap(),
                 Predicate::local_cmp(c(0, 0), CmpOp::Lt, 10i64),
                 Predicate::local_cmp(c(2, 0), CmpOp::Lt, 10i64),
             ],

@@ -40,20 +40,22 @@ pub fn random_query(seed: u64, n: usize) -> Query {
         // One table in five starts a new component (a forced cartesian).
         if rng.gen_range(0u32..5) > 0 {
             let other = rng.gen_range(0usize..t);
-            predicates.push(Predicate::col_eq(col(&mut rng, other), col(&mut rng, t)));
+            predicates.push(Predicate::col_eq(col(&mut rng, other), col(&mut rng, t)).unwrap());
         }
     }
     for _ in 0..rng.gen_range(0usize..3) {
         let (a, b) = (rng.gen_range(0usize..n), rng.gen_range(0usize..n));
         if a != b {
-            predicates.push(Predicate::col_eq(col(&mut rng, a), col(&mut rng, b)));
+            predicates.push(Predicate::col_eq(col(&mut rng, a), col(&mut rng, b)).unwrap());
         }
     }
     for _ in 0..rng.gen_range(0usize..3) {
         let (a, b) = (rng.gen_range(0usize..n), rng.gen_range(0usize..n));
         if a != b {
             let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][rng.gen_range(0usize..4)];
-            predicates.push(Predicate::join_range(ColumnRef::new(a, 1), op, ColumnRef::new(b, 1)));
+            predicates.push(
+                Predicate::join_range(ColumnRef::new(a, 1), op, ColumnRef::new(b, 1)).unwrap(),
+            );
         }
     }
     for (t, &r) in rows.iter().enumerate() {

@@ -65,11 +65,13 @@ pub fn bind(query: &Query, catalog: &Catalog) -> SqlResult<BoundQuery> {
     let resolve = |c: &ColRefAst| -> SqlResult<ColumnRef> {
         match &c.table {
             Some(tname) => {
-                let t = binding_names
+                let (t, table) = binding_names
                     .iter()
-                    .position(|b| b == tname)
+                    .zip(&table_names)
+                    .enumerate()
+                    .find_map(|(t, (b, table))| (b == tname).then_some((t, table)))
                     .ok_or_else(|| SqlError::Bind(format!("unknown table `{tname}` in `{c}`")))?;
-                let def = catalog.table_def(&table_names[t])?;
+                let def = catalog.table_def(table)?;
                 let col = def.column_index(&c.column).ok_or_else(|| {
                     SqlError::Bind(format!("unknown column `{}` in table `{tname}`", c.column))
                 })?;
@@ -147,7 +149,10 @@ pub fn bind(query: &Query, catalog: &Catalog) -> SqlResult<BoundQuery> {
                                 // R.x = R.x: a tautology; drop it.
                                 continue;
                             }
-                            predicates.push(Predicate::col_eq(ra, rb));
+                            predicates.push(
+                                Predicate::col_eq(ra, rb)
+                                    .map_err(|e| SqlError::Bind(e.to_string()))?,
+                            );
                         }
                         CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
                             if ra.table == rb.table {
@@ -156,7 +161,10 @@ pub fn bind(query: &Query, catalog: &Catalog) -> SqlResult<BoundQuery> {
                                      supported, got `{a} {op} {b}`"
                                 )));
                             }
-                            predicates.push(Predicate::join_range(ra, *op, rb));
+                            predicates.push(
+                                Predicate::join_range(ra, *op, rb)
+                                    .map_err(|e| SqlError::Bind(e.to_string()))?,
+                            );
                         }
                         CmpOp::Ne => {
                             return Err(SqlError::Bind(format!(
@@ -250,7 +258,10 @@ mod tests {
         assert_eq!(b.table_names, vec!["S", "M", "B", "G"]);
         assert_eq!(b.projection, BoundProjection::CountStar);
         assert_eq!(b.predicates.len(), 4);
-        assert_eq!(b.predicates[0], Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)));
+        assert_eq!(
+            b.predicates[0],
+            Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap()
+        );
         assert_eq!(b.predicates[3], Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Lt, 100i64));
     }
 
@@ -259,7 +270,7 @@ mod tests {
         let b = bound("SELECT * FROM S, M WHERE s = m").unwrap();
         assert_eq!(
             b.predicates,
-            vec![Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0))]
+            vec![Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap()]
         );
     }
 
@@ -309,13 +320,15 @@ mod tests {
         let b = bound("SELECT COUNT(*) FROM S, M WHERE s < m").unwrap();
         assert_eq!(
             b.predicates,
-            vec![Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0))]
+            vec![Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0))
+                .unwrap()]
         );
         // A self-join across two aliases is two distinct positional tables.
         let b = bound("SELECT COUNT(*) FROM S a, S b WHERE a.s >= b.s").unwrap();
         assert_eq!(
             b.predicates,
-            vec![Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Ge, ColumnRef::new(1, 0))]
+            vec![Predicate::join_range(ColumnRef::new(0, 0), CmpOp::Ge, ColumnRef::new(1, 0))
+                .unwrap()]
         );
     }
 

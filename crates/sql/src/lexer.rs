@@ -55,161 +55,94 @@ impl TokenKind {
 }
 
 /// Tokenize `input`.
+///
+/// Every delimiter is ASCII, and UTF-8 never puts an ASCII byte inside a
+/// multibyte character, so string literals are sliced out of `input` whole:
+/// `'café'` is `Str("café")`.
 pub fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
-    let bytes = input.as_bytes();
     let mut tokens = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let start = i;
-        match c {
-            c if c.is_ascii_whitespace() => {
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token { kind: TokenKind::Comma, position: start });
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token { kind: TokenKind::Dot, position: start });
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token { kind: TokenKind::LParen, position: start });
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token { kind: TokenKind::RParen, position: start });
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token { kind: TokenKind::Star, position: start });
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token { kind: TokenKind::Eq, position: start });
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::Ne, position: start });
-                    i += 2;
-                } else {
-                    return Err(SqlError::Lex {
-                        position: start,
-                        message: "expected `=` after `!`".into(),
-                    });
-                }
-            }
-            '<' => match bytes.get(i + 1) {
-                Some(b'=') => {
-                    tokens.push(Token { kind: TokenKind::Le, position: start });
-                    i += 2;
-                }
-                Some(b'>') => {
-                    tokens.push(Token { kind: TokenKind::Ne, position: start });
-                    i += 2;
-                }
-                _ => {
-                    tokens.push(Token { kind: TokenKind::Lt, position: start });
-                    i += 1;
-                }
+    let mut rest = input;
+    loop {
+        let mut chars = rest.chars();
+        let Some(c) = chars.next() else { break };
+        let after = chars.as_str();
+        let position = input.len() - rest.len();
+        let lex_error = |message: String| SqlError::Lex { position, message };
+        let single = |kind: TokenKind| (Some(kind), after);
+        let (kind, tail) = match c {
+            c if c.is_ascii_whitespace() => (None, after),
+            ',' => single(TokenKind::Comma),
+            '.' => single(TokenKind::Dot),
+            '(' => single(TokenKind::LParen),
+            ')' => single(TokenKind::RParen),
+            '*' => single(TokenKind::Star),
+            '=' => single(TokenKind::Eq),
+            '!' => match after.strip_prefix('=') {
+                Some(tail) => (Some(TokenKind::Ne), tail),
+                None => return Err(lex_error("expected `=` after `!`".into())),
             },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::Ge, position: start });
-                    i += 2;
-                } else {
-                    tokens.push(Token { kind: TokenKind::Gt, position: start });
-                    i += 1;
-                }
-            }
+            '<' => match (after.strip_prefix('='), after.strip_prefix('>')) {
+                (Some(tail), _) => (Some(TokenKind::Le), tail),
+                (_, Some(tail)) => (Some(TokenKind::Ne), tail),
+                _ => single(TokenKind::Lt),
+            },
+            '>' => match after.strip_prefix('=') {
+                Some(tail) => (Some(TokenKind::Ge), tail),
+                None => single(TokenKind::Gt),
+            },
             '\'' => {
                 let mut s = String::new();
-                i += 1;
+                let mut body = after;
                 loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(SqlError::Lex {
-                                position: start,
-                                message: "unterminated string literal".into(),
-                            })
+                    let Some((chunk, tail)) = body.split_once('\'') else {
+                        return Err(lex_error("unterminated string literal".into()));
+                    };
+                    s.push_str(chunk);
+                    // `''` escapes a quote.
+                    match tail.strip_prefix('\'') {
+                        Some(escaped) => {
+                            s.push('\'');
+                            body = escaped;
                         }
-                        Some(b'\'') => {
-                            // `''` escapes a quote.
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        None => break (Some(TokenKind::Str(s)), tail),
                     }
                 }
-                tokens.push(Token { kind: TokenKind::Str(s), position: start });
             }
             c if c.is_ascii_digit()
-                || (c == '-' && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit())) =>
+                || (c == '-' && after.starts_with(|d: char| d.is_ascii_digit())) =>
             {
-                let mut j = i + 1;
-                let mut is_float = false;
-                while j < bytes.len() {
-                    let b = bytes[j] as char;
-                    if b.is_ascii_digit() {
-                        j += 1;
-                    } else if b == '.'
-                        && !is_float
-                        && bytes.get(j + 1).is_some_and(|n| n.is_ascii_digit())
-                    {
-                        is_float = true;
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let text = &input[i..j];
-                let kind = if is_float {
-                    TokenKind::Float(text.parse().map_err(|_| SqlError::Lex {
-                        position: start,
-                        message: format!("bad float literal `{text}`"),
-                    })?)
+                let is_digit = |d: char| d.is_ascii_digit();
+                let int_tail = after.trim_start_matches(is_digit);
+                // A `.` belongs to the literal only when a digit follows it.
+                let frac_tail = int_tail
+                    .strip_prefix('.')
+                    .map(|t| t.trim_start_matches(is_digit))
+                    .filter(|t| t.len() + 1 < int_tail.len());
+                let (text, tail) = rest.split_at(rest.len() - frac_tail.unwrap_or(int_tail).len());
+                let kind = if frac_tail.is_some() {
+                    TokenKind::Float(
+                        text.parse()
+                            .map_err(|_| lex_error(format!("bad float literal `{text}`")))?,
+                    )
                 } else {
-                    TokenKind::Int(text.parse().map_err(|_| SqlError::Lex {
-                        position: start,
-                        message: format!("bad integer literal `{text}`"),
-                    })?)
+                    TokenKind::Int(
+                        text.parse()
+                            .map_err(|_| lex_error(format!("bad integer literal `{text}`")))?,
+                    )
                 };
-                tokens.push(Token { kind, position: start });
-                i = j;
+                (Some(kind), tail)
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i + 1;
-                while j < bytes.len() {
-                    let b = bytes[j] as char;
-                    if b.is_ascii_alphanumeric() || b == '_' {
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(input[i..j].to_owned()),
-                    position: start,
-                });
-                i = j;
+                let tail = rest.trim_start_matches(|c: char| c.is_ascii_alphanumeric() || c == '_');
+                let (word, tail) = rest.split_at(rest.len() - tail.len());
+                (Some(TokenKind::Ident(word.to_owned())), tail)
             }
-            other => {
-                return Err(SqlError::Lex {
-                    position: start,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
+            other => return Err(lex_error(format!("unexpected character `{other}`"))),
+        };
+        if let Some(kind) = kind {
+            tokens.push(Token { kind, position });
         }
+        rest = tail;
     }
     Ok(tokens)
 }
@@ -231,6 +164,16 @@ mod tests {
         assert_eq!(ks[3], TokenKind::Star);
         assert_eq!(ks[15], TokenKind::Lt);
         assert_eq!(ks[16], TokenKind::Int(100));
+    }
+
+    #[test]
+    fn string_literals_keep_non_ascii_text_whole() {
+        let ks = kinds("SELECT COUNT(*) FROM t WHERE t.s = 'café' AND t.u = '日本''s 😀'");
+        assert_eq!(ks[12], TokenKind::Str("café".into()));
+        assert_eq!(ks[18], TokenKind::Str("日本's 😀".into()));
+        // A non-ASCII character outside a literal is named in the error.
+        let err = tokenize("SELECT é").unwrap_err();
+        assert!(err.to_string().contains("`é`"), "{err}");
     }
 
     #[test]

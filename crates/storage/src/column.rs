@@ -138,30 +138,22 @@ impl ColumnVector {
 
     /// Read the value at `row`.
     pub fn get(&self, row: usize) -> StorageResult<Value> {
-        if row >= self.len() {
-            return Err(StorageError::RowOutOfBounds { index: row, len: self.len() });
-        }
-        if !self.validity[row] {
-            return Ok(Value::Null);
-        }
-        Ok(match &self.data {
-            ColumnData::Int(v) => Value::Int(v[row]),
-            ColumnData::Float(v) => Value::Float(v[row]),
-            ColumnData::Str(v) => Value::Str(v[row].clone()),
-        })
+        self.value_ref(row).map(ValueRef::to_value)
     }
 
-    /// Read the value at `row` without cloning string payloads; panics when
-    /// out of bounds. Used by inner loops of the executor.
-    pub fn value_ref(&self, row: usize) -> ValueRef<'_> {
-        if !self.validity[row] {
-            return ValueRef::Null;
-        }
-        match &self.data {
-            ColumnData::Int(v) => ValueRef::Int(v[row]),
-            ColumnData::Float(v) => ValueRef::Float(v[row]),
-            ColumnData::Str(v) => ValueRef::Str(&v[row]),
-        }
+    /// Read the value at `row` without cloning string payloads. Used by
+    /// inner loops of the executor.
+    pub fn value_ref(&self, row: usize) -> StorageResult<ValueRef<'_>> {
+        let cell = match self.validity.get(row) {
+            Some(false) => Some(ValueRef::Null),
+            Some(true) => match &self.data {
+                ColumnData::Int(v) => v.get(row).map(|&x| ValueRef::Int(x)),
+                ColumnData::Float(v) => v.get(row).map(|&x| ValueRef::Float(x)),
+                ColumnData::Str(v) => v.get(row).map(|x| ValueRef::Str(x)),
+            },
+            None => None,
+        };
+        cell.ok_or(StorageError::RowOutOfBounds { index: row, len: self.len() })
     }
 
     /// Iterate over all values (cloning strings).
@@ -264,25 +256,42 @@ impl ColumnVector {
     }
 
     /// Typed gather: copies payload slots directly instead of round-tripping
-    /// each cell through an owned [`Value`].
-    fn gather_by(
-        &self,
-        indices: impl Iterator<Item = usize> + Clone,
-        n: usize,
-    ) -> StorageResult<Self> {
-        let len = self.len();
-        if let Some(bad) = indices.clone().find(|&i| i >= len) {
-            return Err(StorageError::RowOutOfBounds { index: bad, len });
-        }
+    /// each cell through an owned [`Value`], checking each index as it goes.
+    fn gather_by(&self, indices: impl Iterator<Item = usize>, n: usize) -> StorageResult<Self> {
         let mut validity = Vec::with_capacity(n);
-        validity.extend(indices.clone().map(|i| self.validity[i]));
         let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(indices.map(|i| v[i]).collect()),
-            ColumnData::Float(v) => ColumnData::Float(indices.map(|i| v[i]).collect()),
-            ColumnData::Str(v) => ColumnData::Str(indices.map(|i| v[i].clone()).collect()),
+            ColumnData::Int(v) => {
+                ColumnData::Int(gather_slots(v, &self.validity, indices, n, &mut validity)?)
+            }
+            ColumnData::Float(v) => {
+                ColumnData::Float(gather_slots(v, &self.validity, indices, n, &mut validity)?)
+            }
+            ColumnData::Str(v) => {
+                ColumnData::Str(gather_slots(v, &self.validity, indices, n, &mut validity)?)
+            }
         };
         Ok(ColumnVector { data, validity })
     }
+}
+
+/// Copy the payload and validity slots at `indices` in one pass; the first
+/// index past the column is an error.
+fn gather_slots<T: Clone>(
+    data: &[T],
+    valid: &[bool],
+    indices: impl Iterator<Item = usize>,
+    n: usize,
+    validity: &mut Vec<bool>,
+) -> StorageResult<Vec<T>> {
+    let mut out = Vec::with_capacity(n);
+    for i in indices {
+        let (Some(x), Some(&ok)) = (data.get(i), valid.get(i)) else {
+            return Err(StorageError::RowOutOfBounds { index: i, len: data.len() });
+        };
+        out.push(x.clone());
+        validity.push(ok);
+    }
+    Ok(out)
 }
 
 /// A borrowed view of one cell, avoiding string clones in hot paths.

@@ -69,112 +69,93 @@ struct Field {
     quoted: bool,
 }
 
-/// Split one CSV record (no trailing newline) into fields.
-fn parse_record(line: &str) -> StorageResult<Vec<Field>> {
-    let bytes = line.as_bytes();
-    let mut fields = Vec::new();
-    let mut i = 0usize;
-    loop {
-        let mut text = String::new();
-        let mut quoted = false;
-        if bytes.get(i) == Some(&b'"') {
-            quoted = true;
-            i += 1;
-            loop {
-                match bytes.get(i) {
-                    None => return Err(StorageError::Csv("unterminated quoted CSV field".into())),
-                    Some(b'"') if bytes.get(i + 1) == Some(&b'"') => {
-                        text.push('"');
-                        i += 2;
-                    }
-                    Some(b'"') => {
-                        i += 1;
-                        break;
-                    }
-                    Some(&b) => {
-                        text.push(b as char);
-                        i += 1;
-                    }
-                }
+/// Split CSV text into records of fields. A record ends at a line break
+/// (`\n` or `\r\n`) outside quotes, so a quoted field may span lines.
+/// Every delimiter is ASCII, and UTF-8 never puts an ASCII byte inside a
+/// multibyte character, so each field is sliced out of `text` whole.
+fn parse_records(text: &str) -> StorageResult<Vec<Vec<Field>>> {
+    let mut records = Vec::new();
+    let mut rest = text;
+    while !rest.is_empty() {
+        let mut fields = Vec::new();
+        loop {
+            let (field, tail) = parse_field(rest)?;
+            fields.push(field);
+            if let Some(next) = tail.strip_prefix(',') {
+                rest = next;
+                continue;
             }
-        } else {
-            while i < bytes.len() && bytes[i] != b',' {
-                text.push(bytes[i] as char);
-                i += 1;
-            }
+            let tail = tail.trim_start_matches('\r');
+            rest = match tail.strip_prefix('\n') {
+                Some(next) => next,
+                None if tail.is_empty() => tail,
+                None => return Err(StorageError::Csv("content after closing quote".into())),
+            };
+            break;
         }
-        fields.push(Field { text, quoted });
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            None => break,
-            Some(_) => return Err(StorageError::Csv("content after closing quote".into())),
-        }
+        records.push(fields);
     }
-    Ok(fields)
+    Ok(records)
 }
 
-fn infer_type(fields: &[Vec<Field>], col: usize) -> DataType {
-    let mut ty = DataType::Int;
-    for row in fields {
-        let f = &row[col];
-        if !f.quoted && f.text.is_empty() {
-            continue; // NULL is neutral
-        }
-        if f.quoted {
-            return DataType::Str;
-        }
-        match ty {
-            DataType::Int => {
-                if f.text.parse::<i64>().is_err() {
-                    if f.text.parse::<f64>().is_ok() {
-                        ty = DataType::Float;
-                    } else {
-                        return DataType::Str;
-                    }
-                }
+/// Parse the field at the front of `text`; returns it and the text after it.
+fn parse_field(text: &str) -> StorageResult<(Field, &str)> {
+    let Some(mut body) = text.strip_prefix('"') else {
+        let (field, tail) = text.split_at(text.find([',', '\n']).unwrap_or(text.len()));
+        let field = if tail.starts_with(',') { field } else { field.trim_end_matches('\r') };
+        return Ok((Field { text: field.to_owned(), quoted: false }, tail));
+    };
+    let mut out = String::new();
+    loop {
+        let Some((chunk, tail)) = body.split_once('"') else {
+            return Err(StorageError::Csv("unterminated quoted CSV field".into()));
+        };
+        out.push_str(chunk);
+        // `""` escapes a quote.
+        match tail.strip_prefix('"') {
+            Some(escaped) => {
+                out.push('"');
+                body = escaped;
             }
-            DataType::Float => {
-                if f.text.parse::<f64>().is_err() {
-                    return DataType::Str;
-                }
-            }
-            DataType::Str => return DataType::Str,
+            None => return Ok((Field { text: out, quoted: true }, tail)),
         }
     }
-    ty
+}
+
+/// Widen an inferred column type to admit `f` (Int → Float → Str; NULLs
+/// are neutral, a quoted field is a string).
+fn widen(ty: DataType, f: &Field) -> DataType {
+    match ty {
+        _ if !f.quoted && f.text.is_empty() => ty,
+        _ if f.quoted => DataType::Str,
+        DataType::Int if f.text.parse::<i64>().is_ok() => DataType::Int,
+        DataType::Int | DataType::Float if f.text.parse::<f64>().is_ok() => DataType::Float,
+        _ => DataType::Str,
+    }
 }
 
 /// Read a CSV (with header) into a table named `name`. When `schema` is
 /// `None`, column types are inferred; otherwise it must list one type per
-/// CSV column.
+/// CSV column. Blank lines are skipped.
 pub fn read_csv(
     name: &str,
     input: &mut impl BufRead,
     schema: Option<&[DataType]>,
 ) -> StorageResult<Table> {
-    let mut lines = Vec::new();
-    let mut buf = String::new();
-    loop {
-        buf.clear();
-        let n = input.read_line(&mut buf).map_err(|e| StorageError::Csv(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        let line = buf.trim_end_matches(['\n', '\r']);
-        lines.push(line.to_owned());
-    }
-    let Some(header_line) = lines.first() else {
+    let mut text = String::new();
+    input.read_to_string(&mut text).map_err(|e| StorageError::Csv(e.to_string()))?;
+    let mut records = parse_records(&text)?.into_iter();
+    let Some(header) = records.next() else {
         return Err(StorageError::Csv("empty CSV input".into()));
     };
-    let header = parse_record(header_line)?;
     let ncols = header.len();
+    let blank = |rec: &[Field]| matches!(rec, [f] if !f.quoted && f.text.is_empty());
 
-    let mut records: Vec<Vec<Field>> = Vec::with_capacity(lines.len().saturating_sub(1));
-    for (idx, line) in lines[1..].iter().enumerate() {
-        if line.is_empty() {
+    let mut rows: Vec<Vec<Field>> = Vec::with_capacity(records.len());
+    for (idx, rec) in records.enumerate() {
+        if blank(&rec) {
             continue;
         }
-        let rec = parse_record(line)?;
         if rec.len() != ncols {
             return Err(StorageError::Csv(format!(
                 "row {} has {} fields, expected {ncols}",
@@ -182,7 +163,7 @@ pub fn read_csv(
                 rec.len()
             )));
         }
-        records.push(rec);
+        rows.push(rec);
     }
 
     let types: Vec<DataType> = match schema {
@@ -192,17 +173,25 @@ pub fn read_csv(
             }
             s.to_vec()
         }
-        None => (0..ncols).map(|c| infer_type(&records, c)).collect(),
+        None => {
+            let mut types = vec![DataType::Int; ncols];
+            for rec in &rows {
+                for (ty, f) in types.iter_mut().zip(rec) {
+                    *ty = widen(*ty, f);
+                }
+            }
+            types
+        }
     };
 
     let mut columns: Vec<ColumnVector> =
-        types.iter().map(|&t| ColumnVector::with_capacity(t, records.len())).collect();
-    for rec in &records {
-        for (c, field) in rec.iter().enumerate() {
+        types.iter().map(|&t| ColumnVector::with_capacity(t, rows.len())).collect();
+    for rec in &rows {
+        for (c, ((field, ty), column)) in rec.iter().zip(&types).zip(&mut columns).enumerate() {
             let value = if !field.quoted && field.text.is_empty() {
                 Value::Null
             } else {
-                match types[c] {
+                match ty {
                     DataType::Int => Value::Int(field.text.parse::<i64>().map_err(|_| {
                         StorageError::Csv(format!(
                             "`{}` is not an integer (column {c})",
@@ -215,7 +204,7 @@ pub fn read_csv(
                     DataType::Str => Value::Str(field.text.clone()),
                 }
             };
-            columns[c].push(value)?;
+            column.push(value)?;
         }
     }
 
@@ -225,6 +214,7 @@ pub fn read_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::Strategy;
     use std::io::Cursor;
 
     fn sample() -> Table {
@@ -297,10 +287,9 @@ mod tests {
         assert_eq!(quote_field("plain"), "plain");
         assert_eq!(quote_field("a,b"), "\"a,b\"");
         assert_eq!(quote_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        let rec = parse_record("\"a,b\",\"say \"\"hi\"\"\",plain").unwrap();
-        assert_eq!(rec[0].text, "a,b");
-        assert_eq!(rec[1].text, "say \"hi\"");
-        assert_eq!(rec[2].text, "plain");
+        let recs = parse_records("\"a,b\",\"say \"\"hi\"\"\",plain").unwrap();
+        let texts: Vec<&str> = recs[0].iter().map(|f| f.text.as_str()).collect();
+        assert_eq!(texts, ["a,b", "say \"hi\"", "plain"]);
     }
 
     #[test]
@@ -308,5 +297,93 @@ mod tests {
         let csv = "a\n1\n\n2\n";
         let t = read_csv("t", &mut Cursor::new(csv), None).unwrap();
         assert_eq!(t.num_rows(), 2);
+        let csv = "a,b\n1,2\n\n3,4\r\n\r\n";
+        let t = read_csv("t", &mut Cursor::new(csv), None).unwrap();
+        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.column_by_name("b").unwrap().get(1).unwrap(), Value::Int(4));
+    }
+
+    #[test]
+    fn non_ascii_text_survives_a_read() {
+        let t = read_csv("t", &mut Cursor::new("s,n\ncafé,\"naïve, ok\"\n"), None).unwrap();
+        assert_eq!(t.column_by_name("s").unwrap().get(0).unwrap(), Value::from("café"));
+        assert_eq!(t.column_by_name("n").unwrap().get(0).unwrap(), Value::from("naïve, ok"));
+    }
+
+    #[test]
+    fn a_quoted_field_may_span_lines() {
+        let t = read_csv("t", &mut Cursor::new("a,b\n\"x\ny\",1\n"), None).unwrap();
+        assert_eq!(t.column_by_name("a").unwrap().get(0).unwrap(), Value::from("x\ny"));
+        assert_eq!(t.num_rows(), 1);
+    }
+
+    /// Every row of `t`, in order.
+    fn rows(t: &Table) -> Vec<Vec<Value>> {
+        (0..t.num_rows()).map(|r| t.row(r).unwrap()).collect()
+    }
+
+    /// String pieces for random cells: non-ASCII, the delimiters and line
+    /// breaks; zero pieces make the empty string.
+    const PIECES: &[&str] = &["a", "Z", "1", ".", " ", "é", "日", "😀", "\"", ",", "\n", "\r\n"];
+
+    /// Bytes for random CSV input: the delimiters, line breaks, a two-byte
+    /// UTF-8 character's halves and a byte no UTF-8 text holds.
+    const BYTES: &[u8] =
+        &[b'a', b'1', b'.', b'-', b' ', b',', b'"', b'\n', b'\r', 0xC3, 0xA9, 0xFF];
+
+    fn text() -> impl proptest::Strategy<Value = String> {
+        proptest::collection::vec(0..PIECES.len(), 0..5)
+            .prop_map(|ix| ix.iter().filter_map(|&i| PIECES.get(i).copied()).collect())
+    }
+
+    /// A table of 1–3 columns of random types, with NULLs anywhere but in a
+    /// one-column row: [`write_csv`] writes that row as a blank line, which
+    /// [`read_csv`] skips, so such a table does not round-trip.
+    fn table() -> impl proptest::Strategy<Value = Table> {
+        let cell = proptest::option::of((-1000i64..1000, -1e6f64..1e6, text()));
+        let rows = proptest::collection::vec(proptest::collection::vec(cell, 3), 0..8);
+        (proptest::collection::vec(0usize..3, 1..4), rows).prop_map(|(kinds, rows)| {
+            let types = [DataType::Int, DataType::Float, DataType::Str];
+            let schema: Vec<(String, DataType)> =
+                kinds.iter().enumerate().map(|(c, &k)| (format!("c{c}"), types[k])).collect();
+            let schema: Vec<(&str, DataType)> =
+                schema.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+            let mut t = Table::empty("t", &schema);
+            for row in rows {
+                if kinds.len() == 1 && row.first().is_some_and(Option::is_none) {
+                    continue;
+                }
+                let values = kinds.iter().zip(row).map(|(&k, cell)| match (k, cell) {
+                    (_, None) => Value::Null,
+                    (0, Some((i, _, _))) => Value::Int(i),
+                    (1, Some((_, f, _))) => Value::Float(f),
+                    (_, Some((_, _, s))) => Value::Str(s),
+                });
+                t.push_row(values.collect()).unwrap();
+            }
+            t
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn csv_round_trips_arbitrary_text(t in table()) {
+            let mut buf = Vec::new();
+            write_csv(&t, &mut buf).unwrap();
+            let types: Vec<DataType> = t.columns().iter().map(ColumnVector::data_type).collect();
+            let back = read_csv("t", &mut Cursor::new(&buf), Some(&types)).unwrap();
+            proptest::prop_assert_eq!(back.column_names(), t.column_names());
+            proptest::prop_assert_eq!(rows(&back), rows(&t), "{}", String::from_utf8_lossy(&buf));
+        }
+
+        #[test]
+        fn read_csv_never_panics_on_random_bytes(
+            ix in proptest::collection::vec(0..BYTES.len(), 0..40),
+            typed in proptest::bool::ANY,
+        ) {
+            let bytes: Vec<u8> = ix.iter().filter_map(|&i| BYTES.get(i).copied()).collect();
+            let schema = [DataType::Str, DataType::Int];
+            let _ = read_csv("t", &mut Cursor::new(&bytes), typed.then_some(&schema[..]));
+        }
     }
 }

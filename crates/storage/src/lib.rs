@@ -33,11 +33,14 @@
 //! ```
 
 // Degrade, don't panic, and print nothing (DESIGN.md §4f). scripts/check.sh
-// runs clippy with `-D warnings`, so these are bans on non-test library code;
+// runs clippy with `-D warnings`, so these are bans on non-test library code,
+// waived only by an `#[expect(..., reason = "...")]`, never a bare `#[allow]`;
 // every library crate root carries the same list (lint/tests/self_check.rs).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), warn(clippy::todo, clippy::unimplemented, clippy::dbg_macro))]
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 #![deny(unsafe_code)]
 
 pub mod column;

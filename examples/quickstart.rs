@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // WHERE R1.x = R2.y AND R2.y = R3.z  (R1.x = R3.z arrives via closure).
     let predicates = vec![
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
     ];
 
     println!("Join order: (R2 ⋈ R3) ⋈ R1 — true size is 1000 at every step\n");

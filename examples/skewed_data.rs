@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Propagate into a join estimate: FACT ⋈ DIM after the hot filter.
     let predicates = vec![
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
         Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Eq, 0i64),
     ];
     let plain = Els::prepare(&predicates, &stats, &ElsOptions::default())?;

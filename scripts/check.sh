@@ -23,15 +23,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Static analysis, the rules clippy cannot express (DESIGN.md §4f): the
 # in-workspace linter (crates/lint) runs the per-file passes (atomics
-# discipline, the parallelism seam, float and default discipline, crate
-# layering) plus the workspace-wide call-graph passes: panic-reachability
-# from the public entry points and lock-order deadlock detection against
-# els_core::sync::LOCK_ORDER. Findings are checked against the ratchet
-# baseline in lint-baseline.json; a non-zero exit means a new violation, a
-# malformed/unused suppression, a layering break, or a lock-order cycle.
-# To re-ratchet after burning down baselined debt:
-#   ELS_LINT_BASELINE_UPDATE=1 cargo run -q -p els-lint -- --baseline-update
-# The full structured report (lock-order edges, panic witness paths) is
+# discipline, the parallelism seam, the assert ban, float and default
+# discipline, crate layering) plus the workspace-wide lock-order pass
+# against els_core::sync::LOCK_ORDER. A non-zero exit means an
+# unsuppressed violation, a malformed/unused suppression, a layering break,
+# or a lock-order cycle. The full structured report (lock-order edges) is
 # archived at the repo root (LINT_report.json).
 cargo run --release -q -p els-lint
 cargo run --release -q -p els-lint -- --json > LINT_report.json

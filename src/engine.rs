@@ -441,8 +441,13 @@ impl Engine {
     fn run_plan(&self, slot: &Slot, cache_hit: bool) -> EngineResult<QueryResult> {
         let (out, _) = self.run_observed(slot, self.options.feedback.observes())?;
         let plan = &slot.plan;
-        let join_order =
-            plan.optimized.join_order.iter().map(|&t| plan.binding_names[t].clone()).collect();
+        let mut join_order = Vec::with_capacity(plan.optimized.join_order.len());
+        for &t in &plan.optimized.join_order {
+            let name = plan.binding_names.get(t).ok_or_else(|| {
+                EngineError::Optimizer(format!("join order names table {t} outside the FROM list"))
+            })?;
+            join_order.push(name.clone());
+        }
         Ok(QueryResult {
             rows: out.rows,
             count: out.count,

@@ -65,6 +65,19 @@ fn csv_round_trip_through_the_engine() {
 }
 
 #[test]
+fn non_ascii_text_from_csv_matches_a_sql_literal() {
+    let engine = Engine::new();
+    let csv = "s,n\ncafé,1\ncafe,2\n\"naïve, ok\",3\n";
+    engine.register(read_csv("t", &mut Cursor::new(csv), None).unwrap()).unwrap();
+    let r = engine.execute("SELECT COUNT(*) FROM t WHERE t.s = 'café'").unwrap();
+    assert_eq!(r.count, 1);
+    // The literal and the stored text agree because both are decoded
+    // correctly, not because both are mangled the same way.
+    let r = engine.execute("SELECT s FROM t WHERE t.n = 3").unwrap();
+    assert_eq!(r.rows.row(0).unwrap()[0], Value::from("naïve, ok"));
+}
+
+#[test]
 fn between_and_is_null_clauses() {
     let engine = engine();
     let total = engine.execute("SELECT COUNT(*) FROM fact").unwrap().count;

@@ -26,7 +26,7 @@ fn chain_query(dims: &[(f64, f64)], rule: SelectivityRule) -> Els {
             .collect(),
     );
     let predicates: Vec<Predicate> = (1..dims.len())
-        .map(|i| Predicate::join_eq(ColumnRef::new(i - 1, 0), ColumnRef::new(i, 0)))
+        .map(|i| Predicate::join_eq(ColumnRef::new(i - 1, 0), ColumnRef::new(i, 0)).unwrap())
         .collect();
     Els::prepare(&predicates, &stats, &ElsOptions::default().with_rule(rule)).unwrap()
 }
@@ -161,10 +161,10 @@ proptest! {
         );
         let rows: Vec<f64> = (0..3).map(|i| a[i].0.max(b[i].0)).collect();
         let predicates = vec![
-            Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-            Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
-            Predicate::join_eq(ColumnRef::new(0, 1), ColumnRef::new(1, 1)),
-            Predicate::join_eq(ColumnRef::new(1, 1), ColumnRef::new(2, 1)),
+            Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+            Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
+            Predicate::join_eq(ColumnRef::new(0, 1), ColumnRef::new(1, 1)).unwrap(),
+            Predicate::join_eq(ColumnRef::new(1, 1), ColumnRef::new(2, 1)).unwrap(),
         ];
         let els = Els::prepare(&predicates, &stats, &ElsOptions::default()).unwrap();
         let estimate = els.estimate_final(&[0, 1, 2]).unwrap();
@@ -245,15 +245,14 @@ fn graph_strategy() -> impl Strategy<Value = Graph> {
             let mut predicates: Vec<Predicate> = equalities
                 .filter(|&(a, ca, b, cb)| (a, ca) != (b, cb))
                 .map(|(a, ca, b, cb)| {
-                    Predicate::col_eq(ColumnRef::new(a, ca), ColumnRef::new(b, cb))
+                    Predicate::col_eq(ColumnRef::new(a, ca), ColumnRef::new(b, cb)).unwrap()
                 })
                 .collect();
             if let Some((a, b)) = range.filter(|(a, b)| a != b) {
-                predicates.push(Predicate::join_range(
-                    ColumnRef::new(a, 1),
-                    CmpOp::Lt,
-                    ColumnRef::new(b, 1),
-                ));
+                predicates.push(
+                    Predicate::join_range(ColumnRef::new(a, 1), CmpOp::Lt, ColumnRef::new(b, 1))
+                        .unwrap(),
+                );
             }
             for (t, cut) in cuts.into_iter().take(n).enumerate() {
                 if let Some(cut) = cut {
@@ -345,8 +344,8 @@ fn order_dependent_configurations_do_not_declare() {
             .collect(),
     );
     let chain = [
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
     ];
     let open = Els::prepare(&chain, &stats, &ElsOptions::default().with_closure(false)).unwrap();
     assert!(!open.order_independent());

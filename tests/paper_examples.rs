@@ -15,8 +15,8 @@ fn example_1b(rule: SelectivityRule) -> Els {
         TableStatistics::new(1000.0, vec![ColumnStatistics::with_distinct(1000.0)]),
     ]);
     let predicates = vec![
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
     ];
     Els::prepare(&predicates, &stats, &ElsOptions::default().with_rule(rule)).unwrap()
 }
@@ -59,8 +59,8 @@ fn section_3_3_representative_rule_has_no_correct_value() {
         TableStatistics::new(1000.0, vec![ColumnStatistics::with_distinct(1000.0)]),
     ]);
     let predicates = vec![
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+        Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
     ];
     let high = Els::prepare(
         &predicates,
@@ -103,8 +103,8 @@ fn section_6_same_table_example() {
         ),
     ]);
     let predicates = vec![
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 1)),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 1)).unwrap(),
     ];
     let els = Els::prepare(&predicates, &stats, &ElsOptions::default()).unwrap();
     let adj = els.same_table_adjustments();
@@ -122,9 +122,9 @@ fn section_8_estimates_rows_2_and_3_exactly() {
     };
     let stats = QueryStatistics::new(vec![mk(1000.0), mk(10_000.0), mk(50_000.0), mk(100_000.0)]);
     let predicates = vec![
-        Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-        Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
-        Predicate::col_eq(ColumnRef::new(2, 0), ColumnRef::new(3, 0)),
+        Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+        Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
+        Predicate::col_eq(ColumnRef::new(2, 0), ColumnRef::new(3, 0)).unwrap(),
         Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Lt, 100i64),
     ];
     let order = [1usize, 2, 0, 3];

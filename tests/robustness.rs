@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 fn two_table_query() -> Vec<Predicate> {
     vec![
-        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
+        Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
         Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Lt, 10i64),
     ]
 }
@@ -62,7 +62,7 @@ fn empty_tables_propagate_zero_not_nan() {
         TableStatistics::new(0.0, vec![ColumnStatistics::with_distinct(0.0)]),
         TableStatistics::new(10.0, vec![ColumnStatistics::with_distinct(5.0)]),
     ]);
-    let preds = vec![Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0))];
+    let preds = vec![Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap()];
     let els = Els::prepare(&preds, &stats, &ElsOptions::default()).unwrap();
     let final_size = els.estimate_final(&[0, 1]).unwrap();
     assert_eq!(final_size, 0.0);
@@ -104,8 +104,8 @@ proptest! {
                 .collect(),
         );
         let mut preds = vec![
-            Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)),
-            Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)),
+            Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+            Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
         ];
         for (i, &c) in consts.iter().enumerate() {
             preds.push(Predicate::local_cmp(
