@@ -12,13 +12,13 @@
 //! tables — evidence that a *correct incremental estimator* composes with
 //! every optimizer architecture the paper names.
 
+use crate::heuristic::{greedy_order, iterative_improvement};
 use crate::table::{r, Table};
 use crate::{chain_predicates, chain_statistics};
 use els_core::{Els, ElsOptions};
 use els_exec::timing::timed;
 use els_exec::JoinMethod;
 use els_optimizer::enumerate::{enumerate, TreeShape};
-use els_optimizer::heuristic::{greedy_order, iterative_improvement};
 use els_optimizer::{CostParams, TableProfile};
 
 pub fn run() -> Result<(), Box<dyn std::error::Error>> {

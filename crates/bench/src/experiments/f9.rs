@@ -13,7 +13,8 @@
 //! preserved.
 
 use crate::table::{l, r, Table};
-use crate::workload::{generate, q_error, quantile, Shape, WorkloadSpec};
+use crate::workload::{generate, quantile, Shape, WorkloadSpec};
+use els_core::q_error;
 use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 

@@ -9,6 +9,7 @@
 
 pub mod accuracy;
 pub mod experiments;
+pub mod heuristic;
 pub mod table;
 pub mod workload;
 

@@ -119,15 +119,6 @@ pub fn generate(spec: &WorkloadSpec, seed: u64) -> WorkloadInstance {
     WorkloadInstance { catalog, sql, bound }
 }
 
-/// The q-error of an estimate against a truth: `max(est/true, true/est)`,
-/// with both sides floored at 1 tuple so empty results stay finite. q = 1
-/// is perfect; q grows symmetrically for over- and under-estimation.
-pub fn q_error(estimate: f64, truth: f64) -> f64 {
-    // Canonical definition lives in the core crate (shared with
-    // `explain_analyze` and the metrics registry).
-    els_core::q_error(estimate, truth)
-}
-
 /// Quantiles of a sample (p in `[0, 1]`, nearest-rank).
 pub fn quantile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -183,16 +174,6 @@ mod tests {
             // Sanity: finite result, metrics populated.
             assert!(out.metrics.tuples_scanned > 0, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn q_error_basics() {
-        assert_eq!(q_error(100.0, 100.0), 1.0);
-        assert_eq!(q_error(10.0, 100.0), 10.0);
-        assert_eq!(q_error(100.0, 10.0), 10.0);
-        // Zero truth stays finite.
-        assert_eq!(q_error(5.0, 0.0), 5.0);
-        assert_eq!(q_error(0.0, 0.0), 1.0);
     }
 
     #[test]

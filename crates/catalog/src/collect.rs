@@ -6,9 +6,10 @@
 //! comparison from sampling noise (the paper's Section 8 likewise assumes
 //! exact catalog statistics). Histograms and MCV lists are optional.
 
+use std::collections::HashMap;
+
 use els_storage::{Table, Value};
 
-use crate::error::{CatalogError, CatalogResult};
 use crate::histogram::{Histogram, MostCommonValues};
 use crate::stats::{ColumnStats, TableStats};
 
@@ -24,15 +25,6 @@ pub enum HistogramKind {
     EquiDepth,
 }
 
-/// Row sampling for cheap (approximate) statistics collection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SamplingOptions {
-    /// Bernoulli sampling probability in `(0, 1]`.
-    pub fraction: f64,
-    /// RNG seed (collection stays deterministic).
-    pub seed: u64,
-}
-
 /// Options for one collection pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectOptions {
@@ -42,21 +34,11 @@ pub struct CollectOptions {
     pub histogram_buckets: usize,
     /// Number of most-common values to track (0 = none).
     pub mcv_size: usize,
-    /// When set, per-column statistics come from a Bernoulli row sample
-    /// (row count stays exact — counting is cheap — but distinct counts are
-    /// estimated, domain bounds may clip, and histograms describe the
-    /// sample).
-    pub sampling: Option<SamplingOptions>,
 }
 
 impl Default for CollectOptions {
     fn default() -> Self {
-        CollectOptions {
-            histogram: HistogramKind::None,
-            histogram_buckets: 32,
-            mcv_size: 0,
-            sampling: None,
-        }
+        CollectOptions { histogram: HistogramKind::None, histogram_buckets: 32, mcv_size: 0 }
     }
 }
 
@@ -64,47 +46,16 @@ impl CollectOptions {
     /// Collect equi-depth histograms and an MCV list — the full-statistics
     /// configuration used by the skew experiments.
     pub fn full() -> Self {
-        CollectOptions {
-            histogram: HistogramKind::EquiDepth,
-            histogram_buckets: 32,
-            mcv_size: 16,
-            ..CollectOptions::default()
-        }
-    }
-
-    /// Sampled collection at the given fraction (builder style). The
-    /// fraction is checked by [`CollectOptions::validate`] at registration
-    /// time (the fallible path), not here.
-    #[must_use]
-    pub fn with_sampling(mut self, fraction: f64, seed: u64) -> Self {
-        self.sampling = Some(SamplingOptions { fraction, seed });
-        self
-    }
-
-    /// Check the options are usable. The Bernoulli sampling fraction must
-    /// be in `(0, 1]`: NaN or non-positive fractions silently select no
-    /// rows (empty sample, `distinct = 0` garbage), and fractions above one
-    /// claim precision the sample does not have.
-    pub fn validate(&self) -> CatalogResult<()> {
-        if let Some(s) = self.sampling {
-            if !(s.fraction > 0.0 && s.fraction <= 1.0) {
-                return Err(CatalogError::InvalidOptions(format!(
-                    "sampling fraction must be in (0, 1], got {}",
-                    s.fraction
-                )));
-            }
-        }
-        Ok(())
+        CollectOptions { histogram: HistogramKind::EquiDepth, histogram_buckets: 32, mcv_size: 16 }
     }
 }
 
-/// Distinct-count identity of a non-NULL value. Keying the sample's
-/// distinct set on `to_string()` is wrong for floats: `-0.0` and `0.0`
-/// render differently yet compare equal (inflating the count the urn
-/// inversion amplifies), and display formatting drops trailing zeros,
-/// conflating an integer-valued float column with differently-typed
-/// twins. `-0.0` is normalized to `0.0`; all other floats key on their
-/// bit pattern.
+/// Identity of a non-NULL value for counting its occurrences. Keying on
+/// `to_string()` would be wrong for floats: `-0.0` and `0.0` render
+/// differently yet compare equal, and display formatting drops trailing
+/// zeros, conflating an integer-valued float column with differently-typed
+/// twins. `-0.0` is normalized to `0.0`; all other floats key on their bit
+/// pattern.
 #[derive(PartialEq, Eq, Hash)]
 enum DistinctKey<'a> {
     Int(i64),
@@ -124,65 +75,18 @@ fn distinct_key(v: &Value) -> Option<DistinctKey<'_>> {
     }
 }
 
-/// Estimate a column's distinct count from a sample, by inverting the urn
-/// model of the paper's Section 5: assuming each of `D` values carries
-/// `N/D` uniformly scattered copies, the expected distinct count in a
-/// `k`-row sample is `E[d_s] = D·(1 − (1 − k/N)^(N/D))`; binary-search the
-/// `D ∈ [d_s, N]` matching the observation. (This is the same model the
-/// estimator itself trusts, so sampled statistics stay internally
-/// consistent with it.)
-pub fn estimate_distinct_from_sample(d_sample: f64, sample_rows: f64, total_rows: f64) -> f64 {
-    if d_sample <= 0.0 || sample_rows <= 0.0 || total_rows <= 0.0 {
-        return 0.0;
-    }
-    if sample_rows >= total_rows {
-        return d_sample;
-    }
-    let f = sample_rows / total_rows;
-    let expected = |d: f64| -> f64 {
-        // (1-f)^(N/D) via exp/ln for stability.
-        let per_value = total_rows / d;
-        d * (1.0 - ((1.0 - f).ln() * per_value).exp())
-    };
-    let (mut lo, mut hi) = (d_sample, total_rows);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if expected(mid) < d_sample {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Scan `table` (or a Bernoulli sample of it) and compute its statistics.
+/// Scan `table` and compute its statistics.
 pub fn collect_table_stats(table: &Table, options: &CollectOptions) -> TableStats {
-    // Choose the rows statistics are computed over.
-    let sampled_rows: Option<Vec<usize>> = options.sampling.map(|s| {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(s.seed);
-        (0..table.num_rows()).filter(|_| rng.gen::<f64>() < s.fraction).collect()
-    });
-
     let columns = table
         .columns()
         .iter()
         .map(|col| {
-            // Materialize the values under consideration (all, or sample).
-            let values: Vec<_> = match &sampled_rows {
-                None => col.iter().collect(),
-                Some(rows) => {
-                    // Sampled indices come from `0..num_rows`; an
-                    // out-of-range read (impossible) degrades to NULL.
-                    rows.iter().map(|&r| col.get(r).unwrap_or(els_storage::Value::Null)).collect()
-                }
-            };
+            let values: Vec<_> = col.iter().collect();
             let rows = values.len();
             let nulls = values.iter().filter(|v| v.is_null()).count();
             let null_fraction = if rows == 0 { 0.0 } else { nulls as f64 / rows as f64 };
-            let mut min: Option<els_storage::Value> = None;
-            let mut max: Option<els_storage::Value> = None;
+            let mut min: Option<Value> = None;
+            let mut max: Option<Value> = None;
             for v in values.iter().filter(|v| !v.is_null()) {
                 if min.as_ref().is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less) {
                     min = Some(v.clone());
@@ -191,17 +95,7 @@ pub fn collect_table_stats(table: &Table, options: &CollectOptions) -> TableStat
                     max = Some(v.clone());
                 }
             }
-            // Distinct: exact on a full scan; urn-inverted on a sample.
-            let distinct = match &sampled_rows {
-                None => col.distinct_count() as f64,
-                Some(_) => {
-                    use std::collections::HashSet;
-                    let seen =
-                        values.iter().filter_map(distinct_key).collect::<HashSet<_>>().len() as f64;
-                    estimate_distinct_from_sample(seen, rows as f64, table.num_rows() as f64)
-                        .round()
-                }
-            };
+            let distinct = col.distinct_count() as f64;
             // Numeric projection for distribution statistics.
             let numeric: Vec<f64> =
                 values.iter().filter(|v| !v.is_null()).filter_map(|v| v.as_f64()).collect();
@@ -219,22 +113,12 @@ pub fn collect_table_stats(table: &Table, options: &CollectOptions) -> TableStat
             } else {
                 None
             };
-            // Max frequency (UES upper bounds): exact on a full scan. A
-            // sample can only lower-bound the true maximum, and a too-low
-            // MF would void the bound guarantee — so sampled collection
-            // omits the statistic and the bound estimator falls back to
-            // its worst case, ‖R‖ − d + 1.
-            let max_frequency = match &sampled_rows {
-                None => {
-                    use std::collections::HashMap;
-                    let mut counts: HashMap<DistinctKey<'_>, u64> = HashMap::new();
-                    for k in values.iter().filter_map(distinct_key) {
-                        *counts.entry(k).or_insert(0) += 1;
-                    }
-                    Some(counts.values().copied().max().unwrap_or(0) as f64)
-                }
-                Some(_) => None,
-            };
+            // Max frequency (UES upper bounds), exact.
+            let mut counts: HashMap<DistinctKey<'_>, u64> = HashMap::new();
+            for k in values.iter().filter_map(distinct_key) {
+                *counts.entry(k).or_insert(0) += 1;
+            }
+            let max_frequency = counts.values().copied().max().unwrap_or(0) as f64;
             ColumnStats { distinct, min, max, null_fraction, histogram, mcv, max_frequency }
         })
         .collect();
@@ -309,89 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn urn_inversion_recovers_distinct_counts() {
-        // A sample seeing d_s distinct values in k of N rows inverts back
-        // to within ~15% of the true D across a range of duplication.
-        for (d_true, per_value) in [(100u64, 100u64), (1000, 20), (5000, 4)] {
-            let n = d_true * per_value;
-            let t = TableSpec::new("t", n as usize)
-                .column(ColumnSpec::new("v", Distribution::CycleInt { modulus: d_true, start: 0 }))
-                .generate(1);
-            let opts = CollectOptions::default().with_sampling(0.2, 7);
-            let stats = collect_table_stats(&t, &opts);
-            let est = stats.columns[0].distinct;
-            let rel = (est - d_true as f64).abs() / d_true as f64;
-            assert!(rel < 0.15, "d_true {d_true}: estimated {est} ({:.1}% off)", rel * 100.0);
-            // Row count stays exact.
-            assert_eq!(stats.row_count, n as usize);
-        }
-    }
-
-    #[test]
-    fn sampled_null_fraction_is_close() {
-        let t = TableSpec::new("t", 20_000)
-            .column(ColumnSpec::new(
-                "v",
-                Distribution::WithNulls {
-                    inner: Box::new(Distribution::UniformInt { lo: 0, hi: 99 }),
-                    null_fraction: 0.3,
-                },
-            ))
-            .generate(3);
-        let stats = collect_table_stats(&t, &CollectOptions::default().with_sampling(0.25, 11));
-        assert!((stats.columns[0].null_fraction - 0.3).abs() < 0.05);
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let t = TableSpec::new("t", 5000)
-            .column(ColumnSpec::new("v", Distribution::UniformInt { lo: 0, hi: 499 }))
-            .generate(5);
-        let a = collect_table_stats(&t, &CollectOptions::default().with_sampling(0.1, 42));
-        let b = collect_table_stats(&t, &CollectOptions::default().with_sampling(0.1, 42));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn estimate_distinct_edge_cases() {
-        use super::estimate_distinct_from_sample;
-        assert_eq!(estimate_distinct_from_sample(0.0, 100.0, 1000.0), 0.0);
-        assert_eq!(estimate_distinct_from_sample(50.0, 1000.0, 1000.0), 50.0);
-        // A key column: every sampled row distinct -> estimate near N.
-        let est = estimate_distinct_from_sample(100.0, 100.0, 1000.0);
-        assert!(est > 500.0, "key-column estimate {est} too low");
-        // Heavy duplication: 10 distinct in a big sample -> stays near 10.
-        let est = estimate_distinct_from_sample(10.0, 5000.0, 10_000.0);
-        assert!((est - 10.0).abs() < 1.0, "estimate {est}");
-    }
-
-    #[test]
-    fn invalid_sampling_fractions_are_rejected() {
-        for bad in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = CollectOptions::default().with_sampling(bad, 1).validate().unwrap_err();
-            assert!(matches!(err, CatalogError::InvalidOptions(_)), "fraction {bad} gave {err:?}");
-        }
-        for good in [f64::MIN_POSITIVE, 0.5, 1.0] {
-            CollectOptions::default().with_sampling(good, 1).validate().unwrap();
-        }
-        CollectOptions::default().validate().unwrap();
-        CollectOptions::full().validate().unwrap();
-    }
-
-    #[test]
-    fn sampled_distinct_uses_value_identity_not_formatting() {
-        // -0.0 and 0.0 compare equal but render as "-0" and "0": the old
-        // string-keyed sample saw two distinct values in a one-value column.
-        use els_storage::ColumnVector;
-        let n = 4000;
-        let col = ColumnVector::from_floats((0..n).map(|i| if i % 2 == 0 { 0.0 } else { -0.0 }));
-        let t = Table::new("t", vec![("v".into(), col)]).unwrap();
-        let opts = CollectOptions::default().with_sampling(0.5, 9);
-        let stats = collect_table_stats(&t, &opts);
-        assert_eq!(stats.columns[0].distinct, 1.0, "float zeros must count once");
-    }
-
-    #[test]
     fn max_frequency_is_exact_on_full_scans() {
         // CycleInt over 10 values in 1000 rows: every value occurs exactly
         // 100 times; a key column has MF = 1.
@@ -400,12 +201,12 @@ mod tests {
             .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }))
             .generate(1);
         let stats = collect_table_stats(&t, &CollectOptions::default());
-        assert_eq!(stats.columns[0].max_frequency, Some(100.0));
-        assert_eq!(stats.columns[1].max_frequency, Some(1.0));
+        assert_eq!(stats.columns[0].max_frequency, 100.0);
+        assert_eq!(stats.columns[1].max_frequency, 1.0);
     }
 
     #[test]
-    fn max_frequency_skips_nulls_and_is_absent_under_sampling() {
+    fn max_frequency_skips_nulls() {
         let t = TableSpec::new("t", 1000)
             .column(ColumnSpec::new(
                 "v",
@@ -416,13 +217,9 @@ mod tests {
             ))
             .generate(5);
         let full = collect_table_stats(&t, &CollectOptions::default());
-        let mf = full.columns[0].max_frequency.expect("collected on full scan");
         // Only the non-NULL rows count toward the most common value.
         let non_null = (1000.0 * (1.0 - full.columns[0].null_fraction)).round();
-        assert_eq!(mf, non_null);
-        // Sampling cannot upper-bound the true MF: the statistic is omitted.
-        let sampled = collect_table_stats(&t, &CollectOptions::default().with_sampling(0.5, 3));
-        assert_eq!(sampled.columns[0].max_frequency, None);
+        assert_eq!(full.columns[0].max_frequency, non_null);
     }
 
     #[test]
@@ -431,6 +228,7 @@ mod tests {
         let stats = collect_table_stats(&t, &CollectOptions::full());
         assert_eq!(stats.row_count, 0);
         assert_eq!(stats.columns[0].distinct, 0.0);
+        assert_eq!(stats.columns[0].max_frequency, 0.0);
         assert!(stats.columns[0].histogram.is_none());
     }
 }

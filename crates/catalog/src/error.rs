@@ -18,9 +18,6 @@ pub enum CatalogError {
     },
     /// Underlying storage failure (ragged columns etc.).
     Storage(String),
-    /// Collection options failed validation (e.g. a sampling fraction
-    /// outside `(0, 1]`).
-    InvalidOptions(String),
 }
 
 impl fmt::Display for CatalogError {
@@ -32,7 +29,6 @@ impl fmt::Display for CatalogError {
                 write!(f, "unknown column `{column}` in table `{table}`")
             }
             CatalogError::Storage(msg) => write!(f, "storage error: {msg}"),
-            CatalogError::InvalidOptions(msg) => write!(f, "invalid collect options: {msg}"),
         }
     }
 }

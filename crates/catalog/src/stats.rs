@@ -19,11 +19,9 @@ pub struct ColumnStats {
     pub histogram: Option<Histogram>,
     /// Optional most-common-values list (numeric columns only).
     pub mcv: Option<MostCommonValues>,
-    /// Frequency of the most common non-NULL value — the MF(x) statistic
-    /// of UES-style upper-bound estimation. Collected exactly on full
-    /// scans; `None` under sampling (a sample cannot upper-bound it, and
-    /// a wrong MF would break the bound guarantee).
-    pub max_frequency: Option<f64>,
+    /// Exact frequency of the most common non-NULL value (0 when there is
+    /// none) — the MF(x) statistic of UES-style upper-bound estimation.
+    pub max_frequency: f64,
 }
 
 /// Statistics for one table.
@@ -44,7 +42,7 @@ impl ColumnStats {
             min: self.min.as_ref().and_then(Value::as_f64),
             max: self.max.as_ref().and_then(Value::as_f64),
             null_fraction: self.null_fraction,
-            max_frequency: self.max_frequency,
+            max_frequency: Some(self.max_frequency),
         }
     }
 }
@@ -74,7 +72,7 @@ mod tests {
                 null_fraction: 0.1,
                 histogram: None,
                 mcv: None,
-                max_frequency: Some(6.0),
+                max_frequency: 6.0,
             }],
         };
         let core = ts.to_core();
@@ -95,7 +93,7 @@ mod tests {
             null_fraction: 0.0,
             histogram: None,
             mcv: None,
-            max_frequency: None,
+            max_frequency: 0.0,
         };
         let core = cs.to_core();
         assert_eq!(core.min, None);

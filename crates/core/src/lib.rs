@@ -89,7 +89,7 @@ pub mod closure;
 pub mod correction;
 pub mod equivalence;
 pub mod error;
-pub mod error_model;
+mod error_model;
 pub mod estimator;
 pub mod exact;
 pub mod explain;

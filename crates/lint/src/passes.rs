@@ -223,7 +223,7 @@ pub fn run_token_passes(pf: &ParsedFile, out: &mut Vec<Violation>) {
 }
 
 /// The engine's layer order, lowest first. A library crate may depend only
-/// on crates strictly earlier in this list (plus the vendored `rand` shim).
+/// on crates strictly earlier in this list (plus [`ALLOWED_EXTERNAL`]).
 pub const LAYER_ORDER: &[&str] = &[
     "els-storage",
     "els-core",
@@ -235,11 +235,13 @@ pub const LAYER_ORDER: &[&str] = &[
     "els-server",
 ];
 
-/// External dependencies library crates may use: the vendored std-only
-/// `rand` shim. Everything else (including `proptest`) is dev-only; the
-/// offline build has no registry, so a new name here means someone is
-/// about to break the build.
-const ALLOWED_EXTERNAL: &[&str] = &["rand"];
+/// The external dependencies a library crate may name under
+/// `[dependencies]`, as `(crate, dependency)`: only `els-storage` may use
+/// the vendored std-only `rand` shim, for its seeded data generators, so
+/// the estimator and the planner depend on nothing random. Everything else
+/// (`rand` elsewhere, `proptest`) is dev-only; the offline build has no
+/// registry, so a new name here means someone is about to break the build.
+const ALLOWED_EXTERNAL: &[(&str, &str)] = &[("els-storage", "rand")];
 
 /// Check one library crate manifest. `crate_name` is the `els-*` package
 /// the manifest belongs to; `rel_path` is the manifest's workspace-relative
@@ -285,7 +287,7 @@ pub fn run_layering_pass(
                 LAYER_ORDER.join(" -> ")
             )),
             Some(_) => {}
-            None if ALLOWED_EXTERNAL.contains(&dep) => {}
+            None if ALLOWED_EXTERNAL.contains(&(crate_name, dep)) => {}
             None => push(format!(
                 "`{crate_name}` adds external dependency `{dep}`: library crates are \
                  std + vendored shims only (offline build)"
@@ -413,20 +415,24 @@ mod tests {
 
     #[test]
     fn layering_catches_inversions_and_new_external_deps() {
-        let manifest = "[package]\nname = \"els-core\"\n[dependencies]\nels-storage.workspace = true\nels-exec.workspace = true\nserde = \"1\"\nrand.workspace = true\n[dev-dependencies]\nproptest.workspace = true\n";
+        let manifest = "[package]\nname = \"els-core\"\n[dependencies]\nels-storage.workspace = true\nels-exec.workspace = true\nserde = \"1\"\nrand.workspace = true\n[dev-dependencies]\nproptest.workspace = true\nrand.workspace = true\n";
         let mut out = Vec::new();
         run_layering_pass("els-core", "crates/core/Cargo.toml", manifest, &mut out);
-        assert_eq!(out.len(), 2, "{out:?}");
+        assert_eq!(out.len(), 3, "{out:?}");
         assert!(out[0].message.contains("els-exec"));
         assert!(out[1].message.contains("serde"));
+        // `rand` is els-storage's alone; as a dev-dependency it is free.
+        assert!(out[2].message.contains("`rand`") && out[2].line == 7, "{out:?}");
     }
 
     #[test]
     fn layering_accepts_the_legal_shape() {
-        let manifest =
-            "[dependencies]\nels-storage.workspace = true\nels-core.workspace = true\nrand.workspace = true\n";
+        let manifest = "[dependencies]\nels-storage.workspace = true\nels-core.workspace = true\n\
+                        [dev-dependencies]\nrand.workspace = true\n";
         let mut out = Vec::new();
         run_layering_pass("els-catalog", "crates/catalog/Cargo.toml", manifest, &mut out);
+        let storage = "[dependencies]\nrand.workspace = true\n";
+        run_layering_pass("els-storage", "crates/storage/Cargo.toml", storage, &mut out);
         assert_eq!(out, vec![]);
     }
 }

@@ -30,6 +30,10 @@
 //! ascending, then base tables ascending, then partner subsets descending;
 //! methods in the caller's order. Reordering any of these loops changes
 //! which of two equal-cost plans is returned.
+//!
+//! [`cost_order`] prices one fixed left-deep order by the same method
+//! policy and emits the same annotations, for join-order searches outside
+//! the DP.
 
 use els_core::estimator::JoinState;
 use els_core::predicate::{CmpOp, Predicate};
@@ -77,7 +81,7 @@ pub struct EnumerationResult {
 
 impl EnumerationResult {
     /// The result for `root`, whose annotations are `annotations`.
-    pub(crate) fn new(root: PlanNode, annotations: Vec<Annotation>) -> EnumerationResult {
+    fn new(root: PlanNode, annotations: Vec<Annotation>) -> EnumerationResult {
         let joins = annotations.iter().filter(|a| a.method.is_some());
         let (estimated_sizes, join_order) = (joins.map(|a| a.rows).collect(), root.join_order());
         let estimated_cost = annotations.last().map_or(0.0, |a| a.cost);
@@ -115,7 +119,7 @@ pub struct Annotation {
 impl Annotation {
     /// A scan of `table` applying `filters` local predicates. Under a
     /// `parent` join that rescans it, its rows are the stored cardinality.
-    pub(crate) fn scan(
+    fn scan(
         els: &dyn CardinalityEstimator,
         table: usize,
         filters: usize,
@@ -130,13 +134,7 @@ impl Annotation {
     }
 
     /// A join of the annotations at positions `left` and `right`.
-    pub(crate) fn join(
-        tables: u64,
-        method: JoinMethod,
-        rows: f64,
-        cost: f64,
-        inputs: (usize, usize),
-    ) -> Self {
+    fn join(tables: u64, method: JoinMethod, rows: f64, cost: f64, inputs: (usize, usize)) -> Self {
         let (method, (left, right)) = (Some(method), inputs);
         Annotation { tables, method, filters: 0, rows, cost, left, right, rescan: false }
     }
@@ -278,17 +276,13 @@ pub fn scan_filters(
 }
 
 /// The equality keys and the inequality ranges of one join.
-pub(crate) type JoinEdges = (Vec<(ColumnRef, ColumnRef)>, Vec<(ColumnRef, CmpOp, ColumnRef)>);
+type JoinEdges = (Vec<(ColumnRef, ColumnRef)>, Vec<(ColumnRef, CmpOp, ColumnRef)>);
 
 /// The join predicates between two disjoint table sets, keys and ranges, in
 /// one pass: each oriented `(column in left_mask, column in right_mask)`,
 /// a range's operator flipped when it is stored the other way round. The one
 /// place a predicate is matched against the two sides of a join.
-pub(crate) fn edges_between(
-    predicates: &[Predicate],
-    left_mask: u64,
-    right_mask: u64,
-) -> JoinEdges {
+fn edges_between(predicates: &[Predicate], left_mask: u64, right_mask: u64) -> JoinEdges {
     let links = |l: &ColumnRef, r: &ColumnRef| {
         left_mask & (1 << l.table) != 0 && right_mask & (1 << r.table) != 0
     };
@@ -552,13 +546,78 @@ fn subset_sizes(
     Ok(sizes)
 }
 
+/// Cost one fixed left-deep order, choosing the join method of each step by
+/// the DP's policy ([`cheapest_method`]), so a join-order search outside
+/// the DP prices its candidates exactly as the DP would. `profiles` holds
+/// one profile per table of `els`.
+pub fn cost_order(
+    order: &[usize],
+    els: &dyn CardinalityEstimator,
+    profiles: &[TableProfile],
+    methods: &[JoinMethod],
+    params: &CostParams,
+) -> OptimizerResult<EnumerationResult> {
+    let Some((&first, rest)) = order.split_first() else {
+        return Err(OptimizerError::Unsupported("empty join order".into()));
+    };
+    let profile = |t: usize| {
+        profiles.get(t).ok_or_else(|| {
+            let (have, want) = (profiles.len(), els.num_tables());
+            OptimizerError::Unsupported(format!("table {t} of {want} has no profile among {have}"))
+        })
+    };
+    let predicates = els.predicates();
+    let mut state = els.initial_state(first)?;
+    let filters = scan_filters(predicates, first)?;
+    let mut cost = params.scan(profile(first)?);
+    let mut annotations =
+        vec![Annotation::scan(els, first, filters.len(), state.cardinality(), cost, None)?];
+    let mut node = PlanNode::Scan { table_id: first, filters };
+    let mut mask: u64 = 1 << first;
+
+    for &t in rest {
+        let new_state = els.join(&state, t)?;
+        let outer = params.input_terms(state.cardinality());
+        let inner = params.stored_terms(profile(t)?, els.effective_cardinality(t)?);
+        let (keys, ranges) = edges_between(predicates, mask, 1 << t);
+        let links = (!keys.is_empty(), !ranges.is_empty());
+        let Some((method, join_cost)) = cheapest_method(
+            methods,
+            params,
+            &outer,
+            Inner::Stored(&inner),
+            new_state.cardinality(),
+            links,
+        ) else {
+            return Err(OptimizerError::Unsupported("no join methods enabled".into()));
+        };
+        let filters = scan_filters(predicates, t)?;
+        let (rows, scan_cost) = (els.initial_state(t)?.cardinality(), params.scan(profile(t)?));
+        let scan = Annotation::scan(els, t, filters.len(), rows, scan_cost, Some(method))?;
+        let outer_at = annotations.len() - 1;
+        annotations.push(scan);
+        cost += join_cost;
+        mask |= 1 << t;
+        let rows = new_state.cardinality();
+        annotations.push(Annotation::join(mask, method, rows, cost, (outer_at, outer_at + 1)));
+        node = PlanNode::Join {
+            method,
+            left: Box::new(node),
+            right: Box::new(PlanNode::Scan { table_id: t, filters }),
+            keys,
+            ranges,
+        };
+        state = new_state;
+    }
+    Ok(EnumerationResult::new(node, annotations))
+}
+
 /// The cheapest applicable method for one candidate join, the earliest
 /// enabled one on ties; `None` when no enabled method can run it.
 /// `output_rows` is the estimator's size for the joined set, and
 /// `(has_keys, has_ranges)` say which kinds of predicate link the two inputs.
-/// The method policy of every search strategy: the DP above and the fixed
-/// orders [`crate::heuristic`] prices.
-pub(crate) fn cheapest_method(
+/// The method policy of both the DP above and [`cost_order`].
+fn cheapest_method(
     methods: &[JoinMethod],
     p: &CostParams,
     outer: &InputTerms,
@@ -629,6 +688,50 @@ mod tests {
     }
 
     const NL_SM: [JoinMethod; 2] = [JoinMethod::NestedLoop, JoinMethod::SortMerge];
+
+    /// A chain query over n tables with growing cardinalities and a filter
+    /// on table 0.
+    fn chain(n: usize) -> (Els, Vec<TableProfile>) {
+        let stats = QueryStatistics::new(
+            (0..n)
+                .map(|i| {
+                    let rows = 1000.0 * (i + 1) as f64;
+                    TableStatistics::new(
+                        rows,
+                        vec![ColumnStatistics::with_domain(rows, 0.0, rows - 1.0)],
+                    )
+                })
+                .collect(),
+        );
+        let mut preds: Vec<Predicate> =
+            (1..n).map(|i| Predicate::col_eq(c(i - 1, 0), c(i, 0)).unwrap()).collect();
+        preds.push(Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64));
+        let els = Els::prepare(&preds, &stats, &ElsOptions::algorithm_els()).unwrap();
+        let profiles =
+            (0..n).map(|i| TableProfile::synthetic(1000.0 * (i + 1) as f64, 16)).collect();
+        (els, profiles)
+    }
+
+    #[test]
+    fn cost_order_matches_dp_on_the_dp_winner() {
+        let (els, profiles) = chain(5);
+        let dp = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
+            .unwrap();
+        let re =
+            cost_order(&dp.join_order, &els, &profiles, &NL_SM, &CostParams::default()).unwrap();
+        assert!((re.estimated_cost - dp.estimated_cost).abs() < 1e-9);
+        assert_eq!(re.join_order, dp.join_order);
+        assert_eq!(re.estimated_sizes, dp.estimated_sizes);
+    }
+
+    #[test]
+    fn a_profile_count_that_disagrees_with_the_estimator_is_unsupported() {
+        let (els, profiles) = chain(2);
+        for short in [&profiles[..1], &[]] {
+            let err = cost_order(&[0, 1], &els, short, &NL_SM, &CostParams::default());
+            assert!(matches!(err, Err(OptimizerError::Unsupported(_))), "{err:?}");
+        }
+    }
 
     /// DESIGN.md quotes these figures for the DP table's footprint.
     #[test]

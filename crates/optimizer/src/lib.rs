@@ -42,7 +42,6 @@
 pub mod cost;
 pub mod enumerate;
 pub mod error;
-pub mod heuristic;
 pub mod optimizer;
 pub mod plan_cache;
 pub mod profile;
@@ -50,9 +49,8 @@ pub mod rewrite;
 mod stripe;
 
 pub use cost::CostParams;
-pub use enumerate::{Annotation, EnumerationResult, TreeShape};
+pub use enumerate::{cost_order, Annotation, EnumerationResult, TreeShape};
 pub use error::{OptimizerError, OptimizerResult};
-pub use heuristic::{cost_order, greedy_order, iterative_improvement};
 pub use optimizer::{
     bound_query_tables, optimize, optimize_bound, optimize_full, EstimatorPreset,
     EstimatorStrategy, OptimizedQuery, OptimizerOptions,
