@@ -43,11 +43,19 @@ impl Catalog {
     /// # Errors
     /// [`CatalogError::DuplicateTable`] when the name is taken.
     pub fn register(&mut self, table: Table, options: &CollectOptions) -> CatalogResult<()> {
+        let stats = collect_table_stats(&table, options);
+        self.insert(table, stats)
+    }
+
+    /// Register a table with statistics already collected from it.
+    ///
+    /// # Errors
+    /// [`CatalogError::DuplicateTable`] when the name is taken.
+    pub(crate) fn insert(&mut self, table: Table, stats: TableStats) -> CatalogResult<()> {
         if self.find(table.name()).is_some() {
             return Err(CatalogError::DuplicateTable(table.name().to_owned()));
         }
         let def = TableDef::from_table(&table);
-        let stats = collect_table_stats(&table, options);
         self.entries.push(Entry { def, stats, data: Arc::new(table) });
         Ok(())
     }

@@ -1,14 +1,31 @@
 //! Statistics collection (the ANALYZE pass).
 //!
-//! Collection is exact for row counts, distinct counts, min/max and the
-//! NULL fraction — at the scales of the paper's experiment a full scan is
-//! cheap, and exact base statistics isolate the estimation-*algorithm*
-//! comparison from sampling noise (the paper's Section 8 likewise assumes
-//! exact catalog statistics). Histograms and MCV lists are optional.
+//! Collection is exact for row counts, distinct counts, min/max, the NULL
+//! fraction and the max frequency: exact base statistics isolate the
+//! estimation-*algorithm* comparison from sampling noise (the paper's
+//! Section 8 likewise assumes exact catalog statistics). Histograms and MCV
+//! lists are optional.
+//!
+//! # One sort per column
+//!
+//! Each column's non-NULL values are gathered straight from its typed slice
+//! (`i64`, `f64` under `total_cmp`, or `&str`; no `Value` per row) into one
+//! buffer and sorted in place. Equal values are then adjacent, so one walk
+//! over the runs gives the distinct count (the number of runs) and the max
+//! frequency (the longest run), and min and max are the two ends. A
+//! histogram or MCV list, when asked for, is built from the same sorted
+//! values ([`Histogram::equi_depth`], [`Histogram::equi_width`] and
+//! [`MostCommonValues::build`] take them as they are). An `Int` column's
+//! values are projected `i64 as f64` for those, which keeps their order;
+//! a `Str` column gets neither. So a column costs one `O(n log n)` sort
+//! and a constant number of allocations, however many rows it has.
+//!
+//! Value identity follows the types: for floats, `distinct` counts bit
+//! patterns (so `-0.0` and `0.0` are two values, as are NaNs with different
+//! payloads), while `max_frequency` counts `-0.0` as `0.0`; the two zeros
+//! are adjacent under `total_cmp`, so they still form one run.
 
-use std::collections::HashMap;
-
-use els_storage::{Table, Value};
+use els_storage::{ColumnVector, DataType, Table, Value};
 
 use crate::histogram::{Histogram, MostCommonValues};
 use crate::stats::{ColumnStats, TableStats};
@@ -50,86 +67,104 @@ impl CollectOptions {
     }
 }
 
-/// Identity of a non-NULL value for counting its occurrences. Keying on
-/// `to_string()` would be wrong for floats: `-0.0` and `0.0` render
-/// differently yet compare equal, and display formatting drops trailing
-/// zeros, conflating an integer-valued float column with differently-typed
-/// twins. `-0.0` is normalized to `0.0`; all other floats key on their bit
-/// pattern.
-#[derive(PartialEq, Eq, Hash)]
-enum DistinctKey<'a> {
-    Int(i64),
-    Float(u64),
-    Str(&'a str),
+/// Scan `table` and compute its statistics.
+pub fn collect_table_stats(table: &Table, options: &CollectOptions) -> TableStats {
+    let columns = table.columns().iter().map(|col| collect_column(col, options)).collect();
+    TableStats { row_count: table.num_rows(), columns }
 }
 
-fn distinct_key(v: &Value) -> Option<DistinctKey<'_>> {
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(DistinctKey::Int(*i)),
-        Value::Float(x) => {
-            let normalized = if *x == 0.0 { 0.0 } else { *x };
-            Some(DistinctKey::Float(normalized.to_bits()))
+fn collect_column(col: &ColumnVector, options: &CollectOptions) -> ColumnStats {
+    let rows = col.len();
+    let valid = col.validity();
+    match col.data_type() {
+        DataType::Int => {
+            let mut sorted = non_null(col.as_int_slice().unwrap_or_default(), valid, |&v| v);
+            sorted.sort_unstable();
+            let stats = column_stats(rows, &sorted, i64::eq, i64::eq, |&v| Value::Int(v));
+            if options.histogram == HistogramKind::None && options.mcv_size == 0 {
+                return stats;
+            }
+            let numeric: Vec<f64> = sorted.iter().map(|&v| v as f64).collect();
+            with_distribution(stats, &numeric, options)
         }
-        Value::Str(s) => Some(DistinctKey::Str(s)),
+        DataType::Float => {
+            let mut sorted = non_null(col.as_float_slice().unwrap_or_default(), valid, |&v| v);
+            sorted.sort_unstable_by(f64::total_cmp);
+            let same_bits = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+            let alike = |a: &f64, b: &f64| same_bits(a, b) || (*a == 0.0 && *b == 0.0);
+            let stats = column_stats(rows, &sorted, same_bits, alike, |&v| Value::Float(v));
+            with_distribution(stats, &sorted, options)
+        }
+        DataType::Str => {
+            let mut sorted =
+                non_null(col.as_str_slice().unwrap_or_default(), valid, String::as_str);
+            sorted.sort_unstable();
+            column_stats(rows, &sorted, <&str>::eq, <&str>::eq, |&v| Value::from(v))
+        }
     }
 }
 
-/// Scan `table` and compute its statistics.
-pub fn collect_table_stats(table: &Table, options: &CollectOptions) -> TableStats {
-    let columns = table
-        .columns()
-        .iter()
-        .map(|col| {
-            let values: Vec<_> = col.iter().collect();
-            let rows = values.len();
-            let nulls = values.iter().filter(|v| v.is_null()).count();
-            let null_fraction = if rows == 0 { 0.0 } else { nulls as f64 / rows as f64 };
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            for v in values.iter().filter(|v| !v.is_null()) {
-                if min.as_ref().is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less) {
-                    min = Some(v.clone());
-                }
-                if max.as_ref().is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater) {
-                    max = Some(v.clone());
-                }
-            }
-            let distinct = col.distinct_count() as f64;
-            // Numeric projection for distribution statistics.
-            let numeric: Vec<f64> =
-                values.iter().filter(|v| !v.is_null()).filter_map(|v| v.as_f64()).collect();
-            let histogram = match options.histogram {
-                HistogramKind::None => None,
-                HistogramKind::EquiWidth => {
-                    Histogram::equi_width(&numeric, options.histogram_buckets)
-                }
-                HistogramKind::EquiDepth => {
-                    Histogram::equi_depth(&numeric, options.histogram_buckets)
-                }
-            };
-            let mcv = if options.mcv_size > 0 {
-                MostCommonValues::build(&numeric, options.mcv_size)
-            } else {
-                None
-            };
-            // Max frequency (UES upper bounds), exact.
-            let mut counts: HashMap<DistinctKey<'_>, u64> = HashMap::new();
-            for k in values.iter().filter_map(distinct_key) {
-                *counts.entry(k).or_insert(0) += 1;
-            }
-            let max_frequency = counts.values().copied().max().unwrap_or(0) as f64;
-            ColumnStats { distinct, min, max, null_fraction, histogram, mcv, max_frequency }
-        })
-        .collect();
-    TableStats { row_count: table.num_rows(), columns }
+/// The non-NULL entries of a typed column slice, in one allocation.
+fn non_null<'a, S, T>(values: &'a [S], valid: &[bool], get: impl Fn(&'a S) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(values.len());
+    out.extend(values.iter().zip(valid).filter(|(_, ok)| **ok).map(|(v, _)| get(v)));
+    out
+}
+
+/// A column's statistics, less its distribution, from its `rows` row count
+/// and its non-NULL values in sorted order. `distinct` counts the runs of
+/// `same` values; `max_frequency` is the longest stretch of adjacent runs
+/// whose values are `alike`.
+fn column_stats<T>(
+    rows: usize,
+    sorted: &[T],
+    same: impl Fn(&T, &T) -> bool,
+    alike: impl Fn(&T, &T) -> bool,
+    value: impl Fn(&T) -> Value,
+) -> ColumnStats {
+    let (mut distinct, mut longest, mut current) = (0usize, 0usize, 0usize);
+    let mut previous: Option<&T> = None;
+    for run in sorted.chunk_by(&same) {
+        let Some(head) = run.first() else { continue };
+        distinct += 1;
+        if !previous.is_some_and(|p| alike(p, head)) {
+            current = 0;
+        }
+        current += run.len();
+        longest = longest.max(current);
+        previous = Some(head);
+    }
+    let nulls = rows - sorted.len();
+    ColumnStats {
+        distinct: distinct as f64,
+        min: sorted.first().map(&value),
+        max: sorted.last().map(&value),
+        null_fraction: if rows == 0 { 0.0 } else { nulls as f64 / rows as f64 },
+        histogram: None,
+        mcv: None,
+        max_frequency: longest as f64,
+    }
+}
+
+/// `stats` with the histogram and MCV list `options` ask for, built from
+/// the column's non-NULL values as `f64`s in `total_cmp` order.
+fn with_distribution(stats: ColumnStats, sorted: &[f64], options: &CollectOptions) -> ColumnStats {
+    let histogram = match options.histogram {
+        HistogramKind::None => None,
+        HistogramKind::EquiWidth => Histogram::equi_width(sorted, options.histogram_buckets),
+        HistogramKind::EquiDepth => Histogram::equi_depth(sorted, options.histogram_buckets),
+    };
+    let mcv = MostCommonValues::build(sorted, options.mcv_size);
+    ColumnStats { histogram, mcv, ..stats }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashMap, HashSet};
+
     use super::*;
     use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
-    use els_storage::Value;
+    use proptest::prelude::*;
 
     #[test]
     fn exact_statistics_on_sequential_column() {
@@ -223,6 +258,23 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_is_its_own_value_but_not_its_own_frequency() {
+        let col = ColumnVector::from_floats([0.0, -0.0, 0.0]);
+        let t = Table::new("t", vec![("x".to_owned(), col)]).unwrap();
+        let c = &collect_table_stats(&t, &CollectOptions::default()).columns[0];
+        assert_eq!(c.distinct, 2.0);
+        assert_eq!(c.max_frequency, 3.0);
+        assert_eq!(
+            c.min.as_ref().and_then(Value::as_f64).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(
+            c.max.as_ref().and_then(Value::as_f64).map(f64::to_bits),
+            Some(0.0f64.to_bits())
+        );
+    }
+
+    #[test]
     fn empty_table_collects_zeroes() {
         let t = els_storage::Table::empty("e", &[("a", els_storage::DataType::Int)]);
         let stats = collect_table_stats(&t, &CollectOptions::full());
@@ -230,5 +282,293 @@ mod tests {
         assert_eq!(stats.columns[0].distinct, 0.0);
         assert_eq!(stats.columns[0].max_frequency, 0.0);
         assert!(stats.columns[0].histogram.is_none());
+    }
+
+    /// A value's identity, floats by bit pattern.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    enum Key {
+        Int(i64),
+        Float(u64),
+        Str(String),
+    }
+
+    fn key(v: &Value) -> Option<Key> {
+        match v {
+            Value::Null => None,
+            Value::Int(i) => Some(Key::Int(*i)),
+            Value::Float(x) => Some(Key::Float(x.to_bits())),
+            Value::Str(s) => Some(Key::Str(s.clone())),
+        }
+    }
+
+    /// A bucket as `[lo, hi, count, distinct]`, bounds as bit patterns.
+    type BucketBits = [u64; 4];
+
+    /// Every number in one column's statistics, floats as bit patterns.
+    #[derive(Debug, PartialEq)]
+    struct Bits {
+        distinct: u64,
+        min: Option<Key>,
+        max: Option<Key>,
+        null_fraction: u64,
+        max_frequency: u64,
+        /// Buckets and total row count.
+        histogram: Option<(Vec<BucketBits>, u64)>,
+        /// `(value bits, count)` entries and total row count.
+        mcv: Option<(Vec<(u64, u64)>, u64)>,
+    }
+
+    /// An equi-width bound's bits with the sign of a zero dropped. The old
+    /// builder took its bounds from `fold(f64::min)` / `fold(f64::max)` in
+    /// row order, and Rust leaves which of two equal zeros those return
+    /// unspecified (in practice: the one met first), so the sign of a zero
+    /// bound never was a function of the column's values.
+    fn zero_blind(x: f64) -> u64 {
+        if x == 0.0 {
+            0
+        } else {
+            x.to_bits()
+        }
+    }
+
+    fn bits(c: &ColumnStats) -> Bits {
+        let histogram = c.histogram.as_ref().map(|h| {
+            let bound = match h {
+                Histogram::EquiWidth(_) => zero_blind,
+                Histogram::EquiDepth(_) => f64::to_bits,
+            };
+            let buckets =
+                h.buckets().iter().map(|b| [bound(b.lo), bound(b.hi), b.count, b.distinct]);
+            (buckets.collect(), h.total_count())
+        });
+        Bits {
+            distinct: c.distinct.to_bits(),
+            min: c.min.as_ref().and_then(key),
+            max: c.max.as_ref().and_then(key),
+            null_fraction: c.null_fraction.to_bits(),
+            max_frequency: c.max_frequency.to_bits(),
+            histogram,
+            mcv: c.mcv.as_ref().map(|m| {
+                let entries = m.entries().iter().map(|&(v, n)| (v.to_bits(), n)).collect();
+                (entries, m.total_count())
+            }),
+        }
+    }
+
+    /// The collector as it was before the typed sort, one `Value` at a
+    /// time, with the histogram and MCV builders as they were: hash sets
+    /// for the distinct count and the max frequency (which folds `-0.0`
+    /// into `0.0`), an unsorted `f64` projection for the distribution.
+    fn oracle(col: &ColumnVector, options: &CollectOptions) -> Bits {
+        let values: Vec<Value> = col.iter().collect();
+        let rows = values.len();
+        let present: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
+        let mut min: Option<&Value> = None;
+        let mut max: Option<&Value> = None;
+        for &v in &present {
+            if min.is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less) {
+                min = Some(v);
+            }
+            if max.is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater) {
+                max = Some(v);
+            }
+        }
+        let distinct: HashSet<Key> = present.iter().filter_map(|v| key(v)).collect();
+        let mut counts: HashMap<Key, u64> = HashMap::new();
+        for &v in &present {
+            let folded = match v {
+                Value::Float(x) if *x == 0.0 => Value::Float(0.0),
+                other => other.clone(),
+            };
+            *counts.entry(key(&folded).unwrap()).or_insert(0) += 1;
+        }
+        let numeric: Vec<f64> = present.iter().filter_map(|v| v.as_f64()).collect();
+        let nb = options.histogram_buckets;
+        let histogram = match options.histogram {
+            HistogramKind::None => None,
+            HistogramKind::EquiWidth => old_equi_width(&numeric, nb),
+            HistogramKind::EquiDepth => old_equi_depth(&numeric, nb),
+        }
+        .map(|buckets| (buckets, numeric.len() as u64));
+        Bits {
+            distinct: (distinct.len() as f64).to_bits(),
+            min: min.and_then(key),
+            max: max.and_then(key),
+            null_fraction: if rows == 0 {
+                0.0
+            } else {
+                (rows - present.len()) as f64 / rows as f64
+            }
+            .to_bits(),
+            max_frequency: (counts.values().copied().max().unwrap_or(0) as f64).to_bits(),
+            histogram,
+            mcv: old_mcv(&numeric, options.mcv_size).map(|e| (e, numeric.len() as u64)),
+        }
+    }
+
+    fn old_equi_width(values: &[f64], bucket_count: usize) -> Option<Vec<BucketBits>> {
+        if values.is_empty() || bucket_count == 0 {
+            return None;
+        }
+        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if hi <= lo {
+            return Some(vec![[zero_blind(lo), zero_blind(lo), values.len() as u64, 1]]);
+        }
+        let nb = bucket_count.min(values.len()).max(1);
+        let width = (hi - lo) / nb as f64;
+        let mut slots: Vec<(u64, HashSet<u64>)> = vec![(0, HashSet::new()); nb];
+        for &v in values {
+            let idx = (((v - lo) / width) as usize).min(nb - 1);
+            slots[idx].0 += 1;
+            slots[idx].1.insert(v.to_bits());
+        }
+        let bucket = |(i, (count, seen)): (usize, &(u64, HashSet<u64>))| {
+            let top = if i == nb - 1 { hi } else { lo + width * (i + 1) as f64 };
+            [zero_blind(lo + width * i as f64), zero_blind(top), *count, seen.len() as u64]
+        };
+        Some(slots.iter().enumerate().map(bucket).collect())
+    }
+
+    fn old_equi_depth(values: &[f64], bucket_count: usize) -> Option<Vec<BucketBits>> {
+        if values.is_empty() || bucket_count == 0 {
+            return None;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let target = sorted.len().div_ceil(bucket_count.min(sorted.len()).max(1)) as u64;
+        let mut buckets = Vec::new();
+        let mut open: Option<(f64, f64, u64, u64)> = None;
+        for run in sorted.chunk_by(|a, b| a == b) {
+            let b = open.get_or_insert((run[0], run[0], 0, 0));
+            b.1 = run[run.len() - 1];
+            b.2 += run.len() as u64;
+            b.3 += 1;
+            if b.2 >= target {
+                buckets.extend(open.take());
+            }
+        }
+        buckets.extend(open);
+        Some(buckets.into_iter().map(|(lo, hi, n, d)| [lo.to_bits(), hi.to_bits(), n, d]).collect())
+    }
+
+    fn old_mcv(values: &[f64], k: usize) -> Option<Vec<(u64, u64)>> {
+        if values.is_empty() || k == 0 {
+            return None;
+        }
+        let mut freq: HashMap<u64, u64> = HashMap::new();
+        for &v in values {
+            *freq.entry(v.to_bits()).or_insert(0) += 1;
+        }
+        let mut entries: Vec<(f64, u64)> =
+            freq.into_iter().map(|(bits, n)| (f64::from_bits(bits), n)).collect();
+        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.total_cmp(&b.0)));
+        entries.truncate(k);
+        Some(entries.into_iter().map(|(v, n)| (v.to_bits(), n)).collect())
+    }
+
+    fn column(ty: DataType, cells: impl IntoIterator<Item = Value>) -> ColumnVector {
+        let mut col = ColumnVector::new(ty);
+        for v in cells {
+            col.push(v).unwrap();
+        }
+        col
+    }
+
+    /// A column of `cell`s: up to 40 rows, or one in five a short all-NULL
+    /// one.
+    fn cells(cell: impl Strategy<Value = Value>) -> impl Strategy<Value = Vec<Value>> {
+        (proptest::collection::vec(cell, 0..40), 0u8..5).prop_map(|(cells, shape)| match shape {
+            0 => vec![Value::Null; cells.len() % 4],
+            _ => cells,
+        })
+    }
+
+    /// NULL one time in seven, else a small value four times in six, else
+    /// one of `special`.
+    fn cell<T: Copy>(
+        special: &'static [T],
+        small: impl Fn(i64) -> Value,
+        value: impl Fn(T) -> Value,
+    ) -> impl Strategy<Value = Value> {
+        (0u8..7, -3i64..3, 0..special.len()).prop_map(move |(kind, i, pick)| match kind {
+            0 => Value::Null,
+            1..=4 => small(i),
+            _ => value(special[pick]),
+        })
+    }
+
+    fn int_cell() -> impl Strategy<Value = Value> {
+        const EXTREMES: [i64; 8] = [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 53) + 2,
+            -(1 << 53) - 1,
+            (1 << 62) + 1,
+        ];
+        cell(&EXTREMES, Value::Int, Value::Int)
+    }
+
+    fn float_cell() -> impl Strategy<Value = Value> {
+        const SPECIAL: [u64; 9] = [
+            0x8000_0000_0000_0000, // -0.0
+            0x0000_0000_0000_0000, // 0.0
+            0x7ff8_0000_0000_0000, // NaN
+            0x7ff8_0000_0000_0001, // NaN, another payload
+            0x7ff0_0000_0000_0001, // signalling NaN
+            0xfff8_0000_0000_0000, // negative NaN
+            0x7ff0_0000_0000_0000, // +inf
+            0xfff0_0000_0000_0000, // -inf
+            0x0000_0000_0000_0001, // smallest subnormal
+        ];
+        cell(&SPECIAL, |i| Value::Float(i as f64 / 2.0), |b| Value::Float(f64::from_bits(b)))
+    }
+
+    fn str_cell() -> impl Strategy<Value = Value> {
+        const WORDS: [&str; 9] = ["", "a", "b", "z", "é", "e\u{301}", "ß", "日本", "ñandú"];
+        cell(&WORDS, |i| Value::from(["x", "y", "é"][i.unsigned_abs() as usize % 3]), Value::from)
+    }
+
+    fn option_sets() -> [CollectOptions; 3] {
+        let equi_width = CollectOptions {
+            histogram: HistogramKind::EquiWidth,
+            histogram_buckets: 4,
+            mcv_size: 3,
+        };
+        [CollectOptions::default(), CollectOptions::full(), equi_width]
+    }
+
+    fn check(ty: DataType, cells: Vec<Value>) -> Result<(), TestCaseError> {
+        let col = column(ty, cells);
+        let rows = col.len();
+        let t = Table::new("t", vec![("c".to_owned(), col.clone())]).unwrap();
+        for options in option_sets() {
+            let got = collect_table_stats(&t, &options);
+            prop_assert_eq!(got.row_count, rows);
+            prop_assert_eq!(bits(&got.columns[0]), oracle(&col, &options), "{:?}", options);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn int_columns_match_the_value_oracle(cells in cells(int_cell())) {
+            check(DataType::Int, cells)?;
+        }
+
+        #[test]
+        fn float_columns_match_the_value_oracle(cells in cells(float_cell())) {
+            check(DataType::Float, cells)?;
+        }
+
+        #[test]
+        fn str_columns_match_the_value_oracle(cells in cells(str_cell())) {
+            check(DataType::Str, cells)?;
+        }
     }
 }

@@ -8,10 +8,10 @@
 //! Muralikrishna & DeWitt [8]) — plus a most-common-values list for highly
 //! skewed (Zipfian) columns, the case Lynch [6] targets.
 //!
-//! Histograms are built over the numeric projection of a column; string
-//! columns fall back to distinct-count-based estimation in `els-core`.
-
-use std::collections::HashMap;
+//! Histograms are built over the numeric projection of a column, handed
+//! over already sorted (ANALYZE sorts each column once, see
+//! [`crate::collect`]); string columns fall back to distinct-count-based
+//! estimation in `els-core`.
 
 use els_core::predicate::CmpOp;
 
@@ -55,58 +55,60 @@ pub enum Histogram {
 }
 
 impl Histogram {
-    /// Build an equi-width histogram from the (unsorted) non-NULL numeric
-    /// values of a column. Returns `None` for empty input or `bucket_count
-    /// == 0`.
-    pub fn equi_width(values: &[f64], bucket_count: usize) -> Option<Histogram> {
-        if values.is_empty() || bucket_count == 0 {
+    /// Build an equi-width histogram from the non-NULL numeric values of a
+    /// column, sorted under `f64::total_cmp`. Returns `None` for empty
+    /// input or `bucket_count == 0`.
+    ///
+    /// The domain runs from the least to the greatest non-NaN value (NaNs
+    /// sort to the two ends; `+∞` and `-∞` when every value is NaN). Each
+    /// run of one bit pattern lands whole in the bucket `(v - lo) / width`
+    /// names, as one distinct value there.
+    pub fn equi_width(sorted: &[f64], bucket_count: usize) -> Option<Histogram> {
+        if sorted.is_empty() || bucket_count == 0 {
             return None;
         }
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let lo = sorted.iter().copied().find(|v| !v.is_nan()).unwrap_or(f64::INFINITY);
+        let hi = sorted.iter().copied().rfind(|v| !v.is_nan()).unwrap_or(f64::NEG_INFINITY);
+        let total = sorted.len() as u64;
         if hi <= lo {
             // Single-valued column: one point bucket. The general path
             // would synthesize width-1 buckets past `hi` (the last one with
             // `hi < lo`) and linearly interpolate inside them, giving e.g.
             // `fraction_below(point + 0.5) == 0.5` instead of 1.
             return Some(Histogram::EquiWidth(EquiWidthHistogram {
-                buckets: vec![Bucket { lo, hi: lo, count: values.len() as u64, distinct: 1 }],
-                total: values.len() as u64,
+                buckets: vec![Bucket { lo, hi: lo, count: total, distinct: 1 }],
+                total,
             }));
         }
-        let nb = bucket_count.min(values.len()).max(1);
+        let nb = bucket_count.min(sorted.len()).max(1);
         let width = (hi - lo) / nb as f64;
-        // Per bucket: its row count and the bit patterns of its values.
-        let mut slots: Vec<(u64, HashMap<u64, ()>)> = vec![(0, HashMap::new()); nb];
-        for &v in values {
-            let idx = (((v - lo) / width) as usize).min(nb - 1);
-            if let Some((count, seen)) = slots.get_mut(idx) {
-                *count += 1;
-                seen.insert(v.to_bits(), ());
-            }
-        }
-        let buckets = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, (count, seen))| Bucket {
+        let mut buckets: Vec<Bucket> = (0..nb)
+            .map(|i| Bucket {
                 lo: lo + width * i as f64,
                 hi: if i == nb - 1 { hi } else { lo + width * (i + 1) as f64 },
-                count,
-                distinct: seen.len() as u64,
+                count: 0,
+                distinct: 0,
             })
             .collect();
-        Some(Histogram::EquiWidth(EquiWidthHistogram { buckets, total: values.len() as u64 }))
+        for run in sorted.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+            let Some(&v) = run.first() else { continue };
+            let idx = (((v - lo) / width) as usize).min(nb - 1);
+            if let Some(b) = buckets.get_mut(idx) {
+                b.count += run.len() as u64;
+                b.distinct += 1;
+            }
+        }
+        Some(Histogram::EquiWidth(EquiWidthHistogram { buckets, total }))
     }
 
-    /// Build an equi-depth histogram. Values are sorted internally; equal
-    /// values never straddle a bucket boundary (so equality estimates inside
-    /// one bucket stay meaningful).
-    pub fn equi_depth(values: &[f64], bucket_count: usize) -> Option<Histogram> {
-        if values.is_empty() || bucket_count == 0 {
+    /// Build an equi-depth histogram from the non-NULL numeric values of a
+    /// column, sorted under `f64::total_cmp`. Equal values never straddle a
+    /// bucket boundary (so equality estimates inside one bucket stay
+    /// meaningful).
+    pub fn equi_depth(sorted: &[f64], bucket_count: usize) -> Option<Histogram> {
+        if sorted.is_empty() || bucket_count == 0 {
             return None;
         }
-        let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let nb = bucket_count.min(n).max(1);
         let target = n.div_ceil(nb) as u64;
@@ -128,7 +130,7 @@ impl Histogram {
         Some(Histogram::EquiDepth(EquiDepthHistogram { buckets, total: n as u64 }))
     }
 
-    fn buckets(&self) -> &[Bucket] {
+    pub(crate) fn buckets(&self) -> &[Bucket] {
         match self {
             Histogram::EquiWidth(h) => &h.buckets,
             Histogram::EquiDepth(h) => &h.buckets,
@@ -276,21 +278,28 @@ pub struct MostCommonValues {
 }
 
 impl MostCommonValues {
-    /// Build from the non-NULL numeric values of a column, keeping the top
-    /// `k` by frequency. Returns `None` on empty input.
-    pub fn build(values: &[f64], k: usize) -> Option<MostCommonValues> {
-        if values.is_empty() || k == 0 {
+    /// Build from the non-NULL numeric values of a column, sorted under
+    /// `f64::total_cmp`, keeping the top `k` by frequency (ties in value
+    /// order); values are told apart by bit pattern. Returns `None` on
+    /// empty input or `k == 0`.
+    pub fn build(sorted: &[f64], k: usize) -> Option<MostCommonValues> {
+        if sorted.is_empty() || k == 0 {
             return None;
         }
-        let mut freq: HashMap<u64, u64> = HashMap::new();
-        for &v in values {
-            *freq.entry(v.to_bits()).or_insert(0) += 1;
+        // The runs arrive in value order, and each goes in after every kept
+        // entry at least as frequent, so the list stays in rank order and
+        // never holds more than `k + 1` entries.
+        let mut entries: Vec<(f64, u64)> = Vec::with_capacity(k.min(sorted.len()) + 1);
+        for run in sorted.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+            let Some(&v) = run.first() else { continue };
+            let n = run.len() as u64;
+            let at = entries.partition_point(|&(_, m)| m >= n);
+            if at < k {
+                entries.insert(at, (v, n));
+                entries.truncate(k);
+            }
         }
-        let mut entries: Vec<(f64, u64)> =
-            freq.into_iter().map(|(bits, n)| (f64::from_bits(bits), n)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.total_cmp(&b.0)));
-        entries.truncate(k);
-        Some(MostCommonValues { entries, total: values.len() as u64 })
+        Some(MostCommonValues { entries, total: sorted.len() as u64 })
     }
 
     /// Exact selectivity of `= v` when `v` is in the list.
@@ -315,6 +324,12 @@ mod tests {
 
     fn uniform_0_999() -> Vec<f64> {
         (0..1000).map(|i| i as f64).collect()
+    }
+
+    /// The builders take a column's values in `total_cmp` order.
+    fn sorted(mut values: Vec<f64>) -> Vec<f64> {
+        values.sort_by(f64::total_cmp);
+        values
     }
 
     #[test]
@@ -417,6 +432,20 @@ mod tests {
         let h = Histogram::equi_width(&values, 2).unwrap();
         assert_eq!(h.num_buckets(), 2);
         assert_eq!(h.fraction_equal(2.0), 0.125);
+    }
+
+    #[test]
+    fn equi_width_zero_bounds_take_the_sign_of_total_order() {
+        // The domain runs from the least to the greatest value under
+        // `total_cmp`, which puts -0.0 before 0.0: a zero lower bound is
+        // -0.0 and a zero upper bound 0.0 whenever both zeros occur.
+        let bounds = |values: &[f64]| {
+            let h = Histogram::equi_width(&sorted(values.to_vec()), 2).unwrap();
+            let b = h.buckets();
+            (b[0].lo.to_bits(), b[b.len() - 1].hi.to_bits())
+        };
+        assert_eq!(bounds(&[0.0, -0.0]), ((-0.0f64).to_bits(), (-0.0f64).to_bits()));
+        assert_eq!(bounds(&[-1.0, 0.0, -0.0]), ((-1.0f64).to_bits(), 0.0f64.to_bits()));
     }
 
     #[test]
@@ -530,7 +559,7 @@ mod tests {
         let mut values = vec![7.0; 500];
         values.extend(vec![3.0; 300]);
         values.extend((0..200).map(|i| 100.0 + i as f64));
-        let mcv = MostCommonValues::build(&values, 2).unwrap();
+        let mcv = MostCommonValues::build(&sorted(values), 2).unwrap();
         assert_eq!(mcv.entries().len(), 2);
         assert_eq!(mcv.eq_selectivity(7.0), Some(0.5));
         assert_eq!(mcv.eq_selectivity(3.0), Some(0.3));
@@ -551,6 +580,7 @@ mod tests {
             v in -1500.0f64..1500.0,
             nb in 1usize..16,
         ) {
+            let values = sorted(values);
             for h in [
                 Histogram::equi_width(&values, nb).unwrap(),
                 Histogram::equi_depth(&values, nb).unwrap(),
@@ -596,6 +626,7 @@ mod tests {
             ys in proptest::collection::vec(-100.0f64..100.0, 1..120),
             nb in 1usize..8,
         ) {
+            let (xs, ys) = (sorted(xs), sorted(ys));
             for (hx, hy) in [
                 (Histogram::equi_width(&xs, nb).unwrap(), Histogram::equi_width(&ys, nb).unwrap()),
                 (Histogram::equi_depth(&xs, nb).unwrap(), Histogram::equi_depth(&ys, nb).unwrap()),
@@ -614,6 +645,7 @@ mod tests {
             values in proptest::collection::vec(-50.0f64..50.0, 1..100),
             nb in 1usize..8,
         ) {
+            let values = sorted(values);
             for h in [
                 Histogram::equi_width(&values, nb).unwrap(),
                 Histogram::equi_depth(&values, nb).unwrap(),
@@ -630,7 +662,7 @@ mod tests {
         fn fraction_below_is_monotone(
             values in proptest::collection::vec(0.0f64..100.0, 1..200),
         ) {
-            let h = Histogram::equi_depth(&values, 8).unwrap();
+            let h = Histogram::equi_depth(&sorted(values), 8).unwrap();
             let mut prev = 0.0;
             for step in 0..=110 {
                 let cur = h.fraction_below(step as f64);

@@ -8,9 +8,9 @@
 //!   most-common-value lists; these are the "distribution statistics" the
 //!   paper's Section 5 allows for local predicates.
 //! * [`stats`] — per-column and per-table statistics containers.
-//! * [`collect`] — statistics collection (ANALYZE) over `els-storage`
-//!   tables: exact row counts, exact distinct counts, min/max, optional
-//!   histograms.
+//! * [`collect`] — statistics collection (ANALYZE, one sort per column)
+//!   over `els-storage` tables: exact row counts, distinct counts, min/max
+//!   and max frequencies, optional histograms and MCV lists.
 //! * [`catalog`] — the registry binding names → (definition, statistics,
 //!   data), and the bridge into `els-core`: positional
 //!   [`els_core::QueryStatistics`] for a `FROM` list and a

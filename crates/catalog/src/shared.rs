@@ -22,7 +22,7 @@ use els_storage::Table;
 use els_core::sync::{read_recovering, write_recovering};
 
 use crate::catalog::Catalog;
-use crate::collect::CollectOptions;
+use crate::collect::{collect_table_stats, CollectOptions};
 use crate::error::CatalogResult;
 
 /// An immutable view of the catalog as of one publication.
@@ -125,9 +125,12 @@ impl SharedCatalog {
     }
 
     /// Register a table (copy-on-write publish; bumps the epoch on
-    /// success). Existing snapshots are unaffected.
+    /// success). Existing snapshots are unaffected. The statistics are
+    /// collected before the write lock is taken, so readers never wait on
+    /// the scan; only the insert and the publication hold the lock.
     pub fn register(&self, table: Table, options: &CollectOptions) -> CatalogResult<()> {
-        self.try_update(|catalog| catalog.register(table, options))
+        let stats = collect_table_stats(&table, options);
+        self.try_update(|catalog| catalog.insert(table, stats))
     }
 
     /// Apply an arbitrary mutation to a private copy of the catalog and

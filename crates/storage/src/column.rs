@@ -162,7 +162,7 @@ impl ColumnVector {
     }
 
     /// Count distinct non-NULL values. This is the *column cardinality* `d_x`
-    /// of the paper, computed exactly (used when collecting statistics).
+    /// of the paper, computed exactly.
     pub fn distinct_count(&self) -> usize {
         match &self.data {
             ColumnData::Int(v) => v
@@ -184,33 +184,6 @@ impl ColumnVector {
                 .collect::<HashSet<_>>()
                 .len(),
         }
-    }
-
-    /// Minimum and maximum non-NULL values, or `None` if all rows are NULL.
-    pub fn min_max(&self) -> Option<(Value, Value)> {
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for i in 0..self.len() {
-            let v = self.get(i).unwrap_or(Value::Null);
-            if v.is_null() {
-                continue;
-            }
-            match (&min, &max) {
-                (Some(lo), Some(hi)) => {
-                    if v.total_cmp(lo) == std::cmp::Ordering::Less {
-                        min = Some(v.clone());
-                    }
-                    if v.total_cmp(hi) == std::cmp::Ordering::Greater {
-                        max = Some(v);
-                    }
-                }
-                _ => {
-                    min = Some(v.clone());
-                    max = Some(v);
-                }
-            }
-        }
-        min.zip(max)
     }
 
     /// Borrowed payload slice of an `Int` column (`None` for other types).
@@ -385,24 +358,6 @@ mod tests {
     fn distinct_count_on_strings() {
         let c = ColumnVector::from_strs(["a", "b", "a"]);
         assert_eq!(c.distinct_count(), 2);
-    }
-
-    #[test]
-    fn min_max_skips_nulls() {
-        let mut c = ColumnVector::new(DataType::Int);
-        c.push(Value::Null).unwrap();
-        c.push(Value::Int(4)).unwrap();
-        c.push(Value::Int(-1)).unwrap();
-        let (lo, hi) = c.min_max().unwrap();
-        assert_eq!(lo, Value::Int(-1));
-        assert_eq!(hi, Value::Int(4));
-    }
-
-    #[test]
-    fn min_max_of_all_null_column_is_none() {
-        let mut c = ColumnVector::new(DataType::Float);
-        c.push(Value::Null).unwrap();
-        assert!(c.min_max().is_none());
     }
 
     #[test]
