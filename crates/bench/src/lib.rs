@@ -91,7 +91,7 @@ mod tests {
     fn section8_catalog_has_the_four_tables() {
         let c = section8_catalog(42);
         assert_eq!(c.table_names(), vec!["S", "M", "B", "G"]);
-        assert_eq!(c.table_stats("G").unwrap().row_count, 100_000);
+        assert_eq!(c.table_stats("G").unwrap().cardinality, 100_000.0);
     }
 
     #[test]

@@ -4,19 +4,20 @@ use std::sync::Arc;
 
 use els_core::predicate::CmpOp;
 use els_core::selectivity::SelectivityOracle;
-use els_core::{ColumnRef, QueryStatistics};
+use els_core::{ColumnRef, ColumnStatistics, QueryStatistics, TableStatistics};
 use els_storage::{Table, Value};
 
-use crate::collect::{collect_table_stats, CollectOptions};
+use crate::collect::{collect_table_stats, CollectOptions, Synopses};
 use crate::error::{CatalogError, CatalogResult};
 use crate::feedback::{FeedbackStore, QueryCorrections};
 use crate::schema::TableDef;
-use crate::stats::TableStats;
 
 #[derive(Debug, Clone)]
 struct Entry {
     def: TableDef,
-    stats: TableStats,
+    stats: TableStatistics,
+    /// Each column's synopses, in schema order beside `stats.columns`.
+    synopses: Vec<Synopses>,
     data: Arc<Table>,
 }
 
@@ -43,20 +44,24 @@ impl Catalog {
     /// # Errors
     /// [`CatalogError::DuplicateTable`] when the name is taken.
     pub fn register(&mut self, table: Table, options: &CollectOptions) -> CatalogResult<()> {
-        let stats = collect_table_stats(&table, options);
-        self.insert(table, stats)
+        let collected = collect_table_stats(&table, options);
+        self.insert(table, collected)
     }
 
     /// Register a table with statistics already collected from it.
     ///
     /// # Errors
     /// [`CatalogError::DuplicateTable`] when the name is taken.
-    pub(crate) fn insert(&mut self, table: Table, stats: TableStats) -> CatalogResult<()> {
+    pub(crate) fn insert(
+        &mut self,
+        table: Table,
+        (stats, synopses): (TableStatistics, Vec<Synopses>),
+    ) -> CatalogResult<()> {
         if self.find(table.name()).is_some() {
             return Err(CatalogError::DuplicateTable(table.name().to_owned()));
         }
         let def = TableDef::from_table(&table);
-        self.entries.push(Entry { def, stats, data: Arc::new(table) });
+        self.entries.push(Entry { def, stats, synopses, data: Arc::new(table) });
         Ok(())
     }
 
@@ -92,7 +97,7 @@ impl Catalog {
     }
 
     /// A table's statistics.
-    pub fn table_stats(&self, name: &str) -> CatalogResult<&TableStats> {
+    pub fn table_stats(&self, name: &str) -> CatalogResult<&TableStatistics> {
         Ok(&self.entry(name)?.stats)
     }
 
@@ -101,32 +106,12 @@ impl Catalog {
         Ok(Arc::clone(&self.entry(name)?.data))
     }
 
-    /// Resolve a `(table, column)` name pair to a positional
-    /// [`ColumnRef`] against a `FROM` list.
-    pub fn resolve_column(
-        &self,
-        from: &[&str],
-        table: &str,
-        column: &str,
-    ) -> CatalogResult<ColumnRef> {
-        let t = from
-            .iter()
-            .position(|n| *n == table)
-            .ok_or_else(|| CatalogError::UnknownTable(table.to_owned()))?;
-        let def = self.table_def(table)?;
-        let c = def.column_index(column).ok_or_else(|| CatalogError::UnknownColumn {
-            table: table.to_owned(),
-            column: column.to_owned(),
-        })?;
-        Ok(ColumnRef::new(t, c))
-    }
-
     /// Positional statistics for a `FROM` list, ready for
     /// [`els_core::Els::prepare`].
     pub fn query_statistics(&self, from: &[&str]) -> CatalogResult<QueryStatistics> {
         let tables = from
             .iter()
-            .map(|name| Ok(self.entry(name)?.stats.to_core()))
+            .map(|name| Ok(self.entry(name)?.stats.clone()))
             .collect::<CatalogResult<Vec<_>>>()?;
         Ok(QueryStatistics::new(tables))
     }
@@ -178,30 +163,30 @@ pub struct QueryOracle<'a> {
 }
 
 impl QueryOracle<'_> {
-    fn column_stats(&self, column: ColumnRef) -> Option<&crate::stats::ColumnStats> {
+    fn column(&self, column: ColumnRef) -> Option<(&ColumnStatistics, &Synopses)> {
         let entry = self.catalog.entries.get(*self.tables.get(column.table)?)?;
-        entry.stats.columns.get(column.column)
+        Some((entry.stats.columns.get(column.column)?, entry.synopses.get(column.column)?))
     }
 }
 
 impl SelectivityOracle for QueryOracle<'_> {
     fn local_selectivity(&self, column: ColumnRef, op: CmpOp, value: &Value) -> Option<f64> {
-        let stats = self.column_stats(column)?;
+        let (_, synopses) = self.column(column)?;
         let v = value.as_f64()?;
         // MCV answers equality on tracked values exactly.
         if op == CmpOp::Eq {
-            if let Some(s) = stats.mcv.as_ref().and_then(|m| m.eq_selectivity(v)) {
+            if let Some(s) = synopses.mcv.as_ref().and_then(|m| m.eq_selectivity(v)) {
                 return Some(s);
             }
         }
-        stats.histogram.as_ref().map(|h| h.selectivity(op, v))
+        synopses.histogram.as_ref().map(|h| h.selectivity(op, v))
     }
 
     fn join_range_selectivity(&self, left: ColumnRef, op: CmpOp, right: ColumnRef) -> Option<f64> {
-        let ls = self.column_stats(left)?;
-        let rs = self.column_stats(right)?;
-        let lh = ls.histogram.as_ref()?;
-        let rh = rs.histogram.as_ref()?;
+        let (ls, lsyn) = self.column(left)?;
+        let (rs, rsyn) = self.column(right)?;
+        let lh = lsyn.histogram.as_ref()?;
+        let rh = rsyn.histogram.as_ref()?;
         // Both strict directions come from the pair integral; the inclusive
         // variants are complements of the *reverse* strict direction, which
         // makes "below or equal = below + equal" hold by construction.
@@ -245,8 +230,8 @@ mod tests {
         let c = sample_catalog(&CollectOptions::default());
         assert_eq!(c.len(), 2);
         assert_eq!(c.table_names(), vec!["A", "B"]);
-        assert_eq!(c.table_def("A").unwrap().num_columns(), 1);
-        assert_eq!(c.table_stats("B").unwrap().row_count, 500);
+        assert_eq!(c.table_def("A").unwrap().columns.len(), 1);
+        assert_eq!(c.table_stats("B").unwrap().cardinality, 500.0);
         assert_eq!(c.table_data("A").unwrap().num_rows(), 1000);
         assert!(matches!(c.table_def("Z"), Err(CatalogError::UnknownTable(_))));
     }
@@ -260,19 +245,6 @@ mod tests {
         assert!(matches!(
             c.register(dup, &CollectOptions::default()),
             Err(CatalogError::DuplicateTable(_))
-        ));
-    }
-
-    #[test]
-    fn resolve_column_is_positional_in_from_list() {
-        let c = sample_catalog(&CollectOptions::default());
-        // FROM B, A — B is table 0.
-        let r = c.resolve_column(&["B", "A"], "A", "x").unwrap();
-        assert_eq!(r, ColumnRef::new(1, 0));
-        assert!(c.resolve_column(&["B"], "A", "x").is_err());
-        assert!(matches!(
-            c.resolve_column(&["B", "A"], "A", "nope"),
-            Err(CatalogError::UnknownColumn { .. })
         ));
     }
 
@@ -380,11 +352,8 @@ mod tests {
         // The catalog output plugs straight into Els::prepare.
         let c = sample_catalog(&CollectOptions::full());
         let stats = c.query_statistics(&["A", "B"]).unwrap();
-        let preds = vec![els_core::Predicate::col_eq(
-            c.resolve_column(&["A", "B"], "A", "x").unwrap(),
-            c.resolve_column(&["A", "B"], "B", "y").unwrap(),
-        )
-        .unwrap()];
+        let preds =
+            vec![els_core::Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap()];
         let els = els_core::Els::prepare(&preds, &stats, &els_core::ElsOptions::default()).unwrap();
         // ||A ⋈ B|| = 1000·500/max(1000,50) = 500.
         let s = els.join(&els.initial_state(0).unwrap(), 1).unwrap();

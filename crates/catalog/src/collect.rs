@@ -12,10 +12,13 @@
 //! (`i64`, `f64` under `total_cmp`, or `&str`; no `Value` per row) into one
 //! buffer and sorted in place. Equal values are then adjacent, so one walk
 //! over the runs gives the distinct count (the number of runs) and the max
-//! frequency (the longest run), and min and max are the two ends. A
-//! histogram or MCV list, when asked for, is built from the same sorted
-//! values ([`Histogram::equi_depth`], [`Histogram::equi_width`] and
-//! [`MostCommonValues::build`] take them as they are). An `Int` column's
+//! frequency (the longest run), and min and max are the two ends: the
+//! numeric domain ELS interpolates ranges over. A `Float` column's domain
+//! is its finite values only (NaNs and infinities sort to the ends, and a
+//! bound at either would make every interpolation NaN); a `Str` column has
+//! none. A histogram or MCV list, when asked for, is built from the same sorted
+//! values (`Histogram::equi_depth`, `Histogram::equi_width` and
+//! `MostCommonValues::build` take them as they are). An `Int` column's
 //! values are projected `i64 as f64` for those, which keeps their order;
 //! a `Str` column gets neither. So a column costs one `O(n log n)` sort
 //! and a constant number of allocations, however many rows it has.
@@ -25,10 +28,10 @@
 //! payloads), while `max_frequency` counts `-0.0` as `0.0`; the two zeros
 //! are adjacent under `total_cmp`, so they still form one run.
 
-use els_storage::{ColumnVector, DataType, Table, Value};
+use els_core::{ColumnStatistics, TableStatistics};
+use els_storage::{ColumnVector, DataType, Table};
 
 use crate::histogram::{Histogram, MostCommonValues};
-use crate::stats::{ColumnStats, TableStats};
 
 /// Which histogram flavour to collect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,39 +70,59 @@ impl CollectOptions {
     }
 }
 
-/// Scan `table` and compute its statistics.
-pub fn collect_table_stats(table: &Table, options: &CollectOptions) -> TableStats {
-    let columns = table.columns().iter().map(|col| collect_column(col, options)).collect();
-    TableStats { row_count: table.num_rows(), columns }
+/// One column's distribution synopses, kept beside its
+/// [`ColumnStatistics`]: what [`crate::QueryOracle`] answers local and
+/// range-join selectivities from.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Synopses {
+    /// Optional histogram (numeric columns only).
+    pub histogram: Option<Histogram>,
+    /// Optional most-common-values list (numeric columns only).
+    pub mcv: Option<MostCommonValues>,
 }
 
-fn collect_column(col: &ColumnVector, options: &CollectOptions) -> ColumnStats {
+/// Scan `table` and compute its statistics, with each column's synopses
+/// in schema order.
+pub fn collect_table_stats(
+    table: &Table,
+    options: &CollectOptions,
+) -> (TableStatistics, Vec<Synopses>) {
+    let (columns, synopses) =
+        table.columns().iter().map(|col| collect_column(col, options)).unzip();
+    (TableStatistics::new(table.num_rows() as f64, columns), synopses)
+}
+
+fn collect_column(col: &ColumnVector, options: &CollectOptions) -> (ColumnStatistics, Synopses) {
     let rows = col.len();
     let valid = col.validity();
     match col.data_type() {
         DataType::Int => {
             let mut sorted = non_null(col.as_int_slice().unwrap_or_default(), valid, |&v| v);
             sorted.sort_unstable();
-            let stats = column_stats(rows, &sorted, i64::eq, i64::eq, |&v| Value::Int(v));
+            let bounds = sorted.first().zip(sorted.last()).map(|(&lo, &hi)| (lo as f64, hi as f64));
+            let stats = column_stats(rows, &sorted, i64::eq, i64::eq, bounds);
             if options.histogram == HistogramKind::None && options.mcv_size == 0 {
-                return stats;
+                return (stats, Synopses::default());
             }
             let numeric: Vec<f64> = sorted.iter().map(|&v| v as f64).collect();
-            with_distribution(stats, &numeric, options)
+            (stats, synopses(&numeric, options))
         }
         DataType::Float => {
             let mut sorted = non_null(col.as_float_slice().unwrap_or_default(), valid, |&v| v);
             sorted.sort_unstable_by(f64::total_cmp);
             let same_bits = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
             let alike = |a: &f64, b: &f64| same_bits(a, b) || (*a == 0.0 && *b == 0.0);
-            let stats = column_stats(rows, &sorted, same_bits, alike, |&v| Value::Float(v));
-            with_distribution(stats, &sorted, options)
+            // NaNs and infinities sort to the ends; the domain is the finite rest.
+            let lo = sorted.iter().copied().find(|v| v.is_finite());
+            let hi = sorted.iter().rev().copied().find(|v| v.is_finite());
+            let stats = column_stats(rows, &sorted, same_bits, alike, lo.zip(hi));
+            (stats, synopses(&sorted, options))
         }
         DataType::Str => {
             let mut sorted =
                 non_null(col.as_str_slice().unwrap_or_default(), valid, String::as_str);
             sorted.sort_unstable();
-            column_stats(rows, &sorted, <&str>::eq, <&str>::eq, |&v| Value::from(v))
+            (column_stats(rows, &sorted, <&str>::eq, <&str>::eq, None), Synopses::default())
         }
     }
 }
@@ -111,17 +134,17 @@ fn non_null<'a, S, T>(values: &'a [S], valid: &[bool], get: impl Fn(&'a S) -> T)
     out
 }
 
-/// A column's statistics, less its distribution, from its `rows` row count
-/// and its non-NULL values in sorted order. `distinct` counts the runs of
-/// `same` values; `max_frequency` is the longest stretch of adjacent runs
-/// whose values are `alike`.
+/// A column's statistics from its `rows` row count, its non-NULL values in
+/// sorted order and its numeric `(min, max)` domain, if it has one.
+/// `distinct` counts the runs of `same` values; `max_frequency` is the
+/// longest stretch of adjacent runs whose values are `alike`.
 fn column_stats<T>(
     rows: usize,
     sorted: &[T],
     same: impl Fn(&T, &T) -> bool,
     alike: impl Fn(&T, &T) -> bool,
-    value: impl Fn(&T) -> Value,
-) -> ColumnStats {
+    bounds: Option<(f64, f64)>,
+) -> ColumnStatistics {
     let (mut distinct, mut longest, mut current) = (0usize, 0usize, 0usize);
     let mut previous: Option<&T> = None;
     for run in sorted.chunk_by(&same) {
@@ -135,27 +158,24 @@ fn column_stats<T>(
         previous = Some(head);
     }
     let nulls = rows - sorted.len();
-    ColumnStats {
+    ColumnStatistics {
         distinct: distinct as f64,
-        min: sorted.first().map(&value),
-        max: sorted.last().map(&value),
+        min: bounds.map(|(lo, _)| lo),
+        max: bounds.map(|(_, hi)| hi),
         null_fraction: if rows == 0 { 0.0 } else { nulls as f64 / rows as f64 },
-        histogram: None,
-        mcv: None,
-        max_frequency: longest as f64,
+        max_frequency: Some(longest as f64),
     }
 }
 
-/// `stats` with the histogram and MCV list `options` ask for, built from
-/// the column's non-NULL values as `f64`s in `total_cmp` order.
-fn with_distribution(stats: ColumnStats, sorted: &[f64], options: &CollectOptions) -> ColumnStats {
+/// The histogram and MCV list `options` ask for, built from the column's
+/// non-NULL values as `f64`s in `total_cmp` order.
+fn synopses(sorted: &[f64], options: &CollectOptions) -> Synopses {
     let histogram = match options.histogram {
         HistogramKind::None => None,
         HistogramKind::EquiWidth => Histogram::equi_width(sorted, options.histogram_buckets),
         HistogramKind::EquiDepth => Histogram::equi_depth(sorted, options.histogram_buckets),
     };
-    let mcv = MostCommonValues::build(sorted, options.mcv_size);
-    ColumnStats { histogram, mcv, ..stats }
+    Synopses { histogram, mcv: MostCommonValues::build(sorted, options.mcv_size) }
 }
 
 #[cfg(test)]
@@ -164,6 +184,7 @@ mod tests {
 
     use super::*;
     use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
+    use els_storage::Value;
     use proptest::prelude::*;
 
     #[test]
@@ -171,15 +192,14 @@ mod tests {
         let t = TableSpec::new("t", 500)
             .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 100 }))
             .generate(3);
-        let stats = collect_table_stats(&t, &CollectOptions::default());
-        assert_eq!(stats.row_count, 500);
+        let (stats, synopses) = collect_table_stats(&t, &CollectOptions::default());
+        assert_eq!(stats.cardinality, 500.0);
         let c = &stats.columns[0];
         assert_eq!(c.distinct, 500.0);
-        assert_eq!(c.min, Some(Value::Int(100)));
-        assert_eq!(c.max, Some(Value::Int(599)));
+        assert_eq!(c.min, Some(100.0));
+        assert_eq!(c.max, Some(599.0));
         assert_eq!(c.null_fraction, 0.0);
-        assert!(c.histogram.is_none());
-        assert!(c.mcv.is_none());
+        assert_eq!(synopses[0], Synopses::default());
     }
 
     #[test]
@@ -193,7 +213,7 @@ mod tests {
                 },
             ))
             .generate(5);
-        let stats = collect_table_stats(&t, &CollectOptions::default());
+        let (stats, _) = collect_table_stats(&t, &CollectOptions::default());
         let c = &stats.columns[0];
         assert!((c.null_fraction - 0.5).abs() < 0.1);
         assert_eq!(c.distinct, 1.0);
@@ -204,8 +224,8 @@ mod tests {
         let t = TableSpec::new("t", 2000)
             .column(ColumnSpec::new("z", Distribution::ZipfInt { n: 100, theta: 1.2, start: 0 }))
             .generate(7);
-        let stats = collect_table_stats(&t, &CollectOptions::full());
-        let c = &stats.columns[0];
+        let (_, synopses) = collect_table_stats(&t, &CollectOptions::full());
+        let c = &synopses[0];
         let h = c.histogram.as_ref().expect("histogram collected");
         assert_eq!(h.total_count(), 2000);
         let mcv = c.mcv.as_ref().expect("mcv collected");
@@ -215,16 +235,15 @@ mod tests {
     }
 
     #[test]
-    fn string_columns_get_no_distribution_stats() {
+    fn string_columns_get_no_distribution_stats_and_no_bounds() {
         let t = TableSpec::new("t", 100)
             .column(ColumnSpec::new("s", Distribution::StrTag { prefix: "p".into(), modulus: 5 }))
             .generate(1);
-        let stats = collect_table_stats(&t, &CollectOptions::full());
+        let (stats, synopses) = collect_table_stats(&t, &CollectOptions::full());
         let c = &stats.columns[0];
-        assert!(c.histogram.is_none());
-        assert!(c.mcv.is_none());
+        assert_eq!(synopses[0], Synopses::default());
         assert_eq!(c.distinct, 5.0);
-        assert_eq!(c.min, Some(Value::from("p0")));
+        assert_eq!((c.min, c.max), (None, None));
     }
 
     #[test]
@@ -235,9 +254,9 @@ mod tests {
             .column(ColumnSpec::new("c", Distribution::CycleInt { modulus: 10, start: 0 }))
             .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }))
             .generate(1);
-        let stats = collect_table_stats(&t, &CollectOptions::default());
-        assert_eq!(stats.columns[0].max_frequency, 100.0);
-        assert_eq!(stats.columns[1].max_frequency, 1.0);
+        let (stats, _) = collect_table_stats(&t, &CollectOptions::default());
+        assert_eq!(stats.columns[0].max_frequency, Some(100.0));
+        assert_eq!(stats.columns[1].max_frequency, Some(1.0));
     }
 
     #[test]
@@ -251,37 +270,32 @@ mod tests {
                 },
             ))
             .generate(5);
-        let full = collect_table_stats(&t, &CollectOptions::default());
+        let (full, _) = collect_table_stats(&t, &CollectOptions::default());
         // Only the non-NULL rows count toward the most common value.
         let non_null = (1000.0 * (1.0 - full.columns[0].null_fraction)).round();
-        assert_eq!(full.columns[0].max_frequency, non_null);
+        assert_eq!(full.columns[0].max_frequency, Some(non_null));
     }
 
     #[test]
     fn negative_zero_is_its_own_value_but_not_its_own_frequency() {
         let col = ColumnVector::from_floats([0.0, -0.0, 0.0]);
         let t = Table::new("t", vec![("x".to_owned(), col)]).unwrap();
-        let c = &collect_table_stats(&t, &CollectOptions::default()).columns[0];
+        let c = &collect_table_stats(&t, &CollectOptions::default()).0.columns[0];
         assert_eq!(c.distinct, 2.0);
-        assert_eq!(c.max_frequency, 3.0);
-        assert_eq!(
-            c.min.as_ref().and_then(Value::as_f64).map(f64::to_bits),
-            Some((-0.0f64).to_bits())
-        );
-        assert_eq!(
-            c.max.as_ref().and_then(Value::as_f64).map(f64::to_bits),
-            Some(0.0f64.to_bits())
-        );
+        assert_eq!(c.max_frequency, Some(3.0));
+        assert_eq!(c.min.map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(c.max.map(f64::to_bits), Some(0.0f64.to_bits()));
     }
 
     #[test]
     fn empty_table_collects_zeroes() {
         let t = els_storage::Table::empty("e", &[("a", els_storage::DataType::Int)]);
-        let stats = collect_table_stats(&t, &CollectOptions::full());
-        assert_eq!(stats.row_count, 0);
+        let (stats, synopses) = collect_table_stats(&t, &CollectOptions::full());
+        assert_eq!(stats.cardinality, 0.0);
         assert_eq!(stats.columns[0].distinct, 0.0);
-        assert_eq!(stats.columns[0].max_frequency, 0.0);
-        assert!(stats.columns[0].histogram.is_none());
+        assert_eq!(stats.columns[0].max_frequency, Some(0.0));
+        assert_eq!((stats.columns[0].min, stats.columns[0].max), (None, None));
+        assert!(synopses[0].histogram.is_none());
     }
 
     /// A value's identity, floats by bit pattern.
@@ -308,10 +322,10 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Bits {
         distinct: u64,
-        min: Option<Key>,
-        max: Option<Key>,
+        min: Option<u64>,
+        max: Option<u64>,
         null_fraction: u64,
-        max_frequency: u64,
+        max_frequency: Option<u64>,
         /// Buckets and total row count.
         histogram: Option<(Vec<BucketBits>, u64)>,
         /// `(value bits, count)` entries and total row count.
@@ -331,8 +345,8 @@ mod tests {
         }
     }
 
-    fn bits(c: &ColumnStats) -> Bits {
-        let histogram = c.histogram.as_ref().map(|h| {
+    fn bits(c: &ColumnStatistics, s: &Synopses) -> Bits {
+        let histogram = s.histogram.as_ref().map(|h| {
             let bound = match h {
                 Histogram::EquiWidth(_) => zero_blind,
                 Histogram::EquiDepth(_) => f64::to_bits,
@@ -343,14 +357,14 @@ mod tests {
         });
         Bits {
             distinct: c.distinct.to_bits(),
-            min: c.min.as_ref().and_then(key),
-            max: c.max.as_ref().and_then(key),
+            min: c.min.map(f64::to_bits),
+            max: c.max.map(f64::to_bits),
             null_fraction: c.null_fraction.to_bits(),
-            max_frequency: c.max_frequency.to_bits(),
+            max_frequency: c.max_frequency.map(f64::to_bits),
             histogram,
-            mcv: c.mcv.as_ref().map(|m| {
-                let entries = m.entries().iter().map(|&(v, n)| (v.to_bits(), n)).collect();
-                (entries, m.total_count())
+            mcv: s.mcv.as_ref().map(|m| {
+                let entries = m.entries.iter().map(|&(v, n)| (v.to_bits(), n)).collect();
+                (entries, m.total)
             }),
         }
     }
@@ -358,18 +372,19 @@ mod tests {
     /// The collector as it was before the typed sort, one `Value` at a
     /// time, with the histogram and MCV builders as they were: hash sets
     /// for the distinct count and the max frequency (which folds `-0.0`
-    /// into `0.0`), an unsorted `f64` projection for the distribution.
+    /// into `0.0`), an unsorted `f64` projection for the distribution. The
+    /// domain bounds are the least and greatest finite `Value::as_f64`.
     fn oracle(col: &ColumnVector, options: &CollectOptions) -> Bits {
         let values: Vec<Value> = col.iter().collect();
         let rows = values.len();
         let present: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
-        let mut min: Option<&Value> = None;
-        let mut max: Option<&Value> = None;
-        for &v in &present {
-            if min.is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less) {
+        let mut min: Option<f64> = None;
+        let mut max: Option<f64> = None;
+        for v in present.iter().filter_map(|v| v.as_f64()).filter(|v| v.is_finite()) {
+            if min.is_none_or(|m| v.total_cmp(&m) == std::cmp::Ordering::Less) {
                 min = Some(v);
             }
-            if max.is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater) {
+            if max.is_none_or(|m| v.total_cmp(&m) == std::cmp::Ordering::Greater) {
                 max = Some(v);
             }
         }
@@ -392,15 +407,15 @@ mod tests {
         .map(|buckets| (buckets, numeric.len() as u64));
         Bits {
             distinct: (distinct.len() as f64).to_bits(),
-            min: min.and_then(key),
-            max: max.and_then(key),
+            min: min.map(f64::to_bits),
+            max: max.map(f64::to_bits),
             null_fraction: if rows == 0 {
                 0.0
             } else {
                 (rows - present.len()) as f64 / rows as f64
             }
             .to_bits(),
-            max_frequency: (counts.values().copied().max().unwrap_or(0) as f64).to_bits(),
+            max_frequency: Some((counts.values().copied().max().unwrap_or(0) as f64).to_bits()),
             histogram,
             mcv: old_mcv(&numeric, options.mcv_size).map(|e| (e, numeric.len() as u64)),
         }
@@ -546,9 +561,14 @@ mod tests {
         let rows = col.len();
         let t = Table::new("t", vec![("c".to_owned(), col.clone())]).unwrap();
         for options in option_sets() {
-            let got = collect_table_stats(&t, &options);
-            prop_assert_eq!(got.row_count, rows);
-            prop_assert_eq!(bits(&got.columns[0]), oracle(&col, &options), "{:?}", options);
+            let (stats, synopses) = collect_table_stats(&t, &options);
+            prop_assert_eq!(stats.cardinality, rows as f64);
+            prop_assert_eq!(
+                bits(&stats.columns[0], &synopses[0]),
+                oracle(&col, &options),
+                "{:?}",
+                options
+            );
         }
         Ok(())
     }

@@ -25,9 +25,9 @@
 //! Each entry keeps two logs: `log_live`, the decayed estimate of the true
 //! correction, and `log_pub`, the value `FeedbackMode::Apply` actually
 //! reads. Publication is **edge-triggered**: only when the live value
-//! drifts more than the configured threshold (default 2.0× q-error) away
-//! from the published one does the store publish and ask the engine to
-//! bump the shared-catalog epoch (invalidating cached plans). A steady
+//! drifts more than a 2.0× q-error away from the published one does the
+//! store publish and ask the engine to bump the shared-catalog epoch
+//! (invalidating cached plans). A steady
 //! workload therefore converges — corrections stop moving, no epoch churn
 //! — and a pathological one is bounded by the per-key bump cap.
 
@@ -108,7 +108,7 @@ impl FeedbackKey {
 
     /// A join key; the endpoint pair is canonicalized (sorted) so both
     /// argument orders name the same key.
-    pub fn join(a: (String, usize), b: (String, usize)) -> FeedbackKey {
+    pub(crate) fn join(a: (String, usize), b: (String, usize)) -> FeedbackKey {
         if a <= b {
             FeedbackKey::Join { a, b }
         } else {
@@ -121,7 +121,7 @@ impl FeedbackKey {
     /// endpoints — two aliases of one table joined on the same column —
     /// normalizing to the `<` family), so both renderings of one
     /// inequality name the same key.
-    pub fn range(a: (String, usize), op: CmpOp, b: (String, usize)) -> FeedbackKey {
+    pub(crate) fn range(a: (String, usize), op: CmpOp, b: (String, usize)) -> FeedbackKey {
         if a < b || (a == b && !matches!(op, CmpOp::Gt | CmpOp::Ge)) {
             FeedbackKey::Range { a, op: op.to_string(), b }
         } else {
@@ -165,72 +165,24 @@ pub struct FeedbackCounters {
 /// `Arc` on [`crate::Catalog`], so copy-on-write snapshot publication
 /// keeps pointing at the same live store): observations harvested against
 /// an old snapshot are never lost.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FeedbackStore {
     entries: Mutex<HashMap<FeedbackKey, CorrectionEntry>>,
-    /// EWMA weight of the newest observation, in `(0, 1]`.
-    decay: f64,
-    /// `ln` of the publication threshold (default `ln 2`).
-    drift_log: f64,
-    /// Maximum publications per key (bounds epoch churn).
-    max_bumps_per_key: u64,
     learned: AtomicU64,
     applied: AtomicU64,
     epoch_bumps: AtomicU64,
 }
 
-impl Default for FeedbackStore {
-    fn default() -> FeedbackStore {
-        FeedbackStore {
-            entries: Mutex::new(HashMap::new()),
-            decay: FeedbackStore::DEFAULT_DECAY,
-            drift_log: FeedbackStore::DEFAULT_DRIFT_THRESHOLD.ln(),
-            max_bumps_per_key: FeedbackStore::DEFAULT_MAX_BUMPS_PER_KEY,
-            learned: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            epoch_bumps: AtomicU64::new(0),
-        }
-    }
-}
-
 impl FeedbackStore {
-    /// Default EWMA weight for the newest observation.
-    pub const DEFAULT_DECAY: f64 = 0.4;
-    /// Default publication threshold, as a q-error factor.
-    pub const DEFAULT_DRIFT_THRESHOLD: f64 = 2.0;
-    /// Default cap on publications (epoch bumps) per key.
-    pub const DEFAULT_MAX_BUMPS_PER_KEY: u64 = 8;
+    /// EWMA weight of the newest observation (the first observation of a
+    /// key lands with full weight).
+    const DECAY: f64 = 0.4;
+    /// Publication threshold, as a q-error factor.
+    const DRIFT_THRESHOLD: f64 = 2.0;
+    /// Cap on publications (epoch bumps) per key: bounds epoch churn.
+    const MAX_BUMPS_PER_KEY: u64 = 8;
     /// Corrections are clamped to `[1/BOUND, BOUND]`.
     const CORRECTION_BOUND: f64 = 1.0e6;
-
-    /// An empty store with default tuning.
-    pub fn new() -> FeedbackStore {
-        FeedbackStore::default()
-    }
-
-    /// Set the EWMA weight of the newest observation (clamped to
-    /// `(0, 1]`; the first observation of a key always lands with full
-    /// weight).
-    #[must_use]
-    pub fn with_decay(mut self, decay: f64) -> FeedbackStore {
-        self.decay = if decay.is_finite() { decay.clamp(f64::MIN_POSITIVE, 1.0) } else { 1.0 };
-        self
-    }
-
-    /// Set the publication threshold as a q-error factor (clamped to
-    /// `>= 1`; at exactly 1 every drift publishes).
-    #[must_use]
-    pub fn with_drift_threshold(mut self, threshold: f64) -> FeedbackStore {
-        self.drift_log = if threshold.is_finite() { threshold.max(1.0).ln() } else { f64::MAX };
-        self
-    }
-
-    /// Set the per-key publication cap.
-    #[must_use]
-    pub fn with_max_bumps_per_key(mut self, cap: u64) -> FeedbackStore {
-        self.max_bumps_per_key = cap;
-        self
-    }
 
     /// Fold one `(estimated, actual)` observation into `key`'s correction.
     ///
@@ -275,11 +227,13 @@ impl FeedbackStore {
         entry.log_live = if entry.observations == 0 {
             target
         } else {
-            (self.decay * target + (1.0 - self.decay) * entry.log_live).clamp(-bound, bound)
+            let decay = FeedbackStore::DECAY;
+            (decay * target + (1.0 - decay) * entry.log_live).clamp(-bound, bound)
         };
         entry.observations += 1;
-        let drifted = (entry.log_live - entry.log_pub).abs() > self.drift_log;
-        if drifted && entry.bumps < self.max_bumps_per_key {
+        let drift_log = FeedbackStore::DRIFT_THRESHOLD.ln();
+        let drifted = (entry.log_live - entry.log_pub).abs() > drift_log;
+        if drifted && entry.bumps < FeedbackStore::MAX_BUMPS_PER_KEY {
             entry.log_pub = entry.log_live;
             entry.bumps += 1;
             drop(entries);
@@ -294,7 +248,7 @@ impl FeedbackStore {
     /// when the key is unknown **or** nothing has been published yet — a
     /// store with zero published corrections therefore leaves every
     /// estimate bit-identical to [`FeedbackMode::Off`].
-    pub fn correction(&self, key: &FeedbackKey) -> Option<f64> {
+    pub(crate) fn correction(&self, key: &FeedbackKey) -> Option<f64> {
         let entries = lock_recovering(&self.entries);
         let log_pub = entries.get(key).map(|e| e.log_pub).filter(|&l| l != 0.0)?;
         drop(entries);
@@ -316,27 +270,6 @@ impl FeedbackStore {
             published,
         }
     }
-
-    /// Sorted `(key, published correction, observations)` rows for
-    /// reports; unpublished keys report a correction of 1.0.
-    pub fn snapshot(&self) -> Vec<(FeedbackKey, f64, u64)> {
-        let entries = lock_recovering(&self.entries);
-        let mut rows: Vec<(FeedbackKey, f64, u64)> =
-            entries.iter().map(|(k, e)| (k.clone(), e.log_pub.exp(), e.observations)).collect();
-        drop(entries);
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        lock_recovering(&self.entries).len()
-    }
-
-    /// True when no key is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// [`CorrectionSource`] adapter binding one query's `FROM` list to the
@@ -356,7 +289,7 @@ pub struct QueryCorrections {
 
 impl QueryCorrections {
     /// Bind `store` to a query's positional table-name list.
-    pub fn new(store: Arc<FeedbackStore>, tables: Vec<String>) -> QueryCorrections {
+    pub(crate) fn new(store: Arc<FeedbackStore>, tables: Vec<String>) -> QueryCorrections {
         QueryCorrections { store, tables, applied: AtomicU64::new(0) }
     }
 
@@ -466,7 +399,7 @@ mod tests {
 
     #[test]
     fn range_corrections_survive_from_order_shuffles() {
-        let store = Arc::new(FeedbackStore::new());
+        let store = Arc::new(FeedbackStore::default());
         // Learn under FROM [a, b] with `a.c0 < b.c1`.
         let learn = QueryCorrections::new(Arc::clone(&store), vec!["a".into(), "b".into()]);
         let key = learn.range_key(ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 1)).unwrap();
@@ -490,7 +423,7 @@ mod tests {
 
     #[test]
     fn unknown_or_unpublished_keys_yield_no_correction() {
-        let store = FeedbackStore::new();
+        let store = FeedbackStore::default();
         assert_eq!(store.correction(&k()), None, "unknown key");
         // One mild observation (q-error 1.5 < threshold 2.0): learned but
         // not published.
@@ -502,7 +435,7 @@ mod tests {
 
     #[test]
     fn drift_past_threshold_publishes_once_then_settles() {
-        let store = FeedbackStore::new();
+        let store = FeedbackStore::default();
         // 10x underestimate: first observation initializes with full
         // weight, drifts past 2.0, publishes.
         assert!(store.observe(k(), 100.0, 1000.0, false));
@@ -517,7 +450,7 @@ mod tests {
 
     #[test]
     fn corrected_observations_reconstruct_the_raw_residual() {
-        let store = FeedbackStore::new();
+        let store = FeedbackStore::default();
         assert!(store.observe(k(), 100.0, 1000.0, false)); // publish 10x
                                                            // Apply-mode estimate 1000 vs actual 1000: residual 0, but the
                                                            // estimate had the 10x correction in it, so the raw target stays
@@ -529,45 +462,45 @@ mod tests {
 
     #[test]
     fn ewma_blends_observations_with_decay() {
-        let store = FeedbackStore::new().with_drift_threshold(f64::INFINITY);
-        store.observe(k(), 1.0, std::f64::consts::E, false); // log_live = 1
-        store.observe(k(), 1.0, 1.0, false); // target 0
-        let rows = store.snapshot();
-        assert_eq!(rows.len(), 1);
-        // Never published (infinite threshold) → factor 1.0 reported.
-        assert_eq!(rows[0].1, 1.0);
-        assert_eq!(rows[0].2, 2);
-        // log_live = 0.4*0 + 0.6*1 = 0.6; verify through a tiny threshold.
-        let store2 = FeedbackStore::new();
-        store2.observe(k(), 1.0, std::f64::consts::E, false);
-        store2.observe(k(), 1.0, 1.0, false);
-        let c = store2.correction(&k()).unwrap();
+        let store = FeedbackStore::default();
+        // log_live = 1, past ln 2 from nothing: published.
+        assert!(store.observe(k(), 1.0, std::f64::consts::E, false));
+        // Target 0: log_live = 0.4·0 + 0.6·1 = 0.6, within ln 2 of 1.
+        assert!(!store.observe(k(), 1.0, 1.0, false));
+        let entries = lock_recovering(&store.entries);
+        assert_eq!(entries.len(), 1);
+        let entry = entries.get(&k()).copied().unwrap();
+        drop(entries);
+        assert!((entry.log_live - 0.6).abs() < 1e-12, "log_live {}", entry.log_live);
+        assert_eq!(entry.observations, 2);
+        let c = store.correction(&k()).unwrap();
         assert!((c.ln() - 1.0).abs() < 1e-9, "first publication froze ln 1, got ln {}", c.ln());
     }
 
     #[test]
     fn bump_cap_bounds_epoch_churn() {
-        let store = FeedbackStore::new().with_max_bumps_per_key(2).with_decay(1.0);
-        // Alternate 100x over/underestimates: every observation drifts.
+        let store = FeedbackStore::default();
+        // Alternate 100x over/underestimates: the live value swings by more
+        // than ln 2 every time, so every observation drifts.
         let mut bumps = 0;
-        for i in 0..10 {
+        for i in 0..20 {
             let (est, act) = if i % 2 == 0 { (1.0, 100.0) } else { (100.0, 1.0) };
             if store.observe(k(), est, act, false) {
                 bumps += 1;
             }
         }
-        assert_eq!(bumps, 2, "cap honoured");
-        assert_eq!(store.counters().epoch_bumps, 2);
+        assert_eq!(bumps, FeedbackStore::MAX_BUMPS_PER_KEY, "cap honoured");
+        assert_eq!(store.counters().epoch_bumps, FeedbackStore::MAX_BUMPS_PER_KEY);
     }
 
     #[test]
     fn degenerate_observations_are_ignored() {
-        let store = FeedbackStore::new();
+        let store = FeedbackStore::default();
         assert!(!store.observe(k(), f64::NAN, 10.0, false));
         assert!(!store.observe(k(), 10.0, f64::INFINITY, false));
         assert!(!store.observe(k(), -1.0, 10.0, false));
         assert_eq!(store.counters().learned, 0);
-        assert!(store.is_empty());
+        assert!(lock_recovering(&store.entries).is_empty());
         // Zero estimate/actual clamp to 1 rather than exploding.
         assert!(!store.observe(k(), 0.0, 0.0, false));
         assert_eq!(store.correction(&k()), None);
@@ -575,7 +508,7 @@ mod tests {
 
     #[test]
     fn corrections_are_bounded() {
-        let store = FeedbackStore::new();
+        let store = FeedbackStore::default();
         store.observe(k(), 1.0, 1.0e12, false);
         let c = store.correction(&k()).unwrap();
         assert!(c <= FeedbackStore::CORRECTION_BOUND * (1.0 + 1e-9), "clamped, got {c}");
@@ -583,7 +516,7 @@ mod tests {
 
     #[test]
     fn query_corrections_translate_positions_to_names() {
-        let store = Arc::new(FeedbackStore::new());
+        let store = Arc::new(FeedbackStore::default());
         // Learn under FROM [a, b]; apply under FROM [b, a].
         let learn = QueryCorrections::new(Arc::clone(&store), vec!["a".into(), "b".into()]);
         let key = learn.join_key(&[ColumnRef::new(0, 0), ColumnRef::new(1, 0)]).unwrap();
@@ -608,11 +541,11 @@ mod tests {
     #[test]
     fn join_key_is_canonical_over_three_way_classes() {
         let q1 = QueryCorrections::new(
-            Arc::new(FeedbackStore::new()),
+            Arc::new(FeedbackStore::default()),
             vec!["s".into(), "m".into(), "b".into()],
         );
         let q2 = QueryCorrections::new(
-            Arc::new(FeedbackStore::new()),
+            Arc::new(FeedbackStore::default()),
             vec!["b".into(), "s".into(), "m".into()],
         );
         // Same class {s.c0, m.c0, b.c0} seen from two FROM orders.
@@ -628,14 +561,15 @@ mod tests {
 
     #[test]
     fn concurrent_observation_is_safe_and_lossless() {
-        let store = FeedbackStore::new().with_drift_threshold(f64::INFINITY);
+        let store = FeedbackStore::default();
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let store = &store;
                 scope.spawn(move || {
                     for i in 0..100u64 {
                         let key = FeedbackKey::scan(format!("t{}", (t + i) % 3), "c0<1");
-                        store.observe(key, 10.0, 20.0, false);
+                        // q-error 1.5, under the threshold: never published.
+                        store.observe(key, 10.0, 15.0, false);
                     }
                 });
             }

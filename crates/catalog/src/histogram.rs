@@ -20,7 +20,7 @@ use els_core::predicate::CmpOp;
 /// bucket — the equi-width build convention `idx = (v - lo) / width` — and
 /// only the last bucket includes its `hi`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bucket {
+pub(crate) struct Bucket {
     /// Inclusive lower bound.
     pub lo: f64,
     /// Upper bound (inclusive for the last bucket, exclusive otherwise).
@@ -63,7 +63,7 @@ impl Histogram {
     /// sort to the two ends; `+∞` and `-∞` when every value is NaN). Each
     /// run of one bit pattern lands whole in the bucket `(v - lo) / width`
     /// names, as one distinct value there.
-    pub fn equi_width(sorted: &[f64], bucket_count: usize) -> Option<Histogram> {
+    pub(crate) fn equi_width(sorted: &[f64], bucket_count: usize) -> Option<Histogram> {
         if sorted.is_empty() || bucket_count == 0 {
             return None;
         }
@@ -105,7 +105,7 @@ impl Histogram {
     /// column, sorted under `f64::total_cmp`. Equal values never straddle a
     /// bucket boundary (so equality estimates inside one bucket stay
     /// meaningful).
-    pub fn equi_depth(sorted: &[f64], bucket_count: usize) -> Option<Histogram> {
+    pub(crate) fn equi_depth(sorted: &[f64], bucket_count: usize) -> Option<Histogram> {
         if sorted.is_empty() || bucket_count == 0 {
             return None;
         }
@@ -138,20 +138,15 @@ impl Histogram {
     }
 
     /// Total number of rows the histogram describes.
-    pub fn total_count(&self) -> u64 {
+    pub(crate) fn total_count(&self) -> u64 {
         match self {
             Histogram::EquiWidth(h) => h.total,
             Histogram::EquiDepth(h) => h.total,
         }
     }
 
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets().len()
-    }
-
     /// Estimated fraction of rows with value strictly less than `v`.
-    pub fn fraction_below(&self, v: f64) -> f64 {
+    pub(crate) fn fraction_below(&self, v: f64) -> f64 {
         let total = self.total_count() as f64;
         if total == 0.0 {
             return 0.0;
@@ -175,7 +170,7 @@ impl Histogram {
 
     /// Estimated fraction of rows equal to `v` (uniformity within the
     /// containing bucket: `count / distinct` rows per value).
-    pub fn fraction_equal(&self, v: f64) -> f64 {
+    pub(crate) fn fraction_equal(&self, v: f64) -> f64 {
         let total = self.total_count() as f64;
         if total == 0.0 {
             return 0.0;
@@ -212,7 +207,7 @@ impl Histogram {
     /// integral. A point bucket (`lo == hi`) contributes exactly
     /// `F_X(point)`, so two single-valued columns at the same value give
     /// `P(X < Y) = 0` and `P(X <= Y) = 1`.
-    pub fn fraction_pairs_below(&self, other: &Histogram) -> f64 {
+    pub(crate) fn fraction_pairs_below(&self, other: &Histogram) -> f64 {
         let total = other.total_count() as f64;
         if total == 0.0 || self.total_count() == 0 {
             return 0.0;
@@ -255,7 +250,7 @@ impl Histogram {
     }
 
     /// Selectivity of `column op v` from this histogram.
-    pub fn selectivity(&self, op: CmpOp, v: f64) -> f64 {
+    pub(crate) fn selectivity(&self, op: CmpOp, v: f64) -> f64 {
         match op {
             CmpOp::Eq => self.fraction_equal(v),
             CmpOp::Ne => (1.0 - self.fraction_equal(v)).clamp(0.0, 1.0),
@@ -272,9 +267,9 @@ impl Histogram {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MostCommonValues {
     /// `(value, row count)` pairs, most frequent first.
-    entries: Vec<(f64, u64)>,
+    pub(crate) entries: Vec<(f64, u64)>,
     /// Total rows in the column (including rows not in the list).
-    total: u64,
+    pub(crate) total: u64,
 }
 
 impl MostCommonValues {
@@ -282,7 +277,7 @@ impl MostCommonValues {
     /// `f64::total_cmp`, keeping the top `k` by frequency (ties in value
     /// order); values are told apart by bit pattern. Returns `None` on
     /// empty input or `k == 0`.
-    pub fn build(sorted: &[f64], k: usize) -> Option<MostCommonValues> {
+    pub(crate) fn build(sorted: &[f64], k: usize) -> Option<MostCommonValues> {
         if sorted.is_empty() || k == 0 {
             return None;
         }
@@ -303,18 +298,8 @@ impl MostCommonValues {
     }
 
     /// Exact selectivity of `= v` when `v` is in the list.
-    pub fn eq_selectivity(&self, v: f64) -> Option<f64> {
+    pub(crate) fn eq_selectivity(&self, v: f64) -> Option<f64> {
         self.entries.iter().find(|(val, _)| *val == v).map(|(_, n)| *n as f64 / self.total as f64)
-    }
-
-    /// The tracked entries.
-    pub fn entries(&self) -> &[(f64, u64)] {
-        &self.entries
-    }
-
-    /// Total row count of the underlying column.
-    pub fn total_count(&self) -> u64 {
-        self.total
     }
 }
 
@@ -336,7 +321,7 @@ mod tests {
     fn equi_width_counts_everything() {
         let h = Histogram::equi_width(&uniform_0_999(), 10).unwrap();
         assert_eq!(h.total_count(), 1000);
-        assert_eq!(h.num_buckets(), 10);
+        assert_eq!(h.buckets().len(), 10);
         let total: u64 = h.buckets().iter().map(|b| b.count).sum();
         assert_eq!(total, 1000);
     }
@@ -403,7 +388,7 @@ mod tests {
         // `hi` (last bucket with hi < lo) and interpolated inside them, so
         // fraction_below(5.5) on an all-5.0 column came out 0.5.
         let h = Histogram::equi_width(&[5.0, 5.0, 5.0], 4).unwrap();
-        assert_eq!(h.num_buckets(), 1);
+        assert_eq!(h.buckets().len(), 1);
         assert_eq!(h.fraction_below(5.5), 1.0);
         // Strictly below the point.
         assert_eq!(h.selectivity(CmpOp::Lt, 4.5), 0.0);
@@ -430,7 +415,7 @@ mod tests {
         // estimated Eq(2.0) at (6/1)/8 = 0.75 instead of (2/2)/8 = 0.125.
         let values = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 4.0];
         let h = Histogram::equi_width(&values, 2).unwrap();
-        assert_eq!(h.num_buckets(), 2);
+        assert_eq!(h.buckets().len(), 2);
         assert_eq!(h.fraction_equal(2.0), 0.125);
     }
 
@@ -455,7 +440,7 @@ mod tests {
         // the reversed lookup order.
         let values = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0];
         let h = Histogram::equi_depth(&values, 2).unwrap();
-        assert_eq!(h.num_buckets(), 2);
+        assert_eq!(h.buckets().len(), 2);
         // Bucket 0 is the four 0s (hi = 0.0): per-value 4 of 8 rows.
         assert_eq!(h.fraction_equal(0.0), 0.5);
         // Bucket 1 is {1,1,2,3}: per-value (4/3)/8 = 1/6.
@@ -560,11 +545,11 @@ mod tests {
         values.extend(vec![3.0; 300]);
         values.extend((0..200).map(|i| 100.0 + i as f64));
         let mcv = MostCommonValues::build(&sorted(values), 2).unwrap();
-        assert_eq!(mcv.entries().len(), 2);
+        assert_eq!(mcv.entries.len(), 2);
         assert_eq!(mcv.eq_selectivity(7.0), Some(0.5));
         assert_eq!(mcv.eq_selectivity(3.0), Some(0.3));
         assert_eq!(mcv.eq_selectivity(100.0), None);
-        assert_eq!(mcv.total_count(), 1000);
+        assert_eq!(mcv.total, 1000);
     }
 
     #[test]

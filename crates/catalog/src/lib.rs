@@ -3,22 +3,23 @@
 //! Schema and statistics substrate for the ELS reproduction: the catalog
 //! plays the role of Starburst's system catalog in the paper's experiment.
 //!
-//! * [`schema`] — table/column definitions derived from stored data.
-//! * [`histogram`] — equi-width and equi-depth histograms plus
+//! * `schema` — table/column definitions derived from stored data.
+//! * `histogram` — equi-width and equi-depth histograms plus
 //!   most-common-value lists; these are the "distribution statistics" the
 //!   paper's Section 5 allows for local predicates.
-//! * [`stats`] — per-column and per-table statistics containers.
 //! * [`collect`] — statistics collection (ANALYZE, one sort per column)
-//!   over `els-storage` tables: exact row counts, distinct counts, min/max
-//!   and max frequencies, optional histograms and MCV lists.
-//! * [`catalog`] — the registry binding names → (definition, statistics,
+//!   over `els-storage` tables: the [`els_core::TableStatistics`] ELS
+//!   consumes (exact row counts, distinct counts, finite min/max and max
+//!   frequencies), and beside each column its optional histogram and MCV
+//!   list.
+//! * `catalog` — the registry binding names → (definition, statistics,
 //!   data), and the bridge into `els-core`: positional
 //!   [`els_core::QueryStatistics`] for a `FROM` list and a
 //!   [`els_core::selectivity::SelectivityOracle`] backed by histograms.
-//! * [`shared`] — concurrent serving: [`SharedCatalog`] publishes immutable
+//! * `shared` — concurrent serving: [`SharedCatalog`] publishes immutable
 //!   [`CatalogSnapshot`]s under a monotonically increasing *epoch*, the
 //!   invalidation token for cached plans.
-//! * [`feedback`] — runtime feedback: per-key correction factors learned
+//! * `feedback` — runtime feedback: per-key correction factors learned
 //!   from executed queries ([`FeedbackStore`]), shared across snapshots
 //!   and consulted by the estimator under
 //!   [`FeedbackMode::Apply`](feedback::FeedbackMode).
@@ -35,7 +36,7 @@
 //! let mut catalog = Catalog::new();
 //! catalog.register(table, &CollectOptions::default()).unwrap();
 //! let stats = catalog.table_stats("t").unwrap();
-//! assert_eq!(stats.row_count, 1000);
+//! assert_eq!(stats.cardinality, 1000.0);
 //! assert_eq!(stats.columns[0].distinct, 1000.0);
 //! ```
 
@@ -48,16 +49,16 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 #![deny(unsafe_code)]
 
-pub mod catalog;
+mod catalog;
 pub mod collect;
-pub mod error;
-pub mod feedback;
-pub mod histogram;
-pub mod schema;
-pub mod shared;
-pub mod stats;
+mod error;
+mod feedback;
+mod histogram;
+mod schema;
+mod shared;
 
 pub use catalog::{Catalog, QueryOracle};
 pub use error::{CatalogError, CatalogResult};
@@ -65,4 +66,3 @@ pub use feedback::{FeedbackCounters, FeedbackKey, FeedbackMode, FeedbackStore, Q
 pub use histogram::{EquiDepthHistogram, EquiWidthHistogram, Histogram, MostCommonValues};
 pub use schema::{ColumnDef, TableDef};
 pub use shared::{CatalogSnapshot, SharedCatalog};
-pub use stats::{ColumnStats, TableStats};

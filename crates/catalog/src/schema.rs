@@ -22,7 +22,7 @@ pub struct TableDef {
 
 impl TableDef {
     /// Derive a definition from stored data.
-    pub fn from_table(table: &Table) -> Self {
+    pub(crate) fn from_table(table: &Table) -> Self {
         let columns = table
             .column_names()
             .iter()
@@ -35,11 +35,6 @@ impl TableDef {
     /// Position of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
     }
 }
 
@@ -60,7 +55,7 @@ mod tests {
         .unwrap();
         let def = TableDef::from_table(&t);
         assert_eq!(def.name, "orders");
-        assert_eq!(def.num_columns(), 2);
+        assert_eq!(def.columns.len(), 2);
         assert_eq!(def.columns[0], ColumnDef { name: "id".into(), data_type: DataType::Int });
         assert_eq!(def.column_index("tag"), Some(1));
         assert_eq!(def.column_index("nope"), None);

@@ -62,7 +62,7 @@ impl std::ops::Deref for CatalogSnapshot {
 /// use els_catalog::SharedCatalog;
 /// use els_storage::datagen::{TableSpec, ColumnSpec, Distribution};
 ///
-/// let shared = SharedCatalog::new();
+/// let shared = SharedCatalog::default();
 /// let before = shared.snapshot();
 /// shared.register(
 ///     TableSpec::new("t", 100)
@@ -94,16 +94,6 @@ pub struct SharedCatalog {
 }
 
 impl SharedCatalog {
-    /// An empty shared catalog at epoch 0.
-    pub fn new() -> SharedCatalog {
-        SharedCatalog::default()
-    }
-
-    /// Wrap an already-populated catalog (epoch starts at 0).
-    pub fn from_catalog(catalog: Catalog) -> SharedCatalog {
-        SharedCatalog { state: RwLock::new(Arc::new(catalog)), epoch: AtomicU64::new(0) }
-    }
-
     /// The current contents + epoch, under a brief read lock. Readers do
     /// not block each other, but every snapshot writes the lock's word and
     /// the catalog's reference count, which all readers share.
@@ -129,25 +119,17 @@ impl SharedCatalog {
     /// collected before the write lock is taken, so readers never wait on
     /// the scan; only the insert and the publication hold the lock.
     pub fn register(&self, table: Table, options: &CollectOptions) -> CatalogResult<()> {
-        let stats = collect_table_stats(&table, options);
-        self.try_update(|catalog| catalog.insert(table, stats))
+        let collected = collect_table_stats(&table, options);
+        self.try_update(|catalog| catalog.insert(table, collected))
     }
 
-    /// Apply an arbitrary mutation to a private copy of the catalog and
-    /// publish it, bumping the epoch. Use for statistics refreshes or
-    /// multi-table changes that must appear atomically.
-    pub fn update<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
-        let mut state = write_recovering(&self.state);
-        let mut next = (**state).clone();
-        let out = f(&mut next);
-        *state = Arc::new(next);
-        self.bump_epoch();
-        out
-    }
-
-    /// Like [`SharedCatalog::update`] but publishes (and bumps the epoch)
-    /// only when the mutation succeeds.
-    pub fn try_update<R, E>(&self, f: impl FnOnce(&mut Catalog) -> Result<R, E>) -> Result<R, E> {
+    /// Apply a mutation to a private copy of the catalog and publish it,
+    /// bumping the epoch, only when the mutation succeeds: multi-table
+    /// changes appear atomically or not at all.
+    pub(crate) fn try_update<R, E>(
+        &self,
+        f: impl FnOnce(&mut Catalog) -> Result<R, E>,
+    ) -> Result<R, E> {
         let mut state = write_recovering(&self.state);
         let mut next = (**state).clone();
         let out = f(&mut next)?;
@@ -179,7 +161,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_immutable_and_epoch_advances() {
-        let shared = SharedCatalog::new();
+        let shared = SharedCatalog::default();
         assert_eq!(shared.epoch(), 0);
         let s0 = shared.snapshot();
         shared.register(table("a", 10), &CollectOptions::default()).unwrap();
@@ -194,7 +176,7 @@ mod tests {
 
     #[test]
     fn failed_mutation_does_not_bump_the_epoch() {
-        let shared = SharedCatalog::new();
+        let shared = SharedCatalog::default();
         shared.register(table("a", 10), &CollectOptions::default()).unwrap();
         let before = shared.epoch();
         let dup = shared.register(table("a", 10), &CollectOptions::default());
@@ -204,7 +186,7 @@ mod tests {
 
     #[test]
     fn invalidate_bumps_without_content_change() {
-        let shared = SharedCatalog::from_catalog(Catalog::new());
+        let shared = SharedCatalog::default();
         let before = shared.epoch();
         shared.invalidate();
         assert_eq!(shared.epoch(), before + 1);
@@ -213,18 +195,20 @@ mod tests {
 
     #[test]
     fn update_publishes_atomically() {
-        let shared = SharedCatalog::new();
-        shared.update(|catalog| {
-            catalog.register(table("a", 5), &CollectOptions::default()).unwrap();
-            catalog.register(table("b", 5), &CollectOptions::default()).unwrap();
-        });
+        let shared = SharedCatalog::default();
+        shared
+            .try_update(|catalog| {
+                catalog.register(table("a", 5), &CollectOptions::default())?;
+                catalog.register(table("b", 5), &CollectOptions::default())
+            })
+            .unwrap();
         assert_eq!(shared.epoch(), 1);
         assert_eq!(shared.snapshot().len(), 2);
     }
 
     #[test]
     fn concurrent_readers_and_writers_stay_consistent() {
-        let shared = SharedCatalog::new();
+        let shared = SharedCatalog::default();
         std::thread::scope(|scope| {
             for i in 0..4u64 {
                 let shared = &shared;
@@ -254,7 +238,7 @@ mod tests {
 
     #[test]
     fn a_snapshot_is_never_older_than_an_epoch_read_before_it() {
-        let shared = SharedCatalog::new();
+        let shared = SharedCatalog::default();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for i in 0..50 {

@@ -77,7 +77,7 @@ fn collecting_allocates_per_column_not_per_row() {
     for options in [CollectOptions::default(), CollectOptions::full(), equi_width] {
         let (s, at_small) = allocations_in(|| collect_table_stats(&small, &options));
         let (l, at_large) = allocations_in(|| collect_table_stats(&large, &options));
-        assert_eq!((s.row_count, l.row_count), (10_000, 100_000));
+        assert_eq!((s.0.cardinality, l.0.cardinality), (10_000.0, 100_000.0));
         assert_eq!(
             at_small, at_large,
             "{options:?}: {at_small} allocations at 10 000 rows, {at_large} at 100 000"

@@ -28,9 +28,9 @@ use crate::correction::{CorrectionSource, NoCorrections};
 use crate::equivalence::EquivalenceClasses;
 use crate::error::ElsResult;
 use crate::estimator::{JoinState, PreparedQuery};
-use crate::ids::{ClassId, ColumnRef, TableId};
+use crate::ids::{ClassId, TableId};
 use crate::join_sel::{annotate_join_predicates_corrected, annotate_range_predicates};
-use crate::local_effects::{compute_effective_stats_corrected, DistinctReduction, EffectiveStats};
+use crate::local_effects::{compute_effective_stats, DistinctReduction, EffectiveStats};
 use crate::predicate::{dedup_predicates, Predicate};
 use crate::rules::{RepresentativeStrategy, SelectivityRule};
 use crate::same_table::{apply_same_table_equivalences, SameTableAdjustment};
@@ -108,13 +108,6 @@ impl ElsOptions {
     #[must_use]
     pub fn with_rule(mut self, rule: SelectivityRule) -> Self {
         self.rule = rule;
-        self
-    }
-
-    /// Replace the pre-processing mode.
-    #[must_use]
-    pub fn with_preprocessing(mut self, p: Preprocessing) -> Self {
-        self.preprocessing = p;
         self
     }
 
@@ -196,7 +189,7 @@ impl Els {
         let classes = EquivalenceClasses::from_predicates(&predicates);
 
         // Steps 3–4: local predicate selectivities and effective statistics.
-        let mut effective = compute_effective_stats_corrected(
+        let mut effective = compute_effective_stats(
             &predicates,
             stats,
             oracle,
@@ -282,14 +275,6 @@ impl Els {
         self.prepared.base_cardinality(table)
     }
 
-    /// Effective distinct count of a column as used in join selectivities.
-    pub fn join_distinct(&self, column: ColumnRef) -> f64 {
-        match self.options.preprocessing {
-            Preprocessing::Els => self.effective.distinct(column),
-            Preprocessing::Standard => self.effective.original_distinct(column),
-        }
-    }
-
     /// Step 6: start a join state from one base table.
     pub fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
         self.prepared.initial_state(table)
@@ -301,7 +286,7 @@ impl Els {
     }
 
     /// Step 6, bushy form: join two disjoint intermediate results.
-    pub fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
+    pub(crate) fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
         self.prepared.join_sets(a, b)
     }
 
@@ -327,6 +312,7 @@ impl Els {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ColumnRef;
     use crate::predicate::CmpOp;
     use crate::stats::{ColumnStatistics, TableStatistics};
     use crate::ElsError;
@@ -414,9 +400,11 @@ mod tests {
     fn standard_mode_uses_unreduced_distincts() {
         let (stats, preds) = section8();
         let sm = Els::prepare(&preds, &stats, &ElsOptions::algorithm_sm()).unwrap();
-        assert_eq!(sm.join_distinct(c(0, 0)), 1000.0);
+        assert_eq!(sm.options.preprocessing, Preprocessing::Standard);
+        assert_eq!(sm.effective.original_distinct(c(0, 0)), 1000.0);
         let els = Els::prepare(&preds, &stats, &ElsOptions::default()).unwrap();
-        assert_eq!(els.join_distinct(c(0, 0)), 100.0);
+        assert_eq!(els.options.preprocessing, Preprocessing::Els);
+        assert_eq!(els.effective.distinct(c(0, 0)), 100.0);
     }
 
     #[test]
@@ -452,12 +440,10 @@ mod tests {
     fn options_builders_compose() {
         let o = ElsOptions::default()
             .with_rule(SelectivityRule::SmallestSelectivity)
-            .with_preprocessing(Preprocessing::Standard)
             .with_closure(false)
             .with_distinct_reduction(DistinctReduction::Proportional)
             .with_representative(RepresentativeStrategy::GeometricMean);
         assert_eq!(o.rule, SelectivityRule::SmallestSelectivity);
-        assert_eq!(o.preprocessing, Preprocessing::Standard);
         assert!(!o.apply_closure);
         assert_eq!(o.distinct_reduction, DistinctReduction::Proportional);
         assert_eq!(o.representative, RepresentativeStrategy::GeometricMean);

@@ -266,7 +266,7 @@ impl<T: SetSized> CardinalityEstimator for T {
         Ok(JoinState::from_parts(mask, self.size_of(mask)?))
     }
 
-    /// Every size is [`SetSized::size_of`] of the state's mask.
+    /// Every size is `SetSized::size_of` of the state's mask.
     fn order_independent(&self) -> bool {
         true
     }
@@ -480,7 +480,10 @@ mod tests {
         let mk = |rows: f64| {
             TableStatistics::new(
                 rows,
-                vec![ColumnStatistics::with_domain(rows, 0.0, rows - 1.0).with_max_frequency(1.0)],
+                vec![ColumnStatistics {
+                    max_frequency: Some(1.0),
+                    ..ColumnStatistics::with_domain(rows, 0.0, rows - 1.0)
+                }],
             )
         };
         let stats =
@@ -550,11 +553,17 @@ mod tests {
         let stats = QueryStatistics::new(vec![
             TableStatistics::new(
                 100.0,
-                vec![ColumnStatistics::with_distinct(10.0).with_max_frequency(10.0)],
+                vec![ColumnStatistics {
+                    max_frequency: Some(10.0),
+                    ..ColumnStatistics::with_distinct(10.0)
+                }],
             ),
             TableStatistics::new(
                 100.0,
-                vec![ColumnStatistics::with_distinct(25.0).with_max_frequency(4.0)],
+                vec![ColumnStatistics {
+                    max_frequency: Some(4.0),
+                    ..ColumnStatistics::with_distinct(25.0)
+                }],
             ),
         ]);
         let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];
@@ -606,11 +615,17 @@ mod tests {
             let stats = QueryStatistics::new(vec![
                 TableStatistics::new(
                     n_r,
-                    vec![ColumnStatistics::with_distinct(d_r).with_max_frequency(mf_r)],
+                    vec![ColumnStatistics {
+                        max_frequency: Some(mf_r),
+                        ..ColumnStatistics::with_distinct(d_r)
+                    }],
                 ),
                 TableStatistics::new(
                     n_s,
-                    vec![ColumnStatistics::with_distinct(d_s).with_max_frequency(mf_s)],
+                    vec![ColumnStatistics {
+                        max_frequency: Some(mf_s),
+                        ..ColumnStatistics::with_distinct(d_s)
+                    }],
                 ),
             ]);
             let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];

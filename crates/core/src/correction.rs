@@ -5,7 +5,7 @@
 //! feedback loop plugs into — a [`CorrectionSource`] supplies
 //! multiplicative correction factors learned from executed queries, and
 //! the corrected variants in [`crate::local_effects`] and
-//! [`crate::join_sel`] multiply them into the Step 3/Step 5 selectivities
+//! `crate::join_sel` multiply them into the Step 3/Step 5 selectivities
 //! *before* clamping. The Section 4 incremental machinery (Step 6, rule
 //! LS) is untouched: within a class every implied predicate receives the
 //! same factor, so the LS max-selection ordering is preserved.
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn fingerprint_covers_null_tests_and_ignores_join_predicates() {
         let preds = vec![
-            Predicate::is_null(c(0, 1)),
+            Predicate::IsNull { column: c(0, 1), negated: false },
             Predicate::is_not_null(c(0, 2)),
             Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
         ];

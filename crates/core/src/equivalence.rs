@@ -16,7 +16,7 @@ use crate::predicate::Predicate;
 
 /// Union-find over column references.
 #[derive(Debug, Clone, Default)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     index: HashMap<ColumnRef, usize>,
     parent: Vec<usize>,
     size: Vec<usize>,
@@ -24,12 +24,12 @@ pub struct UnionFind {
 
 impl UnionFind {
     /// Create an empty structure.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         UnionFind::default()
     }
 
     /// Ensure `c` is tracked, returning its slot.
-    pub fn insert(&mut self, c: ColumnRef) -> usize {
+    pub(crate) fn insert(&mut self, c: ColumnRef) -> usize {
         if let Some(&i) = self.index.get(&c) {
             return i;
         }
@@ -56,7 +56,7 @@ impl UnionFind {
     }
 
     /// Merge the classes of `a` and `b`.
-    pub fn union(&mut self, a: ColumnRef, b: ColumnRef) {
+    pub(crate) fn union(&mut self, a: ColumnRef, b: ColumnRef) {
         let (ia, ib) = (self.insert(a), self.insert(b));
         let (ra, rb) = (self.find_slot(ia), self.find_slot(ib));
         if ra == rb {
@@ -75,16 +75,8 @@ impl UnionFind {
         }
     }
 
-    /// True when `a` and `b` are known and in the same class.
-    pub fn connected(&mut self, a: ColumnRef, b: ColumnRef) -> bool {
-        match (self.index.get(&a).copied(), self.index.get(&b).copied()) {
-            (Some(ia), Some(ib)) => self.find_slot(ia) == self.find_slot(ib),
-            _ => false,
-        }
-    }
-
     /// All tracked columns.
-    pub fn columns(&self) -> impl Iterator<Item = ColumnRef> + '_ {
+    pub(crate) fn columns(&self) -> impl Iterator<Item = ColumnRef> + '_ {
         self.index.keys().copied()
     }
 }
@@ -105,20 +97,7 @@ pub struct EquivalenceClasses {
 impl EquivalenceClasses {
     /// Build classes from the column-equality predicates in `predicates`
     /// (non-equality predicates are ignored).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use els_core::{equivalence::EquivalenceClasses, ColumnRef, Predicate};
-    /// let preds = vec![
-    ///     Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
-    ///     Predicate::col_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
-    /// ];
-    /// let classes = EquivalenceClasses::from_predicates(&preds);
-    /// assert_eq!(classes.len(), 1);
-    /// assert!(classes.equivalent(ColumnRef::new(0, 0), ColumnRef::new(2, 0)));
-    /// ```
-    pub fn from_predicates(predicates: &[Predicate]) -> Self {
+    pub(crate) fn from_predicates(predicates: &[Predicate]) -> Self {
         let mut uf = UnionFind::new();
         for p in predicates {
             if let Predicate::LocalColEq { left, right } | Predicate::JoinEq { left, right } = p {
@@ -129,7 +108,7 @@ impl EquivalenceClasses {
     }
 
     /// Collapse a union-find into dense, sorted classes.
-    pub fn from_union_find(mut uf: UnionFind) -> Self {
+    pub(crate) fn from_union_find(mut uf: UnionFind) -> Self {
         let cols: Vec<ColumnRef> = uf.columns().collect();
         let mut groups: HashMap<usize, Vec<ColumnRef>> = HashMap::new();
         for c in cols {
@@ -157,16 +136,6 @@ impl EquivalenceClasses {
         EquivalenceClasses { classes, by_column }
     }
 
-    /// Number of (non-singleton) classes.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// True when there are no non-singleton classes.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
     /// The class containing `column`, if any.
     pub fn class_of(&self, column: ColumnRef) -> Option<ClassId> {
         self.by_column.get(&column).copied()
@@ -182,19 +151,6 @@ impl EquivalenceClasses {
     pub fn iter(&self) -> impl Iterator<Item = (ClassId, &[ColumnRef])> + '_ {
         self.classes.iter().enumerate().map(|(i, m)| (ClassId(i), m.as_slice()))
     }
-
-    /// True when the two columns are j-equivalent.
-    pub fn equivalent(&self, a: ColumnRef, b: ColumnRef) -> bool {
-        match (self.class_of(a), self.class_of(b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
-
-    /// Members of `class` that belong to `table`.
-    pub fn members_in_table(&self, class: ClassId, table: usize) -> Vec<ColumnRef> {
-        self.members(class).iter().copied().filter(|c| c.table == table).collect()
-    }
 }
 
 #[cfg(test)]
@@ -206,20 +162,28 @@ mod tests {
         ColumnRef::new(t, col)
     }
 
+    /// True when the two columns are in one class.
+    fn equivalent(ec: &EquivalenceClasses, a: ColumnRef, b: ColumnRef) -> bool {
+        ec.class_of(a).is_some() && ec.class_of(a) == ec.class_of(b)
+    }
+
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new();
         uf.union(c(0, 0), c(1, 0));
         uf.union(c(1, 0), c(2, 0));
-        assert!(uf.connected(c(0, 0), c(2, 0)));
-        assert!(!uf.connected(c(0, 0), c(3, 0)));
+        uf.insert(c(3, 0));
+        let ec = EquivalenceClasses::from_union_find(uf);
+        assert!(equivalent(&ec, c(0, 0), c(2, 0)));
+        assert!(!equivalent(&ec, c(0, 0), c(3, 0)));
     }
 
     #[test]
     fn unknown_columns_are_not_connected() {
         let mut uf = UnionFind::new();
         uf.insert(c(0, 0));
-        assert!(!uf.connected(c(0, 0), c(9, 9)));
+        let ec = EquivalenceClasses::from_union_find(uf);
+        assert!(!equivalent(&ec, c(0, 0), c(9, 9)));
     }
 
     #[test]
@@ -230,9 +194,9 @@ mod tests {
             Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
         ];
         let ec = EquivalenceClasses::from_predicates(&preds);
-        assert_eq!(ec.len(), 1);
+        assert_eq!(ec.iter().count(), 1);
         assert_eq!(ec.members(ClassId(0)), &[c(0, 0), c(1, 0), c(2, 0)]);
-        assert!(ec.equivalent(c(0, 0), c(2, 0)));
+        assert!(equivalent(&ec, c(0, 0), c(2, 0)));
     }
 
     #[test]
@@ -242,8 +206,8 @@ mod tests {
             Predicate::col_eq(c(0, 1), c(2, 0)).unwrap(),
         ];
         let ec = EquivalenceClasses::from_predicates(&preds);
-        assert_eq!(ec.len(), 2);
-        assert!(!ec.equivalent(c(1, 0), c(2, 0)));
+        assert_eq!(ec.iter().count(), 2);
+        assert!(!equivalent(&ec, c(1, 0), c(2, 0)));
         // Deterministic numbering: class of R0.c0 comes first.
         assert_eq!(ec.class_of(c(0, 0)), Some(ClassId(0)));
         assert_eq!(ec.class_of(c(0, 1)), Some(ClassId(1)));
@@ -257,15 +221,15 @@ mod tests {
             Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
         ];
         let ec = EquivalenceClasses::from_predicates(&preds);
-        assert_eq!(ec.len(), 1);
-        assert_eq!(ec.members_in_table(ClassId(0), 1), vec![c(1, 0), c(1, 1)]);
+        assert_eq!(ec.iter().count(), 1);
+        assert_eq!(ec.members(ClassId(0)), &[c(0, 0), c(1, 0), c(1, 1)]);
     }
 
     #[test]
     fn local_cmp_does_not_create_classes() {
         let preds = vec![Predicate::local_cmp(c(0, 0), crate::CmpOp::Eq, 5i64)];
         let ec = EquivalenceClasses::from_predicates(&preds);
-        assert!(ec.is_empty());
+        assert_eq!(ec.iter().count(), 0);
         assert_eq!(ec.class_of(c(0, 0)), None);
     }
 
@@ -275,7 +239,7 @@ mod tests {
         uf.insert(c(0, 0));
         uf.union(c(1, 0), c(2, 0));
         let ec = EquivalenceClasses::from_union_find(uf);
-        assert_eq!(ec.len(), 1);
+        assert_eq!(ec.iter().count(), 1);
         assert_eq!(ec.class_of(c(0, 0)), None);
     }
 

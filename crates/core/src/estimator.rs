@@ -5,7 +5,7 @@
 //! cardinalities, the column cardinalities to plug into Equation 2, the
 //! equivalence classes, and the annotated join predicates. A [`JoinState`]
 //! is an immutable snapshot of one intermediate result (a set of joined
-//! tables plus its estimated cardinality); [`PreparedQuery::join`] extends a
+//! tables plus its estimated cardinality); `PreparedQuery::join` extends a
 //! state by one table, the access pattern of every System-R style
 //! enumerator.
 //!
@@ -67,22 +67,12 @@ impl JoinState {
     }
 
     /// True when `table` is part of this state.
-    pub fn contains(&self, table: TableId) -> bool {
+    pub(crate) fn contains(&self, table: TableId) -> bool {
         table < MAX_TABLES && self.tables & (1 << table) != 0
     }
 
-    /// The tables in this state, ascending.
-    pub fn tables(&self) -> Vec<TableId> {
-        (0..MAX_TABLES).filter(|t| self.contains(*t)).collect()
-    }
-
-    /// Number of tables in the state.
-    pub fn len(&self) -> usize {
-        self.tables.count_ones() as usize
-    }
-
     /// True when the state is empty (no tables yet).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.tables == 0
     }
 }
@@ -99,7 +89,7 @@ pub struct ClassChoice {
 }
 
 /// Diagnostic record of one join step (see
-/// [`PreparedQuery::explain_join`]).
+/// `PreparedQuery::explain_join`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinStepExplanation {
     /// The table being joined in.
@@ -263,7 +253,10 @@ impl PreparedQuery {
 
     /// Attach annotated inequality join predicates (builder style).
     #[must_use]
-    pub fn with_range_predicates(mut self, range_predicates: Vec<RangePredicateInfo>) -> Self {
+    pub(crate) fn with_range_predicates(
+        mut self,
+        range_predicates: Vec<RangePredicateInfo>,
+    ) -> Self {
         self.range_edges = range_predicates
             .iter()
             .map(|p| Edge::new(p.left.table, p.right.table, p.selectivity))
@@ -273,7 +266,7 @@ impl PreparedQuery {
     }
 
     /// Number of tables in the query.
-    pub fn num_tables(&self) -> usize {
+    pub(crate) fn num_tables(&self) -> usize {
         self.table_cardinality.len()
     }
 
@@ -288,24 +281,14 @@ impl PreparedQuery {
         &self.join_predicates
     }
 
-    /// The annotated inequality join predicates.
-    pub fn range_predicates(&self) -> &[RangePredicateInfo] {
-        &self.range_predicates
-    }
-
-    /// The selectivity-choice rule in force.
-    pub fn rule(&self) -> SelectivityRule {
-        self.rule
-    }
-
     /// True when every join set's estimate is a function of the set alone,
     /// to the bit: Rule LS, and every equivalence class a clique whose pair
     /// selectivities are `min(s_i, s_j)` for per-table values `s` (paper
     /// Section 7: the estimate is then Equation 3 over the set, whatever
     /// order built it). Such a query computes each set's size along one
-    /// canonical order, ascending tables: [`PreparedQuery::join`] with a
+    /// canonical order, ascending tables: `PreparedQuery::join` with a
     /// table above every table of the state is the incremental step, and
-    /// every other `join` or [`PreparedQuery::join_sets`] recomputes that
+    /// every other `join` or `PreparedQuery::join_sets` recomputes that
     /// canonical chain. Derived from the query; nothing can set it.
     pub fn order_independent(&self) -> bool {
         self.order_independent
@@ -326,7 +309,7 @@ impl PreparedQuery {
     }
 
     /// Start a join with a single base table.
-    pub fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
+    pub(crate) fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
         let cardinality = self.checked_base(table)?;
         Ok(JoinState { tables: 1 << table, cardinality })
     }
@@ -385,7 +368,7 @@ impl PreparedQuery {
     /// [`PreparedQuery::join_sets`] with `table`'s initial state; when the
     /// query is [order independent](PreparedQuery::order_independent), equal
     /// to the bit to any other way of building the same set.
-    pub fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
+    pub(crate) fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
         let base = self.checked_base(table)?;
         if state.contains(table) {
             return Err(ElsError::InvalidJoinStep { table, reason: "table already joined" });
@@ -430,7 +413,7 @@ impl PreparedQuery {
     /// computes the same numbers (for an order-independent query, along
     /// the set's canonical order, so `cardinality_after` may differ from
     /// `before · base · chosen` in the last bits).
-    pub fn explain_join(
+    pub(crate) fn explain_join(
         &self,
         state: &JoinState,
         table: TableId,
@@ -469,7 +452,7 @@ impl PreparedQuery {
     /// with per-side class minima `m_a`, `m_b`, the largest eligible
     /// selectivity is `1/max(m_a, m_b)`, which stitches the two partial
     /// denominators into the full all-but-global-min product.
-    pub fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
+    pub(crate) fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
         if a.tables & b.tables != 0 {
             return Err(ElsError::InvalidJoinStep {
                 table: (a.tables & b.tables).trailing_zeros() as usize,
@@ -617,7 +600,7 @@ mod tests {
             right: c(1, 0),
             selectivity: 0.25,
         }]);
-        assert_eq!(q.range_predicates().len(), 1);
+        assert_eq!(q.range_predicates.len(), 1);
         // Crossing step applies the 0.25; the unrelated table does not.
         let s = q.initial_state(0).unwrap();
         let s01 = q.join(&s, 1).unwrap();
@@ -653,9 +636,8 @@ mod tests {
         let s = q.initial_state(1).unwrap();
         assert!(s.contains(1));
         assert!(!s.contains(0));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.table_mask(), 0b010);
         let s = q.join(&s, 2).unwrap();
-        assert_eq!(s.tables(), vec![1, 2]);
         assert_eq!(s.table_mask(), 0b110);
     }
 

@@ -23,7 +23,7 @@ pub fn two_way(r1: f64, d1: f64, r2: f64, d2: f64) -> f64 {
 }
 
 /// Equation 2's selectivity form: `S_J = 1/max(d1, d2)`. Identical to
-/// [`crate::join_sel::join_selectivity`]; re-exported here so the equation
+/// `crate::join_sel::join_selectivity`; re-exported here so the equation
 /// set is complete in one module.
 pub fn selectivity(d1: f64, d2: f64) -> f64 {
     crate::join_sel::join_selectivity(d1, d2)

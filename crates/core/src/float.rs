@@ -7,41 +7,17 @@
 //! float equality outside this module; callers say *which* comparison they
 //! mean:
 //!
-//! * [`exactly_zero`] / [`exactly_one`] — sentinel checks against values
-//!   the code itself assigned (a cardinality set to literal `0.0`, an
-//!   empty-product selectivity of `1.0`). These are bit-exact on purpose:
-//!   the sentinel is stored, never computed.
-//! * [`approx_eq`] — tolerance comparison for values that went through
-//!   arithmetic.
+//! [`exactly_zero`] is a sentinel check against a value the code itself
+//! assigned (a cardinality set to literal `0.0`). It is bit-exact on
+//! purpose: the sentinel is stored, never computed. A value that went
+//! through arithmetic is compared against a magnitude threshold instead.
 
 /// `x` is the stored sentinel `0.0` (either sign). Use only for values
 /// assigned from a literal, never for computed results — for those, use
-/// [`approx_eq`]`(x, 0.0)` or a magnitude threshold.
+/// a magnitude threshold.
 #[inline]
-pub fn exactly_zero(x: f64) -> bool {
+pub(crate) fn exactly_zero(x: f64) -> bool {
     x == 0.0
-}
-
-/// `x` is the stored sentinel `1.0`. Same contract as [`exactly_zero`]:
-/// the value must have been assigned, not computed.
-#[inline]
-pub fn exactly_one(x: f64) -> bool {
-    x == 1.0
-}
-
-/// `a` and `b` agree to within a relative tolerance of 1e-12 (absolute
-/// near zero). NaN compares unequal to everything, including itself.
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    const TOL: f64 = 1e-12;
-    if a == b {
-        return true; // handles infinities and exact hits
-    }
-    if !a.is_finite() || !b.is_finite() {
-        return false; // distinct infinities / NaN; no tolerance applies
-    }
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= TOL * scale
 }
 
 #[cfg(test)]
@@ -53,17 +29,5 @@ mod tests {
         assert!(exactly_zero(0.0));
         assert!(exactly_zero(-0.0));
         assert!(!exactly_zero(1e-300));
-        assert!(exactly_one(1.0));
-        assert!(!exactly_one(1.0 + f64::EPSILON));
-    }
-
-    #[test]
-    fn approx_eq_tolerates_ulp_noise_but_not_nan() {
-        assert!(approx_eq(0.1 + 0.2, 0.3));
-        assert!(approx_eq(1e300, 1e300));
-        assert!(approx_eq(f64::INFINITY, f64::INFINITY));
-        assert!(!approx_eq(1.0, 1.0 + 1e-6));
-        assert!(!approx_eq(f64::NAN, f64::NAN));
-        assert!(!approx_eq(f64::INFINITY, f64::NEG_INFINITY));
     }
 }

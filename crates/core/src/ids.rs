@@ -33,7 +33,7 @@ impl fmt::Display for ColumnRef {
 }
 
 /// Identifier of a j-equivalence class (dense indices assigned by
-/// [`crate::equivalence::EquivalenceClasses`]).
+/// `crate::equivalence::EquivalenceClasses`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClassId(pub usize);
 

@@ -23,13 +23,7 @@ use crate::stats::QueryStatistics;
 /// Equation 2: selectivity of one join predicate from its two column
 /// cardinalities. Returns 0 when either column is empty (an empty side makes
 /// the join empty, which a factor of 0 propagates).
-/// # Examples
-///
-/// ```
-/// use els_core::join_sel::join_selectivity;
-/// assert_eq!(join_selectivity(10.0, 100.0), 0.01); // Example 1b's J1
-/// ```
-pub fn join_selectivity(d_left: f64, d_right: f64) -> f64 {
+pub(crate) fn join_selectivity(d_left: f64, d_right: f64) -> f64 {
     let m = d_left.max(d_right);
     if d_left <= 0.0 || d_right <= 0.0 {
         return 0.0;
@@ -53,7 +47,7 @@ pub struct JoinPredicateInfo {
 /// Annotate every [`Predicate::JoinEq`] in `predicates` with its class and
 /// selectivity. `distinct_of` supplies the column cardinality to use (the
 /// caller decides between effective and original values).
-pub fn annotate_join_predicates(
+pub(crate) fn annotate_join_predicates(
     predicates: &[Predicate],
     classes: &EquivalenceClasses,
     mut distinct_of: impl FnMut(ColumnRef) -> f64,
@@ -82,7 +76,7 @@ pub fn annotate_join_predicates(
 /// uniform scaling that preserves the relative ordering rule LS selects
 /// by, which is why corrections compose with the paper's Step 6 instead
 /// of replacing it.
-pub fn annotate_join_predicates_corrected(
+pub(crate) fn annotate_join_predicates_corrected(
     predicates: &[Predicate],
     classes: &EquivalenceClasses,
     distinct_of: impl FnMut(ColumnRef) -> f64,
@@ -104,7 +98,7 @@ pub fn annotate_join_predicates_corrected(
 /// each one multiplies its selectivity into the step that first crosses it,
 /// like an extra restriction on the cross product.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RangePredicateInfo {
+pub(crate) struct RangePredicateInfo {
     /// Left column (lower-numbered table).
     pub left: ColumnRef,
     /// The range operator.
@@ -120,7 +114,7 @@ pub struct RangePredicateInfo {
 /// consulted first, then the uniform-domain model over the base column
 /// statistics, and finally the feedback correction for the predicate's
 /// inequality key is multiplied in and the result clamped to `[0, 1]`.
-pub fn annotate_range_predicates(
+pub(crate) fn annotate_range_predicates(
     predicates: &[Predicate],
     stats: &QueryStatistics,
     oracle: &dyn SelectivityOracle,

@@ -12,11 +12,11 @@
 //!
 //! | Step | Paper | Module |
 //! |---|---|---|
-//! | 1 | deduplicate predicates, build equivalence classes | [`predicate`], [`equivalence`] |
+//! | 1 | deduplicate predicates, build equivalence classes | [`predicate`], `equivalence` |
 //! | 2 | predicate transitive closure (five implication rules) | [`closure`] |
 //! | 3 | local-predicate selectivities (incl. multiple predicates per column) | [`selectivity`] |
 //! | 4 | effective table/column cardinalities after local predicates (urn model) | [`local_effects`], [`urn`] |
-//! | 5 | join selectivities, incl. j-equivalent columns in a single table | [`join_sel`], [`same_table`] |
+//! | 5 | join selectivities, incl. j-equivalent columns in a single table | `join_sel`, `same_table` |
 //! | 6 | incremental result sizes with rule **LS** (largest selectivity) | [`estimator`], [`rules`] |
 //!
 //! The crate also implements the *incorrect* alternatives the paper compares
@@ -79,29 +79,30 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 // The estimator path casts nothing it cannot prove fits.
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 #![deny(unsafe_code)]
 
-pub mod algorithm;
-pub mod cardinality;
+mod algorithm;
+mod cardinality;
 pub mod closure;
 pub mod correction;
-pub mod equivalence;
-pub mod error;
+mod equivalence;
+mod error;
 mod error_model;
 pub mod estimator;
 pub mod exact;
-pub mod explain;
-pub mod float;
-pub mod ids;
-pub mod join_sel;
+mod explain;
+mod float;
+mod ids;
+mod join_sel;
 pub mod local_effects;
 pub mod predicate;
 pub mod rules;
-pub mod same_table;
+mod same_table;
 pub mod selectivity;
-pub mod stats;
+mod stats;
 pub mod sync;
 pub mod urn;
 

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use crate::correction::{scan_fingerprint, CorrectionSource, NoCorrections};
+use crate::correction::{scan_fingerprint, CorrectionSource};
 use crate::error::{ElsError, ElsResult};
 use crate::float::exactly_zero;
 use crate::ids::ColumnRef;
@@ -71,14 +71,8 @@ pub struct EffectiveStats {
 }
 
 impl EffectiveStats {
-    /// Effective cardinality ‖R‖′ of a table (0.0 for an unknown table —
-    /// an out-of-range lookup degrades, it does not panic).
-    pub fn cardinality(&self, table: usize) -> f64 {
-        self.tables.get(table).map_or(0.0, |t| t.cardinality)
-    }
-
     /// Effective distinct count d′ of a column (0.0 when unknown).
-    pub fn distinct(&self, c: ColumnRef) -> f64 {
+    pub(crate) fn distinct(&self, c: ColumnRef) -> f64 {
         self.tables
             .get(c.table)
             .and_then(|t| t.column_distinct.get(c.column))
@@ -89,7 +83,7 @@ impl EffectiveStats {
 
     /// Original (pre-predicate) distinct count of a column (0.0 when
     /// unknown).
-    pub fn original_distinct(&self, c: ColumnRef) -> f64 {
+    pub(crate) fn original_distinct(&self, c: ColumnRef) -> f64 {
         self.tables
             .get(c.table)
             .and_then(|t| t.original_distinct.get(c.column))
@@ -104,21 +98,13 @@ impl EffectiveStats {
 /// Section 8 `m < 100` are present). Only [`Predicate::LocalCmp`] conjuncts
 /// are consumed here; local column equalities are the business of Step 5
 /// ([`crate::same_table`]).
-pub fn compute_effective_stats(
-    predicates: &[Predicate],
-    stats: &QueryStatistics,
-    oracle: &dyn SelectivityOracle,
-    reduction: DistinctReduction,
-) -> ElsResult<EffectiveStats> {
-    compute_effective_stats_corrected(predicates, stats, oracle, reduction, &NoCorrections)
-}
-
-/// [`compute_effective_stats`] with a feedback hook: after a table's local
-/// selectivity is resolved, a published scan correction (keyed by the
-/// table's [`scan_fingerprint`]) is multiplied in and the product clamped
-/// back into `[0, 1]`, so learned corrections adjust ‖R‖′ — and,
-/// downstream, the urn bounds — without touching the Step 3/4 machinery.
-pub fn compute_effective_stats_corrected(
+///
+/// The feedback hook: after a table's local selectivity is resolved, a
+/// published scan correction (keyed by the table's [`scan_fingerprint`]) is
+/// multiplied in and the product clamped back into `[0, 1]`, so learned
+/// corrections adjust ‖R‖′ — and, downstream, the urn bounds — without
+/// touching the Step 3/4 machinery.
+pub(crate) fn compute_effective_stats(
     predicates: &[Predicate],
     stats: &QueryStatistics,
     oracle: &dyn SelectivityOracle,
@@ -282,6 +268,8 @@ pub fn compute_effective_stats_corrected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correction::NoCorrections;
+    use crate::local_effects::DistinctReduction::{Proportional, UrnModel};
     use crate::predicate::CmpOp;
     use crate::selectivity::NoOracle;
     use crate::stats::{ColumnStatistics, TableStatistics};
@@ -302,8 +290,8 @@ mod tests {
     fn no_predicates_changes_nothing() {
         let stats = one_table(1000.0, &[100.0, 1000.0]);
         let eff =
-            compute_effective_stats(&[], &stats, &NoOracle, DistinctReduction::UrnModel).unwrap();
-        assert_eq!(eff.cardinality(0), 1000.0);
+            compute_effective_stats(&[], &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 1000.0);
         assert_eq!(eff.distinct(c(0, 0)), 100.0);
         assert_eq!(eff.distinct(c(0, 1)), 1000.0);
         assert_eq!(eff.tables[0].local_selectivity, 1.0);
@@ -314,9 +302,9 @@ mod tests {
         // ||S|| = 1000, d_s = 1000, s < 100 -> ||S||' = 100, d_s' = 100.
         let stats = one_table(1000.0, &[1000.0]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64)];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
-        assert_eq!(eff.cardinality(0), 100.0);
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 100.0);
         assert_eq!(eff.distinct(c(0, 0)), 100.0);
         assert_eq!(eff.tables[0].local_selectivity, 0.1);
     }
@@ -325,10 +313,10 @@ mod tests {
     fn equality_predicate_pins_distinct_to_one() {
         let stats = one_table(1000.0, &[100.0, 500.0]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Eq, 7i64)];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         // ||R||' = 1000/100 = 10 (uniformity), d0' = 1.
-        assert_eq!(eff.cardinality(0), 10.0);
+        assert_eq!(eff.tables[0].cardinality, 10.0);
         assert_eq!(eff.distinct(c(0, 0)), 1.0);
         // The untouched column is urn-reduced: urn(500, 10) = 10 (ceil) —
         // ten tuples can hold at most ten distinct values.
@@ -344,12 +332,11 @@ mod tests {
         // Predicate on column 1 (a key) keeping half the rows: v < 50000.
         let preds = vec![Predicate::local_cmp(c(0, 1), CmpOp::Lt, 50_000i64)];
         let eff_urn =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                .unwrap();
-        assert_eq!(eff_urn.cardinality(0), 50_000.0);
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff_urn.tables[0].cardinality, 50_000.0);
         assert_eq!(eff_urn.distinct(c(0, 0)), 9933.0);
         let eff_prop =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::Proportional)
+            compute_effective_stats(&preds, &stats, &NoOracle, Proportional, &NoCorrections)
                 .unwrap();
         assert_eq!(eff_prop.distinct(c(0, 0)), 5000.0);
     }
@@ -360,8 +347,8 @@ mod tests {
         // d_y equals ||R|| (where the urn model would shave ~37%).
         let stats = one_table(1000.0, &[1000.0]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64)];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         assert_eq!(eff.distinct(c(0, 0)), 100.0);
     }
 
@@ -372,10 +359,10 @@ mod tests {
             Predicate::local_cmp(c(0, 0), CmpOp::Eq, 5i64),
             Predicate::local_cmp(c(0, 0), CmpOp::Eq, 6i64),
         ];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         assert!(eff.tables[0].contradiction);
-        assert_eq!(eff.cardinality(0), 0.0);
+        assert_eq!(eff.tables[0].cardinality, 0.0);
         assert_eq!(eff.distinct(c(0, 0)), 0.0);
         assert_eq!(eff.distinct(c(0, 1)), 0.0);
     }
@@ -388,9 +375,9 @@ mod tests {
             Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64),
             Predicate::local_cmp(c(0, 1), CmpOp::Lt, 100i64),
         ];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
-        assert!((eff.cardinality(0) - 10.0).abs() < 1e-9);
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert!((eff.tables[0].cardinality - 10.0).abs() < 1e-9);
         // Own bound for column 0 is 100, but only 10 rows remain.
         assert!(eff.distinct(c(0, 0)) <= 10.0);
         // The bystander column is urn-bounded by the 10 surviving rows.
@@ -401,10 +388,10 @@ mod tests {
     fn distinct_never_exceeds_rows_or_original() {
         let stats = one_table(100.0, &[100.0]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Le, 999i64)];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         assert!(eff.distinct(c(0, 0)) <= 100.0);
-        assert!(eff.distinct(c(0, 0)) <= eff.cardinality(0));
+        assert!(eff.distinct(c(0, 0)) <= eff.tables[0].cardinality);
     }
 
     #[test]
@@ -414,10 +401,10 @@ mod tests {
             TableStatistics::new(500.0, vec![ColumnStatistics::with_domain(500.0, 0.0, 499.0)]),
         ]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64)];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
-        assert_eq!(eff.cardinality(0), 100.0);
-        assert_eq!(eff.cardinality(1), 500.0);
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 100.0);
+        assert_eq!(eff.tables[1].cardinality, 500.0);
         assert_eq!(eff.distinct(c(1, 0)), 500.0);
     }
 
@@ -425,10 +412,10 @@ mod tests {
     fn is_null_keeps_only_the_null_fraction() {
         let mut stats = one_table(1000.0, &[100.0, 50.0]);
         stats.tables[0].columns[0].null_fraction = 0.2;
-        let preds = vec![Predicate::is_null(c(0, 0))];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
-        assert_eq!(eff.cardinality(0), 200.0);
+        let preds = vec![Predicate::IsNull { column: c(0, 0), negated: false }];
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 200.0);
         // The IS NULL column carries no joinable values.
         assert_eq!(eff.distinct(c(0, 0)), 0.0);
         // Bystander columns shrink with the table.
@@ -440,9 +427,9 @@ mod tests {
         let mut stats = one_table(1000.0, &[100.0]);
         stats.tables[0].columns[0].null_fraction = 0.25;
         let preds = vec![Predicate::is_not_null(c(0, 0))];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
-        assert_eq!(eff.cardinality(0), 750.0);
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 750.0);
         // All distinct (non-NULL) values survive.
         assert_eq!(eff.distinct(c(0, 0)), 100.0);
     }
@@ -454,19 +441,18 @@ mod tests {
         for extra in
             [Predicate::local_cmp(c(0, 0), CmpOp::Lt, 10i64), Predicate::is_not_null(c(0, 0))]
         {
-            let preds = vec![Predicate::is_null(c(0, 0)), extra];
-            let eff =
-                compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                    .unwrap();
+            let preds = vec![Predicate::IsNull { column: c(0, 0), negated: false }, extra];
+            let eff = compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections)
+                .unwrap();
             assert!(eff.tables[0].contradiction);
-            assert_eq!(eff.cardinality(0), 0.0);
+            assert_eq!(eff.tables[0].cardinality, 0.0);
         }
         // IS NULL on a column with no NULLs empties the table too.
         let stats = one_table(1000.0, &[100.0]);
-        let preds = vec![Predicate::is_null(c(0, 0))];
-        let eff = compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .unwrap();
-        assert_eq!(eff.cardinality(0), 0.0);
+        let preds = vec![Predicate::IsNull { column: c(0, 0), negated: false }];
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 0.0);
     }
 
     #[test]
@@ -478,11 +464,11 @@ mod tests {
         let cmp_only = vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64)];
         let both =
             vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64), Predicate::is_not_null(c(0, 0))];
-        let a = compute_effective_stats(&cmp_only, &stats, &NoOracle, DistinctReduction::UrnModel)
+        let a = compute_effective_stats(&cmp_only, &stats, &NoOracle, UrnModel, &NoCorrections)
             .unwrap();
         let b =
-            compute_effective_stats(&both, &stats, &NoOracle, DistinctReduction::UrnModel).unwrap();
-        assert_eq!(a.cardinality(0), b.cardinality(0));
+            compute_effective_stats(&both, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(a.tables[0].cardinality, b.tables[0].cardinality);
     }
 
     #[test]
@@ -504,7 +490,7 @@ mod tests {
         }
         let stats = one_table(1000.0, &[100.0, 500.0]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 10i64)];
-        let err = compute_effective_stats(&preds, &stats, &NanOracle, DistinctReduction::UrnModel)
+        let err = compute_effective_stats(&preds, &stats, &NanOracle, UrnModel, &NoCorrections)
             .unwrap_err();
         assert!(
             matches!(err, crate::error::ElsError::DegenerateStats(_)),
@@ -532,9 +518,9 @@ mod tests {
         }
         let stats = one_table(1000.0, &[100.0]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 10i64)];
-        let eff = compute_effective_stats(&preds, &stats, &NegOracle, DistinctReduction::UrnModel)
-            .unwrap();
-        assert_eq!(eff.cardinality(0), 0.0);
+        let eff =
+            compute_effective_stats(&preds, &stats, &NegOracle, UrnModel, &NoCorrections).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 0.0);
         assert_eq!(eff.distinct(c(0, 0)), 0.0);
     }
 
@@ -553,38 +539,24 @@ mod tests {
         }
         let stats = one_table(1000.0, &[1000.0]);
         let preds = vec![Predicate::local_cmp(c(0, 0), CmpOp::Lt, 100i64)];
-        let eff = crate::local_effects::compute_effective_stats_corrected(
-            &preds,
-            &stats,
-            &NoOracle,
-            DistinctReduction::UrnModel,
-            &Fixed(3.0),
-        )
-        .unwrap();
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &Fixed(3.0)).unwrap();
         // Uncorrected: 0.1 · 1000 = 100; corrected: 0.3 · 1000 = 300.
-        assert!((eff.cardinality(0) - 300.0).abs() < 1e-9, "got {}", eff.cardinality(0));
+        assert!(
+            (eff.tables[0].cardinality - 300.0).abs() < 1e-9,
+            "got {}",
+            eff.tables[0].cardinality
+        );
         assert!((eff.tables[0].local_selectivity - 0.3).abs() < 1e-12);
         // Corrections clamp into [0, 1]: a 100x factor caps at the full
         // table, and degenerate factors are ignored.
-        let eff = crate::local_effects::compute_effective_stats_corrected(
-            &preds,
-            &stats,
-            &NoOracle,
-            DistinctReduction::UrnModel,
-            &Fixed(100.0),
-        )
-        .unwrap();
-        assert_eq!(eff.cardinality(0), 1000.0);
+        let eff =
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &Fixed(100.0)).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 1000.0);
         for bad in [f64::NAN, 0.0, -2.0, f64::INFINITY] {
-            let eff = crate::local_effects::compute_effective_stats_corrected(
-                &preds,
-                &stats,
-                &NoOracle,
-                DistinctReduction::UrnModel,
-                &Fixed(bad),
-            )
-            .unwrap();
-            assert_eq!(eff.cardinality(0), 100.0, "correction {bad} must be ignored");
+            let eff =
+                compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &Fixed(bad)).unwrap();
+            assert_eq!(eff.tables[0].cardinality, 100.0, "correction {bad} must be ignored");
         }
     }
 
@@ -600,22 +572,16 @@ mod tests {
             }
         }
         let stats = one_table(1000.0, &[100.0]);
-        let eff = crate::local_effects::compute_effective_stats_corrected(
-            &[],
-            &stats,
-            &NoOracle,
-            DistinctReduction::UrnModel,
-            &Panicky,
-        )
-        .unwrap();
-        assert_eq!(eff.cardinality(0), 1000.0);
+        let eff = compute_effective_stats(&[], &stats, &NoOracle, UrnModel, &Panicky).unwrap();
+        assert_eq!(eff.tables[0].cardinality, 1000.0);
     }
 
     #[test]
     fn invalid_predicate_indices_are_rejected() {
         let stats = one_table(10.0, &[10.0]);
         let preds = vec![Predicate::local_cmp(c(2, 0), CmpOp::Eq, 1i64)];
-        assert!(compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-            .is_err());
+        assert!(
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).is_err()
+        );
     }
 }

@@ -64,7 +64,7 @@ impl CmpOp {
     }
 
     /// True for `<`, `<=`, `>`, `>=`.
-    pub fn is_range(self) -> bool {
+    pub(crate) fn is_range(self) -> bool {
         matches!(self, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge)
     }
 
@@ -202,11 +202,6 @@ impl Predicate {
         })
     }
 
-    /// Build `column IS NULL`.
-    pub fn is_null(column: ColumnRef) -> Predicate {
-        Predicate::IsNull { column, negated: false }
-    }
-
     /// Build `column IS NOT NULL`.
     pub fn is_not_null(column: ColumnRef) -> Predicate {
         Predicate::IsNull { column, negated: true }
@@ -216,12 +211,6 @@ impl Predicate {
     /// (equalities and range predicates).
     pub fn is_local(&self) -> bool {
         !matches!(self, Predicate::JoinEq { .. } | Predicate::JoinRange { .. })
-    }
-
-    /// True for column-equality predicates (local or join) — the predicates
-    /// that merge equivalence classes.
-    pub fn is_column_equality(&self) -> bool {
-        matches!(self, Predicate::LocalColEq { .. } | Predicate::JoinEq { .. })
     }
 
     /// The columns this predicate mentions (one or two).
@@ -239,7 +228,7 @@ impl Predicate {
     /// Validate the predicate against the shape of the statistics: all table
     /// and column indices must exist, and the variant must match the operand
     /// tables.
-    pub fn validate(&self, num_columns_per_table: &[usize]) -> ElsResult<()> {
+    pub(crate) fn validate(&self, num_columns_per_table: &[usize]) -> ElsResult<()> {
         let check = |c: ColumnRef| -> ElsResult<()> {
             let ncols =
                 *num_columns_per_table.get(c.table).ok_or(ElsError::UnknownTable(c.table))?;
@@ -305,7 +294,7 @@ impl fmt::Display for Predicate {
 /// Step 1 deduplication: drop predicates identical to an earlier one,
 /// preserving first-occurrence order. Equality is structural on the
 /// *canonicalized* predicates, so `R1.x = R2.y` and `R2.y = R1.x` collapse.
-pub fn dedup_predicates(predicates: &[Predicate]) -> Vec<Predicate> {
+pub(crate) fn dedup_predicates(predicates: &[Predicate]) -> Vec<Predicate> {
     let mut out: Vec<Predicate> = Vec::with_capacity(predicates.len());
     for p in predicates {
         if !out.contains(p) {
@@ -437,7 +426,6 @@ mod tests {
             Predicate::join_range(ColumnRef::new(0, 1), CmpOp::Le, ColumnRef::new(1, 0)).unwrap();
         assert!(p.validate(&shape).is_ok());
         assert!(!p.is_local());
-        assert!(!p.is_column_equality());
         assert_eq!(p.columns(), vec![ColumnRef::new(0, 1), ColumnRef::new(1, 0)]);
         let bad = Predicate::JoinRange {
             left: ColumnRef::new(0, 0),

@@ -53,19 +53,7 @@ impl SelectivityRule {
     /// Earlier revisions only `debug_assert!`ed here, so release builds
     /// silently produced `±inf` from the min/max folds and poisoned every
     /// downstream estimate.
-    ///
-    /// # Examples
-    ///
-    /// The paper's Example 3 choice between J1 (0.01) and J3 (0.001):
-    ///
-    /// ```
-    /// use els_core::SelectivityRule;
-    /// let eligible = [0.01, 0.001];
-    /// assert_eq!(SelectivityRule::LargestSelectivity.combine(&eligible, 0.0), 0.01);
-    /// assert_eq!(SelectivityRule::SmallestSelectivity.combine(&eligible, 0.0), 0.001);
-    /// assert_eq!(SelectivityRule::SmallestSelectivity.combine(&[], 0.0), 1.0);
-    /// ```
-    pub fn combine(self, eligible: &[f64], representative: f64) -> f64 {
+    pub(crate) fn combine(self, eligible: &[f64], representative: f64) -> f64 {
         if eligible.is_empty() && self != SelectivityRule::Representative {
             return 1.0;
         }
@@ -105,7 +93,7 @@ impl RepresentativeStrategy {
     /// (a class with no join predicates filters nothing). This used to be
     /// a `debug_assert!` only, letting release builds return `±inf` from
     /// the min/max folds.
-    pub fn derive(self, class_selectivities: &[f64]) -> f64 {
+    pub(crate) fn derive(self, class_selectivities: &[f64]) -> f64 {
         if class_selectivities.is_empty() {
             return 1.0;
         }

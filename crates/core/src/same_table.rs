@@ -47,7 +47,7 @@ pub struct SameTableAdjustment {
 /// unrelated columns are capped at the new cardinality (a table cannot have
 /// more distinct values than rows). Returns the applied adjustments, in
 /// `(table, class)` order, for inspection and EXPLAIN output.
-pub fn apply_same_table_equivalences(
+pub(crate) fn apply_same_table_equivalences(
     eff: &mut EffectiveStats,
     classes: &EquivalenceClasses,
 ) -> ElsResult<Vec<SameTableAdjustment>> {
@@ -115,7 +115,9 @@ pub fn apply_same_table_equivalences(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local_effects::{compute_effective_stats, DistinctReduction};
+    use crate::correction::NoCorrections;
+    use crate::local_effects::compute_effective_stats;
+    use crate::local_effects::DistinctReduction::UrnModel;
     use crate::predicate::Predicate;
     use crate::selectivity::NoOracle;
     use crate::stats::{ColumnStatistics, QueryStatistics, TableStatistics};
@@ -146,8 +148,7 @@ mod tests {
         let (stats, preds) = section6_setup();
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                .unwrap();
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         let adj = apply_same_table_equivalences(&mut eff, &classes).unwrap();
         assert_eq!(adj.len(), 1);
         let a = &adj[0];
@@ -160,9 +161,9 @@ mod tests {
         // Both member columns now carry the group cardinality.
         assert_eq!(eff.distinct(c(1, 0)), 9.0);
         assert_eq!(eff.distinct(c(1, 1)), 9.0);
-        assert_eq!(eff.cardinality(1), 20.0);
+        assert_eq!(eff.tables[1].cardinality, 20.0);
         // R1 untouched.
-        assert_eq!(eff.cardinality(0), 100.0);
+        assert_eq!(eff.tables[0].cardinality, 100.0);
     }
 
     #[test]
@@ -184,8 +185,7 @@ mod tests {
         ]);
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                .unwrap();
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         let adj = apply_same_table_equivalences(&mut eff, &classes).unwrap();
         assert_eq!(adj.len(), 1);
         assert_eq!(adj[0].cardinality_after, 20.0);
@@ -201,12 +201,11 @@ mod tests {
         let preds = vec![Predicate::col_eq(c(0, 0), c(1, 0)).unwrap()];
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                .unwrap();
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         let adj = apply_same_table_equivalences(&mut eff, &classes).unwrap();
         assert!(adj.is_empty());
-        assert_eq!(eff.cardinality(0), 100.0);
-        assert_eq!(eff.cardinality(1), 200.0);
+        assert_eq!(eff.tables[0].cardinality, 100.0);
+        assert_eq!(eff.tables[1].cardinality, 200.0);
     }
 
     #[test]
@@ -219,8 +218,7 @@ mod tests {
         let preds = vec![Predicate::col_eq(c(0, 0), c(0, 1)).unwrap()];
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                .unwrap();
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         let adj = apply_same_table_equivalences(&mut eff, &classes).unwrap();
         assert_eq!(adj[0].cardinality_after, 1.0);
         assert_eq!(adj[0].join_distinct, 1.0);
@@ -240,12 +238,11 @@ mod tests {
         ]);
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                .unwrap();
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         // Table already empty from the contradiction; adjustment is a no-op
         // skip (cardinality 0 short-circuits).
         let _ = apply_same_table_equivalences(&mut eff, &classes).unwrap();
-        assert_eq!(eff.cardinality(0), 0.0);
+        assert_eq!(eff.tables[0].cardinality, 0.0);
     }
 
     #[test]
@@ -261,10 +258,9 @@ mod tests {
         let preds = vec![Predicate::col_eq(c(0, 0), c(0, 1)).unwrap()];
         let classes = EquivalenceClasses::from_predicates(&preds);
         let mut eff =
-            compute_effective_stats(&preds, &stats, &NoOracle, DistinctReduction::UrnModel)
-                .unwrap();
+            compute_effective_stats(&preds, &stats, &NoOracle, UrnModel, &NoCorrections).unwrap();
         apply_same_table_equivalences(&mut eff, &classes).unwrap();
-        assert_eq!(eff.cardinality(0), 20.0);
+        assert_eq!(eff.tables[0].cardinality, 20.0);
         assert!(eff.distinct(c(0, 2)) <= 20.0);
     }
 }

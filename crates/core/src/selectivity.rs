@@ -79,7 +79,7 @@ impl SelectivityOracle for NoOracle {
 /// fractions scale the result. Falls back to
 /// [`DEFAULT_RANGE_JOIN_SELECTIVITY`] when either domain is unknown; `=` and
 /// `<>` are an [`ElsError::MalformedPredicate`].
-pub fn model_join_range_selectivity(
+pub(crate) fn model_join_range_selectivity(
     left: &ColumnStatistics,
     op: CmpOp,
     right: &ColumnStatistics,
@@ -182,17 +182,7 @@ pub struct ResolvedColumn {
 
 /// Selectivity of a single `column op value` under the uniform-domain model
 /// (oracle misses handled by the caller). Always in `[0, 1]`.
-/// # Examples
-///
-/// The Section 8 filter `s < 100` over 1000 sequential values:
-///
-/// ```
-/// use els_core::{selectivity::model_selectivity, ColumnStatistics, CmpOp};
-/// use els_storage::Value;
-/// let stats = ColumnStatistics::with_domain(1000.0, 0.0, 999.0);
-/// assert_eq!(model_selectivity(&stats, CmpOp::Lt, &Value::Int(100)), 0.1);
-/// ```
-pub fn model_selectivity(stats: &ColumnStatistics, op: CmpOp, value: &Value) -> f64 {
+pub(crate) fn model_selectivity(stats: &ColumnStatistics, op: CmpOp, value: &Value) -> f64 {
     let non_null = 1.0 - stats.null_fraction;
     let d = stats.distinct;
     let sel = match op {
@@ -300,7 +290,7 @@ fn grid_points_below(c: f64, lo: f64, hi: f64, d: f64, strict: bool) -> f64 {
 /// restrictive equality if any exists, otherwise the tightest range-bound
 /// pair; `<>` predicates multiply in their complement. The oracle is
 /// consulted per retained predicate.
-pub fn resolve_column_predicates(
+pub(crate) fn resolve_column_predicates(
     column: ColumnRef,
     stats: &ColumnStatistics,
     preds: &[(CmpOp, Value)],

@@ -52,15 +52,9 @@ impl ColumnStatistics {
         }
     }
 
-    /// Same statistics with the max-frequency statistic attached.
-    pub fn with_max_frequency(mut self, max_frequency: f64) -> Self {
-        self.max_frequency = Some(max_frequency);
-        self
-    }
-
     /// Validate ranges: distinct must be ≥ 0 and finite, null fraction in
-    /// `[0, 1]`, min ≤ max when both present.
-    pub fn validate(&self) -> ElsResult<()> {
+    /// `[0, 1]`, domain bounds finite and min ≤ max when both present.
+    pub(crate) fn validate(&self) -> ElsResult<()> {
         if !self.distinct.is_finite() || self.distinct < 0.0 {
             return Err(ElsError::InvalidStatistics(format!(
                 "distinct count must be finite and non-negative, got {}",
@@ -71,6 +65,11 @@ impl ColumnStatistics {
             return Err(ElsError::InvalidStatistics(format!(
                 "null fraction must be in [0,1], got {}",
                 self.null_fraction
+            )));
+        }
+        if let Some(bound) = self.min.into_iter().chain(self.max).find(|b| !b.is_finite()) {
+            return Err(ElsError::InvalidStatistics(format!(
+                "domain bounds must be finite, got {bound}"
             )));
         }
         if let (Some(lo), Some(hi)) = (self.min, self.max) {
@@ -106,7 +105,7 @@ impl TableStatistics {
 
     /// Validate the table and all its columns. A non-empty table must not
     /// claim more distinct values in a column than it has rows.
-    pub fn validate(&self) -> ElsResult<()> {
+    pub(crate) fn validate(&self) -> ElsResult<()> {
         if !self.cardinality.is_finite() || self.cardinality < 0.0 {
             return Err(ElsError::InvalidStatistics(format!(
                 "table cardinality must be finite and non-negative, got {}",
@@ -145,17 +144,17 @@ impl QueryStatistics {
     }
 
     /// The column counts per table, used to validate predicates.
-    pub fn shape(&self) -> Vec<usize> {
+    pub(crate) fn shape(&self) -> Vec<usize> {
         self.tables.iter().map(|t| t.columns.len()).collect()
     }
 
     /// Statistics of a table.
-    pub fn table(&self, t: TableId) -> ElsResult<&TableStatistics> {
+    pub(crate) fn table(&self, t: TableId) -> ElsResult<&TableStatistics> {
         self.tables.get(t).ok_or(ElsError::UnknownTable(t))
     }
 
     /// Statistics of a column.
-    pub fn column(&self, c: ColumnRef) -> ElsResult<&ColumnStatistics> {
+    pub(crate) fn column(&self, c: ColumnRef) -> ElsResult<&ColumnStatistics> {
         self.table(c.table)?.columns.get(c.column).ok_or(ElsError::UnknownColumn(c))
     }
 
@@ -219,6 +218,19 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_non_finite_bounds() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let high = ColumnStatistics::with_domain(5.0, 0.0, bad);
+            assert!(matches!(high.validate(), Err(ElsError::InvalidStatistics(_))), "max {bad}");
+            let low = ColumnStatistics::with_domain(5.0, bad, 999.0);
+            assert!(matches!(low.validate(), Err(ElsError::InvalidStatistics(_))), "min {bad}");
+            let mut alone = ColumnStatistics::with_distinct(5.0);
+            alone.max = Some(bad);
+            assert!(matches!(alone.validate(), Err(ElsError::InvalidStatistics(_))), "{bad}");
+        }
+    }
+
+    #[test]
     fn validation_rejects_bad_null_fraction() {
         let mut c = ColumnStatistics::with_distinct(5.0);
         c.null_fraction = 1.5;
@@ -227,9 +239,11 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_max_frequency() {
-        let c = ColumnStatistics::with_distinct(5.0).with_max_frequency(-1.0);
+        let c =
+            ColumnStatistics { max_frequency: Some(-1.0), ..ColumnStatistics::with_distinct(5.0) };
         assert!(matches!(c.validate(), Err(ElsError::InvalidStatistics(_))));
-        let ok = ColumnStatistics::with_distinct(5.0).with_max_frequency(3.0);
+        let ok =
+            ColumnStatistics { max_frequency: Some(3.0), ..ColumnStatistics::with_distinct(5.0) };
         assert!(ok.validate().is_ok());
         assert_eq!(ok.max_frequency, Some(3.0));
     }

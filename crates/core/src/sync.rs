@@ -2,10 +2,10 @@
 //! committed lock-acquisition total order and its runtime audit.
 //!
 //! Every shared structure in the engine guarded by a `Mutex`/`RwLock` —
-//! the plan cache, the metrics registry, the feedback store, the shared
-//! catalog — maintains its invariants at every point a panic can unwind
-//! through (plain counters, maps, and copy-on-write snapshots; no
-//! multi-step states held across calls into user code). Poisoning
+//! the plan cache, the feedback store, the shared catalog — maintains its
+//! invariants at every point a panic can unwind through (plain counters,
+//! maps, and copy-on-write snapshots; no multi-step states held across
+//! calls into user code). Poisoning
 //! therefore adds no safety and subtracts a lot of availability: one
 //! panicking worker thread would cascade `PoisonError`s into every other
 //! thread touching the engine. These helpers centralize the decision to
@@ -46,11 +46,11 @@ use std::sync::{
 ///
 /// Rationale for the order: catalog publication (`shared.state`) is the
 /// outermost state transition and may run caller closures under
-/// `SharedCatalog::update`; the plan cache and admission queue are
+/// `SharedCatalog::try_update`; the plan cache and admission queue are
 /// mid-level control structures, and a plan-cache stripe's text slots sit
 /// inside the cache's state because an entry's slots are removed while
-/// that state is held; the metrics and feedback maps are leaf
-/// counters that never call out while held; the scheduler's pool state and
+/// that state is held; the feedback map is a leaf that never calls out
+/// while held; the scheduler's pool state and
 /// result slots are innermost, held for a handful of field updates and
 /// never across a task.
 pub const LOCK_ORDER: &[&str] = &[
@@ -58,7 +58,6 @@ pub const LOCK_ORDER: &[&str] = &[
     "plan_cache.state",
     "stripe.slots",
     "admission.state",
-    "metrics.qerr",
     "feedback.entries",
     "scheduler.state",
 ];
@@ -251,7 +250,7 @@ pub mod audit {
     impl Token {
         /// The [`LOCK_ORDER`] rank this token holds (`None` for locks
         /// acquired from files outside the order, e.g. tests).
-        pub fn rank(&self) -> Option<usize> {
+        pub(crate) fn rank(&self) -> Option<usize> {
             self.rank
         }
     }
@@ -285,13 +284,13 @@ pub mod audit {
     /// Record an acquisition from `file`, asserting every already-held
     /// rank is strictly lower. Called *before* blocking on the lock, so an
     /// order violation panics with a diagnostic instead of deadlocking.
-    pub fn enter(file: &str) -> Token {
+    pub(crate) fn enter(file: &str) -> Token {
         enter_rank(rank_of_file(file))
     }
 
     /// Record an acquisition of a known rank (the condvar reacquire path,
     /// and the direct test hook).
-    pub fn enter_rank(rank: Option<usize>) -> Token {
+    pub(crate) fn enter_rank(rank: Option<usize>) -> Token {
         if let Some(rank) = rank {
             HELD.with(|held| {
                 let mut held = held.borrow_mut();

@@ -33,7 +33,7 @@ pub struct BufferPool {
 impl BufferPool {
     /// A pool holding `capacity` pages (0 caches nothing — every access
     /// misses).
-    pub fn new(capacity: usize) -> BufferPool {
+    pub(crate) fn new(capacity: usize) -> BufferPool {
         BufferPool {
             capacity,
             stamps: HashMap::new(),
@@ -45,7 +45,7 @@ impl BufferPool {
     }
 
     /// Touch one page; returns `true` on a hit.
-    pub fn access(&mut self, table: usize, page: u64) -> bool {
+    pub(crate) fn access(&mut self, table: usize, page: u64) -> bool {
         self.clock += 1;
         let key = (table, page);
         if let Some(old) = self.stamps.get(&key).copied() {
@@ -70,21 +70,6 @@ impl BufferPool {
         self.stamps.insert(key, self.clock);
         false
     }
-
-    /// Pages currently resident.
-    pub fn resident(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// Accesses that hit the pool.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Accesses that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 /// The page-I/O path handed to base-table accesses: counts logical reads
@@ -98,18 +83,18 @@ pub struct PageIo {
 
 impl PageIo {
     /// An I/O path without buffering.
-    pub fn unbuffered() -> PageIo {
+    pub(crate) fn unbuffered() -> PageIo {
         PageIo { pool: None }
     }
 
     /// An I/O path with an LRU pool of `capacity` pages.
-    pub fn with_pool(capacity: usize) -> PageIo {
+    pub(crate) fn with_pool(capacity: usize) -> PageIo {
         PageIo { pool: Some(BufferPool::new(capacity)) }
     }
 
     /// Read pages `0..pages` of `table` sequentially (a full scan or one
     /// nested-loops rescan pass).
-    pub fn scan_table(
+    pub(crate) fn scan_table(
         &mut self,
         table: usize,
         pages: u64,
@@ -130,7 +115,7 @@ impl PageIo {
 
     /// Read one specific page of `table` (an index probe landing on a data
     /// page).
-    pub fn read_page(
+    pub(crate) fn read_page(
         &mut self,
         table: usize,
         page: u64,
@@ -162,9 +147,9 @@ mod tests {
         assert!(!p.access(0, 3)); // miss, evicts page 2 (LRU)
         assert!(p.access(0, 1)); // still resident
         assert!(!p.access(0, 2)); // was evicted
-        assert_eq!(p.hits(), 2);
-        assert_eq!(p.misses(), 4);
-        assert_eq!(p.resident(), 2);
+        assert_eq!(p.hits, 2);
+        assert_eq!(p.misses, 4);
+        assert_eq!(p.stamps.len(), 2);
     }
 
     #[test]
@@ -181,7 +166,7 @@ mod tests {
         let mut p = BufferPool::new(0);
         assert!(!p.access(0, 1));
         assert!(!p.access(0, 1));
-        assert_eq!(p.resident(), 0);
+        assert_eq!(p.stamps.len(), 0);
     }
 
     #[test]

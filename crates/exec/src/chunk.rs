@@ -19,34 +19,33 @@ pub struct Chunk {
 impl Chunk {
     /// Wrap a base table scan result: every stored column, with provenance
     /// `(table_id, i)`.
-    pub fn from_base_table(table_id: usize, data: Table) -> Chunk {
+    pub(crate) fn from_base_table(table_id: usize, data: Table) -> Chunk {
         let provenance = (0..data.num_columns()).map(|i| ColumnRef::new(table_id, i)).collect();
         Chunk { data, provenance }
     }
 
     /// Number of rows.
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.data.num_rows()
     }
 
     /// Position of a query column in this chunk, if present.
-    pub fn position_of(&self, c: ColumnRef) -> Option<usize> {
+    pub(crate) fn position_of(&self, c: ColumnRef) -> Option<usize> {
         self.provenance.iter().position(|p| *p == c)
     }
 
     /// Position of a query column, as an error when absent.
-    pub fn require(&self, c: ColumnRef) -> ExecResult<usize> {
+    pub(crate) fn require(&self, c: ColumnRef) -> ExecResult<usize> {
         self.position_of(c).ok_or(ExecError::ColumnNotInSchema(c))
-    }
-
-    /// True when this chunk carries any column of query table `t`.
-    pub fn covers_table(&self, t: usize) -> bool {
-        self.provenance.iter().any(|p| p.table == t)
     }
 
     /// Build a chunk by concatenating columns gathered from two parents
     /// (used by joins): `rows` lists `(left_row, right_row)` pairs.
-    pub fn join_rows(left: &Chunk, right: &Chunk, rows: &[(usize, usize)]) -> ExecResult<Chunk> {
+    pub(crate) fn join_rows(
+        left: &Chunk,
+        right: &Chunk,
+        rows: &[(usize, usize)],
+    ) -> ExecResult<Chunk> {
         let (l_idx, r_idx): (Vec<usize>, Vec<usize>) = rows.iter().copied().unzip();
         let mut columns: Vec<(String, ColumnVector)> = Vec::new();
         let mut provenance = Vec::new();
@@ -60,7 +59,7 @@ impl Chunk {
     }
 
     /// Keep only the rows at `indices`.
-    pub fn filter_rows(&self, indices: &[usize]) -> ExecResult<Chunk> {
+    pub(crate) fn filter_rows(&self, indices: &[usize]) -> ExecResult<Chunk> {
         Ok(Chunk {
             data: self.data.gather(self.data.name().to_owned(), indices)?,
             provenance: self.provenance.clone(),
@@ -68,7 +67,7 @@ impl Chunk {
     }
 
     /// Project to the given query columns (each must be present).
-    pub fn project(&self, columns: &[ColumnRef]) -> ExecResult<Chunk> {
+    pub(crate) fn project(&self, columns: &[ColumnRef]) -> ExecResult<Chunk> {
         let mut cols: Vec<(String, ColumnVector)> = Vec::new();
         let mut provenance = Vec::new();
         for &c in columns {
@@ -97,8 +96,6 @@ mod tests {
     fn provenance_tracks_base_columns() {
         let c = base(3, &[1, 2]);
         assert_eq!(c.provenance, vec![ColumnRef::new(3, 0)]);
-        assert!(c.covers_table(3));
-        assert!(!c.covers_table(0));
         assert_eq!(c.position_of(ColumnRef::new(3, 0)), Some(0));
         assert!(c.require(ColumnRef::new(1, 0)).is_err());
     }

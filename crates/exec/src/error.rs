@@ -58,7 +58,7 @@ impl fmt::Display for ExecError {
 /// builds an unchecked cast would silently alias row ids beyond
 /// `u32::MAX`; this returns the typed error instead. Callable without
 /// allocating anything, so the boundary is testable.
-pub fn check_rowid_range(rows: usize) -> ExecResult<()> {
+pub(crate) fn check_rowid_range(rows: usize) -> ExecResult<()> {
     if rows > u32::MAX as usize {
         Err(ExecError::SelectionOverflow { rows })
     } else {
@@ -76,7 +76,7 @@ pub fn check_rowid_range(rows: usize) -> ExecResult<()> {
     clippy::cast_possible_truncation,
     reason = "the one sanctioned usize->u32 narrowing: callers are downstream of check_rowid_range on their input's row count, and debug builds assert it"
 )]
-pub fn rowid(i: usize) -> u32 {
+pub(crate) fn rowid(i: usize) -> u32 {
     debug_assert!(i <= u32::MAX as usize, "row index {i} escaped check_rowid_range");
     i as u32
 }

@@ -40,7 +40,7 @@ pub enum ExecMode {
     /// full materialization at every operator.
     RowAtATime,
     /// Typed whole-column kernels with selection vectors and late
-    /// materialization (see [`crate::vectorized`]). Hash-join probes split
+    /// materialization (see `crate::vectorized`). Hash-join probes split
     /// into morsels across `workers` threads when the probe side is large
     /// enough; `workers == 1` (the default) stays serial.
     Vectorized {

@@ -2,15 +2,15 @@
 //!
 //! Two evaluation strategies share the [`CompiledFilter`] representation:
 //!
-//! * the original tuple-at-a-time path ([`apply_filters`]), kept as the
+//! * the original tuple-at-a-time path (`apply_filters`), kept as the
 //!   reference oracle, and
-//! * whole-column kernels ([`filter_selection`]) that dispatch once per
+//! * whole-column kernels (`filter_selection`) that dispatch once per
 //!   conjunct on (column type, constant type, operator) to a loop compiled
 //!   for exactly that test, and produce a selection vector of surviving row
 //!   ids block by block without branching on the data — no per-row
 //!   [`Value`], closure call or `position_of` lookup.
 //!
-//! Both resolve column positions once per operator via [`bind_filters`]
+//! Both resolve column positions once per operator via `bind_filters`
 //! (satellite of the vectorization PR: `Chunk::position_of` is an
 //! O(columns) scan and used to run per row per predicate).
 
@@ -77,7 +77,7 @@ impl CompiledFilter {
 
     /// Evaluate against one row of a chunk (SQL semantics: NULL comparisons
     /// are false).
-    pub fn matches(&self, chunk: &Chunk, row: usize) -> ExecResult<bool> {
+    pub(crate) fn matches(&self, chunk: &Chunk, row: usize) -> ExecResult<bool> {
         match self {
             CompiledFilter::Cmp { column, op, value } => {
                 let pos = chunk.require(*column)?;
@@ -132,7 +132,7 @@ pub enum BoundFilter {
 impl BoundFilter {
     /// Evaluate against one row (SQL semantics: NULL comparisons are
     /// false). The tuple-at-a-time reference path.
-    pub fn matches(&self, table: &Table, row: usize) -> ExecResult<bool> {
+    pub(crate) fn matches(&self, table: &Table, row: usize) -> ExecResult<bool> {
         match self {
             BoundFilter::Cmp { pos, op, value } => {
                 let v = table.column(*pos)?.get(row)?;
@@ -153,7 +153,10 @@ impl BoundFilter {
 
 /// Resolve every filter's columns through `resolve`, collecting **all**
 /// unresolvable references into one [`ExecError::ColumnsNotInSchema`].
-pub fn bind_filters<F>(filters: &[CompiledFilter], mut resolve: F) -> ExecResult<Vec<BoundFilter>>
+pub(crate) fn bind_filters<F>(
+    filters: &[CompiledFilter],
+    mut resolve: F,
+) -> ExecResult<Vec<BoundFilter>>
 where
     F: FnMut(ColumnRef) -> Option<usize>,
 {
@@ -188,7 +191,7 @@ where
 }
 
 /// [`bind_filters`] against a chunk's provenance.
-pub fn bind_filters_to_chunk(
+pub(crate) fn bind_filters_to_chunk(
     filters: &[CompiledFilter],
     chunk: &Chunk,
 ) -> ExecResult<Vec<BoundFilter>> {
@@ -196,7 +199,7 @@ pub fn bind_filters_to_chunk(
 }
 
 /// Apply a conjunction of filters to a chunk, counting comparisons.
-pub fn apply_filters(
+pub(crate) fn apply_filters(
     chunk: &Chunk,
     filters: &[CompiledFilter],
     metrics: &mut ExecMetrics,
@@ -298,7 +301,7 @@ impl Pass<'_> {
 /// Charges exactly the comparisons the tuple-at-a-time path would: a row
 /// is a candidate for conjunct `k` iff it survived conjuncts `1..k`, which
 /// is precisely the set of filters the short-circuiting row loop evaluates.
-pub fn filter_selection(
+pub(crate) fn filter_selection(
     table: &Table,
     bound: &[BoundFilter],
     sel: &mut Vec<u32>,

@@ -24,7 +24,7 @@ use crate::metrics::ExecMetrics;
 
 /// A sorted `(key, row id)` index over one column of a stored table.
 #[derive(Debug, Clone)]
-pub struct SortedIndex {
+pub(crate) struct SortedIndex {
     /// Entries sorted by key (NULL keys are excluded — they never join).
     entries: Vec<(Value, u32)>,
 }
@@ -33,7 +33,7 @@ impl SortedIndex {
     /// Build an index over `column` of `table`. Cost: one scan plus a sort;
     /// callers that model cost should charge [`SortedIndex::build_cost_rows`]
     /// tuples.
-    pub fn build(table: &Table, column: usize) -> ExecResult<SortedIndex> {
+    pub(crate) fn build(table: &Table, column: usize) -> ExecResult<SortedIndex> {
         let col = table.column(column)?;
         // Index entries address rows with u32 ids, exactly like selection
         // vectors; refuse oversized tables instead of aliasing row ids.
@@ -50,13 +50,8 @@ impl SortedIndex {
     }
 
     /// Number of indexed (non-NULL) entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no entries are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Comparisons one descent is charged: `⌊log₂ entries⌋`, at least one.
@@ -66,7 +61,7 @@ impl SortedIndex {
 
     /// Rows whose key equals `key`, in row order. Binary search; O(log n +
     /// matches).
-    pub fn lookup<'a>(&'a self, key: &'a Value) -> impl Iterator<Item = usize> + 'a {
+    pub(crate) fn lookup<'a>(&'a self, key: &'a Value) -> impl Iterator<Item = usize> + 'a {
         let lo =
             self.entries.partition_point(|(k, _)| k.total_cmp(key) == std::cmp::Ordering::Less);
         self.entries
@@ -86,7 +81,7 @@ impl SortedIndex {
     clippy::too_many_arguments,
     reason = "the row operator's inputs: outer, inner and its index, filters, keys, metrics and page I/O"
 )]
-pub fn index_nested_loop_join(
+pub(crate) fn index_nested_loop_join(
     left: &Chunk,
     inner_table_id: usize,
     inner: &Table,

@@ -130,7 +130,7 @@ fn normalize_float_key(x: f64) -> HashKey {
 /// once per outer tuple — the rescan cost that makes this method disastrous
 /// with a large unfiltered inner, which is precisely what a misled optimizer
 /// picks in the paper's experiment.
-pub fn nested_loop_join(
+pub(crate) fn nested_loop_join(
     left: &Chunk,
     right: &Chunk,
     keys: &[(ColumnRef, ColumnRef)],
@@ -180,7 +180,7 @@ pub fn nested_loop_join(
 /// calling [`nested_loop_join`] — which is how the vectorized path evaluates
 /// it, charging what this operator charges: the reference it is tested
 /// against, like every row operator in this module.
-pub fn nested_loop_rescan_join(
+pub(crate) fn nested_loop_rescan_join(
     left: &Chunk,
     inner_table_id: usize,
     inner: &els_storage::Table,
@@ -239,7 +239,7 @@ pub fn nested_loop_rescan_join(
 
 /// Sort-merge join: sort both inputs on their key columns, then merge,
 /// emitting the cross product of each pair of equal-key runs.
-pub fn sort_merge_join(
+pub(crate) fn sort_merge_join(
     left: &Chunk,
     right: &Chunk,
     keys: &[(ColumnRef, ColumnRef)],
@@ -307,7 +307,7 @@ pub fn sort_merge_join(
 }
 
 /// Hash join: build a table on the left input, probe with the right.
-pub fn hash_join(
+pub(crate) fn hash_join(
     left: &Chunk,
     right: &Chunk,
     keys: &[(ColumnRef, ColumnRef)],
@@ -428,7 +428,7 @@ pub(crate) fn band_probe(
 /// both sides, `n log n` sort comparisons, [`probe_charge`] per outer key,
 /// one comparison per candidate per residual range, and counts every
 /// output row in both `tuples_emitted` and `range_join_rows`.
-pub fn range_join(
+pub(crate) fn range_join(
     left: &Chunk,
     right: &Chunk,
     ranges: &[(ColumnRef, CmpOp, ColumnRef)],
@@ -493,7 +493,7 @@ pub fn range_join(
 /// comparison per input row per range — the same charge the vectorized
 /// pair-list filter applies — and passes the chunk through untouched when
 /// `ranges` is empty.
-pub fn apply_join_ranges(
+pub(crate) fn apply_join_ranges(
     chunk: Chunk,
     ranges: &[(ColumnRef, CmpOp, ColumnRef)],
     metrics: &mut ExecMetrics,

@@ -4,17 +4,17 @@
 //! the stand-in for the Starburst runtime on which the paper's Section 8
 //! measured elapsed query times.
 //!
-//! * [`chunk`] — intermediate results: a materialized table plus the
+//! * `chunk` — intermediate results: a materialized table plus the
 //!   provenance of each column (`(table, column)` of the original query).
 //! * [`filter`] — compiled local predicates evaluated during scans.
-//! * [`join`] — nested-loops, sort-merge, and hash join implementations
+//! * `join` — nested-loops, sort-merge, and hash join implementations
 //!   (the paper's experiment used Nested Loops and Sort Merge; hash join is
 //!   included for the extended plan-quality studies).
 //! * [`plan`] — physical plan trees built by the optimizer.
-//! * [`executor`] — plan interpretation with [`metrics`] collection
+//! * `executor` — plan interpretation with [`metrics`] collection
 //!   (tuples, simulated page reads, comparisons, wall time), in one of two
 //!   [`ExecMode`]s: the tuple-at-a-time reference oracle, or
-//! * [`vectorized`] — typed whole-column kernels over selection vectors
+//! * `vectorized` — typed whole-column kernels over selection vectors
 //!   with late materialization, a morsel-parallel hash probe and band
 //!   join, and fused `COUNT(*)` roots (the default mode; bit-identical
 //!   results and counters).
@@ -36,33 +36,32 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 // Row ids and counts narrow only where a bound says they fit.
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 // The one exception, and the only `#[expect(unsafe_code)]` in a library
 // crate: the lifetime erasure in `scheduler::Posted::new`.
 #![deny(unsafe_code)]
 
-pub mod buffer;
-pub mod chunk;
-pub mod error;
-pub mod executor;
+mod buffer;
+mod chunk;
+mod error;
+mod executor;
 pub mod filter;
-pub mod index;
-pub mod join;
+mod index;
+mod join;
 pub mod metrics;
 pub mod plan;
 pub mod scheduler;
 pub mod timing;
-pub mod vectorized;
+mod vectorized;
 
 pub use buffer::{BufferPool, PageIo};
 pub use chunk::Chunk;
-pub use error::{check_rowid_range, ExecError, ExecResult};
+pub use error::{ExecError, ExecResult};
 pub use executor::{execute_plan_observed, execute_plan_with, ExecMode, ExecOutput, Observations};
 pub use metrics::{
-    json_escape, thread_stripe, EngineCounters, EngineCountersSnapshot, ExecMetrics,
-    MetricsRegistry, QErrorHistogram, ServerCounters, ServerCountersSnapshot, StripedCounter,
-    STRIPES,
+    thread_stripe, EngineCounters, EngineCountersSnapshot, ExecMetrics, StripedCounter, STRIPES,
 };
 pub use plan::{JoinMethod, PlanNode, PlanOutput, QueryPlan};
 pub use scheduler::RunStats;

@@ -1,7 +1,7 @@
 //! Physical plan trees.
 //!
 //! Plans are built by `els-optimizer` and interpreted by
-//! [`crate::executor`]. A plan mirrors the shapes available to the paper's
+//! `crate::executor`. A plan mirrors the shapes available to the paper's
 //! Starburst experiment: filtered base-table scans composed by binary joins
 //! with a per-join method choice, topped by an optional projection or
 //! `COUNT(*)`.

@@ -191,8 +191,8 @@ pub fn run_token_passes(pf: &ParsedFile, out: &mut Vec<Violation>) {
                     push(
                         Lint::NumericDiscipline,
                         format!(
-                            "exact float comparison against `{}`: use \
-                             els_core::float::{{exactly_zero, exactly_one, approx_eq}}",
+                            "exact float comparison against `{}`: use float::exactly_zero \
+                             for a stored sentinel, a magnitude threshold otherwise",
                             tok.text
                         ),
                     );

@@ -118,12 +118,6 @@ fn nlogn(n: f64) -> f64 {
 }
 
 impl CostParams {
-    /// Defaults with the hash-probe term divided by `workers` (clamped to
-    /// ≥ 1) — the cost-model hook for the morsel-parallel executor.
-    pub fn with_probe_parallelism(workers: usize) -> CostParams {
-        CostParams { probe_parallelism: (workers.max(1)) as f64, ..CostParams::default() }
-    }
-
     /// The probe divisor, defensively clamped (a zero or negative setting
     /// would flip cost comparisons).
     #[inline]
@@ -420,8 +414,7 @@ mod tests {
     #[test]
     fn probe_parallelism_discounts_only_the_probe_side() {
         let serial = CostParams::default();
-        let par = CostParams::with_probe_parallelism(4);
-        assert_eq!(par.probe_parallelism, 4.0);
+        let par = CostParams { probe_parallelism: 4.0, ..CostParams::default() };
         // Probe side (inner) shrinks; a probe-free plan costs the same.
         let h_serial = serial.hash(1000.0, &giant(), 100_000.0, 10.0);
         let h_par = par.hash(1000.0, &giant(), 100_000.0, 10.0);

@@ -264,7 +264,7 @@ struct BaseTable {
 
 /// Scan filters for one table: every local predicate of the (possibly
 /// closed) predicate set that touches only this table.
-pub fn scan_filters(
+pub(crate) fn scan_filters(
     predicates: &[Predicate],
     table: usize,
 ) -> OptimizerResult<Vec<CompiledFilter>> {
@@ -316,7 +316,7 @@ pub fn join_keys(predicates: &[Predicate], mask: u64, table: usize) -> Vec<(Colu
 
 /// Join keys between two disjoint table sets: `(left, right)` pairs with
 /// `left` in `left_mask` and `right` in `right_mask`.
-pub fn join_keys_between(
+pub(crate) fn join_keys_between(
     predicates: &[Predicate],
     left_mask: u64,
     right_mask: u64,
@@ -337,7 +337,7 @@ pub fn range_keys(
 
 /// Inequality predicates between two disjoint table sets, oriented
 /// `(left in left_mask, op, right in right_mask)`.
-pub fn range_keys_between(
+pub(crate) fn range_keys_between(
     predicates: &[Predicate],
     left_mask: u64,
     right_mask: u64,
@@ -547,7 +547,7 @@ fn subset_sizes(
 }
 
 /// Cost one fixed left-deep order, choosing the join method of each step by
-/// the DP's policy ([`cheapest_method`]), so a join-order search outside
+/// the DP's policy (`cheapest_method`), so a join-order search outside
 /// the DP prices its candidates exactly as the DP would. `profiles` holds
 /// one profile per table of `els`.
 pub fn cost_order(

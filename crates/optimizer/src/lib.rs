@@ -4,21 +4,21 @@
 //! the stand-in for the (modified) Starburst optimizer of the paper's
 //! Section 8 experiment.
 //!
-//! * [`profile`] — per-table physical profiles (rows, pages, tuple width)
+//! * `profile` — per-table physical profiles (rows, pages, tuple width)
 //!   feeding the cost model; built from the catalog or by hand.
-//! * [`cost`] — a page-based cost model for filtered scans, nested-loops
+//! * `cost` — a page-based cost model for filtered scans, nested-loops
 //!   (base-inner rescan), sort-merge, and hash joins.
-//! * [`rewrite`] — predicate transitive closure as a standalone query
+//! * `rewrite` — predicate transitive closure as a standalone query
 //!   rewrite (the paper implemented PTC as a Starburst rewrite rule [11] so
 //!   it could be toggled; the same toggle exists here).
 //! * [`enumerate`] — dynamic-programming enumeration of left-deep or bushy
 //!   join trees, choosing join order *and* join method per step from
 //!   estimated cardinalities.
-//! * [`plan_cache`] — a concurrent LRU plan cache keyed by canonical query
+//! * `plan_cache` — a concurrent LRU plan cache keyed by canonical query
 //!   fingerprint + catalog epoch, so repeated queries skip enumeration
 //!   entirely, and a repeated text reaches its plan through per-thread
 //!   text slots (counters in [`els_exec::EngineCounters`]).
-//! * [`optimizer`] — the front door: configure an estimation algorithm
+//! * `optimizer` — the front door: configure an estimation algorithm
 //!   (the paper's **SM**, **SSS**, or **ELS**), optimize a bound query, and
 //!   get back an executable [`els_exec::QueryPlan`] plus the estimated
 //!   intermediate result sizes the optimizer believed in.
@@ -37,15 +37,16 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 #![deny(unsafe_code)]
 
-pub mod cost;
+mod cost;
 pub mod enumerate;
-pub mod error;
-pub mod optimizer;
-pub mod plan_cache;
-pub mod profile;
-pub mod rewrite;
+mod error;
+mod optimizer;
+mod plan_cache;
+mod profile;
+mod rewrite;
 mod stripe;
 
 pub use cost::CostParams;

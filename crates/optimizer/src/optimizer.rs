@@ -43,7 +43,7 @@ impl EstimatorPreset {
     }
 
     /// The estimation-core options this preset denotes.
-    pub fn els_options(self) -> ElsOptions {
+    pub(crate) fn els_options(self) -> ElsOptions {
         match self {
             EstimatorPreset::SmNoPtc => ElsOptions::algorithm_sm().with_closure(false),
             EstimatorPreset::Sm => ElsOptions::algorithm_sm(),
@@ -77,17 +77,6 @@ pub enum EstimatorStrategy {
     /// The Simpli-Squared baseline ([`NoEstimatesEstimator`]): no
     /// statistics, joins assumed never to expand.
     NoEstimates,
-}
-
-impl EstimatorStrategy {
-    /// Stable short name (matches [`CardinalityEstimator::name`] labels).
-    pub fn label(self) -> &'static str {
-        match self {
-            EstimatorStrategy::Els => "els",
-            EstimatorStrategy::UpperBound => "upper-bound",
-            EstimatorStrategy::NoEstimates => "no-estimates",
-        }
-    }
 }
 
 /// Optimizer configuration.
@@ -174,15 +163,6 @@ impl OptimizerOptions {
     #[must_use]
     pub fn with_strategy(mut self, strategy: EstimatorStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Put these options in a distinct plan-cache lane (default 0). The
-    /// lane salts [`Self::config_fingerprint`], isolating cache entries
-    /// between otherwise-identical configurations.
-    #[must_use]
-    pub fn with_lane(mut self, lane: u64) -> Self {
-        self.lane = lane;
         self
     }
 

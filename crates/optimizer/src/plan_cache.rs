@@ -36,11 +36,10 @@
 //!
 //! A slot is a faster way to reach an entry, never a second source of
 //! truth: it names one entry and one epoch, and lives exactly as long as
-//! its entry. Eviction, the stale drop, replacement and [`PlanCache::clear`]
-//! remove an entry's slots from every stripe under the state lock, there
-//! and then. A stripe keeps at most four spellings of one entry, so
-//! respelling one hot query cannot grow memory — a further spelling keeps
-//! taking the slow path.
+//! its entry. Eviction, the stale drop and replacement remove an entry's
+//! slots from every stripe under the state lock, there and then. A stripe
+//! keeps at most four spellings of one entry, so respelling one hot query
+//! cannot grow memory — a further spelling keeps taking the slow path.
 //!
 //! Eviction is LRU by a coarse logical clock under a capacity bound. The
 //! clock advances only on operations that take the state lock anyway:
@@ -58,18 +57,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use els_core::sync::lock_recovering;
-use els_exec::{thread_stripe, EngineCounters, EngineCountersSnapshot, MetricsRegistry, STRIPES};
+use els_exec::{thread_stripe, EngineCounters, EngineCountersSnapshot, STRIPES};
 use els_storage::Table;
 
 use crate::optimizer::OptimizedQuery;
 use crate::stripe::Stripe;
-
-/// Bump one counter on this cache and mirror it into the process-wide
-/// [`MetricsRegistry`], which aggregates cache traffic across all engines.
-fn bump(local: &AtomicU64, global: &AtomicU64, n: u64) {
-    local.fetch_add(n, Ordering::Relaxed);
-    global.fetch_add(n, Ordering::Relaxed);
-}
 
 /// Everything needed to execute a cached plan without re-binding: the
 /// optimized plan plus the name resolution the binder produced.
@@ -162,11 +154,6 @@ impl PlanCache {
         }
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Advance the LRU clock (state lock held) and return its new value.
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
@@ -179,12 +166,6 @@ impl PlanCache {
         if stamp.0.load(Ordering::Relaxed) < hit {
             stamp.0.fetch_max(hit, Ordering::Relaxed);
         }
-    }
-
-    /// Count a hit on this thread's stripe of the counters.
-    fn count_hit(&self) {
-        self.counters.hits.add(1);
-        MetricsRegistry::global().cache_counters().hits.add(1);
     }
 
     /// The one way an entry leaves the cache: its slots go with it.
@@ -202,28 +183,27 @@ impl PlanCache {
     /// older epoch is dropped (counted as an invalidation) and reported as
     /// a miss.
     pub fn get(&self, fingerprint: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
-        let global = MetricsRegistry::global().cache_counters();
         let mut state = lock_recovering(&self.state);
         match state.entries.get(fingerprint) {
             Some(entry) if entry.epoch == epoch => {
                 self.touch(&entry.stamp);
                 let plan = Arc::clone(&entry.plan);
                 drop(state);
-                self.count_hit();
+                self.counters.hits.add(1);
                 Some(plan)
             }
             Some(_) => {
                 self.tick();
                 self.remove_entry(&mut state, fingerprint);
                 drop(state);
-                bump(&self.counters.invalidations, &global.invalidations, 1);
-                bump(&self.counters.misses, &global.misses, 1);
+                self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
             None => {
                 self.tick();
                 drop(state);
-                bump(&self.counters.misses, &global.misses, 1);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -243,7 +223,7 @@ impl PlanCache {
         let key = self.hasher.hash_one((config, sql));
         let slot = self.stripes.get(thread_stripe())?.find_slot(key, config, sql, epoch)?;
         self.touch(&slot.stamp);
-        self.count_hit();
+        self.counters.hits.add(1);
         Some(slot)
     }
 
@@ -301,7 +281,6 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
-        let global = MetricsRegistry::global().cache_counters();
         let mut state = lock_recovering(&self.state);
         let stamp = Arc::new(Stamp(AtomicU64::new(2 * self.tick())));
         let prev = self.remove_entry(&mut state, &fingerprint);
@@ -322,19 +301,10 @@ impl PlanCache {
         }
         drop(state);
         if stale_replaced {
-            bump(&self.counters.invalidations, &global.invalidations, 1);
+            self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         }
         if evicted > 0 {
-            bump(&self.counters.evictions, &global.evictions, evicted);
-        }
-    }
-
-    /// Drop every entry and slot (configuration changed, tests).
-    pub fn clear(&self) {
-        let mut state = lock_recovering(&self.state);
-        state.entries.clear();
-        for stripe in &self.stripes {
-            stripe.drop_all_slots();
+            self.counters.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
@@ -346,11 +316,6 @@ impl PlanCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The live counters (shared with anyone monitoring this cache).
-    pub fn counters(&self) -> &EngineCounters {
-        &self.counters
     }
 
     /// Point-in-time copy of the counters.
@@ -530,21 +495,6 @@ mod tests {
         assert_eq!(stamp(), 5);
     }
 
-    #[test]
-    fn cache_traffic_mirrors_into_the_global_registry() {
-        let global = MetricsRegistry::global().cache_counters();
-        let before = global.snapshot();
-        let cache = PlanCache::new(2);
-        cache.insert("q".into(), 0, dummy_plan());
-        assert!(cache.get("q", 0).is_some());
-        assert!(cache.get("missing", 0).is_none());
-        let after = global.snapshot();
-        // Other tests run concurrently against the same global registry, so
-        // assert deltas as lower bounds.
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
-    }
-
     /// The cache without text slots: a string-keyed map with the same
     /// coarse LRU rule and the same four counters. Whatever the text path
     /// does, every observable must match this.
@@ -685,11 +635,7 @@ mod tests {
                     // A slot for a plan the entry does not hold (another
                     // thread replaced it, or nothing is cached) is no slot.
                     90..=93 => cache.remember_plan(config, &text, &fingerprint, &dummy_plan()),
-                    94..=97 => epoch += 1,
-                    _ => {
-                        cache.clear();
-                        model.entries.clear();
-                    }
+                    _ => epoch += 1,
                 }
                 assert_eq!(cache.len(), model.entries.len(), "{context}");
                 assert_eq!(cache.stats(), model.stats, "{context}");
@@ -788,16 +734,13 @@ mod tests {
         let slot = cache.get_by_text(1, "b ", 1).unwrap();
         assert!(Arc::ptr_eq(&slot.plan, &plan_b));
         drop(slot);
-        // Stale replace in `insert`, then `clear`.
+        // Stale replace in `insert`.
         cache.insert(b.clone(), 2, dummy_plan());
         assert_eq!(cache.slot_count(), 0);
         assert_eq!(Arc::strong_count(&plan_b), 1);
         let plan_b = cache.get(&b, 2).unwrap();
         cache.remember_plan(1, "b ", &b, &plan_b);
         assert_eq!(cache.slot_count(), 1);
-        cache.clear();
-        assert_eq!((cache.len(), cache.slot_count()), (0, 0));
-        assert_eq!(Arc::strong_count(&plan_b), 1);
     }
 
     #[test]

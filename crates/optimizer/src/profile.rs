@@ -38,7 +38,7 @@ impl TableProfile {
 
     /// Pages occupied by `rows` tuples of `row_bytes` width under the page
     /// model — used for intermediate results.
-    pub fn pages_for(rows: f64, row_bytes: usize) -> f64 {
+    pub(crate) fn pages_for(rows: f64, row_bytes: usize) -> f64 {
         if rows <= 0.0 {
             return 0.0;
         }

@@ -74,11 +74,6 @@ impl Stripe {
         lock_recovering(&self.slots).remove(&key);
     }
 
-    /// Forget every slot.
-    pub(crate) fn drop_all_slots(&self) {
-        lock_recovering(&self.slots).clear();
-    }
-
     /// Number of slots kept.
     #[cfg(test)]
     pub(crate) fn slot_count(&self) -> usize {

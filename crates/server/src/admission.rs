@@ -24,7 +24,7 @@ use els_core::sync::{lock_recovering, wait_timeout_recovering};
 
 /// What a blocking pop observed.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
+pub(crate) enum Popped<T> {
     /// An item was dequeued.
     Item(T),
     /// The timeout elapsed with the queue empty; caller re-checks shutdown
@@ -40,7 +40,7 @@ struct QueueState<T> {
 }
 
 /// A bounded MPMC queue with non-blocking admission and timed pops.
-pub struct AdmissionQueue<T> {
+pub(crate) struct AdmissionQueue<T> {
     state: Mutex<QueueState<T>>,
     ready: Condvar,
     capacity: usize,
@@ -48,7 +48,7 @@ pub struct AdmissionQueue<T> {
 
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `capacity` waiting items (minimum 1).
-    pub fn new(capacity: usize) -> AdmissionQueue<T> {
+    pub(crate) fn new(capacity: usize) -> AdmissionQueue<T> {
         AdmissionQueue {
             state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
             ready: Condvar::new(),
@@ -56,15 +56,10 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Admit `item` if there is room; hand it back (`Err`) when the queue
     /// is full or closed. Never blocks — this is the admission-control
     /// decision point.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), T> {
         let mut state = lock_recovering(&self.state);
         if state.closed || state.items.len() >= self.capacity {
             return Err(item);
@@ -76,7 +71,7 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Dequeue, waiting up to `timeout` for an item.
-    pub fn pop(&self, timeout: Duration) -> Popped<T> {
+    pub(crate) fn pop(&self, timeout: Duration) -> Popped<T> {
         let mut state = lock_recovering(&self.state);
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -98,13 +93,13 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Number of items currently waiting — the shed-mode load signal.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         lock_recovering(&self.state).items.len()
     }
 
     /// Close the queue: future pushes fail, waiting poppers drain what is
     /// left and then observe [`Popped::Closed`].
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         lock_recovering(&self.state).closed = true;
         self.ready.notify_all();
     }
@@ -139,7 +134,7 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_to_one() {
         let q = AdmissionQueue::new(0);
-        assert_eq!(q.capacity(), 1);
+        assert_eq!(q.capacity, 1);
         assert_eq!(q.try_push(1), Ok(()));
         assert_eq!(q.try_push(2), Err(2));
     }

@@ -33,7 +33,7 @@ pub enum ServerError {
 
 impl ServerError {
     /// The stable one-word kind used on the wire: `ERR <kind> <message>`.
-    pub fn wire_kind(&self) -> &'static str {
+    pub(crate) fn wire_kind(&self) -> &'static str {
         match self {
             ServerError::Overloaded => "overloaded",
             ServerError::Shed => "shed",
@@ -50,7 +50,7 @@ impl ServerError {
     /// Rebuild a typed error from a wire `(kind, message)` pair — the
     /// client-side inverse of [`ServerError::wire_kind`]. Unknown kinds
     /// collapse to [`ServerError::Protocol`].
-    pub fn from_wire(kind: &str, message: &str) -> ServerError {
+    pub(crate) fn from_wire(kind: &str, message: &str) -> ServerError {
         match kind {
             "overloaded" => ServerError::Overloaded,
             "shed" => ServerError::Shed,

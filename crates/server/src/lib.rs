@@ -6,22 +6,21 @@
 //!   (`HELLO` / one query per line / `OK`+rows / typed `ERR` lines),
 //!   chosen over a binary framing because every rule is greppable in a
 //!   packet capture and testable as pure string code.
-//! * **Tenancy** ([`tenant`]) — tenant id resolved once at `HELLO`: each
+//! * **Tenancy** (`tenant`) — tenant id resolved once at `HELLO`: each
 //!   tenant gets its own catalog (structural isolation) and its own
 //!   plan-cache lane on a shared cache (keyed isolation through
 //!   `OptimizerOptions::config_fingerprint`).
-//! * **Admission control** ([`admission`]) — a bounded queue between the
+//! * **Admission control** (`admission`) — a bounded queue between the
 //!   acceptor and a fixed worker pool; a full queue rejects with a typed
 //!   [`ServerError::Overloaded`] line instead of queueing unboundedly.
-//! * **Graceful degradation** ([`server`]) — at the configured queue
+//! * **Graceful degradation** (`server`) — at the configured queue
 //!   watermark, handlers serve cached plans only
 //!   ([`els::engine::Engine::execute_if_cached`]) and shed the rest with
 //!   `ERR shed`, sacrificing optimizer CPU before availability.
 //! * **Observability** — connection/query/reject/shed counters on every
-//!   [`ServerHandle`] and mirrored into the process-wide
-//!   [`els_exec::MetricsRegistry`] JSON under `"server"`.
+//!   [`ServerHandle`].
 //!
-//! Thread creation is confined to [`pool`], the workspace's second
+//! Thread creation is confined to `pool`, the workspace's second
 //! allowlisted parallelism seam after `els-exec::scheduler`.
 //!
 //! ```no_run
@@ -47,20 +46,21 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 #![deny(unsafe_code)]
 
-pub mod admission;
-pub mod client;
-pub mod error;
-pub mod pool;
+mod admission;
+mod client;
+mod error;
+mod pool;
 pub mod protocol;
-pub mod server;
-pub mod tenant;
+mod server;
+mod tenant;
 
 pub use client::{Client, Reply};
 pub use error::{ServerError, ServerResult};
 pub use pool::{serve, ServerHandle};
-pub use server::ServerConfig;
+pub use server::{ServerConfig, ServerCountersSnapshot};
 pub use tenant::Tenants;
 
 #[cfg(test)]

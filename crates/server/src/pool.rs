@@ -26,11 +26,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use els_exec::ServerCountersSnapshot;
-
 use crate::admission::Popped;
 use crate::error::{ServerError, ServerResult};
-use crate::server::{reject_overloaded, serve_connection, ServerConfig, Shared};
+use crate::server::{
+    reject_overloaded, serve_connection, ServerConfig, ServerCountersSnapshot, Shared,
+};
 use crate::tenant::Tenants;
 
 /// A running front door: the listener's address plus the join handles a
@@ -51,8 +51,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Point-in-time counters for this server instance (the same numbers
-    /// are mirrored into the process-wide `MetricsRegistry` JSON).
+    /// Point-in-time counters for this server instance.
     pub fn counters(&self) -> ServerCountersSnapshot {
         self.shared.snapshot()
     }

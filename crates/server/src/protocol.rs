@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Any failure is a single line `ERR <kind> <escaped message>`; the kind
-//! vocabulary is [`crate::ServerError::wire_kind`]. A query-level `ERR`
+//! vocabulary is `crate::ServerError::wire_kind`. A query-level `ERR`
 //! (bad SQL, shed) leaves the connection open; handshake and admission
 //! `ERR`s are followed by a close.
 //!
@@ -26,8 +26,8 @@
 //!
 //! There is one encoder per line kind, the `*_into` functions: the server
 //! appends a whole reply to its per-connection buffer through them, and
-//! the `String`-returning [`ok_header`]/[`row_line`]/[`err_line`] are the
-//! same functions behind a fresh buffer, so both spell identical bytes.
+//! the `String`-returning [`ok_header`]/[`row_line`] are the same
+//! functions behind a fresh buffer, so both spell identical bytes.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -51,7 +51,7 @@ fn needs_escape(b: &u8) -> bool {
 
 /// Append `s` escaped for the wire: backslash, tab, newline, carriage
 /// return. Runs of ordinary bytes are copied whole.
-pub fn escape_into(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn escape_into(out: &mut Vec<u8>, s: &str) {
     for run in s.as_bytes().split_inclusive(needs_escape) {
         match run.split_last() {
             Some((last, plain)) if needs_escape(last) => {
@@ -94,14 +94,9 @@ fn text_of(encode: impl FnOnce(&mut Vec<u8>)) -> String {
     String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
-/// Escape a field for the wire ([`escape_into`] as a `String`).
-pub fn escape_field(s: &str) -> String {
-    text_of(|out| escape_into(out, s))
-}
-
-/// Invert [`escape_field`]. A dangling or unknown escape is a protocol
+/// Invert [`escape_into`]. A dangling or unknown escape is a protocol
 /// error — silently guessing would mask framing corruption.
-pub fn unescape_field(s: &str) -> ServerResult<String> {
+pub(crate) fn unescape_field(s: &str) -> ServerResult<String> {
     if !s.contains('\\') {
         return Ok(s.to_string());
     }
@@ -127,21 +122,21 @@ pub fn unescape_field(s: &str) -> ServerResult<String> {
 }
 
 /// The `HELLO <tenant>` opener; `None` when the line is not a handshake.
-pub fn parse_hello(line: &str) -> Option<&str> {
+pub(crate) fn parse_hello(line: &str) -> Option<&str> {
     let rest = line.strip_prefix("HELLO ")?;
     let tenant = rest.trim();
     (!tenant.is_empty()).then_some(tenant)
 }
 
 /// Append the success header for one query result (no terminator).
-pub fn ok_header_into(out: &mut Vec<u8>, rows: u64, count: u64, cached: bool) {
+pub(crate) fn ok_header_into(out: &mut Vec<u8>, rows: u64, count: u64, cached: bool) {
     display_into(out, format_args!("OK rows={rows} count={count} cached={}", u8::from(cached)));
 }
 
 /// Append one result row (no terminator): `R` plus tab-separated escaped
 /// cells. `NULL` spells SQL null; strings travel raw, without the SQL
 /// quotes `Value`'s `Display` adds.
-pub fn row_into<'a>(out: &mut Vec<u8>, cells: impl IntoIterator<Item = ValueRef<'a>>) {
+pub(crate) fn row_into<'a>(out: &mut Vec<u8>, cells: impl IntoIterator<Item = ValueRef<'a>>) {
     out.push(b'R');
     for cell in cells {
         out.push(b'\t');
@@ -155,7 +150,7 @@ pub fn row_into<'a>(out: &mut Vec<u8>, cells: impl IntoIterator<Item = ValueRef<
 }
 
 /// Append the one-line rendering of an error (no terminator).
-pub fn err_line_into(out: &mut Vec<u8>, e: &ServerError) {
+pub(crate) fn err_line_into(out: &mut Vec<u8>, e: &ServerError) {
     out.extend_from_slice(b"ERR ");
     out.extend_from_slice(e.wire_kind().as_bytes());
     out.push(b' ');
@@ -176,11 +171,6 @@ pub fn row_line(values: &[Value]) -> String {
         Value::Str(s) => ValueRef::Str(s),
     });
     text_of(|out| row_into(out, cells))
-}
-
-/// The one-line rendering of an error.
-pub fn err_line(e: &ServerError) -> String {
-    text_of(|out| err_line_into(out, e))
 }
 
 /// Parse a server response line the client received: `Ok` for `OK ...`
@@ -283,10 +273,14 @@ pub(crate) fn line_text(line: &[u8]) -> Cow<'_, str> {
 mod tests {
     use super::*;
 
+    fn err_line(e: &ServerError) -> String {
+        text_of(|out| err_line_into(out, e))
+    }
+
     #[test]
     fn escaping_round_trips_hostile_fields() {
         for s in ["plain", "tab\tnewline\nreturn\rback\\slash", "", "\\t is not a tab"] {
-            let escaped = escape_field(s);
+            let escaped = text_of(|out| escape_into(out, s));
             assert!(!escaped.contains('\n') && !escaped.contains('\t'), "{escaped}");
             assert_eq!(unescape_field(&escaped).as_deref(), Ok(s), "{s:?}");
         }

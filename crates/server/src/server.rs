@@ -31,7 +31,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use els::engine::{Engine, QueryResult};
-use els_exec::{MetricsRegistry, ServerCounters, ServerCountersSnapshot};
 use els_storage::column::ValueRef;
 use els_storage::{ColumnVector, DataType};
 
@@ -73,7 +72,7 @@ impl ServerConfig {
     /// Clamp degenerate settings instead of failing: at least one worker,
     /// one queue slot, and a watermark no higher than the queue depth
     /// (otherwise shed mode could never engage).
-    pub fn normalized(mut self) -> ServerConfig {
+    pub(crate) fn normalized(mut self) -> ServerConfig {
         self.workers = self.workers.max(1);
         self.queue_depth = self.queue_depth.max(1);
         self.shed_watermark = self.shed_watermark.clamp(1, self.queue_depth);
@@ -82,6 +81,33 @@ impl ServerConfig {
         }
         self
     }
+}
+
+/// Connection and query traffic plus the two overload outcomes: hard
+/// rejections at the admission queue and queries shed because only cached
+/// plans are served under load. Atomics behind `&self`, one set per server.
+#[derive(Debug, Default)]
+pub(crate) struct ServerCounters {
+    pub(crate) connections: AtomicU64,
+    pub(crate) queries_ok: AtomicU64,
+    pub(crate) queries_err: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) shed: AtomicU64,
+}
+
+/// Plain-value copy of a server's counters for reports and assertions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerCountersSnapshot {
+    /// Connections accepted and handed to a worker.
+    pub connections: u64,
+    /// Queries answered successfully.
+    pub queries_ok: u64,
+    /// Queries answered with a typed error (SQL/exec/protocol).
+    pub queries_err: u64,
+    /// Connections rejected at admission (queue full).
+    pub rejected: u64,
+    /// Queries refused in cached-plan-only mode.
+    pub shed: u64,
 }
 
 /// State shared by the acceptor, the workers, and the handle.
@@ -109,17 +135,23 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Bump a counter on this server *and* its mirror in the process-wide
-    /// [`MetricsRegistry`] JSON (same double-entry pattern as the plan
-    /// cache's `EngineCounters`).
+    /// Bump one of this server's counters.
     pub(crate) fn bump(&self, which: impl Fn(&ServerCounters) -> &AtomicU64) {
         which(&self.counters).fetch_add(1, Ordering::SeqCst);
-        which(MetricsRegistry::global().server_counters()).fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Point-in-time counters for this server instance.
+    /// Point-in-time counters for this server instance (each counter is
+    /// read atomically; the set is not one snapshot, which is fine for
+    /// monitoring).
     pub(crate) fn snapshot(&self) -> ServerCountersSnapshot {
-        self.counters.snapshot()
+        let c = &self.counters;
+        ServerCountersSnapshot {
+            connections: c.connections.load(Ordering::SeqCst),
+            queries_ok: c.queries_ok.load(Ordering::SeqCst),
+            queries_err: c.queries_err.load(Ordering::SeqCst),
+            rejected: c.rejected.load(Ordering::SeqCst),
+            shed: c.shed.load(Ordering::SeqCst),
+        }
     }
 }
 

@@ -20,7 +20,7 @@ use crate::error::{ServerError, ServerResult};
 
 /// A tenant name: non-empty ASCII alphanumerics plus `-`/`_`. Rejecting
 /// everything else keeps names unambiguous on the line protocol.
-pub fn valid_tenant_name(name: &str) -> bool {
+pub(crate) fn valid_tenant_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
@@ -33,13 +33,13 @@ pub struct Tenants {
 
 impl Tenants {
     /// An empty registry.
-    pub fn new() -> Tenants {
+    pub(crate) fn new() -> Tenants {
         Tenants { engines: BTreeMap::new() }
     }
 
     /// Register `name` with an engine the caller configured. Returns a
     /// typed error on invalid or duplicate names.
-    pub fn add(mut self, name: &str, engine: Arc<Engine>) -> ServerResult<Tenants> {
+    pub(crate) fn add(mut self, name: &str, engine: Arc<Engine>) -> ServerResult<Tenants> {
         if !valid_tenant_name(name) {
             return Err(ServerError::Protocol(format!("invalid tenant name `{name}`")));
         }
@@ -68,21 +68,6 @@ impl Tenants {
     pub fn resolve(&self, name: &str) -> Option<Arc<Engine>> {
         self.engines.get(name).map(Arc::clone)
     }
-
-    /// Hosted tenant names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.engines.keys().map(String::as_str).collect()
-    }
-
-    /// Number of hosted tenants.
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// True when no tenant is registered.
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
-    }
 }
 
 impl Default for Tenants {
@@ -109,7 +94,7 @@ mod tests {
     #[test]
     fn isolated_tenants_have_disjoint_catalogs_and_lanes() {
         let tenants = Tenants::isolated(&["alpha", "beta"], 32).expect("build");
-        assert_eq!(tenants.names(), vec!["alpha", "beta"]);
+        assert_eq!(tenants.engines.keys().collect::<Vec<_>>(), ["alpha", "beta"]);
         let alpha = tenants.resolve("alpha").expect("alpha");
         let beta = tenants.resolve("beta").expect("beta");
         assert!(tenants.resolve("gamma").is_none());

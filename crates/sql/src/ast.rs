@@ -33,7 +33,7 @@ pub struct TableRefAst {
 
 impl TableRefAst {
     /// The name this table is referred to by in predicates.
-    pub fn binding_name(&self) -> &str {
+    pub(crate) fn binding_name(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.name)
     }
 }

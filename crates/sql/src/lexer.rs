@@ -4,7 +4,7 @@ use crate::error::{SqlError, SqlResult};
 
 /// One lexical token with its byte offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind and payload.
     pub kind: TokenKind,
     /// Byte offset in the input where the token starts.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (case preserved; keyword checks are
     /// case-insensitive).
     Ident(String),
@@ -49,7 +49,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// True when this is the (case-insensitive) keyword `kw`.
-    pub fn is_keyword(&self, kw: &str) -> bool {
+    pub(crate) fn is_keyword(&self, kw: &str) -> bool {
         matches!(self, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
@@ -59,7 +59,7 @@ impl TokenKind {
 /// Every delimiter is ASCII, and UTF-8 never puts an ASCII byte inside a
 /// multibyte character, so string literals are sliced out of `input` whole:
 /// `'café'` is `Str("café")`.
-pub fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
     let mut tokens = Vec::new();
     let mut rest = input;
     loop {

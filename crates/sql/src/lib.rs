@@ -17,8 +17,8 @@
 //! cmp         := = | <> | != | < | <= | > | >=
 //! ```
 //!
-//! The pipeline is [`lexer`] → [`parser`] (producing an [`ast::Query`]) →
-//! [`bind`] (resolving names against an `els-catalog` [`els_catalog::Catalog`]
+//! The pipeline is `lexer` → `parser` (producing an [`ast::Query`]) →
+//! `bind` (resolving names against an `els-catalog` [`els_catalog::Catalog`]
 //! into positional [`els_core::Predicate`]s).
 //!
 //! # Example
@@ -40,15 +40,16 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 #![deny(unsafe_code)]
 
-pub mod ast;
-pub mod bind;
-pub mod error;
+mod ast;
+mod bind;
+mod error;
 pub mod fingerprint;
-pub mod lexer;
-pub mod parser;
-pub mod unparse;
+mod lexer;
+mod parser;
+mod unparse;
 
 pub use ast::{ColRefAst, Operand, PredicateAst, Projection, Query, TableRefAst};
 pub use bind::{bind, BoundProjection, BoundQuery};

@@ -1,7 +1,5 @@
 //! Typed column vectors with validity bitmaps.
 
-use std::collections::HashSet;
-
 use crate::error::{StorageError, StorageResult};
 use crate::value::{cmp_int_float, DataType, Value};
 
@@ -88,7 +86,7 @@ impl ColumnVector {
     }
 
     /// Number of NULL rows.
-    pub fn null_count(&self) -> usize {
+    pub(crate) fn null_count(&self) -> usize {
         self.validity.iter().filter(|v| !**v).count()
     }
 
@@ -159,31 +157,6 @@ impl ColumnVector {
     /// Iterate over all values (cloning strings).
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i).unwrap_or(Value::Null))
-    }
-
-    /// Count distinct non-NULL values. This is the *column cardinality* `d_x`
-    /// of the paper, computed exactly.
-    pub fn distinct_count(&self) -> usize {
-        match &self.data {
-            ColumnData::Int(v) => v
-                .iter()
-                .zip(&self.validity)
-                .filter_map(|(x, ok)| ok.then_some(*x))
-                .collect::<HashSet<_>>()
-                .len(),
-            ColumnData::Float(v) => v
-                .iter()
-                .zip(&self.validity)
-                .filter_map(|(x, ok)| ok.then_some(x.to_bits()))
-                .collect::<HashSet<_>>()
-                .len(),
-            ColumnData::Str(v) => v
-                .iter()
-                .zip(&self.validity)
-                .filter_map(|(x, ok)| ok.then_some(x.as_str()))
-                .collect::<HashSet<_>>()
-                .len(),
-        }
     }
 
     /// Borrowed payload slice of an `Int` column (`None` for other types).
@@ -344,20 +317,6 @@ mod tests {
     fn get_out_of_bounds_errors() {
         let c = ColumnVector::from_ints([1, 2]);
         assert_eq!(c.get(2).unwrap_err(), StorageError::RowOutOfBounds { index: 2, len: 2 });
-    }
-
-    #[test]
-    fn distinct_count_ignores_nulls() {
-        let mut c = ColumnVector::from_ints([1, 1, 2, 3, 3, 3]);
-        assert_eq!(c.distinct_count(), 3);
-        c.push(Value::Null).unwrap();
-        assert_eq!(c.distinct_count(), 3);
-    }
-
-    #[test]
-    fn distinct_count_on_strings() {
-        let c = ColumnVector::from_strs(["a", "b", "a"]);
-        assert_eq!(c.distinct_count(), 2);
     }
 
     #[test]

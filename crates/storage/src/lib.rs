@@ -29,7 +29,6 @@
 //!     .column(ColumnSpec::new("s", Distribution::SequentialInt { start: 0 }));
 //! let table: Table = spec.generate(42);
 //! assert_eq!(table.num_rows(), 1000);
-//! assert_eq!(table.column_by_name("s").unwrap().distinct_count(), 1000);
 //! ```
 
 // Degrade, don't panic, and print nothing (DESIGN.md §4f). scripts/check.sh
@@ -41,13 +40,14 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 #![deny(unsafe_code)]
 
 pub mod column;
 pub mod csv;
 pub mod datagen;
-pub mod error;
-pub mod table;
+mod error;
+mod table;
 pub mod value;
 
 pub use column::ColumnVector;

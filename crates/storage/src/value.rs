@@ -26,7 +26,7 @@ impl DataType {
     /// fixed 24 bytes (pointer + small payload), which mirrors the fixed-width
     /// CHAR columns of 1990s benchmark schemas closely enough for cost
     /// purposes.
-    pub fn estimated_width(self) -> usize {
+    pub(crate) fn estimated_width(self) -> usize {
         match self {
             DataType::Int | DataType::Float => 8,
             DataType::Str => 24,
@@ -59,7 +59,7 @@ pub enum Value {
 
 impl Value {
     /// The [`DataType`] of this value, or `None` for NULL (NULL is typeless).
-    pub fn data_type(&self) -> Option<DataType> {
+    pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,
             Value::Int(_) => Some(DataType::Int),
@@ -128,14 +128,6 @@ impl Value {
         match self {
             Value::Int(v) => Some(*v as f64),
             Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Extract a string slice, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -296,7 +288,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Float(1.5).as_f64(), Some(1.5));
         assert_eq!(Value::Int(7).as_f64(), Some(7.0));
-        assert_eq!(Value::from("s").as_str(), Some("s"));
         assert_eq!(Value::from("s").as_int(), None);
     }
 

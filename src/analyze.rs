@@ -10,10 +10,6 @@
 //! operator then gets the paper's error ratio (`est/act`) and its symmetric
 //! folding, the **q-error** `max(est/act, act/est)` (see
 //! [`els_core::q_error`]).
-//!
-//! Reports are recorded into the process-wide
-//! [`els_exec::MetricsRegistry`], keyed by selectivity rule, so a long-run
-//! accuracy histogram accumulates across queries and engines.
 
 use std::fmt;
 use std::time::Duration;
@@ -22,7 +18,7 @@ use std::collections::HashMap;
 
 use els_catalog::{FeedbackKey, QueryCorrections};
 use els_core::{q_error, scan_fingerprint, Els, Predicate, SelectivityRule};
-use els_exec::{ExecMetrics, ExecMode, MetricsRegistry, Observations};
+use els_exec::{ExecMetrics, ExecMode, Observations};
 use els_optimizer::Annotation;
 
 /// One operator of the analyzed plan: the estimator's belief next to the
@@ -120,23 +116,6 @@ impl ExplainAnalyzeReport {
     /// table is made of).
     pub fn join_operators(&self) -> impl Iterator<Item = &OperatorReport> {
         self.operators.iter().filter(|o| o.is_join)
-    }
-
-    /// Fold this report into a [`MetricsRegistry`]: one q-error sample per
-    /// join operator under this report's rule (the root scan when the query
-    /// had no joins), plus the query's kernel counters.
-    pub fn record(&self, registry: &MetricsRegistry) {
-        let mut recorded = false;
-        for op in self.join_operators() {
-            registry.record_q_error(&self.rule, op.q_error());
-            recorded = true;
-        }
-        if !recorded {
-            if let Some(root) = self.root() {
-                registry.record_q_error(&self.rule, root.q_error());
-            }
-        }
-        registry.record_query(&self.metrics);
     }
 }
 
@@ -270,10 +249,10 @@ fn place(
 }
 
 /// Harvest one executed query's estimated-vs-actual residuals into the
-/// feedback store behind `corrections`. Returns
-/// `(observations folded, publications granted)`; any granted publication
-/// means the caller should invalidate cached plans (once — publications
-/// coalesce into a single epoch bump per query).
+/// feedback store behind `corrections`. Returns the number of
+/// publications granted; any granted publication means the caller should
+/// invalidate cached plans (once — publications coalesce into a single
+/// epoch bump per query).
 ///
 /// Two residual families, keyed like the corrections the optimizer reads:
 ///
@@ -300,9 +279,8 @@ pub fn harvest_feedback(
     els: &Els,
     corrections: &QueryCorrections,
     corrected: bool,
-) -> (u64, u64) {
+) -> u64 {
     let store = corrections.store();
-    let mut observed = 0u64;
     let mut published = 0u64;
     for op in operators {
         if op.rescan {
@@ -312,7 +290,6 @@ pub fn harvest_feedback(
             let Some(&t) = op.tables.first() else { continue };
             let fingerprint = scan_fingerprint(els.predicates(), t);
             let Some(key) = corrections.scan_key(t, &fingerprint) else { continue };
-            observed += 1;
             published += u64::from(store.observe(key, op.estimated, op.actual as f64, corrected));
             continue;
         };
@@ -390,9 +367,8 @@ pub fn harvest_feedback(
             op.estimated.max(EST_FLOOR) / (lop.estimated.max(EST_FLOOR) * r_est.max(EST_FLOOR));
         let ratio = (act_sel / est_sel).powf(1.0 / total as f64);
         for key in applications.into_keys() {
-            observed += 1;
             published += u64::from(store.observe_ratio(key, ratio, corrected));
         }
     }
-    (observed, published)
+    published
 }

@@ -39,10 +39,7 @@ use crate::analyze::{
 
 use els_catalog::collect::CollectOptions;
 use els_catalog::{CatalogSnapshot, FeedbackMode, SharedCatalog};
-use els_exec::{
-    execute_plan_observed, EngineCountersSnapshot, ExecMetrics, ExecMode, ExecOutput,
-    MetricsRegistry,
-};
+use els_exec::{execute_plan_observed, EngineCountersSnapshot, ExecMetrics, ExecMode, ExecOutput};
 use els_optimizer::{
     optimize_bound, CachedPlan, EstimatorStrategy, OptimizedQuery, OptimizerOptions, PlanCache,
     Slot,
@@ -472,16 +469,14 @@ impl Engine {
     /// per operator, the optimizer's estimated cardinality next to the
     /// measured one — the estimation-quality view the paper's experiment
     /// table is built from. `cache_hit` in the report tells whether the
-    /// estimates came from a previously cached plan. The report also lands
-    /// in the process-wide [`els_exec::MetricsRegistry`], under the
-    /// estimator's rule name. Render with `Display` for the human-readable
-    /// tree.
+    /// estimates came from a previously cached plan. Render with `Display`
+    /// for the human-readable tree.
     pub fn explain_analyze(&self, sql: &str) -> EngineResult<ExplainAnalyzeReport> {
         let (slot, cache_hit) = self.prepare_at(sql)?;
         let (out, operators) = self.run_observed(&slot, true)?;
         let optimized = &slot.plan.optimized;
-        // Alternative estimators have no selectivity rule; key their accuracy
-        // samples in the registry by estimator name instead.
+        // Alternative estimators have no selectivity rule; name the report
+        // after the estimator instead.
         let rule = match optimized.strategy() {
             EstimatorStrategy::Els => optimized.els.options().rule.short_name().to_owned(),
             _ => optimized.estimator().name().to_owned(),
@@ -496,7 +491,6 @@ impl Engine {
             operators,
             metrics: out.metrics,
         };
-        report.record(MetricsRegistry::global());
         Ok(report)
     }
 }
@@ -520,10 +514,10 @@ struct Miss {
 }
 
 /// Harvest an executed query's operator reports into the catalog's
-/// feedback store (no-op when `feedback` is `Off`) and mirror the activity
-/// into [`MetricsRegistry::global`]. Returns the number of publications
-/// granted; the caller coalesces any positive count into a single plan
-/// invalidation, so one execution never bumps the epoch more than once.
+/// feedback store (no-op when `feedback` is `Off`). Returns the number of
+/// publications granted; the caller coalesces any positive count into a
+/// single plan invalidation, so one execution never bumps the epoch more
+/// than once.
 fn harvest_query(
     catalog: &SharedCatalog,
     feedback: FeedbackMode,
@@ -548,10 +542,7 @@ fn harvest_query(
     // estimates, and composing a mid-query publication back out of them
     // would inflate every subsequent residual of the same execution.
     let corrected = optimized.corrections_applied > 0;
-    let (observed, published) =
-        harvest_feedback(operators, &optimized.els, &corrections, corrected);
-    MetricsRegistry::global().record_feedback(observed, optimized.corrections_applied, published);
-    published
+    harvest_feedback(operators, &optimized.els, &corrections, corrected)
 }
 
 /// Render [`Engine::explain`]'s report: who sized the plan, Algorithm ELS's

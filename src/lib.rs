@@ -26,6 +26,7 @@
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), warn(unreachable_pub))]
 #![deny(unsafe_code)]
 
 pub mod analyze;

@@ -107,8 +107,7 @@ fn locks_in<T>(f: impl FnOnce() -> T) -> (T, Vec<(&'static str, u64)>) {
 }
 
 /// A repeat takes its own stripe's lock once and nothing else: not the
-/// catalog's `shared.state`, not the cache's `plan_cache.state`, not the
-/// registry's `metrics.qerr`.
+/// catalog's `shared.state`, not the cache's `plan_cache.state`.
 #[test]
 fn a_repeat_text_takes_no_lock_but_its_stripe() {
     let engine = with_tables(Engine::new());

@@ -39,8 +39,8 @@ fn caught_worker_panic_leaves_engine_usable() {
     let engine = shared_engine();
     let baseline = engine.execute(QUERY).unwrap().count;
 
-    // The worker exercises the shared catalog, plan cache, and metrics
-    // registry, then panics mid-flight like a buggy thread would.
+    // The worker exercises the shared catalog and plan cache, then panics
+    // mid-flight like a buggy thread would.
     let worker = {
         let engine = Arc::clone(&engine);
         thread::spawn(move || {

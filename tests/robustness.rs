@@ -82,6 +82,39 @@ fn nan_literal_in_a_predicate_does_not_panic() {
     assert!(est >= 0.0);
 }
 
+/// One NaN or ±∞ row in a `Float` column leaves its range predicates
+/// plannable: the collected domain is the column's finite values, so the
+/// uniform interpolation ELS sizes `f < 5` with stays finite.
+#[test]
+fn non_finite_float_rows_leave_range_predicates_plannable() {
+    use els::engine::Engine;
+    use els::storage::{ColumnVector, Table};
+
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut cases: Vec<Vec<f64>> = specials.iter().map(|&x| vec![x]).collect();
+    cases.push(specials.to_vec());
+    for extra in cases {
+        let values: Vec<f64> = (0..1000).map(f64::from).chain(extra.iter().copied()).collect();
+        let column = ColumnVector::from_floats(values.iter().copied());
+        let table = Table::new("t", vec![("f".to_owned(), column)]).unwrap();
+        let engine = Engine::new();
+        engine.register(table).unwrap();
+        // The executor orders floats by `total_cmp`, so a NaN row is above 5.
+        let count = |side| values.iter().filter(|x| x.total_cmp(&5.0) == side).count();
+        for (sql, truth) in [
+            ("SELECT COUNT(*) FROM t WHERE f < 5", count(std::cmp::Ordering::Less)),
+            ("SELECT COUNT(*) FROM t WHERE f > 5", count(std::cmp::Ordering::Greater)),
+        ] {
+            let result = engine.execute(sql).unwrap_or_else(|e| panic!("{sql} {extra:?}: {e}"));
+            assert_eq!(result.count, truth as u64, "{sql} {extra:?}");
+            let report = engine.explain_analyze(sql).unwrap();
+            let estimate = report.root().unwrap().estimated;
+            assert!(estimate.is_finite() && estimate >= 0.0, "{sql} {extra:?}: {estimate}");
+            assert_eq!(report.result_rows, truth as u64, "{sql} {extra:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
