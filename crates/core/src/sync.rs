@@ -1,5 +1,5 @@
-//! The engine's single poisoned-lock policy: **recover** — plus the
-//! committed lock-acquisition total order and its runtime audit.
+//! The engine's single poisoned-lock policy: **recover** — plus the list
+//! of engine lock classes and the runtime audit of how they nest.
 //!
 //! Every shared structure in the engine guarded by a `Mutex`/`RwLock` —
 //! the plan cache, the feedback store, the shared catalog — maintains its
@@ -16,44 +16,32 @@
 //! not reach for poisoning — it should keep a generation counter or build
 //! the new state off to the side and swap it in, as `SharedCatalog` does.
 //!
-//! # Lock order
+//! # Lock nesting
 //!
-//! [`LOCK_ORDER`] is the engine-wide total order over lock *classes* (one
-//! class per guarded field, named `<file stem>.<field>`). Two enforcement
-//! layers keep it honest:
+//! [`LOCK_CLASSES`] names every engine lock, one class per guarded field,
+//! `<file stem>.<field>`; els-lint's `lock-confinement` rule keeps every
+//! lock and every acquisition inside the file its class names. The rule
+//! is that a thread holds **at most one engine lock**, with one exception:
+//! [`NESTED_PAIR`], the plan cache's state and then a stripe's text slots.
+//! A deadlock needs a thread that waits while it holds, and here only a
+//! holder of the pair's outer class may wait, for its inner class, whose
+//! holders wait for nothing.
 //!
-//! * **Statically**, els-lint's `lock-order` pass extracts every
-//!   `lock_recovering`/`read_recovering`/`write_recovering` call site,
-//!   builds the inter-procedural held-while-acquiring graph over the
-//!   workspace call graph, and hard-fails if any edge runs backwards in
-//!   this list (a cycle can never be consistent with a total order).
-//! * **Dynamically**, the `els_lock_audit` cargo feature (enabled for
-//!   every `cargo test` run via the workspace root's dev-dependencies)
-//!   wraps each guard in an [`Audited`] token that pushes the acquiring
-//!   class's rank onto a thread-local stack and panics the moment any
-//!   thread acquires a class out of order — covering the closures and
-//!   trait objects the static pass cannot see through.
+//! Under the `els_lock_audit` cargo feature each guard carries an
+//! [`Audited`] token, and [`audit`] panics *before blocking* on any
+//! acquisition the rule forbids, naming both classes. Every crate whose
+//! tests take an engine lock, and els-core itself, turns the feature on in
+//! its dev-dependencies, so it is on for every `cargo test` and off in
+//! release builds.
 
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
-/// The committed total order of engine lock classes, outermost first. A
-/// class is `<file stem>.<field>`; the acquiring module and the field the
-/// guard protects name it unambiguously (today every guarded field is
-/// acquired only from its defining file — els-lint's `lock-order` pass
-/// keeps that true).
-///
-/// Rationale for the order: catalog publication (`shared.state`) is the
-/// outermost state transition and may run caller closures under
-/// `SharedCatalog::try_update`; the plan cache and admission queue are
-/// mid-level control structures, and a plan-cache stripe's text slots sit
-/// inside the cache's state because an entry's slots are removed while
-/// that state is held; the feedback map is a leaf that never calls out
-/// while held; the scheduler's pool state and
-/// result slots are innermost, held for a handful of field updates and
-/// never across a task.
-pub const LOCK_ORDER: &[&str] = &[
+/// The engine's lock classes, in no particular order. A class is
+/// `<file stem>.<field>`: the file that owns and acquires the lock, and the
+/// field it guards.
+pub const LOCK_CLASSES: &[&str] = &[
     "shared.state",
     "plan_cache.state",
     "stripe.slots",
@@ -61,6 +49,11 @@ pub const LOCK_ORDER: &[&str] = &[
     "feedback.entries",
     "scheduler.state",
 ];
+
+/// The one permitted nesting, `(held, acquired)`: the plan cache keeps
+/// and drops an entry's text slots in a stripe while it holds its state,
+/// so a slot never outlives its entry.
+pub const NESTED_PAIR: (&str, &str) = ("plan_cache.state", "stripe.slots");
 
 /// Guard type returned by [`lock_recovering`]: the plain `MutexGuard` in
 /// production builds, an [`Audited`] wrapper under `els_lock_audit`.
@@ -91,9 +84,8 @@ pub fn lock_recovering<T: ?Sized>(mutex: &Mutex<T>) -> LockGuard<'_, T> {
 }
 
 /// Lock a mutex, recovering the guard if a previous holder panicked. The
-/// audit build additionally asserts the [`LOCK_ORDER`] rank discipline
-/// *before* blocking, so an out-of-order acquisition panics instead of
-/// deadlocking.
+/// audit build additionally checks the nesting rule *before* blocking, so
+/// a forbidden acquisition panics instead of deadlocking.
 #[cfg(feature = "els_lock_audit")]
 #[track_caller]
 pub fn lock_recovering<T: ?Sized>(mutex: &Mutex<T>) -> LockGuard<'_, T> {
@@ -175,7 +167,7 @@ pub fn wait_timeout_recovering<'a, T>(
     (guard, wait.timed_out())
 }
 
-/// A guard carrying its lock-order audit token. Derefs straight through to
+/// A guard carrying its lock audit token. Derefs straight through to
 /// the guarded data; the declaration order (guard first, token second)
 /// releases the OS lock before the rank, keeping the audit stack an upper
 /// bound on what is really held.
@@ -188,7 +180,7 @@ pub struct Audited<G> {
 #[cfg(feature = "els_lock_audit")]
 impl<G> Audited<G> {
     /// Hand the OS guard to a condvar `wait`, which releases the lock: the
-    /// rank is released with it and re-entered (order asserted) once the
+    /// rank is released with it and re-entered (nesting checked) once the
     /// wait has the lock back.
     fn around_wait<R>(self, wait: impl FnOnce(G) -> (G, R)) -> (Audited<G>, R) {
         let Audited { inner, token } = self;
@@ -215,30 +207,36 @@ impl<G: std::ops::DerefMut> std::ops::DerefMut for Audited<G> {
     }
 }
 
-/// The runtime lock-order audit: a thread-local stack of held
-/// [`LOCK_ORDER`] ranks, asserted strictly increasing at every
-/// acquisition. Compiled only under the `els_lock_audit` feature, which
-/// the workspace root's dev-dependencies enable for every `cargo test`
-/// run — release builds carry none of this.
+/// The runtime lock audit: a thread-local stack of held classes, checked
+/// against the nesting rule at every acquisition, and a per-class count of
+/// acquisitions. Compiled only under the `els_lock_audit` feature — release
+/// builds carry none of this.
 #[cfg(feature = "els_lock_audit")]
 pub mod audit {
     use std::cell::{Cell, RefCell};
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
-    use super::LOCK_ORDER;
+    use super::{LOCK_CLASSES, NESTED_PAIR};
+
+    /// One audited acquisition in this many yields the thread before it
+    /// blocks, so concurrent tests interleave differently on every run.
+    const YIELD_ONE_IN: u64 = 4;
 
     thread_local! {
         static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
         /// Acquisitions so far on this thread, by rank.
-        static ACQUIRED: Cell<[u64; LOCK_ORDER.len()]> =
-            const { Cell::new([0; LOCK_ORDER.len()]) };
+        static ACQUIRED: Cell<[u64; LOCK_CLASSES.len()]> =
+            const { Cell::new([0; LOCK_CLASSES.len()]) };
+        /// The yield coin's xorshift64 state, seeded from the thread id.
+        static COIN: Cell<u64> = Cell::new(coin_seed());
     }
 
     /// How many times this thread has acquired each class so far, in
-    /// [`LOCK_ORDER`] order (test hook: compare two readings around a call
+    /// [`LOCK_CLASSES`] order (test hook: compare two readings around a call
     /// to see which locks it takes).
     pub fn acquisitions() -> Vec<(&'static str, u64)> {
         let counts = ACQUIRED.with(Cell::get);
-        LOCK_ORDER.iter().copied().zip(counts).collect()
+        LOCK_CLASSES.iter().copied().zip(counts).collect()
     }
 
     /// RAII token for one audited acquisition; dropping it releases the
@@ -248,8 +246,8 @@ pub mod audit {
     }
 
     impl Token {
-        /// The [`LOCK_ORDER`] rank this token holds (`None` for locks
-        /// acquired from files outside the order, e.g. tests).
+        /// The rank (index into [`LOCK_CLASSES`]) this token holds (`None`
+        /// for locks acquired from files that own no class, e.g. tests).
         pub(crate) fn rank(&self) -> Option<usize> {
             self.rank
         }
@@ -276,35 +274,66 @@ pub mod audit {
     /// Unknown files — tests, examples — get no rank and are not audited.
     fn rank_of_file(file: &str) -> Option<usize> {
         let stem = file.rsplit(['/', '\\']).next()?.strip_suffix(".rs")?;
-        LOCK_ORDER.iter().position(|class| {
+        LOCK_CLASSES.iter().position(|class| {
             class.split_once('.').is_some_and(|(class_stem, _)| class_stem == stem)
         })
     }
 
-    /// Record an acquisition from `file`, asserting every already-held
-    /// rank is strictly lower. Called *before* blocking on the lock, so an
-    /// order violation panics with a diagnostic instead of deadlocking.
+    fn class(rank: usize) -> &'static str {
+        LOCK_CLASSES.get(rank).copied().unwrap_or("?")
+    }
+
+    fn coin_seed() -> u64 {
+        let mut hasher = DefaultHasher::new();
+        std::thread::current().id().hash(&mut hasher);
+        hasher.finish() | 1
+    }
+
+    /// One xorshift64 step of this thread's coin: true once in
+    /// [`YIELD_ONE_IN`] draws.
+    fn coin() -> bool {
+        COIN.with(|state| {
+            let mut x = state.get();
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            state.set(x);
+            x % YIELD_ONE_IN == 0
+        })
+    }
+
+    /// Record an acquisition from `file`, checking the nesting rule, and
+    /// sometimes yield. Called *before* blocking on the lock, so a
+    /// forbidden nesting panics with a diagnostic instead of deadlocking.
     pub(crate) fn enter(file: &str) -> Token {
-        enter_rank(rank_of_file(file))
+        let token = enter_rank(rank_of_file(file));
+        if coin() {
+            std::thread::yield_now();
+        }
+        token
     }
 
     /// Record an acquisition of a known rank (the condvar reacquire path,
-    /// and the direct test hook).
+    /// and the direct test hook): the thread must hold no engine lock, or
+    /// hold exactly [`NESTED_PAIR`]'s first class and acquire its second.
     pub(crate) fn enter_rank(rank: Option<usize>) -> Token {
         if let Some(rank) = rank {
             HELD.with(|held| {
                 let mut held = held.borrow_mut();
-                for &r in held.iter() {
-                    // els-lint: allow(assert-ban, "panicking on an order violation is the audit's job: a diagnostic instead of a deadlock")
-                    assert!(
-                        r < rank,
-                        "lock-order violation: acquiring `{}` (rank {rank}) while holding \
-                         `{}` (rank {r}); els_core::sync::LOCK_ORDER requires strictly \
-                         increasing ranks",
-                        LOCK_ORDER.get(rank).copied().unwrap_or("?"),
-                        LOCK_ORDER.get(r).copied().unwrap_or("?"),
-                    );
-                }
+                let allowed = match held.as_slice() {
+                    [] => true,
+                    [outer] => (class(*outer), class(rank)) == NESTED_PAIR,
+                    _ => false,
+                };
+                // els-lint: allow(assert-ban, "panicking on a forbidden nesting is the audit's job: a diagnostic instead of a deadlock")
+                assert!(
+                    allowed,
+                    "lock-nesting violation: acquiring `{}` while holding `{}`; a thread \
+                     holds one engine lock at a time, plus els_core::sync::NESTED_PAIR \
+                     {NESTED_PAIR:?}",
+                    class(rank),
+                    held.iter().map(|&r| class(r)).collect::<Vec<_>>().join("`, `"),
+                );
                 held.push(rank);
             });
             ACQUIRED.with(|acquired| {
@@ -319,9 +348,9 @@ pub mod audit {
     }
 
     /// Acquire an audit token for `class` directly — the test hook for
-    /// exercising the order assertion without real engine locks.
+    /// exercising the nesting rule without real engine locks.
     pub fn enter_class(class: &str) -> Token {
-        enter_rank(LOCK_ORDER.iter().position(|c| *c == class))
+        enter_rank(LOCK_CLASSES.iter().position(|c| *c == class))
     }
 
     /// The ranks the current thread holds, innermost last (test hook).
@@ -398,11 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_is_well_formed() {
+    fn lock_classes_are_well_formed() {
         // Classes are `<stem>.<field>`, unique, with unique stems (the
-        // runtime audit resolves ranks by file stem).
+        // runtime audit resolves ranks by file stem), and the nested pair
+        // names two of them.
+        assert!(LOCK_CLASSES.contains(&NESTED_PAIR.0) && LOCK_CLASSES.contains(&NESTED_PAIR.1));
         let mut stems: Vec<&str> = Vec::new();
-        for class in LOCK_ORDER {
+        for class in LOCK_CLASSES {
             let (stem, field) = class.split_once('.').expect("class must be stem.field");
             assert!(!stem.is_empty() && !field.is_empty(), "malformed class {class}");
             assert!(!stems.contains(&stem), "duplicate stem {stem}");

@@ -1,71 +1,98 @@
-//! Integration tests for the `els_lock_audit` runtime shim: the dynamic
-//! half of the lock-order story (els-lint's `lock-order` pass is the
-//! static half). Compiled only when the feature is on — which the
-//! workspace root's dev-dependencies arrange for every full `cargo test`
-//! run.
+//! Integration tests for the `els_lock_audit` runtime shim, the one check
+//! of how engine locks nest: a thread holds at most one engine lock, plus
+//! `NESTED_PAIR`. Compiled only when the feature is on — which els-core's
+//! own dev-dependencies arrange for every `cargo test` run.
 #![cfg(feature = "els_lock_audit")]
 
-use els_core::sync::{audit, lock_recovering, LOCK_ORDER};
+use els_core::sync::{audit, lock_recovering, LOCK_CLASSES, NESTED_PAIR};
 use std::sync::Mutex;
 
+/// Rank (index into `LOCK_CLASSES`) of `class`.
+fn rank(class: &str) -> usize {
+    LOCK_CLASSES.iter().position(|c| *c == class).expect("a lock class")
+}
+
+/// Run `f` on its own thread (the held stack is thread-local) and return
+/// the message it panicked with.
+fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+    let panic = std::thread::spawn(f).join().expect_err("the acquisition must panic");
+    panic.downcast_ref::<String>().expect("panic carries a message").clone()
+}
+
 #[test]
-fn in_order_acquisition_succeeds_and_tracks_held_ranks() {
+fn the_declared_pair_succeeds_and_tracks_held_ranks() {
     assert_eq!(audit::held_ranks(), Vec::<usize>::new());
-    let outer = audit::enter_class(LOCK_ORDER[0]);
-    let inner = audit::enter_class(LOCK_ORDER[2]);
-    assert_eq!(audit::held_ranks(), vec![0, 2]);
+    let outer = audit::enter_class(NESTED_PAIR.0);
+    let inner = audit::enter_class(NESTED_PAIR.1);
+    assert_eq!(audit::held_ranks(), vec![rank(NESTED_PAIR.0), rank(NESTED_PAIR.1)]);
     drop(inner);
     drop(outer);
     assert_eq!(audit::held_ranks(), Vec::<usize>::new());
 }
 
 #[test]
-fn out_of_order_acquisition_panics() {
-    // The held stack is thread-local, so run the violation on its own
-    // thread and observe the panic through the join handle.
-    let result = std::thread::spawn(|| {
-        let _inner = audit::enter_class(LOCK_ORDER[LOCK_ORDER.len() - 1]);
-        let _outer = audit::enter_class(LOCK_ORDER[0]); // backwards: must panic
-    })
-    .join();
-    let panic = result.expect_err("backwards acquisition must panic");
-    let msg = panic.downcast_ref::<String>().expect("panic carries a message");
-    assert!(msg.contains("lock-order violation"), "unexpected message: {msg}");
-    assert!(msg.contains(LOCK_ORDER[0]), "message should name the class: {msg}");
+fn a_nesting_outside_the_pair_panics_and_names_both_classes() {
+    // `shared.state` then `feedback.entries` ran forward in the old total
+    // order; the one-lock rule rejects it.
+    let msg = panic_message(|| {
+        let _held = audit::enter_class("shared.state");
+        let _acquired = audit::enter_class("feedback.entries");
+    });
+    assert!(msg.contains("lock-nesting violation"), "unexpected message: {msg}");
+    assert!(msg.contains("shared.state") && msg.contains("feedback.entries"), "{msg}");
+}
+
+#[test]
+fn the_reversed_pair_panics() {
+    let msg = panic_message(|| {
+        let _inner = audit::enter_class(NESTED_PAIR.1);
+        let _outer = audit::enter_class(NESTED_PAIR.0);
+    });
+    assert!(msg.contains(NESTED_PAIR.0) && msg.contains(NESTED_PAIR.1), "{msg}");
+}
+
+#[test]
+fn a_third_lock_under_the_pair_panics() {
+    let msg = panic_message(|| {
+        let _outer = audit::enter_class(NESTED_PAIR.0);
+        let _inner = audit::enter_class(NESTED_PAIR.1);
+        let _third = audit::enter_class("scheduler.state");
+    });
+    assert!(msg.contains("scheduler.state"), "{msg}");
 }
 
 #[test]
 fn reentrant_acquisition_of_the_same_class_panics() {
-    let result = std::thread::spawn(|| {
-        let _a = audit::enter_class(LOCK_ORDER[1]);
-        let _b = audit::enter_class(LOCK_ORDER[1]); // equal rank: not strictly increasing
-    })
-    .join();
-    assert!(result.is_err(), "re-entrant acquisition must panic");
+    let msg = panic_message(|| {
+        let _a = audit::enter_class(NESTED_PAIR.0);
+        let _b = audit::enter_class(NESTED_PAIR.0);
+    });
+    assert!(msg.contains(NESTED_PAIR.0), "{msg}");
 }
 
 #[test]
 fn dropping_a_token_releases_its_rank_out_of_stack_order() {
-    let a = audit::enter_class(LOCK_ORDER[0]);
-    let b = audit::enter_class(LOCK_ORDER[1]);
-    drop(a); // released before the inner guard — legal with RAII guards
-    assert_eq!(audit::held_ranks(), vec![1]);
-    // With rank 0 released, acquiring it again while holding rank 1 is
-    // still a violation (1 is not < 0).
-    drop(b);
+    let outer = audit::enter_class(NESTED_PAIR.0);
+    let inner = audit::enter_class(NESTED_PAIR.1);
+    drop(outer); // released before the inner guard — legal with RAII guards
+    assert_eq!(audit::held_ranks(), vec![rank(NESTED_PAIR.1)]);
+    drop(inner);
     assert_eq!(audit::held_ranks(), Vec::<usize>::new());
+    // Nothing is held any more, so any one class may be taken.
+    drop(audit::enter_class("scheduler.state"));
 }
 
 #[test]
 fn locks_acquired_from_unranked_files_are_not_audited() {
-    // This file's stem (`lock_audit`) names no LOCK_ORDER class, so the
+    // This file's stem (`lock_audit`) names no lock class, so the
     // recovering helpers hand out rank-None tokens: acquisitions from
-    // tests and tools never trip the audit, whatever their order.
+    // tests and tools never trip the audit, however they nest.
     let (m1, m2) = (Mutex::new(1u32), Mutex::new(2u32));
+    let _engine = audit::enter_class("shared.state");
     let g2 = lock_recovering(&m2);
-    let g1 = lock_recovering(&m1); // any order is fine: unranked
+    let g1 = lock_recovering(&m1);
     assert_eq!(*g1 + *g2, 3);
-    assert_eq!(audit::held_ranks(), Vec::<usize>::new());
+    assert_eq!(audit::held_ranks(), vec![rank("shared.state")]);
 }
 
 #[test]
@@ -73,15 +100,15 @@ fn acquisitions_are_counted_per_thread_by_class() {
     let count = |class: &str| {
         audit::acquisitions().into_iter().find(|(c, _)| *c == class).map_or(0, |(_, n)| n)
     };
-    let before = count(LOCK_ORDER[1]);
-    drop(audit::enter_class(LOCK_ORDER[1]));
-    drop(audit::enter_class(LOCK_ORDER[1]));
+    let before = count(LOCK_CLASSES[1]);
+    drop(audit::enter_class(LOCK_CLASSES[1]));
+    drop(audit::enter_class(LOCK_CLASSES[1]));
     drop(audit::enter_class("no_such.class"));
-    assert_eq!(count(LOCK_ORDER[1]), before + 2);
+    assert_eq!(count(LOCK_CLASSES[1]), before + 2);
     // Another thread's acquisitions are its own.
-    std::thread::spawn(|| drop(audit::enter_class(LOCK_ORDER[1]))).join().unwrap();
-    assert_eq!(count(LOCK_ORDER[1]), before + 2);
-    assert_eq!(audit::acquisitions().len(), LOCK_ORDER.len());
+    std::thread::spawn(|| drop(audit::enter_class(LOCK_CLASSES[1]))).join().unwrap();
+    assert_eq!(count(LOCK_CLASSES[1]), before + 2);
+    assert_eq!(audit::acquisitions().len(), LOCK_CLASSES.len());
 }
 
 #[test]

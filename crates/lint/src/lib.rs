@@ -1,14 +1,13 @@
 //! `els-lint` — in-workspace static analysis for the ELS engine.
 //!
-//! Two layers of passes enforce the invariants that neither the test suite
-//! nor clippy can see (see `DESIGN.md` §4f and §4k; clippy holds every ban
-//! it can express). The per-file passes — atomics discipline, the
-//! parallelism seam, the assert ban, float and default discipline, and
-//! crate layering — read one file at a time. On top of them a workspace
-//! layer builds a symbol table and a best-effort call graph (`symbols`,
-//! `callgraph`) and runs the inter-procedural lock-order pass: every lock
-//! acquisition held across another must run forward in
-//! `els_core::sync::LOCK_ORDER`, and a cycle is a hard error.
+//! The passes enforce the invariants that neither the test suite nor
+//! clippy can see (see `DESIGN.md` §4f and §4k; clippy holds every ban it
+//! can express). One token walk per library file runs atomics discipline,
+//! the parallelism seam, the assert ban, lock confinement, and float and
+//! default discipline; the layering pass reads the crate manifests. Lock
+//! confinement reads its class list from `els_core::sync::LOCK_CLASSES`,
+//! and keeps every engine lock in the file its class names, which is how
+//! the runtime lock audit tells the locks apart.
 //!
 //! Any unsuppressed violation fails the run. A suppression carries a
 //! written justification that is reviewed like code, and one that
@@ -16,23 +15,17 @@
 
 #![deny(unsafe_code)]
 
-pub mod callgraph;
-pub mod lexer;
-pub mod lock_order;
-pub mod passes;
+mod lexer;
+mod passes;
 pub mod report;
 pub mod source;
-pub mod symbols;
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use callgraph::CallGraph;
-use lock_order::LockEdge;
 use passes::{Lint, Violation};
 use source::SourceFile;
-use symbols::{ParsedFile, SymbolTable};
 
 /// The library targets the passes cover: the six engine crates, the
 /// umbrella facade, and the server front door. Each crate root also carries
@@ -50,7 +43,7 @@ pub const LIBRARY_SRC_ROOTS: &[(&str, &str)] = &[
 ];
 
 /// Manifests the layering pass reads, alongside their crate names.
-pub const LIBRARY_MANIFESTS: &[(&str, &str)] = &[
+const LIBRARY_MANIFESTS: &[(&str, &str)] = &[
     ("els-storage", "crates/storage/Cargo.toml"),
     ("els-core", "crates/core/Cargo.toml"),
     ("els-catalog", "crates/catalog/Cargo.toml"),
@@ -62,7 +55,7 @@ pub const LIBRARY_MANIFESTS: &[(&str, &str)] = &[
 ];
 
 /// Hard errors that no suppression can discharge: malformed or unused
-/// suppressions, unreadable files, lock-order cycles.
+/// suppressions, and a sync module whose lock classes cannot be read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HardError {
     /// Workspace-relative file.
@@ -82,10 +75,6 @@ pub struct Outcome {
     pub violations: Vec<Violation>,
     /// Malformed/unused suppressions and I/O problems — always fail.
     pub hard_errors: Vec<HardError>,
-    /// The lock order parsed from `els_core::sync`, for the JSON report.
-    pub lock_order: Vec<String>,
-    /// Every held-while-acquiring edge the lock-order pass derived.
-    pub lock_edges: Vec<LockEdge>,
 }
 
 impl Outcome {
@@ -100,52 +89,51 @@ impl Outcome {
     }
 }
 
-/// Run every pass over the workspace at `root`.
-///
-/// Order matters: all files are parsed up front so the workspace passes
-/// see the whole call graph; suppressions are applied *last*, after every
-/// pass (per-file and inter-procedural) has produced its violations, so a
-/// suppression can discharge a lock-order finding the same way it
-/// discharges a token-pass one.
+/// Run every pass over the workspace at `root`. Suppressions apply last,
+/// after every pass has produced its violations.
 pub fn run(root: &Path) -> Result<Outcome, String> {
     let mut violations = Vec::new();
     let mut hard_errors = Vec::new();
 
-    let mut parsed: Vec<ParsedFile> = Vec::new();
-    for (crate_name, src_root) in LIBRARY_SRC_ROOTS {
+    let mut files: Vec<SourceFile> = Vec::new();
+    for (_, src_root) in LIBRARY_SRC_ROOTS {
         let dir = root.join(src_root);
         if !dir.is_dir() {
             return Err(format!("library source root `{src_root}` not found under {root:?}"));
         }
-        let mut files = Vec::new();
-        collect_rs_files(&dir, &mut files)?;
-        files.sort();
-        for path in files {
+        let mut paths = Vec::new();
+        collect_rs_files(&dir, &mut paths)?;
+        paths.sort();
+        for path in paths {
             let rel = rel_path(root, &path);
             let text =
                 fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", rel))?;
-            parsed.push(ParsedFile::new(crate_name, SourceFile::parse(&rel, &text)));
+            files.push(SourceFile::parse(&rel, &text));
         }
     }
-    let files_scanned = parsed.len();
 
-    // Per-file passes.
-    for pf in &parsed {
-        for e in &pf.source.errors {
+    let sync = files.iter().find(|f| f.rel_path == passes::SYNC_FILE);
+    let lock_classes = sync.and_then(passes::lock_classes).unwrap_or_else(|| {
+        hard_errors.push(HardError {
+            file: passes::SYNC_FILE.to_string(),
+            line: 0,
+            message: "could not parse the LOCK_CLASSES const from els_core::sync; the \
+                      lock-confinement rule has no classes to check against"
+                .to_string(),
+        });
+        Vec::new()
+    });
+
+    for file in &files {
+        for e in &file.errors {
             hard_errors.push(HardError {
-                file: pf.source.rel_path.clone(),
+                file: file.rel_path.clone(),
                 line: e.line,
                 message: e.message.clone(),
             });
         }
-        passes::run_token_passes(pf, &mut violations);
+        passes::run_token_passes(file, &lock_classes, &mut violations);
     }
-
-    // Workspace passes over the symbol table and call graph.
-    let table = SymbolTable::build(&parsed);
-    let graph = CallGraph::build(&parsed, &table);
-    let (lock_order, lock_edges) =
-        lock_order::run(&parsed, &table, &graph, &mut violations, &mut hard_errors);
 
     for (crate_name, manifest_rel) in LIBRARY_MANIFESTS {
         let text = fs::read_to_string(root.join(manifest_rel))
@@ -153,12 +141,12 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
         passes::run_layering_pass(crate_name, manifest_rel, &text, &mut violations);
     }
 
-    for pf in &parsed {
-        apply_suppressions(&pf.source, &mut violations, &mut hard_errors);
+    for file in &files {
+        apply_suppressions(file, &mut violations, &mut hard_errors);
     }
 
     violations.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-    Ok(Outcome { files_scanned, violations, hard_errors, lock_order, lock_edges })
+    Ok(Outcome { files_scanned: files.len(), violations, hard_errors })
 }
 
 /// Apply one file's suppressions to the full violation set.

@@ -10,7 +10,7 @@
 //! justification-carrying suppression syntax is auditable in review.
 
 use crate::lexer::TokenKind;
-use crate::symbols::ParsedFile;
+use crate::source::SourceFile;
 
 /// The lints, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,10 +29,11 @@ pub enum Lint {
     /// stays legal; it is compiled out of the release build the engine
     /// ships. Clippy's `disallowed-macros` cannot exempt test code.
     AssertBan,
-    /// Inter-procedural: the held-while-acquiring graph over the
-    /// `els_core::sync` lock classes must agree with the committed
-    /// `LOCK_ORDER` total order; a cycle is a hard error.
-    LockOrder,
+    /// `Mutex`, `RwLock` and the `els_core::sync` acquisition helpers only
+    /// in a file that owns a lock class (`<file stem>.<field>` in
+    /// `LOCK_CLASSES`), so the runtime lock audit knows every engine lock by
+    /// the file that acquires it.
+    LockConfinement,
     /// Float and default discipline in els-core: no float-literal
     /// `==`/`!=` outside `els_core::float` (rule C), no silent
     /// numeric-literal `unwrap_or` defaults (rule D).
@@ -47,7 +48,7 @@ impl Lint {
             Lint::ParallelismSeam,
             Lint::Layering,
             Lint::AssertBan,
-            Lint::LockOrder,
+            Lint::LockConfinement,
             Lint::NumericDiscipline,
         ]
     }
@@ -59,7 +60,7 @@ impl Lint {
             Lint::ParallelismSeam => "parallelism-seam",
             Lint::Layering => "layering",
             Lint::AssertBan => "assert-ban",
-            Lint::LockOrder => "lock-order",
+            Lint::LockConfinement => "lock-confinement",
             Lint::NumericDiscipline => "numeric-discipline",
         }
     }
@@ -114,10 +115,40 @@ const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 /// The sanctioned home of exact float comparison (rule C exemption).
 const FLOAT_HELPER_FILE: &str = "crates/core/src/float.rs";
 
-/// Run the token walk over one file's non-test code.
-pub fn run_token_passes(pf: &ParsedFile, out: &mut Vec<Violation>) {
-    let path = pf.source.rel_path.as_str();
+/// Where the lock classes are declared, and the lock helpers defined.
+pub(crate) const SYNC_FILE: &str = "crates/core/src/sync.rs";
+
+/// The lock types and the acquisition helpers: the names a file that owns
+/// no lock class may not use.
+const LOCK_NAMES: &[&str] =
+    &["Mutex", "RwLock", "lock_recovering", "read_recovering", "write_recovering"];
+
+/// Parse `pub const LOCK_CLASSES: &[&str] = &["a.b", ...];` from the sync
+/// module's tokens.
+pub(crate) fn lock_classes(sync: &SourceFile) -> Option<Vec<String>> {
+    let name = (0..sync.code.len()).find(|&ci| sync.text(ci) == "LOCK_CLASSES")?;
+    // Skip past the `&[&str] =` type annotation: its `]` would otherwise
+    // end the scan before the initializer starts.
+    let start = (name..sync.code.len()).find(|&ci| sync.is_punct(ci, '='))?;
+    let mut classes = Vec::new();
+    for ci in start..sync.code.len() {
+        match sync.tok(ci)?.kind {
+            TokenKind::Str => classes.push(sync.text(ci).trim_matches('"').to_string()),
+            TokenKind::Punct(']' | ';') => break,
+            _ => {}
+        }
+    }
+    (!classes.is_empty()).then_some(classes)
+}
+
+/// Run the token walk over one file's non-test code. `lock_classes` is
+/// the class list [`lock_classes`] read from the sync module.
+pub(crate) fn run_token_passes(pf: &SourceFile, lock_classes: &[String], out: &mut Vec<Violation>) {
+    let path = pf.rel_path.as_str();
     let in_core = path.starts_with("crates/core/src/");
+    let stem = path.rsplit('/').next().and_then(|f| f.strip_suffix(".rs"));
+    let owns_a_lock = path == SYNC_FILE
+        || lock_classes.iter().any(|c| c.split_once('.').is_some_and(|(s, _)| Some(s) == stem));
     for ci in 0..pf.code.len() {
         let Some(tok) = pf.tok(ci) else { continue };
         let mut push = |lint: Lint, message: String| {
@@ -217,6 +248,19 @@ pub fn run_token_passes(pf: &ParsedFile, out: &mut Vec<Violation>) {
                     ),
                 );
             }
+            // lock confinement: a lock outside the files that own a class.
+            TokenKind::Ident if !owns_a_lock && LOCK_NAMES.contains(&tok.text.as_str()) => {
+                push(
+                    Lint::LockConfinement,
+                    format!(
+                        "`{}` in a file that owns no lock class: an engine lock lives and is \
+                         taken only in the file its `<file stem>.<field>` class names, which \
+                         is how the lock audit tells locks apart (add the class to \
+                         els_core::sync::LOCK_CLASSES if this is a new lock)",
+                        tok.text
+                    ),
+                );
+            }
             _ => {}
         }
     }
@@ -224,7 +268,7 @@ pub fn run_token_passes(pf: &ParsedFile, out: &mut Vec<Violation>) {
 
 /// The engine's layer order, lowest first. A library crate may depend only
 /// on crates strictly earlier in this list (plus [`ALLOWED_EXTERNAL`]).
-pub const LAYER_ORDER: &[&str] = &[
+const LAYER_ORDER: &[&str] = &[
     "els-storage",
     "els-core",
     "els-catalog",
@@ -246,7 +290,7 @@ const ALLOWED_EXTERNAL: &[(&str, &str)] = &[("els-storage", "rand")];
 /// Check one library crate manifest. `crate_name` is the `els-*` package
 /// the manifest belongs to; `rel_path` is the manifest's workspace-relative
 /// path (used for reporting).
-pub fn run_layering_pass(
+pub(crate) fn run_layering_pass(
     crate_name: &str,
     rel_path: &str,
     manifest: &str,
@@ -303,7 +347,8 @@ mod tests {
 
     fn lint_at(path: &str, src: &str) -> Vec<Violation> {
         let mut out = Vec::new();
-        run_token_passes(&ParsedFile::new("els-exec", SourceFile::parse(path, src)), &mut out);
+        let classes = ["plan_cache.state".to_string()];
+        run_token_passes(&SourceFile::parse(path, src), &classes, &mut out);
         out
     }
 
@@ -400,10 +445,7 @@ mod tests {
                    let m = n;\n}";
         let file = SourceFile::parse("crates/exec/src/x.rs", src);
         let mut v = Vec::new();
-        run_token_passes(
-            &ParsedFile::new("els-exec", SourceFile::parse(&file.rel_path, src)),
-            &mut v,
-        );
+        run_token_passes(&file, &[], &mut v);
         let mut hard = Vec::new();
         crate::apply_suppressions(&file, &mut v, &mut hard);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -411,6 +453,45 @@ mod tests {
         assert_eq!(hard.len(), 1, "{hard:?}");
         assert!(hard[0].message.contains("unused suppression"), "{hard:?}");
         assert_eq!(hard[0].line, 4);
+    }
+
+    #[test]
+    fn an_acquisition_helper_in_a_file_without_a_class_is_flagged() {
+        let v =
+            lint_src("fn f(s: &S) { *lock_recovering(&s.a) += 1; read_recovering(&s.b).len(); }");
+        let names: Vec<&str> = v.iter().map(|v| v.lint.name()).collect();
+        assert_eq!(names, ["lock-confinement"; 2], "{v:?}");
+        assert!(v[0].message.contains("`lock_recovering`"), "{v:?}");
+    }
+
+    #[test]
+    fn a_lock_type_in_a_file_without_a_class_is_flagged() {
+        let v = lint_src("use std::sync::{Arc, Mutex};\nstruct S { m: Mutex<u8>, r: RwLock<u8> }");
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|v| v.lint == Lint::LockConfinement));
+        // A test module may lock what it likes.
+        assert_eq!(
+            lint_src("#[cfg(test)]\nmod tests { static M: Mutex<u8> = Mutex::new(0); }"),
+            []
+        );
+    }
+
+    #[test]
+    fn locks_are_legal_in_the_class_files_and_the_sync_module() {
+        let src = "struct S { m: Mutex<u8> }\nfn f(s: &S) { *lock_recovering(&s.m) += 1; }";
+        assert_eq!(lint_at("crates/optimizer/src/plan_cache.rs", src), vec![]);
+        assert_eq!(lint_at(SYNC_FILE, src), vec![]);
+    }
+
+    #[test]
+    fn lock_classes_are_parsed_from_the_sync_tokens() {
+        let sync = SourceFile::parse(
+            SYNC_FILE,
+            "/// [\"not.this\"]\npub const LOCK_CLASSES: &[&str] = &[\"a.x\", \"b.y\"];\n\
+             pub const NESTED_PAIR: (&str, &str) = (\"a.x\", \"b.y\");",
+        );
+        assert_eq!(lock_classes(&sync), Some(vec!["a.x".to_string(), "b.y".to_string()]));
+        assert_eq!(lock_classes(&SourceFile::parse(SYNC_FILE, "pub const X: u8 = 0;")), None);
     }
 
     #[test]

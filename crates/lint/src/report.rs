@@ -73,26 +73,6 @@ pub fn json(outcome: &Outcome) -> String {
         );
     }
     s.push_str("  ],\n");
-    s.push_str("  \"lock_order\": {\n    \"order\": [");
-    for (i, class) in outcome.lock_order.iter().enumerate() {
-        let comma = if i + 1 < outcome.lock_order.len() { ", " } else { "" };
-        let _ = write!(s, "{}{}", quote(class), comma);
-    }
-    s.push_str("],\n    \"edges\": [\n");
-    for (i, e) in outcome.lock_edges.iter().enumerate() {
-        let comma = if i + 1 < outcome.lock_edges.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{\"from\": {}, \"to\": {}, \"file\": {}, \"line\": {}, \"via\": {}}}{}",
-            quote(&e.from),
-            quote(&e.to),
-            quote(&e.file),
-            e.line,
-            quote(&e.via),
-            comma
-        );
-    }
-    s.push_str("    ]\n  },\n");
     s.push_str("  \"errors\": [\n");
     for (i, e) in outcome.hard_errors.iter().enumerate() {
         let comma = if i + 1 < outcome.hard_errors.len() { "," } else { "" };

@@ -1,5 +1,5 @@
-//! Per-file model: token stream, `#[cfg(test)]` exclusion spans, and
-//! parsed `// els-lint: allow(...)` suppressions.
+//! Per-file model: token stream, the code tokens outside `#[cfg(test)]`
+//! items, and parsed `// els-lint: allow(...)` suppressions.
 //!
 //! The passes only ever see *library code*: test modules inside library
 //! files are located by walking the token stream (`#[cfg(test)]` attribute
@@ -42,9 +42,11 @@ pub struct SourceFile {
     /// (e.g. `crates/core/src/estimator.rs`).
     pub rel_path: String,
     /// Token stream, comments included.
-    pub tokens: Vec<Token>,
-    /// `excluded[i]` — token `i` is inside a `#[cfg(test)]` item.
-    pub excluded: Vec<bool>,
+    pub(crate) tokens: Vec<Token>,
+    /// Indices of the tokens that are code *and* outside `#[cfg(test)]`
+    /// items — the stream every pass walks. A code index `ci` names
+    /// `tokens[code[ci]]`.
+    pub(crate) code: Vec<usize>,
     /// Parsed suppression comments.
     pub suppressions: Vec<Suppression>,
     /// Malformed suppressions found while parsing.
@@ -56,14 +58,24 @@ impl SourceFile {
     pub fn parse(rel_path: &str, text: &str) -> SourceFile {
         let tokens = tokenize(text);
         let excluded = mark_cfg_test_items(&tokens);
+        let code = (0..tokens.len()).filter(|&i| tokens[i].is_code() && !excluded[i]).collect();
         let (suppressions, errors) = parse_suppressions(&tokens);
-        SourceFile { rel_path: rel_path.to_string(), tokens, excluded, suppressions, errors }
+        SourceFile { rel_path: rel_path.to_string(), tokens, code, suppressions, errors }
     }
 
-    /// Indices of tokens that are code *and* outside test modules — the
-    /// stream every pass walks.
-    pub fn code_indices(&self) -> Vec<usize> {
-        (0..self.tokens.len()).filter(|&i| self.tokens[i].is_code() && !self.excluded[i]).collect()
+    /// The code token at code-index `ci`, if any.
+    pub(crate) fn tok(&self, ci: usize) -> Option<&Token> {
+        self.code.get(ci).and_then(|&i| self.tokens.get(i))
+    }
+
+    /// Text of the code token at `ci` (empty when out of range).
+    pub(crate) fn text(&self, ci: usize) -> &str {
+        self.tok(ci).map_or("", |t| t.text.as_str())
+    }
+
+    /// True when the code token at `ci` is the punctuation `c`.
+    pub(crate) fn is_punct(&self, ci: usize, c: char) -> bool {
+        self.tok(ci).is_some_and(|t| t.kind == TokenKind::Punct(c))
     }
 }
 
@@ -214,10 +226,8 @@ mod tests {
                    #[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); }\n}\n\
                    fn lib2() { z.unwrap(); }";
         let f = SourceFile::parse("a.rs", src);
-        let visible: Vec<&str> = f
-            .code_indices()
-            .into_iter()
-            .map(|i| f.tokens[i].text.as_str())
+        let visible: Vec<&str> = (0..f.code.len())
+            .map(|ci| f.text(ci))
             .filter(|t| *t == "x" || *t == "y" || *t == "z")
             .collect();
         assert_eq!(visible, ["x", "z"]);
@@ -227,15 +237,15 @@ mod tests {
     fn cfg_test_on_a_use_statement_ends_at_the_semicolon() {
         let src = "#[cfg(test)]\nuse std::collections::HashMap;\nfn lib() { a.unwrap(); }";
         let f = SourceFile::parse("a.rs", src);
-        assert!(f.code_indices().iter().any(|&i| f.tokens[i].text == "unwrap"));
-        assert!(!f.code_indices().iter().any(|&i| f.tokens[i].text == "HashMap"));
+        assert!((0..f.code.len()).any(|ci| f.text(ci) == "unwrap"));
+        assert!(!(0..f.code.len()).any(|ci| f.text(ci) == "HashMap"));
     }
 
     #[test]
     fn stacked_attributes_stay_attached_to_the_test_item() {
         let src = "#[cfg(test)]\n#[allow(dead_code)]\nmod tests { fn t() { y.unwrap(); } }";
         let f = SourceFile::parse("a.rs", src);
-        assert!(!f.code_indices().iter().any(|&i| f.tokens[i].text == "y"));
+        assert!(!(0..f.code.len()).any(|ci| f.text(ci) == "y"));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn workspace_passes_its_own_lints() {
 #[test]
 fn library_code_asserts_in_exactly_two_justified_places() {
     // `ZipfSampler::new`, whose infallible signature the benchmark pins,
-    // and the lock audit, whose job is to panic on an order violation.
+    // and the lock audit, whose job is to panic on a forbidden nesting.
     let outcome = run(workspace_root()).expect("lint run must not fail to read the tree");
     let mut files: Vec<&str> = outcome
         .violations
@@ -85,37 +85,5 @@ fn every_library_crate_root_enables_the_shared_clippy_bans() {
         for lint in RUSTC {
             assert!(words.contains(lint), "{crate_name}: {path:?} does not warn on {lint}");
         }
-    }
-}
-
-#[test]
-fn the_lock_order_graph_is_derived_and_acyclic() {
-    // The pass parsed the order out of els_core::sync (not a stale copy).
-    // The one nesting today is the plan cache dropping an entry's text
-    // slots from their stripes while it holds its state; every edge must
-    // run forward. Acyclicity is enforced inside run() as a hard error,
-    // which workspace_passes_its_own_lints already asserts empty.
-    let outcome = run(workspace_root()).expect("lint run must not fail to read the tree");
-    assert_eq!(
-        outcome.lock_order,
-        [
-            "shared.state",
-            "plan_cache.state",
-            "stripe.slots",
-            "admission.state",
-            "feedback.entries",
-            "scheduler.state"
-        ],
-        "lock order no longer matches els_core::sync::LOCK_ORDER"
-    );
-    assert!(
-        outcome.lock_edges.iter().any(|e| e.from == "plan_cache.state" && e.to == "stripe.slots"),
-        "{:?}",
-        outcome.lock_edges
-    );
-    for e in &outcome.lock_edges {
-        let from = outcome.lock_order.iter().position(|c| *c == e.from);
-        let to = outcome.lock_order.iter().position(|c| *c == e.to);
-        assert!(from < to, "backward edge survived the run: {e:?}");
     }
 }

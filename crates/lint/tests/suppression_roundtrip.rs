@@ -15,8 +15,13 @@ use els_lint::source::SourceFile;
 const REASON_CHARS: &[u8] =
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-.,:;!?()[]{}<>/'#@";
 
-const LINTS: &[&str] =
-    &["atomics-discipline", "parallelism-seam", "layering", "lock-order", "numeric-discipline"];
+const LINTS: &[&str] = &[
+    "atomics-discipline",
+    "parallelism-seam",
+    "layering",
+    "lock-confinement",
+    "numeric-discipline",
+];
 
 /// Surrounding lines chosen to confuse a text-level (non-lexing) scanner.
 const DECOYS: &[&str] = &[

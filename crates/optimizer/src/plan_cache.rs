@@ -173,6 +173,7 @@ impl PlanCache {
         let entry = state.entries.remove(fingerprint)?;
         for &(stripe, key) in &entry.slots {
             if let Some(stripe) = self.stripes.get(stripe) {
+                // Under the state lock: `els_core::sync::NESTED_PAIR`.
                 stripe.drop_slot(key);
             }
         }
@@ -259,6 +260,7 @@ impl PlanCache {
             return unkept(plan, inputs);
         }
         let slot = Arc::new(Slot { plan, inputs, stamp: Arc::clone(&entry.stamp) });
+        // Under the state lock: `els_core::sync::NESTED_PAIR`.
         if stripe_slots.keep_slot(key, config, sql, entry.epoch, Arc::clone(&slot)) {
             entry.slots.push((stripe, key));
         }

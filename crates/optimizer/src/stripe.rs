@@ -5,9 +5,9 @@
 //! locks a stripe and nobody else writes its lines.
 //!
 //! The stripe owns no policy. Which slots exist is decided by
-//! [`crate::PlanCache`] under its state lock, which is why this lock is its
-//! own class in `els_core::sync::LOCK_ORDER`, right after
-//! `plan_cache.state`: the cache takes it while holding that state.
+//! [`crate::PlanCache`] under its state lock, so the cache takes this lock
+//! while holding that state: `(plan_cache.state, stripe.slots)` is
+//! `els_core::sync::NESTED_PAIR`, the one nesting of engine locks there is.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex};

@@ -23,12 +23,12 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Static analysis, the rules clippy cannot express (DESIGN.md §4f): the
 # in-workspace linter (crates/lint) runs the per-file passes (atomics
-# discipline, the parallelism seam, the assert ban, float and default
-# discipline, crate layering) plus the workspace-wide lock-order pass
-# against els_core::sync::LOCK_ORDER. A non-zero exit means an
-# unsuppressed violation, a malformed/unused suppression, a layering break,
-# or a lock-order cycle. The full structured report (lock-order edges) is
-# archived at the repo root (LINT_report.json).
+# discipline, the parallelism seam, the assert ban, lock confinement
+# against els_core::sync::LOCK_CLASSES, float and default discipline,
+# crate layering). A non-zero exit means an unsuppressed violation, a
+# malformed/unused suppression, a layering break, or an unreadable lock
+# class list. The per-lint report is archived at the repo root
+# (LINT_report.json).
 cargo run --release -q -p els-lint
 cargo run --release -q -p els-lint -- --json > LINT_report.json
 echo "check.sh: lint report archived to LINT_report.json"

@@ -5,7 +5,7 @@
 //! is `execute` up to, but not including, running the plan. Nor may it
 //! take a lock another thread's repeat takes:
 //! `a_repeat_text_takes_no_lock_but_its_stripe` counts the lock classes a
-//! repeat acquires under the lock-order audit.
+//! repeat acquires under the lock audit.
 //!
 //! Running the plan still allocates (selection vectors, observations, the
 //! join's working set); `a_hit_executes_under_its_allocation_ceiling` pins
@@ -93,7 +93,7 @@ fn a_repeat_text_reaches_its_plan_without_allocating() {
 }
 
 /// The lock classes `f` acquires on this thread, with how often: the
-/// lock-order audit (on in every test build) counts acquisitions by class.
+/// lock audit (on in every test build) counts acquisitions by class.
 fn locks_in<T>(f: impl FnOnce() -> T) -> (T, Vec<(&'static str, u64)>) {
     let before = audit::acquisitions();
     let out = f();
