@@ -50,8 +50,8 @@ impl Default for CostParams {
 }
 
 /// What the join formulas read of one input, computed once per input —
-/// per base table when enumeration starts, per DP entry when it wins —
-/// rather than once per candidate join that reads it.
+/// per base table when enumeration starts, per DP entry when its subset is
+/// finished — rather than once per candidate join that reads it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InputTerms {
     /// Estimated tuples.

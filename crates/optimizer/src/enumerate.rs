@@ -1,35 +1,35 @@
 //! Dynamic-programming join enumeration over left-deep or bushy trees.
 //!
 //! The classic System R algorithm [13]: the best plan for every subset of
-//! tables is kept, and subsets are extended one base table at a time (and,
-//! under [`TreeShape::Bushy`], paired with every disjoint subset that
-//! already has a plan). At each extension the estimator supplies the
-//! intermediate result size — this is precisely the "incremental
-//! estimation" loop the paper's Algorithm ELS serves — and the cost model
-//! prices each applicable join method; the cheapest (plan, method)
-//! combination survives.
+//! tables is kept, and each subset is built once, in ascending mask order,
+//! from plans that are already final: its subset without one base table
+//! joined to that table, and, under [`TreeShape::Bushy`], every split into
+//! two disjoint subsets, both orientations priced in the same visit. At
+//! each candidate the estimator supplies the intermediate result size —
+//! this is precisely the "incremental estimation" loop the paper's
+//! Algorithm ELS serves — and the cost model prices each applicable join
+//! method; the cheapest (plan, method) combination survives.
 //!
-//! The loop runs once per candidate (`n·2ⁿ⁻¹` left-deep extensions plus
-//! about `3ⁿ` bushy pairs), so a candidate costs one cost formula per
+//! The loop runs once per candidate (`n·2ⁿ⁻¹` left-deep ones, about `3ⁿ`
+//! bushy ones), so a candidate costs one cost formula per applicable
 //! method over terms computed once per input, and nothing else. An
 //! estimator whose sizes depend on the table set alone
 //! ([`CardinalityEstimator::order_independent`]: ELS under Rule LS, UES,
-//! no-estimates) is asked once per subset before the loop; any other once
-//! per candidate, with the same result. A table entry is a `Copy` record
-//! holding back-pointers to its two inputs rather than a plan, and "do
+//! no-estimates) is asked once per subset; any other once per candidate,
+//! with the same result. The table is dense by mask: an entry is a `Copy`
+//! record naming its outer input's mask rather than holding a plan, and "do
 //! equality keys / range edges link these two sides" is an AND against
-//! per-table adjacency masks. The operator tree, with its key lists and
+//! per-subset reach masks. The operator tree, with its key lists and
 //! compiled scan filters, is built once, for the winner, by following the
-//! back-pointers from the full set; the same walk emits the winner's
+//! masks from the full set; the same walk emits the winner's
 //! [`Annotation`]s, one per node in the executor's post-order, holding the
 //! estimates and costs the DP charged, so nothing re-estimates the plan.
 //!
 //! Cartesian products are permitted but naturally priced out whenever a
-//! connected extension exists. A candidate replaces an entry only when it
-//! is strictly cheaper, so **candidate order is tie-break order**: masks
-//! ascending, then base tables ascending, then partner subsets descending;
-//! methods in the caller's order. Reordering any of these loops changes
-//! which of two equal-cost plans is returned.
+//! connected extension exists. **Tie-break:** among candidates of equal
+//! cost for one subset, the smaller outer mask wins, then the earlier
+//! method in the caller's order (the band join last): the order in which a
+//! left-deep enumeration meets them.
 //!
 //! [`cost_order`] prices one fixed left-deep order by the same method
 //! policy and emits the same annotations, for join-order searches outside
@@ -140,79 +140,37 @@ impl Annotation {
     }
 }
 
-/// One plan that was, when it was priced, the cheapest for its table
-/// subset. Its inputs are back-pointers into the list of such plans, not
-/// subtrees: 48 bytes and `Copy`.
+/// The best plan for one table subset. Its inputs are subsets too, named
+/// by mask, so an entry is a `Copy` record rather than a subtree.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     cost: f64,
     state: JoinState,
-    /// Combined tuple width of the covered tables (prices rescans of this
-    /// result as a materialized inner).
-    width: usize,
-    /// The covered tables.
-    mask: u32,
-    /// Positions of the two inputs in the plan list (unused for a scan).
-    left: u32,
-    right: u32,
+    /// The outer input's tables; the inner's are the rest of the subset.
+    /// 0 for a scan.
+    outer: u32,
     /// `None` for a base-table scan.
     method: Option<JoinMethod>,
-}
-
-/// The DP table: every plan that ever became the best for its subset, in
-/// the order they won, and per subset the position of the current best.
-///
-/// A superseded plan stays in the list because a bushy candidate may have
-/// taken it as its inner before the cheaper one arrived (a partner subset
-/// numerically above the outer's is not final yet); the back-pointer then
-/// still leads to the plan whose cost the candidate was charged.
-struct PlanTable {
-    plans: Vec<Entry>,
-    /// Parallel to `plans`: each plan's cost terms as a join input,
-    /// computed once, when it wins.
-    terms: Vec<MaterializedTerms>,
-    best: Vec<Option<u32>>,
-}
-
-/// The current best plan for a subset.
-#[derive(Clone, Copy)]
-struct Best {
-    /// Its position in the plan list.
-    at: u32,
-    entry: Entry,
+    /// Its cost terms as a join input.
     terms: MaterializedTerms,
 }
 
+/// The DP table, dense by subset mask: the best plan of every subset that
+/// has one. A subset is built once, in ascending mask order, from proper
+/// submasks, so its inputs are final when it is priced and the plan it is
+/// charged for is the plan its back-pointers lead to.
+struct PlanTable {
+    plans: Vec<Option<Entry>>,
+}
+
 impl PlanTable {
-    fn new(n: usize) -> PlanTable {
-        PlanTable {
-            plans: Vec::with_capacity(1 << n),
-            terms: Vec::with_capacity(1 << n),
-            best: vec![None; 1 << n],
-        }
+    /// The best plan for `mask`, if it has one.
+    #[inline]
+    fn get(&self, mask: u32) -> Option<&Entry> {
+        self.plans.get(mask as usize)?.as_ref()
     }
 
-    /// The current best plan for `mask`.
-    fn best(&self, mask: u32) -> Option<Best> {
-        let at = (*self.best.get(mask as usize)?)?;
-        let (entry, terms) = (*self.plans.get(at as usize)?, *self.terms.get(at as usize)?);
-        Some(Best { at, entry, terms })
-    }
-
-    /// Install `candidate` when it is strictly cheaper than the current
-    /// best for its subset (so the earliest of equal-cost candidates stays).
-    fn offer(&mut self, candidate: Entry, params: &CostParams) {
-        let Some(slot) = self.best.get_mut(candidate.mask as usize) else { return };
-        let incumbent = slot.and_then(|at| self.plans.get(at as usize));
-        if incumbent.is_none_or(|e| candidate.cost < e.cost) {
-            *slot = Some(self.plans.len() as u32);
-            self.plans.push(candidate);
-            let rows = candidate.state.cardinality();
-            self.terms.push(params.materialized_terms(rows, candidate.width));
-        }
-    }
-
-    /// The operator tree of the plan at `at`, rebuilt from the
+    /// The operator tree of the plan for `mask`, rebuilt from the
     /// back-pointers, with its [`Annotation`]s appended to `out` in
     /// post-order; returns the tree and its root's position in `out`.
     /// `parent` is the method of the join the plan is the inner of. Each
@@ -220,30 +178,29 @@ impl PlanTable {
     /// out of `filters`.
     fn build(
         &self,
-        at: u32,
+        mask: u32,
         parent: Option<JoinMethod>,
         els: &dyn CardinalityEstimator,
         filters: &mut [Vec<CompiledFilter>],
         out: &mut Vec<Annotation>,
     ) -> OptimizerResult<(PlanNode, usize)> {
-        let lost = || OptimizerError::Internal(format!("join enumeration lost the plan at {at}"));
-        let entry = self.plans.get(at as usize).ok_or_else(lost)?;
+        let lost = || OptimizerError::Internal(format!("join enumeration lost the plan {mask:#b}"));
+        let entry = self.get(mask).ok_or_else(lost)?;
         let (rows, cost) = (entry.state.cardinality(), entry.cost);
         let (node, annotation) = match entry.method {
             None => {
-                let table_id = entry.mask.trailing_zeros() as usize;
+                let table_id = mask.trailing_zeros() as usize;
                 let filters = std::mem::take(filters.get_mut(table_id).ok_or_else(lost)?);
                 let scan = Annotation::scan(els, table_id, filters.len(), rows, cost, parent)?;
                 (PlanNode::Scan { table_id, filters }, scan)
             }
             Some(method) => {
-                let inner = u64::from(self.plans.get(entry.right as usize).ok_or_else(lost)?.mask);
-                let outer = u64::from(entry.mask) & !inner;
-                let (keys, ranges) = edges_between(els.predicates(), outer, inner);
-                let (left, l) = self.build(entry.left, None, els, filters, out)?;
-                let (right, r) = self.build(entry.right, Some(method), els, filters, out)?;
+                let (outer, inner) = (entry.outer, mask ^ entry.outer);
+                let (keys, ranges) = edges_between(els.predicates(), outer.into(), inner.into());
+                let (left, l) = self.build(outer, None, els, filters, out)?;
+                let (right, r) = self.build(inner, Some(method), els, filters, out)?;
                 let (left, right) = (Box::new(left), Box::new(right));
-                let join = Annotation::join(u64::from(entry.mask), method, rows, cost, (l, r));
+                let join = Annotation::join(mask.into(), method, rows, cost, (l, r));
                 (PlanNode::Join { method, left, right, keys, ranges }, join)
             }
         };
@@ -260,6 +217,8 @@ struct BaseTable {
     /// Tables linked to this one by an equality / an inequality predicate.
     key_adjacent: u32,
     range_adjacent: u32,
+    /// Its tuple width.
+    width: usize,
 }
 
 /// Scan filters for one table: every local predicate of the (possibly
@@ -311,17 +270,7 @@ fn edges_between(predicates: &[Predicate], left_mask: u64, right_mask: u64) -> J
 /// Join keys linking the tables of `mask` to `table`: `(left, right)` pairs
 /// with `left` inside the mask and `right` on the new table.
 pub fn join_keys(predicates: &[Predicate], mask: u64, table: usize) -> Vec<(ColumnRef, ColumnRef)> {
-    join_keys_between(predicates, mask, 1u64 << table)
-}
-
-/// Join keys between two disjoint table sets: `(left, right)` pairs with
-/// `left` in `left_mask` and `right` in `right_mask`.
-pub(crate) fn join_keys_between(
-    predicates: &[Predicate],
-    left_mask: u64,
-    right_mask: u64,
-) -> Vec<(ColumnRef, ColumnRef)> {
-    edges_between(predicates, left_mask, right_mask).0
+    edges_between(predicates, mask, 1u64 << table).0
 }
 
 /// Inequality predicates linking the tables of `mask` to `table`, oriented
@@ -332,17 +281,43 @@ pub fn range_keys(
     mask: u64,
     table: usize,
 ) -> Vec<(ColumnRef, CmpOp, ColumnRef)> {
-    range_keys_between(predicates, mask, 1u64 << table)
+    edges_between(predicates, mask, 1u64 << table).1
 }
 
-/// Inequality predicates between two disjoint table sets, oriented
-/// `(left in left_mask, op, right in right_mask)`.
-pub(crate) fn range_keys_between(
-    predicates: &[Predicate],
-    left_mask: u64,
-    right_mask: u64,
-) -> Vec<(ColumnRef, CmpOp, ColumnRef)> {
-    edges_between(predicates, left_mask, right_mask).1
+/// What the loop needs of one subset whatever its plan, filled in the
+/// ascending pass from the subset without its highest table.
+#[derive(Clone, Copy, Default)]
+struct Subset {
+    /// Every table a key / a range edge leads to from inside the subset:
+    /// "do keys link this subset to that other side" is then one AND.
+    key_reach: u32,
+    range_reach: u32,
+    /// Combined tuple width of its tables (prices rescans of its result as
+    /// a materialized inner).
+    width: usize,
+}
+
+/// The cheapest candidate for one subset so far.
+#[derive(Clone, Copy)]
+struct Incumbent {
+    cost: f64,
+    outer: u32,
+    method: JoinMethod,
+    state: JoinState,
+}
+
+impl Incumbent {
+    /// Take `candidate` when it is cheaper, or as cheap with the smaller
+    /// outer mask; any candidate when there is none yet, whatever its cost.
+    #[inline]
+    fn offer(best: &mut Option<Incumbent>, candidate: Incumbent) {
+        let wins = |b: &Incumbent| {
+            candidate.cost < b.cost || (candidate.cost == b.cost && candidate.outer < b.outer)
+        };
+        if best.as_ref().is_none_or(wins) {
+            *best = Some(candidate);
+        }
+    }
 }
 
 /// Run the DP over any [`CardinalityEstimator`] (the paper's ELS, the
@@ -370,30 +345,30 @@ pub fn enumerate(
     if methods.is_empty() {
         return Err(OptimizerError::Unsupported("no join methods enabled".into()));
     }
+    let methods = MethodSet::new(methods);
     let predicates = els.predicates();
 
     let mut tables: Vec<BaseTable> = Vec::with_capacity(n);
     let mut filters: Vec<Vec<CompiledFilter>> = Vec::with_capacity(n);
-    let mut dp = PlanTable::new(n);
+    let mut dp = PlanTable { plans: vec![None; 1 << n] };
     for (t, profile) in profiles.iter().enumerate() {
         tables.push(BaseTable {
             terms: params.stored_terms(profile, els.effective_cardinality(t)?),
             key_adjacent: 0,
             range_adjacent: 0,
+            width: profile.row_bytes,
         });
         filters.push(scan_filters(predicates, t)?);
-        dp.offer(
-            Entry {
+        let state = els.initial_state(t)?;
+        if let Some(slot) = dp.plans.get_mut(1 << t) {
+            *slot = Some(Entry {
                 cost: params.scan(profile),
-                state: els.initial_state(t)?,
-                width: profile.row_bytes,
-                mask: 1 << t,
-                left: 0,
-                right: 0,
+                state,
+                outer: 0,
                 method: None,
-            },
-            params,
-        );
+                terms: params.materialized_terms(state.cardinality(), profile.row_bytes),
+            });
+        }
     }
     for p in predicates {
         let (l, r, is_key) = match p {
@@ -413,141 +388,130 @@ pub fn enumerate(
         }
     }
     let universe = (1u32 << n) - 1;
-    let sizes =
-        if els.order_independent() { subset_sizes(els, &dp, universe)? } else { Vec::new() };
-
-    // One candidate: `outer ⋈ inner`, offered at its cheapest applicable
-    // method (none may be — e.g. IndexNestedLoop-only configurations over
-    // an intermediate — which is no candidate, not a panic). An inner that
-    // is a scan is a stored table; anything else is materialized. The size
-    // of the joined set comes from `sizes` when the estimator filled it,
-    // else from one estimator call.
-    let consider = |dp: &mut PlanTable,
-                    outer: &Best,
-                    inner: &Best,
-                    links: (bool, bool)|
-     -> OptimizerResult<()> {
-        let mask = outer.entry.mask | inner.entry.mask;
-        let t = inner.entry.mask.trailing_zeros() as usize;
-        let stored = tables.get(t).filter(|_| inner.entry.method.is_none());
-        let state = match (sizes.get(mask as usize - 1), stored) {
-            (Some(state), _) => *state,
-            (None, Some(_)) => els.join(&outer.entry.state, t)?,
-            (None, None) => els.join_sets(&outer.entry.state, &inner.entry.state)?,
-        };
-        // The stored inner's scan is charged inside each method's formula.
-        let (inner_terms, inputs_cost) = match stored {
-            Some(table) => (Inner::Stored(&table.terms), outer.entry.cost),
-            None => (Inner::Materialized(&inner.terms), outer.entry.cost + inner.entry.cost),
-        };
-        let (outer_terms, out) = (&outer.terms.input, state.cardinality());
-        if let Some((method, join_cost)) =
-            cheapest_method(methods, params, outer_terms, inner_terms, out, links)
-        {
-            let candidate = Entry {
-                cost: inputs_cost + join_cost,
-                state,
-                width: outer.entry.width + inner.entry.width,
-                mask,
-                left: outer.at,
-                right: inner.at,
-                method: Some(method),
-            };
-            dp.offer(candidate, params);
-        }
-        Ok(())
+    let lost = |mask: u32| {
+        OptimizerError::Internal(format!("join enumeration reached {mask:#b} before its parts"))
     };
+    let mut subsets: Vec<Subset> = Vec::with_capacity(1 << n);
+    subsets.push(Subset::default());
+    // An order-independent estimator sizes each subset once, as its
+    // highest table joined to the rest (the estimator's incremental step),
+    // at `sizes[mask - 1]`; any other is asked once per candidate.
+    let order_independent = els.order_independent();
+    let mut sizes: Vec<JoinState> =
+        Vec::with_capacity(if order_independent { universe as usize } else { 0 });
 
-    // Extend subsets in increasing mask order (all proper submasks of m are
-    // numerically smaller than m, so m's plan is final when m is extended).
+    // Subsets in ascending mask order: every input of a subset is a proper
+    // submask, so it is final when the subset is built.
     for mask in 1..=universe {
-        let Some(outer) = dp.best(mask) else { continue };
-        // Every table a key / a range edge leads to from inside `mask`:
-        // "do keys link `mask` to this other side" is then one AND.
-        let (key_reach, range_reach) = tables
-            .iter()
-            .enumerate()
-            .filter(|(t, _)| mask & (1 << t) != 0)
-            .fold((0u32, 0u32), |(k, r), (_, b)| (k | b.key_adjacent, r | b.range_adjacent));
-        let links = |other: u32| (key_reach & other != 0, range_reach & other != 0);
-
-        // Left-deep transitions: extend by one base table.
-        for bit in (0..n).map(|t| 1u32 << t).filter(|bit| mask & bit == 0) {
-            if let Some(scan) = dp.best(bit) {
-                consider(&mut dp, &outer, &scan, links(bit))?;
+        let high = mask.ilog2() as usize;
+        let rest = mask ^ (1 << high);
+        let (table, below) = (tables.get(high), subsets.get(rest as usize));
+        let (Some(table), Some(below)) = (table, below) else { return Err(lost(mask)) };
+        let subset = Subset {
+            key_reach: below.key_reach | table.key_adjacent,
+            range_reach: below.range_reach | table.range_adjacent,
+            width: below.width + table.width,
+        };
+        subsets.push(subset);
+        let size = match (order_independent, rest) {
+            (false, _) => None,
+            (true, 0) => dp.get(mask).map(|scan| scan.state),
+            (true, _) => {
+                Some(els.join(sizes.get(rest as usize - 1).ok_or_else(|| lost(mask))?, high)?)
             }
+        };
+        sizes.extend(size);
+        if rest == 0 {
+            continue;
         }
 
-        // Bushy transitions: pair this subtree, as the outer, with every
-        // disjoint subtree of size >= 2 that has a plan so far (size-1
-        // partners are covered by the left-deep transitions above, with
-        // their cheaper base-inner cost structure).
-        //
-        // A pair {A, B} with A < B numerically is priced with B outer and
-        // A inner at iteration B, when A's plan is final. The other
-        // orientation is priced at iteration A only against whatever plan
-        // masks below A have pushed into B by then — often none: at
-        // A = 0b0011 nothing has reached B = 0b1100, which only masks 4 and
-        // 8 push into. So "A outer, B inner" is in general not considered,
-        // although nested loops over a materialized inner and a parallel
-        // probe cost the two orientations differently (ROADMAP, "bushy
-        // orientation").
-        if shape == TreeShape::Bushy {
-            let rest = universe & !mask;
-            let mut sub = rest;
-            while sub > 0 {
-                if sub.count_ones() >= 2 {
-                    if let Some(partner) = dp.best(sub) {
-                        consider(&mut dp, &outer, &partner, links(sub))?;
+        // One candidate: `outer ⋈ inner`, at its cheapest applicable
+        // method (none may be — e.g. IndexNestedLoop-only configurations
+        // over an intermediate — which is no candidate, not a panic). An
+        // inner that is one table is a stored table; anything else is
+        // materialized.
+        let mut best: Option<Incumbent> = None;
+        let mut consider = |outer: u32, o: &Entry, inner: u32, i: &Entry, links| {
+            let t = inner.trailing_zeros() as usize;
+            let stored = tables.get(t).filter(|_| i.method.is_none());
+            let state = match (size, stored) {
+                (Some(state), _) => state,
+                (None, Some(_)) => els.join(&o.state, t)?,
+                (None, None) => els.join_sets(&o.state, &i.state)?,
+            };
+            // The stored inner's scan is charged inside each method's formula.
+            let (inner_terms, inputs_cost) = match stored {
+                Some(table) => (Inner::Stored(&table.terms), o.cost),
+                None => (Inner::Materialized(&i.terms), o.cost + i.cost),
+            };
+            let out = state.cardinality();
+            if let Some((method, join_cost)) =
+                methods.cheapest(params, &o.terms.input, inner_terms, out, links)
+            {
+                let cost = inputs_cost + join_cost;
+                Incumbent::offer(&mut best, Incumbent { cost, outer, method, state });
+            }
+            OptimizerResult::Ok(())
+        };
+        let links = |outer: u32, inner: u32| {
+            let reach = subsets.get(outer as usize).copied().unwrap_or_default();
+            (reach.key_reach & inner != 0, reach.range_reach & inner != 0)
+        };
+        match shape {
+            // `mask` minus one table, the highest first, so outers ascend.
+            TreeShape::LeftDeep => {
+                let mut bits = mask;
+                while bits != 0 {
+                    let inner = 1 << bits.ilog2();
+                    bits ^= inner;
+                    let outer = mask ^ inner;
+                    if let (Some(o), Some(i)) = (dp.get(outer), dp.get(inner)) {
+                        consider(outer, o, inner, i, links(outer, inner))?;
                     }
                 }
-                sub = (sub - 1) & rest;
             }
+            // Every unordered split {a, b} once (`a` holds the lowest
+            // table), both orientations priced in the same visit.
+            TreeShape::Bushy => {
+                let (low, others) = (mask & mask.wrapping_neg(), mask & (mask - 1));
+                let mut sub = others;
+                while sub != 0 {
+                    sub = (sub - 1) & others;
+                    let (a, b) = (low | sub, others ^ sub);
+                    if let (Some(ea), Some(eb)) = (dp.get(a), dp.get(b)) {
+                        let links = links(a, b);
+                        consider(a, ea, b, eb, links)?;
+                        consider(b, eb, a, ea, links)?;
+                    }
+                }
+            }
+        }
+        if let (Some(best), Some(slot)) = (best, dp.plans.get_mut(mask as usize)) {
+            *slot = Some(Entry {
+                cost: best.cost,
+                state: best.state,
+                outer: best.outer,
+                method: Some(best.method),
+                terms: params.materialized_terms(best.state.cardinality(), subset.width),
+            });
         }
     }
 
     // Every subset should be reachable (left-deep transitions alone connect
     // any mask), but a serving thread must degrade to an error — never
     // panic — if that invariant is ever broken by a bad configuration.
-    let no_plan = || {
-        OptimizerError::Internal(format!(
+    if dp.get(universe).is_none() {
+        return Err(OptimizerError::Internal(format!(
             "join enumeration built no plan for the full table set ({n} tables)"
-        ))
-    };
-    let winner = dp.best(universe).ok_or_else(no_plan)?;
+        )));
+    }
     let mut annotations = Vec::with_capacity(2 * n - 1);
-    let (root, _) = dp.build(winner.at, None, els, &mut filters, &mut annotations)?;
+    let (root, _) = dp.build(universe, None, els, &mut filters, &mut annotations)?;
     Ok(EnumerationResult::new(root, annotations))
 }
 
-/// The state of every non-empty subset `m` of `universe`, at `m - 1`, for
-/// an [order-independent](CardinalityEstimator::order_independent)
-/// estimator: each subset is its highest table joined to the rest (the
-/// estimator's incremental step), a single table is its scan's state. One
-/// estimator call per subset, where the DP would make one per candidate.
-fn subset_sizes(
-    els: &dyn CardinalityEstimator,
-    dp: &PlanTable,
-    universe: u32,
-) -> OptimizerResult<Vec<JoinState>> {
-    let mut sizes = Vec::with_capacity(universe as usize);
-    for mask in 1..=universe {
-        let high = mask.ilog2();
-        let state = match (mask ^ (1 << high)).checked_sub(1) {
-            None => dp.best(mask).map(|scan| scan.entry.state),
-            Some(rest) => {
-                sizes.get(rest as usize).map(|r| els.join(r, high as usize)).transpose()?
-            }
-        };
-        sizes.push(state.ok_or_else(|| {
-            OptimizerError::Internal(format!("no estimate for the table subset {mask:#b}"))
-        })?);
-    }
-    Ok(sizes)
-}
-
 /// Cost one fixed left-deep order, choosing the join method of each step by
-/// the DP's policy (`cheapest_method`), so a join-order search outside
+/// the DP's policy ([`MethodSet`]), so a join-order search outside
 /// the DP prices its candidates exactly as the DP would. `profiles` holds
 /// one profile per table of `els`.
 pub fn cost_order(
@@ -566,7 +530,7 @@ pub fn cost_order(
             OptimizerError::Unsupported(format!("table {t} of {want} has no profile among {have}"))
         })
     };
-    let predicates = els.predicates();
+    let (predicates, methods) = (els.predicates(), MethodSet::new(methods));
     let mut state = els.initial_state(first)?;
     let filters = scan_filters(predicates, first)?;
     let mut cost = params.scan(profile(first)?);
@@ -581,14 +545,9 @@ pub fn cost_order(
         let inner = params.stored_terms(profile(t)?, els.effective_cardinality(t)?);
         let (keys, ranges) = edges_between(predicates, mask, 1 << t);
         let links = (!keys.is_empty(), !ranges.is_empty());
-        let Some((method, join_cost)) = cheapest_method(
-            methods,
-            params,
-            &outer,
-            Inner::Stored(&inner),
-            new_state.cardinality(),
-            links,
-        ) else {
+        let Some((method, join_cost)) =
+            methods.cheapest(params, &outer, Inner::Stored(&inner), new_state.cardinality(), links)
+        else {
             return Err(OptimizerError::Unsupported("no join methods enabled".into()));
         };
         let filters = scan_filters(predicates, t)?;
@@ -612,48 +571,84 @@ pub fn cost_order(
     Ok(EnumerationResult::new(node, annotations))
 }
 
-/// The cheapest applicable method for one candidate join, the earliest
-/// enabled one on ties; `None` when no enabled method can run it.
-/// `output_rows` is the estimator's size for the joined set, and
-/// `(has_keys, has_ranges)` say which kinds of predicate link the two inputs.
-/// The method policy of both the DP above and [`cost_order`].
-fn cheapest_method(
-    methods: &[JoinMethod],
-    p: &CostParams,
-    outer: &InputTerms,
-    inner: Inner<'_>,
-    output_rows: f64,
-    (has_keys, has_ranges): (bool, bool),
-) -> Option<(JoinMethod, f64)> {
-    let (input, scan, rescan, index) = inner.parts();
-    // The band join is not part of the configured method list: it
-    // becomes a candidate exactly when it is executable — no equi-keys
-    // but at least one inequality edge. Keyed joins treat the
-    // inequalities as residual filters instead.
-    let band_ok = !has_keys && has_ranges;
-    // Keyless methods materialize the full cross product before the
-    // residual inequality filter; only the band join prunes while
-    // probing, so only it is charged the filtered output.
-    let emit = if band_ok { outer.rows * input.rows } else { output_rows };
-    let mut best: Option<(JoinMethod, f64)> = None;
-    for &m in methods.iter().chain(band_ok.then_some(&JoinMethod::Range)) {
-        let cost = match (m, index) {
-            (JoinMethod::NestedLoop, _) => p.nested_loop_cost(outer.rows, rescan),
-            (JoinMethod::SortMerge, _) => p.sort_merge_cost(scan, outer, input, emit),
-            (JoinMethod::Hash, _) => p.hash_cost(scan, outer.rows, input, emit),
-            // Indexed nested loops probes a stored table's index, so
-            // it needs a base inner and at least one key to probe on.
-            (JoinMethod::IndexNestedLoop, Some(index)) if has_keys => {
-                p.index_nested_loop_cost(outer.rows, index, emit)
+/// The enabled join methods, resolved once per enumeration into the
+/// methods that can run each kind of candidate, in the caller's order, each
+/// once. The band join is not part of the configured list: it is a
+/// candidate exactly when it is executable — no equi-keys but at least one
+/// inequality edge — and keyed joins treat the inequalities as residual
+/// filters instead. The method policy of both the DP and [`cost_order`].
+struct MethodSet {
+    /// Inputs linked by a key, or by nothing: every method but indexed
+    /// nested loops and the band join.
+    plain: Vec<JoinMethod>,
+    /// A stored inner linked by a key: indexed nested loops probes its
+    /// index, so it needs both.
+    indexed: Vec<JoinMethod>,
+    /// Inputs linked by inequality edges alone: the band join is added,
+    /// last unless configured earlier.
+    band: Vec<JoinMethod>,
+}
+
+impl MethodSet {
+    fn new(methods: &[JoinMethod]) -> MethodSet {
+        let without = |skip: &[JoinMethod], last: Option<JoinMethod>| {
+            let mut list: Vec<JoinMethod> = Vec::with_capacity(methods.len() + 1);
+            for &m in methods.iter().chain(&last) {
+                if !skip.contains(&m) && !list.contains(&m) {
+                    list.push(m);
+                }
             }
-            (JoinMethod::Range, _) if band_ok => p.range_join_cost(scan, outer, input, output_rows),
-            (JoinMethod::IndexNestedLoop | JoinMethod::Range, _) => continue,
+            list
         };
-        if best.is_none_or(|(_, c)| cost < c) {
-            best = Some((m, cost));
+        let (inl, range) = (JoinMethod::IndexNestedLoop, JoinMethod::Range);
+        MethodSet {
+            plain: without(&[inl, range], None),
+            indexed: without(&[range], None),
+            band: without(&[inl], Some(range)),
         }
     }
-    best
+
+    /// The cheapest method for one candidate join, the earliest on ties;
+    /// `None` when no enabled method can run it. `output_rows` is the
+    /// estimator's size for the joined set, and `(has_keys, has_ranges)`
+    /// say which kinds of predicate link the two inputs.
+    #[inline]
+    fn cheapest(
+        &self,
+        p: &CostParams,
+        outer: &InputTerms,
+        inner: Inner<'_>,
+        output_rows: f64,
+        (has_keys, has_ranges): (bool, bool),
+    ) -> Option<(JoinMethod, f64)> {
+        let (input, scan, rescan, index) = inner.parts();
+        let band_ok = !has_keys && has_ranges;
+        // Keyless methods materialize the full cross product before the
+        // residual inequality filter; only the band join prunes while
+        // probing, so only it is charged the filtered output.
+        let emit = if band_ok { outer.rows * input.rows } else { output_rows };
+        // Only `indexed` holds indexed nested loops, so the other lists
+        // never read the index terms.
+        let (list, index) = match index {
+            _ if band_ok => (&self.band, (0.0, 0.0)),
+            Some(index) if has_keys => (&self.indexed, index),
+            _ => (&self.plain, (0.0, 0.0)),
+        };
+        let mut best: Option<(JoinMethod, f64)> = None;
+        for &m in list {
+            let cost = match m {
+                JoinMethod::NestedLoop => p.nested_loop_cost(outer.rows, rescan),
+                JoinMethod::SortMerge => p.sort_merge_cost(scan, outer, input, emit),
+                JoinMethod::Hash => p.hash_cost(scan, outer.rows, input, emit),
+                JoinMethod::IndexNestedLoop => p.index_nested_loop_cost(outer.rows, index, emit),
+                JoinMethod::Range => p.range_join_cost(scan, outer, input, output_rows),
+            };
+            if best.is_none_or(|(_, c)| cost < c) {
+                best = Some((m, cost));
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
@@ -735,8 +730,8 @@ mod tests {
 
     /// DESIGN.md quotes these figures for the DP table's footprint.
     #[test]
-    fn a_table_entry_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<Entry>(), 48);
+    fn a_table_entry_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Entry>>(), 72);
     }
 
     #[test]
@@ -866,12 +861,12 @@ mod tests {
     #[test]
     fn range_keys_between_flips_the_operator_with_the_sides() {
         let preds = vec![Predicate::join_range(c(0, 0), CmpOp::Lt, c(1, 0)).unwrap()];
-        let fwd = range_keys_between(&preds, 0b01, 0b10);
+        let fwd = edges_between(&preds, 0b01, 0b10).1;
         assert_eq!(fwd, vec![(c(0, 0), CmpOp::Lt, c(1, 0))]);
-        let rev = range_keys_between(&preds, 0b10, 0b01);
+        let rev = edges_between(&preds, 0b10, 0b01).1;
         assert_eq!(rev, vec![(c(1, 0), CmpOp::Gt, c(0, 0))]);
         // Edges internal to one side never leak out.
-        assert!(range_keys_between(&preds, 0b11, 0b100).is_empty());
+        assert!(edges_between(&preds, 0b11, 0b100).1.is_empty());
     }
 
     #[test]
@@ -979,15 +974,12 @@ mod tests {
         assert!((bushy.estimated_sizes.last().unwrap() - 100.0).abs() < 1e-6);
     }
 
-    /// Pins a known gap rather than a virtue: a bushy pair {A, B} is only
-    /// priced with the numerically larger mask as the outer (see the note
-    /// in `enumerate`), so renumbering the tables changes the best cost
-    /// when the two orientations are priced differently — here nested
-    /// loops, which rescans its materialized inner once per outer tuple.
-    /// When the ROADMAP's "bushy orientation" item lands, both numberings
-    /// must cost what the cheaper one does today.
+    /// A bushy pair is priced in both orientations, so renumbering the
+    /// tables changes neither the plan's shape nor its cost, although the
+    /// two orientations cost differently — here under nested loops, which
+    /// rescans its materialized inner once per outer tuple.
     #[test]
-    fn bushy_prices_a_pair_only_with_the_higher_mask_as_outer() {
+    fn bushy_prices_both_orientations() {
         // Two independent pairs: one joins to 10 tuples, the other to 1000.
         let bushy_nl = |small_pair_first: bool| {
             let mk = |rows: f64| {
@@ -1014,21 +1006,40 @@ mod tests {
             PlanNode::Join { left, right, .. } => (left.tables(), right.tables()),
             PlanNode::Scan { .. } => panic!("join root expected"),
         };
-        // Small pair numbered {2, 3}: it is the outer, and the big pair's
+        // Either numbering: the small pair is the outer, and the big pair's
         // result is rescanned ten times.
-        let cheap = bushy_nl(false);
-        assert_eq!(sides(&cheap), (vec![2, 3], vec![0, 1]), "{}", cheap.root.explain());
-        // Small pair numbered {0, 1}: "{0, 1} outer, {2, 3} inner" is never
-        // priced (nothing has pushed into 0b1100 at iteration 0b0011), so
-        // the big pair stays the outer and the same query costs more.
-        let dear = bushy_nl(true);
-        assert_eq!(sides(&dear), (vec![2, 3], vec![0, 1]), "{}", dear.root.explain());
-        assert!(
-            dear.estimated_cost > cheap.estimated_cost,
-            "renumbered {} vs {}",
-            dear.estimated_cost,
-            cheap.estimated_cost
-        );
+        let high = bushy_nl(false);
+        assert_eq!(sides(&high), (vec![2, 3], vec![0, 1]), "{}", high.root.explain());
+        let low = bushy_nl(true);
+        assert_eq!(sides(&low), (vec![0, 1], vec![2, 3]), "{}", low.root.explain());
+        assert_eq!(low.estimated_cost.to_bits(), high.estimated_cost.to_bits());
+    }
+
+    /// A subset gets a plan whenever some candidate has an applicable
+    /// method, whatever that costs; one with none is no plan, and a query
+    /// left without one is a typed error.
+    #[test]
+    fn degenerate_costs_and_method_sets_still_plan_or_fail_typed() {
+        let (els, profiles) = chain(4);
+        let nan = CostParams { cpu_tuple_cost: f64::NAN, ..CostParams::default() };
+        let inf = CostParams { page_cost: f64::INFINITY, ..CostParams::default() };
+        let inl = [JoinMethod::IndexNestedLoop];
+        for shape in [TreeShape::LeftDeep, TreeShape::Bushy] {
+            for (methods, params) in [(&NL_SM[..], nan), (&NL_SM[..], inf), (&inl[..], nan)] {
+                let r = enumerate(&els, &profiles, methods, &params, shape).unwrap();
+                assert_eq!(r.join_order.len(), 4, "{shape:?} {params:?}");
+            }
+            // No key links a cartesian pair, so indexed nested loops cannot
+            // run it.
+            let stats = QueryStatistics::new(vec![
+                TableStatistics::new(10.0, vec![ColumnStatistics::with_distinct(10.0)]),
+                TableStatistics::new(20.0, vec![ColumnStatistics::with_distinct(20.0)]),
+            ]);
+            let pair = Els::prepare(&[], &stats, &ElsOptions::default()).unwrap();
+            let two = [TableProfile::synthetic(10.0, 8), TableProfile::synthetic(20.0, 8)];
+            let r = enumerate(&pair, &two, &inl, &CostParams::default(), shape);
+            assert!(matches!(r, Err(OptimizerError::Internal(_))), "{r:?}");
+        }
     }
 
     #[test]
