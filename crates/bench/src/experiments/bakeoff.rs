@@ -18,11 +18,14 @@
 //! Per contender we pool the join-operator q-errors (via
 //! `explain_analyze`) and separately time plain `execute` over the
 //! workload, so the table carries both the estimation error and the
-//! runtime of the plans that error bought. The timed pass runs the
+//! runtime of the plans that error bought, next to the plan itself (join
+//! order and methods), so that a plan move shows in a diff of the output.
+//! The timed pass runs the
 //! vectorized executor with the caller's worker count — and tells the
 //! cost model about it (`CostParams::probe_parallelism`) — so contenders
 //! are compared on the engine configuration a real deployment would run.
 
+use els::analyze::{ExplainAnalyzeReport, OperatorReport};
 use els_catalog::FeedbackMode;
 use els_exec::timing::Stopwatch;
 use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
@@ -56,6 +59,24 @@ pub struct BakeoffEntry {
     pub underestimates: usize,
     /// Wall time executing the workload with this contender's plans.
     pub runtime_ms: f64,
+    /// The chosen plan of every query, `; `-separated ([`join_tree`]).
+    pub plan: String,
+}
+
+/// A report's plan as one line: a join's method between its inputs, a scan
+/// as its table, e.g. `((S HASH M) NL B)`.
+pub fn join_tree(report: &ExplainAnalyzeReport) -> String {
+    fn node(ops: &[OperatorReport], at: usize) -> String {
+        let Some(op) = ops.get(at) else { return "?".to_owned() };
+        let between = |open, close| op.label.split([open, close]).nth(1).unwrap_or("?");
+        match op.inputs {
+            Some((left, right)) => {
+                format!("({} {} {})", node(ops, left), between('<', '>'), node(ops, right))
+            }
+            None => between('(', ')').to_owned(),
+        }
+    }
+    node(&report.operators, 0)
 }
 
 /// How a contender configures its engine.
@@ -136,6 +157,7 @@ pub fn estimator_bakeoff(
                 engine.execute(sql).expect("bake-off timed pass executes");
             }
             let runtime_ms = start.elapsed().as_secs_f64() * 1e3;
+            let plan = reports.iter().map(join_tree).collect::<Vec<_>>().join("; ");
             BakeoffEntry {
                 label: c.label.to_owned(),
                 rule: last_rule(&reports),
@@ -145,6 +167,7 @@ pub fn estimator_bakeoff(
                 max_q,
                 underestimates,
                 runtime_ms,
+                plan,
             }
         })
         .collect()
@@ -230,11 +253,13 @@ pub fn run() -> Result<(), Box<dyn std::error::Error>> {
         r("max q", 9),
         r("under-est", 9),
         r("runtime ms", 10),
+        l("plan", 36),
     ]);
     let entries = estimator_bakeoff(&tables, &queries, 2);
     for e in &entries {
         let ms = format_args!("{:.3}", e.runtime_ms);
-        report.row(&[&e.label, &e.rule, &q(e.median_q), &q(e.max_q), &e.underestimates, &ms]);
+        let (median, max) = (q(e.median_q), q(e.max_q));
+        report.row(&[&e.label, &e.rule, &median, &max, &e.underestimates, &ms, &e.plan]);
     }
     match bakeoff_regressions(&entries).as_slice() {
         [] => Ok(()),
@@ -259,6 +284,12 @@ mod tests {
         for e in &entries {
             assert_eq!(e.samples, 3, "{}: three joins in the 4-table chain", e.label);
             assert!(e.runtime_ms > 0.0, "{}: timed pass did not run", e.label);
+            // Three joins over the four tables, each named once.
+            assert_eq!(e.plan.matches('(').count(), 3, "{}: {}", e.label, e.plan);
+            for table in ["S", "M", "B", "G"] {
+                let named = e.plan.split([' ', '(', ')']).filter(|w| *w == table).count();
+                assert_eq!(named, 1, "{}: {table} in {}", e.label, e.plan);
+            }
         }
     }
 
@@ -306,6 +337,7 @@ mod tests {
                 max_q: 9.0,
                 underestimates: 2,
                 runtime_ms: 1.0,
+                plan: String::new(),
             },
             BakeoffEntry {
                 label: "ELS".to_owned(),
@@ -316,6 +348,7 @@ mod tests {
                 max_q: 4.0,
                 underestimates: 0,
                 runtime_ms: 1.0,
+                plan: String::new(),
             },
         ];
         let msgs = bakeoff_regressions(&entries);

@@ -86,7 +86,9 @@ pub struct Observations {
     /// join, not to the phantom scan entry.
     pub join_elapsed: Vec<Duration>,
     /// Inclusive wall time per Scan node, aligned with `scan_outputs`
-    /// (zero for rescanned inners — see `join_elapsed`).
+    /// (zero for rescanned inners — see `join_elapsed` — and for a stored
+    /// probe side a fused hash count filters morsel by morsel as it probes:
+    /// its time is inside the join's).
     pub scan_elapsed: Vec<Duration>,
 }
 
@@ -134,9 +136,9 @@ pub fn execute_plan_observed(
             let mut st = ExecState { metrics: &mut metrics, io: &mut io, obs: &mut obs };
             if matches!(plan.output, PlanOutput::CountStar) {
                 // COUNT(*) never materializes the join result — the point
-                // of carrying row ids to the top of the plan — and a keyed
-                // hash/sort-merge root fuses the probe with the count, so
-                // not even the root's pair list is allocated.
+                // of carrying row ids to the top of the plan — and a root
+                // that fuses its join with the count (`execute_root_count`
+                // names which) does not even allocate its pair list.
                 let n = crate::vectorized::execute_root_count(
                     &plan.root,
                     tables,

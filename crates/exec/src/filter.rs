@@ -16,6 +16,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use els_core::predicate::{CmpOp, Predicate};
 use els_core::ColumnRef;
@@ -228,25 +229,28 @@ pub(crate) fn apply_filters(
 /// Rows the first conjunct examines between two resizes of the selection.
 const BLOCK_ROWS: usize = 1024;
 
-/// One conjunct's turn at the selection vector: the first fills it, every
-/// later one compacts it in place.
+/// One conjunct's turn at the selection vector: the first fills it from
+/// `rows`, every later one compacts it in place.
 struct Pass<'a> {
     sel: &'a mut Vec<u32>,
+    rows: Range<usize>,
     first: bool,
 }
 
 impl Pass<'_> {
-    /// The one selection loop. `hit(row, payload, valid)` is a closure type,
-    /// so every caller gets its own copy with the test inlined. The first
-    /// conjunct grows `sel` by a block, stores each row id at the write
-    /// cursor, advances the cursor only past a hit and cuts the unused tail
-    /// off again: a store and an add per row, no branch on the data, and a
-    /// big table's selection grows only as rows survive. A later conjunct
+    /// The one selection loop, over whole columns. `hit(row, payload,
+    /// valid)` is a closure type, so every caller gets its own copy with the
+    /// test inlined. The first conjunct grows `sel` by a block (within its
+    /// reserved capacity), stores each row id at the write cursor, advances
+    /// the cursor only past a hit and cuts the unused tail off again: a
+    /// store and an add per row, no branch on the data. A later conjunct
     /// reads ahead of its own write cursor, hence the `Cell` view.
     fn select<T>(&mut self, data: &[T], valid: &[bool], hit: impl Fn(usize, &T, bool) -> bool) {
         let sel = &mut *self.sel;
         if self.first {
-            let mut row = 0;
+            let mut row = self.rows.start;
+            let data = data.get(self.rows.clone()).unwrap_or_default();
+            let valid = valid.get(self.rows.clone()).unwrap_or_default();
             for (xs, oks) in data.chunks(BLOCK_ROWS).zip(valid.chunks(BLOCK_ROWS)) {
                 let kept = sel.len();
                 sel.resize(kept + xs.len(), 0);
@@ -290,38 +294,38 @@ impl Pass<'_> {
     }
 }
 
-/// Evaluate a conjunction of bound filters over whole columns, producing
-/// the selection vector of surviving row ids (ascending) in `sel`. The
-/// first conjunct fills `sel`; every later conjunct compacts it in place
-/// (counted by [`ExecMetrics::sel_reuses`]), so one scan allocates at most
-/// one selection vector regardless of the number of predicates. Each
-/// conjunct dispatches once, on its shape and column types, to a
+/// Evaluate a conjunction of bound filters over the stored rows `rows`,
+/// producing the selection vector of surviving row ids (ascending) in
+/// `sel`, its capacity reserved for `rows` up front. The first conjunct
+/// fills `sel`; every later conjunct compacts it in place (counted by
+/// [`ExecMetrics::sel_reuses`], once per scan), so one range allocates one
+/// selection vector regardless of the number of predicates. Each conjunct
+/// dispatches once, on its shape and column types, to a
 /// statically-dispatched [`Pass::select`] loop.
 ///
-/// Charges exactly the comparisons the tuple-at-a-time path would: a row
-/// is a candidate for conjunct `k` iff it survived conjuncts `1..k`, which
-/// is precisely the set of filters the short-circuiting row loop evaluates.
+/// Returns the candidates examined, the comparisons the tuple-at-a-time
+/// path charges: a row is a candidate for conjunct `k` iff it survived
+/// conjuncts `1..k`, precisely the filters the short-circuiting row loop
+/// evaluates. They add up over any split of a table into ranges.
 pub(crate) fn filter_selection(
     table: &Table,
     bound: &[BoundFilter],
+    rows: Range<usize>,
     sel: &mut Vec<u32>,
-    metrics: &mut ExecMetrics,
-) -> ExecResult<()> {
+) -> ExecResult<u64> {
     sel.clear();
-    let n = table.num_rows();
     // Beyond u32::MAX rows the `as u32` casts below would silently alias
     // row ids in release builds; refuse with a typed error instead.
-    crate::error::check_rowid_range(n)?;
+    crate::error::check_rowid_range(table.num_rows())?;
+    sel.reserve_exact(rows.len());
     if bound.is_empty() {
-        sel.extend((0..n).map(crate::error::rowid));
-        return Ok(());
+        sel.extend(rows.map(crate::error::rowid));
+        return Ok(0);
     }
+    let mut examined = 0u64;
     for (k, f) in bound.iter().enumerate() {
-        let candidates = if k == 0 { n } else { sel.len() };
-        metrics.comparisons += candidates as u64;
-        metrics.kernel_rows += candidates as u64;
-        metrics.sel_reuses += u64::from(k > 0);
-        let mut pass = Pass { sel: &mut *sel, first: k == 0 };
+        examined += if k == 0 { rows.len() } else { sel.len() } as u64;
+        let mut pass = Pass { sel: &mut *sel, rows: rows.clone(), first: k == 0 };
         match f {
             BoundFilter::Cmp { pos, op, value } => {
                 let col = table.column(*pos)?;
@@ -348,12 +352,10 @@ pub(crate) fn filter_selection(
                     (Some(a), Some(b)) => pass.select(a, lv, |row, x, ok| {
                         ok & matches!((b.get(row), rv.get(row)), (Some(y), Some(true)) if x == y)
                     }),
-                    _ => {
-                        let eq = (0..lc.len())
-                            .map(|row| Ok(lc.value_ref(row)?.sql_eq(rc.value_ref(row)?)))
-                            .collect::<ExecResult<Vec<bool>>>()?;
-                        pass.select(&eq, lv, |_, &eq, _| eq);
-                    }
+                    // Both columns hold every stored row: no read fails.
+                    _ => pass.select(lv, lv, |row, _, _| {
+                        matches!((lc.value_ref(row), rc.value_ref(row)), (Ok(l), Ok(r)) if l.sql_eq(r))
+                    }),
                 }
             }
             BoundFilter::IsNull { pos, negated } => {
@@ -362,7 +364,7 @@ pub(crate) fn filter_selection(
             }
         }
     }
-    Ok(())
+    Ok(examined)
 }
 
 #[cfg(test)]
@@ -509,16 +511,15 @@ mod tests {
         let mut row_m = ExecMetrics::default();
         let row_out = apply_filters(ch, filters, &mut row_m).unwrap();
         let bound = bind_filters_to_chunk(filters, ch).unwrap();
-        let mut vec_m = ExecMetrics::default();
         let mut sel = Vec::new();
-        filter_selection(&ch.data, &bound, &mut sel, &mut vec_m).unwrap();
+        let examined = filter_selection(&ch.data, &bound, 0..ch.num_rows(), &mut sel).unwrap();
         let keep: Vec<usize> = sel.iter().map(|&i| i as usize).collect();
         let vec_out = ch.filter_rows(&keep).unwrap();
         assert_eq!(vec_out.num_rows(), row_out.num_rows());
         for r in 0..row_out.num_rows() {
             assert_eq!(vec_out.data.row(r).unwrap(), row_out.data.row(r).unwrap(), "row {r}");
         }
-        assert_eq!(vec_m.comparisons, row_m.comparisons, "comparison parity");
+        assert_eq!(examined, row_m.comparisons, "comparison parity");
     }
 
     #[test]
@@ -576,22 +577,23 @@ mod tests {
             CompiledFilter::Cmp { column: c(0), op: CmpOp::Lt, value: Value::Int(4) },
         ];
         let bound = bind_filters_to_chunk(&filters, &ch).unwrap();
-        let mut m = ExecMetrics::default();
         let mut sel = Vec::new();
-        filter_selection(&ch.data, &bound, &mut sel, &mut m).unwrap();
-        assert_eq!(m.sel_reuses, 2);
-        assert_eq!(m.kernel_rows, m.comparisons);
+        // Candidates: 4 rows, then the 3 above 1, then the 2 of them above 0.
+        assert_eq!(filter_selection(&ch.data, &bound, 0..4, &mut sel).unwrap(), 4 + 3 + 2);
         assert_eq!(sel, vec![1, 2]); // rows (2,5) and (3,3)
+        assert_eq!(sel.capacity(), 4, "one buffer, sized for the range up front");
+        assert_eq!(filter_selection(&ch.data, &bound, 2..4, &mut sel).unwrap(), 2 + 2 + 1);
+        assert_eq!(sel, vec![2]);
     }
 
     #[test]
     fn empty_bound_filter_list_selects_everything() {
         let ch = chunk();
-        let mut m = ExecMetrics::default();
         let mut sel = vec![9, 9]; // stale contents must be cleared
-        filter_selection(&ch.data, &[], &mut sel, &mut m).unwrap();
+        assert_eq!(filter_selection(&ch.data, &[], 0..4, &mut sel).unwrap(), 0);
         assert_eq!(sel, vec![0, 1, 2, 3]);
-        assert_eq!(m.comparisons, 0);
+        assert_eq!(filter_selection(&ch.data, &[], 1..3, &mut sel).unwrap(), 0);
+        assert_eq!(sel, vec![1, 2]);
     }
 
     /// Column 0 and 1 are `Int`, 2 is `Float`, 3 is `Str`; cell `i` of a
@@ -640,8 +642,14 @@ mod tests {
     const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
 
     /// `filter_selection` against the short-circuiting row loop over
-    /// [`BoundFilter::matches`]: same ascending ids, same counters.
-    fn check_against_row_oracle(table: &Table, bound: &[BoundFilter]) -> Result<(), String> {
+    /// [`BoundFilter::matches`]: same ascending ids, same comparisons, over
+    /// the whole table and split at `cut` into two ranges whose selections
+    /// concatenate and whose candidate counts add up.
+    fn check_against_row_oracle(
+        table: &Table,
+        bound: &[BoundFilter],
+        cut: usize,
+    ) -> Result<(), String> {
         let mut want = Vec::new();
         let mut comparisons = 0u64;
         for row in 0..table.num_rows() {
@@ -657,21 +665,24 @@ mod tests {
                 want.push(row as u32);
             }
         }
-        let mut m = ExecMetrics::default();
+        let n = table.num_rows();
+        let cut = cut.min(n);
         let mut sel = vec![u32::MAX; 3]; // stale contents must not survive
-        filter_selection(table, bound, &mut sel, &mut m).unwrap();
-        let got = (&sel, m.comparisons, m.kernel_rows, m.sel_reuses);
-        let want = (&want, comparisons, comparisons, bound.len() as u64 - 1);
-        if got == want {
+        let whole = filter_selection(table, bound, 0..n, &mut sel).unwrap();
+        let mut split = Vec::new();
+        let mut examined = filter_selection(table, bound, 0..cut, &mut split).unwrap();
+        let mut tail = Vec::new();
+        examined += filter_selection(table, bound, cut..n, &mut tail).unwrap();
+        split.extend(tail);
+        if (&sel, whole) == (&want, comparisons) && (&split, examined) == (&want, comparisons) {
             return Ok(());
         }
         Err(format!(
-            "{bound:?} over {} rows: {} ids, counters {:?}; oracle {} ids, counters {:?}",
-            table.num_rows(),
-            got.0.len(),
-            (got.1, got.2, got.3),
-            want.0.len(),
-            (want.1, want.2, want.3)
+            "{bound:?} over {n} rows cut at {cut}: {} ids, {whole} examined, split {} ids, \
+             {examined} examined; oracle {} ids, {comparisons} comparisons",
+            sel.len(),
+            split.len(),
+            want.len(),
         ))
     }
 
@@ -685,7 +696,7 @@ mod tests {
             for value in constants() {
                 for op in OPS {
                     let f = BoundFilter::Cmp { pos, op, value: value.clone() };
-                    check_against_row_oracle(&table, &[f]).unwrap();
+                    check_against_row_oracle(&table, &[f], BLOCK_ROWS / 2).unwrap();
                 }
             }
         }
@@ -708,6 +719,7 @@ mod tests {
                 (0usize..9, 0usize..4, 0usize..4, 0usize..6, 0usize..64),
                 1..4,
             ),
+            cut in 0usize..3 * BLOCK_ROWS + 8,
         ) {
             let table = pooled_table(SIZES[size], &picks);
             let constants = constants();
@@ -723,7 +735,7 @@ mod tests {
                     },
                 })
                 .collect();
-            if let Err(why) = check_against_row_oracle(&table, &bound) {
+            if let Err(why) = check_against_row_oracle(&table, &bound, cut) {
                 return Err(proptest::TestCaseError::fail(why));
             }
         }

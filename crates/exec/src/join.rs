@@ -385,40 +385,71 @@ pub(crate) fn probe_charge(n: usize) -> u64 {
     u64::from(ceil_log2) + 1
 }
 
+/// The run of `sorted` (ascending keys) that a probe key admits under
+/// `probe op k`, `ord(k)` ordering key `k` against the probe key: above the
+/// boundary for `<` and `<=`, below it for `>` and `>=`, the keys equal to
+/// the probe key for `=`; `<>` admits everything outside that last run. The
+/// one boundary search of the band probe and of the counts that never
+/// enumerate a pair ([`admitted_count`]).
+pub(crate) fn admitted<K>(
+    sorted: &[K],
+    op: CmpOp,
+    ord: impl Fn(&K) -> std::cmp::Ordering,
+) -> std::ops::Range<usize> {
+    use std::cmp::Ordering;
+    let below = |equal_below: bool| {
+        sorted.partition_point(|k| match ord(k) {
+            Ordering::Less => true,
+            Ordering::Equal => equal_below,
+            Ordering::Greater => false,
+        })
+    };
+    match op {
+        CmpOp::Lt => below(true)..sorted.len(),
+        CmpOp::Le => below(false)..sorted.len(),
+        CmpOp::Gt => 0..below(false),
+        CmpOp::Ge => 0..below(true),
+        CmpOp::Eq | CmpOp::Ne => below(false)..below(true),
+    }
+}
+
+/// How many keys of `sorted` a probe key admits under `op` ([`admitted`]).
+pub(crate) fn admitted_count<K>(
+    sorted: &[K],
+    op: CmpOp,
+    ord: impl Fn(&K) -> std::cmp::Ordering,
+) -> u64 {
+    let run = admitted(sorted, op, ord).len();
+    (if op == CmpOp::Ne { sorted.len() - run } else { run }) as u64
+}
+
+/// The operator of a band join: `=` and `<>` cannot drive one.
+pub(crate) fn band_op(op: CmpOp) -> ExecResult<CmpOp> {
+    match op {
+        CmpOp::Eq | CmpOp::Ne => {
+            Err(ExecError::InvalidPlan(format!("`{op}` cannot drive a range join")))
+        }
+        _ => Ok(op),
+    }
+}
+
 /// The band probe shared by the row and vectorized range-join operators:
 /// both inputs are non-NULL `(key, logical row)` entries sorted ascending
 /// by key; every left entry binary-searches the right side for its band
-/// boundary and emits each `(left row, right row)` pair with
-/// `left key op right key`; `=` and `<>` are an [`ExecError::InvalidPlan`].
-/// Pure — the caller charges `len(left) · probe_charge(len(right))`
-/// comparisons and sorts the result.
+/// ([`admitted`]) and emits each `(left row, right row)` pair with
+/// `left key op right key`, `op` a [`band_op`]. Pure — the caller charges
+/// `len(left) · probe_charge(len(right))` comparisons and sorts the result.
 pub(crate) fn band_probe(
     lrows: &[(Value, u32)],
     rrows: &[(Value, u32)],
     op: CmpOp,
-) -> ExecResult<Vec<(u32, u32)>> {
-    // Matches lie above the boundary (`Lt`, `Le`) or below it (`Gt`, `Ge`);
-    // right keys equal to the left key sort below it for `Lt` and `Ge`.
-    let (above, equal_below) = match op {
-        CmpOp::Lt => (true, true),
-        CmpOp::Le => (true, false),
-        CmpOp::Gt => (false, false),
-        CmpOp::Ge => (false, true),
-        CmpOp::Eq | CmpOp::Ne => {
-            return Err(ExecError::InvalidPlan(format!("`{op}` cannot drive a range join")))
-        }
-    };
+) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
     for (lv, lj) in lrows {
-        let boundary = rrows.partition_point(|(rv, _)| match rv.total_cmp(lv) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Equal => equal_below,
-            std::cmp::Ordering::Greater => false,
-        });
-        let (skip, take) = if above { (boundary, rrows.len()) } else { (0, boundary) };
-        pairs.extend(rrows.iter().take(take).skip(skip).map(|&(_, rj)| (*lj, rj)));
+        let band = admitted(rrows, op, |(rv, _)| rv.total_cmp(lv));
+        pairs.extend(rrows.get(band).unwrap_or_default().iter().map(|&(_, rj)| (*lj, rj)));
     }
-    Ok(pairs)
+    pairs
 }
 
 /// Sort-based band join on inequality `ranges` (no equi-keys): sort both
@@ -457,7 +488,7 @@ pub(crate) fn range_join(
     rrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
     metrics.comparisons += lrows.len() as u64 * probe_charge(rrows.len());
-    let mut pairs = band_probe(&lrows, &rrows, op)?;
+    let mut pairs = band_probe(&lrows, &rrows, band_op(op)?);
     if !residual.is_empty() {
         // Residual ranges filter the band's candidates; charge one
         // comparison per candidate per residual regardless of

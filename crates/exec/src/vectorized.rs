@@ -45,7 +45,8 @@ use crate::executor::ExecState;
 use crate::filter::{bind_filters, filter_selection, CompiledFilter};
 use crate::index::SortedIndex;
 use crate::join::{
-    band_probe, cmp_key_slices, hash_key, probe_charge, range_ref_matches, sort_charge, HashKey,
+    admitted_count, band_op, band_probe, cmp_key_slices, hash_key, probe_charge, range_ref_matches,
+    sort_charge, HashKey,
 };
 use crate::metrics::ExecMetrics;
 use crate::plan::{JoinMethod, PlanNode};
@@ -64,40 +65,51 @@ pub const PARALLEL_MIN_ROWS: usize = 4 * MORSEL_ROWS;
 /// pieces: `0..rows` splits into [`MORSEL_ROWS`]-sized pieces run on the
 /// work-stealing scheduler when `workers > 1` and `rows` reaches
 /// [`PARALLEL_MIN_ROWS`], and is a single piece on the calling thread
-/// otherwise. Returns the per-piece results in piece order. `morsels` is
-/// charged identically either way (the serial path reports the morsel count
-/// the parallel path dispatches, so accounting is mode-independent);
+/// otherwise. `merge` gets the per-piece results in piece order (a lone
+/// piece in place: a `Vec` would be an allocation per operator). `morsels`
+/// is charged identically either way (the serial path reports the morsel
+/// count the parallel path dispatches, so accounting is mode-independent);
 /// `steals` only when the scheduler ran.
-fn morsel_pieces<T: Send>(
+fn morsel_pieces<T: Send, R>(
     workers: usize,
     rows: usize,
     metrics: &mut ExecMetrics,
     piece: impl Fn(usize, usize) -> T + Sync,
-) -> Vec<T> {
+    merge: impl FnOnce(&mut [T]) -> R,
+) -> R {
     let n_morsels = rows.div_ceil(MORSEL_ROWS);
     metrics.morsels += n_morsels as u64;
     if workers <= 1 || rows < PARALLEL_MIN_ROWS {
-        return vec![piece(0, rows)];
+        return merge(std::slice::from_mut(&mut piece(0, rows)));
     }
-    let (pieces, stats) = crate::scheduler::run_tasks(workers, n_morsels, |m| {
+    let (mut pieces, stats) = crate::scheduler::run_tasks(workers, n_morsels, |m| {
         let lo = m * MORSEL_ROWS;
         piece(lo, (lo + MORSEL_ROWS).min(rows))
     });
     metrics.steals += stats.steals;
-    pieces
+    merge(&mut pieces)
 }
 
-/// Concatenate per-piece pair lists in piece order, into one allocation of
-/// the summed length (growing the first piece instead is a `realloc`, and
-/// an arena lock, per doubling). The serial path's single piece is returned
-/// as it is, not copied.
-fn concat_pairs(mut pieces: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
-    if pieces.len() <= 1 {
-        return pieces.pop().unwrap_or_default();
+/// Concatenate per-piece lists in piece order, into one allocation of the
+/// summed length (growing the first piece instead is a `realloc`, and an
+/// arena lock, per doubling). A single piece is taken as it is, not copied.
+fn concat<T: Copy>(pieces: &mut [Vec<T>]) -> Vec<T> {
+    if let [one] = pieces {
+        return std::mem::take(one);
     }
-    let mut pairs = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
-    pieces.iter().for_each(|piece| pairs.extend_from_slice(piece));
-    pairs
+    let mut all = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
+    pieces.iter().for_each(|piece| all.extend_from_slice(piece));
+    all
+}
+
+/// One morsel of a scan ([`scan_morsels`]), or all merged: the rows kept
+/// (dropped by a counting probe), the candidates examined, the matches.
+#[derive(Default)]
+struct Morsel {
+    sel: Vec<u32>,
+    kept: usize,
+    examined: u64,
+    matches: u64,
 }
 
 /// A selection over a stored base table (shared, never copied) behind its
@@ -181,14 +193,14 @@ impl VChunk {
     }
 }
 
-/// Fused `COUNT(*)` evaluation: when the plan root is a nested loop, or a
-/// *keyed* hash or sort-merge join without residual ranges, count the
-/// matches in one pass instead of building (and, for the hash join, merging
-/// and sorting) the root's row-id pair list. Only the root can fuse — lower
-/// joins' parents compose selections from their pair lists — and indexed
-/// nested loops, band joins and residual-filtered roots take the general
-/// path. Counters and observations are charged exactly as the unfused path
-/// charges them, minus the `pair_lists` allocation the fusion removes.
+/// Fused `COUNT(*)` evaluation: when the plan root is a nested loop, a
+/// *keyed* hash or sort-merge join without residual ranges, or a band join
+/// on one range, count the matches in one pass instead of building the
+/// root's row-id pair list (or a stored probe side's selection:
+/// [`hash_count`]). Only the root can fuse — lower joins' parents compose
+/// selections from their pair lists. Counters and observations are charged
+/// exactly as the unfused path charges them, minus the `pair_lists` the
+/// fusion removes.
 pub(crate) fn execute_root_count(
     node: &PlanNode,
     tables: &[Arc<Table>],
@@ -197,22 +209,23 @@ pub(crate) fn execute_root_count(
 ) -> ExecResult<u64> {
     if let PlanNode::Join { method, left, right, keys, ranges } = node {
         let nested = is_nested_loop(*method, keys);
-        let keyed = matches!(method, JoinMethod::Hash | JoinMethod::SortMerge);
-        if nested || (keyed && ranges.is_empty()) {
+        let keyed = matches!(method, JoinMethod::Hash | JoinMethod::SortMerge) && ranges.is_empty();
+        let band = *method == JoinMethod::Range && keys.is_empty() && ranges.len() == 1;
+        if nested || keyed || band {
             let start = crate::timing::Stopwatch::start();
             let l = exec_node(left, tables, workers, st)?;
-            let mut n = 0u64;
-            if nested {
+            let n = if nested {
                 let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
-                nested_loop(&l, &r, keys, ranges, st.metrics, |_, _| n += 1)?;
+                nested_loop(&l, &r, keys, ranges, st.metrics, None::<fn(u32, u32)>)?
+            } else if *method == JoinMethod::Hash {
+                hash_count(&l, right, keys, tables, workers, st)?
             } else {
                 let r = exec_node(right, tables, workers, st)?;
-                n = match method {
-                    JoinMethod::Hash => vhash_join(&l, &r, keys, workers, st.metrics, None)?,
-                    _ => vsort_merge(&l, &r, keys, st.metrics, None)?,
-                };
-                st.metrics.tuples_emitted += n;
-            }
+                match band {
+                    true => vrange_join(&l, &r, ranges, workers, st.metrics, None)?,
+                    false => vsort_merge(&l, &r, keys, st.metrics, None)?,
+                }
+            };
             st.obs.join_outputs.push((node.tables(), n));
             st.obs.join_elapsed.push(start.elapsed());
             return Ok(n);
@@ -256,7 +269,7 @@ fn exec_inner(
             let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
             st.metrics.tuples_scanned += data.num_rows() as u64;
             st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
-            let sel = scan_selection(*table_id, data, filters, st.metrics)?;
+            let sel = scan_morsels(*table_id, data, filters, workers, st.metrics, |_| {})?.sel;
             st.metrics.tuples_emitted += sel.len() as u64;
             Ok(VChunk::scan(*table_id, Arc::clone(data), sel))
         }
@@ -269,27 +282,23 @@ fn exec_inner(
                 r
             } else if is_nested_loop(*method, keys) {
                 let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
-                nested_loop(&l, &r, keys, ranges, st.metrics, |lj, rj| pairs.push((lj, rj)))?;
+                let emit = |lj, rj| pairs.push((lj, rj));
+                nested_loop(&l, &r, keys, ranges, st.metrics, Some(emit))?;
                 r
             } else {
                 let r = exec_node(right, tables, workers, st)?;
-                if *method == JoinMethod::Range {
-                    if !keys.is_empty() {
-                        return Err(ExecError::InvalidPlan(
-                            "range join cannot carry equi-keys".into(),
-                        ));
-                    }
-                    pairs = vrange_join(&l, &r, ranges, workers, st.metrics)?;
-                    st.metrics.tuples_emitted += pairs.len() as u64;
-                    st.metrics.range_join_rows += pairs.len() as u64;
-                } else {
+                if *method != JoinMethod::Range {
                     if *method == JoinMethod::SortMerge {
                         vsort_merge(&l, &r, keys, st.metrics, Some(&mut pairs))?;
                     } else {
                         vhash_join(&l, &r, keys, workers, st.metrics, Some(&mut pairs))?;
+                        st.metrics.tuples_emitted += pairs.len() as u64;
                     }
-                    st.metrics.tuples_emitted += pairs.len() as u64;
                     pairs = filter_pairs_by_ranges(&l, &r, pairs, ranges, st.metrics)?;
+                } else if keys.is_empty() {
+                    vrange_join(&l, &r, ranges, workers, st.metrics, Some(&mut pairs))?;
+                } else {
+                    return Err(ExecError::InvalidPlan("range join cannot carry equi-keys".into()));
                 }
                 r
             };
@@ -299,19 +308,48 @@ fn exec_inner(
     }
 }
 
-/// The rows of stored table `table_id` that pass `filters`, ascending.
-fn scan_selection(
+/// Filter stored table `table_id` in the pieces [`morsel_pieces`] picks,
+/// each piece's selection ([`filter_selection`]) going at once to `consume`
+/// (a counting probe, or nothing), then merged in piece order. Charges the
+/// filters' counters, `sel_reuses` once per later conjunct.
+fn scan_morsels(
     table_id: usize,
     data: &Table,
     filters: &[CompiledFilter],
+    workers: usize,
     metrics: &mut ExecMetrics,
-) -> ExecResult<Vec<u32>> {
+    consume: impl Fn(&mut Morsel) + Sync,
+) -> ExecResult<Morsel> {
     let ncols = data.num_columns();
     let bound =
         bind_filters(filters, |c| (c.table == table_id && c.column < ncols).then_some(c.column))?;
-    let mut sel = Vec::new();
-    filter_selection(data, &bound, &mut sel, metrics)?;
-    Ok(sel)
+    metrics.sel_reuses += bound.len().saturating_sub(1) as u64;
+    let piece = |lo, hi| -> ExecResult<Morsel> {
+        let mut m = Morsel::default();
+        m.examined = filter_selection(data, &bound, lo..hi, &mut m.sel)?;
+        m.kept = m.sel.len();
+        consume(&mut m);
+        Ok(m)
+    };
+    let all = morsel_pieces(workers, data.num_rows(), metrics, piece, |pieces| {
+        let take = |m: &mut ExecResult<Morsel>| std::mem::replace(m, Ok(Morsel::default()));
+        if let [one] = pieces {
+            return take(one);
+        }
+        let pieces = pieces.iter_mut().map(take).collect::<ExecResult<Vec<_>>>()?;
+        let sel = Vec::with_capacity(pieces.iter().map(|m| m.sel.len()).sum());
+        let mut all = Morsel { sel, ..Morsel::default() };
+        for m in &pieces {
+            all.sel.extend_from_slice(&m.sel);
+            all.kept += m.kept;
+            all.examined += m.examined;
+            all.matches += m.matches;
+        }
+        Ok(all)
+    })?;
+    metrics.comparisons += all.examined;
+    metrics.kernel_rows += all.examined;
+    Ok(all)
 }
 
 /// Whether a join runs as nested loops: the method itself, and every keyless
@@ -342,9 +380,11 @@ fn nested_loop_inner(
     if let (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) = (method, right) {
         let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
         let mut pass = ExecMetrics::default();
-        let sel = scan_selection(*table_id, data, filters, &mut pass)?;
+        let sel = scan_morsels(*table_id, data, filters, workers, &mut pass, |_| {})?.sel;
         st.metrics.kernel_rows += pass.kernel_rows;
         st.metrics.sel_reuses += pass.sel_reuses;
+        st.metrics.morsels += pass.morsels;
+        st.metrics.steals += pass.steals;
         st.metrics.comparisons += outer * pass.comparisons;
         st.metrics.tuples_scanned += outer * data.num_rows() as u64;
         for _ in 0..outer {
@@ -359,22 +399,23 @@ fn nested_loop_inner(
     Ok(r)
 }
 
-/// The nested-loops kernel: `emit` sees, outer-major and in row order, every
-/// `(outer row, inner row)` whose `keys` are SQL-equal and whose `ranges`
-/// ([`oriented`]) all hold. When every column involved is `Int` the loop
-/// runs over `i64` slices; otherwise over borrowed cells, under the row
-/// path's `sql_eq` and range semantics. Charges what the row operators
-/// charge once the inner is in hand: `max(|keys|, 1)` comparisons per pair
-/// examined, one more per range per key match, and the key matches as
-/// `tuples_emitted`.
+/// The nested-loops kernel: `emit`, given, sees, outer-major and in row
+/// order, every `(outer row, inner row)` whose `keys` are SQL-equal and
+/// whose `ranges` ([`oriented`]) all hold; returns how many. When every
+/// column involved is `Int` the loop runs over `i64` slices (counting one
+/// range and no key, over none: [`IntTest::count`]); otherwise over
+/// borrowed cells, under the row path's semantics. Charges what the row
+/// operators charge once the inner is in hand: `max(|keys|, 1)` comparisons
+/// per pair examined, one more per range per key match, and the key matches
+/// as `tuples_emitted`.
 fn nested_loop(
     l: &VChunk,
     r: &VChunk,
     keys: &[(ColumnRef, ColumnRef)],
     ranges: &[(ColumnRef, CmpOp, ColumnRef)],
     metrics: &mut ExecMetrics,
-    emit: impl FnMut(u32, u32),
-) -> ExecResult<()> {
+    emit: Option<impl FnMut(u32, u32)>,
+) -> ExecResult<u64> {
     let tests: Vec<(ColumnRef, CmpOp, ColumnRef)> = keys
         .iter()
         .map(|&(a, b)| (a, CmpOp::Eq, b))
@@ -386,25 +427,32 @@ fn nested_loop(
     let typed: Option<Vec<IntTest<'_>>> =
         sides().map(|((o, i), t)| Some(IntTest::new(o.int_keys()?, t.1, i.int_keys()?))).collect();
     let (nl, nr) = (rowid(l.len()), rowid(r.len()));
-    let matched = if let Some(tests) = typed {
-        let (keys, ranges) = tests.split_at(keys.len());
-        let all = |tests: &[IntTest<'_>], lj, rj| tests.iter().all(|t| t.holds(lj, rj));
-        pair_loop(nl, nr, |lj, rj| Ok(all(keys, lj, rj)), |lj, rj| Ok(all(ranges, lj, rj)), emit)?
-    } else {
-        let cells: Vec<_> = sides().map(|((o, i), t)| (o, t.1, i)).collect();
-        let (keys, ranges) = cells.split_at(keys.len());
-        pair_loop(
-            nl,
-            nr,
-            |lj, rj| cells_hold(keys, lj, rj, |l, r, _| l.sql_eq(r)),
-            |lj, rj| cells_hold(ranges, lj, rj, range_ref_matches),
-            emit,
-        )?
+    let (matched, emitted) = match typed.as_deref() {
+        Some([range]) if keys.is_empty() && emit.is_none() => {
+            (u64::from(nl) * u64::from(nr), range.count())
+        }
+        Some(tests) => {
+            let (keys, ranges) = tests.split_at(keys.len());
+            let all = |tests: &[IntTest<'_>], lj, rj| tests.iter().all(|t| t.holds(lj, rj));
+            let key = |lj, rj| Ok(all(keys, lj, rj));
+            pair_loop(nl, nr, key, |lj, rj| Ok(all(ranges, lj, rj)), emit)?
+        }
+        None => {
+            let cells: Vec<_> = sides().map(|((o, i), t)| (o, t.1, i)).collect();
+            let (keys, ranges) = cells.split_at(keys.len());
+            pair_loop(
+                nl,
+                nr,
+                |lj, rj| cells_hold(keys, lj, rj, |l, r, _| l.sql_eq(r)),
+                |lj, rj| cells_hold(ranges, lj, rj, range_ref_matches),
+                emit,
+            )?
+        }
     };
     let examined = l.len() as u64 * r.len() as u64;
     metrics.comparisons += examined * keys.len().max(1) as u64 + matched * ranges.len() as u64;
     metrics.tuples_emitted += matched;
-    Ok(())
+    Ok(emitted)
 }
 
 /// The indexed nested loop: `pairs` receives, outer-major and in index
@@ -494,26 +542,29 @@ fn oriented(
 }
 
 /// The loop of [`nested_loop`]: `emit` every pair that passes `key` and then
-/// `range`; returns how many passed `key`.
+/// `range`; returns how many passed `key`, and how many both.
 fn pair_loop(
     outer: u32,
     inner: u32,
     key: impl Fn(u32, u32) -> ExecResult<bool>,
     range: impl Fn(u32, u32) -> ExecResult<bool>,
-    mut emit: impl FnMut(u32, u32),
-) -> ExecResult<u64> {
-    let mut matched = 0;
+    mut emit: Option<impl FnMut(u32, u32)>,
+) -> ExecResult<(u64, u64)> {
+    let (mut matched, mut emitted) = (0, 0);
     for lj in 0..outer {
         for rj in 0..inner {
             if key(lj, rj)? {
                 matched += 1;
                 if range(lj, rj)? {
-                    emit(lj, rj);
+                    emitted += 1;
+                    if let Some(emit) = emit.as_mut() {
+                        emit(lj, rj);
+                    }
                 }
             }
         }
     }
-    Ok(matched)
+    Ok((matched, emitted))
 }
 
 /// Whether `holds(outer cell, inner cell, op)` for every test at the pair
@@ -538,6 +589,7 @@ fn cells_hold(
 struct IntTest<'a> {
     outer: IntKeys<'a>,
     inner: IntKeys<'a>,
+    op: CmpOp,
     /// Accepted orderings, as the sum of their [`IntTest::bit`]s.
     accepts: u8,
 }
@@ -549,7 +601,7 @@ impl<'a> IntTest<'a> {
             .filter(|&ord| op.eval(ord))
             .map(IntTest::bit)
             .sum();
-        IntTest { outer, inner, accepts }
+        IntTest { outer, inner, op, accepts }
     }
 
     fn bit(ord: Ordering) -> u8 {
@@ -567,6 +619,16 @@ impl<'a> IntTest<'a> {
             (self.outer.at(lj), self.inner.at(rj)),
             (Some(a), Some(b)) if self.accepts & IntTest::bit(a.cmp(&b)) != 0
         )
+    }
+
+    /// How many pairs pass, enumerating none, in O((n + m) log m): the
+    /// inner's non-NULL keys sorted once, each outer key adds its run.
+    fn count(&self) -> u64 {
+        let mut inner = Vec::with_capacity(self.inner.ids.len());
+        inner.extend(self.inner.valid_keys());
+        inner.sort_unstable();
+        let admitted = |a: i64| admitted_count(&inner, self.op, |b: &i64| b.cmp(&a));
+        self.outer.valid_keys().map(admitted).sum()
     }
 }
 
@@ -677,37 +739,53 @@ fn gather_range_keys(side: &SideKey<'_>, len: usize) -> ExecResult<Vec<(Value, u
 }
 
 /// Vectorized band join on logical row ids — the late-materializing twin
-/// of [`crate::join::range_join`]. Sorts both sides' keys once, binary
-/// searches each outer key's band boundary ([`band_probe`]), and filters
-/// candidates through residual ranges. The sorted outer side is probed in
-/// the pieces [`morsel_pieces`] picks; they concatenate in piece order, and
-/// the final left-major sort makes the pair list independent of the
-/// schedule. Every logical-work counter is charged exactly as the row
-/// operator charges it.
+/// of [`crate::join::range_join`], returning the matches. Sorts both sides'
+/// keys once, binary searches each outer key's band boundary
+/// ([`band_probe`]), and filters candidates through residual ranges. The
+/// sorted outer side is probed in the pieces [`morsel_pieces`] picks; they
+/// concatenate into `pairs` in piece order, and the final left-major sort
+/// makes the list independent of the schedule. Without `pairs` or a
+/// residual, each outer key only adds its band's length. Every logical-work
+/// counter is charged exactly as the row operator charges it.
 fn vrange_join(
     left: &VChunk,
     right: &VChunk,
     ranges: &[(ColumnRef, CmpOp, ColumnRef)],
     workers: usize,
     metrics: &mut ExecMetrics,
-) -> ExecResult<Vec<(u32, u32)>> {
+    pairs: Option<&mut Vec<(u32, u32)>>,
+) -> ExecResult<u64> {
     let Some((&(lc, op, rc), residual)) = ranges.split_first() else {
         return Err(ExecError::InvalidPlan("range join requires at least one range".into()));
     };
+    let op = band_op(op)?;
     let mut lrows = gather_range_keys(&side_key(left, lc)?, left.len())?;
     let mut rrows = gather_range_keys(&side_key(right, rc)?, right.len())?;
     metrics.rows_sorted += (lrows.len() + rrows.len()) as u64;
-    lrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     rrows.sort_by(|a, b| a.0.total_cmp(&b.0));
     metrics.comparisons += sort_charge(lrows.len()) + sort_charge(rrows.len());
     metrics.comparisons += lrows.len() as u64 * probe_charge(rrows.len());
-    let pieces = morsel_pieces(workers, lrows.len(), metrics, |lo, hi| {
-        band_probe(lrows.get(lo..hi).unwrap_or_default(), &rrows, op)
-    });
-    let mut pairs = concat_pairs(pieces.into_iter().collect::<ExecResult<_>>()?);
-    pairs = filter_pairs_by_ranges(left, right, pairs, residual, metrics)?;
-    pairs.sort_unstable();
-    Ok(pairs)
+    let n = match pairs {
+        None if residual.is_empty() => {
+            let band =
+                |(lv, _): &(Value, u32)| admitted_count(&rrows, op, |(rv, _)| rv.total_cmp(lv));
+            let count = |lo, hi| lrows.get(lo..hi).unwrap_or_default().iter().map(band).sum();
+            morsel_pieces(workers, lrows.len(), metrics, count, |n: &mut [u64]| n.iter().sum())
+        }
+        pairs => {
+            let mut residual_count = Vec::new();
+            let pairs = pairs.unwrap_or(&mut residual_count);
+            lrows.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let band = |lo, hi| band_probe(lrows.get(lo..hi).unwrap_or_default(), &rrows, op);
+            let band = morsel_pieces(workers, lrows.len(), metrics, band, concat);
+            *pairs = filter_pairs_by_ranges(left, right, band, residual, metrics)?;
+            pairs.sort_unstable();
+            pairs.len() as u64
+        }
+    };
+    metrics.tuples_emitted += n;
+    metrics.range_join_rows += n;
+    Ok(n)
 }
 
 /// Residual inequality filter over a pair list, charging what the row
@@ -861,6 +939,7 @@ impl IntTable {
 }
 
 /// One `Int` key column of one side, as raw slices.
+#[derive(Clone, Copy)]
 struct IntKeys<'a> {
     data: &'a [i64],
     valid: &'a [bool],
@@ -910,11 +989,7 @@ fn vhash_join(
     let lsides = side_keys(left, keys.iter().map(|&(l, _)| l))?;
     let rsides = side_keys(right, keys.iter().map(|&(_, r)| r))?;
     if let (Some(build), Some(probe)) = (all_int_keys(&lsides), all_int_keys(&rsides)) {
-        let Some(pairs) = pairs else {
-            return Ok(int_hash_count(&build, &probe, workers, metrics));
-        };
-        *pairs = int_hash_join(&build, &probe, workers, metrics);
-        return Ok(pairs.len() as u64);
+        return Ok(int_hash_join(&build, &probe, workers, metrics, pairs));
     }
     metrics.hash_probes += right.len() as u64;
     if let ([lk], [rk]) = (lsides.as_slice(), rsides.as_slice()) {
@@ -957,28 +1032,25 @@ fn hash_join_on<K: Hash + Eq>(
 
 /// The typed hash join, built: one table over the build side's first key
 /// component, shared by every probe piece, and the components a bucket
-/// candidate still has to agree on ([`keys_match`]).
+/// candidate still has to agree on ([`keys_match`]), probed through one
+/// list of row ids (the probe input's, or a stored morsel's).
 struct IntProbe<'a> {
-    table: IntTable,
-    first: &'a IntKeys<'a>,
+    table: &'a IntTable,
+    first: IntKeys<'a>,
     build_rest: &'a [IntKeys<'a>],
     probe_rest: &'a [IntKeys<'a>],
 }
 
 impl<'a> IntProbe<'a> {
-    /// Build the table (`with_rows`: bucket rows, not just bucket sizes) and
-    /// charge one `hash_probes` per probe-side row, NULLs included, like the
-    /// row path. `None` without a key.
+    /// `table` (built over `build`'s first component) probed by `probe`;
+    /// `None` without a key.
     fn new(
+        table: &'a IntTable,
         build: &'a [IntKeys<'a>],
         probe: &'a [IntKeys<'a>],
-        with_rows: bool,
-        metrics: &mut ExecMetrics,
     ) -> Option<IntProbe<'a>> {
-        let ((bfirst, build_rest), (first, probe_rest)) =
-            (build.split_first()?, probe.split_first()?);
-        metrics.hash_probes += first.ids.len() as u64;
-        Some(IntProbe { table: IntTable::build(bfirst, with_rows), first, build_rest, probe_rest })
+        let ((_, build_rest), (first, probe_rest)) = (build.split_first()?, probe.split_first()?);
+        Some(IntProbe { table, first: *first, build_rest, probe_rest })
     }
 
     /// The probe rows `lo..hi` that find a bucket, each with its bucket.
@@ -1014,35 +1086,79 @@ impl<'a> IntProbe<'a> {
 }
 
 /// Typed path of [`vhash_join`]: the shared table is built serially and
-/// probed in the pieces [`morsel_pieces`] picks.
+/// probed in the pieces [`morsel_pieces`] picks, one `hash_probes` per
+/// probe-side row. Counting (no `pairs`), it sums matches, additive in any
+/// order, and keeps bucket rows only when further components need them.
 fn int_hash_join(
     build: &[IntKeys<'_>],
     probe: &[IntKeys<'_>],
     workers: usize,
     metrics: &mut ExecMetrics,
-) -> Vec<(u32, u32)> {
-    let Some(join) = IntProbe::new(build, probe, true, metrics) else { return Vec::new() };
+    pairs: Option<&mut Vec<(u32, u32)>>,
+) -> u64 {
+    let Some(first) = build.first() else { return 0 };
+    let table = IntTable::build(first, pairs.is_some() || build.len() > 1);
+    let Some(join) = IntProbe::new(&table, build, probe) else { return 0 };
     let rows = join.first.ids.len();
-    let mut pairs =
-        concat_pairs(morsel_pieces(workers, rows, metrics, |lo, hi| join.pairs(lo, hi)));
+    metrics.hash_probes += rows as u64;
+    let Some(pairs) = pairs else {
+        return morsel_pieces(
+            workers,
+            rows,
+            metrics,
+            |lo, hi| join.count(lo, hi),
+            |n| n.iter().sum(),
+        );
+    };
+    *pairs = morsel_pieces(workers, rows, metrics, |lo, hi| join.pairs(lo, hi), concat);
     pairs.sort_unstable();
-    pairs
+    pairs.len() as u64
 }
 
-/// Fused counting twin of [`int_hash_join`]: identical table, pieces, and
-/// counter charges, but sums matches instead of allocating a pair list, and
-/// keeps bucket rows only when there are further components to verify. A
-/// count is additive, so no merge order or final sort is needed for
-/// determinism.
-fn int_hash_count(
-    build: &[IntKeys<'_>],
-    probe: &[IntKeys<'_>],
+/// The fused count of a hash join of `l` with the input under `right`,
+/// charging the matches as `tuples_emitted`. A stored probe side with `Int`
+/// keys, like the build side's, is never evaluated on its own: each morsel
+/// of it is filtered ([`scan_morsels`]), probed at once by [`IntProbe`] and
+/// dropped. Its scan is charged and observed as a scan's, its elapsed time
+/// (inside the join's) as zero. Any other probe input is evaluated, then
+/// counted by [`vhash_join`].
+fn hash_count(
+    l: &VChunk,
+    right: &PlanNode,
+    keys: &[(ColumnRef, ColumnRef)],
+    tables: &[Arc<Table>],
     workers: usize,
-    metrics: &mut ExecMetrics,
-) -> u64 {
-    let Some(join) = IntProbe::new(build, probe, build.len() > 1, metrics) else { return 0 };
-    let rows = join.first.ids.len();
-    morsel_pieces(workers, rows, metrics, |lo, hi| join.count(lo, hi)).into_iter().sum()
+    st: &mut ExecState<'_>,
+) -> ExecResult<u64> {
+    if let PlanNode::Scan { table_id, filters } = right {
+        let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
+        let stored = |&(_, c): &(ColumnRef, ColumnRef)| {
+            let col = data.column(c.column).ok().filter(|_| c.table == *table_id)?;
+            Some(IntKeys { data: col.as_int_slice()?, valid: col.validity(), ids: &[] })
+        };
+        let lsides = side_keys(l, keys.iter().map(|&(b, _)| b))?;
+        let (build, probe): (_, Option<Vec<_>>) =
+            (all_int_keys(&lsides), keys.iter().map(stored).collect());
+        if let (Some(build @ [first, ..]), Some(probe)) = (build.as_deref(), probe) {
+            let table = IntTable::build(first, build.len() > 1);
+            st.metrics.tuples_scanned += data.num_rows() as u64;
+            st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
+            let m = scan_morsels(*table_id, data, filters, workers, st.metrics, |m| {
+                let morsel: Vec<_> = probe.iter().map(|k| IntKeys { ids: &m.sel, ..*k }).collect();
+                m.matches = IntProbe::new(&table, build, &morsel).map_or(0, |j| j.count(0, m.kept));
+                m.sel = Vec::new();
+            })?;
+            st.metrics.hash_probes += m.kept as u64;
+            st.metrics.tuples_emitted += m.kept as u64 + m.matches;
+            st.obs.scan_outputs.push((*table_id, m.kept as u64));
+            st.obs.scan_elapsed.push(std::time::Duration::ZERO);
+            return Ok(m.matches);
+        }
+    }
+    let r = exec_node(right, tables, workers, st)?;
+    let n = vhash_join(l, &r, keys, workers, st.metrics, None)?;
+    st.metrics.tuples_emitted += n;
+    Ok(n)
 }
 
 /// Vectorized sort-merge join on logical row ids, and its fused counting
@@ -1081,7 +1197,8 @@ fn vsort_merge(
 /// The sort-merge algorithm, replicating the row operator so counters and
 /// output order match exactly: sort both sides' non-NULL `(key, row)`
 /// entries, charge `n log n` per sort, then merge with one comparison per
-/// step, an equal-key run pair contributing its cross product. Entries
+/// step, an equal-key run pair contributing its cross product, and the
+/// matches as `tuples_emitted`. Entries
 /// arrive in row order, so breaking key ties by row is the row operator's
 /// stable sort without its scratch buffer.
 fn sort_merge<K>(
@@ -1116,6 +1233,7 @@ fn sort_merge<K>(
             }
         }
     }
+    metrics.tuples_emitted += n;
     n
 }
 
@@ -1130,6 +1248,28 @@ mod tests {
             .column(ColumnSpec::new("k", Distribution::UniformInt { lo: 0, hi: modulo }))
             .generate(rows as u64);
         Arc::new(t)
+    }
+
+    /// [`int_hash_join`] listing its pairs, and counting them.
+    fn int_hash_pairs(
+        build: &[IntKeys<'_>],
+        probe: &[IntKeys<'_>],
+        workers: usize,
+        metrics: &mut ExecMetrics,
+    ) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        let n = int_hash_join(build, probe, workers, metrics, Some(&mut pairs));
+        assert_eq!(n, pairs.len() as u64);
+        pairs
+    }
+
+    fn int_hash_count(
+        build: &[IntKeys<'_>],
+        probe: &[IntKeys<'_>],
+        workers: usize,
+        metrics: &mut ExecMetrics,
+    ) -> u64 {
+        int_hash_join(build, probe, workers, metrics, None)
     }
 
     #[test]
@@ -1164,7 +1304,7 @@ mod tests {
             let pk =
                 IntKeys { data: pcol.as_int_slice().unwrap(), valid: pcol.validity(), ids: &pids };
             let mut serial_m = ExecMetrics::default();
-            let serial = int_hash_join(one(&bk), one(&pk), 1, &mut serial_m);
+            let serial = int_hash_pairs(one(&bk), one(&pk), 1, &mut serial_m);
             assert!(!serial.is_empty());
             assert_eq!(
                 serial_m.morsels,
@@ -1174,7 +1314,7 @@ mod tests {
             for workers in [1, 2, 3, 8] {
                 let ctx = format!("rows={rows} workers={workers}");
                 let mut m = ExecMetrics::default();
-                assert_eq!(int_hash_join(one(&bk), one(&pk), workers, &mut m), serial, "{ctx}");
+                assert_eq!(int_hash_pairs(one(&bk), one(&pk), workers, &mut m), serial, "{ctx}");
                 let mut cm = ExecMetrics::default();
                 assert_eq!(
                     int_hash_count(one(&bk), one(&pk), workers, &mut cm),
@@ -1202,20 +1342,25 @@ mod tests {
         for rows in PIECE_SIZES {
             let louter = int_keys_table("l", rows, 300);
             let lv = VChunk::scan(0, Arc::clone(&louter), (0..rows as u32).collect());
-            let mut serial_m = ExecMetrics::default();
-            let serial = vrange_join(&lv, &rv, &ranges, 1, &mut serial_m).unwrap();
+            let (mut serial_m, mut serial) = (ExecMetrics::default(), Vec::new());
+            vrange_join(&lv, &rv, &ranges, 1, &mut serial_m, Some(&mut serial)).unwrap();
             assert!(!serial.is_empty());
             assert_eq!(serial_m.morsels, rows.div_ceil(MORSEL_ROWS) as u64);
             for workers in [1, 2, 3, 8] {
                 let ctx = format!("rows={rows} workers={workers}");
-                let mut m = ExecMetrics::default();
-                let pairs = vrange_join(&lv, &rv, &ranges, workers, &mut m).unwrap();
-                assert_eq!(pairs, serial, "{ctx}");
-                assert_eq!(m.morsels, serial_m.morsels, "{ctx}");
-                assert_eq!(m.comparisons, serial_m.comparisons, "{ctx}");
-                assert_eq!(m.rows_sorted, serial_m.rows_sorted, "{ctx}");
-                if workers == 1 || rows < PARALLEL_MIN_ROWS {
-                    assert_eq!(m.steals, 0, "{ctx}: the scheduler must not run");
+                let (mut m, mut pairs) = (ExecMetrics::default(), Vec::new());
+                let n = vrange_join(&lv, &rv, &ranges, workers, &mut m, Some(&mut pairs)).unwrap();
+                assert_eq!((n, &pairs), (serial.len() as u64, &serial), "{ctx}");
+                let mut cm = ExecMetrics::default();
+                let counted = vrange_join(&lv, &rv, &ranges, workers, &mut cm, None).unwrap();
+                assert_eq!(counted, n, "{ctx}: the fused count");
+                for m in [&m, &cm] {
+                    assert_eq!(m.morsels, serial_m.morsels, "{ctx}");
+                    assert_eq!(m.comparisons, serial_m.comparisons, "{ctx}");
+                    assert_eq!(m.rows_sorted, serial_m.rows_sorted, "{ctx}");
+                    if workers == 1 || rows < PARALLEL_MIN_ROWS {
+                        assert_eq!(m.steals, 0, "{ctx}: the scheduler must not run");
+                    }
                 }
             }
         }
@@ -1234,12 +1379,12 @@ mod tests {
         let bk = IntKeys { data: &bdata, valid: &bvalid, ids: &bids };
         let pk = IntKeys { data: &pdata, valid: &pvalid, ids: &pids };
         let mut base_m = ExecMetrics::default();
-        let base = int_hash_join(one(&bk), one(&pk), 1, &mut base_m);
+        let base = int_hash_pairs(one(&bk), one(&pk), 1, &mut base_m);
         assert!(!base.is_empty());
         for workers in [1, 2, 3, 8] {
             let ctx = format!("workers={workers}");
             let mut m = ExecMetrics::default();
-            let pairs = int_hash_join(one(&bk), one(&pk), workers, &mut m);
+            let pairs = int_hash_pairs(one(&bk), one(&pk), workers, &mut m);
             assert_eq!(pairs, base, "{ctx}");
             let mut cm = ExecMetrics::default();
             let n = int_hash_count(one(&bk), one(&pk), workers, &mut cm);
@@ -1264,11 +1409,11 @@ mod tests {
         let nulls = IntKeys { data: &nulls_data, valid: &nulls_valid, ids: &nulls_ids };
         for workers in [1, 2, 3, 8] {
             let mut m = ExecMetrics::default();
-            assert!(int_hash_join(one(&empty), one(&pk), workers, &mut m).is_empty());
+            assert!(int_hash_pairs(one(&empty), one(&pk), workers, &mut m).is_empty());
             assert_eq!(int_hash_count(one(&empty), one(&pk), workers, &mut m), 0);
-            assert!(int_hash_join(one(&nulls), one(&pk), workers, &mut m).is_empty());
+            assert!(int_hash_pairs(one(&nulls), one(&pk), workers, &mut m).is_empty());
             assert_eq!(int_hash_count(one(&nulls), one(&pk), workers, &mut m), 0);
-            assert!(int_hash_join(one(&pk), one(&empty), workers, &mut m).is_empty());
+            assert!(int_hash_pairs(one(&pk), one(&empty), workers, &mut m).is_empty());
             assert_eq!(int_hash_count(one(&pk), one(&nulls), workers, &mut m), 0);
         }
     }
@@ -1361,7 +1506,7 @@ mod tests {
                 let ctx = format!("{name}, workers={workers}");
                 let mut m = ExecMetrics::default();
                 assert_eq!(
-                    int_hash_join(one(&build.keys()), one(&probe.keys()), workers, &mut m),
+                    int_hash_pairs(one(&build.keys()), one(&probe.keys()), workers, &mut m),
                     expect,
                     "{ctx}"
                 );
@@ -1575,9 +1720,11 @@ mod tests {
                 assert_eq!(cm, m, "{name}: the count charges what the join charges");
 
                 let (mut m, mut cm) = (ExecMetrics::default(), ExecMetrics::default());
-                let (mut looped, mut counted) = (Vec::new(), 0u64);
-                nested_loop(&l, &r, &keys, &[], &mut m, |lj, rj| looped.push((lj, rj))).unwrap();
-                nested_loop(&l, &r, &keys, &[], &mut cm, |_, _| counted += 1).unwrap();
+                let mut looped = Vec::new();
+                let emit = Some(|lj, rj| looped.push((lj, rj)));
+                assert_eq!(nested_loop(&l, &r, &keys, &[], &mut m, emit).unwrap(), n, "{name}");
+                let counted = nested_loop(&l, &r, &keys, &[], &mut cm, None::<fn(u32, u32)>);
+                let counted = counted.unwrap();
                 assert_eq!(looped, want, "{name}: nested loop, in its own order");
                 assert_eq!((counted, m.tuples_emitted), (n, n), "{name}");
                 assert_eq!(cm, m, "{name}: the count charges what the join charges");
@@ -1630,7 +1777,8 @@ mod tests {
             ((lc, CmpOp::Ne, rc), vec![(0, 0), (2, 2)]),
         ] {
             let (mut m, mut pairs) = (ExecMetrics::default(), Vec::new());
-            nested_loop(&l, &r, &keys, &[range], &mut m, |lj, rj| pairs.push((lj, rj))).unwrap();
+            let emit = Some(|lj, rj| pairs.push((lj, rj)));
+            nested_loop(&l, &r, &keys, &[range], &mut m, emit).unwrap();
             assert_eq!(pairs, want, "{range:?}");
             // Key matches: rows 0 and 1 meet inner rows 0 and 1, row 2 meets
             // inner rows 2 and 3; each is charged one range comparison.
@@ -1641,9 +1789,13 @@ mod tests {
             let residual = filter_pairs_by_ranges(&l, &r, hashed, &[range], &mut m);
             assert_eq!(residual.unwrap(), want, "{range:?}: as a residual on a keyed join");
         }
-        // Keyless: the cartesian product, one comparison per pair.
-        let (mut m, mut n) = (ExecMetrics::default(), 0u64);
-        nested_loop(&l, &r, &[], &[(lc, CmpOp::Lt, rc)], &mut m, |_, _| n += 1).unwrap();
+        // Keyless: the cartesian product, one comparison per pair; counted,
+        // from the sorted inner's boundaries, charged the same.
+        let ranges = [(lc, CmpOp::Lt, rc)];
+        let (mut m, mut cm) = (ExecMetrics::default(), ExecMetrics::default());
+        let n = nested_loop(&l, &r, &[], &ranges, &mut m, Some(|_, _| {})).unwrap();
         assert_eq!((n, m.tuples_emitted, m.comparisons), (8, 16, 16 + 16));
+        assert_eq!(nested_loop(&l, &r, &[], &ranges, &mut cm, None::<fn(u32, u32)>).unwrap(), 8);
+        assert_eq!(cm, m);
     }
 }

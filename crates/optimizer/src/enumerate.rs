@@ -25,6 +25,15 @@
 //! [`Annotation`]s, one per node in the executor's post-order, holding the
 //! estimates and costs the DP charged, so nothing re-estimates the plan.
 //!
+//! **Minimality.** One plan, and one estimate, survives per subset, so the
+//! winner is the cheapest of all trees of the shape only for an estimator
+//! that is a set function: one declared
+//! [`CardinalityEstimator::order_independent`], or Rule M (one in reals,
+//! so exact up to rounding). Under Rule SS a dearer plan for a subset can
+//! carry a smaller estimate, and the trees built on it can beat the DP's:
+//! `tests/dp_optimality.rs`'s bushy reference, seed 1948695685684210122,
+//! n = 5, finds 15 711.9 page units where the DP returns 18 035.9.
+//!
 //! Cartesian products are permitted but naturally priced out whenever a
 //! connected extension exists. **Tie-break:** among candidates of equal
 //! cost for one subset, the smaller outer mask wins, then the earlier

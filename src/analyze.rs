@@ -38,7 +38,8 @@ pub struct OperatorReport {
     pub estimated: f64,
     /// The observed output cardinality.
     pub actual: u64,
-    /// Inclusive subtree wall time (zero for rescanned inners, whose cost
+    /// Inclusive subtree wall time (zero for rescanned inners and for a
+    /// stored probe side a fused hash count scans as it probes: their cost
     /// is charged to their join).
     pub elapsed: Duration,
     /// True for a rescanned inner (NL/INL over a stored table): its

@@ -162,7 +162,9 @@ fn with_scaled_tables(engine: Engine, scale: usize) -> Engine {
 /// The hash join closure makes composite (`{a, b} ⋈ c` on two key pairs)
 /// and the nested loop of a band count allocate per operator, not per row,
 /// key or pair: with ten times the rows in every table a cached `execute`
-/// may only add the few doublings of the lower join's pair list. (The band
+/// may only add the few doublings of the lower join's pair list, and the
+/// band count, which sorts its inner's keys once and counts each outer
+/// key's band from its boundary, adds none at all. (The band
 /// count starts from larger tables: below them the optimizer picks the
 /// sort-based band join. A composite-key *sort-merge* still gathers a
 /// `Vec<Value>` per row and has no ceiling here.) An indexed nested loop
@@ -181,6 +183,7 @@ fn composite_key_and_nested_loop_hits_do_not_allocate_with_the_data() {
         (Engine::new as fn() -> Engine, BAND, "NLJoin", 4, 28, 29),
         (indexed as fn() -> Engine, PAIR, "INLJoin", 1, 31, 35),
     ] {
+        let mut warm_at = Vec::new();
         for (scale, ceiling) in [(scale, ceiling), (10 * scale, ceiling_at_ten_times)] {
             let engine = with_scaled_tables(engine(), scale);
             let plan = engine.explain(sql).unwrap();
@@ -195,6 +198,10 @@ fn composite_key_and_nested_loop_hits_do_not_allocate_with_the_data() {
                 warm <= ceiling,
                 "{warm} allocations executing `{sql}` ({method}) at scale {scale}, over {ceiling}"
             );
+            warm_at.push(warm);
+        }
+        if sql == BAND {
+            assert_eq!(warm_at[0], warm_at[1], "ten times the rows add allocations to `{sql}`");
         }
     }
 }

@@ -740,3 +740,148 @@ fn indexed_nested_loop_refuses_a_key_outside_its_inner() {
         }
     }
 }
+
+/// A one-`Int`-column table, NULL where `cell` says so.
+fn int_table(name: &str, cells: impl IntoIterator<Item = Option<i64>>) -> Table {
+    let mut col = ColumnVector::new(els::storage::DataType::Int);
+    for cell in cells {
+        col.push(cell.map_or(Value::Null, Value::Int)).unwrap();
+    }
+    Table::new(name, vec![("k".to_owned(), col)]).unwrap()
+}
+
+/// Scans split into morsels: a stored table past twice the parallel
+/// threshold under three conjuncts (an `Int` comparison, `IS NOT NULL` and
+/// a column equality), NULLs on both sides of the first morsel boundary,
+/// scanned alone, as a hash join's probe side (which, counting, filters it
+/// morsel by morsel as it probes) and as its build side. Under 1, 2,
+/// 3 and 8 workers: the row oracle's rows, row order, observations and
+/// shared counters, and the one-worker run's filter counters, which the
+/// scan charges per conjunct, not per morsel.
+#[test]
+fn morsel_scans_match_the_row_oracle_alone_and_on_either_side_of_a_hash_join() {
+    use els::core::{CmpOp, ColumnRef};
+    use els::exec::filter::CompiledFilter;
+    use els::exec::{PlanOutput, MORSEL_ROWS, PARALLEL_MIN_ROWS};
+
+    let rows = 2 * PARALLEL_MIN_ROWS + 100;
+    let null_at = |i: usize| i == MORSEL_ROWS - 1 || i == MORSEL_ROWS || i % 97 == 0;
+    let column = |cell: &dyn Fn(usize) -> Option<i64>| int_table("c", (0..rows).map(cell));
+    let k = column(&|i| (!null_at(i)).then_some((i * 7919 % 600) as i64));
+    let f = column(&|i| (!null_at(i + 1)).then_some((i % 13) as i64));
+    let g = column(&|i| Some(if i % 5 == 0 { 99 } else { (i % 13) as i64 }));
+    let columns = [("k", k), ("f", f), ("g", g)]
+        .map(|(name, t)| (name.to_owned(), t.column(0).unwrap().clone()));
+    let big = Table::new("big", columns.to_vec()).unwrap();
+    let small = int_table("small", (0..300).map(|i| (i % 11 != 0).then_some(i)));
+    let tables = vec![Arc::new(big), Arc::new(small)];
+
+    let (bk, sk) = (ColumnRef::new(0, 0), ColumnRef::new(1, 0));
+    let filters = vec![
+        CompiledFilter::Cmp { column: bk, op: CmpOp::Lt, value: Value::Int(400) },
+        CompiledFilter::IsNull { column: ColumnRef::new(0, 1), negated: true },
+        CompiledFilter::ColEq { left: ColumnRef::new(0, 1), right: ColumnRef::new(0, 2) },
+    ];
+    let big_scan = || Box::new(PlanNode::Scan { table_id: 0, filters: filters.clone() });
+    let small_scan = || Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() });
+    let hash = |left, right, keys| PlanNode::Join {
+        method: JoinMethod::Hash,
+        left,
+        right,
+        keys: vec![keys],
+        ranges: Vec::new(),
+    };
+    let roots = [
+        ("the scan alone", *big_scan()),
+        ("the probe side", hash(small_scan(), big_scan(), (sk, bk))),
+        ("the build side", hash(big_scan(), small_scan(), (bk, sk))),
+    ];
+    for (name, root) in roots {
+        for output in [PlanOutput::CountStar, PlanOutput::Star] {
+            let plan = QueryPlan { root: root.clone(), output, order_by: Vec::new(), limit: None };
+            let context = format!("{name}, {:?}", plan.output);
+            check_plan(&plan, &tables, &context);
+            let run = |workers| {
+                let mode = ExecMode::Vectorized { workers };
+                execute_plan_observed(&plan, &tables, mode, None).unwrap().0
+            };
+            let one = run(1);
+            assert!(one.count > 0, "{context}: the filters keep rows");
+            assert_eq!(one.metrics.sel_reuses, 2, "{context}: two conjuncts compact in place");
+            assert!(one.metrics.morsels >= rows.div_ceil(MORSEL_ROWS) as u64, "{context}");
+            let filter_counters =
+                |m: &ExecMetrics| (m.sel_reuses, m.comparisons, m.kernel_rows, m.morsels);
+            for workers in [2, 3, 8] {
+                let out = run(workers);
+                assert_eq!(out.count, one.count, "{context} workers={workers}");
+                assert_eq!(
+                    filter_counters(&out.metrics),
+                    filter_counters(&one.metrics),
+                    "{context} workers={workers}: filter counters"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random `Int` columns with NULLs and duplicates under every
+    /// comparison, as the one range of a keyless nested loop (over a
+    /// rescanned inner, and over an evaluated one, spelled either way round)
+    /// and, for the band operators, of a band join, forced as a `COUNT(*)`
+    /// root: the fused count, which counts from sorted boundaries, equals
+    /// the pair-enumerating path's and the row oracle's, with every counter
+    /// the enumerating path charges but its pair list.
+    #[test]
+    fn lone_range_count_roots_count_by_boundary_like_the_pair_path(
+        outer in proptest::collection::vec(proptest::option::of(-6i64..6), 0..40),
+        inner in proptest::collection::vec(proptest::option::of(-6i64..6), 0..40),
+        op in 0usize..6,
+        swap in proptest::bool::ANY,
+    ) {
+        use els::core::{CmpOp, ColumnRef};
+        use els::exec::PlanOutput;
+
+        let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][op];
+        let tables = vec![Arc::new(int_table("o", outer)), Arc::new(int_table("i", inner))];
+        let (oc, ic) = (ColumnRef::new(0, 0), ColumnRef::new(1, 0));
+        let range = if swap { (ic, op.flip(), oc) } else { (oc, op, ic) };
+        let mut methods = vec![JoinMethod::NestedLoop, JoinMethod::Hash];
+        if !matches!(op, CmpOp::Eq | CmpOp::Ne) && !swap {
+            methods.push(JoinMethod::Range);
+        }
+        for method in methods {
+            let root = PlanNode::Join {
+                method,
+                left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
+                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
+                keys: Vec::new(),
+                ranges: vec![range],
+            };
+            let context = format!("{} {range:?}", method.name());
+            let count = QueryPlan::new(root.clone(), PlanOutput::CountStar);
+            let pairs = QueryPlan::new(root, PlanOutput::Star);
+            check_plan_buffered(&count, &tables, None, &context);
+            let but_pair_lists = |m: ExecMetrics| ExecMetrics {
+                pair_lists: 0,
+                elapsed: std::time::Duration::ZERO,
+                ..m
+            };
+            for workers in [1, 2] {
+                let mode = ExecMode::Vectorized { workers };
+                let (fused, _) = execute_plan_observed(&count, &tables, mode, None).unwrap();
+                let (listed, _) = execute_plan_observed(&pairs, &tables, mode, None).unwrap();
+                prop_assert_eq!(fused.count, listed.count, "{}", context);
+                prop_assert_eq!((fused.metrics.pair_lists, listed.metrics.pair_lists), (0, 1));
+                prop_assert_eq!(
+                    but_pair_lists(fused.metrics),
+                    but_pair_lists(listed.metrics),
+                    "{}",
+                    context
+                );
+            }
+        }
+    }
+}
