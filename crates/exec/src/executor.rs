@@ -4,19 +4,21 @@
 //! through [`ExecMode::RowAtATime`] only. The default mode evaluates the same
 //! plans in [`crate::vectorized`] and shares no operator with it.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::timing::Stopwatch;
-
-use els_storage::Table;
+use els_core::ColumnRef;
+use els_storage::column::ValueRef;
+use els_storage::{ColumnVector, Table};
 
 use crate::chunk::Chunk;
 use crate::error::{ExecError, ExecResult};
 use crate::filter::apply_filters;
-use crate::join::{hash_join, nested_loop_join, sort_merge_join};
+use crate::join::{hash_join, nested_loop_join, sort_merge_join, total_cmp_ref};
 use crate::metrics::ExecMetrics;
 use crate::plan::{JoinMethod, PlanNode, PlanOutput, QueryPlan};
+use crate::timing::Stopwatch;
 
 /// Result of executing a plan.
 #[derive(Debug, Clone)]
@@ -57,104 +59,132 @@ impl Default for ExecMode {
 
 /// Execute `plan` against `tables`, where `tables[i]` is the data of query
 /// table `i` (the `FROM`-list position), unbuffered: every logical base
-/// page read is physical. [`execute_plan_observed`] with the per-operator
-/// observations dropped.
+/// page read is physical. Observes nothing: no per-operator record is
+/// written and no per-operator clock is read.
 pub fn execute_plan_with(
     plan: &QueryPlan,
     tables: &[Arc<Table>],
     mode: ExecMode,
 ) -> ExecResult<ExecOutput> {
-    execute_plan_observed(plan, tables, mode, None).map(|(out, _)| out)
+    execute(plan, tables, mode, crate::buffer::PageIo::unbuffered(), &mut [])
 }
 
-/// Per-operator output sizes observed during execution, in post-order —
-/// the "actual rows" column of EXPLAIN ANALYZE. Join entries align with
-/// [`els_core::Els`] step estimates for left-deep plans.
+/// What one plan node produced: the "actual rows" column of EXPLAIN
+/// ANALYZE, with the node's inclusive wall time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NodeRecord {
+    /// The query tables the node's subtree covers, as a mask.
+    pub tables: u64,
+    /// Output rows. A rescanned inner (plain or indexed nested loops over
+    /// a stored table) records its stored row count: its filters run
+    /// during each rescan, so no single filtered output exists.
+    pub rows: u64,
+    /// Inclusive subtree wall time; zero for a rescanned inner and for a
+    /// stored probe side a fused hash count filters morsel by morsel as it
+    /// probes (their time is inside their join's).
+    pub elapsed: Duration,
+}
+
+/// One [`NodeRecord`] per plan node, at the node's post-order position
+/// (the position of its `Annotation` in the optimizer's plan).
 #[derive(Debug, Clone, Default)]
 pub struct Observations {
-    /// `(tables covered by the subtree, output rows)` for every Join node,
-    /// post-order.
-    pub join_outputs: Vec<(Vec<usize>, u64)>,
-    /// `(table id, rows surviving the scan filters)` for every Scan node.
-    /// For inners consumed by rescanning access paths (plain or indexed
-    /// nested loops) the stored row count is recorded instead — their
-    /// filters are applied during each rescan, so no single filtered
-    /// output exists.
-    pub scan_outputs: Vec<(usize, u64)>,
-    /// Inclusive subtree wall time per Join node, aligned with
-    /// `join_outputs`. The rescan-NL/INL inner's cost is charged to its
-    /// join, not to the phantom scan entry.
-    pub join_elapsed: Vec<Duration>,
-    /// Inclusive wall time per Scan node, aligned with `scan_outputs`
-    /// (zero for rescanned inners — see `join_elapsed` — and for a stored
-    /// probe side a fused hash count filters morsel by morsel as it probes:
-    /// its time is inside the join's).
-    pub scan_elapsed: Vec<Duration>,
+    /// The records, post-order.
+    pub nodes: Vec<NodeRecord>,
 }
 
-/// Equality compares only the *logical* observations (output cardinalities):
-/// the wall-time vectors are measurement noise and would make every
-/// differential `vec_obs == row_obs` assertion flaky.
+/// Equality compares only the *logical* observations (tables and output
+/// rows): wall time is measurement noise and would make every differential
+/// `vec_obs == row_obs` assertion flaky.
 impl PartialEq for Observations {
     fn eq(&self, other: &Observations) -> bool {
-        self.join_outputs == other.join_outputs && self.scan_outputs == other.scan_outputs
+        let logical = |n: &NodeRecord| (n.tables, n.rows);
+        self.nodes.iter().map(logical).eq(other.nodes.iter().map(logical))
     }
 }
 
 /// Mutable execution state threaded through every operator: counters,
-/// simulated page I/O, and observed cardinalities.
+/// simulated page I/O, and the observation records when observing.
 pub(crate) struct ExecState<'a> {
     pub(crate) metrics: &'a mut ExecMetrics,
     pub(crate) io: &'a mut crate::buffer::PageIo,
-    pub(crate) obs: &'a mut Observations,
+    /// One record per plan node, post-order; empty when not observing.
+    nodes: &'a mut [NodeRecord],
+    /// The next node to finish, in post-order.
+    next: usize,
 }
 
-/// Execute `plan` under `mode` and return its output together with the
-/// per-operator actual cardinalities and wall times — the execution half
-/// of EXPLAIN ANALYZE. With `buffer_pages`, base-table reads go through an
-/// LRU buffer pool of that many pages: pages already resident cost no
-/// physical I/O (the paper's experiment ran with a fixed buffer size).
+impl ExecState<'_> {
+    /// A stopwatch for a node about to run, when observing.
+    pub(crate) fn clock(&self) -> Option<Stopwatch> {
+        (!self.nodes.is_empty()).then(Stopwatch::start)
+    }
+
+    /// Record the node finishing now (nodes finish in post-order): its
+    /// tables, its output `rows`, and the time since `clock` (zero
+    /// without one). Does nothing when not observing.
+    pub(crate) fn record(&mut self, node: &PlanNode, rows: u64, clock: Option<Stopwatch>) {
+        if let Some(slot) = self.nodes.get_mut(self.next) {
+            let elapsed = clock.map_or(Duration::ZERO, |c| c.elapsed());
+            *slot = NodeRecord { tables: node.tables(), rows, elapsed };
+            self.next += 1;
+        }
+    }
+}
+
+/// Execute `plan` under `mode` and return its output together with one
+/// record per plan node — the execution half of EXPLAIN ANALYZE. With
+/// `buffer_pages`, base-table reads go through an LRU buffer pool of that
+/// many pages: pages already resident cost no physical I/O (the paper's
+/// experiment ran with a fixed buffer size).
 pub fn execute_plan_observed(
     plan: &QueryPlan,
     tables: &[Arc<Table>],
     mode: ExecMode,
     buffer_pages: Option<usize>,
 ) -> ExecResult<(ExecOutput, Observations)> {
-    let mut io = match buffer_pages {
+    let io = match buffer_pages {
         None => crate::buffer::PageIo::unbuffered(),
         Some(pages) => crate::buffer::PageIo::with_pool(pages),
     };
-    let mut obs = Observations::default();
+    let mut nodes = vec![NodeRecord::default(); plan.root.node_count()];
+    let out = execute(plan, tables, mode, io, &mut nodes)?;
+    Ok((out, Observations { nodes }))
+}
+
+/// Both entry points: run `plan`, recording into `nodes` unless it is empty.
+fn execute(
+    plan: &QueryPlan,
+    tables: &[Arc<Table>],
+    mode: ExecMode,
+    mut io: crate::buffer::PageIo,
+    nodes: &mut [NodeRecord],
+) -> ExecResult<ExecOutput> {
     let start = Stopwatch::start();
     let mut metrics = ExecMetrics::default();
-    let (mut rows, mut count): (Table, u64) = match mode {
+    let mut st = ExecState { metrics: &mut metrics, io: &mut io, nodes, next: 0 };
+    let (root, mut count) = match mode {
         ExecMode::RowAtATime => {
-            let chunk = execute_node(&plan.root, tables, &mut metrics, &mut io, &mut obs)?;
-            shape_output(chunk, &plan.output, &mut metrics)?
+            shape_output(execute_node(&plan.root, tables, &mut st)?, &plan.output, st.metrics)?
+        }
+        // COUNT(*) never materializes the join result — the point of
+        // carrying row ids to the top of the plan — and a root that fuses
+        // its join with the count (`execute_root_count` names which) does
+        // not even allocate its pair list.
+        ExecMode::Vectorized { workers } if plan.output == PlanOutput::CountStar => {
+            let root = &plan.root;
+            let n = crate::vectorized::execute_root_count(root, tables, workers.max(1), &mut st)?;
+            (count_chunk(n)?, n)
         }
         ExecMode::Vectorized { workers } => {
-            let mut st = ExecState { metrics: &mut metrics, io: &mut io, obs: &mut obs };
-            if matches!(plan.output, PlanOutput::CountStar) {
-                // COUNT(*) never materializes the join result — the point
-                // of carrying row ids to the top of the plan — and a root
-                // that fuses its join with the count (`execute_root_count`
-                // names which) does not even allocate its pair list.
-                let n = crate::vectorized::execute_root_count(
-                    &plan.root,
-                    tables,
-                    workers.max(1),
-                    &mut st,
-                )?;
-                (count_table(n)?, n)
-            } else {
-                let v = crate::vectorized::exec_node(&plan.root, tables, workers.max(1), &mut st)?;
-                shape_output(v.materialize()?, &plan.output, &mut metrics)?
-            }
+            let v = crate::vectorized::exec_node(&plan.root, tables, workers.max(1), &mut st)?;
+            shape_output(v.materialize()?, &plan.output, st.metrics)?
         }
     };
-    if !plan.order_by.is_empty() {
-        rows = sort_output(&rows, &plan.order_by, &mut metrics)?;
-    }
+    let mut rows = match plan.order_by.as_slice() {
+        [] => root.data,
+        order_by => sort_output(&root, order_by, &mut metrics)?,
+    };
     if let Some(limit) = plan.limit {
         let keep = usize::try_from(limit).unwrap_or(usize::MAX).min(rows.num_rows());
         if keep < rows.num_rows() {
@@ -168,253 +198,181 @@ pub fn execute_plan_observed(
         }
     }
     metrics.elapsed = start.elapsed();
-    Ok((ExecOutput { rows, count, metrics }, obs))
+    Ok(ExecOutput { rows, count, metrics })
 }
 
 /// Shape a materialized root chunk into the client-facing table per the
-/// plan's output clause (shared by both execution modes).
+/// plan's output clause (shared by both execution modes), keeping the
+/// provenance of every column a query names (a `GROUP BY`'s trailing
+/// `count` has none).
 fn shape_output(
     chunk: Chunk,
     output: &PlanOutput,
     metrics: &mut ExecMetrics,
-) -> ExecResult<(Table, u64)> {
-    Ok(match output {
-        PlanOutput::CountStar => {
-            let n = chunk.num_rows() as u64;
-            (count_table(n)?, n)
-        }
-        PlanOutput::Star => {
-            let n = chunk.num_rows() as u64;
-            (chunk.data, n)
-        }
-        PlanOutput::Columns(cols) => {
-            let projected = chunk.project(cols)?;
-            let n = projected.num_rows() as u64;
-            (projected.data, n)
-        }
+) -> ExecResult<(Chunk, u64)> {
+    let n = chunk.num_rows() as u64;
+    let shaped = match output {
+        PlanOutput::CountStar => return Ok((count_chunk(n)?, n)),
+        PlanOutput::Star => chunk,
+        PlanOutput::Columns(cols) => chunk.project(cols)?,
         PlanOutput::GroupCount(cols) => {
-            let grouped = group_count(&chunk, cols, metrics)?;
-            let n = grouped.num_rows() as u64;
-            (grouped, n)
+            Chunk { data: group_count(&chunk, cols, metrics)?, provenance: cols.clone() }
         }
-    })
+    };
+    let n = shaped.num_rows() as u64;
+    Ok((shaped, n))
 }
 
-/// The single-row `COUNT(*)` result table.
-fn count_table(n: u64) -> ExecResult<Table> {
+/// The single-row `COUNT(*)` result, a column no query names.
+fn count_chunk(n: u64) -> ExecResult<Chunk> {
     let mut t = Table::empty("count", &[("count", els_storage::DataType::Int)]);
     t.push_row(vec![els_storage::Value::Int(n as i64)])?;
-    Ok(t)
+    Ok(Chunk { data: t, provenance: Vec::new() })
 }
 
-/// Stable-sort an output table by `(column, descending)` keys; the columns
-/// are located by their synthesized output names (`t{T}_c{C}`).
+/// The columns of `chunk` holding the query columns `keys` names, each with
+/// its `descending` flag, resolved by provenance.
+fn key_columns(
+    chunk: &Chunk,
+    keys: impl IntoIterator<Item = (ColumnRef, bool)>,
+) -> ExecResult<Vec<(&ColumnVector, bool)>> {
+    keys.into_iter().map(|(c, desc)| Ok((chunk.data.column(chunk.require(c)?)?, desc))).collect()
+}
+
+/// Order rows `a` and `b` by `keys` under [`els_storage::Value::total_cmp`]
+/// (NULL first), each key reversed when descending.
+fn cmp_rows(keys: &[(&ColumnVector, bool)], a: usize, b: usize) -> Ordering {
+    for &(column, desc) in keys {
+        let cell = |row| column.value_ref(row).unwrap_or(ValueRef::Null);
+        let ord = total_cmp_ref(cell(a), cell(b));
+        if ord.is_ne() {
+            return if desc { ord.reverse() } else { ord };
+        }
+    }
+    Ordering::Equal
+}
+
+/// Stable-sort the root's rows by `(column, descending)` keys, found by
+/// their provenance.
 fn sort_output(
-    rows: &Table,
-    order_by: &[(els_core::ColumnRef, bool)],
+    root: &Chunk,
+    order_by: &[(ColumnRef, bool)],
     metrics: &mut ExecMetrics,
 ) -> ExecResult<Table> {
-    // Resolve every key column up front so the comparator below is
-    // infallible (a malformed plan degrades to an error, never a panic
-    // inside `sort_by`).
-    let keys: Vec<(&els_storage::ColumnVector, bool)> = order_by
-        .iter()
-        .map(|&(c, desc)| {
-            let p = rows
-                .column_index(&format!("t{}_c{}", c.table, c.column))
-                .ok_or(ExecError::ColumnNotInSchema(c))?;
-            let column = rows.column(p).map_err(|_| ExecError::ColumnNotInSchema(c))?;
-            Ok((column, desc))
-        })
-        .collect::<ExecResult<Vec<_>>>()?;
-    let mut indices: Vec<usize> = (0..rows.num_rows()).collect();
-    metrics.rows_sorted += rows.num_rows() as u64;
-    indices.sort_by(|&a, &b| {
-        for &(column, desc) in &keys {
-            // Indices come from `0..num_rows`, so both lookups succeed;
-            // treat the unreachable error arm as NULL rather than panic.
-            let va = column.get(a).unwrap_or(els_storage::Value::Null);
-            let vb = column.get(b).unwrap_or(els_storage::Value::Null);
-            let ord = va.total_cmp(&vb);
-            if ord != std::cmp::Ordering::Equal {
-                return if desc { ord.reverse() } else { ord };
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok(rows.gather(rows.name().to_owned(), &indices)?)
+    let keys = key_columns(root, order_by.iter().copied())?;
+    let mut indices: Vec<usize> = (0..root.num_rows()).collect();
+    metrics.rows_sorted += root.num_rows() as u64;
+    indices.sort_by(|&a, &b| cmp_rows(&keys, a, b));
+    Ok(root.data.gather(root.data.name().to_owned(), &indices)?)
 }
 
-/// Hash-aggregate `chunk` by the given key columns, producing a table of
-/// the keys plus a trailing `count` column, sorted by key (deterministic
-/// output order). NULL keys form their own group, as in SQL `GROUP BY`.
+/// Aggregate `chunk` by the given key columns, producing a table of the
+/// keys plus a trailing `count` column in key order, ORDER BY's order (a
+/// NULL key is one group, first). One `hash_probes` per row, one
+/// `tuples_emitted` per group.
 fn group_count(
     chunk: &Chunk,
-    columns: &[els_core::ColumnRef],
+    columns: &[ColumnRef],
     metrics: &mut ExecMetrics,
 ) -> ExecResult<Table> {
-    let positions: Vec<usize> =
-        columns.iter().map(|&c| chunk.require(c)).collect::<ExecResult<Vec<_>>>()?;
-    // Group by the rendered total-order key (values of one column share a
-    // type, so rendering is collision-free) and remember one witness row.
-    let mut groups: std::collections::BTreeMap<Vec<String>, (usize, u64)> =
-        std::collections::BTreeMap::new();
-    for row in 0..chunk.num_rows() {
-        let mut key = Vec::with_capacity(positions.len());
-        for &p in &positions {
-            key.push(chunk.data.column(p)?.get(row)?.to_string());
-        }
-        metrics.hash_probes += 1;
-        groups.entry(key).and_modify(|(_, n)| *n += 1).or_insert((row, 1));
-    }
-    // Assemble the output table.
-    let mut out_columns: Vec<(String, els_storage::ColumnVector)> = positions
-        .iter()
-        .zip(columns)
-        .map(|(&p, c)| {
-            Ok((
-                format!("t{}_c{}", c.table, c.column),
-                els_storage::ColumnVector::with_capacity(
-                    chunk.data.column(p)?.data_type(),
-                    groups.len(),
-                ),
-            ))
-        })
-        .collect::<ExecResult<Vec<_>>>()?;
-    let mut counts =
-        els_storage::ColumnVector::with_capacity(els_storage::DataType::Int, groups.len());
-    for (witness, n) in groups.values() {
-        for ((_, out), &p) in out_columns.iter_mut().zip(&positions) {
-            out.push(chunk.data.column(p)?.get(*witness)?)?;
-        }
-        counts.push(els_storage::Value::Int(*n as i64))?;
-    }
-    out_columns.push(("count".to_owned(), counts));
-    metrics.tuples_emitted += groups.len() as u64;
+    let keys = key_columns(chunk, columns.iter().map(|&c| (c, false)))?;
+    // A stable sort of the row ids puts each group's rows side by side,
+    // its first row (the one whose keys the output copies) first.
+    let mut rows: Vec<usize> = (0..chunk.num_rows()).collect();
+    rows.sort_by(|&a, &b| cmp_rows(&keys, a, b));
+    metrics.hash_probes += rows.len() as u64;
+    let groups = rows.chunk_by(|&a, &b| cmp_rows(&keys, a, b).is_eq());
+    let (witnesses, counts): (Vec<usize>, Vec<i64>) =
+        groups.filter_map(|run| Some((*run.first()?, i64::try_from(run.len()).ok()?))).unzip();
+    metrics.tuples_emitted += witnesses.len() as u64;
+    let key = |(c, (column, _)): (&ColumnRef, &(&ColumnVector, bool))| {
+        Ok((format!("t{}_c{}", c.table, c.column), column.gather(&witnesses)?))
+    };
+    let mut out_columns = columns.iter().zip(&keys).map(key).collect::<ExecResult<Vec<_>>>()?;
+    out_columns.push(("count".to_owned(), ColumnVector::from_ints(counts)));
     Ok(Table::new("group_count", out_columns)?)
 }
 
 /// Recursively execute one plan node, recording its output size and
-/// inclusive wall time into `obs`.
+/// inclusive wall time.
 fn execute_node(
     node: &PlanNode,
     tables: &[Arc<Table>],
-    metrics: &mut ExecMetrics,
-    io: &mut crate::buffer::PageIo,
-    obs: &mut Observations,
+    st: &mut ExecState<'_>,
 ) -> ExecResult<Chunk> {
-    let start = Stopwatch::start();
-    let chunk = execute_node_inner(node, tables, metrics, io, obs)?;
-    match node {
-        PlanNode::Scan { table_id, .. } => {
-            obs.scan_outputs.push((*table_id, chunk.num_rows() as u64));
-            obs.scan_elapsed.push(start.elapsed());
-        }
-        PlanNode::Join { .. } => {
-            obs.join_outputs.push((node.tables(), chunk.num_rows() as u64));
-            obs.join_elapsed.push(start.elapsed());
-        }
-    }
+    let clock = st.clock();
+    let chunk = execute_node_inner(node, tables, st)?;
+    st.record(node, chunk.num_rows() as u64, clock);
     Ok(chunk)
 }
 
 fn execute_node_inner(
     node: &PlanNode,
     tables: &[Arc<Table>],
-    metrics: &mut ExecMetrics,
-    io: &mut crate::buffer::PageIo,
-    obs: &mut Observations,
+    st: &mut ExecState<'_>,
 ) -> ExecResult<Chunk> {
     match node {
         PlanNode::Scan { table_id, filters } => {
             let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
-            metrics.tuples_scanned += data.num_rows() as u64;
-            io.scan_table(*table_id, data.num_pages() as u64, metrics);
+            st.metrics.tuples_scanned += data.num_rows() as u64;
+            st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
             let chunk = Chunk::from_base_table(*table_id, (**data).clone());
-            let filtered = apply_filters(&chunk, filters, metrics)?;
-            metrics.tuples_emitted += filtered.num_rows() as u64;
+            let filtered = apply_filters(&chunk, filters, st.metrics)?;
+            st.metrics.tuples_emitted += filtered.num_rows() as u64;
             Ok(filtered)
         }
         PlanNode::Join { method, left, right, keys, ranges } => {
-            let l = execute_node(left, tables, metrics, io, obs)?;
+            let l = execute_node(left, tables, st)?;
             let out = match (method, right.as_ref()) {
                 // Nested loops with a base-table inner uses the System-R
                 // access pattern: rescan the stored relation (filters
                 // applied on the fly) once per outer tuple.
                 (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) => {
-                    let mut st = ExecState { metrics, io, obs };
-                    rescan_nested_loop(&l, *table_id, filters, keys, tables, &mut st)?
+                    let inner = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
+                    let out = crate::join::nested_loop_rescan_join(
+                        &l, *table_id, inner, filters, keys, st.metrics, st.io,
+                    )?;
+                    st.record(right, inner.num_rows() as u64, None);
+                    out
                 }
                 (JoinMethod::IndexNestedLoop, _) => {
-                    let mut st = ExecState { metrics, io, obs };
-                    indexed_nested_loop(&l, right, keys, tables, &mut st)?
+                    indexed_nested_loop(&l, right, keys, tables, st)?
                 }
                 // Every other shape materializes the inner.
                 (JoinMethod::Range, _) => {
-                    let r = execute_node(right, tables, metrics, io, obs)?;
+                    let r = execute_node(right, tables, st)?;
                     if !keys.is_empty() {
                         return Err(ExecError::InvalidPlan(
                             "range join cannot carry equi-keys".into(),
                         ));
                     }
-                    return crate::join::range_join(&l, &r, ranges, metrics);
+                    return crate::join::range_join(&l, &r, ranges, st.metrics);
                 }
                 (JoinMethod::NestedLoop, _) => {
-                    let r = execute_node(right, tables, metrics, io, obs)?;
-                    nested_loop_join(&l, &r, keys, metrics)?
+                    nested_loop_join(&l, &execute_node(right, tables, st)?, keys, st.metrics)?
                 }
                 (JoinMethod::SortMerge, _) => {
-                    let r = execute_node(right, tables, metrics, io, obs)?;
-                    sort_merge_join(&l, &r, keys, metrics)?
+                    sort_merge_join(&l, &execute_node(right, tables, st)?, keys, st.metrics)?
                 }
                 (JoinMethod::Hash, _) => {
-                    let r = execute_node(right, tables, metrics, io, obs)?;
-                    hash_join(&l, &r, keys, metrics)?
+                    hash_join(&l, &execute_node(right, tables, st)?, keys, st.metrics)?
                 }
             };
-            crate::join::apply_join_ranges(out, ranges, metrics)
+            crate::join::apply_join_ranges(out, ranges, st.metrics)
         }
     }
 }
 
-/// Nested loops over a stored inner (System-R rescan access pattern),
-/// recording the inner's scan observation. The row path's operator: the
-/// vectorized path charges the same rescans around a pair-list kernel
-/// (`nested_loop_inner` in [`crate::vectorized`]) and is checked against
-/// this one by the differential tests.
-fn rescan_nested_loop(
-    l: &Chunk,
-    inner_table_id: usize,
-    inner_filters: &[crate::filter::CompiledFilter],
-    keys: &[(els_core::ColumnRef, els_core::ColumnRef)],
-    tables: &[Arc<Table>],
-    st: &mut ExecState<'_>,
-) -> ExecResult<Chunk> {
-    let inner = tables.get(inner_table_id).ok_or(ExecError::UnknownTable(inner_table_id))?;
-    let out = crate::join::nested_loop_rescan_join(
-        l,
-        inner_table_id,
-        inner,
-        inner_filters,
-        keys,
-        st.metrics,
-        st.io,
-    )?;
-    st.obs.scan_outputs.push((inner_table_id, inner.num_rows() as u64));
-    st.obs.scan_elapsed.push(Duration::ZERO);
-    Ok(out)
-}
-
 /// Indexed nested loops: build a sorted index on the inner's first key
-/// column (charged as a scan plus a sort), then probe per outer tuple.
-/// `right` must be a base-table scan, and the first key's right side a
-/// column of it. The row path's operator: the vectorized path's
-/// `index_nested_loop` kernel is checked against this one by the
-/// differential tests.
+/// column (charged as a scan plus a sort), then probe per outer tuple,
+/// recording the inner at its stored size. `right` must be a base-table
+/// scan, and the first key's right side a column of it. The row path's
+/// operator: the vectorized path's `index_nested_loop` kernel is checked
+/// against this one by the differential tests.
 fn indexed_nested_loop(
     l: &Chunk,
     right: &PlanNode,
-    keys: &[(els_core::ColumnRef, els_core::ColumnRef)],
+    keys: &[(ColumnRef, ColumnRef)],
     tables: &[Arc<Table>],
     st: &mut ExecState<'_>,
 ) -> ExecResult<Chunk> {
@@ -439,8 +397,7 @@ fn indexed_nested_loop(
     let out = crate::index::index_nested_loop_join(
         l, *table_id, inner, &index, filters, keys, st.metrics, st.io,
     )?;
-    st.obs.scan_outputs.push((*table_id, inner.num_rows() as u64));
-    st.obs.scan_elapsed.push(Duration::ZERO);
+    st.record(right, inner.num_rows() as u64, None);
     Ok(out)
 }
 
@@ -698,6 +655,35 @@ mod tests {
         };
         let out = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.count, 2);
+
+        // Groups come out in key order, NULL first, not in the order of
+        // the keys' text: 10 after 9, -2 before -1. Same in both modes.
+        let mut t = Table::empty("t", &[("k", els_storage::DataType::Int)]);
+        for k in [Some(9), Some(10), Some(2), None, Some(-1), Some(-2), Some(100), Some(9)] {
+            t.push_row(vec![k.map_or(Value::Null, Value::Int)]).unwrap();
+        }
+        let ts = vec![Arc::new(t)];
+        let mut limited = plan.clone();
+        limited.limit = Some(2);
+        for mode in [ExecMode::RowAtATime, ExecMode::default()] {
+            let out = execute_plan_with(&plan, &ts, mode).unwrap();
+            let rows: Vec<_> = (0..out.rows.num_rows()).map(|r| out.rows.row(r).unwrap()).collect();
+            let group = |k: Value, n| vec![k, Value::Int(n)];
+            let expected = [
+                group(Value::Null, 1),
+                group(Value::Int(-2), 1),
+                group(Value::Int(-1), 1),
+                group(Value::Int(2), 1),
+                group(Value::Int(9), 2),
+                group(Value::Int(10), 1),
+                group(Value::Int(100), 1),
+            ];
+            assert_eq!(rows, expected, "{mode:?}");
+            assert_eq!((out.metrics.hash_probes, out.metrics.tuples_emitted), (8, 8 + 7));
+            let out = execute_plan_with(&limited, &ts, mode).unwrap();
+            assert_eq!(out.count, 2, "{mode:?}");
+            assert_eq!(out.rows.row(1).unwrap(), group(Value::Int(-2), 1), "{mode:?}");
+        }
     }
 
     #[test]

@@ -362,17 +362,24 @@ pub(crate) fn range_pair_matches(lv: &Value, rv: &Value, op: CmpOp) -> bool {
 /// the same truth for every pair of cells, without a `Value` (and so without
 /// a string clone) per operand.
 pub(crate) fn range_ref_matches(lv: ValueRef<'_>, rv: ValueRef<'_>, op: CmpOp) -> bool {
+    !matches!(lv, ValueRef::Null) && !matches!(rv, ValueRef::Null) && op.eval(total_cmp_ref(lv, rv))
+}
+
+/// [`Value::total_cmp`] over borrowed cells, without a `Value` (and so
+/// without a string clone) per operand: NULL first, then numbers, then
+/// strings.
+pub(crate) fn total_cmp_ref(lv: ValueRef<'_>, rv: ValueRef<'_>) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    let ord = match (lv, rv) {
-        (ValueRef::Null, _) | (_, ValueRef::Null) => return false,
+    match (lv, rv) {
+        (ValueRef::Null, ValueRef::Null) => Ordering::Equal,
+        (ValueRef::Null, _) => Ordering::Less,
+        (_, ValueRef::Null) => Ordering::Greater,
         (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
-        // `Value::total_cmp` ranks every string above every number.
         (ValueRef::Str(_), _) => Ordering::Greater,
         (_, ValueRef::Str(_)) => Ordering::Less,
         // Two numbers: `to_value` copies eight bytes.
         (a, b) => a.to_value().total_cmp(&b.to_value()),
-    };
-    op.eval(ord)
+    }
 }
 
 /// Comparisons charged per outer row for the band probe's binary search

@@ -59,7 +59,9 @@ mod vectorized;
 pub use buffer::{BufferPool, PageIo};
 pub use chunk::Chunk;
 pub use error::{ExecError, ExecResult};
-pub use executor::{execute_plan_observed, execute_plan_with, ExecMode, ExecOutput, Observations};
+pub use executor::{
+    execute_plan_observed, execute_plan_with, ExecMode, ExecOutput, NodeRecord, Observations,
+};
 pub use metrics::{
     thread_stripe, EngineCounters, EngineCountersSnapshot, ExecMetrics, StripedCounter, STRIPES,
 };

@@ -76,21 +76,22 @@ pub enum PlanNode {
 }
 
 impl PlanNode {
-    /// The query tables this subtree covers, ascending.
-    pub fn tables(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out.sort_unstable();
-        out
+    /// The query tables this subtree covers, as a mask (bit `t` for table
+    /// `t`; a table id past 63 sets no bit).
+    pub fn tables(&self) -> u64 {
+        match self {
+            PlanNode::Scan { table_id, .. } => {
+                u32::try_from(*table_id).ok().and_then(|t| 1u64.checked_shl(t)).unwrap_or(0)
+            }
+            PlanNode::Join { left, right, .. } => left.tables() | right.tables(),
+        }
     }
 
-    fn collect_tables(&self, out: &mut Vec<usize>) {
+    /// Number of nodes in this subtree.
+    pub(crate) fn node_count(&self) -> usize {
         match self {
-            PlanNode::Scan { table_id, .. } => out.push(*table_id),
-            PlanNode::Join { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
+            PlanNode::Scan { .. } => 1,
+            PlanNode::Join { left, right, .. } => 1 + left.node_count() + right.node_count(),
         }
     }
 
@@ -197,7 +198,8 @@ mod tests {
             keys: vec![],
             ranges: vec![],
         };
-        assert_eq!(plan.tables(), vec![0, 1, 2]);
+        assert_eq!(plan.tables(), 0b111);
+        assert_eq!(plan.node_count(), 5);
         assert_eq!(plan.join_order(), vec![2, 0, 1]);
     }
 

@@ -1,8 +1,8 @@
 //! The one place the engine reads a wall clock.
 //!
-//! PR 3 made `Observations` compare timing-blind (a manual `PartialEq`
-//! skips the elapsed vectors) exactly so differential tests never depend
-//! on wall time. That property survives only if clock reads stay behind a
+//! `Observations` compare timing-blind (a manual `PartialEq` skips each
+//! record's elapsed time) exactly so differential tests never depend on
+//! wall time. That property survives only if clock reads stay behind a
 //! single seam: `clippy.toml` bans the `Instant` and `SystemTime` types
 //! and their `now` everywhere in the workspace, and this module is the one
 //! `#[expect]`ed exception. Operators measure durations through [`Stopwatch`]; nothing

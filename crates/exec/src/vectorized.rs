@@ -197,7 +197,8 @@ impl VChunk {
 /// *keyed* hash or sort-merge join without residual ranges, or a band join
 /// on one range, count the matches in one pass instead of building the
 /// root's row-id pair list (or a stored probe side's selection:
-/// [`hash_count`]). Only the root can fuse — lower joins' parents compose
+/// [`hash_count`]); a scan root counts its morsels' kept rows, dropping
+/// each selection. Only the root can fuse — lower joins' parents compose
 /// selections from their pair lists. Counters and observations are charged
 /// exactly as the unfused path charges them, minus the `pair_lists` the
 /// fusion removes.
@@ -207,12 +208,19 @@ pub(crate) fn execute_root_count(
     workers: usize,
     st: &mut ExecState<'_>,
 ) -> ExecResult<u64> {
+    let clock = st.clock();
+    if let PlanNode::Scan { table_id, filters } = node {
+        let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
+        let kept = charged_scan(*table_id, data, filters, workers, st, |m| m.sel = Vec::new())?.kept
+            as u64;
+        st.record(node, kept, clock);
+        return Ok(kept);
+    }
     if let PlanNode::Join { method, left, right, keys, ranges } = node {
         let nested = is_nested_loop(*method, keys);
         let keyed = matches!(method, JoinMethod::Hash | JoinMethod::SortMerge) && ranges.is_empty();
         let band = *method == JoinMethod::Range && keys.is_empty() && ranges.len() == 1;
         if nested || keyed || band {
-            let start = crate::timing::Stopwatch::start();
             let l = exec_node(left, tables, workers, st)?;
             let n = if nested {
                 let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
@@ -226,8 +234,7 @@ pub(crate) fn execute_root_count(
                     false => vsort_merge(&l, &r, keys, st.metrics, None)?,
                 }
             };
-            st.obs.join_outputs.push((node.tables(), n));
-            st.obs.join_elapsed.push(start.elapsed());
+            st.record(node, n, clock);
             return Ok(n);
         }
     }
@@ -243,18 +250,9 @@ pub(crate) fn exec_node(
     workers: usize,
     st: &mut ExecState<'_>,
 ) -> ExecResult<VChunk> {
-    let start = crate::timing::Stopwatch::start();
+    let clock = st.clock();
     let out = exec_inner(node, tables, workers, st)?;
-    match node {
-        PlanNode::Scan { table_id, .. } => {
-            st.obs.scan_outputs.push((*table_id, out.len() as u64));
-            st.obs.scan_elapsed.push(start.elapsed());
-        }
-        PlanNode::Join { .. } => {
-            st.obs.join_outputs.push((node.tables(), out.len() as u64));
-            st.obs.join_elapsed.push(start.elapsed());
-        }
-    }
+    st.record(node, out.len() as u64, clock);
     Ok(out)
 }
 
@@ -267,10 +265,7 @@ fn exec_inner(
     match node {
         PlanNode::Scan { table_id, filters } => {
             let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
-            st.metrics.tuples_scanned += data.num_rows() as u64;
-            st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
-            let sel = scan_morsels(*table_id, data, filters, workers, st.metrics, |_| {})?.sel;
-            st.metrics.tuples_emitted += sel.len() as u64;
+            let sel = charged_scan(*table_id, data, filters, workers, st, |_| {})?.sel;
             Ok(VChunk::scan(*table_id, Arc::clone(data), sel))
         }
         PlanNode::Join { method, left, right, keys, ranges } => {
@@ -306,6 +301,24 @@ fn exec_inner(
             Ok(VChunk::compose(l, r, &pairs))
         }
     }
+}
+
+/// A scan of stored table `table_id` through [`scan_morsels`], charged as
+/// one: the stored rows as `tuples_scanned`, its pages, and the rows kept
+/// as `tuples_emitted`.
+fn charged_scan(
+    table_id: usize,
+    data: &Table,
+    filters: &[CompiledFilter],
+    workers: usize,
+    st: &mut ExecState<'_>,
+    consume: impl Fn(&mut Morsel) + Sync,
+) -> ExecResult<Morsel> {
+    st.metrics.tuples_scanned += data.num_rows() as u64;
+    st.io.scan_table(table_id, data.num_pages() as u64, st.metrics);
+    let m = scan_morsels(table_id, data, filters, workers, st.metrics, consume)?;
+    st.metrics.tuples_emitted += m.kept as u64;
+    Ok(m)
 }
 
 /// Filter stored table `table_id` in the pieces [`morsel_pieces`] picks,
@@ -390,8 +403,7 @@ fn nested_loop_inner(
         for _ in 0..outer {
             st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
         }
-        st.obs.scan_outputs.push((*table_id, data.num_rows() as u64));
-        st.obs.scan_elapsed.push(std::time::Duration::ZERO);
+        st.record(right, data.num_rows() as u64, None);
         return Ok(VChunk::scan(*table_id, Arc::clone(data), sel));
     }
     let r = exec_node(right, tables, workers, st)?;
@@ -523,8 +535,7 @@ fn index_nested_loop(
         }
     }
     st.metrics.tuples_emitted += pairs.len() as u64;
-    st.obs.scan_outputs.push((*table_id, stored));
-    st.obs.scan_elapsed.push(std::time::Duration::ZERO);
+    st.record(right, data.num_rows() as u64, None);
     Ok(r)
 }
 
@@ -1141,17 +1152,14 @@ fn hash_count(
             (all_int_keys(&lsides), keys.iter().map(stored).collect());
         if let (Some(build @ [first, ..]), Some(probe)) = (build.as_deref(), probe) {
             let table = IntTable::build(first, build.len() > 1);
-            st.metrics.tuples_scanned += data.num_rows() as u64;
-            st.io.scan_table(*table_id, data.num_pages() as u64, st.metrics);
-            let m = scan_morsels(*table_id, data, filters, workers, st.metrics, |m| {
+            let m = charged_scan(*table_id, data, filters, workers, st, |m| {
                 let morsel: Vec<_> = probe.iter().map(|k| IntKeys { ids: &m.sel, ..*k }).collect();
                 m.matches = IntProbe::new(&table, build, &morsel).map_or(0, |j| j.count(0, m.kept));
                 m.sel = Vec::new();
             })?;
             st.metrics.hash_probes += m.kept as u64;
-            st.metrics.tuples_emitted += m.kept as u64 + m.matches;
-            st.obs.scan_outputs.push((*table_id, m.kept as u64));
-            st.obs.scan_elapsed.push(std::time::Duration::ZERO);
+            st.metrics.tuples_emitted += m.matches;
+            st.record(right, m.kept as u64, None);
             return Ok(m.matches);
         }
     }

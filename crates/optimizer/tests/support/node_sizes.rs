@@ -20,7 +20,7 @@ pub fn node_sizes(
     rescanned: bool,
     out: &mut Vec<Node>,
 ) -> ElsResult<JoinState> {
-    let mask = node.tables().iter().fold(0, |mask, t| mask | 1 << t);
+    let mask = node.tables();
     match node {
         PlanNode::Scan { table_id, .. } => {
             let state = est.initial_state(*table_id)?;

@@ -2,10 +2,10 @@
 //!
 //! The paper's whole evaluation (Section 8) is a table of *estimated* join
 //! result sizes next to *actual* ones; this module closes that loop at
-//! runtime. Executing a plan with observations enabled yields per-operator
-//! actual cardinalities and wall times, in post-order; the plan carries the
-//! estimates the optimizer believed in as [`Annotation`]s in the same
-//! post-order (bushy trees too, not just the left-deep chains
+//! runtime. Executing a plan with observations enabled yields one record
+//! per plan node (actual cardinality and wall time), in post-order; the
+//! plan carries the estimates the optimizer believed in as [`Annotation`]s
+//! in the same post-order (bushy trees too, not just the left-deep chains
 //! `estimated_sizes` covers), so a report is the two arrays zipped. Each
 //! operator then gets the paper's error ratio (`est/act`) and its symmetric
 //! folding, the **q-error** `max(est/act, act/est)` (see
@@ -178,22 +178,19 @@ impl std::error::Error for Mismatch {}
 
 /// Build the per-operator report of an executed plan: its `annotations`
 /// (the optimizer's estimates, in post-order) zipped with `obs` (what the
-/// execution observed, in the same order: the k-th scan annotation is the
-/// k-th scan observation, and likewise for joins), then laid out in
-/// pre-order from the root through each join's inputs.
+/// execution observed, one record per node in the same order), then laid
+/// out in pre-order from the root through each join's inputs. A record
+/// covering other tables than its annotation, a missing record, or one
+/// left over means the observations came from another plan.
 pub fn build_operator_reports(
     annotations: &[Annotation],
     binding_names: &[String],
     obs: &Observations,
 ) -> Result<Vec<OperatorReport>, Mismatch> {
-    let mut scans = obs.scan_outputs.iter().map(|(t, n)| (vec![*t], *n)).zip(&obs.scan_elapsed);
-    let mut joins = obs.join_outputs.iter().cloned().zip(&obs.join_elapsed);
     let mut post = Vec::with_capacity(annotations.len());
     for (at, a) in annotations.iter().enumerate() {
+        let seen = obs.nodes.get(at).filter(|n| n.tables == a.tables).ok_or(Mismatch { at })?;
         let tables: Vec<usize> = (0..64).filter(|t| a.tables >> t & 1 == 1).collect();
-        let next = if a.method.is_some() { joins.next() } else { scans.next() };
-        let ((_, actual), &elapsed) =
-            next.filter(|((seen, _), _)| *seen == tables).ok_or(Mismatch { at })?;
         let names: Vec<&str> =
             tables.iter().map(|&t| binding_names.get(t).map_or("?", String::as_str)).collect();
         let names = names.join(",");
@@ -209,13 +206,13 @@ pub fn build_operator_reports(
             tables,
             is_join: a.method.is_some(),
             estimated: a.rows,
-            actual,
-            elapsed,
+            actual: seen.rows,
+            elapsed: seen.elapsed,
             rescan: a.rescan,
             inputs: a.method.map(|_| (a.left, a.right)),
         }));
     }
-    if scans.next().is_some() || joins.next().is_some() {
+    if obs.nodes.len() > annotations.len() {
         return Err(Mismatch { at: annotations.len() });
     }
     let mut operators = Vec::with_capacity(post.len());

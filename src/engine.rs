@@ -401,20 +401,21 @@ impl Engine {
     }
 
     /// Execute a prepared plan on its slot's inputs. With `report` —
-    /// EXPLAIN ANALYZE, or a feedback mode that observes — also build the
-    /// per-operator estimated-vs-actual reports and fold their residuals
-    /// into the shared feedback store.
+    /// EXPLAIN ANALYZE, or a feedback mode that observes — also record
+    /// per-operator observations, build the estimated-vs-actual reports and
+    /// fold their residuals into the shared feedback store; without it,
+    /// observe nothing.
     fn run_observed(
         &self,
         slot: &Slot,
         report: bool,
     ) -> EngineResult<(ExecOutput, Vec<OperatorReport>)> {
-        let plan = &slot.plan;
-        let (out, obs) =
-            execute_plan_observed(&plan.optimized.plan, &slot.inputs, self.mode, None)?;
+        let (plan, inputs) = (&slot.plan, &slot.inputs);
         if !report {
+            let out = els_exec::execute_plan_with(&plan.optimized.plan, inputs, self.mode)?;
             return Ok((out, Vec::new()));
         }
+        let (out, obs) = execute_plan_observed(&plan.optimized.plan, inputs, self.mode, None)?;
         let operators =
             build_operator_reports(&plan.optimized.annotations, &plan.binding_names, &obs)
                 .map_err(|e| EngineError::Exec(e.to_string()))?;

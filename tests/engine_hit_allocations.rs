@@ -7,8 +7,8 @@
 //! `a_repeat_text_takes_no_lock_but_its_stripe` counts the lock classes a
 //! repeat acquires under the lock audit.
 //!
-//! Running the plan still allocates (selection vectors, observations, the
-//! join's working set); `a_hit_executes_under_its_allocation_ceiling` pins
+//! Running the plan still allocates (selection vectors, the join's working
+//! set; an unobserved run records nothing); `a_hit_executes_under_its_allocation_ceiling` pins
 //! how often, so the count can only go down, and
 //! `composite_key_and_nested_loop_hits_do_not_allocate_with_the_data` that
 //! it is a count per operator: ten times the rows add a few `Vec` doublings.
@@ -130,9 +130,9 @@ fn a_hit_executes_under_its_allocation_ceiling() {
     let sort_merge = with_tables(Engine::new());
     let hash = with_tables(Engine::with_options(OptimizerOptions::default().with_hash_join()));
     for (engine, sql, method, rows, ceiling) in [
-        (&sort_merge, POINT, "", 117, 14),
-        (&sort_merge, JOIN, "SMJoin", 24, 26),
-        (&hash, JOIN, "HASHJoin", 24, 28),
+        (&sort_merge, POINT, "", 117, 11),
+        (&sort_merge, JOIN, "SMJoin", 24, 21),
+        (&hash, JOIN, "HASHJoin", 24, 21),
     ] {
         assert!(engine.explain(sql).unwrap().contains(method), "`{sql}` is not a {method}");
         assert_eq!(engine.execute(sql).unwrap().count, rows);
@@ -179,9 +179,9 @@ fn composite_key_and_nested_loop_hits_do_not_allocate_with_the_data() {
         Engine::with_options(OptimizerOptions { join_methods, ..OptimizerOptions::default() })
     };
     for (engine, sql, method, scale, ceiling, ceiling_at_ten_times) in [
-        (hash as fn() -> Engine, CHAIN, "HASHJoin", 1, 47, 51),
-        (Engine::new as fn() -> Engine, BAND, "NLJoin", 4, 28, 29),
-        (indexed as fn() -> Engine, PAIR, "INLJoin", 1, 31, 35),
+        (hash as fn() -> Engine, CHAIN, "HASHJoin", 1, 37, 41),
+        (Engine::new as fn() -> Engine, BAND, "NLJoin", 4, 21, 21),
+        (indexed as fn() -> Engine, PAIR, "INLJoin", 1, 25, 29),
     ] {
         let mut warm_at = Vec::new();
         for (scale, ceiling) in [(scale, ceiling), (10 * scale, ceiling_at_ten_times)] {

@@ -212,21 +212,16 @@ fn check_plan_buffered(
         );
         assert_eq!(vec_obs, row_obs, "{label}: observations");
         // `Observations::eq` deliberately compares only the logical
-        // streams; spell the per-stream equality out so a failure names
-        // the diverging stream, and pin the timing vectors to their
-        // streams one-to-one (the report builder indexes them in step).
-        assert_eq!(vec_obs.scan_outputs, row_obs.scan_outputs, "{label}: scan outputs");
-        assert_eq!(vec_obs.join_outputs, row_obs.join_outputs, "{label}: join outputs");
+        // records; spell the per-node equality out so a failure names the
+        // diverging node.
+        assert_eq!(vec_obs.nodes.len(), row_obs.nodes.len(), "{label}: one record per node");
+        for (at, (v, r)) in vec_obs.nodes.iter().zip(&row_obs.nodes).enumerate() {
+            assert_eq!((v.tables, v.rows), (r.tables, r.rows), "{label}: node {at}");
+        }
         for (name, obs) in [("row", &row_obs), ("vec", &vec_obs)] {
-            assert_eq!(
-                obs.scan_elapsed.len(),
-                obs.scan_outputs.len(),
-                "{label}: {name} scan timing alignment"
-            );
-            assert_eq!(
-                obs.join_elapsed.len(),
-                obs.join_outputs.len(),
-                "{label}: {name} join timing alignment"
+            assert!(
+                obs.nodes.iter().all(|n| n.tables != 0),
+                "{label}: {name} left a node unrecorded"
             );
         }
     }
@@ -349,8 +344,7 @@ fn morsel_boundary_probe_sizes_keep_observation_parity() {
                 execute_plan_observed(&plan, &tables, ExecMode::Vectorized { workers }, None)
                     .unwrap();
             assert_eq!(out.count, row_out.count, "{label}: count");
-            assert_eq!(obs.scan_outputs, row_obs.scan_outputs, "{label}: scan outputs");
-            assert_eq!(obs.join_outputs, row_obs.join_outputs, "{label}: join outputs");
+            assert_eq!(obs, row_obs, "{label}: observations");
             if workers > 1 && rows >= PARALLEL_MIN_ROWS {
                 assert!(
                     out.metrics.morsels > 1,
@@ -561,6 +555,40 @@ fn giant_int_keys_join_exactly() {
     }
 }
 
+/// `SELECT * … ORDER BY … DESC` over one table (whose root keeps the
+/// table's own column names) and over a join: the sort keys resolve by
+/// provenance, the rows come out in descending key order with ties in scan
+/// order, the headers are not renamed, and every mode agrees with the row
+/// oracle.
+#[test]
+fn select_star_order_by_resolves_keys_on_one_table_and_on_a_join() {
+    let mut catalog = Catalog::new();
+    for (name, keys) in [("t", [3i64, 9, 3, -1, 7]), ("u", [9i64, 3, 7, 3, 5])] {
+        let k = ColumnVector::from_ints(keys);
+        let tag = ColumnVector::from_ints(0..5);
+        let table = Table::new(name, vec![("k".to_owned(), k), ("tag".to_owned(), tag)]).unwrap();
+        catalog.register(table, &CollectOptions::default()).unwrap();
+    }
+    for (sql, header, keys) in [
+        ("SELECT * FROM t ORDER BY k DESC", vec!["k", "tag"], vec![9, 7, 3, 3, -1]),
+        (
+            "SELECT * FROM t, u WHERE t.k = u.k ORDER BY t.k DESC, u.tag DESC",
+            vec!["t0_c0", "t0_c1", "t1_c0", "t1_c1"],
+            vec![9, 7, 3, 3, 3, 3],
+        ),
+    ] {
+        let bound = bind(&parse(sql).unwrap(), &catalog).unwrap();
+        let tables = bound_query_tables(&bound, &catalog).unwrap();
+        let optimized = optimize_bound(&bound, &catalog, &OptimizerOptions::default()).unwrap();
+        let out = els::exec::execute_plan_with(&optimized.plan, &tables, ExecMode::default())
+            .unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+        assert_eq!(out.rows.column_names(), header, "`{sql}`");
+        let sorted: Vec<i64> = out.rows.column(0).unwrap().as_int_slice().unwrap().to_vec();
+        assert_eq!(sorted, keys, "`{sql}`");
+        check_plan(&optimized.plan, &tables, sql);
+    }
+}
+
 /// Four small tables for the composite-key cases: `k` and `f` are both
 /// `Int` over narrow domains and both carry NULLs (a two-component key
 /// matches, misses, and meets a NULL in either component), `v` is a float
@@ -756,8 +784,10 @@ fn int_table(name: &str, cells: impl IntoIterator<Item = Option<i64>>) -> Table 
 /// scanned alone, as a hash join's probe side (which, counting, filters it
 /// morsel by morsel as it probes) and as its build side. Under 1, 2,
 /// 3 and 8 workers: the row oracle's rows, row order, observations and
-/// shared counters, and the one-worker run's filter counters, which the
-/// scan charges per conjunct, not per morsel.
+/// shared counters, and the one-worker run's counters (every one but
+/// `steals`; the filters' are charged per conjunct, not per morsel) and
+/// observations. A `COUNT(*)` counts what `SELECT *` returns: the scan
+/// alone counts its morsels without concatenating them.
 #[test]
 fn morsel_scans_match_the_row_oracle_alone_and_on_either_side_of_a_hash_join() {
     use els::core::{CmpOp, ColumnRef};
@@ -796,31 +826,35 @@ fn morsel_scans_match_the_row_oracle_alone_and_on_either_side_of_a_hash_join() {
         ("the probe side", hash(small_scan(), big_scan(), (sk, bk))),
         ("the build side", hash(big_scan(), small_scan(), (bk, sk))),
     ];
+    let but_steals =
+        |m: ExecMetrics| ExecMetrics { steals: 0, elapsed: std::time::Duration::ZERO, ..m };
     for (name, root) in roots {
+        let mut counts = Vec::new();
         for output in [PlanOutput::CountStar, PlanOutput::Star] {
             let plan = QueryPlan { root: root.clone(), output, order_by: Vec::new(), limit: None };
             let context = format!("{name}, {:?}", plan.output);
             check_plan(&plan, &tables, &context);
             let run = |workers| {
                 let mode = ExecMode::Vectorized { workers };
-                execute_plan_observed(&plan, &tables, mode, None).unwrap().0
+                execute_plan_observed(&plan, &tables, mode, None).unwrap()
             };
-            let one = run(1);
+            let (one, one_obs) = run(1);
             assert!(one.count > 0, "{context}: the filters keep rows");
             assert_eq!(one.metrics.sel_reuses, 2, "{context}: two conjuncts compact in place");
             assert!(one.metrics.morsels >= rows.div_ceil(MORSEL_ROWS) as u64, "{context}");
-            let filter_counters =
-                |m: &ExecMetrics| (m.sel_reuses, m.comparisons, m.kernel_rows, m.morsels);
             for workers in [2, 3, 8] {
-                let out = run(workers);
+                let (out, obs) = run(workers);
                 assert_eq!(out.count, one.count, "{context} workers={workers}");
                 assert_eq!(
-                    filter_counters(&out.metrics),
-                    filter_counters(&one.metrics),
-                    "{context} workers={workers}: filter counters"
+                    but_steals(out.metrics),
+                    but_steals(one.metrics),
+                    "{context} workers={workers}: counters"
                 );
+                assert_eq!(obs, one_obs, "{context} workers={workers}: observations");
             }
+            counts.push(one.count);
         }
+        assert_eq!(counts[0], counts[1], "{name}: COUNT(*) and SELECT *");
     }
 }
 

@@ -72,7 +72,7 @@ fn actuals_are_identical_across_execution_modes() {
     let observe =
         |mode| execute_plan_observed(&plan.optimized.plan, &tables, mode, None).unwrap().1;
     let row = observe(ExecMode::RowAtATime);
-    assert_eq!(row.join_outputs.len(), 3);
+    assert_eq!(row.nodes.iter().filter(|n| n.tables.count_ones() > 1).count(), 3);
     for workers in [1, 4] {
         assert_eq!(observe(ExecMode::Vectorized { workers }), row, "{workers} worker(s)");
     }
@@ -165,11 +165,12 @@ fn a_bushy_plan_reports_rescanned_inners_at_their_stored_size() {
 fn another_plans_observations_are_a_typed_error() {
     let engine = section8_engine(1);
     let snapshot = engine.snapshot();
-    let observe = |plan: &CachedPlan| -> Observations {
+    let observe_in = |plan: &CachedPlan, mode| -> Observations {
         let tables: Vec<_> =
             plan.table_names.iter().map(|name| snapshot.table_data(name).unwrap()).collect();
-        execute_plan_observed(&plan.optimized.plan, &tables, ExecMode::default(), None).unwrap().1
+        execute_plan_observed(&plan.optimized.plan, &tables, mode, None).unwrap().1
     };
+    let observe = |plan: &CachedPlan| observe_in(plan, ExecMode::default());
     let report = |plan: &CachedPlan, obs: &Observations| {
         build_operator_reports(&plan.optimized.annotations, &plan.binding_names, obs)
     };
@@ -186,4 +187,14 @@ fn another_plans_observations_are_a_typed_error() {
     // The Section 8 plan scans M first, the two-table plan S.
     assert_eq!(report(&four, &two_obs).unwrap_err(), Mismatch { at: 0 });
     assert_eq!(report(&two, &four_obs).unwrap_err(), Mismatch { at: 0 });
+    // Each plan's own run: one record per annotation, record `i` over
+    // annotation `i`'s tables, serial or parallel.
+    for plan in [&one, &two, &four] {
+        let annotated: Vec<u64> = plan.optimized.annotations.iter().map(|a| a.tables).collect();
+        for workers in [1, 2] {
+            let obs = observe_in(plan, ExecMode::Vectorized { workers });
+            let recorded: Vec<u64> = obs.nodes.iter().map(|n| n.tables).collect();
+            assert_eq!(recorded, annotated, "{workers} worker(s)");
+        }
+    }
 }
