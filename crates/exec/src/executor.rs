@@ -17,7 +17,7 @@ use crate::error::{ExecError, ExecResult};
 use crate::filter::apply_filters;
 use crate::join::{hash_join, nested_loop_join, sort_merge_join, total_cmp_ref};
 use crate::metrics::ExecMetrics;
-use crate::plan::{JoinMethod, PlanNode, PlanOutput, QueryPlan};
+use crate::plan::{JoinMethod, Plan, PlanNode, PlanOutput, QueryPlan};
 use crate::timing::Stopwatch;
 
 /// Result of executing a plan.
@@ -85,11 +85,11 @@ pub struct NodeRecord {
     pub elapsed: Duration,
 }
 
-/// One [`NodeRecord`] per plan node, at the node's post-order position
-/// (the position of its `Annotation` in the optimizer's plan).
+/// One [`NodeRecord`] per plan node, at the node's position in the
+/// [`Plan`].
 #[derive(Debug, Clone, Default)]
 pub struct Observations {
-    /// The records, post-order.
+    /// The records, by node position.
     pub nodes: Vec<NodeRecord>,
 }
 
@@ -103,31 +103,35 @@ impl PartialEq for Observations {
     }
 }
 
-/// Mutable execution state threaded through every operator: counters,
-/// simulated page I/O, and the observation records when observing.
+/// Mutable execution state threaded through every operator: the plan being
+/// run, counters, simulated page I/O, and the observation records when
+/// observing.
 pub(crate) struct ExecState<'a> {
+    plan: &'a Plan,
     pub(crate) metrics: &'a mut ExecMetrics,
     pub(crate) io: &'a mut crate::buffer::PageIo,
-    /// One record per plan node, post-order; empty when not observing.
+    /// One record per plan node, by position; empty when not observing.
     nodes: &'a mut [NodeRecord],
-    /// The next node to finish, in post-order.
-    next: usize,
 }
 
-impl ExecState<'_> {
+impl<'a> ExecState<'a> {
     /// A stopwatch for a node about to run, when observing.
     pub(crate) fn clock(&self) -> Option<Stopwatch> {
         (!self.nodes.is_empty()).then(Stopwatch::start)
     }
 
-    /// Record the node finishing now (nodes finish in post-order): its
-    /// tables, its output `rows`, and the time since `clock` (zero
-    /// without one). Does nothing when not observing.
-    pub(crate) fn record(&mut self, node: &PlanNode, rows: u64, clock: Option<Stopwatch>) {
-        if let Some(slot) = self.nodes.get_mut(self.next) {
+    /// The plan's node at `at`.
+    pub(crate) fn node(&self, at: usize) -> ExecResult<&'a PlanNode> {
+        self.plan.node(at)
+    }
+
+    /// Record what the plan's node at `at` produced: its tables, its output
+    /// `rows`, and the time since `clock` (zero without one). Does nothing
+    /// when not observing.
+    pub(crate) fn record(&mut self, at: usize, rows: u64, clock: Option<Stopwatch>) {
+        if let Some(slot) = self.nodes.get_mut(at) {
             let elapsed = clock.map_or(Duration::ZERO, |c| c.elapsed());
-            *slot = NodeRecord { tables: node.tables(), rows, elapsed };
-            self.next += 1;
+            *slot = NodeRecord { tables: self.plan.tables(at), rows, elapsed };
         }
     }
 }
@@ -162,22 +166,22 @@ fn execute(
 ) -> ExecResult<ExecOutput> {
     let start = Stopwatch::start();
     let mut metrics = ExecMetrics::default();
-    let mut st = ExecState { metrics: &mut metrics, io: &mut io, nodes, next: 0 };
+    let at = plan.root.root()?;
+    let mut st = ExecState { plan: &plan.root, metrics: &mut metrics, io: &mut io, nodes };
     let (root, mut count) = match mode {
         ExecMode::RowAtATime => {
-            shape_output(execute_node(&plan.root, tables, &mut st)?, &plan.output, st.metrics)?
+            shape_output(execute_node(at, tables, &mut st)?, &plan.output, st.metrics)?
         }
         // COUNT(*) never materializes the join result — the point of
         // carrying row ids to the top of the plan — and a root that fuses
         // its join with the count (`execute_root_count` names which) does
         // not even allocate its pair list.
         ExecMode::Vectorized { workers } if plan.output == PlanOutput::CountStar => {
-            let root = &plan.root;
-            let n = crate::vectorized::execute_root_count(root, tables, workers.max(1), &mut st)?;
+            let n = crate::vectorized::execute_root_count(at, tables, workers.max(1), &mut st)?;
             (count_chunk(n)?, n)
         }
         ExecMode::Vectorized { workers } => {
-            let v = crate::vectorized::exec_node(&plan.root, tables, workers.max(1), &mut st)?;
+            let v = crate::vectorized::exec_node(at, tables, workers.max(1), &mut st)?;
             shape_output(v.materialize()?, &plan.output, st.metrics)?
         }
     };
@@ -293,25 +297,21 @@ fn group_count(
     Ok(Table::new("group_count", out_columns)?)
 }
 
-/// Recursively execute one plan node, recording its output size and
-/// inclusive wall time.
-fn execute_node(
-    node: &PlanNode,
-    tables: &[Arc<Table>],
-    st: &mut ExecState<'_>,
-) -> ExecResult<Chunk> {
+/// Recursively execute the plan's node at `at`, recording its output size
+/// and inclusive wall time.
+fn execute_node(at: usize, tables: &[Arc<Table>], st: &mut ExecState<'_>) -> ExecResult<Chunk> {
     let clock = st.clock();
-    let chunk = execute_node_inner(node, tables, st)?;
-    st.record(node, chunk.num_rows() as u64, clock);
+    let chunk = execute_node_inner(at, tables, st)?;
+    st.record(at, chunk.num_rows() as u64, clock);
     Ok(chunk)
 }
 
 fn execute_node_inner(
-    node: &PlanNode,
+    at: usize,
     tables: &[Arc<Table>],
     st: &mut ExecState<'_>,
 ) -> ExecResult<Chunk> {
-    match node {
+    match st.node(at)? {
         PlanNode::Scan { table_id, filters } => {
             let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
             st.metrics.tuples_scanned += data.num_rows() as u64;
@@ -322,8 +322,8 @@ fn execute_node_inner(
             Ok(filtered)
         }
         PlanNode::Join { method, left, right, keys, ranges } => {
-            let l = execute_node(left, tables, st)?;
-            let out = match (method, right.as_ref()) {
+            let (l, right) = (execute_node(*left, tables, st)?, *right);
+            let out = match (method, st.node(right)?) {
                 // Nested loops with a base-table inner uses the System-R
                 // access pattern: rescan the stored relation (filters
                 // applied on the fly) once per outer tuple.
@@ -365,18 +365,18 @@ fn execute_node_inner(
 
 /// Indexed nested loops: build a sorted index on the inner's first key
 /// column (charged as a scan plus a sort), then probe per outer tuple,
-/// recording the inner at its stored size. `right` must be a base-table
-/// scan, and the first key's right side a column of it. The row path's
-/// operator: the vectorized path's `index_nested_loop` kernel is checked
-/// against this one by the differential tests.
+/// recording the inner at its stored size. The plan's node at `right` must
+/// be a base-table scan, and the first key's right side a column of it.
+/// The row path's operator: the vectorized path's `index_nested_loop`
+/// kernel is checked against this one by the differential tests.
 fn indexed_nested_loop(
     l: &Chunk,
-    right: &PlanNode,
+    right: usize,
     keys: &[(ColumnRef, ColumnRef)],
     tables: &[Arc<Table>],
     st: &mut ExecState<'_>,
 ) -> ExecResult<Chunk> {
-    let PlanNode::Scan { table_id, filters } = right else {
+    let PlanNode::Scan { table_id, filters } = st.node(right)? else {
         return Err(ExecError::InvalidPlan(
             "index nested loops requires a base-table inner".into(),
         ));
@@ -422,19 +422,33 @@ mod tests {
         vec![Arc::new(t0), Arc::new(t1)]
     }
 
+    /// `method` joining a scan of table 0 under `filters` to one of table
+    /// 1, on `keys` and `ranges`.
+    fn two_way(
+        method: JoinMethod,
+        filters: Vec<CompiledFilter>,
+        keys: Vec<(ColumnRef, ColumnRef)>,
+        ranges: Vec<(ColumnRef, CmpOp, ColumnRef)>,
+    ) -> Plan {
+        let mut plan = Plan::default();
+        let inputs = (plan.scan(0, filters), plan.scan(1, Vec::new()));
+        plan.join(method, inputs, keys, ranges).unwrap();
+        plan
+    }
+
+    /// A scan of table `t` alone.
+    fn one_scan(t: usize) -> Plan {
+        let mut plan = Plan::default();
+        plan.scan(t, Vec::new());
+        plan
+    }
+
+    fn key(l: usize, r: usize) -> (ColumnRef, ColumnRef) {
+        (ColumnRef::new(l, 0), ColumnRef::new(r, 0))
+    }
+
     fn join_plan(method: JoinMethod, filters: Vec<CompiledFilter>) -> QueryPlan {
-        QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method,
-                left: Box::new(PlanNode::Scan { table_id: 0, filters }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys: vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 0))],
-                ranges: vec![],
-            },
-            output: PlanOutput::CountStar,
-        }
+        QueryPlan::new(two_way(method, filters, vec![key(0, 1)], vec![]), PlanOutput::CountStar)
     }
 
     #[test]
@@ -503,18 +517,7 @@ mod tests {
             op: CmpOp::Lt,
             value: Value::Int(10),
         };
-        let plan = |method| QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method,
-                left: Box::new(PlanNode::Scan { table_id: 0, filters: vec![filter.clone()] }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys: vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 0))],
-                ranges: vec![],
-            },
-            output: PlanOutput::CountStar,
-        };
+        let plan = |method| join_plan(method, vec![filter.clone()]);
         let inl =
             execute_plan_with(&plan(JoinMethod::IndexNestedLoop), &tables(), ExecMode::default())
                 .unwrap();
@@ -533,25 +536,12 @@ mod tests {
 
     #[test]
     fn index_nested_loop_rejects_intermediate_inner() {
-        let scan = |t| PlanNode::Scan { table_id: t, filters: Vec::new() };
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method: JoinMethod::IndexNestedLoop,
-                left: Box::new(scan(0)),
-                right: Box::new(PlanNode::Join {
-                    method: JoinMethod::Hash,
-                    left: Box::new(scan(1)),
-                    right: Box::new(scan(0)),
-                    keys: vec![],
-                    ranges: vec![],
-                }),
-                keys: vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 0))],
-                ranges: vec![],
-            },
-            output: PlanOutput::CountStar,
-        };
+        let mut root = Plan::default();
+        let outer = root.scan(0, Vec::new());
+        let inputs = (root.scan(1, Vec::new()), root.scan(0, Vec::new()));
+        let inner = root.join(JoinMethod::Hash, inputs, vec![], vec![]).unwrap();
+        root.join(JoinMethod::IndexNestedLoop, (outer, inner), vec![key(0, 1)], vec![]).unwrap();
+        let plan = QueryPlan::new(root, PlanOutput::CountStar);
         assert!(matches!(
             execute_plan_with(&plan, &tables(), ExecMode::default()),
             Err(ExecError::InvalidPlan(_))
@@ -562,18 +552,7 @@ mod tests {
     fn buffered_execution_absorbs_rescans_when_the_inner_fits() {
         // NL join with T1 (1000 rows = 2 pages) as the inner, 100 outer
         // tuples: unbuffered pays 100 rescans; a 16-page pool reads T1 once.
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method: JoinMethod::NestedLoop,
-                left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys: vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 0))],
-                ranges: vec![],
-            },
-            output: PlanOutput::CountStar,
-        };
+        let plan = join_plan(JoinMethod::NestedLoop, Vec::new());
         let ts = tables();
         let unbuffered = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         let buffered = execute_plan_observed(&plan, &ts, ExecMode::default(), Some(16)).unwrap().0;
@@ -588,18 +567,7 @@ mod tests {
 
     #[test]
     fn a_too_small_buffer_floods_and_does_not_help() {
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method: JoinMethod::NestedLoop,
-                left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys: vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 0))],
-                ranges: vec![],
-            },
-            output: PlanOutput::CountStar,
-        };
+        let plan = join_plan(JoinMethod::NestedLoop, Vec::new());
         let ts = tables();
         let t1_pages = ts[1].num_pages();
         assert!(t1_pages >= 2);
@@ -623,12 +591,7 @@ mod tests {
             dup.push_row(vec![Value::Int(r % 10)]).unwrap();
         }
         ts.push(Arc::new(dup));
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Scan { table_id: 2, filters: Vec::new() },
-            output: PlanOutput::GroupCount(vec![ColumnRef::new(2, 0)]),
-        };
+        let plan = QueryPlan::new(one_scan(2), PlanOutput::GroupCount(vec![ColumnRef::new(2, 0)]));
         let out = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.count, 10); // ten groups
         assert_eq!(out.rows.num_columns(), 2);
@@ -647,12 +610,7 @@ mod tests {
         t.push_row(vec![Value::Null]).unwrap();
         t.push_row(vec![Value::Int(1)]).unwrap();
         let ts = vec![Arc::new(t)];
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Scan { table_id: 0, filters: Vec::new() },
-            output: PlanOutput::GroupCount(vec![ColumnRef::new(0, 0)]),
-        };
+        let plan = QueryPlan::new(one_scan(0), PlanOutput::GroupCount(vec![ColumnRef::new(0, 0)]));
         let out = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.count, 2);
 
@@ -688,12 +646,7 @@ mod tests {
 
     #[test]
     fn unknown_table_errors() {
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Scan { table_id: 7, filters: Vec::new() },
-            output: PlanOutput::CountStar,
-        };
+        let plan = QueryPlan::new(one_scan(7), PlanOutput::CountStar);
         assert!(matches!(
             execute_plan_with(&plan, &tables(), ExecMode::default()),
             Err(ExecError::UnknownTable(7))
@@ -702,12 +655,7 @@ mod tests {
 
     #[test]
     fn single_scan_count() {
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Scan { table_id: 0, filters: Vec::new() },
-            output: PlanOutput::CountStar,
-        };
+        let plan = QueryPlan::new(one_scan(0), PlanOutput::CountStar);
         let out = execute_plan_with(&plan, &tables(), ExecMode::default()).unwrap();
         assert_eq!(out.count, 100);
     }
@@ -762,18 +710,8 @@ mod tests {
     }
 
     fn range_plan(method: JoinMethod, keys: Vec<(ColumnRef, ColumnRef)>, op: CmpOp) -> QueryPlan {
-        QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method,
-                left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys,
-                ranges: vec![(ColumnRef::new(0, 0), op, ColumnRef::new(1, 0))],
-            },
-            output: PlanOutput::CountStar,
-        }
+        let ranges = vec![(ColumnRef::new(0, 0), op, ColumnRef::new(1, 0))];
+        QueryPlan::new(two_way(method, Vec::new(), keys, ranges), PlanOutput::CountStar)
     }
 
     #[test]
@@ -859,24 +797,10 @@ mod tests {
         // (T0 ⋈ T1) ⋈ T1: the lower join must still materialize its pair
         // list (its parent composes selections from it); only the root
         // fuses away.
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method: JoinMethod::Hash,
-                left: Box::new(PlanNode::Join {
-                    method: JoinMethod::Hash,
-                    left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                    right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                    keys: vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 0))],
-                    ranges: vec![],
-                }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys: vec![(ColumnRef::new(1, 0), ColumnRef::new(1, 0))],
-                ranges: vec![],
-            },
-            output: PlanOutput::CountStar,
-        };
+        let mut root = two_way(JoinMethod::Hash, Vec::new(), vec![key(0, 1)], vec![]);
+        let inputs = (root.root().unwrap(), root.scan(1, Vec::new()));
+        root.join(JoinMethod::Hash, inputs, vec![key(1, 1)], vec![]).unwrap();
+        let plan = QueryPlan::new(root, PlanOutput::CountStar);
         let out = execute_plan_with(&plan, &tables(), ExecMode::Vectorized { workers: 1 }).unwrap();
         assert_eq!(out.count, 100);
         assert_eq!(out.metrics.pair_lists, 1, "only the lower join materializes");
@@ -885,14 +809,7 @@ mod tests {
     #[test]
     fn nested_loops_and_composite_hash_joins_are_pair_list_kernels() {
         let mode = ExecMode::Vectorized { workers: 1 };
-        let scan = |table_id| Box::new(PlanNode::Scan { table_id, filters: Vec::new() });
-        let key = |l, r| (ColumnRef::new(l, 0), ColumnRef::new(r, 0));
-        let count = |root| QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root,
-            output: PlanOutput::CountStar,
-        };
+        let count = |root| QueryPlan::new(root, PlanOutput::CountStar);
         // Under a fused root, a nested loop (rescanned and evaluated inner)
         // and a two-key hash join each build the plan's one pair list.
         let filtered = CompiledFilter::Cmp {
@@ -900,26 +817,23 @@ mod tests {
             op: CmpOp::Lt,
             value: Value::Int(500),
         };
-        let evaluated_inner = Box::new(PlanNode::Join {
-            method: JoinMethod::Hash,
-            left: Box::new(PlanNode::Scan { table_id: 1, filters: vec![filtered] }),
-            right: scan(0),
-            keys: vec![key(1, 0)],
-            ranges: vec![],
-        });
-        for (method, right, keys, pair_lists) in [
-            (JoinMethod::NestedLoop, scan(1), vec![key(0, 1)], 1),
-            (JoinMethod::NestedLoop, evaluated_inner, vec![key(0, 1)], 2),
-            (JoinMethod::Hash, scan(1), vec![key(0, 1), key(0, 1)], 1),
+        for (method, evaluated_inner, keys, pair_lists) in [
+            (JoinMethod::NestedLoop, false, vec![key(0, 1)], 1),
+            (JoinMethod::NestedLoop, true, vec![key(0, 1)], 2),
+            (JoinMethod::Hash, false, vec![key(0, 1), key(0, 1)], 1),
         ] {
-            let lower = PlanNode::Join { method, left: scan(0), right, keys, ranges: vec![] };
-            let plan = count(PlanNode::Join {
-                method: JoinMethod::Hash,
-                left: Box::new(lower),
-                right: scan(1),
-                keys: vec![key(0, 1)],
-                ranges: vec![],
-            });
+            let mut root = Plan::default();
+            let outer = root.scan(0, Vec::new());
+            let right = if evaluated_inner {
+                let inputs = (root.scan(1, vec![filtered.clone()]), root.scan(0, Vec::new()));
+                root.join(JoinMethod::Hash, inputs, vec![key(1, 0)], vec![]).unwrap()
+            } else {
+                root.scan(1, Vec::new())
+            };
+            let lower = root.join(method, (outer, right), keys, vec![]).unwrap();
+            let inputs = (lower, root.scan(1, Vec::new()));
+            root.join(JoinMethod::Hash, inputs, vec![key(0, 1)], vec![]).unwrap();
+            let plan = count(root);
             let out = execute_plan_with(&plan, &tables(), mode).unwrap();
             let row = execute_plan_with(&plan, &tables(), ExecMode::RowAtATime).unwrap();
             assert_eq!(out.count, 100, "{method:?}");
@@ -931,14 +845,7 @@ mod tests {
             (vec![key(0, 1)], vec![], 100),
             (vec![], vec![(ColumnRef::new(0, 0), CmpOp::Gt, ColumnRef::new(1, 0))], 4950),
         ] {
-            let root = PlanNode::Join {
-                method: JoinMethod::NestedLoop,
-                left: scan(0),
-                right: scan(1),
-                keys,
-                ranges,
-            };
-            let mut plan = count(root);
+            let mut plan = count(two_way(JoinMethod::NestedLoop, Vec::new(), keys, ranges));
             let counted = execute_plan_with(&plan, &tables(), mode).unwrap();
             assert_eq!((counted.count, counted.metrics.pair_lists), (rows, 0));
             plan.output = PlanOutput::Star;
@@ -960,25 +867,11 @@ mod tests {
                 .column(ColumnSpec::new("k", Distribution::SequentialInt { start: 0 }))
                 .generate(3),
         ));
-        let plan = QueryPlan {
-            order_by: Vec::new(),
-            limit: None,
-            root: PlanNode::Join {
-                method: JoinMethod::Hash,
-                left: Box::new(PlanNode::Join {
-                    method: JoinMethod::SortMerge,
-                    left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                    right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                    keys: vec![(ColumnRef::new(0, 0), ColumnRef::new(1, 0))],
-                    ranges: vec![],
-                }),
-                right: Box::new(PlanNode::Scan { table_id: 2, filters: Vec::new() }),
-                // Join on either prior table's key: use T1's column.
-                keys: vec![(ColumnRef::new(1, 0), ColumnRef::new(2, 0))],
-                ranges: vec![],
-            },
-            output: PlanOutput::CountStar,
-        };
+        let mut root = two_way(JoinMethod::SortMerge, Vec::new(), vec![key(0, 1)], vec![]);
+        let inputs = (root.root().unwrap(), root.scan(2, Vec::new()));
+        // Join on either prior table's key: use T1's column.
+        root.join(JoinMethod::Hash, inputs, vec![key(1, 2)], vec![]).unwrap();
+        let plan = QueryPlan::new(root, PlanOutput::CountStar);
         let out = execute_plan_with(&plan, &ts, ExecMode::default()).unwrap();
         assert_eq!(out.count, 50);
     }

@@ -10,7 +10,8 @@
 //! * `join` — nested-loops, sort-merge, and hash join implementations
 //!   (the paper's experiment used Nested Loops and Sort Merge; hash join is
 //!   included for the extended plan-quality studies).
-//! * [`plan`] — physical plan trees built by the optimizer.
+//! * [`plan`] — physical plans built by the optimizer: one post-order node
+//!   array, addressed by position.
 //! * `executor` — plan interpretation with [`metrics`] collection
 //!   (tuples, simulated page reads, comparisons, wall time), in one of two
 //!   [`ExecMode`]s: the tuple-at-a-time reference oracle, or
@@ -65,6 +66,6 @@ pub use executor::{
 pub use metrics::{
     thread_stripe, EngineCounters, EngineCountersSnapshot, ExecMetrics, StripedCounter, STRIPES,
 };
-pub use plan::{JoinMethod, PlanNode, PlanOutput, QueryPlan};
+pub use plan::{JoinMethod, Plan, PlanNode, PlanOutput, QueryPlan};
 pub use scheduler::RunStats;
 pub use vectorized::{MORSEL_ROWS, PARALLEL_MIN_ROWS};

@@ -203,17 +203,18 @@ impl VChunk {
 /// exactly as the unfused path charges them, minus the `pair_lists` the
 /// fusion removes.
 pub(crate) fn execute_root_count(
-    node: &PlanNode,
+    at: usize,
     tables: &[Arc<Table>],
     workers: usize,
     st: &mut ExecState<'_>,
 ) -> ExecResult<u64> {
     let clock = st.clock();
+    let node = st.node(at)?;
     if let PlanNode::Scan { table_id, filters } = node {
         let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
         let kept = charged_scan(*table_id, data, filters, workers, st, |m| m.sel = Vec::new())?.kept
             as u64;
-        st.record(node, kept, clock);
+        st.record(at, kept, clock);
         return Ok(kept);
     }
     if let PlanNode::Join { method, left, right, keys, ranges } = node {
@@ -221,67 +222,66 @@ pub(crate) fn execute_root_count(
         let keyed = matches!(method, JoinMethod::Hash | JoinMethod::SortMerge) && ranges.is_empty();
         let band = *method == JoinMethod::Range && keys.is_empty() && ranges.len() == 1;
         if nested || keyed || band {
-            let l = exec_node(left, tables, workers, st)?;
+            let l = exec_node(*left, tables, workers, st)?;
             let n = if nested {
-                let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
+                let r = nested_loop_inner(l.len(), *method, *right, tables, workers, st)?;
                 nested_loop(&l, &r, keys, ranges, st.metrics, None::<fn(u32, u32)>)?
             } else if *method == JoinMethod::Hash {
-                hash_count(&l, right, keys, tables, workers, st)?
+                hash_count(&l, *right, keys, tables, workers, st)?
             } else {
-                let r = exec_node(right, tables, workers, st)?;
+                let r = exec_node(*right, tables, workers, st)?;
                 match band {
                     true => vrange_join(&l, &r, ranges, workers, st.metrics, None)?,
                     false => vsort_merge(&l, &r, keys, st.metrics, None)?,
                 }
             };
-            st.record(node, n, clock);
+            st.record(at, n, clock);
             return Ok(n);
         }
     }
-    Ok(exec_node(node, tables, workers, st)?.len() as u64)
+    Ok(exec_node(at, tables, workers, st)?.len() as u64)
 }
 
-/// Evaluate a plan (sub)tree into its late-materialized result, recording
-/// the same per-operator observations (in the same post-order) as the row
-/// path.
+/// Evaluate the plan's subtree at `at` into its late-materialized result,
+/// recording the same per-operator observations as the row path.
 pub(crate) fn exec_node(
-    node: &PlanNode,
+    at: usize,
     tables: &[Arc<Table>],
     workers: usize,
     st: &mut ExecState<'_>,
 ) -> ExecResult<VChunk> {
     let clock = st.clock();
-    let out = exec_inner(node, tables, workers, st)?;
-    st.record(node, out.len() as u64, clock);
+    let out = exec_inner(at, tables, workers, st)?;
+    st.record(at, out.len() as u64, clock);
     Ok(out)
 }
 
 fn exec_inner(
-    node: &PlanNode,
+    at: usize,
     tables: &[Arc<Table>],
     workers: usize,
     st: &mut ExecState<'_>,
 ) -> ExecResult<VChunk> {
-    match node {
+    match st.node(at)? {
         PlanNode::Scan { table_id, filters } => {
             let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
             let sel = charged_scan(*table_id, data, filters, workers, st, |_| {})?.sel;
             Ok(VChunk::scan(*table_id, Arc::clone(data), sel))
         }
         PlanNode::Join { method, left, right, keys, ranges } => {
-            let l = exec_node(left, tables, workers, st)?;
+            let l = exec_node(*left, tables, workers, st)?;
             let mut pairs = Vec::new();
             let r = if *method == JoinMethod::IndexNestedLoop {
-                let r = index_nested_loop(&l, right, keys, tables, st, &mut pairs)?;
+                let r = index_nested_loop(&l, *right, keys, tables, st, &mut pairs)?;
                 pairs = filter_pairs_by_ranges(&l, &r, pairs, ranges, st.metrics)?;
                 r
             } else if is_nested_loop(*method, keys) {
-                let r = nested_loop_inner(l.len(), *method, right, tables, workers, st)?;
+                let r = nested_loop_inner(l.len(), *method, *right, tables, workers, st)?;
                 let emit = |lj, rj| pairs.push((lj, rj));
                 nested_loop(&l, &r, keys, ranges, st.metrics, Some(emit))?;
                 r
             } else {
-                let r = exec_node(right, tables, workers, st)?;
+                let r = exec_node(*right, tables, workers, st)?;
                 if *method != JoinMethod::Range {
                     if *method == JoinMethod::SortMerge {
                         vsort_merge(&l, &r, keys, st.metrics, Some(&mut pairs))?;
@@ -380,17 +380,19 @@ fn is_nested_loop(method: JoinMethod, keys: &[(ColumnRef, ColumnRef)]) -> bool {
 /// the stored rows scanned, the comparisons one filter pass makes — plus the
 /// phantom scan observation the row path records. Any other inner is
 /// evaluated once and charged, per outer row, the pages its materialized
-/// rows would fill.
+/// rows would fill. The inner is the plan's node at `right`.
 fn nested_loop_inner(
     outer: usize,
     method: JoinMethod,
-    right: &PlanNode,
+    right: usize,
     tables: &[Arc<Table>],
     workers: usize,
     st: &mut ExecState<'_>,
 ) -> ExecResult<VChunk> {
     let outer = outer as u64;
-    if let (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) = (method, right) {
+    if let (JoinMethod::NestedLoop, PlanNode::Scan { table_id, filters }) =
+        (method, st.node(right)?)
+    {
         let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
         let mut pass = ExecMetrics::default();
         let sel = scan_morsels(*table_id, data, filters, workers, &mut pass, |_| {})?.sel;
@@ -476,15 +478,16 @@ fn nested_loop(
 /// key one descent, and per hit one page read plus one comparison per filter
 /// and per residual key tested, short-circuit. The filters run per hit, so
 /// the inner's scan observation is its stored row count, with no time.
+/// The inner is the plan's node at `right`.
 fn index_nested_loop(
     l: &VChunk,
-    right: &PlanNode,
+    right: usize,
     keys: &[(ColumnRef, ColumnRef)],
     tables: &[Arc<Table>],
     st: &mut ExecState<'_>,
     pairs: &mut Vec<(u32, u32)>,
 ) -> ExecResult<VChunk> {
-    let PlanNode::Scan { table_id, filters } = right else {
+    let PlanNode::Scan { table_id, filters } = st.node(right)? else {
         return Err(ExecError::InvalidPlan(
             "index nested loops requires a base-table inner".into(),
         ));
@@ -1126,7 +1129,7 @@ fn int_hash_join(
     pairs.len() as u64
 }
 
-/// The fused count of a hash join of `l` with the input under `right`,
+/// The fused count of a hash join of `l` with the plan's node at `right`,
 /// charging the matches as `tuples_emitted`. A stored probe side with `Int`
 /// keys, like the build side's, is never evaluated on its own: each morsel
 /// of it is filtered ([`scan_morsels`]), probed at once by [`IntProbe`] and
@@ -1135,13 +1138,13 @@ fn int_hash_join(
 /// counted by [`vhash_join`].
 fn hash_count(
     l: &VChunk,
-    right: &PlanNode,
+    right: usize,
     keys: &[(ColumnRef, ColumnRef)],
     tables: &[Arc<Table>],
     workers: usize,
     st: &mut ExecState<'_>,
 ) -> ExecResult<u64> {
-    if let PlanNode::Scan { table_id, filters } = right {
+    if let PlanNode::Scan { table_id, filters } = st.node(right)? {
         let data = tables.get(*table_id).ok_or(ExecError::UnknownTable(*table_id))?;
         let stored = |&(_, c): &(ColumnRef, ColumnRef)| {
             let col = data.column(c.column).ok().filter(|_| c.table == *table_id)?;

@@ -55,7 +55,8 @@ const LIBRARY_MANIFESTS: &[(&str, &str)] = &[
 ];
 
 /// Hard errors that no suppression can discharge: malformed or unused
-/// suppressions, and a sync module whose lock classes cannot be read.
+/// suppressions, allowlist entries that excuse nothing, and a sync module
+/// whose lock classes cannot be read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HardError {
     /// Workspace-relative file.
@@ -133,6 +134,14 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
             });
         }
         passes::run_token_passes(file, &lock_classes, &mut violations);
+    }
+
+    for (list, entry) in passes::stale_allowlist_entries(&files) {
+        hard_errors.push(HardError {
+            file: entry.to_string(),
+            line: 0,
+            message: format!("unused allowlist entry: `{entry}` in {list} excuses nothing"),
+        });
     }
 
     for (crate_name, manifest_rel) in LIBRARY_MANIFESTS {

@@ -92,10 +92,11 @@ pub struct Violation {
 /// the morsel dispenser, where no other memory is published through the
 /// atomic. Everything else must spell out an ordering and justify it.
 /// Clippy has no per-file allowlist for a path segment, hence this pass.
+/// An entry whose file has no `Relaxed` is a hard error
+/// ([`stale_allowlist_entries`]).
 const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/exec/src/metrics.rs",
     "crates/exec/src/scheduler.rs",
-    "crates/exec/src/vectorized.rs",
     "crates/catalog/src/feedback.rs",
     "crates/optimizer/src/plan_cache.rs",
 ];
@@ -141,6 +142,45 @@ pub(crate) fn lock_classes(sync: &SourceFile) -> Option<Vec<String>> {
     (!classes.is_empty()).then_some(classes)
 }
 
+/// `Relaxed` at code token `ci`: what the atomics pass flags.
+fn names_relaxed(pf: &SourceFile, ci: usize) -> bool {
+    pf.tok(ci).is_some_and(|t| t.kind == TokenKind::Ident && t.text == "Relaxed")
+}
+
+/// `thread::spawn`, `thread::scope` or `thread::Builder` at code token
+/// `ci`: what the parallelism seam flags.
+fn starts_a_thread(pf: &SourceFile, ci: usize) -> bool {
+    pf.tok(ci).is_some_and(|t| {
+        t.kind == TokenKind::Ident && matches!(t.text.as_str(), "spawn" | "scope" | "Builder")
+    }) && ci >= 3
+        && pf.is_punct(ci - 1, ':')
+        && pf.is_punct(ci - 2, ':')
+        && pf.text(ci - 3) == "thread"
+}
+
+/// The entries of `list` that excuse nothing: no scanned file of that path
+/// has a code token `fires` at.
+fn unused_entries<'a>(
+    files: &[SourceFile],
+    list: &[&'a str],
+    fires: fn(&SourceFile, usize) -> bool,
+) -> Vec<&'a str> {
+    let used = |entry: &&str| {
+        files.iter().any(|f| f.rel_path == *entry && (0..f.code.len()).any(|ci| fires(f, ci)))
+    };
+    list.iter().copied().filter(|entry| !used(entry)).collect()
+}
+
+/// `(list, entry)` for every allowlist entry that excuses nothing in
+/// `files`. Like an unused suppression, each is a hard error: a stale
+/// entry would wave the next violation in its file through unreviewed.
+pub(crate) fn stale_allowlist_entries(files: &[SourceFile]) -> Vec<(&'static str, &'static str)> {
+    let relaxed = unused_entries(files, RELAXED_ALLOWLIST, names_relaxed);
+    let threads = unused_entries(files, THREAD_ALLOWLIST, starts_a_thread);
+    let relaxed = relaxed.into_iter().map(|e| ("RELAXED_ALLOWLIST", e));
+    relaxed.chain(threads.into_iter().map(|e| ("THREAD_ALLOWLIST", e))).collect()
+}
+
 /// Run the token walk over one file's non-test code. `lock_classes` is
 /// the class list [`lock_classes`] read from the sync module.
 pub(crate) fn run_token_passes(pf: &SourceFile, lock_classes: &[String], out: &mut Vec<Violation>) {
@@ -161,19 +201,9 @@ pub(crate) fn run_token_passes(pf: &SourceFile, lock_classes: &[String], out: &m
                 suppressed: false,
             })
         };
-        let after_path = |seg: &str| {
-            ci >= 3
-                && pf.is_punct(ci - 1, ':')
-                && pf.is_punct(ci - 2, ':')
-                && pf.text(ci - 3) == seg
-        };
         match tok.kind {
             // parallelism seam: thread starts outside the allowlisted modules.
-            TokenKind::Ident
-                if matches!(tok.text.as_str(), "spawn" | "scope" | "Builder")
-                    && after_path("thread")
-                    && !THREAD_ALLOWLIST.contains(&path) =>
-            {
+            TokenKind::Ident if starts_a_thread(pf, ci) && !THREAD_ALLOWLIST.contains(&path) => {
                 push(
                     Lint::ParallelismSeam,
                     format!(
@@ -200,7 +230,7 @@ pub(crate) fn run_token_passes(pf: &SourceFile, lock_classes: &[String], out: &m
                 );
             }
             // atomics discipline: Relaxed outside the counter allowlist.
-            TokenKind::Ident if tok.text == "Relaxed" && !RELAXED_ALLOWLIST.contains(&path) => {
+            TokenKind::Ident if names_relaxed(pf, ci) && !RELAXED_ALLOWLIST.contains(&path) => {
                 push(
                     Lint::Atomics,
                     "`Ordering::Relaxed` outside the counter allowlist: pick an ordering \
@@ -371,6 +401,25 @@ mod tests {
         let v = lint_src(src); // exec/x.rs is not allowlisted
         assert_eq!(v.iter().filter(|v| v.lint == Lint::Atomics).count(), 1);
         assert_eq!(lint_at("crates/exec/src/metrics.rs", src), vec![]);
+    }
+
+    #[test]
+    fn an_allowlist_entry_that_excuses_nothing_is_stale() {
+        let files = [
+            SourceFile::parse("a.rs", "fn f(c: &AtomicU64) { c.load(Ordering::Relaxed); }"),
+            SourceFile::parse(
+                "b.rs",
+                "// Ordering::Relaxed\nfn f() {}\n#[cfg(test)]\nmod tests { use Ordering::Relaxed; }",
+            ),
+            SourceFile::parse("d.rs", "fn f() { std::thread::scope(|s| {}); }"),
+        ];
+        let list = ["a.rs", "b.rs", "c.rs", "d.rs"];
+        assert_eq!(unused_entries(&files, &list, names_relaxed), ["b.rs", "c.rs", "d.rs"]);
+        assert_eq!(unused_entries(&files, &list, starts_a_thread), ["a.rs", "b.rs", "c.rs"]);
+        // `run` reports each as a hard error.
+        let stale = stale_allowlist_entries(&files);
+        assert!(stale.contains(&("RELAXED_ALLOWLIST", "crates/exec/src/metrics.rs")), "{stale:?}");
+        assert!(stale.contains(&("THREAD_ALLOWLIST", "crates/server/src/pool.rs")), "{stale:?}");
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! with the same result. The table is dense by mask: an entry is a `Copy`
 //! record naming its outer input's mask rather than holding a plan, and "do
 //! equality keys / range edges link these two sides" is an AND against
-//! per-subset reach masks. The operator tree, with its key lists and
-//! compiled scan filters, is built once, for the winner, by following the
-//! masks from the full set; the same walk emits the winner's
-//! [`Annotation`]s, one per node in the executor's post-order, holding the
-//! estimates and costs the DP charged, so nothing re-estimates the plan.
+//! per-subset reach masks. The [`Plan`], with its key lists and compiled
+//! scan filters, is built once, for the winner, by following the masks
+//! from the full set; each node it pushes gets an [`Annotation`] at the
+//! same position, holding the estimate and cost the DP charged, so nothing
+//! re-estimates the plan.
 //!
 //! **Minimality.** One plan, and one estimate, survives per subset, so the
 //! winner is the cheapest of all trees of the shape only for an estimator
@@ -41,14 +41,14 @@
 //! left-deep enumeration meets them.
 //!
 //! [`cost_order`] prices one fixed left-deep order by the same method
-//! policy and emits the same annotations, for join-order searches outside
-//! the DP.
+//! policy and annotates its plan the same way, for join-order searches
+//! outside the DP.
 
 use els_core::estimator::JoinState;
 use els_core::predicate::{CmpOp, Predicate};
 use els_core::{CardinalityEstimator, ColumnRef};
 use els_exec::filter::CompiledFilter;
-use els_exec::{JoinMethod, PlanNode};
+use els_exec::{JoinMethod, Plan, PlanNode};
 
 use crate::cost::{CostParams, Inner, InputTerms, MaterializedTerms, StoredTerms};
 use crate::error::{OptimizerError, OptimizerResult};
@@ -75,7 +75,7 @@ pub enum TreeShape {
 #[derive(Debug, Clone)]
 pub struct EnumerationResult {
     /// The chosen operator tree (no output node).
-    pub root: PlanNode,
+    pub root: Plan,
     /// Join order: tables in the sequence the left-deep tree touches them.
     pub join_order: Vec<usize>,
     /// Estimated result size after each join step (`join_order.len() - 1`
@@ -84,68 +84,47 @@ pub struct EnumerationResult {
     pub estimated_sizes: Vec<f64>,
     /// Total estimated cost in page units: the root annotation's cost.
     pub estimated_cost: f64,
-    /// One record per node of `root`, in the executor's post-order.
+    /// One record per node of `root`, at the node's position.
     pub annotations: Vec<Annotation>,
 }
 
 impl EnumerationResult {
     /// The result for `root`, whose annotations are `annotations`.
-    fn new(root: PlanNode, annotations: Vec<Annotation>) -> EnumerationResult {
-        let joins = annotations.iter().filter(|a| a.method.is_some());
-        let (estimated_sizes, join_order) = (joins.map(|a| a.rows).collect(), root.join_order());
+    fn new(root: Plan, annotations: Vec<Annotation>) -> EnumerationResult {
+        let nodes = annotations.iter().zip(root.nodes());
+        let joins = nodes.filter(|(_, node)| matches!(node, PlanNode::Join { .. }));
+        let (estimated_sizes, join_order) =
+            (joins.map(|(a, _)| a.rows).collect(), root.join_order().collect());
         let estimated_cost = annotations.last().map_or(0.0, |a| a.cost);
         EnumerationResult { root, join_order, estimated_sizes, estimated_cost, annotations }
     }
 }
 
-/// One node of a chosen plan as the optimizer priced it. A plan's
-/// annotations are in the executor's post-order (left input, right input,
-/// node), the order of its scan and join observations, so EXPLAIN ANALYZE
-/// pairs them with the actuals without re-estimating anything.
+/// What the optimizer estimated and charged for the plan node at the same
+/// position; the node itself says what it is. EXPLAIN ANALYZE pairs it
+/// with that node's observation without re-estimating anything.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Annotation {
-    /// The tables under the node, one bit per table.
-    pub tables: u64,
-    /// The join method; `None` for a scan.
-    pub method: Option<JoinMethod>,
-    /// The local predicates a scan applies (0 for a join).
-    pub filters: usize,
     /// Estimated output rows. A rescanned inner's are its stored
     /// cardinality, which is what the executor records for it.
     pub rows: f64,
     /// Estimated cost of the node's subtree, in page units.
     pub cost: f64,
-    /// Position of a join's left input in the annotations, below its own
-    /// (0 for a scan).
-    pub left: usize,
-    /// Position of a join's right input, between the left's and its own.
-    pub right: usize,
-    /// A stored inner that its nested-loops or indexed nested-loops join
-    /// rescans instead of executing as a scan.
-    pub rescan: bool,
 }
 
 impl Annotation {
-    /// A scan of `table` applying `filters` local predicates. Under a
-    /// `parent` join that rescans it, its rows are the stored cardinality.
+    /// A scan of `table`'s, estimated and priced at `(rows, cost)`; under a
+    /// `parent` join that rescans it ([`Plan::rescanned`]), its rows are the
+    /// table's stored cardinality.
     fn scan(
         els: &dyn CardinalityEstimator,
         table: usize,
-        filters: usize,
-        rows: f64,
-        cost: f64,
+        (rows, cost): (f64, f64),
         parent: Option<JoinMethod>,
     ) -> OptimizerResult<Annotation> {
         let rescan = matches!(parent, Some(JoinMethod::NestedLoop | JoinMethod::IndexNestedLoop));
         let rows = if rescan { els.original_cardinality(table)? } else { rows };
-        let (tables, method, left, right) = (1 << table, None, 0, 0);
-        Ok(Annotation { tables, method, filters, rows, cost, left, right, rescan })
-    }
-
-    /// A join of the annotations at positions `left` and `right`.
-    fn join(tables: u64, method: JoinMethod, rows: f64, cost: f64, inputs: (usize, usize)) -> Self {
-        let (method, (left, right)) = (Some(method), inputs);
-        Annotation { tables, method, filters: 0, rows, cost, left, right, rescan: false }
+        Ok(Annotation { rows, cost })
     }
 }
 
@@ -179,42 +158,34 @@ impl PlanTable {
         self.plans.get(mask as usize)?.as_ref()
     }
 
-    /// The operator tree of the plan for `mask`, rebuilt from the
-    /// back-pointers, with its [`Annotation`]s appended to `out` in
-    /// post-order; returns the tree and its root's position in `out`.
-    /// `parent` is the method of the join the plan is the inner of. Each
-    /// base table occurs once in a tree, so its compiled filters are moved
-    /// out of `filters`.
+    /// Push the plan for `mask`, rebuilt from the back-pointers, onto
+    /// `plan`, each node with its [`Annotation`] onto `annotations`;
+    /// returns its root's position. `parent` is the method of the join the
+    /// plan is the inner of. Each base table occurs once in a tree, so its
+    /// compiled filters are moved out of `filters`.
     fn build(
         &self,
         mask: u32,
         parent: Option<JoinMethod>,
         els: &dyn CardinalityEstimator,
         filters: &mut [Vec<CompiledFilter>],
-        out: &mut Vec<Annotation>,
-    ) -> OptimizerResult<(PlanNode, usize)> {
+        (plan, annotations): (&mut Plan, &mut Vec<Annotation>),
+    ) -> OptimizerResult<usize> {
         let lost = || OptimizerError::Internal(format!("join enumeration lost the plan {mask:#b}"));
         let entry = self.get(mask).ok_or_else(lost)?;
         let (rows, cost) = (entry.state.cardinality(), entry.cost);
-        let (node, annotation) = match entry.method {
-            None => {
-                let table_id = mask.trailing_zeros() as usize;
-                let filters = std::mem::take(filters.get_mut(table_id).ok_or_else(lost)?);
-                let scan = Annotation::scan(els, table_id, filters.len(), rows, cost, parent)?;
-                (PlanNode::Scan { table_id, filters }, scan)
-            }
-            Some(method) => {
-                let (outer, inner) = (entry.outer, mask ^ entry.outer);
-                let (keys, ranges) = edges_between(els.predicates(), outer.into(), inner.into());
-                let (left, l) = self.build(outer, None, els, filters, out)?;
-                let (right, r) = self.build(inner, Some(method), els, filters, out)?;
-                let (left, right) = (Box::new(left), Box::new(right));
-                let join = Annotation::join(mask.into(), method, rows, cost, (l, r));
-                (PlanNode::Join { method, left, right, keys, ranges }, join)
-            }
+        let Some(method) = entry.method else {
+            let table = mask.trailing_zeros() as usize;
+            let filters = std::mem::take(filters.get_mut(table).ok_or_else(lost)?);
+            annotations.push(Annotation::scan(els, table, (rows, cost), parent)?);
+            return Ok(plan.scan(table, filters));
         };
-        out.push(annotation);
-        Ok((node, out.len() - 1))
+        let (outer, inner) = (entry.outer, mask ^ entry.outer);
+        let (keys, ranges) = edges_between(els.predicates(), outer.into(), inner.into());
+        let left = self.build(outer, None, els, filters, (plan, annotations))?;
+        let right = self.build(inner, Some(method), els, filters, (plan, annotations))?;
+        annotations.push(Annotation { rows, cost });
+        Ok(plan.join(method, (left, right), keys, ranges)?)
     }
 }
 
@@ -514,8 +485,9 @@ pub fn enumerate(
             "join enumeration built no plan for the full table set ({n} tables)"
         )));
     }
-    let mut annotations = Vec::with_capacity(2 * n - 1);
-    let (root, _) = dp.build(universe, None, els, &mut filters, &mut annotations)?;
+    let nodes = 2 * n - 1;
+    let (mut root, mut annotations) = (Plan::with_capacity(nodes), Vec::with_capacity(nodes));
+    dp.build(universe, None, els, &mut filters, (&mut root, &mut annotations))?;
     Ok(EnumerationResult::new(root, annotations))
 }
 
@@ -541,11 +513,10 @@ pub fn cost_order(
     };
     let (predicates, methods) = (els.predicates(), MethodSet::new(methods));
     let mut state = els.initial_state(first)?;
-    let filters = scan_filters(predicates, first)?;
     let mut cost = params.scan(profile(first)?);
-    let mut annotations =
-        vec![Annotation::scan(els, first, filters.len(), state.cardinality(), cost, None)?];
-    let mut node = PlanNode::Scan { table_id: first, filters };
+    let mut plan = Plan::with_capacity(2 * order.len() - 1);
+    let mut annotations = vec![Annotation::scan(els, first, (state.cardinality(), cost), None)?];
+    let mut at = plan.scan(first, scan_filters(predicates, first)?);
     let mut mask: u64 = 1 << first;
 
     for &t in rest {
@@ -559,25 +530,16 @@ pub fn cost_order(
         else {
             return Err(OptimizerError::Unsupported("no join methods enabled".into()));
         };
-        let filters = scan_filters(predicates, t)?;
-        let (rows, scan_cost) = (els.initial_state(t)?.cardinality(), params.scan(profile(t)?));
-        let scan = Annotation::scan(els, t, filters.len(), rows, scan_cost, Some(method))?;
-        let outer_at = annotations.len() - 1;
-        annotations.push(scan);
+        let scan = (els.initial_state(t)?.cardinality(), params.scan(profile(t)?));
+        annotations.push(Annotation::scan(els, t, scan, Some(method))?);
+        let right = plan.scan(t, scan_filters(predicates, t)?);
         cost += join_cost;
         mask |= 1 << t;
-        let rows = new_state.cardinality();
-        annotations.push(Annotation::join(mask, method, rows, cost, (outer_at, outer_at + 1)));
-        node = PlanNode::Join {
-            method,
-            left: Box::new(node),
-            right: Box::new(PlanNode::Scan { table_id: t, filters }),
-            keys,
-            ranges,
-        };
+        annotations.push(Annotation { rows: new_state.cardinality(), cost });
+        at = plan.join(method, (at, right), keys, ranges)?;
         state = new_state;
     }
-    Ok(EnumerationResult::new(node, annotations))
+    Ok(EnumerationResult::new(plan, annotations))
 }
 
 /// The enabled join methods, resolved once per enumeration into the
@@ -763,7 +725,7 @@ mod tests {
             TreeShape::LeftDeep,
         )
         .unwrap();
-        assert!(matches!(r.root, PlanNode::Scan { table_id: 0, .. }));
+        assert!(matches!(r.root.nodes(), [PlanNode::Scan { table_id: 0, .. }]));
         assert_eq!(r.join_order, vec![0]);
         assert!(r.estimated_sizes.is_empty());
     }
@@ -779,18 +741,15 @@ mod tests {
         }
         // No nested-loops join may have table G (3) as its inner: an honest
         // 100-tuple outer makes rescanning 100k rows absurd.
-        fn nl_inner_tables(node: &PlanNode, out: &mut Vec<usize>) {
-            if let PlanNode::Join { method, left, right, .. } = node {
-                nl_inner_tables(left, out);
-                if *method == JoinMethod::NestedLoop {
-                    if let PlanNode::Scan { table_id, .. } = right.as_ref() {
-                        out.push(*table_id);
-                    }
-                }
-            }
-        }
-        let mut nl_inners = Vec::new();
-        nl_inner_tables(&r.root, &mut nl_inners);
+        let nl_inners: Vec<usize> = (r.root.nodes().iter().zip(&r.root.nodes()[1..]))
+            .filter_map(|(node, next)| match (node, next) {
+                (
+                    PlanNode::Scan { table_id, .. },
+                    PlanNode::Join { method: JoinMethod::NestedLoop, .. },
+                ) => Some(*table_id),
+                _ => None,
+            })
+            .collect();
         assert!(!nl_inners.contains(&3), "ELS plan rescans G: {}", r.root.explain());
     }
 
@@ -804,15 +763,12 @@ mod tests {
         // ...so some nested-loops rescan of a big table looks free. G (or at
         // least B) must appear as an NL inner.
         let text = r.root.explain();
-        fn has_nl(node: &PlanNode) -> bool {
-            match node {
-                PlanNode::Scan { .. } => false,
-                PlanNode::Join { method, left, .. } => {
-                    *method == JoinMethod::NestedLoop || has_nl(left)
-                }
-            }
-        }
-        assert!(has_nl(&r.root), "SM plan unexpectedly avoids NL:\n{text}");
+        let has_nl = r
+            .root
+            .nodes()
+            .iter()
+            .any(|node| matches!(node, PlanNode::Join { method: JoinMethod::NestedLoop, .. }));
+        assert!(has_nl, "SM plan unexpectedly avoids NL:\n{text}");
     }
 
     #[test]
@@ -827,7 +783,7 @@ mod tests {
         let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
             .unwrap();
         assert_eq!(r.estimated_sizes, vec![200.0]);
-        if let PlanNode::Join { keys, .. } = &r.root {
+        if let Some(PlanNode::Join { keys, .. }) = r.root.nodes().last() {
             assert!(keys.is_empty());
         } else {
             panic!("expected a join root");
@@ -853,7 +809,8 @@ mod tests {
             vec![TableProfile::synthetic(1000.0, 16), TableProfile::synthetic(5000.0, 16)];
         let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
             .unwrap();
-        let PlanNode::Join { method, keys, ranges, left, right } = &r.root else {
+        let Some(PlanNode::Join { method, keys, ranges, left, right }) = r.root.nodes().last()
+        else {
             panic!("expected a join root");
         };
         assert_eq!(*method, JoinMethod::Range, "{}", r.root.explain());
@@ -862,8 +819,8 @@ mod tests {
         // The range is oriented left-column-in-left-subtree regardless of
         // which table the DP put on the outer side.
         let (lc, _, rc) = ranges[0];
-        assert_eq!(left.tables() >> lc.table & 1, 1, "{}", r.root.explain());
-        assert_eq!(right.tables() >> rc.table & 1, 1, "{}", r.root.explain());
+        assert_eq!(r.root.tables(*left) >> lc.table & 1, 1, "{}", r.root.explain());
+        assert_eq!(r.root.tables(*right) >> rc.table & 1, 1, "{}", r.root.explain());
     }
 
     #[test]
@@ -900,7 +857,7 @@ mod tests {
             vec![TableProfile::synthetic(1000.0, 16), TableProfile::synthetic(1000.0, 16)];
         let r = enumerate(&els, &profiles, &NL_SM, &CostParams::default(), TreeShape::LeftDeep)
             .unwrap();
-        let PlanNode::Join { method, keys, ranges, .. } = &r.root else {
+        let Some(PlanNode::Join { method, keys, ranges, .. }) = r.root.nodes().last() else {
             panic!("expected a join root");
         };
         assert_ne!(*method, JoinMethod::Range, "{}", r.root.explain());
@@ -1010,9 +967,11 @@ mod tests {
             let methods = [JoinMethod::NestedLoop];
             enumerate(&els, &profiles, &methods, &CostParams::default(), TreeShape::Bushy).unwrap()
         };
-        let sides = |r: &EnumerationResult| match &r.root {
-            PlanNode::Join { left, right, .. } => (left.tables(), right.tables()),
-            PlanNode::Scan { .. } => panic!("join root expected"),
+        let sides = |r: &EnumerationResult| match r.root.nodes().last() {
+            Some(PlanNode::Join { left, right, .. }) => {
+                (r.root.tables(*left), r.root.tables(*right))
+            }
+            _ => panic!("join root expected"),
         };
         // Either numbering: the small pair is the outer, and the big pair's
         // result is rescanned ten times.

@@ -449,19 +449,12 @@ mod tests {
         let (no_ptc_plan, no_ptc) = run(EstimatorPreset::SmNoPtc);
         let (with_ptc_plan, _) = run(EstimatorPreset::Sm);
         // Without closure only S carries a filter.
-        let count_filters = |node: &els_exec::PlanNode| {
-            fn rec(n: &els_exec::PlanNode, acc: &mut usize) {
-                match n {
-                    els_exec::PlanNode::Scan { filters, .. } => *acc += filters.len(),
-                    els_exec::PlanNode::Join { left, right, .. } => {
-                        rec(left, acc);
-                        rec(right, acc);
-                    }
-                }
-            }
-            let mut acc = 0;
-            rec(node, &mut acc);
-            acc
+        let count_filters = |plan: &els_exec::Plan| {
+            let filters = |node: &els_exec::PlanNode| match node {
+                els_exec::PlanNode::Scan { filters, .. } => filters.len(),
+                els_exec::PlanNode::Join { .. } => 0,
+            };
+            plan.nodes().iter().map(filters).sum::<usize>()
         };
         assert_eq!(count_filters(&no_ptc_plan.plan.root), 1);
         assert_eq!(count_filters(&with_ptc_plan.plan.root), 4);

@@ -337,7 +337,7 @@ mod tests {
     use super::*;
     use els_core::Els;
     use els_exec::plan::PlanOutput;
-    use els_exec::{PlanNode, QueryPlan};
+    use els_exec::{Plan, QueryPlan};
 
     impl PlanCache {
         /// Number of slots kept, over all stripes.
@@ -361,12 +361,11 @@ mod tests {
             &els_core::ElsOptions::default(),
         )
         .unwrap();
+        let mut scan = Plan::default();
+        scan.scan(0, vec![]);
         Arc::new(CachedPlan {
             optimized: OptimizedQuery {
-                plan: QueryPlan::new(
-                    PlanNode::Scan { table_id: 0, filters: vec![] },
-                    PlanOutput::CountStar,
-                ),
+                plan: QueryPlan::new(scan, PlanOutput::CountStar),
                 join_order: vec![0],
                 estimated_sizes: vec![],
                 estimated_cost: 0.0,

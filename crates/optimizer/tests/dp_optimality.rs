@@ -20,7 +20,7 @@ mod random_graph;
 
 use els_core::JoinState;
 use els_core::{CardinalityEstimator, Els, ElsOptions, NoEstimatesEstimator, UpperBoundEstimator};
-use els_exec::{JoinMethod, PlanNode};
+use els_exec::{JoinMethod, Plan, PlanNode};
 use els_optimizer::enumerate::{enumerate, join_keys, range_keys};
 use els_optimizer::{CostParams, TableProfile, TreeShape};
 use proptest::prelude::*;
@@ -65,14 +65,15 @@ fn order_cost(
     total
 }
 
-/// Re-price an operator tree bottom-up: `(state, cost, tuple width)`.
+/// Re-price the subtree at `at` of `plan` bottom-up: `(state, cost, tuple
+/// width)`.
 fn tree_cost(
     est: &dyn CardinalityEstimator,
     profiles: &[TableProfile],
     params: &CostParams,
-    node: &PlanNode,
+    (plan, at): (&Plan, usize),
 ) -> (JoinState, f64, usize) {
-    let (method, left, right, keys, ranges) = match node {
+    let (method, left, right, keys, ranges) = match &plan.nodes()[at] {
         PlanNode::Scan { table_id, .. } => {
             let p = &profiles[*table_id];
             return (est.initial_state(*table_id).unwrap(), params.scan(p), p.row_bytes);
@@ -81,15 +82,15 @@ fn tree_cost(
             (*method, left, right, keys, ranges)
         }
     };
-    let (outer_state, outer_cost, outer_width) = tree_cost(est, profiles, params, left);
-    let (inner_state, inner_cost, inner_width) = tree_cost(est, profiles, params, right);
+    let (outer_state, outer_cost, outer_width) = tree_cost(est, profiles, params, (plan, *left));
+    let (inner_state, inner_cost, inner_width) = tree_cost(est, profiles, params, (plan, *right));
     let state = est.join_sets(&outer_state, &inner_state).unwrap();
     let (outer, inner, out) =
         (outer_state.cardinality(), inner_state.cardinality(), state.cardinality());
     let band = keys.is_empty() && !ranges.is_empty();
     let emit = if band { outer * inner } else { out };
     assert!(band || method != JoinMethod::Range, "band join chosen without a lone range edge");
-    let join_cost = if let PlanNode::Scan { table_id, .. } = right.as_ref() {
+    let join_cost = if let PlanNode::Scan { table_id, .. } = &plan.nodes()[*right] {
         // A base inner is scanned inside the join's own formula.
         let p = &profiles[*table_id];
         let join = match method {
@@ -264,7 +265,8 @@ proptest! {
             for shape in [TreeShape::LeftDeep, TreeShape::Bushy] {
                 for methods in [&METHODS[..2], &METHODS[..]] {
                     let dp = enumerate(est.as_ref(), &q.profiles, methods, &params, shape).unwrap();
-                    let (state, cost, _) = tree_cost(est.as_ref(), &q.profiles, &params, &dp.root);
+                    let root = (&dp.root, dp.root.root().unwrap());
+                    let (state, cost, _) = tree_cost(est.as_ref(), &q.profiles, &params, root);
                     prop_assert_eq!(
                         cost.to_bits(), dp.estimated_cost.to_bits(),
                         "{} {:?}: tree {} vs reported {} (seed {}, n {})\n{}",

@@ -20,7 +20,7 @@ use els_core::{
     CardinalityEstimator, Els, ElsOptions, ElsResult, JoinState, NoEstimatesEstimator, Predicate,
     TableId, UpperBoundEstimator,
 };
-use els_exec::JoinMethod;
+use els_exec::{JoinMethod, PlanNode};
 use els_optimizer::enumerate::{enumerate, EnumerationResult};
 use els_optimizer::{CostParams, TableProfile, TreeShape};
 use node_sizes::node_sizes;
@@ -63,9 +63,10 @@ fn outcome(r: &EnumerationResult) -> (String, Vec<usize>, Vec<u64>, u64) {
     (r.root.explain(), r.join_order.clone(), sizes, r.estimated_cost.to_bits())
 }
 
-/// `r`'s annotations are `r.root` in post-order: each with its node's
-/// tables, method and input positions (so inputs come first) and the
-/// reference walk's rows, to the bit. `estimated_sizes` holds the joins'
+/// `r`'s annotations are `r.root`'s nodes in post-order: each node with
+/// the tables, method and input positions (so inputs come first) the
+/// reference walk finds there, and its annotation with the walk's rows, to
+/// the bit. `estimated_sizes` holds the joins'
 /// rows, `estimated_cost` is the root's cost, and a left-deep plan's sizes
 /// are `estimate_order`'s.
 fn annotations_hold(
@@ -73,24 +74,26 @@ fn annotations_hold(
     est: &dyn CardinalityEstimator,
 ) -> Result<(), TestCaseError> {
     let mut reference = Vec::new();
-    node_sizes(est, &r.root, false, &mut reference).unwrap();
-    let got: Vec<_> = r
-        .annotations
-        .iter()
-        .map(|a| (a.tables, a.method.map(|m| (m, a.left, a.right)), a.rows.to_bits()))
-        .collect();
+    node_sizes(est, &r.root, r.root.root().unwrap(), false, &mut reference).unwrap();
+    let join = |node: &PlanNode| match node {
+        PlanNode::Join { method, left, right, .. } => Some((*method, *left, *right)),
+        PlanNode::Scan { .. } => None,
+    };
+    let nodes = r.root.nodes().iter().zip(&r.annotations).enumerate();
+    let got: Vec<_> =
+        nodes.clone().map(|(at, (n, a))| (r.root.tables(at), join(n), a.rows.to_bits())).collect();
     let want: Vec<_> = reference.iter().map(|&(t, join, rows)| (t, join, rows.to_bits())).collect();
     prop_assert_eq!(got, want);
     let joins: Vec<f64> =
-        r.annotations.iter().filter(|a| a.method.is_some()).map(|a| a.rows).collect();
+        nodes.filter(|(_, (n, _))| join(n).is_some()).map(|(_, (_, a))| a.rows).collect();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(bits(&joins), bits(&r.estimated_sizes));
     prop_assert_eq!(
         r.annotations.last().map(|a| a.cost.to_bits()),
         Some(r.estimated_cost.to_bits())
     );
-    let scan = |at: usize| r.annotations[at].method.is_none();
-    if r.annotations.iter().all(|a| a.method.is_none() || scan(a.right)) {
+    let scan = |at: usize| join(&r.root.nodes()[at]).is_none();
+    if r.root.nodes().iter().all(|n| join(n).is_none_or(|(_, _, right)| scan(right))) {
         prop_assert_eq!(bits(&est.estimate_order(&r.join_order).unwrap()), bits(&joins));
     }
     Ok(())

@@ -5,23 +5,24 @@
 //! its winner this way before the winner carried the DP's own estimates.
 
 use els_core::{CardinalityEstimator, ElsResult, JoinState};
-use els_exec::{JoinMethod, PlanNode};
+use els_exec::{JoinMethod, Plan, PlanNode};
 
 /// What the walk finds at one node: its table mask, its join method and
 /// the positions of its inputs (`None` for a scan), and its rows.
 pub type Node = (u64, Option<(JoinMethod, usize, usize)>, f64);
 
-/// Push every node under `node` onto `out`, post-order. `rescanned` says
-/// `node` is the inner of a nested-loops or indexed nested-loops join,
-/// which rescans a stored table.
+/// Push every node under the one at `at` of `plan` onto `out`,
+/// post-order. `rescanned` says that node is the inner of a nested-loops or
+/// indexed nested-loops join, which rescans a stored table.
 pub fn node_sizes(
     est: &dyn CardinalityEstimator,
-    node: &PlanNode,
+    plan: &Plan,
+    at: usize,
     rescanned: bool,
     out: &mut Vec<Node>,
 ) -> ElsResult<JoinState> {
-    let mask = node.tables();
-    match node {
+    let mask = plan.tables(at);
+    match &plan.nodes()[at] {
         PlanNode::Scan { table_id, .. } => {
             let state = est.initial_state(*table_id)?;
             let stored = if rescanned { Some(est.original_cardinality(*table_id)?) } else { None };
@@ -29,10 +30,10 @@ pub fn node_sizes(
             Ok(state)
         }
         PlanNode::Join { method, left, right, .. } => {
-            let l = node_sizes(est, left, false, out)?;
+            let l = node_sizes(est, plan, *left, false, out)?;
             let left_at = out.len() - 1;
             let rescans = matches!(method, JoinMethod::NestedLoop | JoinMethod::IndexNestedLoop);
-            let r = node_sizes(est, right, rescans, out)?;
+            let r = node_sizes(est, plan, *right, rescans, out)?;
             let state = est.join_sets(&l, &r)?;
             out.push((mask, Some((*method, left_at, out.len() - 1)), state.cardinality()));
             Ok(state)

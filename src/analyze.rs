@@ -3,10 +3,11 @@
 //! The paper's whole evaluation (Section 8) is a table of *estimated* join
 //! result sizes next to *actual* ones; this module closes that loop at
 //! runtime. Executing a plan with observations enabled yields one record
-//! per plan node (actual cardinality and wall time), in post-order; the
-//! plan carries the estimates the optimizer believed in as [`Annotation`]s
-//! in the same post-order (bushy trees too, not just the left-deep chains
-//! `estimated_sizes` covers), so a report is the two arrays zipped. Each
+//! per plan node (actual cardinality and wall time) at the node's
+//! position; the optimizer's estimates for the plan are
+//! [`els_optimizer::Annotation`]s at the same positions (bushy trees too,
+//! not just the left-deep chains `estimated_sizes` covers), so a report is
+//! the plan's nodes zipped with the two arrays. Each
 //! operator then gets the paper's error ratio (`est/act`) and its symmetric
 //! folding, the **q-error** `max(est/act, act/est)` (see
 //! [`els_core::q_error`]).
@@ -18,8 +19,8 @@ use std::collections::HashMap;
 
 use els_catalog::{FeedbackKey, QueryCorrections};
 use els_core::{q_error, scan_fingerprint, Els, Predicate, SelectivityRule};
-use els_exec::{ExecMetrics, ExecMode, Observations};
-use els_optimizer::Annotation;
+use els_exec::{ExecMetrics, ExecMode, Observations, PlanNode};
+use els_optimizer::OptimizedQuery;
 
 /// One operator of the analyzed plan: the estimator's belief next to the
 /// executor's observation.
@@ -160,11 +161,11 @@ impl fmt::Display for ExplainAnalyzeReport {
     }
 }
 
-/// Observations that belong to another plan than the annotations they meet.
+/// Observations that belong to another plan than the one they meet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mismatch {
-    /// The first annotation (in post-order) without its observation, or the
-    /// number of annotations when observations are left over.
+    /// The first plan node (in post-order) without its observation or its
+    /// annotation, or the number of nodes when observations are left over.
     pub at: usize,
 }
 
@@ -176,44 +177,53 @@ impl fmt::Display for Mismatch {
 
 impl std::error::Error for Mismatch {}
 
-/// Build the per-operator report of an executed plan: its `annotations`
-/// (the optimizer's estimates, in post-order) zipped with `obs` (what the
-/// execution observed, one record per node in the same order), then laid
-/// out in pre-order from the root through each join's inputs. A record
-/// covering other tables than its annotation, a missing record, or one
-/// left over means the observations came from another plan.
+/// Build the per-operator report of an executed plan: the optimized
+/// plan's nodes, each with its annotation (the optimizer's estimate) and
+/// its record in `obs` (what the execution observed, one record per node
+/// at the same position), then laid out in pre-order from the root through
+/// each join's inputs. A record covering other tables than its node, a
+/// missing record, or one left over means the observations came from
+/// another plan.
 pub fn build_operator_reports(
-    annotations: &[Annotation],
+    optimized: &OptimizedQuery,
     binding_names: &[String],
     obs: &Observations,
 ) -> Result<Vec<OperatorReport>, Mismatch> {
-    let mut post = Vec::with_capacity(annotations.len());
-    for (at, a) in annotations.iter().enumerate() {
-        let seen = obs.nodes.get(at).filter(|n| n.tables == a.tables).ok_or(Mismatch { at })?;
-        let tables: Vec<usize> = (0..64).filter(|t| a.tables >> t & 1 == 1).collect();
+    let plan = &optimized.plan.root;
+    let mut post = Vec::with_capacity(plan.node_count());
+    for (at, node) in plan.nodes().iter().enumerate() {
+        let mask = plan.tables(at);
+        let seen = obs.nodes.get(at).filter(|n| n.tables == mask).ok_or(Mismatch { at })?;
+        let estimate = optimized.annotations.get(at).ok_or(Mismatch { at })?;
+        let tables: Vec<usize> = (0..64).filter(|t| mask >> t & 1 == 1).collect();
         let names: Vec<&str> =
             tables.iter().map(|&t| binding_names.get(t).map_or("?", String::as_str)).collect();
         let names = names.join(",");
-        let label = match a.method {
-            Some(method) => format!("Join<{}> {{{names}}}", method.name()),
-            None if a.rescan => format!("Rescan({names})"),
-            None if a.filters > 0 => format!("Scan({names}) [{} filter(s)]", a.filters),
-            None => format!("Scan({names})"),
+        let rescan = plan.rescanned(at);
+        let (label, inputs) = match node {
+            PlanNode::Join { method, left, right, .. } => {
+                (format!("Join<{}> {{{names}}}", method.name()), Some((*left, *right)))
+            }
+            PlanNode::Scan { .. } if rescan => (format!("Rescan({names})"), None),
+            PlanNode::Scan { filters, .. } if !filters.is_empty() => {
+                (format!("Scan({names}) [{} filter(s)]", filters.len()), None)
+            }
+            PlanNode::Scan { .. } => (format!("Scan({names})"), None),
         };
         post.push(Some(OperatorReport {
             label,
             depth: 0,
             tables,
-            is_join: a.method.is_some(),
-            estimated: a.rows,
+            is_join: inputs.is_some(),
+            estimated: estimate.rows,
             actual: seen.rows,
             elapsed: seen.elapsed,
-            rescan: a.rescan,
-            inputs: a.method.map(|_| (a.left, a.right)),
+            rescan,
+            inputs,
         }));
     }
-    if obs.nodes.len() > annotations.len() {
-        return Err(Mismatch { at: annotations.len() });
+    if obs.nodes.len() > post.len() {
+        return Err(Mismatch { at: post.len() });
     }
     let mut operators = Vec::with_capacity(post.len());
     if let Some(root) = post.len().checked_sub(1) {
@@ -224,8 +234,7 @@ pub fn build_operator_reports(
 
 /// Move the subtree under `post[at]` to `out` in pre-order, turning its
 /// joins' `inputs` from positions in `post` into positions in `out`.
-/// Returns the subtree root's position in `out`. Each node can be taken
-/// once, so a node reached twice is a mismatch, not a second report.
+/// Returns the subtree root's position in `out`.
 fn place(
     post: &mut [Option<OperatorReport>],
     at: usize,

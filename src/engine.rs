@@ -416,9 +416,8 @@ impl Engine {
             return Ok((out, Vec::new()));
         }
         let (out, obs) = execute_plan_observed(&plan.optimized.plan, inputs, self.mode, None)?;
-        let operators =
-            build_operator_reports(&plan.optimized.annotations, &plan.binding_names, &obs)
-                .map_err(|e| EngineError::Exec(e.to_string()))?;
+        let operators = build_operator_reports(&plan.optimized, &plan.binding_names, &obs)
+            .map_err(|e| EngineError::Exec(e.to_string()))?;
         let published = harvest_query(
             &self.catalog,
             self.options.feedback,

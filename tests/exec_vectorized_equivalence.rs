@@ -14,8 +14,11 @@ use std::sync::Arc;
 
 use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
+use els::core::{CmpOp, ColumnRef};
+use els::exec::filter::CompiledFilter;
 use els::exec::{
-    execute_plan_observed, ExecMetrics, ExecMode, JoinMethod, Observations, PlanNode, QueryPlan,
+    execute_plan_observed, ExecMetrics, ExecMode, JoinMethod, Observations, Plan, PlanNode,
+    QueryPlan,
 };
 use els::optimizer::{bound_query_tables, optimize_bound, OptimizerOptions};
 use els::sql::{bind, parse};
@@ -145,18 +148,42 @@ fn random_sql(seed: u64, catalog: &Catalog) -> String {
 const FORCED_METHODS: [JoinMethod; 4] =
     [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash, JoinMethod::IndexNestedLoop];
 
-fn force_method(node: &mut PlanNode, m: JoinMethod) {
-    if let PlanNode::Join { method, keys, left, right, .. } = node {
-        // Keyless joins (cartesian steps and band joins) keep whatever the
-        // optimizer picked — the keyed methods are not defined for them —
-        // and so does an evaluated inner under indexed nested loops.
-        let stored_inner = matches!(right.as_ref(), PlanNode::Scan { .. });
-        if !keys.is_empty() && (stored_inner || m != JoinMethod::IndexNestedLoop) {
-            *method = m;
+fn force_method(plan: &mut Plan, m: JoinMethod) {
+    let mut forced = Plan::default();
+    for node in plan.nodes() {
+        match node.clone() {
+            PlanNode::Scan { table_id, filters } => {
+                forced.scan(table_id, filters);
+            }
+            PlanNode::Join { mut method, left, right, keys, ranges } => {
+                // Keyless joins (cartesian steps and band joins) keep
+                // whatever the optimizer picked — the keyed methods are not
+                // defined for them — and so does an evaluated inner under
+                // indexed nested loops.
+                let stored_inner = matches!(plan.nodes()[right], PlanNode::Scan { .. });
+                if !keys.is_empty() && (stored_inner || m != JoinMethod::IndexNestedLoop) {
+                    method = m;
+                }
+                forced.join(method, (left, right), keys, ranges).unwrap();
+            }
         }
-        force_method(left, m);
-        force_method(right, m);
     }
+    *plan = forced;
+}
+
+/// `method` joining a scan of table `l` under `left_filters` to one of
+/// table `r` under `right_filters`, on `keys` and `ranges`.
+fn join_scans(
+    method: JoinMethod,
+    (l, left_filters): (usize, Vec<CompiledFilter>),
+    (r, right_filters): (usize, Vec<CompiledFilter>),
+    keys: Vec<(ColumnRef, ColumnRef)>,
+    ranges: Vec<(ColumnRef, CmpOp, ColumnRef)>,
+) -> Plan {
+    let mut plan = Plan::default();
+    let inputs = (plan.scan(l, left_filters), plan.scan(r, right_filters));
+    plan.join(method, inputs, keys, ranges).unwrap();
+    plan
 }
 
 /// Strip the counters only the vectorized path maintains (and wall time)
@@ -481,7 +508,6 @@ fn all_null_and_empty_build_sides_join_to_nothing() {
 /// oracle walks in seconds even in a debug build.
 #[test]
 fn parallel_band_join_matches_on_a_large_outer() {
-    use els::core::ColumnRef;
     use els::exec::{PlanOutput, PARALLEL_MIN_ROWS};
 
     let outer = Arc::new(
@@ -502,18 +528,9 @@ fn parallel_band_join_matches_on_a_large_outer() {
     );
     let tables = vec![outer, inner];
     for output in [PlanOutput::CountStar, PlanOutput::Star] {
-        let plan = QueryPlan {
-            root: PlanNode::Join {
-                method: JoinMethod::Range,
-                left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys: vec![],
-                ranges: vec![(ColumnRef::new(0, 0), els::core::CmpOp::Lt, ColumnRef::new(1, 0))],
-            },
-            output,
-            order_by: Vec::new(),
-            limit: None,
-        };
+        let range = (ColumnRef::new(0, 0), CmpOp::Lt, ColumnRef::new(1, 0));
+        let root = join_scans(JoinMethod::Range, (0, vec![]), (1, vec![]), vec![], vec![range]);
+        let plan = QueryPlan::new(root, output);
         // Unbuffered only: each run emits a quarter million pairs, and a pool
         // would see nothing but the two base scans the small cases cover.
         check_plan_buffered(&plan, &tables, None, "large band join [RANGE]");
@@ -668,7 +685,7 @@ fn composite_key_and_right_to_left_range_joins_match_the_row_oracle() {
         if seed % 4 != 3 {
             // Closure is what makes these keys composite: the top join
             // carries one key pair per table already joined below it.
-            let PlanNode::Join { keys, .. } = &optimized.plan.root else {
+            let Some(PlanNode::Join { keys, .. }) = optimized.plan.root.nodes().last() else {
                 panic!("`{sql}` plans a join");
             };
             assert!(keys.len() >= 2, "`{sql}`: closure should stack keys, got {keys:?}");
@@ -694,14 +711,13 @@ fn composite_key_and_right_to_left_range_joins_match_the_row_oracle() {
 /// same thing there; so they must here, under every buffer size.
 #[test]
 fn ranges_naming_the_inner_column_first_match_the_row_oracle() {
-    use els::core::{CmpOp, ColumnRef};
     use els::exec::PlanOutput;
 
     let catalog = closure_catalog(5);
     let tables: Vec<Arc<Table>> =
         ["t0", "t1"].iter().map(|name| catalog.table_data(name).unwrap()).collect();
     let (k, f) = (0, 2);
-    let inner_filter = els::exec::filter::CompiledFilter::Cmp {
+    let inner_filter = CompiledFilter::Cmp {
         column: ColumnRef::new(1, k),
         op: CmpOp::Ge,
         value: els::storage::Value::Int(2),
@@ -713,25 +729,18 @@ fn ranges_naming_the_inner_column_first_match_the_row_oracle() {
             }
             for op in [CmpOp::Gt, CmpOp::Le] {
                 for output in [PlanOutput::CountStar, PlanOutput::Star] {
-                    let plan = QueryPlan {
-                        root: PlanNode::Join {
-                            method,
-                            left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                            right: Box::new(PlanNode::Scan {
-                                table_id: 1,
-                                filters: vec![inner_filter.clone()],
-                            }),
-                            keys: if keyed {
-                                vec![(ColumnRef::new(0, k), ColumnRef::new(1, k))]
-                            } else {
-                                Vec::new()
-                            },
-                            ranges: vec![(ColumnRef::new(1, f), op, ColumnRef::new(0, f))],
+                    let root = join_scans(
+                        method,
+                        (0, Vec::new()),
+                        (1, vec![inner_filter.clone()]),
+                        if keyed {
+                            vec![(ColumnRef::new(0, k), ColumnRef::new(1, k))]
+                        } else {
+                            Vec::new()
                         },
-                        output,
-                        order_by: Vec::new(),
-                        limit: None,
-                    };
+                        vec![(ColumnRef::new(1, f), op, ColumnRef::new(0, f))],
+                    );
+                    let plan = QueryPlan::new(root, output);
                     let context = format!("{} keyed={keyed} t1.f {op} t0.f", method.name());
                     check_plan(&plan, &tables, &context);
                 }
@@ -745,21 +754,14 @@ fn ranges_naming_the_inner_column_first_match_the_row_oracle() {
 /// refuse it instead of indexing that column *position* of the inner.
 #[test]
 fn indexed_nested_loop_refuses_a_key_outside_its_inner() {
-    use els::core::ColumnRef;
     use els::exec::{ExecError, PlanOutput};
 
     let catalog = closure_catalog(5);
     let tables: Vec<Arc<Table>> =
         ["t0", "t1", "t2"].iter().map(|name| catalog.table_data(name).unwrap()).collect();
-    let scan = |table_id| Box::new(PlanNode::Scan { table_id, filters: Vec::new() });
     let stray = ColumnRef::new(2, 0);
-    let root = PlanNode::Join {
-        method: JoinMethod::IndexNestedLoop,
-        left: scan(0),
-        right: scan(1),
-        keys: vec![(ColumnRef::new(0, 0), stray)],
-        ranges: Vec::new(),
-    };
+    let keys = vec![(ColumnRef::new(0, 0), stray)];
+    let root = join_scans(JoinMethod::IndexNestedLoop, (0, vec![]), (1, vec![]), keys, vec![]);
     let plan = QueryPlan::new(root, PlanOutput::CountStar);
     for mode in [ExecMode::RowAtATime, ExecMode::Vectorized { workers: 1 }] {
         match execute_plan_observed(&plan, &tables, mode, None) {
@@ -790,8 +792,6 @@ fn int_table(name: &str, cells: impl IntoIterator<Item = Option<i64>>) -> Table 
 /// alone counts its morsels without concatenating them.
 #[test]
 fn morsel_scans_match_the_row_oracle_alone_and_on_either_side_of_a_hash_join() {
-    use els::core::{CmpOp, ColumnRef};
-    use els::exec::filter::CompiledFilter;
     use els::exec::{PlanOutput, MORSEL_ROWS, PARALLEL_MIN_ROWS};
 
     let rows = 2 * PARALLEL_MIN_ROWS + 100;
@@ -812,19 +812,14 @@ fn morsel_scans_match_the_row_oracle_alone_and_on_either_side_of_a_hash_join() {
         CompiledFilter::IsNull { column: ColumnRef::new(0, 1), negated: true },
         CompiledFilter::ColEq { left: ColumnRef::new(0, 1), right: ColumnRef::new(0, 2) },
     ];
-    let big_scan = || Box::new(PlanNode::Scan { table_id: 0, filters: filters.clone() });
-    let small_scan = || Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() });
-    let hash = |left, right, keys| PlanNode::Join {
-        method: JoinMethod::Hash,
-        left,
-        right,
-        keys: vec![keys],
-        ranges: Vec::new(),
-    };
+    let (big, small) = ((0, filters.clone()), (1, Vec::new()));
+    let hash = |left, right, keys| join_scans(JoinMethod::Hash, left, right, vec![keys], vec![]);
+    let mut alone = Plan::default();
+    alone.scan(0, filters.clone());
     let roots = [
-        ("the scan alone", *big_scan()),
-        ("the probe side", hash(small_scan(), big_scan(), (sk, bk))),
-        ("the build side", hash(big_scan(), small_scan(), (bk, sk))),
+        ("the scan alone", alone),
+        ("the probe side", hash(small.clone(), big.clone(), (sk, bk))),
+        ("the build side", hash(big, small, (bk, sk))),
     ];
     let but_steals =
         |m: ExecMetrics| ExecMetrics { steals: 0, elapsed: std::time::Duration::ZERO, ..m };
@@ -875,7 +870,6 @@ proptest! {
         op in 0usize..6,
         swap in proptest::bool::ANY,
     ) {
-        use els::core::{CmpOp, ColumnRef};
         use els::exec::PlanOutput;
 
         let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][op];
@@ -887,13 +881,7 @@ proptest! {
             methods.push(JoinMethod::Range);
         }
         for method in methods {
-            let root = PlanNode::Join {
-                method,
-                left: Box::new(PlanNode::Scan { table_id: 0, filters: Vec::new() }),
-                right: Box::new(PlanNode::Scan { table_id: 1, filters: Vec::new() }),
-                keys: Vec::new(),
-                ranges: vec![range],
-            };
+            let root = join_scans(method, (0, vec![]), (1, vec![]), vec![], vec![range]);
             let context = format!("{} {range:?}", method.name());
             let count = QueryPlan::new(root.clone(), PlanOutput::CountStar);
             let pairs = QueryPlan::new(root, PlanOutput::Star);

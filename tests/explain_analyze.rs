@@ -155,7 +155,8 @@ fn a_bushy_plan_reports_rescanned_inners_at_their_stored_size() {
     }
     let (mut reported, mut reference) = (Vec::new(), Vec::new());
     post_order(&report.operators, 0, &mut reported);
-    node_sizes(est, &plan.optimized.plan.root, false, &mut reference).unwrap();
+    let tree = &plan.optimized.plan.root;
+    node_sizes(est, tree, tree.root().unwrap(), false, &mut reference).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let reference: Vec<f64> = reference.iter().map(|&(_, _, rows)| rows).collect();
     assert_eq!(bits(&reported), bits(&reference), "{report}");
@@ -172,7 +173,7 @@ fn another_plans_observations_are_a_typed_error() {
     };
     let observe = |plan: &CachedPlan| observe_in(plan, ExecMode::default());
     let report = |plan: &CachedPlan, obs: &Observations| {
-        build_operator_reports(&plan.optimized.annotations, &plan.binding_names, obs)
+        build_operator_reports(&plan.optimized, &plan.binding_names, obs)
     };
     let one = engine.prepare("SELECT COUNT(*) FROM S").unwrap();
     let two = engine.prepare("SELECT COUNT(*) FROM S, M WHERE s = m").unwrap();
@@ -187,10 +188,11 @@ fn another_plans_observations_are_a_typed_error() {
     // The Section 8 plan scans M first, the two-table plan S.
     assert_eq!(report(&four, &two_obs).unwrap_err(), Mismatch { at: 0 });
     assert_eq!(report(&two, &four_obs).unwrap_err(), Mismatch { at: 0 });
-    // Each plan's own run: one record per annotation, record `i` over
-    // annotation `i`'s tables, serial or parallel.
+    // Each plan's own run: one record per node, record `i` over node `i`'s
+    // tables, serial or parallel.
     for plan in [&one, &two, &four] {
-        let annotated: Vec<u64> = plan.optimized.annotations.iter().map(|a| a.tables).collect();
+        let tree = &plan.optimized.plan.root;
+        let annotated: Vec<u64> = (0..tree.node_count()).map(|at| tree.tables(at)).collect();
         for workers in [1, 2] {
             let obs = observe_in(plan, ExecMode::Vectorized { workers });
             let recorded: Vec<u64> = obs.nodes.iter().map(|n| n.tables).collect();
