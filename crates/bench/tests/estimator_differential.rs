@@ -1,14 +1,18 @@
-//! Differential tests for the `CardinalityEstimator` trait refactor.
+//! Differential tests for the `CardinalityEstimator` trait.
 //!
-//! The refactor routed all enumeration and analysis through
-//! `&dyn CardinalityEstimator`; these tests pin that the trait path is
-//! bit-exact with the inherent `Els` methods it delegates to — across the
-//! paper's four Section 8 presets and every selectivity rule — and that
+//! Enumeration and analysis reach every estimator through
+//! `&dyn CardinalityEstimator`, whose provided `join` is `join_sets` with
+//! the new table's initial state. These tests pin that the two transitions
+//! agree to the bit — across the paper's four Section 8 presets, every
+//! selectivity rule and both rival estimators — and fail alike, and that
 //! the UES contender really is an upper bound on the bench workloads.
 
 use els_bench::accuracy::{analyze, contender};
 use els_bench::{chain_predicates, chain_statistics};
-use els_core::{CardinalityEstimator, Els, SelectivityRule};
+use els_core::{
+    CardinalityEstimator, Els, ElsError, ElsOptions, NoEstimatesEstimator, SelectivityRule,
+    UpperBoundEstimator,
+};
 use els_optimizer::{EstimatorPreset, EstimatorStrategy, OptimizerOptions};
 use els_storage::datagen::starburst_experiment_tables_sized;
 
@@ -39,31 +43,18 @@ fn orders() -> Vec<Vec<usize>> {
     out
 }
 
-#[test]
-fn trait_path_is_bit_exact_with_inherent_els_across_presets() {
+/// Every estimator over the Section 8 chain: `Els` under the four presets
+/// and under each rule, the UES bound and the no-estimates baseline.
+fn estimators() -> Vec<(String, Box<dyn CardinalityEstimator>)> {
     let stats = chain_statistics(&section8_dims());
     let preds = chain_predicates(4);
+    let els = |options: &ElsOptions| Box::new(Els::prepare(&preds, &stats, options).unwrap());
+    let mut out: Vec<(String, Box<dyn CardinalityEstimator>)> = Vec::new();
     let presets =
         [EstimatorPreset::SmNoPtc, EstimatorPreset::Sm, EstimatorPreset::Sss, EstimatorPreset::Els];
     for preset in presets {
-        let options = OptimizerOptions::preset(preset);
-        let els = Els::prepare(&preds, &stats, &options.els).expect("fixture prepares");
-        let dynamic: &dyn CardinalityEstimator = &els;
-        for order in orders() {
-            let direct = els.estimate_order(&order).expect("direct path estimates");
-            let via_trait = dynamic.estimate_order(&order).expect("trait path estimates");
-            assert_eq!(direct.len(), via_trait.len());
-            for (d, t) in direct.iter().zip(&via_trait) {
-                assert_eq!(d.to_bits(), t.to_bits(), "{preset:?} diverged on {order:?}");
-            }
-        }
+        out.push((format!("{preset:?}"), els(&OptimizerOptions::preset(preset).els)));
     }
-}
-
-#[test]
-fn trait_path_is_bit_exact_with_inherent_els_across_rules() {
-    let stats = chain_statistics(&section8_dims());
-    let preds = chain_predicates(4);
     let rules = [
         SelectivityRule::Multiplicative,
         SelectivityRule::SmallestSelectivity,
@@ -71,23 +62,69 @@ fn trait_path_is_bit_exact_with_inherent_els_across_rules() {
         SelectivityRule::Representative,
     ];
     for rule in rules {
-        let els_options = els_core::ElsOptions::default().with_rule(rule);
-        let els = Els::prepare(&preds, &stats, &els_options).expect("fixture prepares");
-        let dynamic: &dyn CardinalityEstimator = &els;
+        out.push((format!("{rule:?}"), els(&ElsOptions::default().with_rule(rule))));
+    }
+    out.push(("ues".into(), Box::new(UpperBoundEstimator::new(&preds, &stats).unwrap())));
+    out.push(("none".into(), Box::new(NoEstimatesEstimator::new(&preds, &stats).unwrap())));
+    out
+}
+
+#[test]
+fn join_is_join_sets_with_the_initial_state_on_every_order() {
+    for (name, est) in estimators() {
         for order in orders() {
-            let direct = els.estimate_order(&order).expect("direct path estimates");
-            let via_trait = dynamic.estimate_order(&order).expect("trait path estimates");
-            for (d, t) in direct.iter().zip(&via_trait) {
-                assert_eq!(d.to_bits(), t.to_bits(), "{rule:?} diverged on {order:?}");
+            let mut state = est.initial_state(order[0]).expect("state starts");
+            for &t in &order[1..] {
+                let joined = est.join(&state, t).expect("state extends");
+                let single = est.initial_state(t).expect("table starts");
+                let paired = est.join_sets(&state, &single).expect("sets join");
+                assert_eq!(joined.table_mask(), paired.table_mask(), "{name} on {order:?}");
+                assert_eq!(
+                    joined.cardinality().to_bits(),
+                    paired.cardinality().to_bits(),
+                    "{name} diverged at {t} on {order:?}"
+                );
+                state = joined;
             }
         }
-        // The two state-transition entry points agree with the batch path.
-        let mut state = dynamic.initial_state(0).expect("state starts");
-        for &t in &[1usize, 2, 3] {
-            state = dynamic.join(&state, t).expect("state extends");
+    }
+}
+
+#[test]
+fn join_and_join_sets_fail_alike() {
+    for (name, est) in estimators() {
+        for order in orders() {
+            let mut state = est.initial_state(order[0]).expect("state starts");
+            for &t in &order[1..] {
+                state = est.join(&state, t).expect("state extends");
+                // Every table of the state is already joined: both
+                // transitions refuse it, naming the table.
+                for &done in order.iter().filter(|&&u| state.table_mask() & (1 << u) != 0) {
+                    let single = est.initial_state(done).expect("table starts");
+                    for err in [est.join(&state, done), est.join_sets(&state, &single)] {
+                        assert!(
+                            matches!(err, Err(ElsError::InvalidJoinStep { table, .. }) if table == done),
+                            "{name}: {err:?} re-joining {done}"
+                        );
+                    }
+                }
+            }
+            // A table outside the query, or outside the 64-table state mask,
+            // has no initial state to hand `join_sets`, and `join` fails
+            // with the same error.
+            for bad in [4, 64, usize::MAX] {
+                let expected = est.initial_state(bad);
+                assert!(
+                    matches!(
+                        expected,
+                        Err(ElsError::InvalidJoinStep { table, reason: "table out of range" })
+                            if table == bad
+                    ),
+                    "{name}: {expected:?}"
+                );
+                assert_eq!(est.join(&state, bad), expected, "{name} on {bad}");
+            }
         }
-        let direct = els.estimate_order(&[0, 1, 2, 3]).expect("direct path estimates");
-        assert_eq!(state.cardinality().to_bits(), direct.last().unwrap().to_bits());
     }
 }
 

@@ -355,6 +355,7 @@ mod tests {
         let preds =
             vec![els_core::Predicate::col_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap()];
         let els = els_core::Els::prepare(&preds, &stats, &els_core::ElsOptions::default()).unwrap();
+        use els_core::CardinalityEstimator as _;
         // ||A ⋈ B|| = 1000·500/max(1000,50) = 500.
         let s = els.join(&els.initial_state(0).unwrap(), 1).unwrap();
         assert_eq!(s.cardinality(), 500.0);

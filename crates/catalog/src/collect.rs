@@ -16,12 +16,12 @@
 //! numeric domain ELS interpolates ranges over. A `Float` column's domain
 //! is its finite values only (NaNs and infinities sort to the ends, and a
 //! bound at either would make every interpolation NaN); a `Str` column has
-//! none. A histogram or MCV list, when asked for, is built from the same sorted
-//! values (`Histogram::equi_depth`, `Histogram::equi_width` and
-//! `MostCommonValues::build` take them as they are). An `Int` column's
-//! values are projected `i64 as f64` for those, which keeps their order;
-//! a `Str` column gets neither. So a column costs one `O(n log n)` sort
-//! and a constant number of allocations, however many rows it has.
+//! none. A histogram or MCV list, when asked for, is built from the same
+//! sorted values (`Histogram::equi_depth` and `MostCommonValues::build` take
+//! them as they are). An `Int` column's values are projected `i64 as f64`
+//! for those, which keeps their order; a `Str` column gets neither. So a
+//! column costs one `O(n log n)` sort and a constant number of allocations,
+//! however many rows it has.
 //!
 //! Value identity follows the types: for floats, `distinct` counts bit
 //! patterns (so `-0.0` and `0.0` are two values, as are NaNs with different
@@ -38,8 +38,6 @@ use crate::histogram::{Histogram, MostCommonValues};
 pub enum HistogramKind {
     /// No histogram.
     None,
-    /// Equi-width buckets.
-    EquiWidth,
     /// Equi-depth buckets (the default when histograms are requested).
     #[default]
     EquiDepth,
@@ -172,7 +170,6 @@ fn column_stats<T>(
 fn synopses(sorted: &[f64], options: &CollectOptions) -> Synopses {
     let histogram = match options.histogram {
         HistogramKind::None => None,
-        HistogramKind::EquiWidth => Histogram::equi_width(sorted, options.histogram_buckets),
         HistogramKind::EquiDepth => Histogram::equi_depth(sorted, options.histogram_buckets),
     };
     Synopses { histogram, mcv: MostCommonValues::build(sorted, options.mcv_size) }
@@ -332,27 +329,10 @@ mod tests {
         mcv: Option<(Vec<(u64, u64)>, u64)>,
     }
 
-    /// An equi-width bound's bits with the sign of a zero dropped. The old
-    /// builder took its bounds from `fold(f64::min)` / `fold(f64::max)` in
-    /// row order, and Rust leaves which of two equal zeros those return
-    /// unspecified (in practice: the one met first), so the sign of a zero
-    /// bound never was a function of the column's values.
-    fn zero_blind(x: f64) -> u64 {
-        if x == 0.0 {
-            0
-        } else {
-            x.to_bits()
-        }
-    }
-
     fn bits(c: &ColumnStatistics, s: &Synopses) -> Bits {
         let histogram = s.histogram.as_ref().map(|h| {
-            let bound = match h {
-                Histogram::EquiWidth(_) => zero_blind,
-                Histogram::EquiDepth(_) => f64::to_bits,
-            };
             let buckets =
-                h.buckets().iter().map(|b| [bound(b.lo), bound(b.hi), b.count, b.distinct]);
+                h.buckets().iter().map(|b| [b.lo.to_bits(), b.hi.to_bits(), b.count, b.distinct]);
             (buckets.collect(), h.total_count())
         });
         Bits {
@@ -401,7 +381,6 @@ mod tests {
         let nb = options.histogram_buckets;
         let histogram = match options.histogram {
             HistogramKind::None => None,
-            HistogramKind::EquiWidth => old_equi_width(&numeric, nb),
             HistogramKind::EquiDepth => old_equi_depth(&numeric, nb),
         }
         .map(|buckets| (buckets, numeric.len() as u64));
@@ -419,30 +398,6 @@ mod tests {
             histogram,
             mcv: old_mcv(&numeric, options.mcv_size).map(|e| (e, numeric.len() as u64)),
         }
-    }
-
-    fn old_equi_width(values: &[f64], bucket_count: usize) -> Option<Vec<BucketBits>> {
-        if values.is_empty() || bucket_count == 0 {
-            return None;
-        }
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if hi <= lo {
-            return Some(vec![[zero_blind(lo), zero_blind(lo), values.len() as u64, 1]]);
-        }
-        let nb = bucket_count.min(values.len()).max(1);
-        let width = (hi - lo) / nb as f64;
-        let mut slots: Vec<(u64, HashSet<u64>)> = vec![(0, HashSet::new()); nb];
-        for &v in values {
-            let idx = (((v - lo) / width) as usize).min(nb - 1);
-            slots[idx].0 += 1;
-            slots[idx].1.insert(v.to_bits());
-        }
-        let bucket = |(i, (count, seen)): (usize, &(u64, HashSet<u64>))| {
-            let top = if i == nb - 1 { hi } else { lo + width * (i + 1) as f64 };
-            [zero_blind(lo + width * i as f64), zero_blind(top), *count, seen.len() as u64]
-        };
-        Some(slots.iter().enumerate().map(bucket).collect())
     }
 
     fn old_equi_depth(values: &[f64], bucket_count: usize) -> Option<Vec<BucketBits>> {
@@ -548,12 +503,13 @@ mod tests {
     }
 
     fn option_sets() -> [CollectOptions; 3] {
-        let equi_width = CollectOptions {
-            histogram: HistogramKind::EquiWidth,
+        // Few buckets, so buckets hold several runs.
+        let small = CollectOptions {
+            histogram: HistogramKind::EquiDepth,
             histogram_buckets: 4,
             mcv_size: 3,
         };
-        [CollectOptions::default(), CollectOptions::full(), equi_width]
+        [CollectOptions::default(), CollectOptions::full(), small]
     }
 
     fn check(ty: DataType, cells: Vec<Value>) -> Result<(), TestCaseError> {

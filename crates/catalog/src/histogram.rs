@@ -2,11 +2,10 @@
 //!
 //! The paper (Section 5) allows local-predicate selectivities to come from
 //! "distribution statistics on y" instead of the uniformity assumption.
-//! This module provides the two classic histogram flavours —
-//! **equi-width** (fixed-width value ranges) and **equi-depth** (fixed
-//! tuple count per bucket, per Piatetsky-Shapiro & Connell [10] and
-//! Muralikrishna & DeWitt [8]) — plus a most-common-values list for highly
-//! skewed (Zipfian) columns, the case Lynch [6] targets.
+//! This module provides an **equi-depth** histogram (fixed tuple count per
+//! bucket, per Piatetsky-Shapiro & Connell [10] and Muralikrishna & DeWitt
+//! [8]) plus a most-common-values list for highly skewed (Zipfian) columns,
+//! the case Lynch [6] targets.
 //!
 //! Histograms are built over the numeric projection of a column, handed
 //! over already sorted (ANALYZE sorts each column once, see
@@ -15,15 +14,14 @@
 
 use els_core::predicate::CmpOp;
 
-/// One histogram bucket over `[lo, hi]` (buckets partition the domain; a
-/// value that falls exactly on an interior boundary belongs to the *later*
-/// bucket — the equi-width build convention `idx = (v - lo) / width` — and
-/// only the last bucket includes its `hi`).
+/// One histogram bucket: the rows whose values lie in `[lo, hi]`. Buckets
+/// ascend and never share a value, since equal values never straddle a
+/// boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Bucket {
-    /// Inclusive lower bound.
+    /// Inclusive lower bound: the bucket's least value.
     pub lo: f64,
-    /// Upper bound (inclusive for the last bucket, exclusive otherwise).
+    /// Inclusive upper bound: the bucket's greatest value.
     pub hi: f64,
     /// Number of rows in the bucket.
     pub count: u64,
@@ -31,76 +29,14 @@ pub(crate) struct Bucket {
     pub distinct: u64,
 }
 
-/// An equi-width histogram: the value domain is cut into equal-width ranges.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquiWidthHistogram {
-    buckets: Vec<Bucket>,
-    total: u64,
-}
-
 /// An equi-depth histogram: buckets hold (approximately) equal row counts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EquiDepthHistogram {
+pub struct Histogram {
     buckets: Vec<Bucket>,
     total: u64,
-}
-
-/// Either histogram flavour, behind one estimation interface.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Histogram {
-    /// Equal-width buckets.
-    EquiWidth(EquiWidthHistogram),
-    /// Equal-depth buckets.
-    EquiDepth(EquiDepthHistogram),
 }
 
 impl Histogram {
-    /// Build an equi-width histogram from the non-NULL numeric values of a
-    /// column, sorted under `f64::total_cmp`. Returns `None` for empty
-    /// input or `bucket_count == 0`.
-    ///
-    /// The domain runs from the least to the greatest non-NaN value (NaNs
-    /// sort to the two ends; `+∞` and `-∞` when every value is NaN). Each
-    /// run of one bit pattern lands whole in the bucket `(v - lo) / width`
-    /// names, as one distinct value there.
-    pub(crate) fn equi_width(sorted: &[f64], bucket_count: usize) -> Option<Histogram> {
-        if sorted.is_empty() || bucket_count == 0 {
-            return None;
-        }
-        let lo = sorted.iter().copied().find(|v| !v.is_nan()).unwrap_or(f64::INFINITY);
-        let hi = sorted.iter().copied().rfind(|v| !v.is_nan()).unwrap_or(f64::NEG_INFINITY);
-        let total = sorted.len() as u64;
-        if hi <= lo {
-            // Single-valued column: one point bucket. The general path
-            // would synthesize width-1 buckets past `hi` (the last one with
-            // `hi < lo`) and linearly interpolate inside them, giving e.g.
-            // `fraction_below(point + 0.5) == 0.5` instead of 1.
-            return Some(Histogram::EquiWidth(EquiWidthHistogram {
-                buckets: vec![Bucket { lo, hi: lo, count: total, distinct: 1 }],
-                total,
-            }));
-        }
-        let nb = bucket_count.min(sorted.len()).max(1);
-        let width = (hi - lo) / nb as f64;
-        let mut buckets: Vec<Bucket> = (0..nb)
-            .map(|i| Bucket {
-                lo: lo + width * i as f64,
-                hi: if i == nb - 1 { hi } else { lo + width * (i + 1) as f64 },
-                count: 0,
-                distinct: 0,
-            })
-            .collect();
-        for run in sorted.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
-            let Some(&v) = run.first() else { continue };
-            let idx = (((v - lo) / width) as usize).min(nb - 1);
-            if let Some(b) = buckets.get_mut(idx) {
-                b.count += run.len() as u64;
-                b.distinct += 1;
-            }
-        }
-        Some(Histogram::EquiWidth(EquiWidthHistogram { buckets, total }))
-    }
-
     /// Build an equi-depth histogram from the non-NULL numeric values of a
     /// column, sorted under `f64::total_cmp`. Equal values never straddle a
     /// bucket boundary (so equality estimates inside one bucket stay
@@ -127,22 +63,16 @@ impl Histogram {
             }
         }
         buckets.extend(open);
-        Some(Histogram::EquiDepth(EquiDepthHistogram { buckets, total: n as u64 }))
+        Some(Histogram { buckets, total: n as u64 })
     }
 
     pub(crate) fn buckets(&self) -> &[Bucket] {
-        match self {
-            Histogram::EquiWidth(h) => &h.buckets,
-            Histogram::EquiDepth(h) => &h.buckets,
-        }
+        &self.buckets
     }
 
     /// Total number of rows the histogram describes.
     pub(crate) fn total_count(&self) -> u64 {
-        match self {
-            Histogram::EquiWidth(h) => h.total,
-            Histogram::EquiDepth(h) => h.total,
-        }
+        self.total
     }
 
     /// Estimated fraction of rows with value strictly less than `v`.
@@ -175,20 +105,11 @@ impl Histogram {
         if total == 0.0 {
             return 0.0;
         }
-        // The equi-width builder puts a value sitting exactly on an interior
-        // boundary into the *later* bucket (`idx = (v - lo) / width`), so the
-        // lookup must prefer the last bucket containing `v` — otherwise a
-        // boundary value is estimated with the earlier bucket's
-        // `count/distinct` even though it was never counted there. Equi-depth
-        // buckets never share a boundary value, so the direction is
-        // indifferent for them.
-        for b in self.buckets().iter().rev() {
-            if v >= b.lo && v <= b.hi {
-                let per_value = b.count as f64 / b.distinct.max(1) as f64;
-                return (per_value / total).clamp(0.0, 1.0);
-            }
+        // Buckets never share a value, so at most one contains `v`.
+        match self.buckets().iter().find(|b| v >= b.lo && v <= b.hi) {
+            Some(b) => (b.count as f64 / b.distinct.max(1) as f64 / total).clamp(0.0, 1.0),
+            None => 0.0,
         }
-        0.0
     }
 
     /// Estimated probability that a row drawn from this histogram is
@@ -318,15 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn equi_width_counts_everything() {
-        let h = Histogram::equi_width(&uniform_0_999(), 10).unwrap();
-        assert_eq!(h.total_count(), 1000);
-        assert_eq!(h.buckets().len(), 10);
-        let total: u64 = h.buckets().iter().map(|b| b.count).sum();
-        assert_eq!(total, 1000);
-    }
-
-    #[test]
     fn equi_depth_balances_counts() {
         let h = Histogram::equi_depth(&uniform_0_999(), 10).unwrap();
         for b in h.buckets() {
@@ -336,15 +248,11 @@ mod tests {
 
     #[test]
     fn uniform_range_selectivity_matches_model() {
-        for h in [
-            Histogram::equi_width(&uniform_0_999(), 20).unwrap(),
-            Histogram::equi_depth(&uniform_0_999(), 20).unwrap(),
-        ] {
-            let s = h.selectivity(CmpOp::Lt, 100.0);
-            assert!((s - 0.1).abs() < 0.02, "lt selectivity {s} far from 0.1");
-            let s = h.selectivity(CmpOp::Ge, 900.0);
-            assert!((s - 0.1).abs() < 0.02, "ge selectivity {s} far from 0.1");
-        }
+        let h = Histogram::equi_depth(&uniform_0_999(), 20).unwrap();
+        let s = h.selectivity(CmpOp::Lt, 100.0);
+        assert!((s - 0.1).abs() < 0.02, "lt selectivity {s} far from 0.1");
+        let s = h.selectivity(CmpOp::Ge, 900.0);
+        assert!((s - 0.1).abs() < 0.02, "ge selectivity {s} far from 0.1");
     }
 
     #[test]
@@ -363,7 +271,7 @@ mod tests {
 
     #[test]
     fn boundaries_clamp_to_zero_and_one() {
-        let h = Histogram::equi_width(&uniform_0_999(), 10).unwrap();
+        let h = Histogram::equi_depth(&uniform_0_999(), 10).unwrap();
         assert_eq!(h.selectivity(CmpOp::Lt, -1.0), 0.0);
         assert_eq!(h.selectivity(CmpOp::Ge, -1.0), 1.0);
         assert_eq!(h.selectivity(CmpOp::Lt, 5000.0), 1.0);
@@ -373,21 +281,19 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        assert!(Histogram::equi_width(&[], 10).is_none());
         assert!(Histogram::equi_depth(&[], 10).is_none());
-        assert!(Histogram::equi_width(&[1.0], 0).is_none());
+        assert!(Histogram::equi_depth(&[1.0], 0).is_none());
         // Single value: one bucket covering a point.
-        let h = Histogram::equi_width(&[5.0, 5.0, 5.0], 4).unwrap();
+        let h = Histogram::equi_depth(&[5.0, 5.0, 5.0], 4).unwrap();
         assert_eq!(h.selectivity(CmpOp::Eq, 5.0), 1.0);
         assert_eq!(h.selectivity(CmpOp::Lt, 5.0), 0.0);
     }
 
     #[test]
     fn single_valued_column_collapses_to_point_bucket() {
-        // Regression: the pre-fix builder synthesized width-1 buckets past
-        // `hi` (last bucket with hi < lo) and interpolated inside them, so
-        // fraction_below(5.5) on an all-5.0 column came out 0.5.
-        let h = Histogram::equi_width(&[5.0, 5.0, 5.0], 4).unwrap();
+        // One point bucket, so nothing interpolates: fraction_below(5.5) on
+        // an all-5.0 column is 1, not 0.5.
+        let h = Histogram::equi_depth(&[5.0, 5.0, 5.0], 4).unwrap();
         assert_eq!(h.buckets().len(), 1);
         assert_eq!(h.fraction_below(5.5), 1.0);
         // Strictly below the point.
@@ -407,37 +313,9 @@ mod tests {
     }
 
     #[test]
-    fn equi_width_boundary_value_uses_later_bucket() {
-        // lo=0, hi=4, 2 buckets of width 2: the six 0s land in bucket 0
-        // (count 6, distinct 1), while 2.0 and 4.0 land in bucket 1 (count
-        // 2, distinct 2) because idx = (v - lo)/width sends a boundary value
-        // to the later bucket. The pre-fix lookup matched bucket 0 first and
-        // estimated Eq(2.0) at (6/1)/8 = 0.75 instead of (2/2)/8 = 0.125.
-        let values = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 4.0];
-        let h = Histogram::equi_width(&values, 2).unwrap();
-        assert_eq!(h.buckets().len(), 2);
-        assert_eq!(h.fraction_equal(2.0), 0.125);
-    }
-
-    #[test]
-    fn equi_width_zero_bounds_take_the_sign_of_total_order() {
-        // The domain runs from the least to the greatest value under
-        // `total_cmp`, which puts -0.0 before 0.0: a zero lower bound is
-        // -0.0 and a zero upper bound 0.0 whenever both zeros occur.
-        let bounds = |values: &[f64]| {
-            let h = Histogram::equi_width(&sorted(values.to_vec()), 2).unwrap();
-            let b = h.buckets();
-            (b[0].lo.to_bits(), b[b.len() - 1].hi.to_bits())
-        };
-        assert_eq!(bounds(&[0.0, -0.0]), ((-0.0f64).to_bits(), (-0.0f64).to_bits()));
-        assert_eq!(bounds(&[-1.0, 0.0, -0.0]), ((-1.0f64).to_bits(), 0.0f64.to_bits()));
-    }
-
-    #[test]
     fn equi_depth_boundary_value_keeps_its_own_bucket() {
-        // Equi-depth buckets never share a value across a boundary: a value
-        // equal to some bucket's hi must still resolve to that bucket under
-        // the reversed lookup order.
+        // Buckets never share a value across a boundary: a value equal to
+        // some bucket's hi resolves to that bucket.
         let values = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0];
         let h = Histogram::equi_depth(&values, 2).unwrap();
         assert_eq!(h.buckets().len(), 2);
@@ -464,17 +342,13 @@ mod tests {
 
     #[test]
     fn pairs_below_on_identical_uniform_columns_is_half() {
-        for h in [
-            Histogram::equi_width(&uniform_0_999(), 10).unwrap(),
-            Histogram::equi_depth(&uniform_0_999(), 10).unwrap(),
-        ] {
-            let lt = h.fraction_pairs_below(&h);
-            // True P(X < Y) on 1000 i.i.d. uniform points is
-            // (1 - 1/1000)/2 = 0.4995.
-            assert!((lt - 0.5).abs() < 0.02, "P(X<Y) {lt} far from 0.5");
-            // Strict + strict leaves room for the equality diagonal.
-            assert!(2.0 * lt <= 1.0 + 1e-9, "strict halves overlap: {lt}");
-        }
+        let h = Histogram::equi_depth(&uniform_0_999(), 10).unwrap();
+        let lt = h.fraction_pairs_below(&h);
+        // True P(X < Y) on 1000 i.i.d. uniform points is
+        // (1 - 1/1000)/2 = 0.4995.
+        assert!((lt - 0.5).abs() < 0.02, "P(X<Y) {lt} far from 0.5");
+        // Strict + strict leaves room for the equality diagonal.
+        assert!(2.0 * lt <= 1.0 + 1e-9, "strict halves overlap: {lt}");
     }
 
     #[test]
@@ -491,7 +365,7 @@ mod tests {
     fn pairs_below_point_vs_uniform_matches_truth() {
         // X ≡ 7 against Y uniform on {0..13}: P(X < Y) = P(Y > 7) = 6/14,
         // P(Y < X) = P(Y < 7) = 7/14.
-        let point = Histogram::equi_width(&[7.0; 50], 4).unwrap();
+        let point = Histogram::equi_depth(&[7.0; 50], 4).unwrap();
         let unif: Vec<f64> = (0..14).map(|i| i as f64).collect();
         let u = Histogram::equi_depth(&unif, 14).unwrap();
         let lt = point.fraction_pairs_below(&u);
@@ -505,12 +379,12 @@ mod tests {
         // Degenerate single-valued buckets on both sides: strictly-below is
         // 0 both ways, so below-or-equal (the complement of the reverse
         // strict) is 1 — the whole cross product is the equality diagonal.
-        let a = Histogram::equi_width(&[5.0, 5.0, 5.0], 4).unwrap();
+        let a = Histogram::equi_depth(&[5.0, 5.0, 5.0], 4).unwrap();
         let b = Histogram::equi_depth(&[5.0; 7], 2).unwrap();
         assert_eq!(a.fraction_pairs_below(&b), 0.0);
         assert_eq!(b.fraction_pairs_below(&a), 0.0);
         // Shifted point: everything on one side.
-        let c = Histogram::equi_width(&[6.0, 6.0], 1).unwrap();
+        let c = Histogram::equi_depth(&[6.0, 6.0], 1).unwrap();
         assert_eq!(a.fraction_pairs_below(&c), 1.0);
         assert_eq!(c.fraction_pairs_below(&a), 0.0);
     }
@@ -520,7 +394,7 @@ mod tests {
         // Satellite audit: `<=` must be fraction_below + fraction_equal and
         // `>` its complement, exactly, at interior bucket boundaries where
         // the strict/inclusive distinction is easiest to get wrong.
-        let h = Histogram::equi_width(&uniform_0_999(), 10).unwrap();
+        let h = Histogram::equi_depth(&uniform_0_999(), 10).unwrap();
         for edge in [100.0, 500.0, 900.0] {
             let below = h.fraction_below(edge);
             let eq = h.fraction_equal(edge);
@@ -565,15 +439,10 @@ mod tests {
             v in -1500.0f64..1500.0,
             nb in 1usize..16,
         ) {
-            let values = sorted(values);
-            for h in [
-                Histogram::equi_width(&values, nb).unwrap(),
-                Histogram::equi_depth(&values, nb).unwrap(),
-            ] {
-                for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-                    let s = h.selectivity(op, v);
-                    proptest::prop_assert!((0.0..=1.0).contains(&s), "{op:?} gave {s}");
-                }
+            let h = Histogram::equi_depth(&sorted(values), nb).unwrap();
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                let s = h.selectivity(op, v);
+                proptest::prop_assert!((0.0..=1.0).contains(&s), "{op:?} gave {s}");
             }
         }
 
@@ -587,22 +456,18 @@ mod tests {
             let values = vec![point; n];
             let below = point - delta;
             let above = point + delta;
-            for h in [
-                Histogram::equi_width(&values, nb).unwrap(),
-                Histogram::equi_depth(&values, nb).unwrap(),
-            ] {
-                // Every range selectivity on either side of the point is
-                // exactly 0 or 1 — never an interpolated in-between.
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Lt, below), 0.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Le, below), 0.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Gt, below), 1.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Ge, below), 1.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Lt, above), 1.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Le, above), 1.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Gt, above), 0.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Ge, above), 0.0);
-                proptest::prop_assert_eq!(h.selectivity(CmpOp::Eq, point), 1.0);
-            }
+            let h = Histogram::equi_depth(&values, nb).unwrap();
+            // Every range selectivity on either side of the point is
+            // exactly 0 or 1 — never an interpolated in-between.
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Lt, below), 0.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Le, below), 0.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Gt, below), 1.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Ge, below), 1.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Lt, above), 1.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Le, above), 1.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Gt, above), 0.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Ge, above), 0.0);
+            proptest::prop_assert_eq!(h.selectivity(CmpOp::Eq, point), 1.0);
         }
 
         #[test]
@@ -611,18 +476,14 @@ mod tests {
             ys in proptest::collection::vec(-100.0f64..100.0, 1..120),
             nb in 1usize..8,
         ) {
-            let (xs, ys) = (sorted(xs), sorted(ys));
-            for (hx, hy) in [
-                (Histogram::equi_width(&xs, nb).unwrap(), Histogram::equi_width(&ys, nb).unwrap()),
-                (Histogram::equi_depth(&xs, nb).unwrap(), Histogram::equi_depth(&ys, nb).unwrap()),
-            ] {
-                let lt = hx.fraction_pairs_below(&hy);
-                let gt = hy.fraction_pairs_below(&hx);
-                proptest::prop_assert!((0.0..=1.0).contains(&lt));
-                proptest::prop_assert!((0.0..=1.0).contains(&gt));
-                // P(X<Y) + P(Y<X) <= 1: the diagonal never goes negative.
-                proptest::prop_assert!(lt + gt <= 1.0 + 1e-9, "lt {lt} + gt {gt} > 1");
-            }
+            let hx = Histogram::equi_depth(&sorted(xs), nb).unwrap();
+            let hy = Histogram::equi_depth(&sorted(ys), nb).unwrap();
+            let lt = hx.fraction_pairs_below(&hy);
+            let gt = hy.fraction_pairs_below(&hx);
+            proptest::prop_assert!((0.0..=1.0).contains(&lt));
+            proptest::prop_assert!((0.0..=1.0).contains(&gt));
+            // P(X<Y) + P(Y<X) <= 1: the diagonal never goes negative.
+            proptest::prop_assert!(lt + gt <= 1.0 + 1e-9, "lt {lt} + gt {gt} > 1");
         }
 
         #[test]
@@ -630,16 +491,11 @@ mod tests {
             values in proptest::collection::vec(-50.0f64..50.0, 1..100),
             nb in 1usize..8,
         ) {
-            let values = sorted(values);
-            for h in [
-                Histogram::equi_width(&values, nb).unwrap(),
-                Histogram::equi_depth(&values, nb).unwrap(),
-            ] {
-                for b in h.buckets() {
-                    let mid = (b.lo + b.hi) / 2.0;
-                    proptest::prop_assert!(h.fraction_below(mid) <= 1.0);
-                    proptest::prop_assert!(h.fraction_below(b.hi) <= 1.0);
-                }
+            let h = Histogram::equi_depth(&sorted(values), nb).unwrap();
+            for b in h.buckets() {
+                let mid = (b.lo + b.hi) / 2.0;
+                proptest::prop_assert!(h.fraction_below(mid) <= 1.0);
+                proptest::prop_assert!(h.fraction_below(b.hi) <= 1.0);
             }
         }
 

@@ -4,7 +4,7 @@
 //! plays the role of Starburst's system catalog in the paper's experiment.
 //!
 //! * `schema` — table/column definitions derived from stored data.
-//! * `histogram` — equi-width and equi-depth histograms plus
+//! * `histogram` — equi-depth histograms plus
 //!   most-common-value lists; these are the "distribution statistics" the
 //!   paper's Section 5 allows for local predicates.
 //! * [`collect`] — statistics collection (ANALYZE, one sort per column)
@@ -63,6 +63,6 @@ mod shared;
 pub use catalog::{Catalog, QueryOracle};
 pub use error::{CatalogError, CatalogResult};
 pub use feedback::{FeedbackCounters, FeedbackKey, FeedbackMode, FeedbackStore, QueryCorrections};
-pub use histogram::{EquiDepthHistogram, EquiWidthHistogram, Histogram, MostCommonValues};
+pub use histogram::{Histogram, MostCommonValues};
 pub use schema::{ColumnDef, TableDef};
 pub use shared::{CatalogSnapshot, SharedCatalog};

@@ -4,54 +4,18 @@
 //! touches the heap — under any `CollectOptions`. A collector that boxed
 //! every row as a `Value` made one allocation per `Str` row.
 //!
-//! Its own test binary: the counting allocator is process-wide (the count
-//! itself is per thread, so the test harness's threads do not disturb it).
+//! Its own test binary: the counting allocator
+//! (`tests/support/counting_alloc.rs` at the workspace root) is
+//! process-wide, though it counts per thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-use els_catalog::collect::{collect_table_stats, CollectOptions, HistogramKind};
+use els_catalog::collect::{collect_table_stats, CollectOptions};
 use els_storage::datagen::{ColumnSpec, Distribution, TableSpec};
 use els_storage::Table;
 
-struct Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator also runs while a thread's locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a thread-local statistic and publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
+use counting_alloc::allocations_in;
 
 /// One `Int`, one `Float` and one `Str` column, each with NULLs.
 fn table(rows: usize) -> Table {
@@ -72,9 +36,7 @@ fn table(rows: usize) -> Table {
 #[test]
 fn collecting_allocates_per_column_not_per_row() {
     let (small, large) = (table(10_000), table(100_000));
-    let equi_width =
-        CollectOptions { histogram: HistogramKind::EquiWidth, histogram_buckets: 16, mcv_size: 8 };
-    for options in [CollectOptions::default(), CollectOptions::full(), equi_width] {
+    for options in [CollectOptions::default(), CollectOptions::full()] {
         let (s, at_small) = allocations_in(|| collect_table_stats(&small, &options));
         let (l, at_large) = allocations_in(|| collect_table_stats(&large, &options));
         assert_eq!((s.0.cardinality, l.0.cardinality), (10_000.0, 100_000.0));

@@ -23,13 +23,16 @@
 
 use std::collections::HashMap;
 
+use crate::cardinality::CardinalityEstimator;
 use crate::closure::transitive_closure;
 use crate::correction::{CorrectionSource, NoCorrections};
 use crate::equivalence::EquivalenceClasses;
-use crate::error::ElsResult;
-use crate::estimator::{JoinState, PreparedQuery};
+use crate::error::{ElsError, ElsResult};
+use crate::estimator::{ClassEdges, Edge};
 use crate::ids::{ClassId, TableId};
-use crate::join_sel::{annotate_join_predicates_corrected, annotate_range_predicates};
+use crate::join_sel::{
+    annotate_join_predicates_corrected, annotate_range_predicates, JoinPredicateInfo,
+};
 use crate::local_effects::{compute_effective_stats, DistinctReduction, EffectiveStats};
 use crate::predicate::{dedup_predicates, Predicate};
 use crate::rules::{RepresentativeStrategy, SelectivityRule};
@@ -133,7 +136,9 @@ impl ElsOptions {
     }
 }
 
-/// A fully prepared estimation pipeline for one query.
+/// A fully prepared estimation pipeline for one query: what Steps 1–5
+/// derived, and Step 6 behind [`CardinalityEstimator`]
+/// ([`crate::estimator`]).
 #[derive(Debug, Clone)]
 pub struct Els {
     options: ElsOptions,
@@ -141,7 +146,19 @@ pub struct Els {
     classes: EquivalenceClasses,
     effective: EffectiveStats,
     adjustments: Vec<SameTableAdjustment>,
-    prepared: PreparedQuery,
+    /// Effective table cardinalities (‖R‖′, or ‖R‖″ after Section 6), the
+    /// one per-table value Step 6 reads.
+    pub(crate) table_cardinality: Vec<f64>,
+    /// Annotated join predicates (post-closure when closure is enabled).
+    pub(crate) join_predicates: Vec<JoinPredicateInfo>,
+    /// `join_predicates` indexed for Step 6 ([`ClassEdges::index`]).
+    pub(crate) class_edges: Vec<ClassEdges>,
+    /// Inequality join predicates as edges, in predicate order. Classless:
+    /// each multiplies its selectivity into the first step that crosses it.
+    pub(crate) range_edges: Vec<Edge>,
+    /// True when Equation 3 holds for this query: every size is then
+    /// computed along its set's canonical order.
+    pub(crate) order_independent: bool,
 }
 
 impl Els {
@@ -152,26 +169,15 @@ impl Els {
         stats: &QueryStatistics,
         options: &ElsOptions,
     ) -> ElsResult<Els> {
-        Els::prepare_with_oracle(predicates, stats, options, &NoOracle)
+        Els::prepare_full(predicates, stats, options, &NoOracle, &NoCorrections)
     }
 
-    /// Run Steps 1–5, consulting `oracle` (e.g. histograms) for
-    /// local-predicate selectivities.
-    pub fn prepare_with_oracle(
-        predicates: &[Predicate],
-        stats: &QueryStatistics,
-        options: &ElsOptions,
-        oracle: &dyn SelectivityOracle,
-    ) -> ElsResult<Els> {
-        Els::prepare_full(predicates, stats, options, oracle, &NoCorrections)
-    }
-
-    /// Run Steps 1–5 with both hooks: `oracle` for distribution
-    /// statistics and `corrections` for feedback-learned factors (scan
-    /// corrections fold into Step 4's local selectivities, join
-    /// corrections into Step 5's Equation 2 values; see
-    /// [`crate::correction`]). Passing [`NoCorrections`] makes this
-    /// identical to [`Els::prepare_with_oracle`].
+    /// Run Steps 1–5 with both hooks: `oracle` (e.g. histograms) for
+    /// local-predicate selectivities and `corrections` for feedback-learned
+    /// factors (scan corrections fold into Step 4's local selectivities,
+    /// join corrections into Step 5's Equation 2 values; see
+    /// [`crate::correction`]). Passing [`NoOracle`] and [`NoCorrections`]
+    /// makes this identical to [`Els::prepare`].
     pub fn prepare_full(
         predicates: &[Predicate],
         stats: &QueryStatistics,
@@ -232,9 +238,21 @@ impl Els {
         let ranges = annotate_range_predicates(&predicates, stats, oracle, corrections)?;
 
         let table_cardinality = effective.tables.iter().map(|t| t.cardinality).collect();
-        let prepared = PreparedQuery::from_parts(table_cardinality, infos, reps, options.rule)
-            .with_range_predicates(ranges);
-        Ok(Els { options: *options, predicates, classes, effective, adjustments, prepared })
+        let (class_edges, order_independent) = ClassEdges::index(&infos, &reps, options.rule);
+        let range_edges =
+            ranges.iter().map(|p| Edge::new(p.left.table, p.right.table, p.selectivity)).collect();
+        Ok(Els {
+            options: *options,
+            predicates,
+            classes,
+            effective,
+            adjustments,
+            table_cardinality,
+            join_predicates: infos,
+            class_edges,
+            range_edges,
+            order_independent,
+        })
     }
 
     /// The configured options.
@@ -265,34 +283,9 @@ impl Els {
         &self.adjustments
     }
 
-    /// The prepared Step 6 estimator.
-    pub fn prepared(&self) -> &PreparedQuery {
-        &self.prepared
-    }
-
     /// Effective cardinality ‖R‖′ of a base table.
     pub fn effective_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        self.prepared.base_cardinality(table)
-    }
-
-    /// Step 6: start a join state from one base table.
-    pub fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
-        self.prepared.initial_state(table)
-    }
-
-    /// Step 6: extend a join state by one table.
-    pub fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
-        self.prepared.join(state, table)
-    }
-
-    /// Step 6, bushy form: join two disjoint intermediate results.
-    pub(crate) fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
-        self.prepared.join_sets(a, b)
-    }
-
-    /// Step 6 over a whole join order; returns the size after each step.
-    pub fn estimate_order(&self, order: &[TableId]) -> ElsResult<Vec<f64>> {
-        self.prepared.estimate_order(order)
+        self.table_cardinality.get(table).copied().ok_or(ElsError::UnknownTable(table))
     }
 
     /// Convenience: the final estimated size of joining all tables in the
@@ -303,7 +296,7 @@ impl Els {
             return Ok(last);
         }
         match order.first() {
-            Some(&t) => self.prepared.base_cardinality(t),
+            Some(&t) => self.effective_cardinality(t),
             None => Ok(0.0),
         }
     }

@@ -8,10 +8,12 @@
 //! set up once per query, then estimate per join edge/state), so the
 //! optimizer can run the same dynamic program over any estimator:
 //!
-//! * **[`Els`]** — the paper's pipeline, in all its configurations: rule
-//!   LS (Algorithm ELS), the System-R rule M and rule SS baselines, and
-//!   the feedback-corrected variant (corrections are folded in during
-//!   `prepare_full`, so a corrected `Els` *is* the feedback estimator).
+//! * **[`Els`](crate::Els)** — the paper's pipeline, in all its
+//!   configurations: rule LS (Algorithm ELS), the System-R rule M and rule
+//!   SS baselines, and the feedback-corrected variant (corrections are
+//!   folded in during `prepare_full`, so a corrected `Els` *is* the
+//!   feedback estimator). Its implementation is Step 6, in
+//!   [`crate::estimator`].
 //! * **[`UpperBoundEstimator`]** — a UES-style sketch bound built from
 //!   max join-column frequencies: estimates are *guaranteed upper
 //!   bounds* on the true result size, for any data distribution. The
@@ -27,13 +29,11 @@
 
 use std::collections::HashMap;
 
-use crate::algorithm::Els;
 use crate::closure::transitive_closure;
 use crate::error::{ElsError, ElsResult};
-use crate::estimator::{JoinState, MAX_TABLES};
+use crate::estimator::{checked_cardinality, settled_join, JoinState, MAX_TABLES};
 use crate::ids::{ColumnRef, TableId};
 use crate::predicate::Predicate;
-use crate::rules::SelectivityRule;
 use crate::stats::QueryStatistics;
 
 /// Estimate join-result sizes for a query, one join state at a time.
@@ -70,14 +70,23 @@ pub trait CardinalityEstimator: std::fmt::Debug {
     /// Start a join state from one base table.
     fn initial_state(&self, table: TableId) -> ElsResult<JoinState>;
 
-    /// Extend a state by one base table (the left-deep transition).
-    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState>;
+    /// Extend a state by one base table (the left-deep transition): the
+    /// table's initial state joined to `state` by
+    /// [`join_sets`](CardinalityEstimator::join_sets), after checking that
+    /// `state` does not hold it already.
+    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
+        let single = self.initial_state(table)?;
+        if state.contains(table) {
+            return Err(ElsError::InvalidJoinStep { table, reason: "table already joined" });
+        }
+        self.join_sets(state, &single)
+    }
 
     /// Join two disjoint intermediate results (the bushy transition).
     fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState>;
 
     /// True when the estimate for a join set depends on the set alone, to
-    /// the bit, whichever [`join`] / [`join_sets`] calls built it. An
+    /// the bit, whichever `join` / `join_sets` calls built it. An
     /// enumerator may then ask once per table subset instead of once per
     /// candidate plan. The default, `false`, is always safe: a wrapper that
     /// does not forward this method is asked per candidate and gets the
@@ -99,64 +108,6 @@ pub trait CardinalityEstimator: std::fmt::Debug {
             sizes.push(state.cardinality());
         }
         Ok(sizes)
-    }
-}
-
-impl CardinalityEstimator for Els {
-    fn name(&self) -> &'static str {
-        use crate::algorithm::Preprocessing;
-        match (self.options().preprocessing, self.options().rule) {
-            (Preprocessing::Els, SelectivityRule::LargestSelectivity) => "els",
-            (Preprocessing::Els, SelectivityRule::Multiplicative) => "els-rule-m",
-            (Preprocessing::Els, SelectivityRule::SmallestSelectivity) => "els-rule-ss",
-            (Preprocessing::Els, SelectivityRule::Representative) => "els-rule-rep",
-            (Preprocessing::Standard, SelectivityRule::LargestSelectivity) => "standard-ls",
-            (Preprocessing::Standard, SelectivityRule::Multiplicative) => "standard-sm",
-            (Preprocessing::Standard, SelectivityRule::SmallestSelectivity) => "standard-sss",
-            (Preprocessing::Standard, SelectivityRule::Representative) => "standard-rep",
-        }
-    }
-
-    fn num_tables(&self) -> usize {
-        self.prepared().num_tables()
-    }
-
-    fn predicates(&self) -> &[Predicate] {
-        Els::predicates(self)
-    }
-
-    fn effective_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        Els::effective_cardinality(self, table)
-    }
-
-    fn original_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        self.effective_stats()
-            .tables
-            .get(table)
-            .map(|t| t.original_cardinality)
-            .ok_or(ElsError::UnknownTable(table))
-    }
-
-    fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
-        Els::initial_state(self, table)
-    }
-
-    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
-        Els::join(self, state, table)
-    }
-
-    fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
-        Els::join_sets(self, a, b)
-    }
-
-    /// Rule LS over min-clique classes: see
-    /// [`crate::estimator::PreparedQuery::order_independent`].
-    fn order_independent(&self) -> bool {
-        self.prepared().order_independent()
-    }
-
-    fn estimate_order(&self, order: &[TableId]) -> ElsResult<Vec<f64>> {
-        Els::estimate_order(self, order)
     }
 }
 
@@ -186,24 +137,17 @@ impl BaseTables {
     }
 
     /// Stored cardinality of `table`, or a typed error when the id is
-    /// outside the query or the 64-table state mask (same contract as
-    /// `PreparedQuery::checked_base` — degrade to an error, never panic).
+    /// outside the query or the 64-table state mask.
     fn checked(&self, table: TableId) -> ElsResult<f64> {
-        if table >= MAX_TABLES {
-            return Err(ElsError::InvalidJoinStep { table, reason: "table out of range" });
-        }
-        self.cardinality
-            .get(table)
-            .copied()
-            .ok_or(ElsError::InvalidJoinStep { table, reason: "table out of range" })
+        checked_cardinality(&self.cardinality, table)
     }
 }
 
 /// An estimator whose size for a join state depends on the table *set*
 /// alone, not on the order that built it: all it has to say is
-/// [`SetSized::size_of`], and the [`CardinalityEstimator`] surface — stored
-/// cardinalities on both accessors, states that are a mask plus that size,
-/// the already-joined, overlap and empty-side guards — is written once below.
+/// [`SetSized::size_of`], and the rest of the [`CardinalityEstimator`]
+/// surface — stored cardinalities on both accessors, states that are a mask
+/// plus that size — is written once below.
 trait SetSized: std::fmt::Debug {
     /// [`CardinalityEstimator::name`].
     const NAME: &'static str;
@@ -241,26 +185,9 @@ impl<T: SetSized> CardinalityEstimator for T {
         Ok(JoinState::from_parts(1u64 << table, cardinality))
     }
 
-    fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
-        let single = self.initial_state(table)?;
-        if state.contains(table) {
-            return Err(ElsError::InvalidJoinStep { table, reason: "table already joined" });
-        }
-        self.join_sets(state, &single)
-    }
-
     fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
-        if a.table_mask() & b.table_mask() != 0 {
-            return Err(ElsError::InvalidJoinStep {
-                table: (a.table_mask() & b.table_mask()).trailing_zeros() as usize,
-                reason: "join sides overlap",
-            });
-        }
-        if a.is_empty() {
-            return Ok(*b);
-        }
-        if b.is_empty() {
-            return Ok(*a);
+        if let Some(settled) = settled_join(a, b)? {
+            return Ok(settled);
         }
         let mask = a.table_mask() | b.table_mask();
         Ok(JoinState::from_parts(mask, self.size_of(mask)?))
@@ -467,7 +394,7 @@ impl SetSized for NoEstimatesEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::ElsOptions;
+    use crate::algorithm::{Els, ElsOptions};
     use crate::predicate::CmpOp;
     use crate::stats::{ColumnStatistics, TableStatistics};
 
@@ -498,17 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn els_behind_the_trait_matches_the_direct_path() {
+    fn els_answers_through_a_trait_object() {
         let (stats, preds) = section8();
         let els = Els::prepare(&preds, &stats, &ElsOptions::default()).unwrap();
         let dynamic: &dyn CardinalityEstimator = &els;
         assert_eq!(dynamic.name(), "els");
         assert_eq!(dynamic.num_tables(), 4);
-        for order in [[2usize, 3, 1, 0], [0, 1, 2, 3]] {
-            let via_trait = dynamic.estimate_order(&order).unwrap();
-            let direct = els.estimate_order(&order).unwrap();
-            assert_eq!(via_trait, direct);
-        }
+        assert_eq!(dynamic.estimate_order(&[2, 3, 1, 0]).unwrap(), vec![100.0; 3]);
         assert_eq!(dynamic.original_cardinality(3).unwrap(), 100_000.0);
         assert_eq!(dynamic.effective_cardinality(3).unwrap(), 100.0);
     }

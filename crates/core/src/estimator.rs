@@ -1,13 +1,14 @@
 //! Incremental join-result-size estimation (Algorithm ELS, Step 6;
-//! paper Section 7).
+//! paper Section 7): the [`CardinalityEstimator`] implementation of
+//! [`Els`].
 //!
-//! A [`PreparedQuery`] holds everything Steps 1–5 produced: effective table
-//! cardinalities, the column cardinalities to plug into Equation 2, the
-//! equivalence classes, and the annotated join predicates. A [`JoinState`]
-//! is an immutable snapshot of one intermediate result (a set of joined
-//! tables plus its estimated cardinality); `PreparedQuery::join` extends a
-//! state by one table, the access pattern of every System-R style
-//! enumerator.
+//! [`Els::prepare`] runs Steps 1–5 and keeps what Step 6 reads: effective
+//! table cardinalities and the annotated join predicates, indexed by
+//! equivalence class. A [`JoinState`] is an immutable snapshot of one
+//! intermediate result (a set of joined tables plus its estimated
+//! cardinality); [`CardinalityEstimator::join`] extends a state by one
+//! table, the access pattern of every System-R style enumerator, and
+//! [`CardinalityEstimator::join_sets`] joins two.
 //!
 //! At each step the *eligible* predicates — those linking the new table to
 //! tables already in the state — are grouped by equivalence class, each
@@ -16,7 +17,7 @@
 //! new cardinality is `old · ‖T‖′ · ∏ per-class selectivity`.
 //!
 //! A step allocates nothing: the predicates are indexed once, at
-//! construction, as table bitmasks grouped by class, and one pass over that
+//! preparation, as table bitmasks grouped by class, and one pass over that
 //! index finds each class's choice and multiplies the classes in ascending
 //! [`ClassId`] order — the same product, to the bit, for every query
 //! prepared the same way.
@@ -24,17 +25,20 @@
 //! Under Rule LS the estimate of a join set is Equation 3 over the set,
 //! whatever order built it (Section 7), when every class is a clique of
 //! `min(s_i, s_j)` pair selectivities — which closure and Equation 2
-//! produce. [`PreparedQuery::from_parts`] checks that condition, and a query
-//! that meets it computes every set's size along one canonical order,
-//! ascending tables, so the estimate is a function of the set to the bit
-//! ([`PreparedQuery::order_independent`]). An enumerator may then ask once
-//! per table subset instead of once per candidate plan.
+//! produce. Preparation checks that condition, and a query that meets it
+//! computes every set's size along one canonical order, ascending tables,
+//! so the estimate is a function of the set to the bit
+//! ([`CardinalityEstimator::order_independent`]). An enumerator may then
+//! ask once per table subset instead of once per candidate plan.
 
 use std::collections::HashMap;
 
+use crate::algorithm::{Els, Preprocessing};
+use crate::cardinality::CardinalityEstimator;
 use crate::error::{ElsError, ElsResult};
 use crate::ids::{ClassId, TableId};
-use crate::join_sel::{JoinPredicateInfo, RangePredicateInfo};
+use crate::join_sel::JoinPredicateInfo;
+use crate::predicate::Predicate;
 use crate::rules::SelectivityRule;
 
 /// Maximum number of tables in one query (states are 64-bit bitmasks).
@@ -77,6 +81,36 @@ impl JoinState {
     }
 }
 
+/// The entry of `table` in a per-table `cardinality` list, or a typed error
+/// when the id is outside the query or the 64-table state mask. Every
+/// estimator's range check: degrade to an error on degenerate inputs, never
+/// abort on an indexing or shift-overflow panic.
+pub(crate) fn checked_cardinality(cardinality: &[f64], table: TableId) -> ElsResult<f64> {
+    cardinality
+        .get(table)
+        .filter(|_| table < MAX_TABLES)
+        .copied()
+        .ok_or(ElsError::InvalidJoinStep { table, reason: "table out of range" })
+}
+
+/// The guards every `join_sets` starts with: sides that share a table are
+/// an error, and an empty side makes the other side the answer (`Some`).
+/// `None` leaves two disjoint, non-empty sides for the estimator to size.
+pub(crate) fn settled_join(a: &JoinState, b: &JoinState) -> ElsResult<Option<JoinState>> {
+    let overlap = a.tables & b.tables;
+    if overlap != 0 {
+        let table = overlap.trailing_zeros() as usize;
+        return Err(ElsError::InvalidJoinStep { table, reason: "join sides overlap" });
+    }
+    Ok(if a.is_empty() {
+        Some(*b)
+    } else if b.is_empty() {
+        Some(*a)
+    } else {
+        None
+    })
+}
+
 /// How one equivalence class contributed to one join step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassChoice {
@@ -88,8 +122,7 @@ pub struct ClassChoice {
     pub chosen: f64,
 }
 
-/// Diagnostic record of one join step (see
-/// `PreparedQuery::explain_join`).
+/// Diagnostic record of one join step (see [`Els::report`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinStepExplanation {
     /// The table being joined in.
@@ -106,7 +139,7 @@ pub struct JoinStepExplanation {
 
 /// One cross-table predicate as Step 6 tests it.
 #[derive(Debug, Clone, Copy)]
-struct Edge {
+pub(crate) struct Edge {
     /// The bits of the two tables it links. Empty when either lies past
     /// the 64-bit state mask: such an edge never crosses, exactly as
     /// [`JoinState::contains`] never reports such a table.
@@ -115,7 +148,7 @@ struct Edge {
 }
 
 impl Edge {
-    fn new(left: TableId, right: TableId, selectivity: f64) -> Edge {
+    pub(crate) fn new(left: TableId, right: TableId, selectivity: f64) -> Edge {
         let tables =
             if left < MAX_TABLES && right < MAX_TABLES { (1 << left) | (1 << right) } else { 0 };
         Edge { tables, selectivity }
@@ -134,7 +167,7 @@ impl Edge {
 /// first under Rule LS — so that the choice of either of those two rules at
 /// any step is simply the first edge that crosses it.
 #[derive(Debug, Clone)]
-struct ClassEdges {
+pub(crate) struct ClassEdges {
     class: ClassId,
     /// The class's fixed representative (`None` when Steps 1–5 supplied
     /// none; only Rule REP reads it).
@@ -143,6 +176,46 @@ struct ClassEdges {
 }
 
 impl ClassEdges {
+    /// Index Step 5's join predicates for Step 6: grouped by class in
+    /// ascending class order, so the classes are multiplied in an order that
+    /// depends on nothing but the query, each class's edges ordered for
+    /// `rule`. Also says whether Equation 3 holds for the query (see
+    /// [`CardinalityEstimator::order_independent`]): Rule LS, and every
+    /// class a [min-clique](ClassEdges::is_min_clique).
+    pub(crate) fn index(
+        join_predicates: &[JoinPredicateInfo],
+        representatives: &HashMap<ClassId, f64>,
+        rule: SelectivityRule,
+    ) -> (Vec<ClassEdges>, bool) {
+        let mut classes: Vec<ClassEdges> = Vec::new();
+        for p in join_predicates {
+            let edge = Edge::new(p.left.table, p.right.table, p.selectivity);
+            match classes.iter_mut().find(|c| c.class == p.class) {
+                Some(c) => c.edges.push(edge),
+                None => classes.push(ClassEdges {
+                    class: p.class,
+                    representative: representatives.get(&p.class).copied(),
+                    edges: vec![edge],
+                }),
+            }
+        }
+        classes.sort_by_key(|c| c.class);
+        for class in &mut classes {
+            match rule {
+                SelectivityRule::SmallestSelectivity => {
+                    class.edges.sort_by(|x, y| x.selectivity.total_cmp(&y.selectivity));
+                }
+                SelectivityRule::LargestSelectivity => {
+                    class.edges.sort_by(|x, y| y.selectivity.total_cmp(&x.selectivity));
+                }
+                SelectivityRule::Multiplicative | SelectivityRule::Representative => {}
+            }
+        }
+        let order_independent = rule == SelectivityRule::LargestSelectivity
+            && classes.iter().all(ClassEdges::is_min_clique);
+        (classes, order_independent)
+    }
+
     /// True when the class meets the condition under which Rule LS
     /// estimates by Equation 3 whatever the join order: every two of its
     /// tables are linked, and a pair's selectivity (the largest over its
@@ -179,141 +252,7 @@ fn bits(mut mask: u64) -> impl Iterator<Item = u64> {
     })
 }
 
-/// The output of Steps 1–5, ready for incremental estimation.
-#[derive(Debug, Clone)]
-pub struct PreparedQuery {
-    /// Effective table cardinalities (‖R‖′, or ‖R‖″ after Section 6).
-    pub(crate) table_cardinality: Vec<f64>,
-    /// Annotated join predicates (post-closure when closure is enabled).
-    pub(crate) join_predicates: Vec<JoinPredicateInfo>,
-    /// Annotated inequality join predicates. Classless: each multiplies its
-    /// selectivity into the first step that crosses it.
-    pub(crate) range_predicates: Vec<RangePredicateInfo>,
-    /// `join_predicates` as edges, grouped by class in ascending class
-    /// order: the classes are multiplied in an order that depends on
-    /// nothing but the query.
-    class_edges: Vec<ClassEdges>,
-    /// `range_predicates` as edges, in predicate order.
-    range_edges: Vec<Edge>,
-    /// The configured selectivity-choice rule (fixed at construction:
-    /// `class_edges` is ordered for it).
-    rule: SelectivityRule,
-    /// True when Equation 3 holds for this query (see
-    /// [`PreparedQuery::order_independent`]): every size is then computed
-    /// along its set's canonical order.
-    order_independent: bool,
-}
-
-impl PreparedQuery {
-    /// Build a prepared query directly from its parts. Most users should go
-    /// through [`crate::algorithm::Els::prepare`], which runs Steps 1–5;
-    /// this constructor exists for tests and custom pipelines.
-    pub fn from_parts(
-        table_cardinality: Vec<f64>,
-        join_predicates: Vec<JoinPredicateInfo>,
-        class_representative: HashMap<ClassId, f64>,
-        rule: SelectivityRule,
-    ) -> Self {
-        let mut class_edges: Vec<ClassEdges> = Vec::new();
-        for p in &join_predicates {
-            let edge = Edge::new(p.left.table, p.right.table, p.selectivity);
-            match class_edges.iter_mut().find(|c| c.class == p.class) {
-                Some(c) => c.edges.push(edge),
-                None => class_edges.push(ClassEdges {
-                    class: p.class,
-                    representative: class_representative.get(&p.class).copied(),
-                    edges: vec![edge],
-                }),
-            }
-        }
-        class_edges.sort_by_key(|c| c.class);
-        for class in &mut class_edges {
-            match rule {
-                SelectivityRule::SmallestSelectivity => {
-                    class.edges.sort_by(|x, y| x.selectivity.total_cmp(&y.selectivity));
-                }
-                SelectivityRule::LargestSelectivity => {
-                    class.edges.sort_by(|x, y| y.selectivity.total_cmp(&x.selectivity));
-                }
-                SelectivityRule::Multiplicative | SelectivityRule::Representative => {}
-            }
-        }
-        let order_independent = rule == SelectivityRule::LargestSelectivity
-            && class_edges.iter().all(ClassEdges::is_min_clique);
-        PreparedQuery {
-            table_cardinality,
-            join_predicates,
-            range_predicates: Vec::new(),
-            class_edges,
-            range_edges: Vec::new(),
-            rule,
-            order_independent,
-        }
-    }
-
-    /// Attach annotated inequality join predicates (builder style).
-    #[must_use]
-    pub(crate) fn with_range_predicates(
-        mut self,
-        range_predicates: Vec<RangePredicateInfo>,
-    ) -> Self {
-        self.range_edges = range_predicates
-            .iter()
-            .map(|p| Edge::new(p.left.table, p.right.table, p.selectivity))
-            .collect();
-        self.range_predicates = range_predicates;
-        self
-    }
-
-    /// Number of tables in the query.
-    pub(crate) fn num_tables(&self) -> usize {
-        self.table_cardinality.len()
-    }
-
-    /// Effective cardinality of a base table (after local predicates and the
-    /// Section 6 adjustment).
-    pub fn base_cardinality(&self, table: TableId) -> ElsResult<f64> {
-        self.table_cardinality.get(table).copied().ok_or(ElsError::UnknownTable(table))
-    }
-
-    /// The annotated join predicates.
-    pub fn join_predicates(&self) -> &[JoinPredicateInfo] {
-        &self.join_predicates
-    }
-
-    /// True when every join set's estimate is a function of the set alone,
-    /// to the bit: Rule LS, and every equivalence class a clique whose pair
-    /// selectivities are `min(s_i, s_j)` for per-table values `s` (paper
-    /// Section 7: the estimate is then Equation 3 over the set, whatever
-    /// order built it). Such a query computes each set's size along one
-    /// canonical order, ascending tables: `PreparedQuery::join` with a
-    /// table above every table of the state is the incremental step, and
-    /// every other `join` or `PreparedQuery::join_sets` recomputes that
-    /// canonical chain. Derived from the query; nothing can set it.
-    pub fn order_independent(&self) -> bool {
-        self.order_independent
-    }
-
-    /// The effective cardinality of `table`, or a typed error when the id
-    /// is outside the query or the 64-table state mask. Centralizing the
-    /// bound check keeps the estimator free of indexing panics: Algorithm
-    /// ELS must degrade to an error on degenerate inputs, never abort.
-    fn checked_base(&self, table: TableId) -> ElsResult<f64> {
-        if table >= MAX_TABLES {
-            return Err(ElsError::InvalidJoinStep { table, reason: "table out of range" });
-        }
-        self.table_cardinality
-            .get(table)
-            .copied()
-            .ok_or(ElsError::InvalidJoinStep { table, reason: "table out of range" })
-    }
-
-    /// Start a join with a single base table.
-    pub(crate) fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
-        let cardinality = self.checked_base(table)?;
-        Ok(JoinState { tables: 1 << table, cardinality })
-    }
-
+impl Els {
     /// The representative selectivity of a class. Only
     /// [`SelectivityRule::Representative`] consumes the value, so a
     /// missing entry is fine under every other rule — but under Rule REP
@@ -324,12 +263,29 @@ impl PreparedQuery {
     fn representative(&self, class: &ClassEdges) -> ElsResult<f64> {
         match class.representative {
             Some(r) => Ok(r),
-            None if self.rule != SelectivityRule::Representative => Ok(1.0),
+            None if self.options().rule != SelectivityRule::Representative => Ok(1.0),
             None => Err(ElsError::DegenerateStats(format!(
                 "rule REP has no representative selectivity for class {}",
                 class.class
             ))),
         }
+    }
+
+    /// The configured rule's choice for one class between the disjoint
+    /// table sets `a` and `b`, or `None` when no edge of the class links
+    /// them.
+    fn class_choice(&self, class: &ClassEdges, a: u64, b: u64) -> ElsResult<Option<f64>> {
+        let mut eligible = class.edges.iter().filter(|e| e.crosses(a, b)).map(|e| e.selectivity);
+        Ok(match self.options().rule {
+            SelectivityRule::Multiplicative => eligible.reduce(|acc, s| acc * s),
+            SelectivityRule::SmallestSelectivity | SelectivityRule::LargestSelectivity => {
+                eligible.next()
+            }
+            SelectivityRule::Representative => match eligible.next() {
+                Some(_) => Some(self.representative(class)?),
+                None => None,
+            },
+        })
     }
 
     /// Combined selectivity of every predicate linking the disjoint table
@@ -339,19 +295,7 @@ impl PreparedQuery {
     fn crossing_selectivity(&self, a: u64, b: u64) -> ElsResult<f64> {
         let mut selectivity = 1.0f64;
         for class in &self.class_edges {
-            let mut eligible =
-                class.edges.iter().filter(|e| e.crosses(a, b)).map(|e| e.selectivity);
-            let chosen = match self.rule {
-                SelectivityRule::Multiplicative => eligible.reduce(|acc, s| acc * s),
-                SelectivityRule::SmallestSelectivity | SelectivityRule::LargestSelectivity => {
-                    eligible.next()
-                }
-                SelectivityRule::Representative => match eligible.next() {
-                    Some(_) => Some(self.representative(class)?),
-                    None => None,
-                },
-            };
-            if let Some(chosen) = chosen {
+            if let Some(chosen) = self.class_choice(class, a, b)? {
                 selectivity *= chosen;
             }
         }
@@ -360,36 +304,6 @@ impl PreparedQuery {
             .iter()
             .filter(|e| e.crosses(a, b))
             .fold(selectivity, |s, e| s * e.selectivity))
-    }
-
-    /// Extend `state` by `table`, returning the new state with its estimated
-    /// cardinality. When no predicate links the new table to the state the
-    /// step is a cartesian product. Equal, to the bit, to
-    /// [`PreparedQuery::join_sets`] with `table`'s initial state; when the
-    /// query is [order independent](PreparedQuery::order_independent), equal
-    /// to the bit to any other way of building the same set.
-    pub(crate) fn join(&self, state: &JoinState, table: TableId) -> ElsResult<JoinState> {
-        let base = self.checked_base(table)?;
-        if state.contains(table) {
-            return Err(ElsError::InvalidJoinStep { table, reason: "table already joined" });
-        }
-        if state.is_empty() {
-            return self.initial_state(table);
-        }
-        if self.order_independent && state.tables > (1 << table) {
-            return self.canonical(state.tables | (1 << table));
-        }
-        self.step(state, table, base)
-    }
-
-    /// The incremental step: `state` extended by `table`, whose effective
-    /// cardinality is `base`.
-    fn step(&self, state: &JoinState, table: TableId, base: f64) -> ElsResult<JoinState> {
-        let selectivity = self.crossing_selectivity(state.tables, 1 << table)?;
-        Ok(JoinState {
-            tables: state.tables | (1 << table),
-            cardinality: state.cardinality * base * selectivity,
-        })
     }
 
     /// The estimate for the table set `tables` along its canonical order,
@@ -402,37 +316,44 @@ impl PreparedQuery {
         };
         let mut state = self.initial_state(first)?;
         for table in members {
-            state = self.step(&state, table, self.checked_base(table)?)?;
+            let base = checked_cardinality(&self.table_cardinality, table)?;
+            let selectivity = self.crossing_selectivity(state.tables, 1 << table)?;
+            state = JoinState {
+                tables: state.tables | (1 << table),
+                cardinality: state.cardinality * base * selectivity,
+            };
         }
         Ok(state)
     }
 
-    /// Explain one join step: the eligible selectivities per class, the
-    /// value each class contributed under the configured rule, and the
-    /// resulting cardinality. Pure diagnostics — [`PreparedQuery::join`]
-    /// computes the same numbers (for an order-independent query, along
-    /// the set's canonical order, so `cardinality_after` may differ from
-    /// `before · base · chosen` in the last bits).
+    /// Explain one join step: the eligible selectivities per class (in
+    /// predicate order), the value each class contributed under the
+    /// configured rule, and the resulting cardinality. Pure diagnostics —
+    /// [`CardinalityEstimator::join`] computes the same numbers (for an
+    /// order-independent query, along the set's canonical order, so
+    /// `cardinality_after` may differ from `before · base · chosen` in the
+    /// last bits).
     pub(crate) fn explain_join(
         &self,
         state: &JoinState,
         table: TableId,
     ) -> ElsResult<JoinStepExplanation> {
         let new_state = self.join(state, table)?;
-        let base_cardinality = self.checked_base(table)?;
-        let crosses = |p: &JoinPredicateInfo| {
-            Edge::new(p.left.table, p.right.table, p.selectivity).crosses(state.tables, 1 << table)
-        };
+        let base_cardinality = checked_cardinality(&self.table_cardinality, table)?;
+        let (before, single) = (state.tables, 1 << table);
         let mut classes: Vec<ClassChoice> = Vec::new();
         for class in &self.class_edges {
-            let eligible: Vec<f64> = self
-                .join_predicates
-                .iter()
-                .filter(|p| p.class == class.class && crosses(p))
-                .map(|p| p.selectivity)
-                .collect();
-            if !eligible.is_empty() {
-                let chosen = self.rule.combine(&eligible, self.representative(class)?);
+            if let Some(chosen) = self.class_choice(class, before, single)? {
+                let eligible = self
+                    .join_predicates
+                    .iter()
+                    .filter(|p| p.class == class.class)
+                    .filter(|p| {
+                        Edge::new(p.left.table, p.right.table, p.selectivity)
+                            .crosses(before, single)
+                    })
+                    .map(|p| p.selectivity)
+                    .collect();
                 classes.push(ClassChoice { class: class.class, eligible, chosen });
             }
         }
@@ -444,26 +365,57 @@ impl PreparedQuery {
             cardinality_after: new_state.cardinality(),
         })
     }
+}
 
-    /// Join two disjoint intermediate results (the bushy-tree transition).
+impl CardinalityEstimator for Els {
+    fn name(&self) -> &'static str {
+        match (self.options().preprocessing, self.options().rule) {
+            (Preprocessing::Els, SelectivityRule::LargestSelectivity) => "els",
+            (Preprocessing::Els, SelectivityRule::Multiplicative) => "els-rule-m",
+            (Preprocessing::Els, SelectivityRule::SmallestSelectivity) => "els-rule-ss",
+            (Preprocessing::Els, SelectivityRule::Representative) => "els-rule-rep",
+            (Preprocessing::Standard, SelectivityRule::LargestSelectivity) => "standard-ls",
+            (Preprocessing::Standard, SelectivityRule::Multiplicative) => "standard-sm",
+            (Preprocessing::Standard, SelectivityRule::SmallestSelectivity) => "standard-sss",
+            (Preprocessing::Standard, SelectivityRule::Representative) => "standard-rep",
+        }
+    }
+
+    fn num_tables(&self) -> usize {
+        self.table_cardinality.len()
+    }
+
+    fn predicates(&self) -> &[Predicate] {
+        Els::predicates(self)
+    }
+
+    fn effective_cardinality(&self, table: TableId) -> ElsResult<f64> {
+        Els::effective_cardinality(self, table)
+    }
+
+    fn original_cardinality(&self, table: TableId) -> ElsResult<f64> {
+        self.effective_stats()
+            .tables
+            .get(table)
+            .map(|t| t.original_cardinality)
+            .ok_or(ElsError::UnknownTable(table))
+    }
+
+    fn initial_state(&self, table: TableId) -> ElsResult<JoinState> {
+        let cardinality = checked_cardinality(&self.table_cardinality, table)?;
+        Ok(JoinState { tables: 1 << table, cardinality })
+    }
+
     /// Eligible predicates are those linking a table of `a` to a table of
-    /// `b`; the configured rule combines them per class exactly as in the
-    /// left-deep case. Rule LS remains consistent with Equation 3 here:
-    /// with per-side class minima `m_a`, `m_b`, the largest eligible
-    /// selectivity is `1/max(m_a, m_b)`, which stitches the two partial
-    /// denominators into the full all-but-global-min product.
-    pub(crate) fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
-        if a.tables & b.tables != 0 {
-            return Err(ElsError::InvalidJoinStep {
-                table: (a.tables & b.tables).trailing_zeros() as usize,
-                reason: "join sides overlap",
-            });
-        }
-        if a.is_empty() {
-            return Ok(*b);
-        }
-        if b.is_empty() {
-            return Ok(*a);
+    /// `b`; the configured rule combines them per class. With a single
+    /// table on one side this is the incremental step of Step 6. Rule LS
+    /// remains consistent with Equation 3 for bushy joins too: with
+    /// per-side class minima `m_a`, `m_b`, the largest eligible selectivity
+    /// is `1/max(m_a, m_b)`, which stitches the two partial denominators
+    /// into the full all-but-global-min product.
+    fn join_sets(&self, a: &JoinState, b: &JoinState) -> ElsResult<JoinState> {
+        if let Some(settled) = settled_join(a, b)? {
+            return Ok(settled);
         }
         // Unless one side is a single table above every table of the other
         // (the canonical step itself: `x · y` is `y · x` to the bit), an
@@ -479,52 +431,70 @@ impl PreparedQuery {
         })
     }
 
-    /// Estimate the sizes of every intermediate result along a join order.
-    /// Returns one entry per join step (so `order.len() - 1` entries).
-    pub fn estimate_order(&self, order: &[TableId]) -> ElsResult<Vec<f64>> {
-        let Some((&first, rest)) = order.split_first() else {
-            return Ok(Vec::new());
-        };
-        let mut state = self.initial_state(first)?;
-        let mut sizes = Vec::with_capacity(rest.len());
-        for &t in rest {
-            state = self.join(&state, t)?;
-            sizes.push(state.cardinality());
-        }
-        Ok(sizes)
+    /// True when every join set's estimate is a function of the set alone,
+    /// to the bit: Rule LS, and every equivalence class a clique whose pair
+    /// selectivities are `min(s_i, s_j)` for per-table values `s` (paper
+    /// Section 7: the estimate is then Equation 3 over the set, whatever
+    /// order built it). Such a query computes each set's size along one
+    /// canonical order, ascending tables: joining a single table above
+    /// every table of the other side is the incremental step, and every
+    /// other join recomputes that canonical chain. Derived from the query;
+    /// nothing can set it.
+    fn order_independent(&self) -> bool {
+        self.order_independent
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::ElsOptions;
     use crate::closure::transitive_closure;
     use crate::equivalence::EquivalenceClasses;
     use crate::ids::ColumnRef;
     use crate::join_sel::annotate_join_predicates;
-    use crate::predicate::Predicate;
     use crate::rules::RepresentativeStrategy;
+    use crate::stats::{ColumnStatistics, QueryStatistics, TableStatistics};
 
     fn c(t: usize, col: usize) -> ColumnRef {
         ColumnRef::new(t, col)
     }
 
+    /// An `Els` whose Step 6 reads hand-built input: `table_cardinality`
+    /// and `join_predicates` in place of what Steps 1–5 derive, and no
+    /// representative but those in `representatives`.
+    fn from_parts(
+        table_cardinality: Vec<f64>,
+        join_predicates: Vec<JoinPredicateInfo>,
+        representatives: HashMap<ClassId, f64>,
+        rule: SelectivityRule,
+    ) -> Els {
+        let no_tables = QueryStatistics::new(Vec::new());
+        let mut els =
+            Els::prepare(&[], &no_tables, &ElsOptions::default().with_rule(rule)).unwrap();
+        (els.class_edges, els.order_independent) =
+            ClassEdges::index(&join_predicates, &representatives, rule);
+        els.table_cardinality = table_cardinality;
+        els.join_predicates = join_predicates;
+        els
+    }
+
     /// Paper Example 1b query: three tables, one class, closure applied;
     /// cardinalities 100/1000/1000, d = 10/100/1000.
-    fn example_1b(rule: SelectivityRule, rep: RepresentativeStrategy) -> PreparedQuery {
-        let preds = transitive_closure(&[
+    fn example_1b(rule: SelectivityRule, rep: RepresentativeStrategy) -> Els {
+        let stats = QueryStatistics::new(
+            [(100.0, 10.0), (1000.0, 100.0), (1000.0, 1000.0)]
+                .map(|(rows, d)| {
+                    TableStatistics::new(rows, vec![ColumnStatistics::with_distinct(d)])
+                })
+                .to_vec(),
+        );
+        let preds = [
             Predicate::col_eq(c(0, 0), c(1, 0)).unwrap(),
             Predicate::col_eq(c(1, 0), c(2, 0)).unwrap(),
-        ]);
-        let classes = EquivalenceClasses::from_predicates(&preds);
-        let d = |cr: ColumnRef| [10.0, 100.0, 1000.0][cr.table];
-        let infos = annotate_join_predicates(&preds, &classes, d).unwrap();
-        let mut class_sels: HashMap<ClassId, Vec<f64>> = HashMap::new();
-        for i in &infos {
-            class_sels.entry(i.class).or_default().push(i.selectivity);
-        }
-        let reps = class_sels.into_iter().map(|(k, v)| (k, rep.derive(&v))).collect();
-        PreparedQuery::from_parts(vec![100.0, 1000.0, 1000.0], infos, reps, rule)
+        ];
+        let options = ElsOptions::default().with_rule(rule).with_representative(rep);
+        Els::prepare(&preds, &stats, &options).unwrap()
     }
 
     #[test]
@@ -586,21 +556,13 @@ mod tests {
 
     #[test]
     fn range_predicates_multiply_into_crossing_steps() {
-        use crate::join_sel::RangePredicateInfo;
-        use crate::predicate::CmpOp;
-        let q = PreparedQuery::from_parts(
+        let mut q = from_parts(
             vec![10.0, 20.0, 30.0],
             Vec::new(),
             HashMap::new(),
             SelectivityRule::LargestSelectivity,
-        )
-        .with_range_predicates(vec![RangePredicateInfo {
-            left: c(0, 0),
-            op: CmpOp::Lt,
-            right: c(1, 0),
-            selectivity: 0.25,
-        }]);
-        assert_eq!(q.range_predicates.len(), 1);
+        );
+        q.range_edges = vec![Edge::new(0, 1, 0.25)];
         // Crossing step applies the 0.25; the unrelated table does not.
         let s = q.initial_state(0).unwrap();
         let s01 = q.join(&s, 1).unwrap();
@@ -620,7 +582,7 @@ mod tests {
 
     #[test]
     fn cartesian_product_when_no_predicate_links() {
-        let q = PreparedQuery::from_parts(
+        let q = from_parts(
             vec![10.0, 20.0],
             Vec::new(),
             HashMap::new(),
@@ -686,7 +648,7 @@ mod tests {
 
     #[test]
     fn join_sets_cartesian_when_disconnected() {
-        let q = PreparedQuery::from_parts(
+        let q = from_parts(
             vec![10.0, 20.0],
             Vec::new(),
             HashMap::new(),
@@ -718,7 +680,7 @@ mod tests {
             ));
             assert!(matches!(q.join(&s, bad), Err(ElsError::InvalidJoinStep { .. })));
             assert!(q.explain_join(&s, bad).is_err());
-            assert!(q.base_cardinality(bad).is_err());
+            assert!(q.effective_cardinality(bad).is_err());
             assert!(q.estimate_order(&[0, bad]).is_err());
         }
     }
@@ -739,18 +701,13 @@ mod tests {
             SelectivityRule::SmallestSelectivity,
             SelectivityRule::Multiplicative,
         ] {
-            let q =
-                PreparedQuery::from_parts(vec![100.0, 1000.0], infos.clone(), HashMap::new(), rule);
+            let q = from_parts(vec![100.0, 1000.0], infos.clone(), HashMap::new(), rule);
             let s = q.join(&q.initial_state(0).unwrap(), 1).unwrap();
             assert!(s.cardinality() > 0.0, "{rule:?} must not need representatives");
             assert!(q.explain_join(&q.initial_state(0).unwrap(), 1).is_ok());
         }
-        let q = PreparedQuery::from_parts(
-            vec![100.0, 1000.0],
-            infos,
-            HashMap::new(),
-            SelectivityRule::Representative,
-        );
+        let q =
+            from_parts(vec![100.0, 1000.0], infos, HashMap::new(), SelectivityRule::Representative);
         let s0 = q.initial_state(0).unwrap();
         for err in [
             q.join(&s0, 1).unwrap_err(),
@@ -762,9 +719,9 @@ mod tests {
         }
     }
 
-    /// `join` picks each class's value from the rule-ordered index,
-    /// `explain_join` recomputes it with [`SelectivityRule::combine`] over
-    /// the eligible predicates: the two must tell the same story.
+    /// `explain_join` lists the eligible predicates in predicate order and
+    /// reads each class's choice the way `join` does: replaying the step
+    /// from the explanation must give `join`'s estimate.
     #[test]
     fn explain_join_agrees_with_join_under_every_rule() {
         for rule in [
@@ -803,12 +760,7 @@ mod tests {
                     selectivity: sels[i],
                 })
                 .collect();
-            PreparedQuery::from_parts(
-                vec![1.0; 5],
-                infos,
-                HashMap::new(),
-                SelectivityRule::LargestSelectivity,
-            )
+            from_parts(vec![1.0; 5], infos, HashMap::new(), SelectivityRule::LargestSelectivity)
         };
         let expected = (((sels[0] * sels[1]) * sels[2]) * sels[3]).to_bits();
         for q in [prepare([0, 1, 2, 3]), prepare([0, 1, 2, 3]), prepare([2, 0, 3, 1])] {
@@ -834,7 +786,7 @@ mod tests {
     /// the state mask — it must be rejected, not silently aliased to bit 0.
     #[test]
     fn oversized_table_vector_cannot_overflow_the_state_mask() {
-        let q = PreparedQuery::from_parts(
+        let q = from_parts(
             vec![10.0; MAX_TABLES + 8],
             Vec::new(),
             HashMap::new(),
@@ -849,5 +801,22 @@ mod tests {
         let s = q.initial_state(0).unwrap();
         assert!(q.join(&s, MAX_TABLES).is_err());
         assert!(q.join(&s, MAX_TABLES + 7).is_err());
+    }
+
+    #[test]
+    fn one_corrected_join_edge_does_not_declare() {
+        // Example 1b's pair selectivities are min(s_i, s_j) for s = (1/10,
+        // 1/100, 1/1000)... until one edge alone is corrected by a factor 5.
+        let els = example_1b(SelectivityRule::LargestSelectivity, Default::default());
+        assert!(els.order_independent());
+        let cards: Vec<f64> = (0..3).map(|t| els.effective_cardinality(t).unwrap()).collect();
+        let mut infos = els.join_predicates.clone();
+        let edge = infos.iter_mut().find(|p| (p.left.table, p.right.table) == (0, 2)).unwrap();
+        edge.selectivity *= 5.0;
+        let corrected =
+            from_parts(cards, infos, HashMap::new(), SelectivityRule::LargestSelectivity);
+        assert!(!corrected.order_independent());
+        let last = |order: &[usize]| *corrected.estimate_order(order).unwrap().last().unwrap();
+        assert_ne!(last(&[0, 2, 1]), last(&[1, 2, 0]));
     }
 }

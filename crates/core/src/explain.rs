@@ -10,6 +10,7 @@
 use std::fmt;
 
 use crate::algorithm::Els;
+use crate::cardinality::CardinalityEstimator;
 use crate::error::ElsResult;
 use crate::estimator::JoinStepExplanation;
 use crate::ids::TableId;
@@ -86,7 +87,7 @@ impl Els {
         if let Some((&first, rest)) = order.split_first() {
             let mut state = self.initial_state(first)?;
             for &t in rest {
-                let step = self.prepared().explain_join(&state, t)?;
+                let step = self.explain_join(&state, t)?;
                 state = self.join(&state, t)?;
                 steps.push(step);
             }

@@ -33,7 +33,7 @@ pub(crate) fn join_selectivity(d_left: f64, d_right: f64) -> f64 {
 
 /// One join predicate, annotated for the incremental estimator.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JoinPredicateInfo {
+pub(crate) struct JoinPredicateInfo {
     /// Left column (lower-numbered table).
     pub left: ColumnRef,
     /// Right column (higher-numbered table).

@@ -111,7 +111,7 @@ pub use cardinality::{CardinalityEstimator, NoEstimatesEstimator, UpperBoundEsti
 pub use correction::{scan_fingerprint, CorrectionSource, NoCorrections};
 pub use error::{ElsError, ElsResult};
 pub use error_model::q_error;
-pub use estimator::{JoinState, PreparedQuery};
+pub use estimator::JoinState;
 pub use explain::EstimationReport;
 pub use ids::{ClassId, ColumnRef, TableId};
 pub use predicate::{CmpOp, Predicate};

@@ -42,32 +42,6 @@ impl SelectivityRule {
             SelectivityRule::Representative => "REP",
         }
     }
-
-    /// Combine the eligible selectivities of ONE class at one join step.
-    /// `representative` is the class's fixed value (used only by
-    /// [`SelectivityRule::Representative`]).
-    ///
-    /// **Contract:** an empty `eligible` slice means "no eligible join
-    /// predicate applies at this step", and every order-based rule returns
-    /// the neutral selectivity `1.0` (the estimate is left unchanged).
-    /// Earlier revisions only `debug_assert!`ed here, so release builds
-    /// silently produced `±inf` from the min/max folds and poisoned every
-    /// downstream estimate.
-    pub(crate) fn combine(self, eligible: &[f64], representative: f64) -> f64 {
-        if eligible.is_empty() && self != SelectivityRule::Representative {
-            return 1.0;
-        }
-        match self {
-            SelectivityRule::Multiplicative => eligible.iter().product(),
-            SelectivityRule::SmallestSelectivity => {
-                eligible.iter().copied().fold(f64::INFINITY, f64::min)
-            }
-            SelectivityRule::LargestSelectivity => {
-                eligible.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            }
-            SelectivityRule::Representative => representative,
-        }
-    }
 }
 
 /// How the per-class representative selectivity is derived for
@@ -117,40 +91,6 @@ impl RepresentativeStrategy {
 mod tests {
     use super::*;
 
-    const ELIGIBLE: [f64; 2] = [0.01, 0.001]; // J1 and J3 of the paper.
-
-    #[test]
-    fn rule_m_multiplies() {
-        let s = SelectivityRule::Multiplicative.combine(&ELIGIBLE, 0.5);
-        assert!((s - 1e-5).abs() < 1e-18);
-    }
-
-    #[test]
-    fn rule_ss_takes_smallest() {
-        assert_eq!(SelectivityRule::SmallestSelectivity.combine(&ELIGIBLE, 0.5), 0.001);
-    }
-
-    #[test]
-    fn rule_ls_takes_largest() {
-        assert_eq!(SelectivityRule::LargestSelectivity.combine(&ELIGIBLE, 0.5), 0.01);
-    }
-
-    #[test]
-    fn representative_ignores_eligible() {
-        assert_eq!(SelectivityRule::Representative.combine(&ELIGIBLE, 0.42), 0.42);
-    }
-
-    #[test]
-    fn single_eligible_selectivity_is_returned_by_all_order_rules() {
-        for rule in [
-            SelectivityRule::Multiplicative,
-            SelectivityRule::SmallestSelectivity,
-            SelectivityRule::LargestSelectivity,
-        ] {
-            assert_eq!(rule.combine(&[0.25], 0.9), 0.25, "{rule:?}");
-        }
-    }
-
     #[test]
     fn representative_strategies() {
         let sels = [0.01, 0.001, 0.001];
@@ -163,25 +103,8 @@ mod tests {
 
     /// Regression: before the empty-slice contract, release builds (where
     /// `debug_assert!` compiles out) returned `+inf`/`-inf` from the
-    /// min/max folds and `NaN`-free garbage from the product, poisoning
-    /// every downstream cardinality. Empty input must be the neutral 1.0
-    /// in every build profile.
-    #[test]
-    fn empty_eligible_is_neutral_not_infinite() {
-        for rule in [
-            SelectivityRule::Multiplicative,
-            SelectivityRule::SmallestSelectivity,
-            SelectivityRule::LargestSelectivity,
-        ] {
-            let s = rule.combine(&[], 0.42);
-            assert!(s.is_finite(), "{rule:?} returned {s}");
-            assert_eq!(s, 1.0, "{rule:?}");
-        }
-        // Representative still answers with its fixed per-class value.
-        assert_eq!(SelectivityRule::Representative.combine(&[], 0.42), 0.42);
-    }
-
-    /// Regression companion for [`RepresentativeStrategy::derive`].
+    /// min/max folds. An empty class must derive the neutral 1.0 in every
+    /// build profile.
     #[test]
     fn empty_class_derives_neutral_representative() {
         for strategy in [
@@ -200,16 +123,5 @@ mod tests {
         assert_eq!(SelectivityRule::Multiplicative.short_name(), "M");
         assert_eq!(SelectivityRule::SmallestSelectivity.short_name(), "SS");
         assert_eq!(SelectivityRule::LargestSelectivity.short_name(), "LS");
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn rules_are_ordered_m_le_ss_le_ls(sels in proptest::collection::vec(1e-6f64..1.0, 1..6)) {
-            let m = SelectivityRule::Multiplicative.combine(&sels, 0.0);
-            let ss = SelectivityRule::SmallestSelectivity.combine(&sels, 0.0);
-            let ls = SelectivityRule::LargestSelectivity.combine(&sels, 0.0);
-            proptest::prop_assert!(m <= ss + 1e-15);
-            proptest::prop_assert!(ss <= ls + 1e-15);
-        }
     }
 }

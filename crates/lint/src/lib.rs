@@ -28,8 +28,9 @@ use passes::{Lint, Violation};
 use source::SourceFile;
 
 /// The library targets the passes cover: the six engine crates, the
-/// umbrella facade, and the server front door. Each crate root also carries
-/// the shared clippy ban list. Tooling (els-bench, els-lint) and the
+/// umbrella facade, and the server front door, each with the source root
+/// whose sibling `Cargo.toml` the layering pass reads. Each crate root also
+/// carries the shared clippy ban list. Tooling (els-bench, els-lint) and the
 /// vendored shims are exempt by construction — printing is their job.
 pub const LIBRARY_SRC_ROOTS: &[(&str, &str)] = &[
     ("els-storage", "crates/storage/src"),
@@ -40,18 +41,6 @@ pub const LIBRARY_SRC_ROOTS: &[(&str, &str)] = &[
     ("els-optimizer", "crates/optimizer/src"),
     ("els", "src"),
     ("els-server", "crates/server/src"),
-];
-
-/// Manifests the layering pass reads, alongside their crate names.
-const LIBRARY_MANIFESTS: &[(&str, &str)] = &[
-    ("els-storage", "crates/storage/Cargo.toml"),
-    ("els-core", "crates/core/Cargo.toml"),
-    ("els-catalog", "crates/catalog/Cargo.toml"),
-    ("els-sql", "crates/sql/Cargo.toml"),
-    ("els-exec", "crates/exec/Cargo.toml"),
-    ("els-optimizer", "crates/optimizer/Cargo.toml"),
-    ("els", "Cargo.toml"),
-    ("els-server", "crates/server/Cargo.toml"),
 ];
 
 /// Hard errors that no suppression can discharge: malformed or unused
@@ -144,10 +133,13 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
         });
     }
 
-    for (crate_name, manifest_rel) in LIBRARY_MANIFESTS {
-        let text = fs::read_to_string(root.join(manifest_rel))
+    // The layering pass reads each crate's manifest, beside its source root.
+    for (crate_name, src_root) in LIBRARY_SRC_ROOTS {
+        let manifest = Path::new(src_root).with_file_name("Cargo.toml");
+        let manifest_rel = manifest.to_string_lossy();
+        let text = fs::read_to_string(root.join(&manifest))
             .map_err(|e| format!("cannot read {manifest_rel}: {e}"))?;
-        passes::run_layering_pass(crate_name, manifest_rel, &text, &mut violations);
+        passes::run_layering_pass(crate_name, &manifest_rel, &text, &mut violations);
     }
 
     for file in &files {

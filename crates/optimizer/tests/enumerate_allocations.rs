@@ -6,14 +6,11 @@
 //! or per join of that plan (its key and range lists). Nor may it ask an order-independent estimator once
 //! per candidate: exactly once per subset is enough.
 //!
-//! Its own test binary: the counting allocator is process-wide, and the
-//! tests here take turns on `SERIAL` so one's allocations never land in
-//! the other's count.
+//! Its own test binary: the counting allocator
+//! (`tests/support/counting_alloc.rs` at the workspace root) is
+//! process-wide, though it counts per thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use els_core::{
     CardinalityEstimator, CmpOp, ColumnRef, ColumnStatistics, Els, ElsOptions, ElsResult,
@@ -23,32 +20,10 @@ use els_exec::JoinMethod;
 use els_optimizer::enumerate::enumerate;
 use els_optimizer::{CostParams, TableProfile, TreeShape};
 
-struct Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static SERIAL: Mutex<()> = Mutex::new(());
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a statistic and publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::allocations_in;
 
 const N: usize = 10;
 
@@ -79,12 +54,11 @@ fn clique() -> (Els, Vec<TableProfile>) {
 const METHODS: [JoinMethod; 3] = [JoinMethod::NestedLoop, JoinMethod::SortMerge, JoinMethod::Hash];
 
 #[test]
-fn a_ten_table_bushy_clique_enumerates_in_under_a_thousand_allocations() {
-    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+fn a_ten_table_bushy_clique_enumerates_in_under_160_allocations() {
     let (els, profiles) = clique();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = enumerate(&els, &profiles, &METHODS, &CostParams::default(), TreeShape::Bushy);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (result, allocations) = allocations_in(|| {
+        enumerate(&els, &profiles, &METHODS, &CostParams::default(), TreeShape::Bushy)
+    });
 
     assert_eq!(result.unwrap().join_order.len(), N);
     // 141 on every run so far; the headroom covers a run-to-run spread of
@@ -139,7 +113,6 @@ impl CardinalityEstimator for CountingEstimator<'_> {
 
 #[test]
 fn an_order_independent_estimator_is_asked_once_per_subset() {
-    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (els, profiles) = clique();
     let counting = CountingEstimator { inner: &els, calls: Cell::new(0) };
     assert!(counting.order_independent());

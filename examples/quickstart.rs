@@ -34,6 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("SS (smallest selectivity)", SelectivityRule::SmallestSelectivity),
         ("LS (largest — Algorithm ELS)", SelectivityRule::LargestSelectivity),
     ] {
+        // Steps 1–5 once per query; Step 6 through the `CardinalityEstimator`
+        // trait (in the prelude), here one size per join of the order.
         let els = Els::prepare(&predicates, &stats, &ElsOptions::default().with_rule(rule))?;
         let sizes = els.estimate_order(&[1, 2, 0])?;
         println!("{name:<28} {:>14.3} {:>14.3}", sizes[0], sizes[1]);

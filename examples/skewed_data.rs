@@ -13,6 +13,7 @@ use els::catalog::collect::CollectOptions;
 use els::catalog::Catalog;
 use els::core::prelude::*;
 use els::core::selectivity::SelectivityOracle;
+use els::core::NoCorrections;
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Predicate::local_cmp(ColumnRef::new(0, 0), CmpOp::Eq, 0i64),
     ];
     let plain = Els::prepare(&predicates, &stats, &ElsOptions::default())?;
-    let informed = Els::prepare_with_oracle(&predicates, &stats, &ElsOptions::default(), &oracle)?;
+    let informed =
+        Els::prepare_full(&predicates, &stats, &ElsOptions::default(), &oracle, &NoCorrections)?;
     let plain_est = plain.estimate_final(&[0, 1])?;
     let informed_est = informed.estimate_final(&[0, 1])?;
     let true_join = truth * rows as f64; // each FACT row matches exactly one DIM row.

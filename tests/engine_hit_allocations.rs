@@ -13,11 +13,9 @@
 //! `composite_key_and_nested_loop_hits_do_not_allocate_with_the_data` that
 //! it is a count per operator: ten times the rows add a few `Vec` doublings.
 //!
-//! Its own test binary: the counting allocator is process-wide (the count
-//! itself is per thread, so the test harness's threads do not disturb it).
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! Its own test binary: the counting allocator
+//! (`tests/support/counting_alloc.rs`) is process-wide, though it counts
+//! per thread.
 
 use els::core::sync::audit;
 use els::engine::Engine;
@@ -25,44 +23,10 @@ use els::exec::JoinMethod;
 use els::optimizer::OptimizerOptions;
 use els::storage::datagen::{ColumnSpec, Distribution, TableSpec};
 
-struct Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator also runs while a thread's locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a thread-local statistic and publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
+use counting_alloc::allocations_in;
 
 const POINT: &str = "SELECT COUNT(*) FROM b WHERE k < 117";
 const JOIN: &str = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.k < 24";

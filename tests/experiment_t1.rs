@@ -8,6 +8,7 @@
 //! * the misled plans pay ≥10× the ELS plan's I/O (the paper's 9–12×).
 
 use els_bench::{section8_catalog, SECTION8_SQL};
+use els_core::CardinalityEstimator;
 use els_exec::{execute_plan_with, ExecMode};
 use els_optimizer::{bound_query_tables, optimize_bound, EstimatorPreset, OptimizerOptions};
 use els_sql::{bind, parse};

@@ -8,13 +8,10 @@
 //! graphs for every left-deep order and every bushy split, and checked not
 //! to be claimed by the configurations that are order dependent.
 
-use std::collections::HashMap;
-
 use els::core::correction::CorrectionSource;
 use els::core::exact;
 use els::core::prelude::*;
 use els::core::selectivity::NoOracle;
-use els::core::PreparedQuery;
 use proptest::prelude::*;
 
 /// Build a single-equivalence-class chain query over `dims` tables, where
@@ -356,19 +353,33 @@ fn order_dependent_configurations_do_not_declare() {
 fn one_corrected_join_edge_does_not_declare() {
     // Example 1b's pair selectivities are min(s_i, s_j) for s = (1/10,
     // 1/100, 1/1000)... until one edge alone is corrected by a factor 5.
-    let els = example_1b(SelectivityRule::LargestSelectivity);
-    let q = els.prepared();
-    assert!(q.order_independent());
-    let cards: Vec<f64> = (0..3).map(|t| q.base_cardinality(t).unwrap()).collect();
-    let mut infos = q.join_predicates().to_vec();
-    let edge = infos.iter_mut().find(|p| (p.left.table, p.right.table) == (0, 2)).unwrap();
-    edge.selectivity *= 5.0;
-    let corrected = PreparedQuery::from_parts(
-        cards,
-        infos,
-        HashMap::new(),
-        SelectivityRule::LargestSelectivity,
-    );
+    assert!(example_1b(SelectivityRule::LargestSelectivity).order_independent());
+    // The same query with edge (0, 2) on a second column of table 2 whose
+    // distinct count is 200: Equation 2 gives it 1/200, five times Example
+    // 1b's 1/1000, while edges (0, 1) and (1, 2) keep 1/100 and 1/1000.
+    // Closure off and standard pre-processing keep that column's equality
+    // with column 0 from reaching table 2's statistics or the edge set.
+    let column = |d: f64| ColumnStatistics::with_distinct(d);
+    let stats = QueryStatistics::new(vec![
+        TableStatistics::new(100.0, vec![column(10.0)]),
+        TableStatistics::new(1000.0, vec![column(100.0)]),
+        TableStatistics::new(1000.0, vec![column(1000.0), column(200.0)]),
+    ]);
+    let options = ElsOptions {
+        preprocessing: Preprocessing::Standard,
+        ..ElsOptions::default().with_closure(false)
+    };
+    let edges_via = |column_of_2: usize| {
+        let edges = [
+            Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(1, 0)).unwrap(),
+            Predicate::join_eq(ColumnRef::new(1, 0), ColumnRef::new(2, 0)).unwrap(),
+            Predicate::join_eq(ColumnRef::new(0, 0), ColumnRef::new(2, column_of_2)).unwrap(),
+        ];
+        Els::prepare(&edges, &stats, &options).unwrap()
+    };
+    // With edge (0, 2) on column 0 the clique is Example 1b's and declares.
+    assert!(edges_via(0).order_independent());
+    let corrected = edges_via(1);
     assert!(!corrected.order_independent());
     let last = |order: &[usize]| *corrected.estimate_order(order).unwrap().last().unwrap();
     assert_ne!(last(&[0, 2, 1]), last(&[1, 2, 0]));

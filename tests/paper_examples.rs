@@ -25,8 +25,10 @@ fn example_1b(rule: SelectivityRule) -> Els {
 fn example_1b_selectivities_and_sizes() {
     // S_J1 = 0.01, S_J2 = 0.001, S_J3 = 0.001.
     let els = example_1b(SelectivityRule::LargestSelectivity);
+    // Joining R1, R2, R3 in that order meets each predicate at one step.
+    let steps = els.report(&[0, 1, 2]).unwrap().steps;
     let mut sels: Vec<f64> =
-        els.prepared().join_predicates().iter().map(|p| p.selectivity).collect();
+        steps.iter().flat_map(|s| &s.classes).flat_map(|c| c.eligible.clone()).collect();
     sels.sort_by(f64::total_cmp);
     assert_eq!(sels, vec![0.001, 0.001, 0.01]);
     // ||R2 ⋈ R3|| = 1000; ||R1 ⋈ R2 ⋈ R3|| = 1000.
